@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-hot bench-wire bench-tier bench-cluster experiments fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-verify bench-e2e bench-hot bench-wire bench-tier bench-cluster experiments fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
-# race-clean), then the cluster suite, the multi-tenant QoS suite, and a
-# smoke pass over the concurrency benchmarks.
-all: build vet lint test race test-cluster test-tenant bench-smoke
+# race-clean), then the cluster suite, the multi-tenant QoS suite, a
+# smoke pass over the concurrency benchmarks, and the benchmark module's
+# own vet and tests.
+all: build vet lint test race test-cluster test-tenant bench-smoke bench-verify
 
 build:
 	$(GO) build ./...
@@ -85,6 +86,19 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentStore|BenchmarkRotationWhileServing' -benchtime 100ms .
 
+# bench/ is a module of its own that the root module never builds, so a
+# core or cache API change that breaks what the benchmark compiles against
+# would otherwise show only when the benchmark next runs. Its tests include
+# a -smoke run of every workload (~10 s).
+bench-verify:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# The repository's benchmark (bench/README.md, BENCHMARK.json): every
+# workload, end-to-end metrics. The headline numbers come from here.
+bench-e2e:
+	$(GO) run -C bench . -workload all
+
 # Wire-protocol throughput/latency matrix: v1 vs v2 at 1/8/32 clients over
 # a 1 ms-latency backend, written as BENCH_wire.json for CI trend lines.
 # The v2 acceptance bar: shared-conn ops/s at ≥8 clients must beat v1
@@ -108,9 +122,10 @@ bench-tier:
 bench-cluster:
 	$(GO) run ./cmd/benchcluster -out BENCH_cluster.json
 
-# Hit-path scaling sweep: pure cache-hit throughput at 1–8 GOMAXPROCS for
-# Shards=1 vs Shards=8. The headline number for the sharded-store work;
-# compare ns/op across -cpu to see lock-contention scaling.
+# Hit-path scaling sweep: single-block cache-hit ns/op at 1–8 GOMAXPROCS
+# for Shards=1 vs Shards=8. A micro-benchmark for watching lock
+# contention across -cpu while working on the hit path; what a hit costs
+# end to end is lib_hot in bench-e2e.
 bench-hot:
 	$(GO) test -run '^$$' -bench BenchmarkHitPathParallel -cpu 1,2,4,8 .
 

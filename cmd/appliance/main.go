@@ -47,7 +47,7 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:9000", "TCP listen address")
 		cacheMB   = flag.Int64("cache-mb", 64, "cache size in MiB")
 		variant   = flag.String("variant", "c", "sieve variant: c or d")
-		policy    = flag.String("policy", "lru", "cache eviction policy: lru, sieve, s3fifo, fifo, or clock")
+		policy    = flag.String("policy", "lru", "cache eviction policy: lru or sieve")
 		epoch     = flag.Duration("epoch", 24*time.Hour, "SieveStore-D epoch length")
 		threshold = flag.Int64("threshold", 10, "SieveStore-D epoch access-count threshold")
 		writeBack = flag.Bool("writeback", false, "enable write-back caching")

@@ -122,9 +122,9 @@ func NewObservability(st *core.Store) *Observability {
 	// it (the registry has no labels, so the policy name lives in the
 	// metric name — sievestore_core_policy_evictions_sieve etc.).
 	active := st.Policy()
-	for _, flag := range cache.PolicyNames() {
+	for _, flag := range cache.TableNames() {
 		flag := flag
-		p, err := cache.NewPolicy(flag, 1)
+		p, err := cache.NewTable(flag, 1)
 		if err != nil {
 			continue
 		}

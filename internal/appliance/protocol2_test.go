@@ -181,8 +181,23 @@ func TestPipelineConcurrency(t *testing.T) {
 	if srv.StatsSnapshot().PipelinedReqs == 0 {
 		t.Error("no pipelined requests counted despite 16 concurrent workers")
 	}
-	if d := srv.StatsSnapshot().PipelineDepth; d != 0 {
+	if d := drainedDepth(srv); d != 0 {
 		t.Errorf("PipelineDepth = %d after drain, want 0", d)
+	}
+}
+
+// drainedDepth reads PipelineDepth once the server's workers have caught
+// up: a worker sends its response before its deferred depth decrement
+// runs, so the client can hold every answer a moment before the gauge
+// reaches zero.
+func drainedDepth(srv *Server) int64 {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		d := srv.StatsSnapshot().PipelineDepth
+		if d == 0 || time.Now().After(deadline) {
+			return d
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -209,7 +224,7 @@ func TestPipelineDepthBounded(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if d := srv.StatsSnapshot().PipelineDepth; d != 0 {
+	if d := drainedDepth(srv); d != 0 {
 		t.Errorf("PipelineDepth = %d after drain, want 0", d)
 	}
 }

@@ -4,8 +4,8 @@
 // SieveStore-C, AOD, WMNA — all share this replacement policy, §4), plus
 // the batch-replacement operation SieveStore-D's discrete epochs use.
 //
-// The package tracks only metadata (tags and recency); data movement is the
-// concern of internal/store and internal/core.
+// The package tracks only metadata (tags, slots and recency); data
+// movement is the concern of internal/store and internal/core.
 package cache
 
 import (
@@ -14,132 +14,187 @@ import (
 	"repro/internal/block"
 )
 
-// node is an intrusive doubly-linked LRU list element.
-type node struct {
-	key        block.Key
-	prev, next *node
-}
-
-// Cache is a fully-associative, LRU-replacement tag store. It is not
-// goroutine-safe; concurrent users (internal/core) serialize access.
+// Cache is a fully-associative tag store: one key→slot index, the slots'
+// keys, a free-slot list, and a replacement Order that ranks slots — LRU
+// from New, SIEVE from NewSieve. Slots are dense small integers handed out
+// once and reused after Release, so a caller with per-block state of its
+// own (internal/core: frames, pin counts, dirty bits) keeps it in arrays
+// indexed by slot and shares this index instead of keying a second map.
+//
+// The keyed methods (Touch, Insert, Remove, Victim, Keys, Swap) are the
+// Policy the simulator and the RAM tier drive; the slot methods (Lookup,
+// Hit, Add, Drop, Release, Move, SwapSlots) are what internal/core uses.
+// It is not goroutine-safe; concurrent users serialize access.
 type Cache struct {
 	capacity int
-	table    map[block.Key]*node
-	// head.next is the MRU element, tail.prev the LRU victim.
-	head, tail node
-	// free keeps evicted nodes for reuse to avoid steady-state allocation.
-	free *node
+	index    map[block.Key]uint32
+	keys     []block.Key // by slot; a slot keeps its key until reused
+	free     []uint32    // released slots, reused last-in first-out
+	order    Order
 }
 
-// New returns a cache with the given capacity in blocks.
-func New(capacity int) *Cache {
+// New returns an LRU cache with the given capacity in blocks.
+func New(capacity int) *Cache { return newCache(capacity, &lruOrder{l: newSlotList()}) }
+
+// NewSieve returns a SIEVE cache with the given capacity in blocks.
+func NewSieve(capacity int) *Cache { return newCache(capacity, &sieveOrder{l: newSlotList()}) }
+
+func newCache(capacity int, order Order) *Cache {
 	if capacity < 1 {
 		panic(fmt.Sprintf("cache: capacity must be ≥1, got %d", capacity))
 	}
-	hint := capacity
-	if hint > 1<<20 {
-		// Don't pre-size gigantic tables; they grow on demand.
-		hint = 1 << 20
-	}
-	c := &Cache{
-		capacity: capacity,
-		table:    make(map[block.Key]*node, hint),
-	}
-	c.head.next = &c.tail
-	c.tail.prev = &c.head
-	return c
+	return &Cache{capacity: capacity, index: make(map[block.Key]uint32), order: order}
 }
+
+// Name identifies the replacement policy.
+func (c *Cache) Name() string { return c.order.Name() }
 
 // Capacity returns the cache capacity in blocks.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return len(c.table) }
+func (c *Cache) Len() int { return len(c.index) }
+
+// Slots returns how many slots were ever handed out: resident ones, free
+// ones, and any the caller dropped but has not yet released.
+func (c *Cache) Slots() int { return len(c.keys) }
+
+// FreeSlots returns how many released slots await reuse.
+func (c *Cache) FreeSlots() int { return len(c.free) }
+
+// Lookup returns key's slot without updating the order.
+func (c *Cache) Lookup(key block.Key) (slot uint32, ok bool) {
+	slot, ok = c.index[key]
+	return slot, ok
+}
+
+// Key returns the key last stored in slot.
+func (c *Cache) Key(slot uint32) block.Key { return c.keys[slot] }
+
+// Hit notes a hit on a resident slot.
+func (c *Cache) Hit(slot uint32) { c.order.Touch(slot) }
+
+// VictimSlot is the slot to Drop to make room in a full cache.
+func (c *Cache) VictimSlot() (uint32, bool) { return c.order.Victim() }
+
+// alloc hands out a slot for key: a released one, else the next new one.
+func (c *Cache) alloc(key block.Key) uint32 {
+	if n := len(c.free); n > 0 {
+		slot := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.keys[slot] = key
+		return slot
+	}
+	c.keys = append(c.keys, key)
+	return uint32(len(c.keys) - 1)
+}
+
+// Add makes a non-resident key resident, as the newest, in a slot of its
+// own. The cache must not be full: the caller Drops VictimSlot first.
+func (c *Cache) Add(key block.Key) (slot uint32) {
+	slot = c.alloc(key)
+	c.order.Insert(slot)
+	c.index[key] = slot
+	return slot
+}
+
+// Drop removes a resident slot from the index and the order. The slot
+// stays allocated, and Key keeps naming its block, until the caller
+// Releases it — once nothing refers to the slot any more.
+func (c *Cache) Drop(slot uint32) {
+	c.order.Remove(slot)
+	delete(c.index, c.keys[slot])
+}
+
+// Release returns a dropped slot for reuse.
+func (c *Cache) Release(slot uint32) { c.free = append(c.free, slot) }
+
+// Move rehouses a resident block: a new slot takes over from's key and
+// its exact place in the order, and from is left as Drop leaves a slot.
+func (c *Cache) Move(from uint32) (to uint32) {
+	key := c.keys[from]
+	to = c.alloc(key)
+	c.order.Replace(from, to)
+	c.index[key] = to
+	return to
+}
+
+// AppendSlots appends the resident slots, hottest first where the policy
+// defines an order (LRU: MRU→LRU; SIEVE: newest first).
+func (c *Cache) AppendSlots(dst []uint32) []uint32 { return c.order.AppendSlots(dst) }
 
 // Contains reports residency without updating recency.
 func (c *Cache) Contains(key block.Key) bool {
-	_, ok := c.table[key]
+	_, ok := c.index[key]
 	return ok
 }
 
-// Touch looks up key and, on a hit, promotes it to most-recently-used.
-// It returns whether the block was resident.
+// Touch looks up key and, on a hit, notes it (LRU promotes to
+// most-recently-used). It returns whether the block was resident.
 func (c *Cache) Touch(key block.Key) bool {
-	n, ok := c.table[key]
-	if !ok {
-		return false
+	slot, ok := c.index[key]
+	if ok {
+		c.order.Touch(slot)
 	}
-	c.unlink(n)
-	c.pushFront(n)
-	return true
+	return ok
 }
 
-// Insert allocates a frame for key (as MRU). If the cache is full the LRU
-// block is evicted and returned. Inserting a resident key just promotes it.
+// Insert allocates a frame for key. If the cache is full the policy's
+// victim is evicted and returned. Inserting a resident key is a Touch.
 func (c *Cache) Insert(key block.Key) (evicted block.Key, wasEvicted bool) {
-	if n, ok := c.table[key]; ok {
-		c.unlink(n)
-		c.pushFront(n)
+	if c.Touch(key) {
 		return 0, false
 	}
-	if len(c.table) >= c.capacity {
-		victim := c.tail.prev
-		c.unlink(victim)
-		delete(c.table, victim.key)
-		evicted, wasEvicted = victim.key, true
-		victim.next = c.free
-		c.free = victim
+	if len(c.index) >= c.capacity {
+		victim, _ := c.order.Victim()
+		evicted, wasEvicted = c.keys[victim], true
+		c.Drop(victim)
+		c.Release(victim)
 	}
-	n := c.alloc(key)
-	c.table[key] = n
-	c.pushFront(n)
+	c.Add(key)
 	return evicted, wasEvicted
 }
 
 // Remove evicts key if resident, reporting whether it was.
 func (c *Cache) Remove(key block.Key) bool {
-	n, ok := c.table[key]
-	if !ok {
-		return false
+	slot, ok := c.index[key]
+	if ok {
+		c.Drop(slot)
+		c.Release(slot)
 	}
-	c.unlink(n)
-	delete(c.table, key)
-	n.next = c.free
-	c.free = n
-	return true
+	return ok
 }
 
-// LRU returns the current replacement victim without evicting it.
-func (c *Cache) LRU() (block.Key, bool) {
-	if len(c.table) == 0 {
+// Victim implements Policy: the key the next evicting Insert removes.
+func (c *Cache) Victim() (block.Key, bool) {
+	slot, ok := c.order.Victim()
+	if !ok {
 		return 0, false
 	}
-	return c.tail.prev.key, true
+	return c.keys[slot], true
 }
 
-// Victim implements Policy; for LRU it is the tail of the recency list.
-func (c *Cache) Victim() (block.Key, bool) { return c.LRU() }
-
-// Keys returns the resident blocks from MRU to LRU.
+// Keys returns the resident blocks hottest first (see AppendSlots).
 func (c *Cache) Keys() []block.Key {
-	out := make([]block.Key, 0, len(c.table))
-	for n := c.head.next; n != &c.tail; n = n.next {
-		out = append(out, n.key)
+	slots := c.order.AppendSlots(make([]uint32, 0, len(c.index)))
+	out := make([]block.Key, len(slots))
+	for i, slot := range slots {
+		out[i] = c.keys[slot]
 	}
 	return out
 }
 
-// Swap installs exactly the given block set, in MRU order of the slice,
-// evicting everything else — SieveStore-D's end-of-epoch batch allocation.
-// It returns the number of blocks that actually had to move in (were not
-// already resident) — the paper's observation that replacement and
-// allocation "cancel" for blocks retained across epochs (§3.2) — plus the
-// keys that were evicted, so callers tracking per-block state (frames,
-// dirty bits) can reclaim theirs in the same pass. Keys beyond capacity
-// cannot be installed; they are dropped from the cold tail and counted in
-// overflow so callers can surface the loss (core tracks it in
-// Stats.SelectOverflow).
-func (c *Cache) Swap(keys []block.Key) (moved int, evicted []block.Key, overflow int) {
+// SwapSlots installs exactly the given block set, hottest first, evicting
+// everything else — SieveStore-D's end-of-epoch batch allocation. Residents
+// outside the set go first, each handed to evict, which must Drop it and,
+// unless something still refers to the slot, Release it; retained keys
+// are then refreshed and new ones added coldest first, so keys[0] ends
+// hottest and the cache is never over capacity. It returns the slots of the keys that
+// actually moved in — the paper's observation that replacement and
+// allocation "cancel" for blocks retained across epochs (§3.2). Keys
+// beyond capacity cannot be installed; they are dropped from the cold
+// tail and counted in overflow, never silently.
+func (c *Cache) SwapSlots(keys []block.Key, evict func(slot uint32)) (moved []uint32, overflow int) {
 	if over := len(keys) - c.capacity; over > 0 {
 		overflow = over
 		keys = keys[:c.capacity]
@@ -148,56 +203,28 @@ func (c *Cache) Swap(keys []block.Key) (moved int, evicted []block.Key, overflow
 	for _, k := range keys {
 		incoming[k] = true
 	}
-	// Evict residents not in the new set.
-	for n := c.head.next; n != &c.tail; {
-		next := n.next
-		if !incoming[n.key] {
-			evicted = append(evicted, n.key)
-			c.unlink(n)
-			delete(c.table, n.key)
-			n.next = c.free
-			c.free = n
+	for _, slot := range c.order.AppendSlots(nil) {
+		if !incoming[c.keys[slot]] {
+			evict(slot)
 		}
-		n = next
 	}
-	// Insert the new set back-to-front so keys[0] ends most-recently-used.
 	for i := len(keys) - 1; i >= 0; i-- {
-		if !c.Contains(keys[i]) {
-			moved++
+		if !c.Touch(keys[i]) {
+			moved = append(moved, c.Add(keys[i]))
 		}
-		c.Insert(keys[i])
 	}
-	return moved, evicted, overflow
+	return moved, overflow
 }
 
-// ReplaceAll is Swap for callers that do not need the evicted keys or the
-// overflow count (the sim's discrete epochs, whose selections are sized
-// to capacity).
-func (c *Cache) ReplaceAll(keys []block.Key) (moved int) {
-	moved, _, _ = c.Swap(keys)
-	return moved
-}
-
-func (c *Cache) alloc(key block.Key) *node {
-	if c.free != nil {
-		n := c.free
-		c.free = n.next
-		n.key, n.prev, n.next = key, nil, nil
-		return n
-	}
-	return &node{key: key}
-}
-
-func (c *Cache) unlink(n *node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-}
-
-func (c *Cache) pushFront(n *node) {
-	n.prev = &c.head
-	n.next = c.head.next
-	c.head.next.prev = n
-	c.head.next = n
+// Swap implements Policy over SwapSlots: it returns how many keys moved
+// in, the keys that were evicted, and the overflow count.
+func (c *Cache) Swap(keys []block.Key) (moved int, evicted []block.Key, overflow int) {
+	in, overflow := c.SwapSlots(keys, func(slot uint32) {
+		evicted = append(evicted, c.keys[slot])
+		c.Drop(slot)
+		c.Release(slot)
+	})
+	return len(in), evicted, overflow
 }
 
 // PartitionCapacity splits a total block capacity as evenly as possible

@@ -59,7 +59,7 @@ func TestInsertResidentPromotes(t *testing.T) {
 	if _, ev := c.Insert(key(1)); ev {
 		t.Error("re-insert evicted")
 	}
-	if v, _ := c.LRU(); v != key(2) {
+	if v, _ := c.Victim(); v != key(2) {
 		t.Errorf("LRU = %v, want key 2", v)
 	}
 }
@@ -73,7 +73,7 @@ func TestRemove(t *testing.T) {
 	if c.Len() != 0 || c.Contains(key(1)) {
 		t.Error("block still resident after Remove")
 	}
-	if _, ok := c.LRU(); ok {
+	if _, ok := c.Victim(); ok {
 		t.Error("LRU of empty cache")
 	}
 }
@@ -99,7 +99,7 @@ func TestReplaceAll(t *testing.T) {
 	c.Insert(key(2))
 	c.Insert(key(3))
 	// New epoch keeps 2 and 3, adds 5 and 6: two moves.
-	moved := c.ReplaceAll([]block.Key{key(5), key(2), key(6), key(3)})
+	moved, _, _ := c.Swap([]block.Key{key(5), key(2), key(6), key(3)})
 	if moved != 2 {
 		t.Errorf("moved = %d, want 2", moved)
 	}
@@ -119,7 +119,7 @@ func TestReplaceAll(t *testing.T) {
 
 func TestReplaceAllTruncatesToCapacity(t *testing.T) {
 	c := New(2)
-	moved := c.ReplaceAll([]block.Key{key(1), key(2), key(3), key(4)})
+	moved, _, _ := c.Swap([]block.Key{key(1), key(2), key(3), key(4)})
 	if moved != 2 || c.Len() != 2 {
 		t.Errorf("moved=%d len=%d", moved, c.Len())
 	}
@@ -131,7 +131,7 @@ func TestReplaceAllTruncatesToCapacity(t *testing.T) {
 func TestReplaceAllEmpty(t *testing.T) {
 	c := New(2)
 	c.Insert(key(1))
-	if moved := c.ReplaceAll(nil); moved != 0 {
+	if moved, _, _ := c.Swap(nil); moved != 0 {
 		t.Errorf("moved = %d", moved)
 	}
 	if c.Len() != 0 {

@@ -11,9 +11,9 @@ import (
 // TagStore plus the victim peeking, point removal, enumeration, and batch
 // replacement that the store's write-back flushing, invalidation,
 // snapshotting, and SieveStore-D epoch swaps need. Every implementation in
-// this package (LRU Cache, SIEVE, S3-FIFO, FIFO, CLOCK) satisfies it, so
-// the cache proper and the §3.1 replacement ablation draw from one set of
-// engines.
+// this package (Cache under LRU or SIEVE order, S3-FIFO, FIFO, CLOCK)
+// satisfies it, so the cache proper and the §3.1 replacement ablation
+// draw from one set of engines.
 //
 // Contract (beyond TagStore's):
 //
@@ -46,7 +46,6 @@ type Policy interface {
 
 var (
 	_ Policy = (*Cache)(nil)
-	_ Policy = (*Sieve)(nil)
 	_ Policy = (*S3FIFO)(nil)
 	_ Policy = (*FIFO)(nil)
 	_ Policy = (*Clock)(nil)
@@ -73,6 +72,24 @@ func NewPolicy(name string, capacity int) (Policy, error) {
 	}
 	return nil, fmt.Errorf("cache: unknown policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
 }
+
+// NewTable builds the named engine in the slot-indexed form internal/core
+// drives. Only LRU and SIEVE order slots; the engines kept for the §3.1
+// replacement ablation key everything and stay with the simulator.
+func NewTable(name string, capacity int) (*Cache, error) {
+	p, err := NewPolicy(name, capacity)
+	if err != nil {
+		return nil, err
+	}
+	c, ok := p.(*Cache)
+	if !ok {
+		return nil, fmt.Errorf("cache: policy %q does not order slots (have %s)", name, strings.Join(TableNames(), ", "))
+	}
+	return c, nil
+}
+
+// TableNames lists the engines NewTable builds, default first.
+func TableNames() []string { return []string{"lru", "sieve"} }
 
 // swapTags implements the Swap contract generically on top of Remove and
 // Insert for policies without a batch-optimized path. Evictions of keys

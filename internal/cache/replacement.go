@@ -3,7 +3,7 @@ package cache
 import "repro/internal/block"
 
 // TagStore is the replacement-policy-agnostic cache interface the
-// simulator drives. Cache (LRU), Sieve, S3FIFO, FIFO and Clock all
+// simulator drives. Cache (LRU or SIEVE), S3FIFO, FIFO and Clock all
 // satisfy it; the §3.1 replacement ablation swaps them under identical
 // allocation policies to show that no replacement policy rescues unsieved
 // ensemble caching — the allocation-write and pollution problems are the
@@ -31,9 +31,6 @@ type TagStore interface {
 	Len() int
 	Capacity() int
 }
-
-// Name implements TagStore for the LRU Cache.
-func (c *Cache) Name() string { return "LRU" }
 
 var _ TagStore = (*Cache)(nil)
 

@@ -15,12 +15,24 @@ import (
 // must be called exactly once — typically after the bytes have been
 // written to a wire.
 type PinnedRead struct {
-	views  [][]byte
-	shards []*shard // parallel to views; nil entries are RAM-tier views
-	// tierPins parallels views when any RAM-tier frame is pinned (nil
-	// otherwise, so the tierless path allocates exactly as before);
-	// entries where shards[i] != nil are zero.
+	views [][]byte
+	// pins lists the pinned SSD slots in shard order (not view order), so
+	// Release visits each shard once, ascending.
+	pins []slotPin
+	// tierPins holds the RAM-tier frames among the views, if any.
 	tierPins []tier.Pin
+
+	// Backing for views and pins up to a 4 KiB request, so that the
+	// PinnedRead is the read's only allocation.
+	viewBuf [block.BlocksPerPage][]byte
+	pinBuf  [block.BlocksPerPage]slotPin
+}
+
+// slotPin is one reference ReadPinned took on a shard slot, for view idx.
+type slotPin struct {
+	sh   *shard
+	slot uint32
+	idx  uint32
 }
 
 // Views returns the pinned block frames in request order. Callers must
@@ -33,39 +45,52 @@ func (pr *PinnedRead) Blocks() int { return len(pr.views) }
 // Bytes returns the total pinned payload size.
 func (pr *PinnedRead) Bytes() int { return len(pr.views) * block.Size }
 
-// Release drops the pins. Frames evicted or replaced while pinned are
-// recycled here, on the last unpin.
+// Release drops the pins. Slots evicted or replaced while pinned are
+// freed here, on the last unpin.
 func (pr *PinnedRead) Release() {
-	for i := 0; i < len(pr.views); {
-		sh := pr.shards[i]
-		if sh == nil {
-			pr.tierPins[i].Release()
-			i++
-			continue
-		}
-		j := i
-		sh.mu.Lock()
-		for j < len(pr.views) && pr.shards[j] == sh {
-			sh.unpinLocked(pr.views[j])
-			j++
-		}
-		sh.mu.Unlock()
-		i = j
+	pr.unpin(0, true)
+	for _, p := range pr.tierPins {
+		p.Release()
 	}
-	pr.views = nil
-	pr.shards = nil
-	pr.tierPins = nil
+	pr.views, pr.tierPins = nil, nil
 }
 
-// appendTier records a RAM-tier view, growing tierPins lazily so reads
-// that never touch the tier keep the two-slice layout.
-func (pr *PinnedRead) appendTier(view []byte, p tier.Pin) {
-	if pr.tierPins == nil {
-		pr.tierPins = make([]tier.Pin, len(pr.views))
+// unpin drops the shard pins of the views from keep on, one critical
+// section per shard. served is false when those views were never handed
+// out (ReadPinned cutting back to the all-hit prefix): their hit
+// accounting is then taken back too.
+func (pr *PinnedRead) unpin(keep int, served bool) {
+	kept := pr.pins[:0]
+	for lo := 0; lo < len(pr.pins); {
+		sh, hi, dropped := pr.pins[lo].sh, lo, int64(0)
+		for ; hi < len(pr.pins) && pr.pins[hi].sh == sh; hi++ {
+			if p := pr.pins[hi]; int(p.idx) < keep {
+				kept = append(kept, p)
+				continue
+			}
+			if dropped++; dropped == 1 {
+				sh.mu.Lock()
+			}
+			sh.unpinLocked(pr.pins[hi].slot)
+		}
+		if dropped > 0 {
+			if !served {
+				sh.countPinnedLocked(-dropped)
+			}
+			sh.mu.Unlock()
+		}
+		lo = hi
 	}
-	pr.views = append(pr.views, view)
-	pr.shards = append(pr.shards, nil)
-	pr.tierPins = append(pr.tierPins, p)
+	pr.pins = kept
+}
+
+// countPinnedLocked accounts n blocks served (or, negative, not served
+// after all) through ReadPinned.
+func (sh *shard) countPinnedLocked(n int64) {
+	sh.stats.Reads += n
+	sh.stats.ReadHits += n
+	sh.stats.PinnedReads += n
+	sh.stats.CacheBytesServed += n * block.Size
 }
 
 // ReadPinned serves the longest all-hit prefix of the request
@@ -105,59 +130,85 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 		return nil
 	}
 	nBlocks := n / block.Size
-	first := off / block.Size
+	key0 := block.MakeKey(server, volume, off/block.Size)
 	pr := &PinnedRead{}
-	var locked *shard
-	for i := 0; i < nBlocks; i++ {
-		key := block.MakeKey(server, volume, first+uint64(i))
-		if s.tier != nil {
-			if view, p, ok := s.tier.Pin(key); ok {
-				// Tier hit accounting lives in the tier's atomics (folded
-				// into Stats); no shard is touched. Holding the previous
-				// run's shard lock here is fine — the tier lock is a leaf
-				// below every shard mutex.
-				pr.appendTier(view, p)
-				continue
+	pr.views, pr.pins = pr.viewBuf[:0], pr.pinBuf[:0]
+	if nBlocks > len(pr.viewBuf) {
+		pr.views = make([][]byte, nBlocks)
+	}
+	pr.views = pr.views[:nBlocks]
+
+	// RAM-tier residents are left to the tier: no shard is touched for
+	// them, and their hit accounting lives in the tier's atomics.
+	var inTier []bool
+	if s.tier != nil {
+		for i := range pr.views {
+			if s.tier.Contains(key0 + block.Key(i)) {
+				if inTier == nil {
+					inTier = make([]bool, nBlocks)
+				}
+				inTier[i] = true
 			}
 		}
-		sh := s.shardOf(key)
-		if locked != sh {
-			if locked != nil {
-				locked.mu.Unlock()
+	}
+
+	// Pin optimistically, one critical section per shard: every resident
+	// block up to the shard's first miss. prefix ends at the request's
+	// first miss; a block pinned beyond it is handed back below, and its
+	// recency bump repeated at once by the caller's tail ReadAt, which
+	// walks the same blocks in the same order — so every shard's order
+	// ends where a block-by-block walk that stopped at the miss leaves it.
+	var orderBuf [orderInline]uint64
+	order := s.shardOrder(orderBuf[:0], key0, nBlocks, inTier)
+	prefix := nBlocks
+	for lo := 0; lo < len(order); {
+		sh, hi := s.shardRun(order, lo)
+		sh.mu.Lock()
+		pinned := len(pr.pins)
+		for _, e := range order[lo:hi] {
+			i := int(e & orderBlock)
+			key := key0 + block.Key(i)
+			slot, ok := sh.tab.Lookup(key)
+			if !ok {
+				prefix = min(prefix, i)
+				break
 			}
-			sh.mu.Lock()
-			locked = sh
+			sh.tab.Hit(slot)
+			sh.pinLocked(slot)
+			sh.promoteOnHitLocked(key, slot)
+			pr.views[i] = sh.frame(slot)
+			pr.pins = append(pr.pins, slotPin{sh: sh, slot: slot, idx: uint32(i)})
 		}
-		if !sh.tags.Touch(key) {
-			break
-		}
-		f := sh.frames[key]
-		sh.pinLocked(f)
-		sh.stats.Reads++
-		sh.stats.ReadHits++
-		sh.stats.PinnedReads++
-		sh.stats.CacheBytesServed += block.Size
-		sh.promoteOnHitLocked(key)
-		pr.views = append(pr.views, f)
-		pr.shards = append(pr.shards, sh)
-		if pr.tierPins != nil {
-			pr.tierPins = append(pr.tierPins, tier.Pin{})
+		sh.countPinnedLocked(int64(len(pr.pins) - pinned))
+		sh.mu.Unlock()
+		lo = hi
+	}
+	for i := 0; i < prefix && inTier != nil; i++ {
+		if inTier[i] {
+			view, p, ok := s.tier.Pin(key0 + block.Key(i))
+			if !ok { // left the tier since the check above
+				prefix = i
+				break
+			}
+			pr.views[i] = view
+			pr.tierPins = append(pr.tierPins, p)
 		}
 	}
-	if locked != nil {
-		locked.mu.Unlock()
+	if prefix < nBlocks {
+		pr.unpin(prefix, false)
+		pr.views = pr.views[:prefix]
 	}
-	if len(pr.views) == 0 {
+	if prefix == 0 {
 		return nil
 	}
 	// Log exactly the blocks served here; the caller's tail ReadAt logs
 	// (and counts) the rest itself. Tenant accounting follows the same
 	// split: every pinned block is an access and a hit for its tenant.
-	s.logAccess(server, volume, first, len(pr.views))
+	s.logAccess(server, volume, off/block.Size, len(pr.views))
 	s.tenantTick()
 	s.tenantAccess(server, volume, int64(len(pr.views)), false)
 	s.tenantHits(server, volume, int64(len(pr.views)))
-	if s.opts.TrackLatency && len(pr.views) == nBlocks {
+	if s.opts.TrackLatency && prefix == nBlocks {
 		s.histRead.Observe(time.Since(s.monoBase) - start)
 	}
 	return pr

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -14,36 +13,19 @@ import (
 	"repro/internal/tier"
 )
 
-// framePool recycles 512-byte block buffers across shards so that frame
-// installs and coalesced-waiter copies do not allocate per event. Frames
-// evicted from a shard's cache go to that shard's free list first (they
-// are hot in that shard); the pool backs first-fill and the transient
-// copies handed to flight waiters.
-var framePool = sync.Pool{
-	New: func() any { return new([block.Size]byte) },
-}
-
-// frameGet returns a zero-copy 512-byte buffer from the pool.
-func frameGet() []byte { return framePool.Get().(*[block.Size]byte)[:] }
-
-// framePut recycles a buffer obtained from frameGet (or any 512-byte
-// slice whose backing array may be pinned harmlessly).
-func framePut(b []byte) {
-	if len(b) < block.Size {
-		return
-	}
-	framePool.Put((*[block.Size]byte)(b[:block.Size]))
-}
-
 // flight is one entry of a shard's in-flight table: a miss fetch or a
 // write reservation in progress with the shard lock released. Readers that
 // miss on a reserved key register as waiters and are served from the
 // flight instead of issuing a duplicate backend fetch.
 type flight struct {
-	done chan struct{} // closed (under the shard lock) when the op completes
-	// All remaining fields are guarded by the shard lock until done is
-	// closed; afterwards they are read-only (the channel close publishes
-	// them), except refs, which waiters decrement as they copy out.
+	// done is nil until somebody has to wait for the flight (a coalescing
+	// reader, a conflicting write, a staged flush): waitLocked creates it
+	// and finishLocked closes it, both under the shard lock, so the common
+	// flight nobody joins never makes a channel.
+	done chan struct{}
+	// All remaining fields are guarded by the shard lock until the flight
+	// finishes; afterwards they are read-only (the channel close publishes
+	// them).
 	data    []byte // the block's bytes; set at completion iff waiters > 0
 	err     error  // fetch/write failure, propagated to waiters
 	waiters int
@@ -57,77 +39,78 @@ type flight struct {
 	// stale only fetches: a fetch holds pre-replacement data, but a write
 	// completing afterwards carries *newer* data and must still fold it in.
 	isWrite bool
-	// pooled marks data as drawn from framePool; the last waiter to copy
-	// out (refs reaching zero) returns it.
-	pooled bool
-	refs   atomic.Int32
 }
 
-// publishLocked stages the flight's payload for its registered waiters,
-// drawing the copy from the frame pool instead of allocating. Must be
-// called under the shard lock, before close(done). The buffer is
-// refcounted by the waiter count; the last waiter returns it to the pool.
+// waitLocked returns the channel finishLocked will close. Must be called
+// under the shard lock, on a flight found in the in-flight table.
+func (f *flight) waitLocked() <-chan struct{} {
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	return f.done
+}
+
+// waitFor drops the shard lock until f, found in the in-flight table,
+// has finished.
+func (sh *shard) waitFor(f *flight) {
+	done := f.waitLocked()
+	sh.mu.Unlock()
+	<-done
+	sh.mu.Lock()
+}
+
+// publishLocked stages the flight's payload for its registered waiters:
+// a private copy, since src is the owner's buffer or a frame, either of
+// which may change once the shard lock drops. Must be called under the
+// shard lock, before finishLocked.
 func (f *flight) publishLocked(src []byte) {
-	if f.waiters == 0 {
-		return
+	if f.waiters > 0 {
+		f.data = append([]byte(nil), src...)
 	}
-	buf := frameGet()
-	copy(buf, src)
-	f.data = buf
-	f.pooled = true
-	f.refs.Store(int32(f.waiters))
 }
 
-// adoptLocked is publishLocked for a buffer that is already a pool-origin
-// copy (staged flushes copy the frame anyway for the backend write). It
-// reports whether the waiters took ownership; if not, the caller still
-// owns the buffer and should recycle it.
-func (f *flight) adoptLocked(buf []byte) bool {
-	if f.waiters == 0 {
-		return false
-	}
-	f.data = buf
-	f.pooled = true
-	f.refs.Store(int32(f.waiters))
-	return true
-}
+// slabFrames is how many 512-byte frames one slab holds (128 KiB). Small
+// shards use a smaller power of two, see newShard.
+const slabFrames = 256
 
-// release is called by each waiter after copying the payload out; the
-// last one returns the pooled buffer.
-func (f *flight) release() {
-	if f.pooled && f.refs.Add(-1) == 0 {
-		framePut(f.data)
-	}
+// slotState is what the shard keeps per slot beside the frame itself.
+type slotState struct {
+	pins   int32 // zero-copy readers holding the frame (Store.ReadPinned)
+	dirty  bool  // write-back: the frame is the only current copy
+	doomed bool  // left the cache while pinned: freed by the last unpin
 }
 
 // shard is one lock-striped partition of the Store: a fully-associative
-// tag store (LRU by default; any cache.Policy via Options.Policy) over
-// its slice of the key space, with its own frames, dirty set, in-flight
-// table, sieve state, and stats. Keys map to shards by hash
-// (Store.shardOf); with Options.Shards == 1 the single shard is exactly
-// the paper's fully-associative cache.
+// cache (LRU by default; Options.Policy) over its slice of the key space,
+// with its own in-flight table, sieve state, and stats. Keys map to shards
+// by hash (Store.shardIndex); with Options.Shards == 1 the single shard is
+// exactly the paper's fully-associative cache.
+//
+// Resident blocks live in one slot table. tab is the only keyed index:
+// key→slot, the slot's key, the free slots and the replacement order.
+// Everything else about a block is an array indexed by its slot — state
+// here, and the frame at a fixed place in slabs, which grow one slab at a
+// time as slots are first handed out and never move, so a pinned view
+// stays valid for as long as its slot is held.
 type shard struct {
 	store *Store
 	idx   int
 
-	mu       sync.Mutex
-	tags     cache.Policy
-	frames   map[block.Key][]byte
-	dirty    map[block.Key]bool
-	free     [][]byte
-	inflight map[block.Key]*flight
-	sieveC   *sieve.C
+	mu        sync.Mutex
+	tab       *cache.Cache
+	state     []slotState
+	slabs     [][]byte
+	slabShift uint // log2 of this shard's frames per slab
+	nDirty    int  // slots with dirty set
+	nPinned   int  // slots with pins > 0
+	inflight  map[block.Key]*flight
+	sieveC    *sieve.C
 	// rotSkip is non-nil while a store-wide epoch transition is staging
 	// (it doubles as the per-shard "rotating" flag): keys written or
 	// invalidated during the transition are recorded so the commit cannot
 	// install its (older) fetched copy of them. The shard's commit
 	// consumes and clears it.
 	rotSkip map[block.Key]bool
-	// pins tracks frames lent out to zero-copy readers (Store.ReadPinned),
-	// keyed by the frame's backing array. A pinned frame is never mutated
-	// or recycled: eviction/replacement dooms it instead, and the last
-	// unpin returns it to the free list.
-	pins map[*byte]*framePin
 	// promo is this shard's RAM-tier promotion sieve (nil when the tier
 	// is disabled), bumped on SSD read hits under the shard lock.
 	promo *tier.PromoFilter
@@ -138,74 +121,103 @@ type shard struct {
 	_pad [64]byte //nolint:unused
 }
 
-// framePin is the refcount for one frame lent out by Store.ReadPinned.
-// Guarded by the owning shard's mutex.
-type framePin struct {
-	refs   int
-	doomed bool // evicted or replaced while pinned: recycle on last unpin
+// newShard builds shard idx over tab. Slabs hold slabFrames frames, or the
+// smallest power of two that covers a smaller shard's capacity.
+func newShard(s *Store, idx int, tab *cache.Cache) *shard {
+	sh := &shard{store: s, idx: idx, tab: tab, inflight: make(map[block.Key]*flight)}
+	for 1<<sh.slabShift < slabFrames && 1<<sh.slabShift < tab.Capacity() {
+		sh.slabShift++
+	}
+	sh.stats.CapacityBlocks = int64(tab.Capacity())
+	return sh
 }
 
-// pinLocked takes a reference on a resident frame for a zero-copy reader.
-func (sh *shard) pinLocked(f []byte) {
-	if sh.pins == nil {
-		sh.pins = make(map[*byte]*framePin)
-	}
-	p := sh.pins[&f[0]]
-	if p == nil {
-		p = &framePin{}
-		sh.pins[&f[0]] = p
-	}
-	p.refs++
+// frame returns slot's 512 bytes.
+func (sh *shard) frame(slot uint32) []byte {
+	off := int(slot&(1<<sh.slabShift-1)) * block.Size
+	return sh.slabs[slot>>sh.slabShift][off : off+block.Size : off+block.Size]
 }
 
-// unpinLocked drops a reference; the last unpin of a doomed frame returns
-// it to the free list.
-func (sh *shard) unpinLocked(f []byte) {
-	k := &f[0]
-	p := sh.pins[k]
-	if p == nil {
-		return
+// fillLocked copies data into a slot tab just handed out, growing state
+// and slabs to cover a slot that is new (slots are dense, so this adds a
+// slab at a time, and never the whole capacity up front).
+func (sh *shard) fillLocked(slot uint32, data []byte) {
+	for int(slot) >= len(sh.state) {
+		sh.state = append(sh.state, slotState{})
 	}
-	if p.refs--; p.refs > 0 {
-		return
+	for int(slot>>sh.slabShift) >= len(sh.slabs) {
+		sh.slabs = append(sh.slabs, make([]byte, block.Size<<sh.slabShift))
 	}
-	delete(sh.pins, k)
-	if p.doomed {
-		sh.free = append(sh.free, f)
+	copy(sh.frame(slot), data)
+}
+
+// pinLocked takes a reference on a resident slot for a zero-copy reader.
+// A pinned frame is never mutated or reused: writes go copy-on-write
+// (writeFrameLocked) and eviction dooms the slot (removeLocked).
+func (sh *shard) pinLocked(slot uint32) {
+	if sh.state[slot].pins++; sh.state[slot].pins == 1 {
+		sh.nPinned++
 	}
 }
 
-// recycleLocked returns a frame the cache no longer references to the
-// shard's free list — unless a zero-copy reader still holds it pinned, in
-// which case the frame is doomed and recycled on the last unpin instead.
-// Every eviction/replacement path must route frames through here:
-// appending to sh.free directly could hand a pinned frame to a writer
-// while its bytes are still on their way to a wire.
-func (sh *shard) recycleLocked(f []byte) {
-	if f == nil {
+// unpinLocked drops a reference; the last unpin of a doomed slot frees it.
+func (sh *shard) unpinLocked(slot uint32) {
+	st := &sh.state[slot]
+	if st.pins--; st.pins > 0 {
 		return
 	}
-	if p, ok := sh.pins[&f[0]]; ok {
-		p.doomed = true
-		return
+	sh.nPinned--
+	if st.doomed {
+		st.doomed = false
+		sh.tab.Release(slot)
 	}
-	sh.free = append(sh.free, f)
 }
 
-// writeFrameLocked folds data into key's resident frame. A pinned frame
-// is never mutated in place (its bytes are owned by in-flight zero-copy
-// responses): the update goes into a fresh frame swapped into the map,
+// removeLocked takes a resident slot out of the cache: the tenant's
+// occupancy moves, and the slot goes back for reuse — unless a zero-copy
+// reader still holds it pinned, in which case it is doomed and the last
+// unpin releases it. Every path that takes a block out ends here;
+// releasing a slot directly could hand a pinned frame to a writer while
+// its bytes are still on their way to a wire.
+func (sh *shard) removeLocked(slot uint32) {
+	sh.tab.Drop(slot)
+	st := &sh.state[slot]
+	if st.dirty {
+		st.dirty = false
+		sh.nDirty--
+	}
+	sh.tenantEvict(sh.tab.Key(slot))
+	if st.pins > 0 {
+		st.doomed = true
+		return
+	}
+	sh.tab.Release(slot)
+}
+
+// setDirtyLocked marks a resident slot as holding the only current copy.
+func (sh *shard) setDirtyLocked(slot uint32) {
+	if !sh.state[slot].dirty {
+		sh.state[slot].dirty = true
+		sh.nDirty++
+	}
+}
+
+// writeFrameLocked folds data into a resident slot and returns the slot
+// the block lives in afterwards. A pinned frame is never mutated in place
+// (its bytes are owned by in-flight zero-copy responses): the block moves
+// to a fresh slot that inherits its place in the order and its dirty bit,
 // and the pinned original is doomed.
-func (sh *shard) writeFrameLocked(key block.Key, data []byte) {
-	f := sh.frames[key]
-	if p, ok := sh.pins[&f[0]]; ok {
-		p.doomed = true
-		nf := sh.alloc()
-		copy(nf, data)
-		sh.frames[key] = nf
-		return
+func (sh *shard) writeFrameLocked(slot uint32, data []byte) uint32 {
+	if sh.state[slot].pins == 0 {
+		copy(sh.frame(slot), data)
+		return slot
 	}
-	copy(f, data)
+	to := sh.tab.Move(slot)
+	sh.fillLocked(to, data)
+	sh.state[to].dirty = sh.state[slot].dirty
+	sh.state[slot].dirty = false
+	sh.state[slot].doomed = true
+	return to
 }
 
 // promoteOnHitLocked offers one SSD read hit to the RAM tier's promotion
@@ -214,9 +226,9 @@ func (sh *shard) writeFrameLocked(key block.Key, data []byte) {
 // updates: a concurrent write cannot strand a stale copy in the tier,
 // because its own tier invalidation runs under this same lock after the
 // frame update.
-func (sh *shard) promoteOnHitLocked(key block.Key) {
+func (sh *shard) promoteOnHitLocked(key block.Key, slot uint32) {
 	if sh.promo != nil && sh.promo.Hit(key) {
-		sh.store.tier.Insert(key, sh.frames[key])
+		sh.store.tier.Insert(key, sh.frame(slot))
 	}
 }
 
@@ -229,26 +241,10 @@ func (s *Store) tierInvalidate(key block.Key) {
 	}
 }
 
-// alloc hands out a frame, preferring the shard's free list (frames
-// evicted from this shard) over the global pool.
-func (sh *shard) alloc() []byte {
-	if n := len(sh.free); n > 0 {
-		f := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		return f
-	}
-	return frameGet()
-}
-
 // maybeAdmit consults the sieve (VariantC) and installs the block on
-// approval, reporting whether it was admitted. VariantD never admits
-// continuously.
+// approval — dirty, for a write-back write — reporting whether it was
+// admitted. VariantD never admits continuously.
 func (sh *shard) maybeAdmit(key block.Key, data []byte, kind block.Kind, now time.Time, dirty bool) bool {
-	return sh.tryAdmit(key, data, kind, now, dirty)
-}
-
-// tryAdmit is maybeAdmit reporting whether the block was admitted.
-func (sh *shard) tryAdmit(key block.Key, data []byte, kind block.Kind, now time.Time, dirty bool) bool {
 	if sh.sieveC == nil {
 		return false
 	}
@@ -265,73 +261,87 @@ func (sh *shard) tryAdmit(key block.Key, data []byte, kind block.Kind, now time.
 	if !sh.sieveC.ShouldAllocateN(acc, extra) {
 		return false
 	}
-	if !sh.install(key, data) {
+	slot, ok := sh.install(key, data)
+	if !ok {
 		return false
 	}
 	if dirty {
-		sh.dirty[key] = true
+		sh.setDirtyLocked(slot)
 	}
 	sh.stats.AllocWrites++
 	sh.tenantAllocWrite(key, 1)
 	return true
 }
 
-// install copies data into a frame for key, evicting (and, in write-back
-// mode, flushing) the LRU block if full. It reports whether the block was
-// installed: when the dirty victim's write-back fails, the victim stays
-// resident and dirty (its frame holds the only current copy), the failure
-// is counted in Stats.FlushErrors, and the new block is simply not
-// allocated — the caller's own I/O already succeeded and must not be
-// failed by an unrelated block's flush.
-func (sh *shard) install(key block.Key, data []byte) bool {
+// install copies data into a slot for key, evicting (and, in write-back
+// mode, flushing) the policy's victim if full. It reports whether the
+// block was installed: when the dirty victim's write-back fails, the
+// victim stays resident and dirty (its frame holds the only current
+// copy), the failure is counted in Stats.FlushErrors, and the new block is
+// simply not allocated — the caller's own I/O already succeeded and must
+// not be failed by an unrelated block's flush.
+func (sh *shard) install(key block.Key, data []byte) (slot uint32, ok bool) {
 	if inj := sh.store.opts.FrameFaultInjector; inj != nil {
 		if err := inj(key); err != nil {
 			sh.store.noteCacheFault()
-			return false
+			return 0, false
 		}
 	}
-	wasResident := sh.tags.Contains(key)
-	if sh.tags.Len() >= sh.tags.Capacity() && !wasResident {
-		if victim, ok := sh.tags.Victim(); ok && sh.dirty[victim] {
-			if err := sh.flushBlock(victim); err != nil {
+	if slot, ok = sh.tab.Lookup(key); ok {
+		// A duplicate insert is a touch (snapshot streams can repeat a
+		// key): nothing is evicted and tenant occupancy does not move.
+		sh.tab.Hit(slot)
+		slot = sh.writeFrameLocked(slot, data)
+		sh.store.noteCacheOK()
+		return slot, true
+	}
+	if sh.tab.Len() >= sh.tab.Capacity() {
+		victim, _ := sh.tab.VictimSlot()
+		if sh.state[victim].dirty {
+			if err := sh.flushSlot(victim); err != nil {
 				sh.stats.FlushErrors++
-				return false
+				return 0, false
 			}
 		}
-	}
-	if victim, evicted := sh.tags.Insert(key); evicted {
 		sh.stats.Evictions++
-		sh.recycleLocked(sh.frames[victim])
-		delete(sh.frames, victim)
-		sh.tenantEvict(victim)
+		sh.removeLocked(victim)
 	}
-	frame := sh.alloc()
-	copy(frame, data)
-	sh.frames[key] = frame
-	if !wasResident {
-		// A duplicate insert is a touch (snapshot streams can repeat a
-		// key): tenant occupancy moves only on a real residency change.
-		sh.tenantInstall(key)
-	}
+	slot = sh.tab.Add(key)
+	sh.fillLocked(slot, data)
+	sh.tenantInstall(key)
 	sh.store.noteCacheOK()
-	return true
+	return slot, true
 }
 
-// flushBlock writes one dirty block back and clears its dirty bit.
-func (sh *shard) flushBlock(key block.Key) error {
-	frame, ok := sh.frames[key]
-	if !ok {
-		delete(sh.dirty, key)
-		return nil
-	}
-	if err := sh.store.backend.WriteAt(key.Server(), key.Volume(), frame, key.Offset()); err != nil {
+// flushSlot writes one dirty resident block back and clears its dirty bit.
+func (sh *shard) flushSlot(slot uint32) error {
+	key := sh.tab.Key(slot)
+	if err := sh.store.backend.WriteAt(key.Server(), key.Volume(), sh.frame(slot), key.Offset()); err != nil {
 		return fmt.Errorf("core: write-back of %v: %w", key, err)
 	}
 	sh.stats.BackendWrites++
 	sh.stats.BackendBytesWritten += block.Size
 	sh.stats.FlushWrites++
-	delete(sh.dirty, key)
+	sh.state[slot].dirty = false
+	sh.nDirty--
 	return nil
+}
+
+// dirtyKeysLocked lists the dirty blocks only (if non-nil) accepts, in
+// ascending key order.
+func (sh *shard) dirtyKeysLocked(only func(block.Key) bool) []block.Key {
+	var keys []block.Key
+	for slot, left := 0, sh.nDirty; left > 0 && slot < len(sh.state); slot++ {
+		if !sh.state[slot].dirty {
+			continue
+		}
+		left--
+		if k := sh.tab.Key(uint32(slot)); only == nil || only(k) {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // staleFetchFlightsLocked detaches every in-flight *fetch* and marks it
@@ -350,20 +360,46 @@ func (sh *shard) staleFetchFlightsLocked() {
 	}
 }
 
-// reserveLocked claims the given blocks of a write in this shard's
-// in-flight table. Acquisition is all-or-nothing within the shard: if any
-// key is already claimed (a miss fetch or another write), the shard lock
-// is dropped and the caller waits for that flight with no reservations of
-// its own held *in this shard*, then retries. Cross-shard writers and
-// staged flushes both acquire shards in ascending index order, so waiting
-// here while holding reservations only in lower-numbered shards cannot
-// form a cycle. Caller must hold sh.mu; it may be released and
-// re-acquired. The returned flights are indexed like idxs.
-func (sh *shard) reserveLocked(server, volume int, first uint64, idxs []int) ([]*flight, error) {
+// dropFlightLocked marks key's in-flight operation, if any, stale and
+// detaches it: its owner must not install a view from before whatever the
+// caller is doing to the block, and later misses fetch fresh. A transition
+// staging right now likewise must not resurrect its fetched copy.
+func (sh *shard) dropFlightLocked(key block.Key) {
+	if f, ok := sh.inflight[key]; ok {
+		f.stale = true
+		delete(sh.inflight, key)
+	}
+	if sh.rotSkip != nil {
+		sh.rotSkip[key] = true
+	}
+}
+
+// finishLocked ends a flight: it leaves the in-flight table (unless it was
+// detached as stale, or replaced, meanwhile) and whoever waits on it wakes.
+func (sh *shard) finishLocked(key block.Key, f *flight) {
+	if sh.inflight[key] == f {
+		delete(sh.inflight, key)
+	}
+	if f.done != nil {
+		close(f.done)
+	}
+}
+
+// reserveLocked claims this shard's blocks of a write (run, a slice of
+// Store.shardOrder words over key0) in the in-flight table, pointing each
+// at its element of flights, which is indexed by block. Acquisition is
+// all-or-nothing within the shard: if any key is already claimed (a miss
+// fetch or another write), the shard lock is dropped and the caller waits
+// for that flight with no reservations of its own held *in this shard*,
+// then retries. Cross-shard writers and staged flushes both acquire
+// shards in ascending index order, so waiting here while holding
+// reservations only in lower-numbered shards cannot form a cycle. Caller
+// must hold sh.mu; it may be released and re-acquired.
+func (sh *shard) reserveLocked(key0 block.Key, run []uint64, flights []flight) error {
 	for {
 		var conflict *flight
-		for _, i := range idxs {
-			if f, ok := sh.inflight[block.MakeKey(server, volume, first+uint64(i))]; ok {
+		for _, e := range run {
+			if f, ok := sh.inflight[key0+block.Key(e&orderBlock)]; ok {
 				conflict = f
 				break
 			}
@@ -371,34 +407,27 @@ func (sh *shard) reserveLocked(server, volume int, first uint64, idxs []int) ([]
 		if conflict == nil {
 			break
 		}
-		sh.mu.Unlock()
-		<-conflict.done
-		sh.mu.Lock()
+		sh.waitFor(conflict)
 		if sh.store.closed.Load() {
-			return nil, ErrClosed
+			return ErrClosed
 		}
 	}
-	flights := make([]*flight, len(idxs))
-	for k, i := range idxs {
-		f := &flight{done: make(chan struct{}), isWrite: true}
-		sh.inflight[block.MakeKey(server, volume, first+uint64(i))] = f
-		flights[k] = f
+	for _, e := range run {
+		i := e & orderBlock
+		flights[i].isWrite = true
+		sh.inflight[key0+block.Key(i)] = &flights[i]
 	}
-	return flights, nil
+	return nil
 }
 
 // completeLocked publishes a write's outcome to any coalesced readers and
-// releases this shard's reservations. flights is indexed by global block
-// index; idxs selects this shard's blocks. p is the written payload (nil
-// when the operation failed before producing data); err is propagated to
-// waiters.
-func (sh *shard) completeLocked(server, volume int, first uint64, idxs []int, flights []*flight, p []byte, err error) {
-	for _, i := range idxs {
-		f := flights[i]
-		if f == nil {
-			continue
-		}
-		key := block.MakeKey(server, volume, first+uint64(i))
+// releases this shard's reservations (run, as for reserveLocked). p is the
+// written payload (nil when the operation failed before producing data);
+// err is propagated to waiters.
+func (sh *shard) completeLocked(key0 block.Key, run []uint64, flights []flight, p []byte, err error) {
+	for _, e := range run {
+		i := e & orderBlock
+		f, key := &flights[i], key0+block.Key(i)
 		if err != nil {
 			f.err = err
 		} else {
@@ -412,10 +441,7 @@ func (sh *shard) completeLocked(server, volume int, first uint64, idxs []int, fl
 				sh.rotSkip[key] = true
 			}
 		}
-		if sh.inflight[key] == f {
-			delete(sh.inflight, key)
-		}
-		close(f.done)
+		sh.finishLocked(key, f)
 	}
 }
 
@@ -437,38 +463,31 @@ func (sh *shard) completeLocked(server, volume int, first uint64, idxs []int, fl
 // waiting on later-ordered flights, so waiting here with reservations
 // held is safe.
 func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
-	var victims []block.Key
-	for k := range sh.dirty {
-		if only == nil || only(k) {
-			victims = append(victims, k)
-		}
-	}
+	victims := sh.dirtyKeysLocked(only)
 	if len(victims) == 0 {
 		return nil
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	dirtySlot := func(k block.Key) (uint32, bool) {
+		slot, ok := sh.tab.Lookup(k)
+		return slot, ok && sh.state[slot].dirty
+	}
 
+	// staged holds the victims' frames side by side, in key order, so a
+	// run of consecutive blocks is already one backend write. It is a
+	// copy: Invalidate can flush and free a frame while we stream.
 	flights := make([]*flight, len(victims))
-	frames := make([][]byte, len(victims))
+	staged := make([]byte, len(victims)*block.Size)
 	for i := 0; i < len(victims); {
 		k := victims[i]
 		if f, ok := sh.inflight[k]; ok {
-			sh.mu.Unlock()
-			<-f.done
-			sh.mu.Lock()
+			sh.waitFor(f)
 			continue // re-check this key
 		}
-		if !sh.dirty[k] || sh.frames[k] == nil {
-			i++ // flushed or dropped while we waited
-			continue
-		}
-		f := &flight{done: make(chan struct{}), isWrite: true}
-		sh.inflight[k] = f
-		flights[i] = f
-		// Copy the frame (pooled): Invalidate can flush+recycle it while
-		// we stream.
-		frames[i] = frameGet()
-		copy(frames[i], sh.frames[k])
+		if slot, ok := dirtySlot(k); ok {
+			flights[i] = &flight{isWrite: true}
+			sh.inflight[k] = flights[i]
+			copy(staged[i*block.Size:], sh.frame(slot))
+		} // else flushed or dropped while we waited
 		i++
 	}
 
@@ -477,18 +496,11 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 	ran := make([]bool, len(runs))
 
 	sh.mu.Unlock()
-	err := forEachRun(runs, func(ri int, r keyRun) error {
+	err := forEach(len(runs), func(ri int) error {
+		r := runs[ri]
 		ran[ri] = true
-		n := r.hi - r.lo
-		buf := frames[r.lo]
-		if n > 1 {
-			buf = make([]byte, n*block.Size)
-			for i := 0; i < n; i++ {
-				copy(buf[i*block.Size:], frames[r.lo+i])
-			}
-		}
 		k0 := victims[r.lo]
-		if e := sh.store.backend.WriteAt(k0.Server(), k0.Volume(), buf, k0.Offset()); e != nil {
+		if e := sh.store.backend.WriteAt(k0.Server(), k0.Volume(), staged[r.lo*block.Size:r.hi*block.Size], k0.Offset()); e != nil {
 			runErr[ri] = fmt.Errorf("core: write-back of %v: %w", k0, e)
 			return runErr[ri]
 		}
@@ -505,31 +517,24 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 			sh.stats.BackendBytesWritten += int64(r.hi-r.lo) * block.Size
 		}
 		for i := r.lo; i < r.hi; i++ {
-			if runErr[ri] == nil {
-				if sh.dirty[victims[i]] {
-					delete(sh.dirty, victims[i])
-					sh.stats.FlushWrites++
-				}
-			} else {
+			if runErr[ri] != nil {
 				sh.stats.FlushErrors++
+			} else if slot, ok := dirtySlot(victims[i]); ok {
+				sh.state[slot].dirty = false
+				sh.nDirty--
+				sh.stats.FlushWrites++
 			}
 		}
 	}
 	for i, k := range victims {
-		f := flights[i]
-		if f == nil {
-			continue
+		if f := flights[i]; f != nil {
+			// The cache's copy is current regardless of the write-back
+			// outcome: serve coalesced readers from it, never an error.
+			if f.waiters > 0 {
+				f.data = staged[i*block.Size : (i+1)*block.Size]
+			}
+			sh.finishLocked(k, f)
 		}
-		// The cache's copy is current regardless of the write-back
-		// outcome: serve coalesced readers from it, never an error. The
-		// waiters take over the pooled copy; otherwise recycle it.
-		if !f.adoptLocked(frames[i]) {
-			framePut(frames[i])
-		}
-		if sh.inflight[k] == f {
-			delete(sh.inflight, k)
-		}
-		close(f.done)
 	}
 	return err
 }
@@ -539,14 +544,16 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 // then a final serial pass under the lock — which cannot be raced — for
 // any stragglers.
 func (sh *shard) drainDirtyLocked() error {
-	for pass := 0; pass < 4 && len(sh.dirty) > 0; pass++ {
+	for pass := 0; pass < 4 && sh.nDirty > 0; pass++ {
 		if err := sh.flushStagedLocked(nil); err != nil {
 			return err
 		}
 	}
-	for key := range sh.dirty {
-		if err := sh.flushBlock(key); err != nil {
-			return err
+	for slot := 0; slot < len(sh.state) && sh.nDirty > 0; slot++ {
+		if sh.state[slot].dirty {
+			if err := sh.flushSlot(uint32(slot)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -575,28 +582,22 @@ func (sh *shard) commitEpochLocked(selected []block.Key, fetched map[block.Key][
 	// Blocks still dirty at commit (re-dirtied while no lock was held)
 	// can never be evicted unflushed: retain them into the new epoch,
 	// giving up the cold tail of the selection if capacity demands it.
-	var forced []block.Key
-	for k := range sh.dirty {
-		forced = append(forced, k)
-	}
-	sort.Slice(forced, func(i, j int) bool { return forced[i] < forced[j] })
-	final := make([]block.Key, 0, len(selected)+len(forced))
-	inFinal := make(map[block.Key]bool, cap(final))
-	for _, k := range forced {
-		final = append(final, k)
+	final := sh.dirtyKeysLocked(nil)
+	inFinal := make(map[block.Key]bool, len(final)+len(selected))
+	for _, k := range final {
 		inFinal[k] = true
 	}
 	for _, k := range selected {
 		if inFinal[k] {
 			continue
 		}
-		if len(final) >= sh.tags.Capacity() {
+		if len(final) >= sh.tab.Capacity() {
 			// Dirty retentions displaced this selected block: a hot block
 			// lost to capacity, not a freshness skip — count it.
 			sh.stats.SelectOverflow++
 			continue
 		}
-		if sh.frames[k] == nil && (fetched[k] == nil || sh.rotSkip[k]) {
+		if !sh.tab.Contains(k) && (fetched[k] == nil || sh.rotSkip[k]) {
 			// Not resident and nothing trustworthy fetched (written or
 			// invalidated during the transition): leave it out; a later
 			// epoch can re-select it.
@@ -605,23 +606,19 @@ func (sh *shard) commitEpochLocked(selected []block.Key, fetched map[block.Key][
 		final = append(final, k)
 		inFinal[k] = true
 	}
-	_, evicted, overflow := sh.tags.Swap(final)
-	sh.stats.SelectOverflow += int64(overflow)
-	for _, k := range evicted {
-		sh.recycleLocked(sh.frames[k])
-		delete(sh.frames, k)
+	moved, overflow := sh.tab.SwapSlots(final, func(slot uint32) {
 		sh.stats.Evictions++
-		sh.tenantEvict(k)
-	}
-	for _, k := range final {
-		if sh.frames[k] == nil {
-			sh.frames[k] = fetched[k]
-			sh.stats.EpochMoves++
-			// Epoch batch installs are real SSD allocation-writes: move
-			// tenant occupancy and charge the endurance budget.
-			sh.tenantInstall(k)
-			sh.tenantAllocWrite(k, 1)
-		}
+		sh.removeLocked(slot)
+	})
+	sh.stats.SelectOverflow += int64(overflow)
+	for _, slot := range moved {
+		// Epoch batch installs are real SSD allocation-writes: move
+		// tenant occupancy and charge the endurance budget.
+		k := sh.tab.Key(slot)
+		sh.fillLocked(slot, fetched[k])
+		sh.stats.EpochMoves++
+		sh.tenantInstall(k)
+		sh.tenantAllocWrite(k, 1)
 	}
 	// This shard's transition is committed; writes no longer need to
 	// record skips.

@@ -1,0 +1,366 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/block"
+	"repro/internal/cache"
+	"repro/internal/store"
+)
+
+// slotModel drives one shard's slot table directly, beside a plain
+// map[Key][]byte of what must be resident and a list of the pins the test
+// holds, and checks the two against each other after every step.
+type slotModel struct {
+	t    *testing.T
+	sh   *shard
+	want map[block.Key][]byte
+	pins []modelPin
+	step int
+}
+
+// modelPin is one pin the test holds: the view it was lent and the bytes
+// that view must keep showing until it is handed back.
+type modelPin struct {
+	slot uint32
+	view []byte
+	data []byte
+}
+
+func (m *slotModel) check() {
+	m.t.Helper()
+	sh := m.sh
+	if sh.tab.Len() != len(m.want) {
+		m.t.Fatalf("step %d: %d resident, model has %d", m.step, sh.tab.Len(), len(m.want))
+	}
+	// Every allocated slot is in exactly one of three places: resident,
+	// free, or doomed (out of the cache, alive for its pins).
+	const (
+		resident = 1 + iota
+		free
+		doomed
+	)
+	owner := make([]int, sh.tab.Slots())
+	claim := func(slot uint32, as int) {
+		if owner[slot] != 0 {
+			m.t.Fatalf("step %d: slot %d is both %d and %d", m.step, slot, owner[slot], as)
+		}
+		owner[slot] = as
+	}
+	dirty := 0
+	for key, data := range m.want {
+		slot, ok := sh.tab.Lookup(key)
+		if !ok {
+			m.t.Fatalf("step %d: %v not resident", m.step, key)
+		}
+		claim(slot, resident)
+		if !bytes.Equal(sh.frame(slot), data) {
+			m.t.Fatalf("step %d: %v in slot %d holds %x.., want %x..", m.step, key, slot, sh.frame(slot)[:4], data[:4])
+		}
+		if sh.state[slot].doomed {
+			m.t.Fatalf("step %d: resident slot %d is doomed", m.step, slot)
+		}
+		if sh.state[slot].dirty {
+			dirty++
+		}
+	}
+	for _, slot := range sh.tab.AppendSlots(nil) {
+		if owner[slot] != resident {
+			m.t.Fatalf("step %d: the order holds slot %d, which is not resident", m.step, slot)
+		}
+	}
+	nDoomed, nPinned := 0, 0
+	held := make(map[uint32]int32)
+	for _, p := range m.pins {
+		held[p.slot]++
+		if !bytes.Equal(p.view, p.data) {
+			m.t.Fatalf("step %d: pinned view of slot %d changed under its reader", m.step, p.slot)
+		}
+	}
+	for slot := range sh.state {
+		st := sh.state[slot]
+		if st.pins != held[uint32(slot)] {
+			m.t.Fatalf("step %d: slot %d counts %d pins, the test holds %d", m.step, slot, st.pins, held[uint32(slot)])
+		}
+		if st.pins > 0 {
+			nPinned++
+		}
+		if st.doomed {
+			if st.pins == 0 || st.dirty {
+				m.t.Fatalf("step %d: doomed slot %d: %+v", m.step, slot, st)
+			}
+			claim(uint32(slot), doomed)
+			nDoomed++
+		}
+	}
+	nFree := 0
+	for slot, as := range owner {
+		if as == 0 {
+			claim(uint32(slot), free)
+			nFree++
+		}
+	}
+	if nFree != sh.tab.FreeSlots() {
+		m.t.Fatalf("step %d: %d slots are neither resident nor doomed, the free list holds %d", m.step, nFree, sh.tab.FreeSlots())
+	}
+	if got := len(m.want) + nFree + nDoomed; got != sh.tab.Slots() {
+		m.t.Fatalf("step %d: resident %d + free %d + doomed %d != %d slots", m.step, len(m.want), nFree, nDoomed, sh.tab.Slots())
+	}
+	if dirty != sh.nDirty || nPinned != sh.nPinned {
+		m.t.Fatalf("step %d: nDirty %d (found %d), nPinned %d (found %d)", m.step, sh.nDirty, dirty, sh.nPinned, nPinned)
+	}
+	// Slots are never handed out beyond need: capacity, the one an
+	// evicting install holds beside its victim's, and one per pin.
+	if max := sh.tab.Capacity() + 1 + maxModelPins; sh.tab.Slots() > max {
+		m.t.Fatalf("step %d: %d slots for capacity %d and at most %d pins", m.step, sh.tab.Slots(), sh.tab.Capacity(), maxModelPins)
+	}
+	if want := (sh.tab.Slots() + 1<<sh.slabShift - 1) >> sh.slabShift; len(sh.slabs) != want {
+		m.t.Fatalf("step %d: %d slabs for %d slots, want %d", m.step, len(sh.slabs), sh.tab.Slots(), want)
+	}
+}
+
+const maxModelPins = 12
+
+// TestSlotTableMatchesModel is the slot table's randomized model test:
+// install, evict, touch, invalidate, pin, unpin, evict-while-pinned,
+// write-to-pinned copy-on-write and the epoch swap, on LRU and SIEVE.
+func TestSlotTableMatchesModel(t *testing.T) {
+	for _, policy := range []string{"lru", "sieve"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", policy, seed), func(t *testing.T) { slotModelRun(t, policy, seed) })
+		}
+	}
+}
+
+func slotModelRun(t *testing.T, policy string, seed int64) {
+	const capacity, keySpace = 24, 80
+	be := store.NewMem() // takes the write-back of a dirty block an install evicts
+	be.AddVolume(0, 0, keySpace*block.Size)
+	st, err := Open(be, Options{CacheBytes: capacity * block.Size, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sh := st.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	m := &slotModel{t: t, sh: sh, want: make(map[block.Key][]byte)}
+	rng := rand.New(rand.NewSource(seed))
+	randKey := func() block.Key { return block.MakeKey(0, 0, uint64(rng.Intn(keySpace))) }
+	payload := func() []byte {
+		p := make([]byte, block.Size)
+		rng.Read(p)
+		return p
+	}
+	residentKey := func() (block.Key, uint32, bool) {
+		slots := sh.tab.AppendSlots(nil)
+		if len(slots) == 0 {
+			return 0, 0, false
+		}
+		slot := slots[rng.Intn(len(slots))]
+		return sh.tab.Key(slot), slot, true
+	}
+	for m.step = 0; m.step < 6000; m.step++ {
+		switch op := rng.Intn(100); {
+		case op < 35: // install; full, this evicts — pinned victims included
+			key, data := randKey(), payload()
+			if _, ok := m.want[key]; !ok && sh.tab.Len() == capacity {
+				victim, _ := sh.tab.VictimSlot()
+				delete(m.want, sh.tab.Key(victim))
+			}
+			if _, ok := sh.install(key, data); !ok {
+				t.Fatalf("step %d: install refused", m.step)
+			}
+			m.want[key] = data
+		case op < 50: // touch
+			if _, slot, ok := residentKey(); ok {
+				sh.tab.Hit(slot)
+			}
+		case op < 60: // invalidate
+			key := randKey()
+			if slot, ok := sh.tab.Lookup(key); ok {
+				sh.removeLocked(slot)
+				delete(m.want, key)
+			}
+		case op < 75: // pin
+			if key, slot, ok := residentKey(); ok && len(m.pins) < maxModelPins {
+				sh.pinLocked(slot)
+				m.pins = append(m.pins, modelPin{slot: slot, view: sh.frame(slot), data: m.want[key]})
+			}
+		case op < 87: // unpin
+			if n := len(m.pins); n > 0 {
+				i := rng.Intn(n)
+				sh.unpinLocked(m.pins[i].slot)
+				m.pins[i] = m.pins[n-1]
+				m.pins = m.pins[:n-1]
+			}
+		case op < 97: // write; copy-on-write when pinned, and sometimes dirty
+			if key, slot, ok := residentKey(); ok {
+				data := payload()
+				to := sh.writeFrameLocked(slot, data)
+				if pinned := sh.state[slot].pins > 0; pinned == (to == slot) {
+					t.Fatalf("step %d: write to slot %d (pinned=%v) landed in slot %d", m.step, slot, pinned, to)
+				}
+				if rng.Intn(2) == 0 {
+					sh.setDirtyLocked(to)
+				}
+				m.want[key] = data
+			}
+		default: // epoch swap: keep some residents, bring in some new blocks
+			var selected []block.Key
+			fetched := make(map[block.Key][]byte)
+			for len(selected) < capacity/2 {
+				key := randKey()
+				if _, dup := fetched[key]; dup {
+					continue
+				}
+				selected = append(selected, key)
+				fetched[key] = payload()
+			}
+			next := make(map[block.Key][]byte)
+			for _, key := range sh.dirtyKeysLocked(nil) {
+				next[key] = m.want[key] // dirty blocks are carried over
+			}
+			for _, key := range selected {
+				if len(next) == capacity {
+					break
+				}
+				if data, ok := m.want[key]; ok {
+					next[key] = data
+				} else if _, ok := next[key]; !ok {
+					next[key] = fetched[key]
+				}
+			}
+			sh.rotSkip = make(map[block.Key]bool)
+			sh.commitEpochLocked(selected, fetched)
+			m.want = next
+		}
+		m.check()
+	}
+	for _, p := range m.pins {
+		sh.unpinLocked(p.slot)
+	}
+	m.pins = nil
+	m.check()
+}
+
+// hotStore returns a two-shard store with latency tracking on — the
+// configuration the benchmark's lib_hot runs — whose sieve admits on the
+// first miss, with blocks [0, n) of volume 0:0 read in once.
+func hotStore(t *testing.T, n int) *Store {
+	t.Helper()
+	be := store.NewMem()
+	be.AddVolume(0, 0, 1<<20)
+	s, err := Open(be, Options{CacheBytes: 256 * block.Size, Shards: 2, TrackLatency: true, SieveC: smallSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	buf := make([]byte, block.Size)
+	for b := 0; b < n; b++ {
+		if err := s.ReadAt(0, 0, buf, uint64(b)*block.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestHitPathAllocations guards the all-hit paths' allocation counts: an
+// 8-block ReadAt makes none, and ReadPinned+Release only the PinnedRead.
+func TestHitPathAllocations(t *testing.T) {
+	s := hotStore(t, 64)
+	buf := make([]byte, block.PageSize)
+	before := s.Stats()
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.ReadAt(0, 0, buf, 8*block.Size); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("all-hit 8-block ReadAt: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		pr := s.ReadPinned(0, 0, block.PageSize, 8*block.Size)
+		if pr.Blocks() != block.BlocksPerPage {
+			t.Fatal("not all pinned")
+		}
+		pr.Release()
+	}); n > 1 {
+		t.Errorf("all-hit 8-block ReadPinned+Release: %v allocations, want at most the PinnedRead", n)
+	}
+	after := s.Stats()
+	if after.BackendReads != before.BackendReads || after.PinnedFrames != 0 {
+		t.Errorf("the measured reads were not all hits, or left pins: %+v", after)
+	}
+}
+
+// TestShardVisitKeepsRecencyOrder pins the batching rule: a multi-block
+// read visits each shard once, but within a shard it touches blocks in
+// request order, so every shard's recency order is what a block-by-block
+// walk leaves — replayed here on one plain LRU per shard.
+func TestShardVisitKeepsRecencyOrder(t *testing.T) {
+	const blocks = 200
+	s := hotStore(t, blocks)
+	ref := make([]*cache.Cache, len(s.shards))
+	for i, sh := range s.shards {
+		ref[i] = cache.New(sh.tab.Capacity())
+	}
+	walk := func(first, n int) {
+		for b := first; b < first+n; b++ {
+			key := block.MakeKey(0, 0, uint64(b))
+			ref[s.shardIndex(key)].Insert(key)
+		}
+	}
+	walk(0, blocks)
+	// A page whose blocks alternate between the two shards, read in too.
+	alternating := -1
+	for b := blocks; b < 2000 && alternating < 0; b++ {
+		alternating = b
+		for i := 0; i < block.BlocksPerPage; i++ {
+			if s.shardIndex(block.MakeKey(0, 0, uint64(b+i))) != i%2 {
+				alternating = -1
+			}
+		}
+	}
+	if alternating < 0 {
+		t.Fatal("no page alternates between the shards")
+	}
+	buf := make([]byte, 16*block.Size)
+	for i := 0; i < block.BlocksPerPage; i++ {
+		if err := s.ReadAt(0, 0, buf[:block.Size], uint64(alternating+i)*block.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk(alternating, block.BlocksPerPage)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		first, n := rng.Intn(blocks-16), 1+rng.Intn(16)
+		if i%3 == 0 {
+			first, n = alternating, block.BlocksPerPage
+		}
+		if i%2 == 0 {
+			if err := s.ReadAt(0, 0, buf[:n*block.Size], uint64(first)*block.Size); err != nil {
+				t.Fatal(err)
+			}
+		} else if pr := s.ReadPinned(0, 0, n*block.Size, uint64(first)*block.Size); pr.Blocks() != n {
+			t.Fatalf("read %d: pinned %d of %d resident blocks", i, pr.Blocks(), n)
+		} else {
+			pr.Release()
+		}
+		walk(first, n)
+		for si, sh := range s.shards {
+			sh.mu.Lock()
+			got := sh.tab.Keys()
+			sh.mu.Unlock()
+			if want := ref[si].Keys(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("read %d of blocks [%d,%d): shard %d recency order\n got %v\nwant %v", i, first, first+n, si, got, want)
+			}
+		}
+	}
+	if st := s.Stats(); st.Evictions != 0 || st.CachedBlocks != blocks+block.BlocksPerPage {
+		t.Fatalf("the replay assumes every read hit: %+v", st)
+	}
+}

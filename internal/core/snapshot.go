@@ -58,12 +58,11 @@ func (s *Store) SaveSnapshot(w io.Writer) error {
 			sh.mu.Unlock()
 			return err
 		}
-		shKeys := sh.tags.Keys() // MRU → LRU
-		for _, k := range shKeys {
-			data = append(data, sh.frames[k]...)
+		for _, slot := range sh.tab.AppendSlots(nil) { // MRU → LRU
+			keys = append(keys, sh.tab.Key(slot))
+			data = append(data, sh.frame(slot)...)
 		}
-		keys = append(keys, shKeys...)
-		capacity += sh.tags.Capacity()
+		capacity += sh.tab.Capacity()
 		sh.mu.Unlock()
 	}
 	variant := s.opts.Variant
@@ -133,7 +132,7 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	// Entries arrive MRU-first; cap at capacity (the tail is the cold end).
 	totalCap := 0
 	for _, sh := range s.shards {
-		totalCap += sh.tags.Capacity()
+		totalCap += sh.tab.Capacity()
 	}
 	keep := count
 	if capacity := uint64(totalCap); keep > capacity {
@@ -183,7 +182,7 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	perShard := make([][]entry, len(s.shards))
 	for _, e := range entries {
 		si := s.shardIndex(e.key)
-		if len(perShard[si]) < s.shards[si].tags.Capacity() {
+		if len(perShard[si]) < s.shards[si].tab.Capacity() {
 			perShard[si] = append(perShard[si], e)
 		}
 	}
@@ -205,11 +204,8 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 		// install. Write reservations stay attached — a write completing
 		// after the load folds its newer data into the restored frames.
 		sh.staleFetchFlightsLocked()
-		for _, k := range sh.tags.Keys() {
-			sh.tags.Remove(k)
-			sh.recycleLocked(sh.frames[k])
-			delete(sh.frames, k)
-			sh.tenantEvict(k)
+		for _, slot := range sh.tab.AppendSlots(nil) {
+			sh.removeLocked(slot)
 		}
 		// Install in reverse so the hottest block ends most-recently-used.
 		// No rotation can be staging here (the rotating flag is ours), so

@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,19 +72,19 @@ type Options struct {
 	// of the 512-byte block size).
 	CacheBytes int64
 	// Shards splits the store into this many key-hash shards, each with its
-	// own lock, tag store, frames, and sieve state, so the hit path scales
+	// own lock, slot table, and sieve state, so the hit path scales
 	// with cores. Must be a power of two; 0 or 1 (the default) keeps the
 	// single fully-associative cache of the paper. Capacity is partitioned
 	// evenly across shards, so with Shards > 1 eviction is shard-local —
 	// hit ratios can differ marginally from the global-LRU figure.
 	Shards int
 	// Policy selects the cache's replacement engine: "lru" (default, the
-	// paper's policy), "sieve", "s3fifo", "fifo", or "clock"
-	// (case-insensitive; see cache.PolicyNames). SIEVE and S3-FIFO trade
-	// LRU's per-hit list surgery for a single bit/counter update under the
-	// shard lock — measurably cheaper hits at an equal (±1%) hit ratio on
-	// the golden Zipf workload, since the sieve already admits only hot
-	// blocks.
+	// paper's policy) or "sieve" (case-insensitive; cache.TableNames).
+	// SIEVE trades LRU's per-hit list surgery for a single bit update under
+	// the shard lock — measurably cheaper hits at an equal (±1%) hit ratio
+	// on the golden Zipf workload, since the sieve already admits only hot
+	// blocks. The simulator's other engines key everything themselves and
+	// cannot run a shard's slot table.
 	Policy string
 	// Variant selects SieveStore-C (default) or SieveStore-D.
 	Variant Variant
@@ -231,7 +232,7 @@ func (o *Options) withDefaults() (Options, error) {
 	if int64(out.Shards) > out.CacheBytes/block.Size {
 		return out, fmt.Errorf("core: Shards %d exceeds the cache's %d blocks", out.Shards, out.CacheBytes/block.Size)
 	}
-	if _, err := cache.NewPolicy(out.Policy, 1); err != nil {
+	if _, err := cache.NewTable(out.Policy, 1); err != nil {
 		return out, err
 	}
 	if out.SieveC.IMCTSize == 0 {
@@ -439,8 +440,8 @@ var ErrRange = errors.New("core: request beyond addressable block range")
 // Store is a SieveStore cache instance. It is safe for concurrent use.
 //
 // Concurrency model: the cache is split into Options.Shards key-hash
-// shards, each guarded by its own mutex over that shard's tags, frames,
-// dirty set, in-flight table, sieve state, and stats. No shard lock is
+// shards, each guarded by its own mutex over that shard's slot table,
+// in-flight table, sieve state, and stats. No shard lock is
 // ever held across hot-path backend I/O: a miss reserves its keys in the
 // shard's in-flight table, releases the lock, fetches from the ensemble,
 // then re-acquires it for sieve admission and frame installation.
@@ -580,20 +581,11 @@ func Open(backend Backend, opts Options) (*Store, error) {
 	caps := cache.PartitionCapacity(int(o.CacheBytes/block.Size), o.Shards)
 	s.shards = make([]*shard, o.Shards)
 	for i := range s.shards {
-		tags, err := cache.NewPolicy(o.Policy, caps[i])
+		tab, err := cache.NewTable(o.Policy, caps[i])
 		if err != nil {
 			return nil, err
 		}
-		sh := &shard{
-			store:    s,
-			idx:      i,
-			tags:     tags,
-			frames:   make(map[block.Key][]byte),
-			dirty:    make(map[block.Key]bool),
-			inflight: make(map[block.Key]*flight),
-		}
-		sh.stats.CapacityBlocks = int64(caps[i])
-		s.shards[i] = sh
+		s.shards[i] = newShard(s, i, tab)
 	}
 	if o.TenantTracking {
 		acct, err := tenant.New(tenant.Config{
@@ -686,7 +678,7 @@ func (s *Store) Shards() int { return len(s.shards) }
 
 // Policy returns the canonical name of the replacement engine the shards
 // run ("LRU", "SIEVE", ...). Immutable after Open.
-func (s *Store) Policy() string { return s.shards[0].tags.Name() }
+func (s *Store) Policy() string { return s.shards[0].tab.Name() }
 
 // shardIndex maps a key to its shard with the same 64-bit avalanche mix
 // the sieved logger hashes partitions with, so shard i's keys land in
@@ -713,9 +705,9 @@ func (s *Store) Stats() Stats {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sub := sh.stats
-		sub.CachedBlocks = int64(sh.tags.Len())
-		sub.DirtyBlocks = int64(len(sh.dirty))
-		sub.PinnedFrames = int64(len(sh.pins))
+		sub.CachedBlocks = int64(sh.tab.Len())
+		sub.DirtyBlocks = int64(sh.nDirty)
+		sub.PinnedFrames = int64(sh.nPinned)
 		if sh.sieveC != nil {
 			sub.SieveTrackedBlocks = int64(sh.sieveC.Stats().MCTSize)
 		}
@@ -825,12 +817,14 @@ func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics
 	var servedDirty int64
 	var served []bool
 	if s.opts.WriteBack {
-		for _, g := range s.groupByShard(server, volume, first, nBlocks) {
-			g.sh.mu.Lock()
-			for _, i := range g.idxs {
-				key := block.MakeKey(server, volume, first+uint64(i))
-				if g.sh.dirty[key] && g.sh.frames[key] != nil {
-					copy(p[i*block.Size:(i+1)*block.Size], g.sh.frames[key])
+		key0 := block.MakeKey(server, volume, first)
+		var buf [orderInline]uint64
+		order := s.shardOrder(buf[:0], key0, nBlocks, nil)
+		s.eachShard(order, func(sh *shard, lo, hi int) {
+			for _, e := range order[lo:hi] {
+				i := int(e & orderBlock)
+				if slot, ok := sh.tab.Lookup(key0 + block.Key(i)); ok && sh.state[slot].dirty {
+					copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
 					if served == nil {
 						served = make([]bool, nBlocks)
 					}
@@ -838,8 +832,7 @@ func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics
 					servedDirty++
 				}
 			}
-			g.sh.mu.Unlock()
-		}
+		})
 	}
 	var err error
 	var nReads, nBytes int64
@@ -916,28 +909,19 @@ func (s *Store) bypassWrite(server, volume int, p []byte, off uint64, tr *metric
 // data, and keys are recorded in rotSkip so a staging epoch commit cannot
 // resurrect its older batch-fetched copy.
 func (s *Store) dropRange(server, volume int, first uint64, n int) {
-	for _, g := range s.groupByShard(server, volume, first, n) {
-		g.sh.mu.Lock()
-		for _, i := range g.idxs {
-			key := block.MakeKey(server, volume, first+uint64(i))
+	key0 := block.MakeKey(server, volume, first)
+	var buf [orderInline]uint64
+	order := s.shardOrder(buf[:0], key0, n, nil)
+	s.eachShard(order, func(sh *shard, lo, hi int) {
+		for _, e := range order[lo:hi] {
+			key := key0 + block.Key(e&orderBlock)
 			s.tierInvalidate(key)
-			if f, ok := g.sh.inflight[key]; ok {
-				f.stale = true
-				delete(g.sh.inflight, key)
-			}
-			if g.sh.rotSkip != nil {
-				g.sh.rotSkip[key] = true
-			}
-			if g.sh.tags.Contains(key) {
-				delete(g.sh.dirty, key)
-				g.sh.tags.Remove(key)
-				g.sh.recycleLocked(g.sh.frames[key])
-				delete(g.sh.frames, key)
-				g.sh.tenantEvict(key)
+			sh.dropFlightLocked(key)
+			if slot, ok := sh.tab.Lookup(key); ok {
+				sh.removeLocked(slot)
 			}
 		}
-		g.sh.mu.Unlock()
-	}
+	})
 }
 
 // Close releases the store's resources. In write-back mode the dirty
@@ -998,6 +982,59 @@ func checkIO(p []byte, off uint64) error {
 	return nil
 }
 
+// ioPath is one way of serving a request: the cached read or write path,
+// or its degraded-mode bypass.
+type ioPath func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error
+
+// do is the frame both I/O entry points share: geometry check, trace
+// sampling, the closed and degraded gates, and — only when latency is
+// tracked or this operation drew a trace — two monotonic clock reads
+// around the call. A degraded store sends the call to bypass unless this
+// caller drew the recovery probe; the probe takes the cached path, and
+// the store leaves bypass mode if it completes without a fresh cache fault.
+func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, bypass ioPath,
+	server, volume int, p []byte, off uint64) error {
+	if err := checkIO(p, off); err != nil {
+		return err
+	}
+	tr := s.beginTrace(op, server, volume, p, off)
+	timed := s.opts.TrackLatency || tr != nil
+	var start time.Duration
+	if timed {
+		start = time.Since(s.monoBase)
+	}
+	var err error
+	switch {
+	case s.closed.Load():
+		err = ErrClosed
+	case !s.degraded.Load():
+		err = cached(server, volume, p, off, tr)
+	default:
+		if tr != nil {
+			tr.Degraded = true
+		}
+		if !s.probeDue(&s.lastCacheProbe) {
+			err = bypass(server, volume, p, off, tr)
+			break
+		}
+		base := s.cacheFaults.Load()
+		if err = cached(server, volume, p, off, tr); err == nil && s.cacheFaults.Load() == base {
+			s.exitDegraded()
+		}
+	}
+	if timed {
+		d := time.Since(s.monoBase) - start
+		if s.opts.TrackLatency {
+			h.Observe(d)
+			if err != nil {
+				errs.Add(1)
+			}
+		}
+		s.endTrace(tr, d, err)
+	}
+	return err
+}
+
 // ReadAt reads len(p) bytes from the volume at off, serving cached blocks
 // from the cache and the rest from the backend. Missing blocks are offered
 // to the sieve and admitted only if it approves.
@@ -1007,43 +1044,20 @@ func checkIO(p []byte, off uint64) error {
 // by another caller are joined rather than refetched), then read from the
 // ensemble, and finally — under the shard lock again — offered to the
 // sieve and installed.
-func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
-	if err := checkIO(p, off); err != nil {
-		return err
-	}
-	tr := s.beginTrace("read", server, volume, p, off)
-	if s.opts.TrackLatency || tr != nil {
-		start := time.Since(s.monoBase)
-		defer func() {
-			d := time.Since(s.monoBase) - start
-			if s.opts.TrackLatency {
-				s.histRead.Observe(d)
-				if err != nil {
-					s.errRead.Add(1)
-				}
-			}
-			s.endTrace(tr, d, err)
-		}()
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if s.degraded.Load() {
-		if tr != nil {
-			tr.Degraded = true
-		}
-		if !s.probeDue(&s.lastCacheProbe) {
-			return s.bypassRead(server, volume, p, off, tr)
-		}
-		// This caller is the recovery probe: take the normal cached path,
-		// and leave bypass mode if it completes without a fresh cache fault.
-		base := s.cacheFaults.Load()
-		defer func() {
-			if err == nil && s.cacheFaults.Load() == base {
-				s.exitDegraded()
-			}
-		}()
-	}
+func (s *Store) ReadAt(server, volume int, p []byte, off uint64) error {
+	return s.do("read", &s.histRead, &s.errRead, s.readCached, s.bypassRead, server, volume, p, off)
+}
+
+// miss is one block a read did not find: owned (this call fetches it) or
+// joined (another call's flight will deliver it). idx is its position in
+// the request.
+type miss struct {
+	idx int
+	f   *flight
+	sh  *shard
+}
+
+func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
 	s.maybeRotate()
 	if s.closed.Load() {
 		return ErrClosed
@@ -1053,6 +1067,7 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 	first := off / block.Size
 	s.logAccess(server, volume, first, nBlocks)
 	s.tenantAccess(server, volume, int64(nBlocks), false)
+	key0 := block.MakeKey(server, volume, first)
 
 	// RAM-tier pass: blocks resident in the in-process tier are served
 	// under its read lock plus one atomic reference-bit store — no shard
@@ -1064,7 +1079,7 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 	var nTier int
 	if s.tier != nil {
 		for i := 0; i < nBlocks; i++ {
-			if s.tier.Lookup(block.MakeKey(server, volume, first+uint64(i)), p[i*block.Size:(i+1)*block.Size]) {
+			if s.tier.Lookup(key0+block.Key(i), p[i*block.Size:(i+1)*block.Size]) {
 				if tierServed == nil && nBlocks > 1 {
 					tierServed = make([]bool, nBlocks)
 				}
@@ -1083,117 +1098,43 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 			return nil
 		}
 	}
-	now := s.now()
 
-	// A miss is either owned (this call fetches it) or joined (another
-	// call's flight will deliver it); idx is the block's position in p.
-	type miss struct {
-		idx int
-		key block.Key
-		f   *flight
-		sh  *shard
-	}
-	var mine, joined []miss
-	var admitted int
-
-	// Classify run-wise: each maximal run of consecutive blocks mapping to
-	// the same shard is handled in one critical section (with Shards=1 the
-	// whole request is a single critical section, exactly the unsharded
-	// behavior).
-	for i := 0; i < nBlocks; {
-		if tierServed != nil && tierServed[i] {
-			i++
-			continue
-		}
-		sh := s.shardOf(block.MakeKey(server, volume, first+uint64(i)))
-		j := i + 1
-		for j < nBlocks && (tierServed == nil || !tierServed[j]) &&
-			s.shardOf(block.MakeKey(server, volume, first+uint64(j))) == sh {
-			j++
-		}
+	// Classify: one critical section per shard, shards ascending, each
+	// shard's blocks in request order — so a shard's recency order moves
+	// exactly as a block-by-block walk would move it. A hit is one index
+	// probe, one relink and one copy.
+	var orderBuf [orderInline]uint64
+	var mineBuf, joinedBuf [8]miss
+	order := s.shardOrder(orderBuf[:0], key0, nBlocks, tierServed)
+	mine, joined := mineBuf[:0], joinedBuf[:0]
+	for lo := 0; lo < len(order); {
+		sh, hi := s.shardRun(order, lo)
 		sh.mu.Lock()
-		sh.stats.Reads += int64(j - i)
-		for ; i < j; i++ {
-			key := block.MakeKey(server, volume, first+uint64(i))
-			if sh.tags.Touch(key) {
-				copy(p[i*block.Size:(i+1)*block.Size], sh.frames[key])
-				sh.stats.ReadHits++
-				sh.stats.CacheBytesServed += block.Size
-				sh.promoteOnHitLocked(key)
+		hits := 0
+		for _, e := range order[lo:hi] {
+			i := int(e & orderBlock)
+			key := key0 + block.Key(i)
+			if slot, ok := sh.tab.Lookup(key); ok {
+				sh.tab.Hit(slot)
+				copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
+				hits++
+				sh.promoteOnHitLocked(key, slot)
 				continue
 			}
 			if f, ok := sh.inflight[key]; ok {
 				f.waiters++
+				f.waitLocked()
 				sh.stats.CoalescedReads++
-				joined = append(joined, miss{idx: i, key: key, f: f, sh: sh})
+				joined = append(joined, miss{idx: i, f: f, sh: sh})
 				continue
 			}
-			f := &flight{done: make(chan struct{})}
+			f := &flight{}
 			sh.inflight[key] = f
-			mine = append(mine, miss{idx: i, key: key, f: f, sh: sh})
+			mine = append(mine, miss{idx: i, f: f, sh: sh})
 		}
-		sh.mu.Unlock()
-	}
-
-	// Fetch owned misses from the ensemble in contiguous runs — lock-free,
-	// so concurrent callers overlap their backend latency. (Runs follow
-	// block adjacency, not shard boundaries: backend request geometry is
-	// unchanged by sharding.)
-	var fetchErr error
-	var nReads, nBytes int64
-	okUpto := len(mine)
-	for lo := 0; lo < len(mine); {
-		hi := lo + 1
-		for hi < len(mine) && mine[hi].idx == mine[hi-1].idx+1 {
-			hi++
-		}
-		buf := p[mine[lo].idx*block.Size : (mine[hi-1].idx+1)*block.Size]
-		if e := s.backend.ReadAt(server, volume, buf, off+uint64(mine[lo].idx)*block.Size); e != nil {
-			fetchErr = e
-			okUpto = lo
-			break
-		}
-		nReads++
-		nBytes += int64(len(buf))
-		lo = hi
-	}
-
-	// Re-acquire shard by shard to account, admit, and complete the owned
-	// flights. Blocks fetched before a failed run are still admitted
-	// (matching the old run-at-a-time behavior). Backend counters are
-	// charged once, to the first shard touched.
-	charged := nReads == 0 && nBytes == 0
-	for lo := 0; lo < len(mine); {
-		sh := mine[lo].sh
-		hi := lo + 1
-		for hi < len(mine) && mine[hi].sh == sh {
-			hi++
-		}
-		sh.mu.Lock()
-		if !charged {
-			sh.stats.BackendReads += nReads
-			sh.stats.BackendBytesRead += nBytes
-			sh.stats.BackendBytesServedRead += nBytes
-			charged = true
-		}
-		for j := lo; j < hi; j++ {
-			m := mine[j]
-			if j < okUpto {
-				data := p[m.idx*block.Size : (m.idx+1)*block.Size]
-				if !m.f.stale && !s.closed.Load() {
-					if sh.maybeAdmit(m.key, data, block.Read, now, false) {
-						admitted++
-					}
-				}
-				m.f.publishLocked(data)
-			} else {
-				m.f.err = fetchErr
-			}
-			if sh.inflight[m.key] == m.f {
-				delete(sh.inflight, m.key)
-			}
-			close(m.f.done)
-		}
+		sh.stats.Reads += int64(hi - lo)
+		sh.stats.ReadHits += int64(hits)
+		sh.stats.CacheBytesServed += int64(hits) * block.Size
 		sh.mu.Unlock()
 		lo = hi
 	}
@@ -1205,6 +1146,81 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 		tr.Coalesced = len(joined)
 		tr.Hits = nBlocks - len(mine) - len(joined)
 		tr.TierHits = nTier
+	}
+	if len(mine)+len(joined) == 0 {
+		return nil
+	}
+	return s.readMisses(key0, p, mine, joined, order, tr)
+}
+
+// readMisses finishes a read that missed: it fetches the owned misses,
+// offers them to the sieve, completes their flights, and then waits for
+// the flights it joined. mine is in shard order, as classification left
+// it; scratch is the spent shard-order slice, big enough for mine.
+func (s *Store) readMisses(key0 block.Key, p []byte, mine, joined []miss, scratch []uint64, tr *metrics.OpTrace) error {
+	// Fetch owned misses from the ensemble in contiguous runs — lock-free,
+	// so concurrent callers overlap their backend latency. Runs follow
+	// block adjacency, not shard boundaries: backend request geometry is
+	// unchanged by sharding.
+	at := scratch[:0] // the owned blocks' positions in the request, ascending
+	for _, m := range mine {
+		at = append(at, uint64(m.idx))
+	}
+	slices.Sort(at)
+	var fetchErr error
+	var nReads, nBytes int64
+	okBefore := len(p) / block.Size // blocks before this position were fetched
+	for lo := 0; lo < len(at); {
+		hi := lo + 1
+		for hi < len(at) && at[hi] == at[hi-1]+1 {
+			hi++
+		}
+		i, j := int(at[lo]), int(at[hi-1])+1
+		buf := p[i*block.Size : j*block.Size]
+		if e := s.backend.ReadAt(key0.Server(), key0.Volume(), buf, (key0 + block.Key(i)).Offset()); e != nil {
+			fetchErr, okBefore = e, i
+			break
+		}
+		nReads++
+		nBytes += int64(len(buf))
+		lo = hi
+	}
+
+	// Re-acquire shard by shard to account, admit, and complete the owned
+	// flights. Blocks fetched before a failed run are still admitted.
+	// Backend counters are charged once, to the first shard touched. The
+	// sieve's clock is read here, where a block actually missed, and not on
+	// the way in.
+	now, admitted := s.now(), 0
+	for lo := 0; lo < len(mine); {
+		sh := mine[lo].sh
+		hi := lo + 1
+		for hi < len(mine) && mine[hi].sh == sh {
+			hi++
+		}
+		sh.mu.Lock()
+		if lo == 0 {
+			sh.stats.BackendReads += nReads
+			sh.stats.BackendBytesRead += nBytes
+			sh.stats.BackendBytesServedRead += nBytes
+		}
+		for _, m := range mine[lo:hi] {
+			key := key0 + block.Key(m.idx)
+			if m.idx < okBefore {
+				data := p[m.idx*block.Size : (m.idx+1)*block.Size]
+				if !m.f.stale && !s.closed.Load() && sh.maybeAdmit(key, data, block.Read, now, false) {
+					admitted++
+				}
+				m.f.publishLocked(data)
+			} else {
+				m.f.err = fetchErr
+			}
+			sh.finishLocked(key, m.f)
+		}
+		sh.mu.Unlock()
+		lo = hi
+	}
+	if tr != nil {
 		tr.Admitted = admitted
 	}
 	if fetchErr != nil {
@@ -1215,22 +1231,22 @@ func (s *Store) ReadAt(server, volume int, p []byte, off uint64) (err error) {
 	// completed above, so blocking here cannot deadlock.
 	for _, m := range joined {
 		dst := p[m.idx*block.Size : (m.idx+1)*block.Size]
-		if err := s.awaitFlight(m.sh, m.f, m.key, dst); err != nil {
+		if err := s.awaitFlight(m.sh, m.f, key0+block.Key(m.idx), dst); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// awaitFlight waits for another caller's in-flight fetch of key and copies
-// the result into dst. If that flight failed, the block is re-fetched
-// directly (joining yet another flight if one has appeared meanwhile).
+// awaitFlight waits for another caller's in-flight fetch of key, which
+// the caller joined under the shard lock, and copies the result into dst.
+// If that flight failed, the block is re-fetched directly (joining yet
+// another flight if one has appeared meanwhile).
 func (s *Store) awaitFlight(sh *shard, f *flight, key block.Key, dst []byte) error {
 	for {
 		<-f.done
 		if f.err == nil {
 			copy(dst, f.data)
-			f.release()
 			return nil
 		}
 		sh.mu.Lock()
@@ -1238,8 +1254,9 @@ func (s *Store) awaitFlight(sh *shard, f *flight, key block.Key, dst []byte) err
 			sh.mu.Unlock()
 			return ErrClosed
 		}
-		if sh.tags.Touch(key) {
-			copy(dst, sh.frames[key])
+		if slot, ok := sh.tab.Lookup(key); ok {
+			sh.tab.Hit(slot)
+			copy(dst, sh.frame(slot))
 			sh.stats.ReadHits++
 			sh.stats.CacheBytesServed += block.Size
 			sh.mu.Unlock()
@@ -1247,11 +1264,12 @@ func (s *Store) awaitFlight(sh *shard, f *flight, key block.Key, dst []byte) err
 		}
 		if nf, ok := sh.inflight[key]; ok {
 			nf.waiters++
+			nf.waitLocked()
 			sh.mu.Unlock()
 			f = nf
 			continue
 		}
-		nf := &flight{done: make(chan struct{})}
+		nf := &flight{}
 		sh.inflight[key] = nf
 		sh.mu.Unlock()
 
@@ -1273,90 +1291,75 @@ func (s *Store) awaitFlight(sh *shard, f *flight, key block.Key, dst []byte) err
 		} else {
 			nf.err = err
 		}
-		if sh.inflight[key] == nf {
-			delete(sh.inflight, key)
-		}
-		close(nf.done)
+		sh.finishLocked(key, nf)
 		sh.mu.Unlock()
 		return err
 	}
 }
 
-// writeGroup is the slice of a write's block indices that map to one
-// shard; groups are always visited in ascending shard order (the global
-// lock-ordering rule).
-type writeGroup struct {
-	sh   *shard
-	idxs []int
+// A shard-order word names one block of a request: its shard above
+// orderShift, its position in the request below.
+const (
+	orderShift  = 40
+	orderBlock  = 1<<orderShift - 1
+	orderInline = 32 // words callers keep on their stack: a 16 KiB request
+)
+
+// shardOrder appends one word per block of [key0, key0+n), less those skip
+// marks, sorted ascending: shards in index order, each shard's blocks
+// together and in request order. Every walk that may lock more than one
+// shard — reads, writes, invalidation — follows it, one critical section
+// per shard; ascending shard order is the store's global lock-ordering
+// rule. dst is scratch, usually a stack array: nothing is allocated for a
+// request of up to orderInline blocks.
+func (s *Store) shardOrder(dst []uint64, key0 block.Key, n int, skip []bool) []uint64 {
+	for i := 0; i < n; i++ {
+		if skip == nil || !skip[i] {
+			dst = append(dst, uint64(s.shardIndex(key0+block.Key(i)))<<orderShift|uint64(i))
+		}
+	}
+	if s.shardMask != 0 {
+		slices.Sort(dst)
+	}
+	return dst
 }
 
-// groupByShard buckets the blocks [first, first+n) by shard, ascending.
-func (s *Store) groupByShard(server, volume int, first uint64, n int) []writeGroup {
-	if len(s.shards) == 1 {
-		idxs := make([]int, n)
-		for i := range idxs {
-			idxs[i] = i
-		}
-		return []writeGroup{{sh: s.shards[0], idxs: idxs}}
+// shardRun returns the shard that order[lo] names and the end of its run.
+func (s *Store) shardRun(order []uint64, lo int) (sh *shard, hi int) {
+	si := order[lo] >> orderShift
+	for hi = lo + 1; hi < len(order) && order[hi]>>orderShift == si; hi++ {
 	}
-	buckets := make([][]int, len(s.shards))
-	for i := 0; i < n; i++ {
-		si := s.shardIndex(block.MakeKey(server, volume, first+uint64(i)))
-		buckets[si] = append(buckets[si], i)
+	return s.shards[si], hi
+}
+
+// eachShard calls do once per shard of order, in order, holding that
+// shard's lock; order[lo:hi] are the shard's words. (It passes the bounds,
+// not the slice: an argument to a func value escapes, and order usually
+// sits on the caller's stack.)
+func (s *Store) eachShard(order []uint64, do func(sh *shard, lo, hi int)) {
+	for lo := 0; lo < len(order); {
+		sh, hi := s.shardRun(order, lo)
+		sh.mu.Lock()
+		do(sh, lo, hi)
+		sh.mu.Unlock()
+		lo = hi
 	}
-	groups := make([]writeGroup, 0, len(s.shards))
-	for si, idxs := range buckets {
-		if len(idxs) > 0 {
-			groups = append(groups, writeGroup{sh: s.shards[si], idxs: idxs})
-		}
-	}
-	return groups
 }
 
 // WriteAt writes p through to the backend, updating cached blocks in place
 // and offering missing blocks to the sieve.
 //
 // The backend write happens without any shard lock. The written key range
-// is reserved in the shards' in-flight tables first — shard groups in
-// ascending index order, all-or-nothing within each shard — which (a)
-// serializes overlapping writes so backend order and cache order cannot
-// invert, and (b) lets concurrent read misses on these keys coalesce onto
-// the written data instead of racing the write with a backend fetch.
-func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
-	if err := checkIO(p, off); err != nil {
-		return err
-	}
-	tr := s.beginTrace("write", server, volume, p, off)
-	if s.opts.TrackLatency || tr != nil {
-		start := time.Since(s.monoBase)
-		defer func() {
-			d := time.Since(s.monoBase) - start
-			if s.opts.TrackLatency {
-				s.histWrite.Observe(d)
-				if err != nil {
-					s.errWrite.Add(1)
-				}
-			}
-			s.endTrace(tr, d, err)
-		}()
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if s.degraded.Load() {
-		if tr != nil {
-			tr.Degraded = true
-		}
-		if !s.probeDue(&s.lastCacheProbe) {
-			return s.bypassWrite(server, volume, p, off, tr)
-		}
-		base := s.cacheFaults.Load()
-		defer func() {
-			if err == nil && s.cacheFaults.Load() == base {
-				s.exitDegraded()
-			}
-		}()
-	}
+// is reserved in the shards' in-flight tables first — in shard order,
+// all-or-nothing within each shard — which (a) serializes overlapping
+// writes so backend order and cache order cannot invert, and (b) lets
+// concurrent read misses on these keys coalesce onto the written data
+// instead of racing the write with a backend fetch.
+func (s *Store) WriteAt(server, volume int, p []byte, off uint64) error {
+	return s.do("write", &s.histWrite, &s.errWrite, s.writeCached, s.bypassWrite, server, volume, p, off)
+}
+
+func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
 	s.maybeRotate()
 	if s.closed.Load() {
 		return ErrClosed
@@ -1367,44 +1370,52 @@ func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
 	first := off / block.Size
 	s.logAccess(server, volume, first, nBlocks)
 	s.tenantAccess(server, volume, int64(nBlocks), true)
+	key0 := block.MakeKey(server, volume, first)
 
-	groups := s.groupByShard(server, volume, first, nBlocks)
-	flights := make([]*flight, nBlocks)
-	for gi, g := range groups {
-		g.sh.mu.Lock()
-		g.sh.stats.Writes += int64(len(g.idxs))
-		fs, rerr := g.sh.reserveLocked(server, volume, first, g.idxs)
+	var orderBuf [orderInline]uint64
+	order := s.shardOrder(orderBuf[:0], key0, nBlocks, nil)
+	flights := make([]flight, nBlocks) // by block; one allocation per write
+	for lo := 0; lo < len(order); {
+		sh, hi := s.shardRun(order, lo)
+		sh.mu.Lock()
+		sh.stats.Writes += int64(hi - lo)
+		rerr := sh.reserveLocked(key0, order[lo:hi], flights)
+		sh.mu.Unlock()
 		if rerr != nil {
-			g.sh.mu.Unlock()
 			// Release the reservations already held in earlier shards.
-			for _, pg := range groups[:gi] {
-				pg.sh.mu.Lock()
-				pg.sh.completeLocked(server, volume, first, pg.idxs, flights, nil, rerr)
-				pg.sh.mu.Unlock()
-			}
+			s.eachShard(order[:lo], func(sh *shard, lo, hi int) {
+				sh.completeLocked(key0, order[lo:hi], flights, nil, rerr)
+			})
 			return rerr
 		}
-		for k, i := range g.idxs {
-			flights[i] = fs[k]
-		}
-		g.sh.mu.Unlock()
+		lo = hi
 	}
 
+	// Backend counters are charged once, to the first shard visited.
+	first0 := s.shards[order[0]>>orderShift]
+	var hits, admitted int
+	account := func() {
+		s.tenantHits(server, volume, int64(hits))
+		if tr != nil {
+			tr.Hits = hits
+			tr.Misses = nBlocks - hits
+			tr.Admitted = admitted
+		}
+	}
 	if !s.opts.WriteBack {
 		// Write-through: the backend is always authoritative. Write it
 		// first (unlocked), then fold the data into the cache shard by
 		// shard.
-		var hits, admitted int
 		werr := s.backend.WriteAt(server, volume, p, off)
-		for gi, g := range groups {
-			g.sh.mu.Lock()
+		s.eachShard(order, func(sh *shard, lo, hi int) {
 			if werr == nil {
-				if gi == 0 {
-					g.sh.stats.BackendWrites++
-					g.sh.stats.BackendBytesWritten += int64(len(p))
+				if sh == first0 {
+					sh.stats.BackendWrites++
+					sh.stats.BackendBytesWritten += int64(len(p))
 				}
-				for _, i := range g.idxs {
-					key := block.MakeKey(server, volume, first+uint64(i))
+				for _, e := range order[lo:hi] {
+					i := e & orderBlock
+					key := key0 + block.Key(i)
 					// The backend holds the new data: a RAM-tier copy (the
 					// tier can outlive SSD residency) is stale now. Under
 					// this shard's lock, so no reader can re-promote the old
@@ -1414,26 +1425,19 @@ func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
 						continue // invalidated (or store closed) mid-write
 					}
 					data := p[i*block.Size : (i+1)*block.Size]
-					if g.sh.tags.Touch(key) {
-						g.sh.writeFrameLocked(key, data)
-						g.sh.stats.WriteHits++
+					if slot, ok := sh.tab.Lookup(key); ok {
+						sh.tab.Hit(slot)
+						sh.writeFrameLocked(slot, data)
+						sh.stats.WriteHits++
 						hits++
-						continue
-					}
-					if g.sh.maybeAdmit(key, data, block.Write, now, false) {
+					} else if sh.maybeAdmit(key, data, block.Write, now, false) {
 						admitted++
 					}
 				}
 			}
-			g.sh.completeLocked(server, volume, first, g.idxs, flights, p, werr)
-			g.sh.mu.Unlock()
-		}
-		s.tenantHits(server, volume, int64(hits))
-		if tr != nil {
-			tr.Hits = hits
-			tr.Misses = nBlocks - hits
-			tr.Admitted = admitted
-		}
+			sh.completeLocked(key0, order[lo:hi], flights, p, werr)
+		})
+		account()
 		return werr
 	}
 
@@ -1444,40 +1448,30 @@ func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
 	// already have drained this shard), must not park dirty data in the
 	// cache: it writes through instead.
 	through := make([]bool, nBlocks)
-	var hits, admitted int
-	for _, g := range groups {
-		g.sh.mu.Lock()
-		for _, i := range g.idxs {
-			key := block.MakeKey(server, volume, first+uint64(i))
+	s.eachShard(order, func(sh *shard, lo, hi int) {
+		for _, e := range order[lo:hi] {
+			i := e & orderBlock
+			key := key0 + block.Key(i)
 			// Whether the write lands dirty in the cache or goes through to
 			// the backend below, any RAM-tier copy is superseded.
 			s.tierInvalidate(key)
-			if flights[i].stale || s.closed.Load() {
-				through[i] = true
-				continue
-			}
 			data := p[i*block.Size : (i+1)*block.Size]
-			if g.sh.tags.Touch(key) {
-				g.sh.writeFrameLocked(key, data)
-				g.sh.dirty[key] = true
-				g.sh.stats.WriteHits++
+			switch slot, ok := sh.tab.Lookup(key); {
+			case flights[i].stale || s.closed.Load():
+				through[i] = true
+			case ok:
+				sh.tab.Hit(slot)
+				sh.setDirtyLocked(sh.writeFrameLocked(slot, data))
+				sh.stats.WriteHits++
 				hits++
-				continue
-			}
-			if g.sh.tryAdmit(key, data, block.Write, now, true) {
+			case sh.maybeAdmit(key, data, block.Write, now, true):
 				admitted++
-				continue
+			default:
+				through[i] = true
 			}
-			through[i] = true
 		}
-		g.sh.mu.Unlock()
-	}
-	s.tenantHits(server, volume, int64(hits))
-	if tr != nil {
-		tr.Hits = hits
-		tr.Misses = nBlocks - hits
-		tr.Admitted = admitted
-	}
+	})
+	account()
 
 	var werr error
 	var nWrites, nBytes int64
@@ -1497,15 +1491,13 @@ func (s *Store) WriteAt(server, volume int, p []byte, off uint64) (err error) {
 		}
 		i = j
 	}
-	for gi, g := range groups {
-		g.sh.mu.Lock()
-		if gi == 0 {
-			g.sh.stats.BackendWrites += nWrites
-			g.sh.stats.BackendBytesWritten += nBytes
+	s.eachShard(order, func(sh *shard, lo, hi int) {
+		if sh == first0 {
+			sh.stats.BackendWrites += nWrites
+			sh.stats.BackendBytesWritten += nBytes
 		}
-		g.sh.completeLocked(server, volume, first, g.idxs, flights, p, werr)
-		g.sh.mu.Unlock()
-	}
+		sh.completeLocked(key0, order[lo:hi], flights, p, werr)
+	})
 	return werr
 }
 
@@ -1604,18 +1596,16 @@ func contiguousRuns(keys []block.Key, include func(int) bool) []keyRun {
 	return runs
 }
 
-// forEachRun invokes do(ri, run) with bounded parallelism. After the first
-// error no new runs are started; the first error is returned. do must
-// confine its writes to per-run state (indexed by ri) — forEachRun
-// provides the happens-before edge back to the caller.
-func forEachRun(runs []keyRun, do func(ri int, r keyRun) error) error {
-	workers := transitionWorkers
-	if workers > len(runs) {
-		workers = len(runs)
-	}
+// forEach invokes do(0) … do(n-1) with bounded parallelism (inline, with
+// no goroutine, when n is 1). After the first error no new calls are
+// started; the first error is returned. do must confine its writes to
+// state indexed by its argument — forEach provides the happens-before
+// edge back to the caller.
+func forEach(n int, do func(i int) error) error {
+	workers := min(transitionWorkers, n)
 	if workers <= 1 {
-		for ri, r := range runs {
-			if err := do(ri, r); err != nil {
+		for i := 0; i < n; i++ {
+			if err := do(i); err != nil {
 				return err
 			}
 		}
@@ -1633,14 +1623,14 @@ func forEachRun(runs []keyRun, do func(ri int, r keyRun) error) error {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if first != nil || next >= len(runs) {
+				if first != nil || next >= n {
 					mu.Unlock()
 					return
 				}
-				ri := next
+				i := next
 				next++
 				mu.Unlock()
-				if err := do(ri, runs[ri]); err != nil {
+				if err := do(i); err != nil {
 					mu.Lock()
 					if first == nil {
 						first = err
@@ -1669,7 +1659,8 @@ func (s *Store) fetchBatch(keys []block.Key) (map[block.Key][]byte, int64, int64
 	runs := contiguousRuns(sorted, nil)
 	bufs := make([][]byte, len(sorted))
 	ran := make([]bool, len(runs))
-	err := forEachRun(runs, func(ri int, r keyRun) error {
+	err := forEach(len(runs), func(ri int) error {
+		r := runs[ri]
 		n := r.hi - r.lo
 		buf := make([]byte, n*block.Size)
 		k0 := sorted[r.lo]
@@ -2000,7 +1991,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	}
 	total := 0
 	for _, sh := range s.shards {
-		total += sh.tags.Capacity()
+		total += sh.tab.Capacity()
 	}
 	if len(selected) > total {
 		selected = selected[:total] // Select orders hottest-first
@@ -2014,7 +2005,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	var splitOverflow int64
 	for _, k := range selected {
 		si := s.shardIndex(k)
-		if len(perShard[si]) < s.shards[si].tags.Capacity() {
+		if len(perShard[si]) < s.shards[si].tab.Capacity() {
 			perShard[si] = append(perShard[si], k)
 		} else {
 			splitOverflow++
@@ -2044,7 +2035,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	for si, sh := range s.shards {
 		sh.mu.Lock()
 		for _, k := range perShard[si] {
-			if sh.tags.Contains(k) {
+			if sh.tab.Contains(k) {
 				continue
 			}
 			if allow != nil {
@@ -2142,7 +2133,7 @@ func (s *Store) Contains(server, volume int, off uint64) bool {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.tags.Contains(key)
+	return sh.tab.Contains(key)
 }
 
 // Invalidate drops any cached blocks overlapping [off, off+length) of the
@@ -2159,46 +2150,39 @@ func (s *Store) Invalidate(server, volume int, off uint64, length int) (int, err
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	first := off / block.Size
+	key0 := block.MakeKey(server, volume, off/block.Size)
+	var buf [orderInline]uint64
+	order := s.shardOrder(buf[:0], key0, length/block.Size, nil)
 	dropped := 0
-	for _, g := range s.groupByShard(server, volume, first, length/block.Size) {
-		g.sh.mu.Lock()
-		for _, i := range g.idxs {
-			key := block.MakeKey(server, volume, first+uint64(i))
+	var err error
+	s.eachShard(order, func(sh *shard, lo, hi int) {
+		for _, e := range order[lo:hi] {
+			if err != nil {
+				return
+			}
+			key := key0 + block.Key(e&orderBlock)
 			// The RAM tier can hold blocks the SSD tier has since evicted,
 			// so its copy is dropped regardless of SSD residency (not
 			// counted in dropped, which reports SSD-resident blocks).
 			s.tierInvalidate(key)
 			// A fetch or write in flight for this key would re-install data
-			// from before the invalidation: mark it stale so its owner skips
-			// the install, and detach it so later misses fetch fresh.
-			if f, ok := g.sh.inflight[key]; ok {
-				f.stale = true
-				delete(g.sh.inflight, key)
-			}
-			// An epoch transition staging right now may have fetched this
-			// block already; its swap must not resurrect invalidated data.
-			if g.sh.rotSkip != nil {
-				g.sh.rotSkip[key] = true
-			}
-			if !g.sh.tags.Contains(key) {
+			// from before the invalidation, and an epoch transition staging
+			// right now may have fetched this block already.
+			sh.dropFlightLocked(key)
+			slot, ok := sh.tab.Lookup(key)
+			if !ok {
 				continue
 			}
 			// A dirty block holds the only current copy: write it back
 			// before dropping, or the data would be lost.
-			if g.sh.dirty[key] {
-				if err := g.sh.flushBlock(key); err != nil {
-					g.sh.mu.Unlock()
-					return dropped, err
+			if sh.state[slot].dirty {
+				if err = sh.flushSlot(slot); err != nil {
+					return
 				}
 			}
-			g.sh.tags.Remove(key)
-			g.sh.recycleLocked(g.sh.frames[key])
-			delete(g.sh.frames, key)
-			g.sh.tenantEvict(key)
+			sh.removeLocked(slot)
 			dropped++
 		}
-		g.sh.mu.Unlock()
-	}
-	return dropped, nil
+	})
+	return dropped, err
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Multi-tenant QoS integration (internal/tenant). The Accountant is a
-// leaf under the shard locks: occupancy moves with every tags
+// leaf under the shard locks: occupancy moves with every slot-table
 // insert/remove (install, epoch swap, invalidation, snapshot
 // replacement), per-op access/hit counts are charged once per
 // ReadAt/WriteAt to the single (server, volume) tenant the op names,
@@ -47,7 +47,7 @@ func (s *Store) tenantTick() {
 }
 
 // tenantInstall records key becoming resident. Call under the owning
-// shard's lock, exactly once per tags insertion.
+// shard's lock, exactly once per slot-table insertion.
 func (sh *shard) tenantInstall(key block.Key) {
 	if a := sh.store.acct; a != nil {
 		a.OnInstall(tenant.IDOf(key))
@@ -55,7 +55,7 @@ func (sh *shard) tenantInstall(key block.Key) {
 }
 
 // tenantEvict records key leaving the cache. Call under the owning
-// shard's lock, exactly once per tags removal.
+// shard's lock, exactly once per slot-table removal.
 func (sh *shard) tenantEvict(key block.Key) {
 	if a := sh.store.acct; a != nil {
 		a.OnEvict(tenant.IDOf(key))

@@ -239,7 +239,7 @@ func NewDiscrete(name string, capacityBlocks int, sets EpochSetFunc) *Discrete {
 
 // beginDay installs day d's resident set.
 func (d *Discrete) beginDay(day int) {
-	moved := d.cache.ReplaceAll(d.sets(day))
+	moved, _, _ := d.cache.Swap(d.sets(day))
 	st := d.result.day(day)
 	st.Moves += int64(moved)
 	d.curDay = day

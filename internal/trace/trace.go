@@ -6,9 +6,10 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/block"
@@ -86,7 +87,7 @@ func Collect(r Reader) ([]block.Request, error) {
 // SortByTime sorts requests in place by issue time (stable, so equal-time
 // requests keep their generation order, which keeps replays deterministic).
 func SortByTime(reqs []block.Request) {
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Time < reqs[j].Time })
+	slices.SortStableFunc(reqs, func(a, b block.Request) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // Filter returns a Reader that yields only requests for which keep returns
