@@ -2,14 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-smoke bench-verify bench-e2e bench-hot bench-wire bench-tier bench-cluster experiments fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-verify bench-e2e experiments experiments-quick fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
-# race-clean), then the cluster suite, the multi-tenant QoS suite, a
-# smoke pass over the concurrency benchmarks, and the benchmark module's
-# own vet and tests.
-all: build vet lint test race test-cluster test-tenant bench-smoke bench-verify
+# race-clean), then the cluster suite, the multi-tenant QoS suite, and the
+# benchmark module's own vet and tests (which smoke-run every workload).
+all: build vet lint test race test-cluster test-tenant bench-verify
 
 build:
 	$(GO) build ./...
@@ -61,12 +60,11 @@ lint:
 COVER_FLOOR_metrics    := 90
 COVER_FLOOR_appliance  := 80
 COVER_FLOOR_cache      := 90
-COVER_FLOOR_tier       := 85
 COVER_FLOOR_tenant     := 85
 
 cover:
 	@out=$$($(GO) test -cover ./internal/...); echo "$$out"; fail=0; \
-	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tier:$(COVER_FLOOR_tier) tenant:$(COVER_FLOOR_tenant); do \
+	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tenant:$(COVER_FLOOR_tenant); do \
 	  pkg=$${spec%%:*}; floor=$${spec##*:}; \
 	  pct=$$(echo "$$out" | awk -v p="repro/internal/$$pkg" \
 	    '$$2==p { for (i=1; i<=NF; i++) if ($$i ~ /%$$/) { gsub(/%/, "", $$i); print $$i } }'); \
@@ -76,15 +74,10 @@ cover:
 	  else echo "cover: internal/$$pkg $$pct% >= $$floor%"; fi; \
 	done; exit $$fail
 
-# One benchmark per paper table/figure plus hot-path micro-benchmarks.
+# One benchmark per paper table/figure, plus trace generation and one
+# simulated day.
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Fast sanity pass over the concurrency benchmarks: proves the store still
-# serves hits during rotations and scales across clients, without the full
-# bench run's cost.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentStore|BenchmarkRotationWhileServing' -benchtime 100ms .
 
 # bench/ is a module of its own that the root module never builds, so a
 # core or cache API change that breaks what the benchmark compiles against
@@ -98,36 +91,6 @@ bench-verify:
 # workload, end-to-end metrics. The headline numbers come from here.
 bench-e2e:
 	$(GO) run -C bench . -workload all
-
-# Wire-protocol throughput/latency matrix: v1 vs v2 at 1/8/32 clients over
-# a 1 ms-latency backend, written as BENCH_wire.json for CI trend lines.
-# The v2 acceptance bar: shared-conn ops/s at ≥8 clients must beat v1
-# shared-conn by ≥2× (pipelining must actually overlap the backend waits).
-bench-wire:
-	$(GO) run ./cmd/benchwire -out BENCH_wire.json
-
-# RAM-tier cost-performance matrix: the golden Zipf workload at tier sizes
-# {off, 5%, 10% of the SSD cache} × {read, readwrite}, written as
-# BENCH_tier.json for CI trend lines. The tier-hit fraction shows the
-# paper's selectivity effect one level up: a few percent of capacity
-# absorbing the majority of read hits.
-bench-tier:
-	$(GO) run ./cmd/benchtier -out BENCH_tier.json
-
-# Cluster scale-out matrix: mixed Zipf read/write load against in-process
-# rings of 1/3/5 appliance nodes, healthy and with one node killed,
-# written as BENCH_cluster.json for CI trend lines. The degraded rows show
-# the failover tax: reads fall through to surviving replicas, writes to
-# the dead owner go through hinted handoff.
-bench-cluster:
-	$(GO) run ./cmd/benchcluster -out BENCH_cluster.json
-
-# Hit-path scaling sweep: single-block cache-hit ns/op at 1–8 GOMAXPROCS
-# for Shards=1 vs Shards=8. A micro-benchmark for watching lock
-# contention across -cpu while working on the hit path; what a hit costs
-# end to end is lib_hot in bench-e2e.
-bench-hot:
-	$(GO) test -run '^$$' -bench BenchmarkHitPathParallel -cpu 1,2,4,8 .
 
 # Full evaluation at the default reproduction scale (minutes).
 experiments:

@@ -15,13 +15,13 @@
 //	appliance -listen :9000 -shards 8 -pprof 127.0.0.1:6060 -mutex-profile-fraction 5
 //	appliance -listen :9000 -backend-timeout 2s -retries 3 -max-conns 256 -idle-timeout 5m
 //	appliance -listen :9000 -metrics 127.0.0.1:9100 -trace-sample 64
-//	appliance -listen :9000 -ram-tier-mb 4 -tier-promote-hits 2
-//	appliance -listen :9000 -variant d -ram-tier-mb 4 -tier-autotune -tier-min-mb 1 -tier-max-mb 16
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // handlers on DefaultServeMux; only served when -pprof is set
@@ -75,12 +75,6 @@ func main() {
 		tenantQuotas      = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse (implies -tenant-track)")
 		enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
 		repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
-
-		ramTierMB    = flag.Int64("ram-tier-mb", 0, "in-process RAM hot tier above the SSD cache, in MiB (0: disabled)")
-		promoteHits  = flag.Int("tier-promote-hits", 0, "repeated SSD read hits before a block is promoted to the RAM tier (0: default)")
-		tierAutotune = flag.Bool("tier-autotune", false, "resize the RAM tier at epoch boundaries per the cost advisor (variant d only)")
-		tierMinMB    = flag.Int64("tier-min-mb", 0, "autotune lower bound for the RAM tier, in MiB (0: default)")
-		tierMaxMB    = flag.Int64("tier-max-mb", 0, "autotune upper bound for the RAM tier, in MiB (0: cache size)")
 
 		protocol    = flag.String("protocol", "v2", "max wire protocol version: v2 (tagged pipelined frames, negotiated down per client) or v1 (legacy-exact)")
 		groupCommit = flag.Duration("group-commit-window", 0, "coalesce write-back flush requests arriving within this window into one backend sweep (0: flush immediately)")
@@ -192,11 +186,6 @@ func main() {
 		TraceSample:       *traceSample,
 		TraceRingSize:     *traceRing,
 		GroupCommitWindow: *groupCommit,
-		RAMTierBytes:      *ramTierMB << 20,
-		TierPromoteHits:   *promoteHits,
-		TierAutotune:      *tierAutotune,
-		TierMinBytes:      *tierMinMB << 20,
-		TierMaxBytes:      *tierMaxMB << 20,
 
 		TenantTracking:         *tenantTrack,
 		TenantQuotas:           *tenantQuotas,
@@ -222,13 +211,11 @@ func main() {
 	defer st.Close()
 
 	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			if err := st.LoadSnapshot(f); err != nil {
-				log.Printf("snapshot load failed (starting cold): %v", err)
-			} else {
-				log.Printf("warm start: %d blocks restored", st.Stats().CachedBlocks)
-			}
-			f.Close()
+		switch loaded, err := loadSnapshot(st, *snapshot); {
+		case err != nil:
+			log.Printf("snapshot load failed (starting cold): %v", err)
+		case loaded:
+			log.Printf("warm start: %d blocks restored", st.Stats().CachedBlocks)
 		}
 	}
 
@@ -266,13 +253,6 @@ func main() {
 				if s.FlushErrors > 0 || s.RotateFailures > 0 || s.ResetFailures > 0 {
 					line += fmt.Sprintf(" flushErr=%d rotateFail=%d resetFail=%d",
 						s.FlushErrors, s.RotateFailures, s.ResetFailures)
-				}
-				if ts, ok := st.TierStats(); ok {
-					line += fmt.Sprintf(" tierHits=%d tierCached=%d/%d tierPromo=%d tierDemo=%d",
-						ts.Hits, ts.CachedBlocks, ts.CapacityBlocks, ts.Promotions, ts.Demotions)
-					if ts.Resizes > 0 {
-						line += fmt.Sprintf(" tierResizes=%d", ts.Resizes)
-					}
 				}
 				if s.Tenants > 0 {
 					line += fmt.Sprintf(" tenants=%d", s.Tenants)
@@ -395,6 +375,24 @@ func runGateway(cfg gatewayConfig) {
 	if err := cl.Close(); err != nil {
 		log.Printf("cluster close: %v", err)
 	}
+}
+
+// loadSnapshot restores st from the file at path. A file that does not
+// exist is a cold start (loaded false), not an error; a file that cannot
+// be opened or read is.
+func loadSnapshot(st *core.Store, path string) (loaded bool, err error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	defer f.Close()
+	if err := st.LoadSnapshot(f); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // writeSnapshot saves atomically via a temp file + rename.

@@ -1,0 +1,72 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/block"
+	"repro/internal/core"
+	"repro/internal/sieve"
+	"repro/internal/store"
+)
+
+func openTestStore(t *testing.T) *core.Store {
+	t.Helper()
+	be := store.NewMem()
+	be.AddVolume(0, 0, 1<<20)
+	st, err := core.Open(be, core.Options{
+		CacheBytes: 64 * block.Size,
+		SieveC:     sieve.CConfig{IMCTSize: 1 << 10, T1: 1, T2: 1, Window: time.Hour, Subwindows: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// TestLoadSnapshotOpenErrors: a missing snapshot file is a silent cold
+// start, but any other open failure must reach the caller (and its log
+// line) instead of being swallowed.
+func TestLoadSnapshotOpenErrors(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t)
+
+	if loaded, err := loadSnapshot(st, filepath.Join(dir, "absent.snap")); loaded || err != nil {
+		t.Fatalf("missing file: loaded=%v err=%v, want a cold start without error", loaded, err)
+	}
+
+	// A path below a regular file fails with ENOTDIR, which is not
+	// fs.ErrNotExist (and, unlike a permission error, also fails as root).
+	file := filepath.Join(dir, "plain")
+	if err := os.WriteFile(file, []byte("x"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err := loadSnapshot(st, filepath.Join(file, "sieve.snap")); loaded || err == nil {
+		t.Fatalf("unopenable path: loaded=%v err=%v, want the open error", loaded, err)
+	}
+
+	// Round trip: what writeSnapshot saved, loadSnapshot restores.
+	buf := make([]byte, block.Size)
+	for i := 0; i < 2; i++ {
+		if err := st.ReadAt(0, 0, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !st.Contains(0, 0, 0) {
+		t.Fatal("block not admitted")
+	}
+	snap := filepath.Join(dir, "sieve.snap")
+	if err := writeSnapshot(st, snap); err != nil {
+		t.Fatal(err)
+	}
+	warm := openTestStore(t)
+	if loaded, err := loadSnapshot(warm, snap); !loaded || err != nil {
+		t.Fatalf("saved snapshot: loaded=%v err=%v", loaded, err)
+	}
+	if !warm.Contains(0, 0, 0) {
+		t.Fatal("snapshot block not restored")
+	}
+}

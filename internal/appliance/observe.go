@@ -14,7 +14,6 @@ import (
 	"repro/internal/sieve"
 	"repro/internal/sieved"
 	"repro/internal/tenant"
-	"repro/internal/tier"
 )
 
 // Observability collects every counter the system computes — per-shard
@@ -42,8 +41,6 @@ type Observability struct {
 	stats   core.Stats
 	sieve   sieve.CStats
 	spill   sieved.LoggerStats
-	tier    tier.Stats
-	advice  *tier.Advice
 	tenants []tenant.Snapshot
 
 	// Tenants appear dynamically as I/O arrives, so their per-tenant
@@ -161,41 +158,6 @@ func NewObservability(st *core.Store) *Observability {
 	sc("pruned", func(s sieve.CStats) int64 { return s.Pruned })
 	r.Gauge("sievestore.sieve.mct_size", func() float64 { return float64(o.sieveStats().MCTSize) })
 
-	if _, ok := st.TierStats(); ok {
-		tc := func(name string, f func(tier.Stats) int64) {
-			r.Counter("sievestore.tier."+name, func() int64 { return f(o.tierStats()) })
-		}
-		tg := func(name string, f func(tier.Stats) float64) {
-			r.Gauge("sievestore.tier."+name, func() float64 { return f(o.tierStats()) })
-		}
-		tc("hits", func(s tier.Stats) int64 { return s.Hits })
-		tc("pinned", func(s tier.Stats) int64 { return s.Pinned })
-		tc("misses", func(s tier.Stats) int64 { return s.Misses })
-		tc("promotions", func(s tier.Stats) int64 { return s.Promotions })
-		tc("demotions", func(s tier.Stats) int64 { return s.Demotions })
-		tc("invalidations", func(s tier.Stats) int64 { return s.Invalidations })
-		tc("resizes", func(s tier.Stats) int64 { return s.Resizes })
-		tg("cached_blocks", func(s tier.Stats) float64 { return float64(s.CachedBlocks) })
-		tg("capacity_blocks", func(s tier.Stats) float64 { return float64(s.CapacityBlocks) })
-		tg("pinned_frames", func(s tier.Stats) float64 { return float64(s.PinnedFrames) })
-		tg("occupancy", func(s tier.Stats) float64 {
-			if s.CapacityBlocks == 0 {
-				return 0
-			}
-			return float64(s.CachedBlocks) / float64(s.CapacityBlocks)
-		})
-		// The advisor's latest cost-model recommendation (bytes); 0 until
-		// the first analysis lands (VariantD: the first epoch boundary).
-		r.Gauge("sievestore.tier.advisor_recommended_bytes", func() float64 {
-			o.mu.RLock()
-			defer o.mu.RUnlock()
-			if o.advice == nil {
-				return 0
-			}
-			return float64(o.advice.RecommendedBytes)
-		})
-	}
-
 	if _, ok := st.TenantStats(); ok {
 		c("tenants", func(s core.Stats) int64 { return s.Tenants })
 		c("quota_denials", func(s core.Stats) int64 { return s.QuotaDenials })
@@ -221,14 +183,9 @@ func (o *Observability) refresh() {
 	st := o.store.Stats()
 	sv := o.store.SieveStats()
 	sp, _ := o.store.SpillStats()
-	ts, tiered := o.store.TierStats()
-	var adv *tier.Advice
-	if tiered {
-		adv = o.store.TierAdvice()
-	}
 	tn, _ := o.store.TenantStats()
 	o.mu.Lock()
-	o.stats, o.sieve, o.spill, o.tier, o.advice = st, sv, sp, ts, adv
+	o.stats, o.sieve, o.spill = st, sv, sp
 	o.tenants = tn
 	var fresh []tenant.Snapshot
 	for _, t := range tn {
@@ -305,12 +262,6 @@ func (o *Observability) spillStats() sieved.LoggerStats {
 	return o.spill
 }
 
-func (o *Observability) tierStats() tier.Stats {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.tier
-}
-
 // AttachServer registers the appliance server's connection/request
 // counters.
 func (o *Observability) AttachServer(srv *Server) {
@@ -366,13 +317,6 @@ func (o *Observability) Handler() http.Handler {
 			"shards":         o.store.Shards(),
 			"uptime_seconds": o.now().Sub(o.start).Seconds(),
 			"metrics":        o.Registry.JSONStatus(),
-		}
-		// The tier advisor's full candidate sweep, when a RAM tier exists:
-		// operators see the drive-cost curve, not just the argmin.
-		if _, ok := o.store.TierStats(); ok {
-			if adv := o.store.TierAdvice(); adv != nil {
-				body["tier_advisor"] = adv
-			}
 		}
 		// The per-tenant QoS table, when tenant tracking is on: quotas,
 		// occupancy, hit ratios, and endurance state per (server, volume).

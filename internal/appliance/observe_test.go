@@ -261,103 +261,6 @@ func TestObservabilityNoTracing(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, grepLines(metricsBody, "policy"))
 		}
 	}
-	// A tierless store must not export the tier series at all — absent, not
-	// zero, so dashboards can key panels on series existence.
-	if strings.Contains(metricsBody, "sievestore_tier_") {
-		t.Errorf("/metrics has tier series without a RAM tier:\n%s", grepLines(metricsBody, "tier"))
-	}
-}
-
-// TestObservabilityTierMetrics drives a block through sieve admission and
-// RAM-tier promotion, then checks the tier counter/gauge series appear in
-// /metrics with live values and the advisor's candidate sweep shows up in
-// /statusz.
-func TestObservabilityTierMetrics(t *testing.T) {
-	be := store.NewMem()
-	be.AddVolume(0, 0, 1<<20)
-	st, err := core.Open(be, core.Options{
-		CacheBytes:   64 * block.Size,
-		RAMTierBytes: 8 * block.Size,
-		// T2=2 keeps sub-admission blocks tracked in the MCT, so the cost
-		// advisor has per-key counts to sweep.
-		SieveC: sieve.CConfig{IMCTSize: 1 << 12, T1: 2, T2: 2, Window: time.Hour, Subwindows: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	obs := NewObservability(st)
-	web := httptest.NewServer(obs.Handler())
-	defer web.Close()
-
-	seed := bytes.Repeat([]byte{0x7E}, block.Size)
-	if err := st.WriteAt(0, 0, seed, 0); err != nil {
-		t.Fatal(err)
-	}
-	// Repeated reads of block 0: misses until the sieve admits, SSD hits
-	// until the promotion filter fires, then RAM-tier hits.
-	buf := make([]byte, block.Size)
-	for i := 0; i < 10; i++ {
-		if err := st.ReadAt(0, 0, buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two reads of a second block leave it MCT-tracked but not admitted —
-	// advisor fodder.
-	for i := 0; i < 2; i++ {
-		if err := st.ReadAt(0, 0, buf, 2*block.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts, ok := st.TierStats()
-	if !ok {
-		t.Fatal("TierStats reported no tier")
-	}
-	if ts.Hits == 0 || ts.Promotions == 0 {
-		t.Fatalf("workload did not exercise the tier: %+v", ts)
-	}
-
-	body, _ := httpGet(t, web.URL+"/metrics")
-	for _, want := range []string{
-		"# TYPE sievestore_tier_hits counter",
-		"# TYPE sievestore_tier_promotions counter",
-		"# TYPE sievestore_tier_occupancy gauge",
-		"sievestore_tier_hits " + itoa(ts.Hits),
-		"sievestore_tier_promotions " + itoa(ts.Promotions),
-		"sievestore_tier_cached_blocks " + itoa(ts.CachedBlocks),
-		"sievestore_tier_capacity_blocks " + itoa(ts.CapacityBlocks),
-		"sievestore_tier_pinned_frames 0",
-		"sievestore_tier_advisor_recommended_bytes",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, grepLines(body, "tier"))
-		}
-	}
-
-	// /statusz carries the advisor's full candidate sweep: a recommendation
-	// plus a non-empty cost curve over candidate tier sizes.
-	statusBody, _ := httpGet(t, web.URL+"/statusz")
-	var status struct {
-		TierAdvisor *struct {
-			RecommendedBytes int64 `json:"recommended_bytes"`
-			CurrentBytes     int64 `json:"current_bytes"`
-			TrackedKeys      int   `json:"tracked_keys"`
-			Candidates       []any `json:"candidates"`
-		} `json:"tier_advisor"`
-	}
-	if err := json.Unmarshal([]byte(statusBody), &status); err != nil {
-		t.Fatal(err)
-	}
-	if status.TierAdvisor == nil {
-		t.Fatalf("/statusz missing tier_advisor:\n%s", statusBody)
-	}
-	if status.TierAdvisor.CurrentBytes != 8*block.Size {
-		t.Errorf("tier_advisor current_bytes = %d, want %d", status.TierAdvisor.CurrentBytes, 8*block.Size)
-	}
-	if status.TierAdvisor.TrackedKeys == 0 || len(status.TierAdvisor.Candidates) == 0 {
-		t.Errorf("tier_advisor sweep empty: tracked=%d candidates=%d",
-			status.TierAdvisor.TrackedKeys, len(status.TierAdvisor.Candidates))
-	}
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }

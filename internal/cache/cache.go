@@ -22,8 +22,8 @@ import (
 // indexed by slot and shares this index instead of keying a second map.
 //
 // The keyed methods (Touch, Insert, Remove, Victim, Keys, Swap) are the
-// Policy the simulator and the RAM tier drive; the slot methods (Lookup,
-// Hit, Add, Drop, Release, Move, SwapSlots) are what internal/core uses.
+// Policy the simulator drives; the slot methods (Lookup, Hit, Add, Drop,
+// Release, Move, SwapSlots) are what internal/core uses.
 // It is not goroutine-safe; concurrent users serialize access.
 type Cache struct {
 	capacity int

@@ -99,13 +99,8 @@ func runChaos(t *testing.T, variant Variant) {
 	var injectCtr atomic.Uint64
 	errCacheBurst := errors.New("chaos: cache device fault")
 	opts := Options{
-		CacheBytes: 32 * block.Size, // smaller than the working set: constant eviction
-		Shards:     4,
-		// RAM-tier dimension: a tiny tier above the thrashing SSD cache, so
-		// promotions, tier evictions, and write invalidations all race the
-		// fault storm. The final store-vs-backend sweep catches any stale
-		// tier copy.
-		RAMTierBytes:       8 * block.Size,
+		CacheBytes:         32 * block.Size, // smaller than the working set: constant eviction
+		Shards:             4,
 		SieveC:             quickSieve(),
 		DegradedProbeEvery: 5 * time.Millisecond,
 		FrameFaultInjector: func(block.Key) error {
@@ -201,9 +196,8 @@ func runChaos(t *testing.T, variant Variant) {
 				floors[k] = blocks[b+k].floor.Load()
 				taints[k] = blocks[b+k].tainted.Load()
 			}
-			// A quarter of reads go through the zero-copy pinned path, which
-			// serves RAM-tier views when the block is promoted; copy the
-			// served prefix into buf so verification below is uniform.
+			// A quarter of reads go through the zero-copy pinned path; copy
+			// the served prefix into buf so verification below is uniform.
 			if rng.Intn(4) == 0 {
 				if pr := s.ReadPinned(0, 0, n*block.Size, uint64(b)*block.Size); pr != nil {
 					n = pr.Blocks()
@@ -334,13 +328,7 @@ func runChaos(t *testing.T, variant Variant) {
 	t.Logf("chaos %v: degraded enters=%d exits=%d bypassR=%d bypassW=%d cacheFaults=%d spillDisables=%d epochs=%d rotateFailures=%d",
 		variant, st.DegradedEnters, st.DegradedExits, st.BypassReads, st.BypassWrites,
 		st.CacheFaults, st.SpillDisables, st.Epochs, st.RotateFailures)
-	if ts, ok := s.TierStats(); !ok {
-		t.Error("RAM tier missing from chaos store")
-	} else {
-		if ts.PinnedFrames != 0 {
-			t.Errorf("tier PinnedFrames = %d after all releases", ts.PinnedFrames)
-		}
-		t.Logf("chaos %v: tier hits=%d pinned=%d promotions=%d demotions=%d invalidations=%d",
-			variant, ts.Hits, ts.Pinned, ts.Promotions, ts.Demotions, ts.Invalidations)
+	if st.PinnedFrames != 0 {
+		t.Errorf("PinnedFrames = %d after all releases", st.PinnedFrames)
 	}
 }

@@ -37,10 +37,6 @@ type goldenResult struct {
 	AllocWrites int64
 	Admissions  int64 // VariantC: sieve allocations; VariantD: epoch moves
 	Epochs      int64
-	// RAM-tier dimension (zero when the tier is off, keeping the original
-	// rows bit-identical to their pre-tier values).
-	TierHits       int64
-	TierPromotions int64
 }
 
 func runGoldenWorkload(t *testing.T, variant Variant, shards int) goldenResult {
@@ -48,22 +44,17 @@ func runGoldenWorkload(t *testing.T, variant Variant, shards int) goldenResult {
 }
 
 func runGoldenWorkloadPolicy(t *testing.T, variant Variant, shards int, policy string) goldenResult {
-	return runGoldenWorkloadTier(t, variant, shards, policy, 0)
-}
-
-func runGoldenWorkloadTier(t *testing.T, variant Variant, shards int, policy string, tierBytes int64) goldenResult {
 	t.Helper()
 	be := store.NewMem()
 	be.AddVolume(0, 0, (goldenSpan+4)*block.Size)
 
 	now := time.Unix(1700000000, 0)
 	opts := Options{
-		CacheBytes:   512 * block.Size,
-		Shards:       shards,
-		Policy:       policy,
-		Variant:      variant,
-		RAMTierBytes: tierBytes,
-		Now:          func() time.Time { return now },
+		CacheBytes: 512 * block.Size,
+		Shards:     shards,
+		Policy:     policy,
+		Variant:    variant,
+		Now:        func() time.Time { return now },
 	}
 	switch variant {
 	case VariantC:
@@ -108,11 +99,9 @@ func runGoldenWorkloadTier(t *testing.T, variant Variant, shards int, policy str
 
 	s := st.Stats()
 	res := goldenResult{
-		HitRatio:       s.HitRatio(),
-		AllocWrites:    s.AllocWrites,
-		Epochs:         s.Epochs,
-		TierHits:       s.TierHits,
-		TierPromotions: s.TierPromotions,
+		HitRatio:    s.HitRatio(),
+		AllocWrites: s.AllocWrites,
+		Epochs:      s.Epochs,
 	}
 	if variant == VariantD {
 		res.Admissions = s.EpochMoves
@@ -189,67 +178,12 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestGoldenTierTrace is the RAM-tier edition of the golden suite: the
-// same seeded Zipf workload with a tier at 5% and 10% of the SSD cache
-// (25 and 51 blocks of the 512), pinning the tiered hit ratio, the
-// allocation writes, and the promotion count. The tier changes SSD
-// recency (tier-served hits never touch the shard policy), so these rows
-// are pinned separately; the tierless rows above must stay bit-identical.
-func TestGoldenTierTrace(t *testing.T) {
-	const (
-		tier5  = 25 * block.Size // 5% of the 512-block SSD tier
-		tier10 = 51 * block.Size // 10%
-	)
-	for _, tc := range []struct {
-		name      string
-		variant   Variant
-		tierBytes int64
-		want      goldenResult
-	}{
-		// Golden values recorded from the run that introduced the tier. At
-		// 5% VariantC's aggregate numbers match the tierless row exactly —
-		// the tier only holds blocks hot enough to survive in the SSD tier
-		// without recency help; at 10% the recency effect shows (slightly
-		// more alloc writes, slightly lower ratio). VariantD's ratio is
-		// tier-invariant: its resident set is chosen per epoch, not by
-		// in-epoch recency.
-		{"SieveStoreC/Tier5", VariantC, tier5,
-			goldenResult{HitRatio: 0.857080, AllocWrites: 2123, Admissions: 2123, Epochs: 0, TierHits: 17353, TierPromotions: 13568}},
-		{"SieveStoreC/Tier10", VariantC, tier10,
-			goldenResult{HitRatio: 0.856453, AllocWrites: 2144, Admissions: 2144, Epochs: 0, TierHits: 20016, TierPromotions: 12240}},
-		{"SieveStoreD/Tier5", VariantD, tier5,
-			goldenResult{HitRatio: 0.685907, AllocWrites: 0, Admissions: 660, Epochs: 5, TierHits: 13670, TierPromotions: 10982}},
-		{"SieveStoreD/Tier10", VariantD, tier10,
-			goldenResult{HitRatio: 0.685907, AllocWrites: 0, Admissions: 660, Epochs: 5, TierHits: 15909, TierPromotions: 9872}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runGoldenWorkloadTier(t, tc.variant, 8, "", tc.tierBytes)
-			t.Logf("golden %s: %s", tc.name, formatGolden(got))
-			if !withinGolden(got.HitRatio, tc.want.HitRatio) {
-				t.Errorf("hit ratio = %.6f, want %.6f ±1%%", got.HitRatio, tc.want.HitRatio)
-			}
-			if !withinGolden(float64(got.AllocWrites), float64(tc.want.AllocWrites)) {
-				t.Errorf("alloc writes = %d, want %d ±1%%", got.AllocWrites, tc.want.AllocWrites)
-			}
-			if !withinGolden(float64(got.TierHits), float64(tc.want.TierHits)) {
-				t.Errorf("tier hits = %d, want %d ±1%%", got.TierHits, tc.want.TierHits)
-			}
-			if !withinGolden(float64(got.TierPromotions), float64(tc.want.TierPromotions)) {
-				t.Errorf("tier promotions = %d, want %d ±1%%", got.TierPromotions, tc.want.TierPromotions)
-			}
-			if got.Epochs != tc.want.Epochs {
-				t.Errorf("epochs = %d, want exactly %d", got.Epochs, tc.want.Epochs)
-			}
-		})
-	}
-}
-
 // TestGoldenPolicyParity pins the headline claim for the Policy seam:
 // SIEVE must match LRU's hit ratio within one point (absolute) on the
 // golden Zipf workload, at one shard and at eight. SIEVE's hit path is
 // the cheap one (a visited bit instead of list surgery under the shard
-// lock; see BenchmarkHitPathParallel), so parity here means the cheaper
-// engine gives up nothing the paper's configuration cares about.
+// lock), so parity here means the cheaper engine gives up nothing the
+// paper's configuration cares about.
 func TestGoldenPolicyParity(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("Shards%d", shards), func(t *testing.T) {
@@ -276,6 +210,6 @@ func TestGoldenDeterminism(t *testing.T) {
 }
 
 func formatGolden(g goldenResult) string {
-	return fmt.Sprintf("{HitRatio: %.6f, AllocWrites: %d, Admissions: %d, Epochs: %d, TierHits: %d, TierPromotions: %d}",
-		g.HitRatio, g.AllocWrites, g.Admissions, g.Epochs, g.TierHits, g.TierPromotions)
+	return fmt.Sprintf("{HitRatio: %.6f, AllocWrites: %d, Admissions: %d, Epochs: %d}",
+		g.HitRatio, g.AllocWrites, g.Admissions, g.Epochs)
 }

@@ -4,23 +4,18 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/tier"
 )
 
 // PinnedRead is a zero-copy view of cache-resident blocks returned by
-// Store.ReadPinned. The views alias the cache's own frame buffers — SSD
-// shard frames or RAM-tier frames: they are immutable (concurrent writes
-// to a pinned block go copy-on-write into a fresh frame, and tier frames
-// are invalidated, never mutated) and stay valid until Release, which
-// must be called exactly once — typically after the bytes have been
-// written to a wire.
+// Store.ReadPinned. The views alias the cache's own frame buffers: they
+// are immutable (concurrent writes to a pinned block go copy-on-write
+// into a fresh frame) and stay valid until Release, which must be called
+// exactly once — typically after the bytes have been written to a wire.
 type PinnedRead struct {
 	views [][]byte
-	// pins lists the pinned SSD slots in shard order (not view order), so
+	// pins lists the pinned slots in shard order (not view order), so
 	// Release visits each shard once, ascending.
 	pins []slotPin
-	// tierPins holds the RAM-tier frames among the views, if any.
-	tierPins []tier.Pin
 
 	// Backing for views and pins up to a 4 KiB request, so that the
 	// PinnedRead is the read's only allocation.
@@ -49,10 +44,7 @@ func (pr *PinnedRead) Bytes() int { return len(pr.views) * block.Size }
 // freed here, on the last unpin.
 func (pr *PinnedRead) Release() {
 	pr.unpin(0, true)
-	for _, p := range pr.tierPins {
-		p.Release()
-	}
-	pr.views, pr.tierPins = nil, nil
+	pr.views = nil
 }
 
 // unpin drops the shard pins of the views from keep on, one critical
@@ -97,15 +89,13 @@ func (sh *shard) countPinnedLocked(n int64) {
 // [off, off+n) straight from the cache as pinned zero-copy frame views,
 // or nil when nothing is pinnable (bad geometry, degraded or closed
 // store, or a miss on the very first block) — the caller then falls back
-// to ReadAt for the whole request. RAM-tier-resident blocks are pinned
-// under the tier's read lock only; the rest pin SSD shard frames under
-// their shard mutex. On a partial prefix the caller writes the views
-// first and issues a ReadAt for the remaining tail; hit/byte accounting
-// and SieveStore-D access logging for the pinned blocks happen here, so
-// the two halves together count exactly like one ReadAt. The whole-call
-// latency histogram is observed only when the prefix covers the full
-// request (a partial prefix's tail ReadAt records the op), keeping
-// read-op counts at one per request.
+// to ReadAt for the whole request. On a partial prefix the caller writes
+// the views first and issues a ReadAt for the remaining tail; hit/byte
+// accounting and SieveStore-D access logging for the pinned blocks happen
+// here, so the two halves together count exactly like one ReadAt. The
+// whole-call latency histogram is observed only when the prefix covers
+// the full request (a partial prefix's tail ReadAt records the op),
+// keeping read-op counts at one per request.
 func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 	if n <= 0 || n%block.Size != 0 || off%block.Size != 0 {
 		return nil
@@ -138,20 +128,6 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 	}
 	pr.views = pr.views[:nBlocks]
 
-	// RAM-tier residents are left to the tier: no shard is touched for
-	// them, and their hit accounting lives in the tier's atomics.
-	var inTier []bool
-	if s.tier != nil {
-		for i := range pr.views {
-			if s.tier.Contains(key0 + block.Key(i)) {
-				if inTier == nil {
-					inTier = make([]bool, nBlocks)
-				}
-				inTier[i] = true
-			}
-		}
-	}
-
 	// Pin optimistically, one critical section per shard: every resident
 	// block up to the shard's first miss. prefix ends at the request's
 	// first miss; a block pinned beyond it is handed back below, and its
@@ -159,7 +135,7 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 	// walks the same blocks in the same order — so every shard's order
 	// ends where a block-by-block walk that stopped at the miss leaves it.
 	var orderBuf [orderInline]uint64
-	order := s.shardOrder(orderBuf[:0], key0, nBlocks, inTier)
+	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
 	prefix := nBlocks
 	for lo := 0; lo < len(order); {
 		sh, hi := s.shardRun(order, lo)
@@ -167,32 +143,19 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 		pinned := len(pr.pins)
 		for _, e := range order[lo:hi] {
 			i := int(e & orderBlock)
-			key := key0 + block.Key(i)
-			slot, ok := sh.tab.Lookup(key)
+			slot, ok := sh.tab.Lookup(key0 + block.Key(i))
 			if !ok {
 				prefix = min(prefix, i)
 				break
 			}
 			sh.tab.Hit(slot)
 			sh.pinLocked(slot)
-			sh.promoteOnHitLocked(key, slot)
 			pr.views[i] = sh.frame(slot)
 			pr.pins = append(pr.pins, slotPin{sh: sh, slot: slot, idx: uint32(i)})
 		}
 		sh.countPinnedLocked(int64(len(pr.pins) - pinned))
 		sh.mu.Unlock()
 		lo = hi
-	}
-	for i := 0; i < prefix && inTier != nil; i++ {
-		if inTier[i] {
-			view, p, ok := s.tier.Pin(key0 + block.Key(i))
-			if !ok { // left the tier since the check above
-				prefix = i
-				break
-			}
-			pr.views[i] = view
-			pr.tierPins = append(pr.tierPins, p)
-		}
 	}
 	if prefix < nBlocks {
 		pr.unpin(prefix, false)

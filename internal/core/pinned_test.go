@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,5 +277,85 @@ func TestFlushWithoutWindowUnchanged(t *testing.T) {
 	if st.GroupCommits != 0 || st.CoalescedFlushes != 0 {
 		t.Errorf("group-commit counters moved without a window: %d/%d",
 			st.GroupCommits, st.CoalescedFlushes)
+	}
+}
+
+// TestCachedBlocksNoPinDoubleCount (satellite: stats audit): evicting a
+// pinned block parks its frame until Release; CachedBlocks (= tag
+// residency) must not count the parked frame, and PinnedFrames reports it.
+func TestCachedBlocksNoPinDoubleCount(t *testing.T) {
+	clk := newFakeClock()
+	be := testBackend()
+	s, err := Open(be, Options{
+		CacheBytes: 2 * block.Size, // tiny: two admissions evict the first
+		SieveC:     quickSieve(),
+		Now:        clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	admit(t, s, clk, 0)
+	pr := s.ReadPinned(0, 0, block.Size, 0)
+	if pr == nil {
+		t.Fatal("ReadPinned missed an admitted block")
+	}
+	if st := s.Stats(); st.CachedBlocks != 1 || st.PinnedFrames != 1 {
+		t.Fatalf("pinned resident block: %+v", st)
+	}
+	// Evict block 0 by admitting two more into the 2-block cache. Its
+	// frame is pin-parked, not freed.
+	admit(t, s, clk, block.Size)
+	admit(t, s, clk, 2*block.Size)
+	st := s.Stats()
+	if s.Contains(0, 0, 0) {
+		t.Fatal("pinned victim still tag-resident")
+	}
+	if st.CachedBlocks != 2 {
+		t.Fatalf("CachedBlocks = %d counts a pin-parked frame", st.CachedBlocks)
+	}
+	if st.PinnedFrames != 1 {
+		t.Fatalf("PinnedFrames = %d with one parked pin", st.PinnedFrames)
+	}
+	pr.Release()
+	if st := s.Stats(); st.PinnedFrames != 0 {
+		t.Fatalf("PinnedFrames = %d after Release", st.PinnedFrames)
+	}
+}
+
+// TestReadPinnedAcrossDegradedFlip (satellite: pins × degraded bypass):
+// views pinned before the store degrades stay valid and release cleanly;
+// new ReadPinned calls bypass while degraded.
+func TestReadPinnedAcrossDegradedFlip(t *testing.T) {
+	clk := newFakeClock()
+	var failing atomic.Bool
+	s := openFaultyCache(t, clk, &failing)
+	seed := bytes.Repeat([]byte{0xDA}, block.Size)
+	if err := s.WriteAt(0, 0, seed, 0); err != nil {
+		t.Fatal(err)
+	}
+	admit(t, s, clk, 0)
+	pr := s.ReadPinned(0, 0, block.Size, 0)
+	if pr == nil {
+		t.Fatal("ReadPinned missed before the flip")
+	}
+	// Trip degraded mode: three consecutive frame-install faults.
+	failing.Store(true)
+	admitAttempts(t, s, 3, 100)
+	if !s.Degraded() {
+		t.Fatal("store not degraded")
+	}
+	// The pre-flip pin still reads the sealed frame.
+	if !bytes.Equal(pr.Views()[0], seed) {
+		t.Fatal("pinned view corrupted by the degraded flip")
+	}
+	// New pinned reads refuse while degraded (the ReadAt fallback owns the
+	// bypass metering).
+	if p2 := s.ReadPinned(0, 0, block.Size, 0); p2 != nil {
+		t.Fatal("ReadPinned served while degraded")
+	}
+	pr.Release()
+	if st := s.Stats(); st.PinnedFrames != 0 {
+		t.Fatalf("PinnedFrames = %d after release", st.PinnedFrames)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/sieve"
 	"repro/internal/tenant"
-	"repro/internal/tier"
 )
 
 // flight is one entry of a shard's in-flight table: a miss fetch or a
@@ -111,10 +110,7 @@ type shard struct {
 	// install its (older) fetched copy of them. The shard's commit
 	// consumes and clears it.
 	rotSkip map[block.Key]bool
-	// promo is this shard's RAM-tier promotion sieve (nil when the tier
-	// is disabled), bumped on SSD read hits under the shard lock.
-	promo *tier.PromoFilter
-	stats Stats
+	stats   Stats
 
 	// _pad keeps adjacent shard allocations from false-sharing a cache
 	// line when the allocator packs them.
@@ -218,27 +214,6 @@ func (sh *shard) writeFrameLocked(slot uint32, data []byte) uint32 {
 	sh.state[slot].dirty = false
 	sh.state[slot].doomed = true
 	return to
-}
-
-// promoteOnHitLocked offers one SSD read hit to the RAM tier's promotion
-// sieve and, once the block has earned it, copies its frame up into the
-// tier. Called under sh.mu, which linearizes the copy with frame
-// updates: a concurrent write cannot strand a stale copy in the tier,
-// because its own tier invalidation runs under this same lock after the
-// frame update.
-func (sh *shard) promoteOnHitLocked(key block.Key, slot uint32) {
-	if sh.promo != nil && sh.promo.Hit(key) {
-		sh.store.tier.Insert(key, sh.frame(slot))
-	}
-}
-
-// tierInvalidate drops key's RAM-tier copy, if any. Callers must hold
-// key's store-shard mutex so the drop linearizes with the frame or
-// backend update it accompanies (see promoteOnHitLocked).
-func (s *Store) tierInvalidate(key block.Key) {
-	if s.tier != nil {
-		s.tier.Invalidate(key)
-	}
 }
 
 // maybeAdmit consults the sieve (VariantC) and installs the block on

@@ -217,13 +217,5 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 		}
 		sh.mu.Unlock()
 	}
-	// The snapshot's data is trusted over whatever the RAM tier copied
-	// from the pre-load cache: drop the whole tier. This runs after every
-	// shard was replaced — a promotion racing the load copies from a
-	// not-yet-replaced frame under that shard's lock, so it completes
-	// before the replacement and this Clear observes (and drops) it.
-	if s.tier != nil {
-		s.tier.Clear()
-	}
 	return nil
 }

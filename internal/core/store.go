@@ -36,7 +36,6 @@ import (
 	"repro/internal/sieve"
 	"repro/internal/sieved"
 	"repro/internal/tenant"
-	"repro/internal/tier"
 )
 
 // Backend is the underlying storage ensemble. It matches
@@ -156,27 +155,6 @@ type Options struct {
 	// time.Sleep. Injectable (alongside Now) so flush-window tests run
 	// deterministically without real sleeps.
 	Sleep func(time.Duration)
-	// RAMTierBytes sizes the in-process RAM tier above the SSD cache
-	// (internal/tier): blocks that keep hitting in the SSD tier are
-	// promoted into RAM and served without touching the shard mutex's
-	// frame bookkeeping. 0 (the default) disables the tier and leaves
-	// every code path bit-identical to a tierless store. Must be a
-	// multiple of the block size and at least one block per shard.
-	RAMTierBytes int64
-	// TierPromoteHits is how many repeated SSD-tier read hits promote a
-	// block into the RAM tier (via a small per-shard promotion sieve;
-	// default 2).
-	TierPromoteHits int
-	// TierAutotune lets the tier advisor resize the RAM tier at VariantD
-	// epoch boundaries, within [TierMinBytes, TierMaxBytes]. Requires
-	// RAMTierBytes > 0 and VariantD (the advisor replays the epoch
-	// logger's access counts; VariantC has no epochs to replay).
-	TierAutotune bool
-	// TierMinBytes/TierMaxBytes bound the advisor's candidate sweep and
-	// autotune resizes. Defaults: RAMTierBytes/4 (at least one block per
-	// shard) and 4×RAMTierBytes capped at CacheBytes.
-	TierMinBytes int64
-	TierMaxBytes int64
 	// TenantTracking enables per-tenant accounting (occupancy, hit
 	// ratios, allocation-writes) keyed by the (server, volume) identity
 	// every request carries, surfaced via TenantStats. Implied by
@@ -277,48 +255,6 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Sleep == nil {
 		out.Sleep = time.Sleep
 	}
-	if out.RAMTierBytes < 0 || out.RAMTierBytes%block.Size != 0 {
-		return out, fmt.Errorf("core: RAMTierBytes %d must be a non-negative multiple of %d", out.RAMTierBytes, block.Size)
-	}
-	if out.RAMTierBytes > 0 && out.RAMTierBytes < int64(out.Shards)*block.Size {
-		return out, fmt.Errorf("core: RAMTierBytes %d below one block per shard (%d shards)", out.RAMTierBytes, out.Shards)
-	}
-	if out.TierPromoteHits == 0 {
-		out.TierPromoteHits = tier.DefaultPromoteHits
-	}
-	if out.TierPromoteHits < 1 {
-		return out, fmt.Errorf("core: TierPromoteHits must be ≥1, got %d", out.TierPromoteHits)
-	}
-	if out.RAMTierBytes > 0 {
-		if out.TierMinBytes == 0 {
-			out.TierMinBytes = out.RAMTierBytes / 4
-		}
-		if min := int64(out.Shards) * block.Size; out.TierMinBytes < min {
-			out.TierMinBytes = min
-		}
-		out.TierMinBytes -= out.TierMinBytes % block.Size
-		if out.TierMaxBytes == 0 {
-			out.TierMaxBytes = 4 * out.RAMTierBytes
-			if out.TierMaxBytes > out.CacheBytes {
-				out.TierMaxBytes = out.CacheBytes
-			}
-		}
-		out.TierMaxBytes -= out.TierMaxBytes % block.Size
-		if out.TierMinBytes > out.TierMaxBytes {
-			return out, fmt.Errorf("core: TierMinBytes %d exceeds TierMaxBytes %d", out.TierMinBytes, out.TierMaxBytes)
-		}
-		if out.RAMTierBytes < out.TierMinBytes || out.RAMTierBytes > out.TierMaxBytes {
-			return out, fmt.Errorf("core: RAMTierBytes %d outside [TierMinBytes %d, TierMaxBytes %d]", out.RAMTierBytes, out.TierMinBytes, out.TierMaxBytes)
-		}
-	}
-	if out.TierAutotune {
-		if out.RAMTierBytes == 0 {
-			return out, errors.New("core: TierAutotune requires RAMTierBytes > 0")
-		}
-		if out.Variant != VariantD {
-			return out, errors.New("core: TierAutotune requires VariantD (the advisor replays epoch access counts)")
-		}
-	}
 	if out.EnduranceBytesPerDay < 0 {
 		return out, fmt.Errorf("core: EnduranceBytesPerDay must be ≥0, got %d", out.EnduranceBytesPerDay)
 	}
@@ -364,14 +300,7 @@ type Stats struct {
 	PinnedReads            int64 // blocks served zero-copy via ReadPinned (a subset of ReadHits)
 	GroupCommits           int64 // staged flush passes started by Flush with group commit enabled
 	CoalescedFlushes       int64 // Flush calls that rode on another caller's group-committed pass
-	PinnedFrames           int64 // frames currently lent out to zero-copy readers (SSD + RAM tier)
-	TierHits               int64 // blocks served from the RAM tier (a subset of ReadHits)
-	TierPromotions         int64 // blocks promoted from the SSD tier into RAM
-	TierDemotions          int64 // RAM-tier evictions back to SSD-resident-only
-	TierInvalidations      int64 // RAM-tier drops because the data changed below
-	TierCachedBlocks       int64 // current RAM-tier residency
-	TierCapacityBlocks     int64 // current RAM-tier capacity (autotune moves it)
-	TierResizes            int64 // RAM-tier capacity changes applied by autotune
+	PinnedFrames           int64 // frames currently lent out to zero-copy readers
 	Tenants                int64 // distinct (server, volume) tenants seen (tenant tracking only)
 	QuotaDenials           int64 // admissions denied because the tenant was at/over its soft quota
 	ThrottleDenials        int64 // admissions denied by an empty tenant endurance bucket
@@ -459,15 +388,6 @@ type Store struct {
 	shards    []*shard
 	shardMask uint64
 	logger    *sieved.Logger
-
-	// tier is the in-process RAM tier above the SSD cache (nil unless
-	// Options.RAMTierBytes > 0). Tier hits are served under the tier's
-	// read lock only; tier membership changes (promotion, invalidation)
-	// happen while the owning store shard's mutex is held, so they
-	// linearize with frame updates. tierAdvice is the latest epoch's
-	// advisor output (VariantD; nil before the first rotation).
-	tier       *tier.Cache
-	tierAdvice atomic.Pointer[tier.Advice]
 
 	// acct is the multi-tenant QoS accountant (nil unless
 	// Options.TenantTracking — see internal/tenant). It is a leaf in the
@@ -600,20 +520,6 @@ func Open(backend Backend, opts Options) (*Store, error) {
 		}
 		s.acct = acct
 	}
-	if o.RAMTierBytes > 0 {
-		// SIEVE is the tier's point: lookups touch one atomic bit, so the
-		// RAM hit path never takes an exclusive lock.
-		tc, err := tier.New(tier.Config{Bytes: o.RAMTierBytes, Shards: o.Shards, Policy: "sieve"})
-		if err != nil {
-			return nil, err
-		}
-		s.tier = tc
-		for _, sh := range s.shards {
-			// The promotion sieve lives in the store shard (bumped under its
-			// existing lock), so tier admission adds no locking to SSD hits.
-			sh.promo = tier.NewPromoFilter(0, o.TierPromoteHits)
-		}
-	}
 	switch o.Variant {
 	case VariantC:
 		// Each shard sieves its own slice of the key space; splitting the
@@ -714,26 +620,6 @@ func (s *Store) Stats() Stats {
 		sh.mu.Unlock()
 		st.accumulate(sub)
 	}
-	if s.tier != nil {
-		ts := s.tier.Stats()
-		// Tier hits are real block reads served from cache — fold them
-		// into the read/hit/byte totals (they bypassed the shards' own
-		// accounting by design) and report the tier-specific counters
-		// alongside. CachedBlocks stays SSD-only: the tier holds extra
-		// copies, not extra residency.
-		st.Reads += ts.Hits
-		st.ReadHits += ts.Hits
-		st.CacheBytesServed += ts.Hits * block.Size
-		st.PinnedReads += ts.Pinned
-		st.PinnedFrames += ts.PinnedFrames
-		st.TierHits = ts.Hits
-		st.TierPromotions = ts.Promotions
-		st.TierDemotions = ts.Demotions
-		st.TierInvalidations = ts.Invalidations
-		st.TierCachedBlocks = ts.CachedBlocks
-		st.TierCapacityBlocks = ts.CapacityBlocks
-		st.TierResizes = ts.Resizes
-	}
 	if s.acct != nil {
 		t := s.acct.Totals()
 		st.Tenants = t.Tenants
@@ -819,7 +705,7 @@ func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics
 	if s.opts.WriteBack {
 		key0 := block.MakeKey(server, volume, first)
 		var buf [orderInline]uint64
-		order := s.shardOrder(buf[:0], key0, nBlocks, nil)
+		order := s.shardOrder(buf[:0], key0, nBlocks)
 		s.eachShard(order, func(sh *shard, lo, hi int) {
 			for _, e := range order[lo:hi] {
 				i := int(e & orderBlock)
@@ -911,11 +797,10 @@ func (s *Store) bypassWrite(server, volume int, p []byte, off uint64, tr *metric
 func (s *Store) dropRange(server, volume int, first uint64, n int) {
 	key0 := block.MakeKey(server, volume, first)
 	var buf [orderInline]uint64
-	order := s.shardOrder(buf[:0], key0, n, nil)
+	order := s.shardOrder(buf[:0], key0, n)
 	s.eachShard(order, func(sh *shard, lo, hi int) {
 		for _, e := range order[lo:hi] {
 			key := key0 + block.Key(e&orderBlock)
-			s.tierInvalidate(key)
 			sh.dropFlightLocked(key)
 			if slot, ok := sh.tab.Lookup(key); ok {
 				sh.removeLocked(slot)
@@ -1069,43 +954,13 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	s.tenantAccess(server, volume, int64(nBlocks), false)
 	key0 := block.MakeKey(server, volume, first)
 
-	// RAM-tier pass: blocks resident in the in-process tier are served
-	// under its read lock plus one atomic reference-bit store — no shard
-	// mutex, no policy bookkeeping. Hit accounting lives in the tier's
-	// own atomics (folded into Stats), so an all-tier read touches no
-	// shard at all. Single-block requests (the hot case) skip the
-	// served-mask allocation: a hit returns here, a miss needs no mask.
-	var tierServed []bool
-	var nTier int
-	if s.tier != nil {
-		for i := 0; i < nBlocks; i++ {
-			if s.tier.Lookup(key0+block.Key(i), p[i*block.Size:(i+1)*block.Size]) {
-				if tierServed == nil && nBlocks > 1 {
-					tierServed = make([]bool, nBlocks)
-				}
-				if tierServed != nil {
-					tierServed[i] = true
-				}
-				nTier++
-			}
-		}
-		if nTier == nBlocks {
-			s.tenantHits(server, volume, int64(nBlocks))
-			if tr != nil {
-				tr.Hits = nBlocks
-				tr.TierHits = nBlocks
-			}
-			return nil
-		}
-	}
-
 	// Classify: one critical section per shard, shards ascending, each
 	// shard's blocks in request order — so a shard's recency order moves
 	// exactly as a block-by-block walk would move it. A hit is one index
 	// probe, one relink and one copy.
 	var orderBuf [orderInline]uint64
 	var mineBuf, joinedBuf [8]miss
-	order := s.shardOrder(orderBuf[:0], key0, nBlocks, tierServed)
+	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
 	mine, joined := mineBuf[:0], joinedBuf[:0]
 	for lo := 0; lo < len(order); {
 		sh, hi := s.shardRun(order, lo)
@@ -1118,7 +973,6 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 				sh.tab.Hit(slot)
 				copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
 				hits++
-				sh.promoteOnHitLocked(key, slot)
 				continue
 			}
 			if f, ok := sh.inflight[key]; ok {
@@ -1138,14 +992,11 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 		sh.mu.Unlock()
 		lo = hi
 	}
-	// Hits include tier-served blocks (skipped from shard classification)
-	// — everything the request found already cached.
 	s.tenantHits(server, volume, int64(nBlocks-len(mine)-len(joined)))
 	if tr != nil {
 		tr.Misses = len(mine)
 		tr.Coalesced = len(joined)
 		tr.Hits = nBlocks - len(mine) - len(joined)
-		tr.TierHits = nTier
 	}
 	if len(mine)+len(joined) == 0 {
 		return nil
@@ -1305,18 +1156,16 @@ const (
 	orderInline = 32 // words callers keep on their stack: a 16 KiB request
 )
 
-// shardOrder appends one word per block of [key0, key0+n), less those skip
-// marks, sorted ascending: shards in index order, each shard's blocks
-// together and in request order. Every walk that may lock more than one
-// shard — reads, writes, invalidation — follows it, one critical section
-// per shard; ascending shard order is the store's global lock-ordering
-// rule. dst is scratch, usually a stack array: nothing is allocated for a
-// request of up to orderInline blocks.
-func (s *Store) shardOrder(dst []uint64, key0 block.Key, n int, skip []bool) []uint64 {
+// shardOrder appends one word per block of [key0, key0+n), sorted
+// ascending: shards in index order, each shard's blocks together and in
+// request order. Every walk that may lock more than one shard — reads,
+// writes, invalidation — follows it, one critical section per shard;
+// ascending shard order is the store's global lock-ordering rule. dst is
+// scratch, usually a stack array: nothing is allocated for a request of up
+// to orderInline blocks.
+func (s *Store) shardOrder(dst []uint64, key0 block.Key, n int) []uint64 {
 	for i := 0; i < n; i++ {
-		if skip == nil || !skip[i] {
-			dst = append(dst, uint64(s.shardIndex(key0+block.Key(i)))<<orderShift|uint64(i))
-		}
+		dst = append(dst, uint64(s.shardIndex(key0+block.Key(i)))<<orderShift|uint64(i))
 	}
 	if s.shardMask != 0 {
 		slices.Sort(dst)
@@ -1373,7 +1222,7 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 	key0 := block.MakeKey(server, volume, first)
 
 	var orderBuf [orderInline]uint64
-	order := s.shardOrder(orderBuf[:0], key0, nBlocks, nil)
+	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
 	flights := make([]flight, nBlocks) // by block; one allocation per write
 	for lo := 0; lo < len(order); {
 		sh, hi := s.shardRun(order, lo)
@@ -1416,11 +1265,6 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 				for _, e := range order[lo:hi] {
 					i := e & orderBlock
 					key := key0 + block.Key(i)
-					// The backend holds the new data: a RAM-tier copy (the
-					// tier can outlive SSD residency) is stale now. Under
-					// this shard's lock, so no reader can re-promote the old
-					// frame in between.
-					s.tierInvalidate(key)
 					if flights[i].stale || s.closed.Load() {
 						continue // invalidated (or store closed) mid-write
 					}
@@ -1452,9 +1296,6 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 		for _, e := range order[lo:hi] {
 			i := e & orderBlock
 			key := key0 + block.Key(i)
-			// Whether the write lands dirty in the cache or goes through to
-			// the backend below, any RAM-tier copy is superseded.
-			s.tierInvalidate(key)
 			data := p[i*block.Size : (i+1)*block.Size]
 			switch slot, ok := sh.tab.Lookup(key); {
 			case flights[i].stale || s.closed.Load():
@@ -2104,11 +1945,6 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	}
 	s.epochs.Add(1)
 
-	// The RAM-tier advisor replays this epoch's access counts against
-	// the drive-cost model before stage 5 resets them (no-op with the
-	// tier disabled, keeping the tierless rotation byte-identical).
-	s.tierEpochAdvice()
-
 	// Stage 5: reset the logs — no locks held again (the logger is safe
 	// for concurrent use, and accesses logged since Select carry into the
 	// new epoch). The swap is already committed; a reset failure is
@@ -2152,7 +1988,7 @@ func (s *Store) Invalidate(server, volume int, off uint64, length int) (int, err
 	}
 	key0 := block.MakeKey(server, volume, off/block.Size)
 	var buf [orderInline]uint64
-	order := s.shardOrder(buf[:0], key0, length/block.Size, nil)
+	order := s.shardOrder(buf[:0], key0, length/block.Size)
 	dropped := 0
 	var err error
 	s.eachShard(order, func(sh *shard, lo, hi int) {
@@ -2161,10 +1997,6 @@ func (s *Store) Invalidate(server, volume int, off uint64, length int) (int, err
 				return
 			}
 			key := key0 + block.Key(e&orderBlock)
-			// The RAM tier can hold blocks the SSD tier has since evicted,
-			// so its copy is dropped regardless of SSD residency (not
-			// counted in dropped, which reports SSD-resident blocks).
-			s.tierInvalidate(key)
 			// A fetch or write in flight for this key would re-install data
 			// from before the invalidation, and an epoch transition staging
 			// right now may have fetched this block already.

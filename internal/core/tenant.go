@@ -30,8 +30,8 @@ func (s *Store) tenantAccess(server, volume int, blocks int64, write bool) {
 	}
 }
 
-// tenantHits charges one op's realized hits (SSD or RAM tier) to its
-// tenant — the demand signal quota repartitioning divides capacity by.
+// tenantHits charges one op's realized hits to its tenant — the demand
+// signal quota repartitioning divides capacity by.
 func (s *Store) tenantHits(server, volume int, hits int64) {
 	if s.acct != nil && hits > 0 {
 		s.acct.OnHits(tenant.MakeID(server, volume), hits)

@@ -340,18 +340,15 @@ func TestTenantEnduranceEpochClip(t *testing.T) {
 // tenants must equal the store's own striped-merged Stats exactly —
 // reads, writes, hits, residency, and allocation writes (continuous
 // admissions plus epoch batch moves). Run for both variants at eight
-// shards (the striped-merge case), plus a RAM-tier config where hits
-// bypass the shards entirely. A second TenantStats call must return
+// shards (the striped-merge case). A second TenantStats call must return
 // identical values (snapshots don't consume or double-fold anything).
 func TestTenantAccountingFence(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		variant   Variant
-		tierBytes int64
+		name    string
+		variant Variant
 	}{
-		{"C/Shards8", VariantC, 0},
-		{"D/Shards8", VariantD, 0},
-		{"C/Shards8/Tier", VariantC, 16 * block.Size},
+		{"C/Shards8", VariantC},
+		{"D/Shards8", VariantD},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			be := store.NewMem()
@@ -362,7 +359,6 @@ func TestTenantAccountingFence(t *testing.T) {
 				CacheBytes:     256 * block.Size,
 				Shards:         8,
 				Variant:        tc.variant,
-				RAMTierBytes:   tc.tierBytes,
 				TenantTracking: true,
 				TenantQuotas:   true,
 				Now:            func() time.Time { return now },

@@ -156,19 +156,6 @@ func (s *C) Stats() CStats {
 	return st
 }
 
-// TrackedCounts snapshots the MCT's precisely-tracked per-block miss
-// counts over the current window — the continuous variant's count export
-// for the RAM-tier advisor. Only blocks the IMCT has promoted are
-// tracked, so this is the near-threshold top of the miss distribution,
-// not all of it.
-func (s *C) TrackedCounts() []int64 {
-	out := make([]int64, 0, len(s.mct))
-	for _, e := range s.mct {
-		out = append(out, int64(e.total(s.cfg.Subwindows)))
-	}
-	return out
-}
-
 // hash mixes a block key onto an IMCT slot (SplitMix64 finalizer).
 func (s *C) hash(key block.Key) int {
 	x := uint64(key)

@@ -151,7 +151,7 @@ type state struct {
 	id ID
 
 	reads, writes atomic.Int64 // lifetime block accesses
-	hits          atomic.Int64 // lifetime block hits (cache or RAM tier)
+	hits          atomic.Int64 // lifetime block hits
 	epochHits     atomic.Int64 // hits since the last repartition — the demand signal
 	occupancy     atomic.Int64 // resident cache blocks
 	quota         atomic.Int64 // current soft quota (blocks)
@@ -296,9 +296,9 @@ func (a *Accountant) OnAccess(id ID, blocks int64, write bool) {
 	}
 }
 
-// OnHits records blocks the tenant's accesses found cached (SSD or RAM
-// tier). Hits both feed the lifetime hit ratio and accumulate the
-// interval demand signal the next repartition divides capacity by.
+// OnHits records blocks the tenant's accesses found cached. Hits both
+// feed the lifetime hit ratio and accumulate the interval demand signal
+// the next repartition divides capacity by.
 func (a *Accountant) OnHits(id ID, hits int64) {
 	if a == nil || hits <= 0 {
 		return
