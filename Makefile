@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover bench bench-verify bench-e2e experiments experiments-quick fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-cluster test-tenant cover loc bench bench-verify bench-e2e experiments experiments-quick fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
@@ -73,6 +73,15 @@ cover:
 	    echo "cover: FAIL internal/$$pkg at $$pct% (floor $$floor%)"; fail=1; \
 	  else echo "cover: internal/$$pkg $$pct% >= $$floor%"; fi; \
 	done; exit $$fail
+
+# Non-test Go lines per package and repo-wide, outside bench/ (a module of
+# its own that changes only in benchmark issues): the number ROADMAP's
+# "non-test lines of the packages touched do not grow" rule is about.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+	  printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done; \
+	printf '%7d total outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)
 
 # One benchmark per paper table/figure, plus trace generation and one
 # simulated day.

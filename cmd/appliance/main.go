@@ -76,9 +76,8 @@ func main() {
 		enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
 		repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
 
-		protocol    = flag.String("protocol", "v2", "max wire protocol version: v2 (tagged pipelined frames, negotiated down per client) or v1 (legacy-exact)")
 		groupCommit = flag.Duration("group-commit-window", 0, "coalesce write-back flush requests arriving within this window into one backend sweep (0: flush immediately)")
-		maxPipeline = flag.Int("max-pipeline", 0, "per-connection cap on in-flight pipelined v2 requests (0: default 32)")
+		maxPipeline = flag.Int("max-pipeline", 0, "per-connection cap on in-flight pipelined requests (0: default 32)")
 
 		clusterPeers       = flag.String("cluster-peers", "", "comma-separated appliance addresses: run as a replicated-cluster gateway over these nodes instead of a local store")
 		clusterReplicas    = flag.Int("cluster-replicas", 2, "gateway: replicas per block (R)")
@@ -103,19 +102,9 @@ func main() {
 		}()
 	}
 
-	var maxProto int
-	switch *protocol {
-	case "v2", "2", "":
-		maxProto = appliance.ProtocolV2
-	case "v1", "1":
-		maxProto = appliance.ProtocolV1
-	default:
-		log.Fatalf("unknown -protocol %q (want v1 or v2)", *protocol)
-	}
 	srvOpts := appliance.ServerOptions{
 		MaxConns:    *maxConns,
 		IdleTimeout: *idleTimeout,
-		MaxProtocol: maxProto,
 		MaxPipeline: *maxPipeline,
 	}
 

@@ -126,49 +126,74 @@ func TestRotateOnVariantCIsNoop(t *testing.T) {
 	}
 }
 
+// rawHandshake opens a hand-driven connection: HELLO out, OK | 2 back.
+func rawHandshake(t *testing.T, conn net.Conn) {
+	t.Helper()
+	var hello [headerSize]byte
+	(&header{op: OpHello, offset: ProtocolV2}).encode(hello[:])
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	var reply [2]byte
+	if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != [2]byte{statusOK, ProtocolV2} {
+		t.Fatalf("HELLO reply = %v, err = %v", reply, err)
+	}
+}
+
+// readErrFrame consumes one tagged error frame and returns its tag and
+// message.
+func readErrFrame(t *testing.T, conn net.Conn) (uint32, string) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var head [respHeadV2 + 2]byte
+	if _, err := io.ReadFull(conn, head[:]); err != nil || head[0] != respMagic || head[5] != statusErr {
+		t.Fatalf("response head = %v, err = %v", head, err)
+	}
+	msg := make([]byte, binary.BigEndian.Uint16(head[respHeadV2:]))
+	if _, err := io.ReadFull(conn, msg); err != nil {
+		t.Fatal(err)
+	}
+	return binary.BigEndian.Uint32(head[1:5]), string(msg)
+}
+
 func TestUnknownOpClosesConnection(t *testing.T) {
 	client, _, _ := startServer(t)
+	rawHandshake(t, client.conn)
 	// Hand-craft a frame with an unknown op: the server responds with an
 	// error and closes the connection.
-	var hdr [headerSize]byte
-	h := header{op: 99, length: 0}
+	var hdr [headerSizeV2]byte
+	h := headerV2{op: 99, tag: 7, length: 0}
 	h.encode(hdr[:])
 	if _, err := client.conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(client.conn, status[:]); err != nil || status[0] != statusErr {
-		t.Fatalf("status = %v, err = %v", status, err)
-	}
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(client.conn, lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	if _, err := io.ReadFull(client.conn, msg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(msg), "unknown op") {
-		t.Errorf("message = %q", msg)
+	tag, msg := readErrFrame(t, client.conn)
+	if tag != 7 || !strings.Contains(msg, "unknown op") {
+		t.Errorf("tag = %d, message = %q", tag, msg)
 	}
 	// The server drops the connection after a protocol violation.
+	var b [1]byte
 	client.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := client.conn.Read(status[:]); err == nil {
+	if _, err := client.conn.Read(b[:]); err == nil {
 		t.Error("connection still open after protocol violation")
 	}
 }
 
 func TestBadMagicClosesConnection(t *testing.T) {
 	client, _, _ := startServer(t)
-	junk := make([]byte, headerSize)
+	rawHandshake(t, client.conn)
+	junk := make([]byte, headerSizeV2)
 	junk[0] = 0x00
 	if _, err := client.conn.Write(junk); err != nil {
 		t.Fatal(err)
 	}
-	var status [1]byte
+	if _, msg := readErrFrame(t, client.conn); !strings.Contains(msg, "bad magic") {
+		t.Errorf("message = %q", msg)
+	}
+	var b [1]byte
 	client.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.ReadFull(client.conn, status[:]); err != nil || status[0] != statusErr {
-		t.Fatalf("status = %v err = %v", status, err)
+	if _, err := client.conn.Read(b[:]); err == nil {
+		t.Error("connection still open after bad magic")
 	}
 }
 

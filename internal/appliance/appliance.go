@@ -6,23 +6,33 @@
 //
 // The wire protocol is a minimal length-prefixed binary framing (the paper
 // assumes iSCSI; any block protocol works, so we use the simplest one that
-// exercises the same data path). Protocol v1 is strictly
-// one-request-one-response:
+// exercises the same data path). There is one protocol; wire2.go has the
+// frame layouts and DESIGN.md §11 the rationale.
 //
-//	request:  magic 'S' | op u8 | server u16 | volume u16 | offset u64 | length u32 | payload
-//	response: status u8 | (status==0: payload) (status==1: msgLen u16 | message)
+// A connection opens with an 18-byte HELLO preamble whose offset field
+// carries the highest version the client speaks:
 //
-// Reads carry no request payload and return `length` bytes; writes carry
-// `length` bytes and return an empty payload; OpStats returns a JSON
-// encoding of core.Stats prefixed by a u32 length.
+//	hello:    magic 'S' | OpHello u8 | server u16 | volume u16 | offset u64 | length u32
+//	reply:    status u8 | (status==0: version u8 = 2) (status==1: msgLen u16 | message)
 //
-// Protocol v2 (negotiated per connection via OpHello; see wire2.go and
-// DESIGN.md §11) adds tagged pipelined frames with out-of-order
-// completion, OpReadV/OpWriteV scatter/gather ops, and zero-copy reads
-// served straight from pinned cache frames. v1 peers interoperate
-// unchanged: a server speaks v1 on every connection until that
-// connection completes a HELLO, and a client falls back to v1 when the
-// server rejects the HELLO.
+// After an OK reply every frame is tagged, so one connection carries many
+// requests in flight and the server completes them out of order:
+//
+//	request:  magic 'S' | op u8 | tag u32 | server u16 | volume u16 | offset u64 | length u32 | payload
+//	response: magic 'R' | tag u32 | status u8 | body
+//
+// Any other first frame — bad magic, another op, a HELLO offering less
+// than version 2 — is answered with one error reply and a close, before
+// the store is touched. The same untagged error reply turns away
+// connections over ServerOptions.MaxConns.
+//
+// The version numbers are history: version 1 was an untagged
+// one-request-one-response framing. On one shared connection the tagged
+// framing measured 7.1×/18.5× its throughput at 8/32 clients and within
+// 3 % of it connection-per-client (EXPERIMENTS.md, "wire protocol v2"), and
+// nothing spoke it any more, so its server loop, the client's round-trip
+// path and the options that selected between the two were deleted. The
+// HELLO keeps its shape so a future version has somewhere to negotiate.
 package appliance
 
 import (
@@ -38,7 +48,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/block"
 	"repro/internal/core"
 )
 
@@ -144,15 +153,9 @@ type ServerOptions struct {
 	// Connections beyond the cap receive an ErrServerBusy error frame and
 	// are closed, so a well-behaved client fails fast instead of queueing.
 	MaxConns int
-	// MaxProtocol caps the protocol version the server negotiates.
-	// 0 (or ProtocolV2) serves both; ProtocolV1 pins the legacy framing —
-	// HELLO frames are then answered as unknown ops, exactly like a
-	// pre-v2 server.
-	MaxProtocol int
-	// MaxPipeline caps how many pipelined requests one v2 connection may
-	// have in flight server-side; past the cap the connection's reader
-	// stops pulling frames until a response completes (0 = a default of
-	// 32). v1 connections are inherently one-at-a-time.
+	// MaxPipeline caps how many pipelined requests one connection may have
+	// in flight server-side; past the cap the connection's reader stops
+	// pulling frames until a response completes (0 = a default of 32).
 	MaxPipeline int
 }
 
@@ -191,7 +194,6 @@ type Server struct {
 	requests    atomic.Int64
 	errorFrames atomic.Int64
 
-	v2Conns       atomic.Int64
 	pipelinedReqs atomic.Int64
 	pipelineDepth atomic.Int64
 	vecOps        atomic.Int64
@@ -227,9 +229,8 @@ type ServerStats struct {
 	BusyRejects   int64 // connections turned away at the MaxConns limit
 	Requests      int64 // request frames received (all ops)
 	ErrorFrames   int64 // error-frame responses sent
-	V2Conns       int64 // connections that negotiated protocol v2
-	PipelinedReqs int64 // v2 requests that arrived while another was already in flight on the same connection
-	PipelineDepth int64 // v2 requests in flight right now, across connections
+	PipelinedReqs int64 // requests that arrived while another was already in flight on the same connection
+	PipelineDepth int64 // requests in flight right now, across connections
 	VecOps        int64 // OpReadV/OpWriteV frames served
 	VecExtents    int64 // extents carried by those frames
 	ZeroCopyBytes int64 // read bytes served straight from pinned cache frames
@@ -247,7 +248,6 @@ func (s *Server) StatsSnapshot() ServerStats {
 		BusyRejects:   busy,
 		Requests:      s.requests.Load(),
 		ErrorFrames:   s.errorFrames.Load(),
-		V2Conns:       s.v2Conns.Load(),
 		PipelinedReqs: s.pipelinedReqs.Load(),
 		PipelineDepth: s.pipelineDepth.Load(),
 		VecOps:        s.vecOps.Load(),
@@ -357,203 +357,43 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn handles one connection until EOF or error. I/O is buffered per
-// connection, and every response — status byte plus payload — is staged in
-// the write buffer and flushed once, so a round trip costs one write
-// syscall instead of two unbuffered ones.
+// serveConn runs the handshake and hands the connection to the pipelined
+// loop. The first frame must be a HELLO offering version 2 or later;
+// anything else gets one untagged error reply and a close, so a peer that
+// speaks another protocol never reaches the store.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
-	hdr := make([]byte, headerSize)
-	var cp connPayload
-	for {
-		if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		} else if s.opts.IOTimeout > 0 {
-			// No idle bound: clear the previous request's I/O deadline so it
-			// cannot fire while the connection legitimately sits idle.
-			conn.SetDeadline(time.Time{})
-		}
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return // EOF, idle timeout, or broken connection
-		}
-		// Header arrived: the request is live. Re-arm the deadline to cover
-		// the rest of this round trip (payload, store op, response flush),
-		// or clear the idle deadline so a slow store op is not cut short.
-		if s.opts.IOTimeout > 0 {
-			conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
-		} else if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Time{})
-		}
-		s.requests.Add(1)
-		h, err := decodeHeader(hdr)
-		if err != nil {
-			s.sendErr(bw, err)
-			return
-		}
-		// Reject IDs the packed block.Key cannot represent before they
-		// reach the store: MakeKey treats out-of-range components as a
-		// caller bug and panics, and a remote peer must not be able to
-		// take the daemon down with a stray header. The frame itself is
-		// well-formed, so answer with an error and keep the connection.
-		if int(h.server) >= block.MaxServers || int(h.volume) >= block.MaxVolumes {
-			if h.op == OpWrite {
-				// The write payload follows the header; drain it so the
-				// stream stays frame-aligned.
-				if _, err := io.CopyN(io.Discard, br, int64(h.length)); err != nil {
-					return
-				}
-			}
-			if !s.sendErr(bw, fmt.Errorf("appliance: server %d / volume %d out of range", h.server, h.volume)) {
-				return
-			}
-			continue
-		}
-		switch h.op {
-		case OpRead:
-			// Zero-copy fast path: pin the all-hit prefix's cache frames
-			// and write them to the wire directly; only the (miss) tail is
-			// read into a scratch buffer. ReadPinned accounts and logs the
-			// pinned blocks itself, so the two halves together count
-			// exactly like one ReadAt.
-			n := int(h.length)
-			pr := s.store.ReadPinned(int(h.server), int(h.volume), n, h.offset)
-			pinned := 0
-			if pr != nil {
-				pinned = pr.Bytes()
-			}
-			var tail []byte
-			if n > pinned || n == 0 {
-				tail = cp.get(n - pinned)
-				if err := s.store.ReadAt(int(h.server), int(h.volume), tail, h.offset+uint64(pinned)); err != nil {
-					if pr != nil {
-						pr.Release()
-					}
-					cp.put(tail)
-					if !s.sendErr(bw, err) {
-						return
-					}
-					continue
-				}
-			}
-			s.zeroCopyBytes.Add(int64(pinned))
-			bw.WriteByte(statusOK)
-			if pr != nil {
-				for _, v := range pr.Views() {
-					bw.Write(v)
-				}
-			}
-			if len(tail) > 0 {
-				bw.Write(tail)
-			}
-			flushed := bw.Flush() == nil
-			if pr != nil {
-				pr.Release()
-			}
-			cp.put(tail)
-			if !flushed {
-				return
-			}
-		case OpWrite:
-			buf := cp.get(int(h.length))
-			if _, err := io.ReadFull(br, buf); err != nil {
-				cp.put(buf)
-				return
-			}
-			err := s.store.WriteAt(int(h.server), int(h.volume), buf, h.offset)
-			cp.put(buf)
-			if err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			if !writeOK(bw, nil) {
-				return
-			}
-		case OpStats:
-			data, err := json.Marshal(s.store.Stats())
-			if err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			var lenBuf [4]byte
-			binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-			if !writeOK(bw, append(lenBuf[:], data...)) {
-				return
-			}
-		case OpRotate:
-			if err := s.store.RotateEpoch(); err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			if !writeOK(bw, nil) {
-				return
-			}
-		case OpInvalidate:
-			dropped, err := s.store.Invalidate(int(h.server), int(h.volume), h.offset, int(h.length))
-			if err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			var resp [4]byte
-			binary.BigEndian.PutUint32(resp[:], uint32(dropped))
-			if !writeOK(bw, resp[:]) {
-				return
-			}
-		case OpFlush:
-			if err := s.store.Flush(); err != nil {
-				if !s.sendErr(bw, err) {
-					return
-				}
-				continue
-			}
-			if !writeOK(bw, nil) {
-				return
-			}
-		case OpHello:
-			// Version negotiation: the v1-framed offset field carries the
-			// client's maximum supported version; the OK body is one byte,
-			// the negotiated version. ≥2 switches this connection to v2
-			// framing. A v1-pinned server treats HELLO as an unknown op —
-			// byte-exact with a pre-v2 server.
-			if s.opts.MaxProtocol == ProtocolV1 {
-				s.sendErr(bw, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
-				return
-			}
-			ver := byte(ProtocolV1)
-			if h.offset >= ProtocolV2 {
-				ver = ProtocolV2
-			}
-			if !writeOK(bw, []byte{ver}) {
-				return
-			}
-			if ver >= ProtocolV2 {
-				s.v2Conns.Add(1)
-				s.serveConnV2(conn, br, bw)
-				return
-			}
-		default:
-			s.sendErr(bw, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
-			return
-		}
+	if s.opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-}
-
-// writeOK stages status + payload and flushes the response in one write.
-func writeOK(bw *bufio.Writer, payload []byte) bool {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return // EOF, idle timeout, or broken connection
+	}
+	if s.opts.IOTimeout > 0 {
+		conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
+	}
+	s.requests.Add(1)
+	h, err := decodeHeader(hdr[:])
+	switch {
+	case err != nil:
+	case h.op != OpHello:
+		err = fmt.Errorf("%w: connection must open with HELLO (op %d), got op %d", ErrProtocol, OpHello, h.op)
+	case h.offset < ProtocolV2:
+		err = fmt.Errorf("%w: HELLO offers protocol v%d, this server speaks v%d", ErrProtocol, h.offset, ProtocolV2)
+	}
+	if err != nil {
+		s.sendErr(bw, err)
+		return
+	}
 	bw.WriteByte(statusOK)
-	if len(payload) > 0 {
-		bw.Write(payload)
+	bw.WriteByte(ProtocolV2)
+	if bw.Flush() != nil {
+		return
 	}
-	return bw.Flush() == nil
+	s.serveConnV2(conn, br, bw)
 }
 
 // writeErr stages an error frame and flushes it in one write.
@@ -582,7 +422,8 @@ func truncateErrMsg(msg string, max int) string {
 }
 
 // Client is a connection to an appliance Server. It is safe for concurrent
-// use; requests are serialized on the single connection.
+// use: concurrent calls are pipelined on the one connection as tagged
+// requests, which the server may complete out of order (pipeline.go).
 //
 // Any transport error (failed or partial frame write/read) leaves the wire
 // position unknown, so the client marks itself broken, closes the
@@ -598,22 +439,21 @@ type Client struct {
 	conn       net.Conn
 	br         *bufio.Reader
 	bw         *bufio.Writer
-	hdr        [headerSize]byte
 	broken     error // first transport error; nil while the connection is usable
 	closed     bool
 	reconnects int64
 
-	// proto is the negotiated protocol version: 0 until the first op
-	// triggers negotiation (lazy, so Dial stays I/O-free), then ProtocolV1
-	// or ProtocolV2 for the client's lifetime.
-	proto int
-	// gen counts connections: every (re)dial bumps it, and v2 pipeline
-	// state (pending ops, the reader goroutine) is tagged with the gen it
+	// ready is set by the first op's handshake (lazy, so Dial stays
+	// I/O-free); every later connection is handshaken by reconnectLocked
+	// before it carries a request.
+	ready bool
+	// gen counts connections: every redial bumps it, and pipeline state
+	// (pending ops, the reader goroutine) is tagged with the gen it
 	// belongs to, so a stale reader's failure cannot break a fresh
 	// connection.
 	gen int
 
-	// v2 pipeline state: pending maps in-flight tags to their completion
+	// Pipeline state: pending maps in-flight tags to their completion
 	// slots. pendMu guards it (never held across I/O); nextTag is guarded
 	// by mu (tags are assigned on the send path).
 	pendMu  sync.Mutex
@@ -642,12 +482,10 @@ type DialOptions struct {
 	ReconnectBackoff time.Duration
 	// DialTimeout bounds each dial, including redials (0 = the OS default).
 	DialTimeout time.Duration
-	// Protocol selects the wire protocol. ProtocolAuto (the default)
-	// negotiates v2 on the first op and falls back to v1 when the server
-	// rejects the HELLO (one transparent redial — v1 servers close the
-	// connection on the unknown op). ProtocolV1 pins the legacy framing
-	// and sends no HELLO; ProtocolV2 requires v2, failing ops against a
-	// v1-only server.
+	// Protocol selects nothing: there is one wire protocol, and 0 and
+	// ProtocolV2 both mean it (any other value fails DialWith). The field
+	// stays only because bench/run.go sets it and bench/ changes only in a
+	// benchmark issue; it leaves in the next one.
 	Protocol int
 }
 
@@ -658,29 +496,25 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialWith connects to an appliance at addr, hardened with opts. The
-// dial itself performs no protocol I/O; version negotiation (unless
-// opts.Protocol pins v1) happens on the first operation.
+// dial itself performs no protocol I/O; the handshake happens on the first
+// operation.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
-	switch opts.Protocol {
-	case ProtocolAuto, ProtocolV1, ProtocolV2:
-	default:
+	if opts.Protocol != 0 && opts.Protocol != ProtocolV2 {
 		return nil, fmt.Errorf("appliance: unknown protocol %d", opts.Protocol)
 	}
 	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
+	return &Client{
 		addr: addr,
 		opts: opts,
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, connBufSize),
 		bw:   bufio.NewWriterSize(conn, connBufSize),
-	}
-	if opts.Protocol == ProtocolV1 {
-		c.proto = ProtocolV1
-	}
-	return c, nil
+
+		pending: make(map[uint32]*pendingOp),
+	}, nil
 }
 
 // Reconnects returns how many times the client has successfully redialed.
@@ -705,7 +539,7 @@ func (c *Client) Close() error {
 
 // fail marks the connection broken and closes it (the wire position is
 // unknown, so it can never be safely reused). With MaxReconnects set, the
-// surrounding exchange redials a fresh connection and retries.
+// next send redials a fresh connection.
 func (c *Client) fail(err error) error {
 	if c.broken == nil {
 		c.broken = err
@@ -715,8 +549,8 @@ func (c *Client) fail(err error) error {
 }
 
 // reconnectLocked redials the appliance, replacing the broken connection.
-// Caller must hold c.mu (the sleeps hold up other callers of this client,
-// which are serialized on the one connection anyway).
+// Caller must hold c.mu (the sleeps hold up other senders on this client,
+// which have no connection to send on anyway).
 func (c *Client) reconnectLocked() error {
 	backoff := c.opts.ReconnectBackoff
 	if backoff <= 0 {
@@ -741,18 +575,10 @@ func (c *Client) reconnectLocked() error {
 		c.bw = bufio.NewWriterSize(conn, connBufSize)
 		c.broken = nil
 		c.gen++
-		if c.proto == ProtocolV2 {
-			// The fresh connection must speak v2 again before pipelined
-			// requests can ride on it. A failed HELLO marks the connection
-			// broken and counts as a failed attempt.
-			if err := c.helloV2Locked(); err != nil {
-				if c.broken == nil {
-					c.broken = fmt.Errorf("appliance: v2 renegotiation failed: %w", err)
-					c.conn.Close()
-				}
-				continue
-			}
-			c.startReaderLocked()
+		// A failed handshake marks the fresh connection broken and counts
+		// as a failed attempt.
+		if c.handshakeLocked() != nil {
+			continue
 		}
 		c.reconnects++
 		return nil
@@ -760,89 +586,11 @@ func (c *Client) reconnectLocked() error {
 	return fmt.Errorf("appliance: reconnect attempts exhausted: %w", c.broken)
 }
 
-// exchange runs one complete protocol exchange (round trip plus any
-// payload reads) under the client lock, with the per-roundtrip deadline
-// armed and — when the connection breaks mid-op and MaxReconnects allows —
-// a redial-and-retry envelope around it.
-func (c *Client) exchange(op func() error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if c.closed {
-			return net.ErrClosed
-		}
-		if c.broken != nil {
-			if c.opts.MaxReconnects <= 0 {
-				return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
-			}
-			if rerr := c.reconnectLocked(); rerr != nil {
-				return fmt.Errorf("%w: %w", ErrBrokenConn, rerr)
-			}
-		}
-		if c.opts.Timeout > 0 {
-			c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
-		}
-		err := op()
-		if c.broken == nil || attempt >= c.opts.MaxReconnects {
-			return err
-		}
-		// Transport failure with retry budget left: loop to redial and
-		// replay the op on the fresh connection.
-	}
-}
-
 // RemoteError is a server-side failure reported over the protocol.
 type RemoteError struct{ Msg string }
 
 // Error implements error.
 func (e *RemoteError) Error() string { return "appliance: remote: " + e.Msg }
-
-// roundTrip sends a frame (header and payload coalesced into one buffered
-// write) and reads the status byte; on server error it consumes and
-// returns the message. Transport errors break the client.
-func (c *Client) roundTrip(h header, writePayload []byte) error {
-	if c.broken != nil {
-		return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
-	}
-	h.encode(c.hdr[:])
-	if _, err := c.bw.Write(c.hdr[:]); err != nil {
-		return c.fail(err)
-	}
-	if len(writePayload) > 0 {
-		if _, err := c.bw.Write(writePayload); err != nil {
-			return c.fail(err)
-		}
-	}
-	if err := c.bw.Flush(); err != nil {
-		return c.fail(err)
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(c.br, status[:]); err != nil {
-		return c.fail(err)
-	}
-	switch status[0] {
-	case statusOK:
-		return nil
-	case statusErr:
-	default:
-		return c.fail(fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status[0]))
-	}
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-		return c.fail(err)
-	}
-	msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	if _, err := io.ReadFull(c.br, msg); err != nil {
-		return c.fail(err)
-	}
-	if string(msg) == ErrServerBusy.Error() {
-		// The server turned this connection away at its MaxConns limit and
-		// is closing it: break proactively (a later redial may find a free
-		// slot) and surface the sentinel rather than an opaque RemoteError.
-		return c.fail(ErrServerBusy)
-	}
-	return &RemoteError{Msg: string(msg)}
-}
 
 // ErrIDRange reports a server or volume id that does not fit the wire
 // format's uint16 fields. Without this check the cast below would wrap —
@@ -867,24 +615,8 @@ func (c *Client) ReadAt(server, volume int, p []byte, off uint64) error {
 	if err := checkIDs(server, volume); err != nil {
 		return err
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
-			nil, &pendingOp{op: OpRead, read: p})
-	}
-	h := header{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))}
-	return c.exchange(func() error {
-		if err := c.roundTrip(h, nil); err != nil {
-			return err
-		}
-		if _, err := io.ReadFull(c.br, p); err != nil {
-			return c.fail(err)
-		}
-		return nil
-	})
+	return c.do2(headerV2{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
+		nil, &pendingOp{op: OpRead, read: p})
 }
 
 // WriteAt writes p to the remote volume at off.
@@ -895,51 +627,22 @@ func (c *Client) WriteAt(server, volume int, p []byte, off uint64) error {
 	if err := checkIDs(server, volume); err != nil {
 		return err
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
-			[][]byte{p}, &pendingOp{op: OpWrite})
-	}
-	h := header{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))}
-	return c.exchange(func() error {
-		return c.roundTrip(h, p)
-	})
+	return c.do2(headerV2{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
+		[][]byte{p}, &pendingOp{op: OpWrite})
 }
 
 // RotateEpoch forces a SieveStore-D epoch rotation on the appliance
 // (no-op for a VariantC appliance).
 func (c *Client) RotateEpoch() error {
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpRotate}, nil, &pendingOp{op: OpRotate})
-	}
-	return c.exchange(func() error {
-		return c.roundTrip(header{op: OpRotate}, nil)
-	})
+	return c.do2(headerV2{op: OpRotate}, nil, &pendingOp{op: OpRotate})
 }
 
 // Flush asks the appliance to write its dirty write-back blocks to the
 // ensemble (a no-op for a write-through appliance). Flushes arriving
 // within the server's group-commit window coalesce into one staged
-// write-back pass. Requires a server that understands OpFlush (this
-// repo's v1 servers do; the op predates nothing else).
+// write-back pass.
 func (c *Client) Flush() error {
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto == ProtocolV2 {
-		return c.do2(headerV2{op: OpFlush}, nil, &pendingOp{op: OpFlush})
-	}
-	return c.exchange(func() error {
-		return c.roundTrip(header{op: OpFlush}, nil)
-	})
+	return c.do2(headerV2{op: OpFlush}, nil, &pendingOp{op: OpFlush})
 }
 
 // Invalidate drops the appliance's cached blocks in [off, off+length),
@@ -955,65 +658,17 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 	if length <= 0 || length > MaxIOBytes {
 		return 0, fmt.Errorf("%w: invalidate of %d bytes out of range", ErrProtocol, length)
 	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return 0, err
-	}
-	if proto == ProtocolV2 {
-		p := &pendingOp{op: OpInvalidate}
-		err := c.do2(headerV2{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
-		return int(p.inval), err
-	}
-	h := header{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}
-	var dropped int
-	err = c.exchange(func() error {
-		if err := c.roundTrip(h, nil); err != nil {
-			return err
-		}
-		var resp [4]byte
-		if _, err := io.ReadFull(c.br, resp[:]); err != nil {
-			return c.fail(err)
-		}
-		dropped = int(binary.BigEndian.Uint32(resp[:]))
-		return nil
-	})
-	return dropped, err
+	p := &pendingOp{op: OpInvalidate}
+	err := c.do2(headerV2{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
+	return int(p.inval), err
 }
 
 // Stats fetches the appliance's cache statistics.
 func (c *Client) Stats() (core.Stats, error) {
 	var st core.Stats
-	proto, err := c.protoFor()
-	if err != nil {
+	p := &pendingOp{op: OpStats}
+	if err := c.do2(headerV2{op: OpStats}, nil, p); err != nil {
 		return st, err
 	}
-	if proto == ProtocolV2 {
-		p := &pendingOp{op: OpStats}
-		if err := c.do2(headerV2{op: OpStats}, nil, p); err != nil {
-			return st, err
-		}
-		return st, json.Unmarshal(p.stats, &st)
-	}
-	err = c.exchange(func() error {
-		if err := c.roundTrip(header{op: OpStats}, nil); err != nil {
-			return err
-		}
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-			return c.fail(err)
-		}
-		// The length prefix is untrusted input: a corrupt peer must not be
-		// able to force a ~4 GiB allocation. Past the bound the stream
-		// cannot be resynchronized, so the connection breaks.
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > maxStatsBytes {
-			return c.fail(fmt.Errorf("%w: %d-byte stats payload exceeds limit", ErrProtocol, n))
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(c.br, data); err != nil {
-			return c.fail(err)
-		}
-		return json.Unmarshal(data, &st)
-	})
-	return st, err
+	return st, json.Unmarshal(p.stats, &st)
 }

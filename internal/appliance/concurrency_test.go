@@ -1,6 +1,7 @@
 package appliance
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -62,21 +63,27 @@ func TestClientBreaksOnTransportError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// Fake appliance: answer the first read with an OK status but only
-	// half the payload, then slam the connection.
+	// Fake appliance: complete the handshake, answer the first read with
+	// an OK status but only half the payload, then slam the connection.
 	go func() {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
-		hdr := make([]byte, headerSize)
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if !serveHelloV2(br, conn) {
 			return
 		}
-		h, _ := decodeHeader(hdr)
-		conn.Write([]byte{statusOK})
+		hdr := make([]byte, headerSizeV2)
+		if _, err := io.ReadFull(br, hdr); err != nil {
+			return
+		}
+		h, _ := decodeHeaderV2(hdr)
+		var head [respHeadV2]byte
+		respHead(head[:], h.tag, statusOK)
+		conn.Write(head[:])
 		conn.Write(make([]byte, h.length/2))
-		conn.Close()
 	}()
 
 	c, err := Dial(l.Addr().String())

@@ -3,7 +3,6 @@ package appliance
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"net"
 	"testing"
@@ -53,129 +52,63 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// fuzzExpect is what the differential oracle predicts for one request
-// parsed out of the fuzz input.
-type fuzzExpect struct {
-	op      byte
-	length  uint32 // read payload size on statusOK
-	mustErr bool   // server/volume out of range: frame must be statusErr
-	closes  bool   // connection terminates after this frame
-	noFrame bool   // connection closes with no frame (truncated request)
-}
-
-// simulateRequests mirrors serveConn's framing rules over the raw input
-// and returns the exact response-frame sequence the server must produce.
-// When a HELLO negotiates v2 mid-stream, the remaining bytes are returned
-// as v2Rest with switched=true: from there the v2 oracle takes over.
-func simulateRequests(data []byte) (out []fuzzExpect, v2Rest []byte, switched bool) {
-	pos := 0
-	for {
-		if len(data)-pos < headerSize {
-			return out, nil, false // EOF mid-header: clean close, no frame
-		}
-		hdr := data[pos : pos+headerSize]
-		pos += headerSize
-		op := hdr[1]
-		length := binary.BigEndian.Uint32(hdr[14:])
-		if hdr[0] != magic || length > MaxIOBytes {
-			return append(out, fuzzExpect{op: op, mustErr: true, closes: true}), nil, false
-		}
-		server := binary.BigEndian.Uint16(hdr[2:])
-		volume := binary.BigEndian.Uint16(hdr[4:])
-		if int(server) >= block.MaxServers || int(volume) >= block.MaxVolumes {
-			if op == OpWrite {
-				if len(data)-pos < int(length) {
-					return append(out, fuzzExpect{noFrame: true}), nil, false
-				}
-				pos += int(length)
-			}
-			out = append(out, fuzzExpect{op: op, mustErr: true})
-			continue
-		}
-		switch op {
-		case OpRead, OpStats, OpRotate, OpInvalidate, OpFlush:
-			out = append(out, fuzzExpect{op: op, length: length})
-		case OpWrite:
-			if len(data)-pos < int(length) {
-				return append(out, fuzzExpect{noFrame: true}), nil, false
-			}
-			pos += int(length)
-			out = append(out, fuzzExpect{op: op})
-		case OpHello:
-			// OK + one version byte; offset ≥2 switches the stream to v2.
-			out = append(out, fuzzExpect{op: op})
-			if binary.BigEndian.Uint64(hdr[6:]) >= ProtocolV2 {
-				return out, data[pos:], true
-			}
-		default:
-			return append(out, fuzzExpect{op: op, mustErr: true, closes: true}), nil, false
-		}
+// simulateHandshake mirrors serveConn's handshake rule over the raw input:
+// a valid HELLO offering version ≥ 2 gets an OK reply and hands the rest
+// of the stream to the tagged-frame oracle; any other complete first frame
+// gets one error reply and a close; a truncated preamble gets nothing.
+func simulateHandshake(data []byte) (reply bool, ok bool, rest []byte) {
+	if len(data) < headerSize {
+		return false, false, nil
 	}
+	h, err := decodeHeader(data[:headerSize])
+	if err != nil || h.op != OpHello || h.offset < ProtocolV2 {
+		return true, false, nil
+	}
+	return true, true, data[headerSize:]
 }
 
-// readResponseFrame consumes one response frame and validates its shape:
-// statusOK payloads sized by the request's op, statusErr frames carrying
-// a length-prefixed valid-UTF-8 message.
-func readResponseFrame(t *testing.T, br *bufio.Reader, exp fuzzExpect) {
+// readHandshakeReply consumes the untagged reply to the first frame and
+// validates its shape: OK carries the version byte, an error reply a
+// length-prefixed valid-UTF-8 message.
+func readHandshakeReply(t *testing.T, br *bufio.Reader, wantOK bool) {
 	t.Helper()
 	status, err := br.ReadByte()
 	if err != nil {
-		t.Fatalf("expected a frame for op %d, got %v", exp.op, err)
+		t.Fatalf("expected a handshake reply, got %v", err)
 	}
 	switch status {
 	case statusOK:
-		if exp.mustErr {
-			t.Fatalf("op %d with out-of-range ids answered OK", exp.op)
+		if !wantOK {
+			t.Fatal("first frame is not a HELLO offering v2, yet the server answered OK")
 		}
-		var n int64
-		switch exp.op {
-		case OpRead:
-			n = int64(exp.length)
-		case OpStats:
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-				t.Fatalf("stats length prefix: %v", err)
-			}
-			body := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-			if _, err := io.ReadFull(br, body); err != nil {
-				t.Fatalf("stats body: %v", err)
-			}
-			if !json.Valid(body) {
-				t.Fatalf("stats body is not JSON: %q", body)
-			}
-			return
-		case OpInvalidate:
-			n = 4
-		case OpHello:
-			n = 1
-		case OpWrite, OpRotate, OpFlush:
-			n = 0
-		}
-		if _, err := io.CopyN(io.Discard, br, n); err != nil {
-			t.Fatalf("op %d OK payload (%d bytes): %v", exp.op, n, err)
+		if ver, err := br.ReadByte(); err != nil || ver != ProtocolV2 {
+			t.Fatalf("HELLO reply version = %d, err = %v", ver, err)
 		}
 	case statusErr:
+		if wantOK {
+			t.Fatal("valid HELLO answered with an error reply")
+		}
 		var lenBuf [2]byte
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			t.Fatalf("error frame length: %v", err)
+			t.Fatalf("error reply length: %v", err)
 		}
 		msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
 		if _, err := io.ReadFull(br, msg); err != nil {
-			t.Fatalf("error frame message: %v", err)
+			t.Fatalf("error reply message: %v", err)
 		}
 		if !utf8.Valid(msg) {
 			t.Fatalf("error message is not UTF-8: %q", msg)
 		}
 	default:
-		t.Fatalf("op %d: invalid status byte %d", exp.op, status)
+		t.Fatalf("invalid handshake status byte %d", status)
 	}
 }
 
 // FuzzServerInput throws arbitrary bytes at a live appliance server over
 // TCP. The server must never panic, must answer every malformed frame
 // with a clean error frame, and must keep its response stream exactly
-// frame-aligned with the differential oracle above — byte-for-byte the
-// rules serveConn implements.
+// frame-aligned with the differential oracle — the handshake rule above,
+// then the tagged-frame rules of simulateRequestsV2.
 func FuzzServerInput(f *testing.F) {
 	be := store.NewMem()
 	be.AddVolume(0, 0, 1<<20)
@@ -218,7 +151,7 @@ func FuzzServerInput(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append(frame(OpRead, 0, 0, 0, 512, nil), frame(OpStats, 0, 0, 0, 0, nil)...))
 	f.Add(frame(OpFlush, 0, 0, 0, 0, nil))
-	f.Add(frame(OpHello, 0, 0, 1, 0, nil)) // HELLO capped at v1: stream stays v1
+	f.Add(frame(OpHello, 0, 0, 1, 0, nil)) // HELLO offering only v1: rejected
 	f.Add(frame(OpHello, 9999, 0, 2, 0, nil))
 
 	frame2 := func(op byte, tag uint32, server, volume uint16, offset uint64, length uint32, payload []byte) []byte {
@@ -277,21 +210,12 @@ func FuzzServerInput(f *testing.F) {
 		// deadline; the close unblocks both sides immediately.
 		defer func() { conn.Close(); <-writeDone }()
 		br := bufio.NewReader(conn)
-		exps, v2Rest, switched := simulateRequests(data)
-		terminated := false
-		for _, exp := range exps {
-			if exp.noFrame {
-				terminated = true
-				break
-			}
-			readResponseFrame(t, br, exp)
-			if exp.closes {
-				terminated = true
-				break
-			}
+		reply, ok, rest := simulateHandshake(data)
+		if reply {
+			readHandshakeReply(t, br, ok)
 		}
-		if switched && !terminated {
-			verifyV2Responses(t, br, v2Rest)
+		if ok {
+			verifyV2Responses(t, br, rest)
 			return
 		}
 		// Whatever remains must be connection close, not stray bytes.

@@ -271,7 +271,6 @@ func (o *Observability) AttachServer(srv *Server) {
 	r.Counter("sievestore.server.busy_rejects", func() int64 { return srv.StatsSnapshot().BusyRejects })
 	r.Counter("sievestore.server.requests", func() int64 { return srv.StatsSnapshot().Requests })
 	r.Counter("sievestore.server.error_frames", func() int64 { return srv.StatsSnapshot().ErrorFrames })
-	r.Counter("sievestore.server.v2_conns", func() int64 { return srv.StatsSnapshot().V2Conns })
 	r.Counter("sievestore.server.pipelined_requests", func() int64 { return srv.StatsSnapshot().PipelinedReqs })
 	r.Gauge("sievestore.server.pipeline_depth", func() float64 { return float64(srv.StatsSnapshot().PipelineDepth) })
 	r.Counter("sievestore.server.vec_ops", func() int64 { return srv.StatsSnapshot().VecOps })

@@ -1,4 +1,4 @@
-// Client-side protocol v2: lazy version negotiation, the tagged request
+// Client side of the wire protocol: the lazy handshake, the tagged request
 // pipeline (per-tag completion map + one reader goroutine per
 // connection), and the ReadBatch/WriteBatch scatter/gather API.
 package appliance
@@ -6,14 +6,13 @@ package appliance
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"time"
 )
 
-// pendingOp is one in-flight v2 request's completion slot. The sender
+// pendingOp is one in-flight request's completion slot. The sender
 // registers it under the tag, the reader goroutine fills the result and
 // closes done. transport marks failures that broke the connection (the
 // retry envelope replays those); server error frames are not transport
@@ -38,161 +37,65 @@ func (p *pendingOp) reset() {
 	p.done = make(chan struct{})
 }
 
-// protoFor returns the protocol version ops should use, running the
-// lazy first-op negotiation if it hasn't happened yet.
-func (c *Client) protoFor() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0, net.ErrClosed
-	}
-	if c.proto == 0 {
-		if err := c.negotiateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return c.proto, nil
-}
-
-// negotiateLocked runs the first-op HELLO under c.mu. In auto mode a
-// server that answers with an error frame (a v1 server's "unknown op",
-// after which it closes the connection) gets one transparent redial and
-// pins v1; transport errors break the client like any v1 op's would.
-func (c *Client) negotiateLocked() error {
-	if c.broken != nil {
-		// Same envelope as exchange(): a broken connection (a busy reject,
-		// or a transport failure before the first op) redials when the
-		// retry budget allows, then negotiates on the fresh connection.
-		if c.opts.MaxReconnects <= 0 {
-			return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
-		}
-		if rerr := c.reconnectLocked(); rerr != nil {
-			return fmt.Errorf("%w: %w", ErrBrokenConn, rerr)
-		}
-	}
-	ver, err := c.helloExchangeLocked()
-	switch {
-	case err == nil && ver >= ProtocolV2:
-		c.proto = ProtocolV2
-		c.startReaderLocked()
-		return nil
-	case err == nil:
-		// The server answered the HELLO but capped the version at v1.
-		if c.opts.Protocol == ProtocolV2 {
-			return fmt.Errorf("%w: server speaks only protocol v%d", ErrProtocol, ver)
-		}
-		c.proto = ProtocolV1
-		return nil
-	default:
-		var remote *RemoteError
-		if !errors.As(err, &remote) {
-			return err // transport error (already marked broken) or busy
-		}
-		// A v1 server: it reported "unknown op" and closed the connection.
-		if c.opts.Protocol == ProtocolV2 {
-			return fmt.Errorf("%w: server rejected v2 HELLO: %w", ErrProtocol, err)
-		}
-		if derr := c.redialOnceLocked(); derr != nil {
-			return derr
-		}
-		c.proto = ProtocolV1
-		return nil
-	}
-}
-
-// helloExchangeLocked performs one v1-framed HELLO round trip on the
-// current connection, returning the negotiated version. Transport errors
-// mark the connection broken.
-func (c *Client) helloExchangeLocked() (int, error) {
+// handshakeLocked opens the current connection: it sends the HELLO
+// preamble, requires the version 2 answer, and starts the connection's
+// response reader. Any failure leaves the connection broken — after an
+// error reply the server hangs up, and after anything else the wire
+// position is unknown. Caller must hold c.mu.
+func (c *Client) handshakeLocked() error {
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	h := header{op: OpHello, offset: ProtocolV2}
-	h.encode(c.hdr[:])
-	if _, err := c.bw.Write(c.hdr[:]); err != nil {
-		return 0, c.fail(err)
+	var hello [headerSize]byte
+	(&header{op: OpHello, offset: ProtocolV2}).encode(hello[:])
+	if _, err := c.bw.Write(hello[:]); err != nil {
+		return c.fail(err)
 	}
 	if err := c.bw.Flush(); err != nil {
-		return 0, c.fail(err)
+		return c.fail(err)
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(c.br, status[:]); err != nil {
-		return 0, c.fail(err)
+	status, err := c.br.ReadByte()
+	if err != nil {
+		return c.fail(err)
 	}
-	switch status[0] {
+	switch status {
 	case statusOK:
-		var ver [1]byte
-		if _, err := io.ReadFull(c.br, ver[:]); err != nil {
-			return 0, c.fail(err)
+		ver, err := c.br.ReadByte()
+		if err != nil {
+			return c.fail(err)
 		}
-		return int(ver[0]), nil
+		if ver != ProtocolV2 { // the HELLO offered nothing else
+			return c.fail(fmt.Errorf("%w: server answered HELLO with protocol v%d", ErrProtocol, ver))
+		}
 	case statusErr:
 		var lenBuf [2]byte
 		if _, err := io.ReadFull(c.br, lenBuf[:]); err != nil {
-			return 0, c.fail(err)
+			return c.fail(err)
 		}
 		msg := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
 		if _, err := io.ReadFull(c.br, msg); err != nil {
-			return 0, c.fail(err)
+			return c.fail(err)
 		}
 		if string(msg) == ErrServerBusy.Error() {
-			return 0, c.fail(ErrServerBusy)
+			// The server turned this connection away at its MaxConns limit:
+			// surface the sentinel (a later redial may find a free slot)
+			// rather than an opaque RemoteError.
+			return c.fail(ErrServerBusy)
 		}
-		// The peer is about to close this connection (v1 servers treat
-		// HELLO as an unknown op and hang up): mark it unusable so the
-		// auto-mode redial below is the only way forward.
-		c.broken = &RemoteError{Msg: string(msg)}
-		c.conn.Close()
-		return 0, c.broken
+		return c.fail(fmt.Errorf("%w: server rejected HELLO: %w", ErrProtocol, &RemoteError{Msg: string(msg)}))
 	default:
-		return 0, c.fail(fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status[0]))
+		return c.fail(fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status))
 	}
-}
-
-// helloV2Locked renegotiates v2 on a freshly redialed connection
-// (reconnectLocked); anything short of a v2 answer is an error.
-func (c *Client) helloV2Locked() error {
-	ver, err := c.helloExchangeLocked()
-	if err != nil {
-		return err
-	}
-	if ver < ProtocolV2 {
-		return fmt.Errorf("%w: server no longer speaks protocol v2 (got v%d)", ErrProtocol, ver)
-	}
-	return nil
-}
-
-// redialOnceLocked replaces the connection with a single fresh dial —
-// the v1-fallback path after a server hung up on our HELLO. It is
-// independent of the MaxReconnects budget (the server is healthy; the
-// hang-up is how v1 servers say "no") and doesn't count as a reconnect.
-func (c *Client) redialOnceLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-	if err != nil {
-		return fmt.Errorf("%w: v1 fallback redial: %w", ErrBrokenConn, err)
-	}
-	c.conn = conn
-	c.br = bufio.NewReaderSize(conn, connBufSize)
-	c.bw = bufio.NewWriterSize(conn, connBufSize)
-	c.broken = nil
-	c.gen++
-	return nil
-}
-
-// startReaderLocked launches the response reader for the current
-// connection generation.
-func (c *Client) startReaderLocked() {
-	if c.pending == nil {
-		c.pending = make(map[uint32]*pendingOp)
-	}
-	// The HELLO exchange armed a deadline that would otherwise linger:
-	// with no op in flight yet on this generation (we hold c.mu, nothing
-	// has been sent), an idle reader must not time out waiting for the
-	// first response. send2 re-arms the deadline per request.
+	// The HELLO armed a deadline that would otherwise linger: with no op in
+	// flight yet on this generation (we hold c.mu, nothing has been sent),
+	// an idle reader must not time out waiting for the first response.
+	// send2 re-arms the deadline per request.
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Time{})
 	}
+	c.ready = true
 	go c.readLoop(c.conn, c.br, c.gen)
+	return nil
 }
 
 // failConn marks the given connection generation broken (if it is still
@@ -223,7 +126,7 @@ func (c *Client) abortPending(gen int, err error) {
 	c.pendMu.Unlock()
 }
 
-// readLoop is the single response reader of one v2 connection: it
+// readLoop is the single response reader of one connection: it
 // demultiplexes tagged response frames into their pending slots, reading
 // payloads directly into the caller's buffers (no intermediate copy).
 // Any framing anomaly — unknown tag, bad magic, short read — leaves the
@@ -336,24 +239,29 @@ func (c *Client) readBody(br *bufio.Reader, p *pendingOp) error {
 	}
 }
 
-// send2 assigns a tag, registers p, and writes one v2 frame (header plus
+// send2 assigns a tag, registers p, and writes one request frame (header plus
 // payload segments, coalesced in the write buffer). A write failure
 // breaks the connection and aborts the pipeline — including p, whose
 // done channel is then already closed. Entry errors (closed client,
-// broken connection without retry budget, exhausted reconnects) are
-// returned without registering p.
+// broken connection without retry budget, exhausted reconnects, a failed
+// first handshake) are returned without registering p.
 func (c *Client) send2(h headerV2, segs [][]byte, p *pendingOp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return net.ErrClosed
 	}
-	if c.broken != nil {
+	switch {
+	case c.broken != nil:
 		if c.opts.MaxReconnects <= 0 {
 			return fmt.Errorf("%w: %w", ErrBrokenConn, c.broken)
 		}
 		if rerr := c.reconnectLocked(); rerr != nil {
 			return fmt.Errorf("%w: %w", ErrBrokenConn, rerr)
+		}
+	case !c.ready:
+		if err := c.handshakeLocked(); err != nil {
+			return err
 		}
 	}
 	h.tag = c.nextTag
@@ -395,9 +303,9 @@ func (c *Client) send2(h headerV2, segs [][]byte, p *pendingOp) error {
 	return nil
 }
 
-// do2 runs one pipelined v2 op to completion, with the same
-// redial-and-replay envelope exchange() gives v1 ops: transport failures
-// are retried up to MaxReconnects times, server error frames are not.
+// do2 runs one pipelined op to completion inside the redial-and-replay
+// envelope: transport failures are retried up to MaxReconnects times,
+// server error frames are not.
 func (c *Client) do2(h headerV2, segs [][]byte, p *pendingOp) error {
 	for attempt := 0; ; attempt++ {
 		p.reset()
@@ -409,7 +317,7 @@ func (c *Client) do2(h headerV2, segs [][]byte, p *pendingOp) error {
 			return p.err
 		}
 		// Transport failure with retry budget left: the next send2 finds
-		// the connection broken, redials (re-HELLOing v2), and replays.
+		// the connection broken, redials (handshaking again), and replays.
 	}
 }
 
@@ -439,50 +347,24 @@ func validateBatch(exts []Extent) error {
 	return nil
 }
 
-// ReadBatch fills every extent's Data in one scatter/gather round trip
-// (protocol v2). Against a v1 server the batch degrades to sequential
-// per-extent reads. The batch is all-or-nothing: any extent's failure
-// fails the whole call and leaves all Data contents undefined.
+// ReadBatch fills every extent's Data in one scatter/gather round trip.
+// The batch is all-or-nothing: any extent's failure fails the whole call
+// and leaves all Data contents undefined.
 func (c *Client) ReadBatch(exts []Extent) error {
 	if err := validateBatch(exts); err != nil {
 		return err
-	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto != ProtocolV2 {
-		for _, e := range exts {
-			if err := c.ReadAt(e.Server, e.Volume, e.Data, e.Off); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	table := appendExtentTable(nil, exts)
 	return c.do2(headerV2{op: OpReadV, length: uint32(len(table))},
 		[][]byte{table}, &pendingOp{op: OpReadV, vec: exts})
 }
 
-// WriteBatch writes every extent's Data in one scatter/gather round trip
-// (protocol v2). Against a v1 server the batch degrades to sequential
-// per-extent writes. Like concurrent WriteAt calls, a failure can leave
-// a mix of applied and unapplied extents.
+// WriteBatch writes every extent's Data in one scatter/gather round trip.
+// Like concurrent WriteAt calls, a failure can leave a mix of applied and
+// unapplied extents.
 func (c *Client) WriteBatch(exts []Extent) error {
 	if err := validateBatch(exts); err != nil {
 		return err
-	}
-	proto, err := c.protoFor()
-	if err != nil {
-		return err
-	}
-	if proto != ProtocolV2 {
-		for _, e := range exts {
-			if err := c.WriteAt(e.Server, e.Volume, e.Data, e.Off); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	table := appendExtentTable(nil, exts)
 	segs := make([][]byte, 0, len(exts)+1)

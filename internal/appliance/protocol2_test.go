@@ -15,7 +15,7 @@ import (
 	"time"
 )
 
-// --- negotiation & interop -------------------------------------------------
+// --- handshake -------------------------------------------------------------
 
 func TestV2NegotiatedByDefault(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{})
@@ -33,98 +33,105 @@ func TestV2NegotiatedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Error("round trip mismatch over v2")
+		t.Error("round trip mismatch")
 	}
-	c.mu.Lock()
-	proto := c.proto
-	c.mu.Unlock()
-	if proto != ProtocolV2 {
-		t.Fatalf("negotiated proto = %d, want %d", proto, ProtocolV2)
-	}
-	if srv.StatsSnapshot().V2Conns != 1 {
-		t.Fatalf("V2Conns = %d, want 1", srv.StatsSnapshot().V2Conns)
+	// One connection, one HELLO, then the two ops as tagged frames.
+	if snap := srv.StatsSnapshot(); snap.TotalConns != 1 || snap.Requests != 3 || snap.ErrorFrames != 0 {
+		t.Fatalf("conns=%d requests=%d errorFrames=%d, want 1/3/0", snap.TotalConns, snap.Requests, snap.ErrorFrames)
 	}
 }
 
-// A client pinned to v1 must interoperate unchanged with a v2-capable
-// server: no HELLO is ever sent, and the whole exchange stays v1-framed.
-func TestV1ClientAgainstV2Server(t *testing.T) {
+// Nothing but a HELLO offering v2 opens a connection: a peer speaking the
+// deleted v1 framing (or garbage) gets at most one untagged error reply and
+// a close, and its bytes never reach the store or the pipeline.
+func TestPreHandshakeFramesRejected(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{})
-	c, err := DialWith(addr, DialOptions{Protocol: ProtocolV1})
-	if err != nil {
-		t.Fatal(err)
+	frame := func(h header, payload []byte) []byte {
+		buf := make([]byte, headerSize, headerSize+len(payload))
+		h.encode(buf)
+		return append(buf, payload...)
 	}
-	defer c.Close()
-	data := bytes.Repeat([]byte{0x3C}, 2048)
-	if err := c.WriteAt(0, 0, data, 0); err != nil {
-		t.Fatal(err)
+	badMagic := frame(header{op: OpHello, offset: ProtocolV2}, nil)
+	badMagic[0] = 0x00
+	cases := []struct {
+		name      string
+		in        []byte
+		wantReply bool
+	}{
+		{"v1 read", frame(header{op: OpRead, length: 512}, nil), true},
+		{"v1 write with payload", frame(header{op: OpWrite, length: 512}, make([]byte, 512)), true},
+		{"HELLO offering v1", frame(header{op: OpHello, offset: 1}, nil), true},
+		{"bad magic", badMagic, true},
+		{"truncated preamble", frame(header{op: OpHello, offset: ProtocolV2}, nil)[:headerSize-5], false},
 	}
-	got := make([]byte, 2048)
-	if err := c.ReadAt(0, 0, got, 0); err != nil {
-		t.Fatal(err)
+	wantErrFrames := int64(0)
+	for _, tc := range cases {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(tc.in); err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		got, err := io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: connection not closed by the server: %v", tc.name, err)
+		}
+		if !tc.wantReply {
+			if len(got) != 0 {
+				t.Errorf("%s: got % x, want a bare close", tc.name, got)
+			}
+			continue
+		}
+		wantErrFrames++
+		if len(got) < 3 || got[0] != statusErr || int(binary.BigEndian.Uint16(got[1:3])) != len(got)-3 {
+			t.Errorf("%s: got % x, want exactly one error reply", tc.name, got)
+		}
 	}
-	if !bytes.Equal(got, data) {
-		t.Error("v1 round trip mismatch")
+	if st := srv.store.Stats(); st.Reads+st.Writes != 0 {
+		t.Errorf("store saw %d reads and %d writes from rejected peers", st.Reads, st.Writes)
 	}
-	if _, err := c.Stats(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n := srv.StatsSnapshot().V2Conns; n != 0 {
-		t.Fatalf("V2Conns = %d, want 0 for a v1-pinned client", n)
-	}
-}
-
-// An auto client against a v1-only server falls back transparently: the
-// server answers the HELLO with an unknown-op error and hangs up, the
-// client redials once and pins v1. The fallback redial must not count as
-// a reconnect (the server is healthy).
-func TestAutoClientFallsBackToV1OnlyServer(t *testing.T) {
-	_, addr := startServerWith(t, ServerOptions{MaxProtocol: ProtocolV1})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	data := bytes.Repeat([]byte{0x55}, 512)
-	if err := c.WriteAt(0, 0, data, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 512)
-	if err := c.ReadAt(0, 0, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("fallback round trip mismatch")
-	}
-	c.mu.Lock()
-	proto := c.proto
-	c.mu.Unlock()
-	if proto != ProtocolV1 {
-		t.Fatalf("proto after fallback = %d, want %d", proto, ProtocolV1)
-	}
-	if n := c.Reconnects(); n != 0 {
-		t.Fatalf("fallback redial counted as %d reconnects, want 0", n)
+	snap := srv.StatsSnapshot()
+	if snap.PipelineDepth != 0 || snap.ErrorFrames != wantErrFrames {
+		t.Errorf("PipelineDepth = %d, ErrorFrames = %d, want 0 and %d", snap.PipelineDepth, snap.ErrorFrames, wantErrFrames)
 	}
 }
 
-func TestV2RequiredAgainstV1OnlyServer(t *testing.T) {
-	_, addr := startServerWith(t, ServerOptions{MaxProtocol: ProtocolV1})
-	c, err := DialWith(addr, DialOptions{Protocol: ProtocolV2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("err = %v, want ErrProtocol", err)
+// The client side of the same rule: any HELLO reply but OK | 2 fails the op
+// with ErrProtocol and leaves the connection broken.
+func TestClientRejectsBadHelloReply(t *testing.T) {
+	for name, reply := range map[string][]byte{
+		"error reply":    {statusErr, 0, 4, 'n', 'o', 'p', 'e'},
+		"older version":  {statusOK, 1},
+		"newer version":  {statusOK, 3},
+		"invalid status": {0x07, 0},
+	} {
+		addr := scriptServer(t, func(conn net.Conn) {
+			defer conn.Close()
+			io.ReadFull(conn, make([]byte, headerSize))
+			conn.Write(reply)
+			io.Copy(io.Discard, conn)
+		})
+		c, err := DialWith(addr, DialOptions{Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: err = %v, want ErrProtocol", name, err)
+		}
+		if err := c.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrBrokenConn) {
+			t.Errorf("%s: second op: err = %v, want ErrBrokenConn", name, err)
+		}
+		c.Close()
 	}
 }
 
 // --- pipelining ------------------------------------------------------------
 
-// Many goroutines share one v2 connection; the server completes their
+// Many goroutines share one connection; the server completes their
 // tagged requests concurrently (and, under load, out of order). Run with
 // -race to exercise the tag map, the reader goroutine, and the server's
 // per-connection write mutex.
@@ -268,39 +275,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// Against a v1-only server the batch API degrades to per-extent scalar
-// ops — same data, more round trips.
-func TestBatchFallsBackToScalarOnV1(t *testing.T) {
-	srv, addr := startServerWith(t, ServerOptions{MaxProtocol: ProtocolV1})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	exts := []Extent{
-		{Server: 0, Volume: 0, Off: 0, Data: bytes.Repeat([]byte{0xD1}, 512)},
-		{Server: 0, Volume: 0, Off: 4096, Data: bytes.Repeat([]byte{0xD2}, 1024)},
-	}
-	if err := c.WriteBatch(exts); err != nil {
-		t.Fatal(err)
-	}
-	got := []Extent{
-		{Server: 0, Volume: 0, Off: 0, Data: make([]byte, 512)},
-		{Server: 0, Volume: 0, Off: 4096, Data: make([]byte, 1024)},
-	}
-	if err := c.ReadBatch(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i].Data, exts[i].Data) {
-			t.Fatalf("extent %d mismatch after v1 fallback", i)
-		}
-	}
-	if n := srv.StatsSnapshot().VecOps; n != 0 {
-		t.Errorf("VecOps = %d on a v1 connection, want 0", n)
-	}
-}
-
 func TestBatchValidation(t *testing.T) {
 	c := &Client{} // validation happens before any wire traffic
 	if err := c.ReadBatch(nil); !errors.Is(err, ErrProtocol) {
@@ -332,7 +306,7 @@ func TestVectorErrorKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteAt(0, 0, make([]byte, 512), 0); err != nil { // negotiate v2
+	if err := c.WriteAt(0, 0, make([]byte, 512), 0); err != nil { // handshake
 		t.Fatal(err)
 	}
 	// Hand-craft an OpReadV whose extent table is structurally valid but
@@ -353,9 +327,13 @@ func TestVectorErrorKeepsConnection(t *testing.T) {
 
 // --- flush & group commit over the wire ------------------------------------
 
+// Both legal values of DialOptions.Protocol mean the one protocol.
 func TestClientFlushBothProtocols(t *testing.T) {
-	for _, proto := range []int{ProtocolV1, ProtocolAuto} {
-		_, addr := startServerWith(t, ServerOptions{})
+	_, addr := startServerWith(t, ServerOptions{})
+	if _, err := DialWith(addr, DialOptions{Protocol: 1}); err == nil {
+		t.Fatal("DialWith accepted Protocol 1")
+	}
+	for _, proto := range []int{0, ProtocolV2} {
 		c, err := DialWith(addr, DialOptions{Protocol: proto})
 		if err != nil {
 			t.Fatal(err)
@@ -398,32 +376,32 @@ func TestInvalidateRejectsBadLength(t *testing.T) {
 	}
 }
 
+// statsLenServer is a fake appliance that completes the handshake and
+// answers the first request with an OK stats frame claiming an n-byte body.
+func statsLenServer(t *testing.T, n uint32) string {
+	return scriptServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if !serveHelloV2(br, conn) {
+			return
+		}
+		h2 := make([]byte, headerSizeV2)
+		if _, err := io.ReadFull(br, h2); err != nil {
+			return
+		}
+		resp := make([]byte, respHeadV2+4)
+		respHead(resp, binary.BigEndian.Uint32(h2[2:6]), statusOK)
+		binary.BigEndian.PutUint32(resp[respHeadV2:], n)
+		conn.Write(resp)
+		io.Copy(io.Discard, br)
+	})
+}
+
 // Regression: the client's stats reader allocated make([]byte, n) from
 // the untrusted u32 length prefix — a corrupt server could force a ~4 GiB
 // allocation. The client must reject oversized stats payloads instead.
 func TestStatsPayloadBounded(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		hdr := make([]byte, headerSize)
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return
-		}
-		// statusOK + an absurd u32 stats length. A pre-fix client would
-		// try to allocate and read 4 GiB; a fixed one rejects on sight.
-		resp := []byte{statusOK, 0xFF, 0xFF, 0xFF, 0xFF}
-		conn.Write(resp)
-	}()
-	c, err := DialWith(l.Addr().String(), DialOptions{Protocol: ProtocolV1, Timeout: 2 * time.Second})
+	c, err := DialWith(statsLenServer(t, 0xFFFFFFFF), DialOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,35 +411,10 @@ func TestStatsPayloadBounded(t *testing.T) {
 	}
 }
 
-// The v2 stats reader is bounded the same way.
+// The bound is exact — one byte over maxStatsBytes is refused — and past
+// it the stream cannot be resynchronized, so the connection breaks.
 func TestStatsPayloadBoundedV2(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		br := bufio.NewReader(conn)
-		hdr := make([]byte, headerSize)
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return // HELLO
-		}
-		conn.Write([]byte{statusOK, ProtocolV2})
-		h2 := make([]byte, headerSizeV2)
-		if _, err := io.ReadFull(br, h2); err != nil {
-			return // the stats request, v2-framed
-		}
-		resp := make([]byte, respHeadV2+4)
-		respHead(resp, binary.BigEndian.Uint32(h2[2:6]), statusOK)
-		binary.BigEndian.PutUint32(resp[respHeadV2:], 0xFFFFFFFF)
-		conn.Write(resp)
-	}()
-	c, err := DialWith(l.Addr().String(), DialOptions{Timeout: 2 * time.Second})
+	c, err := DialWith(statsLenServer(t, maxStatsBytes+1), DialOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,49 +422,7 @@ func TestStatsPayloadBoundedV2(t *testing.T) {
 	if _, err := c.Stats(); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("err = %v, want ErrProtocol", err)
 	}
-}
-
-// Regression: serveConn's per-connection payload buffer only ever grew,
-// so one 8 MiB write pinned 8 MiB per connection for its lifetime. Now
-// buffers over payloadKeep go through the shared pool and are released
-// after the response, so steady-state heap stays near baseline.
-func TestServeConnPayloadReleased(t *testing.T) {
-	_, addr := startServerWith(t, ServerOptions{})
-	const conns = 4
-	const big = 8 << 20
-	clients := make([]*Client, conns)
-	for i := range clients {
-		c, err := DialWith(addr, DialOptions{Protocol: ProtocolV1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	payload := make([]byte, big)
-	for _, c := range clients {
-		if err := c.WriteAt(0, 0, payload, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Keep the connections alive with small traffic, then measure: the
-	// big buffers must be poolable garbage, not per-connection residents.
-	small := make([]byte, 512)
-	for _, c := range clients {
-		for i := 0; i < 4; i++ {
-			if err := c.WriteAt(0, 0, small, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	runtime.GC()
-	runtime.GC() // second cycle drops sync.Pool victims
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	// Pre-fix, the 4 connections retain 4×8 MiB. Post-fix the retained
-	// total must come in far under one connection's big payload.
-	if ms.HeapAlloc > 3*big {
-		t.Fatalf("HeapAlloc = %d MiB after big writes; oversized conn buffers look retained",
-			ms.HeapAlloc>>20)
+	if _, err := c.Stats(); !errors.Is(err, ErrBrokenConn) {
+		t.Fatalf("second call: err = %v, want ErrBrokenConn", err)
 	}
 }

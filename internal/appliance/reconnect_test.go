@@ -16,7 +16,7 @@ import (
 	"repro/internal/store"
 )
 
-// Regression tests for the v2 pipeline's behavior across auto-reconnect:
+// Regression tests for the pipeline's behavior across auto-reconnect:
 // a redial during an in-flight pipeline must never deliver a
 // stale-generation completion into a new request's buffer, and the
 // deadline bookkeeping shared by the sender and the reader must not
@@ -70,7 +70,7 @@ func scriptServer(t *testing.T, scripts ...func(conn net.Conn)) string {
 	return l.Addr().String()
 }
 
-// serveHelloV2 consumes the client's v1-framed HELLO and answers v2.
+// serveHelloV2 consumes the client's HELLO preamble and answers v2.
 func serveHelloV2(br *bufio.Reader, conn net.Conn) bool {
 	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -303,16 +303,18 @@ func dialRealServer(t *testing.T, opts DialOptions) (*Client, string) {
 // connection.
 func TestIdleV2ConnectionSurvivesTimeoutWindow(t *testing.T) {
 	c, _ := dialRealServer(t, DialOptions{
-		Protocol: ProtocolAuto,
-		Timeout:  150 * time.Millisecond,
+		Timeout: 150 * time.Millisecond,
 		// No reconnect budget: a reader killed by a stale deadline would
 		// permanently break the client and fail the ops below.
 		MaxReconnects: 0,
 	})
-	// Negotiate v2 without sending a single op: the reader now idles on
-	// a connection whose HELLO armed a deadline.
-	if proto, err := c.protoFor(); err != nil || proto != ProtocolV2 {
-		t.Fatalf("negotiation: proto=%d err=%v", proto, err)
+	// Handshake without sending a single op: the reader now idles on a
+	// connection whose HELLO armed a deadline.
+	c.mu.Lock()
+	err := c.handshakeLocked()
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatalf("handshake: %v", err)
 	}
 	time.Sleep(450 * time.Millisecond)
 	data := make([]byte, 512)

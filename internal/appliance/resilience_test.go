@@ -200,6 +200,60 @@ func TestServerIdleTimeoutDropsDeadPeer(t *testing.T) {
 	}
 }
 
+// Regression: the per-request I/O deadline was never cleared once the
+// pipeline drained, so with IOTimeout set a connection that sat quiet
+// longer than IOTimeout was closed under a healthy client.
+func TestIOTimeoutDoesNotCloseIdleConnection(t *testing.T) {
+	const ioTimeout = 50 * time.Millisecond
+	_, addr := startServerWith(t, ServerOptions{IOTimeout: ioTimeout})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 512)
+	if err := c.ReadAt(0, 0, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(4 * ioTimeout)
+	if err := c.ReadAt(0, 0, buf, 0); err != nil {
+		t.Fatalf("read after idling 4×IOTimeout: %v", err)
+	}
+}
+
+// With both timeouts set, a quiet connection outlives the I/O bound and is
+// closed by the idle bound.
+func TestIdleTimeoutNotIOTimeoutClosesSilentPeer(t *testing.T) {
+	const (
+		ioTimeout   = 50 * time.Millisecond
+		idleTimeout = 600 * time.Millisecond
+	)
+	srv, addr := startServerWith(t, ServerOptions{IOTimeout: ioTimeout, IdleTimeout: idleTimeout})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 512)
+	if err := c.ReadAt(0, 0, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(4 * ioTimeout)
+	if err := c.ReadAt(0, 0, buf, 0); err != nil {
+		t.Fatalf("read after idling 4×IOTimeout, well inside IdleTimeout: %v", err)
+	}
+	quiet := time.Now()
+	for srv.StatsSnapshot().ActiveConns != 0 {
+		if time.Since(quiet) > 5*time.Second {
+			t.Fatal("silent connection was never dropped")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if el := time.Since(quiet); el < idleTimeout {
+		t.Fatalf("silent connection dropped after %v, before the %v idle bound", el, idleTimeout)
+	}
+}
+
 func TestClientRoundTripTimeout(t *testing.T) {
 	// A listener that accepts and then never responds models a hung
 	// appliance; the per-roundtrip deadline must fail the op instead of

@@ -1,5 +1,5 @@
-// Server-side protocol v2: the pipelined connection loop. One reader
-// pulls tagged frames off the wire and dispatches each request to a
+// Server side of the wire protocol: the pipelined connection loop. One
+// reader pulls tagged frames off the wire and dispatches each request to a
 // worker (bounded by ServerOptions.MaxPipeline); workers complete out of
 // order, staging responses under a per-connection write mutex. Reads are
 // served zero-copy from pinned cache frames where the blocks are
@@ -21,11 +21,11 @@ import (
 	"repro/internal/core"
 )
 
-// serveConnV2 takes over a connection that negotiated protocol v2. The
-// terminating conditions mirror serveConn's: a malformed header, an
-// unknown op, or a redundant HELLO close the connection after an error
-// frame — but only after every in-flight worker has responded, so the
-// closer error frame is deterministically the last frame on the wire.
+// serveConnV2 takes over a connection once serveConn has answered its
+// HELLO. A malformed header, an unknown op, or a redundant HELLO close the
+// connection after an error frame — but only after every in-flight worker
+// has responded, so the closer error frame is deterministically the last
+// frame on the wire.
 // Malformed vector payloads and out-of-range ids answer an error frame
 // and keep the connection (the payload was fully consumed, so the stream
 // stays frame-aligned).
@@ -43,14 +43,25 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 	// Drain workers before serveConn's deferred conn.Close(): every
 	// accepted request gets its response bytes staged and flushed.
 	defer wg.Wait()
+	// quiesce sets the read deadline of a connection with nothing in
+	// flight: the idle bound if there is one, else none — the last
+	// request's I/O deadline must not fire on a peer that is merely quiet.
+	// Best-effort between pipelined bursts: a worker that drains the
+	// pipeline can run this just after the reader armed the next request's
+	// deadline, which then waits on the idle bound instead.
+	quiesce := func() {
+		if s.opts.IdleTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		} else if s.opts.IOTimeout > 0 {
+			conn.SetReadDeadline(time.Time{})
+		}
+	}
 	hdr := make([]byte, headerSizeV2)
 	for {
-		// Idle enforcement is best-effort between pipelined bursts: the
-		// deadline is armed only while nothing is in flight (a worker
-		// slower than IdleTimeout must not kill the connection under the
-		// reader's feet).
-		if s.opts.IOTimeout <= 0 && s.opts.IdleTimeout > 0 && inflight.Load() == 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		// Armed only while nothing is in flight: a worker slower than
+		// IdleTimeout must not kill the connection under the reader's feet.
+		if inflight.Load() == 0 {
+			quiesce()
 		}
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			return // EOF, idle timeout, or broken connection
@@ -66,8 +77,8 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 			return
 		}
 		if s.opts.IOTimeout > 0 {
-			// Like v1: the deadline covers this request's remaining wire
-			// I/O. Pipelined responses re-arm it per arriving request.
+			// The deadline covers this request's remaining wire I/O.
+			// Pipelined responses re-arm it per arriving request.
 			conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
 		} else if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Time{})
@@ -93,19 +104,17 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 				defer func() {
 					<-sem
 					s.pipelineDepth.Add(-1)
-					// When the pipeline drains, re-arm the idle deadline:
-					// the reader is already blocked in ReadFull by now and
+					// The reader is already blocked in ReadFull by now and
 					// only checks at loop top, before this worker ran.
-					if inflight.Add(-1) == 0 && s.opts.IOTimeout <= 0 && s.opts.IdleTimeout > 0 {
-						conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+					if inflight.Add(-1) == 0 {
+						quiesce()
 					}
 					wg.Done()
 				}()
 				s.handleV2(conn, bw, &wmu, h, payload)
 			}(h, payload)
 		default:
-			// Unknown op — including a redundant OpHello — terminates,
-			// like v1.
+			// Unknown op — including a redundant OpHello — terminates.
 			poolPut(payload)
 			wg.Wait()
 			s.sendErrV2(conn, bw, &wmu, h.tag, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
@@ -118,8 +127,12 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 // pool-owned and released here.
 func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h headerV2, payload []byte) {
 	defer poolPut(payload)
-	// Same id-range guard as v1, for the ops whose header ids address
-	// blocks (vector ops carry ids per extent, checked below).
+	// Reject ids the packed block.Key cannot represent before they reach
+	// the store: MakeKey treats out-of-range components as a caller bug and
+	// panics, and a remote peer must not be able to take the daemon down
+	// with a stray header. Only the ops whose header ids address blocks
+	// (vector ops carry ids per extent, checked in parseVec). The frame is
+	// well-formed, so answer with an error and keep the connection.
 	switch h.op {
 	case OpRead, OpWrite, OpInvalidate:
 		if int(h.server) >= block.MaxServers || int(h.volume) >= block.MaxVolumes {
@@ -129,6 +142,11 @@ func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h he
 	}
 	switch h.op {
 	case OpRead:
+		// Zero-copy fast path: pin the all-hit prefix's cache frames and
+		// write them to the wire directly; only the (miss) tail is read
+		// into a scratch buffer. ReadPinned accounts and logs the pinned
+		// blocks itself, so the two halves together count exactly like one
+		// ReadAt.
 		n := int(h.length)
 		pr := s.store.ReadPinned(int(h.server), int(h.volume), n, h.offset)
 		pinned := 0

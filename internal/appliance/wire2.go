@@ -1,14 +1,15 @@
-// Wire protocol v2: tagged pipelined frames, vector (scatter/gather)
-// ops, and the version negotiation that keeps v1 peers working. See
-// DESIGN.md §11.
+// Frame layouts of the wire protocol: tagged pipelined frames and vector
+// (scatter/gather) ops. The handshake that precedes them is in the package
+// comment; see DESIGN.md §11.
 //
 //	request:  magic 'S' | op u8 | tag u32 | server u16 | volume u16 | offset u64 | length u32 | payload
 //	response: magic 'R' | tag u32 | status u8 | body
 //
-// The response body keeps the v1 per-op shapes (read payload, stats
-// u32-prefixed JSON, invalidate u32 count, error u16-prefixed message);
-// the tag lets the server complete requests out of order and the client
-// keep many in flight on one connection.
+// The response body is per op: the read payload, stats as u32-prefixed
+// JSON, the invalidate count as a u32, nothing for writes, rotate and
+// flush, and for errors a u16-prefixed message. The tag lets the server
+// complete requests out of order and the client keep many in flight on one
+// connection.
 //
 // OpReadV/OpWriteV carry an extent table in the payload:
 //
@@ -26,33 +27,29 @@ import (
 )
 
 const (
-	respMagic = 0x52 // 'R' — v2 response frames lead with this
+	respMagic = 0x52 // 'R' — tagged response frames lead with this
 
-	// OpReadV and OpWriteV are protocol-v2 scatter/gather ops: N extents
-	// in one frame, fanned out to the store's shards server-side.
+	// OpReadV and OpWriteV are scatter/gather ops: N extents in one frame,
+	// fanned out to the store's shards server-side.
 	OpReadV  = 6
 	OpWriteV = 7
-	// OpHello negotiates the protocol version. It is framed as a v1
-	// request whose offset field carries the client's maximum supported
-	// version; the OK response body is one byte, the negotiated version.
-	// A version ≥2 switches the connection to v2 framing for all
-	// subsequent frames. v1-only servers answer "unknown op" and close —
-	// the client redials and pins v1.
+	// OpHello opens a connection. It is the one frame that uses the
+	// untagged header codec: its offset field carries the client's maximum
+	// supported version and the OK reply body is one byte, the version the
+	// connection will speak. Anywhere but first it is an unknown op.
 	OpHello = 8
 	// OpFlush asks the appliance to write its dirty write-back blocks to
-	// the ensemble (a no-op for write-through appliances). Valid in both
-	// protocol versions; concurrent flushes group-commit server-side when
-	// -group-commit-window is set.
+	// the ensemble (a no-op for write-through appliances). Concurrent
+	// flushes group-commit server-side when -group-commit-window is set.
 	OpFlush = 9
 
 	headerSizeV2 = 1 + 1 + 4 + 2 + 2 + 8 + 4 // magic op tag server volume offset length
 	respHeadV2   = 1 + 4 + 1                 // magic tag status
 
-	// Protocol versions for DialOptions.Protocol and
-	// ServerOptions.MaxProtocol.
-	ProtocolAuto = 0 // client: negotiate v2, fall back to v1; server: zero value = v2
-	ProtocolV1   = 1
-	ProtocolV2   = 2
+	// ProtocolV2 is the version the HELLO offers and the reply confirms —
+	// the only one there is (version 1, an untagged one-at-a-time framing,
+	// was deleted; see the package comment).
+	ProtocolV2 = 2
 
 	// MaxVecExtents bounds the extent count of one OpReadV/OpWriteV frame.
 	MaxVecExtents = 1024
@@ -64,20 +61,13 @@ const (
 	// allocation. Real core.Stats JSON is well under 4 KiB.
 	maxStatsBytes = 4 << 20
 
-	// defaultMaxPipeline is how many pipelined requests one v2 connection
-	// may have in flight server-side before the reader stops pulling new
+	// defaultMaxPipeline is how many pipelined requests one connection may
+	// have in flight server-side before the reader stops pulling new
 	// frames (ServerOptions.MaxPipeline = 0).
 	defaultMaxPipeline = 32
-
-	// payloadKeep is the largest request-payload buffer a v1 connection
-	// keeps resident between requests; anything larger is borrowed from
-	// the shared payloadPool per request and released right after the
-	// response — so one 16 MiB request no longer pins 16 MiB per
-	// connection for its lifetime.
-	payloadKeep = 64 << 10
 )
 
-// headerV2 is the fixed-size request prefix of a v2 frame: the v1 header
+// headerV2 is the fixed-size prefix of a request frame: the HELLO's header
 // with a u32 tag after the op byte.
 type headerV2 struct {
 	op     byte
@@ -116,7 +106,7 @@ func decodeHeaderV2(buf []byte) (headerV2, error) {
 	return h, nil
 }
 
-// respHead stamps a v2 response prefix into buf.
+// respHead stamps a response prefix into buf.
 func respHead(buf []byte, tag uint32, status byte) {
 	buf[0] = respMagic
 	binary.BigEndian.PutUint32(buf[1:5], tag)
@@ -160,7 +150,7 @@ func appendExtentTable(buf []byte, exts []Extent) []byte {
 // remaining bytes (OpWriteV data; must be empty for OpReadV), and the
 // total data length. Per-extent and total lengths are bounded by
 // MaxIOBytes; id-range checks against block.MaxServers/MaxVolumes are the
-// server's (it answers an error frame, like v1 does for scalar ops).
+// server's (it answers an error frame, as it does for scalar ops).
 func decodeExtentTable(p []byte) (tab []wireExtent, rest []byte, total int, err error) {
 	if len(p) < 2 {
 		return nil, nil, 0, fmt.Errorf("%w: vector frame too short", ErrProtocol)
@@ -216,25 +206,4 @@ func poolPut(b []byte) {
 	}
 	b = b[:0]
 	payloadPool.Put(&b)
-}
-
-// connPayload manages a v1 connection's request-payload buffer: a small
-// buffer stays resident across requests (the common case) while
-// oversized ones go through the shared pool per request.
-type connPayload struct{ small []byte }
-
-func (cp *connPayload) get(n int) []byte {
-	if n <= payloadKeep {
-		if cap(cp.small) < n {
-			cp.small = make([]byte, payloadKeep)
-		}
-		return cp.small[:n]
-	}
-	return poolGet(n)
-}
-
-func (cp *connPayload) put(b []byte) {
-	if cap(b) > payloadKeep {
-		poolPut(b)
-	}
 }
