@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover loc bench bench-verify bench-e2e experiments experiments-quick fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-cluster test-tenant cover loc bench bench-verify bench-e2e ab experiments experiments-quick fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
@@ -100,6 +100,16 @@ bench-verify:
 # workload, end-to-end metrics. The headline numbers come from here.
 bench-e2e:
 	$(GO) run -C bench . -workload all
+
+# Parent-vs-change on one benchmark workload, the way every speed claim in
+# CHANGES.md is measured: `make ab PARENT=<rev> WORKLOAD=lib_trace PAIRS=10`
+# builds bench/ from a checkout of PARENT and from the working tree, runs
+# alternating same-seed pairs and prints per-pair ratios, medians, quartiles
+# and wins for every end-to-end metric (see ab.sh; SECONDS sizes the stream).
+PAIRS ?= 10
+SECONDS ?= 15
+ab:
+	./ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # Full evaluation at the default reproduction scale (minutes).
 experiments:

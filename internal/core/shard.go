@@ -216,12 +216,16 @@ func (sh *shard) writeFrameLocked(slot uint32, data []byte) uint32 {
 	return to
 }
 
-// maybeAdmit consults the sieve (VariantC) and installs the block on
-// approval — dirty, for a write-back write — reporting whether it was
-// admitted. VariantD never admits continuously.
-func (sh *shard) maybeAdmit(key block.Key, data []byte, kind block.Kind, now time.Time, dirty bool) bool {
+// sieveAdmits offers a block that missed at now to the sieve (VariantC;
+// VariantD never admits continuously) and reports its decision. run is the
+// caller's sieve run for this visit to the shard, opened here at the
+// visit's first miss.
+func (sh *shard) sieveAdmits(run *sieve.Run, key block.Key, now time.Time) bool {
 	if sh.sieveC == nil {
 		return false
+	}
+	if *run == (sieve.Run{}) {
+		*run = sh.sieveC.Begin(now.Sub(sh.store.sieveBase).Nanoseconds())
 	}
 	// Tenant QoS raises the tenant's effective sieve threshold: by the
 	// soft-throttle penalty when its endurance bucket runs low, and to an
@@ -232,10 +236,12 @@ func (sh *shard) maybeAdmit(key block.Key, data []byte, kind block.Kind, now tim
 	if a := sh.store.acct; a != nil {
 		extra, _ = a.Admission(tenant.IDOf(key), now)
 	}
-	acc := block.Access{Time: now.Sub(sh.store.sieveBase).Nanoseconds(), Key: key, Kind: kind}
-	if !sh.sieveC.ShouldAllocateN(acc, extra) {
-		return false
-	}
+	return run.Admit(key, extra)
+}
+
+// installAdmitted installs a block the sieve admitted — dirty, for a
+// write-back write — and charges the allocation-write.
+func (sh *shard) installAdmitted(key block.Key, data []byte, dirty bool) bool {
 	slot, ok := sh.install(key, data)
 	if !ok {
 		return false
@@ -246,6 +252,14 @@ func (sh *shard) maybeAdmit(key block.Key, data []byte, kind block.Kind, now tim
 	sh.stats.AllocWrites++
 	sh.tenantAllocWrite(key, 1)
 	return true
+}
+
+// countBackendReadsLocked charges n ensemble reads that fetched bytes for
+// a read's misses.
+func (sh *shard) countBackendReadsLocked(n, bytes int64) {
+	sh.stats.BackendReads += n
+	sh.stats.BackendBytesRead += bytes
+	sh.stats.BackendBytesServedRead += bytes
 }
 
 // install copies data into a slot for key, evicting (and, in write-back

@@ -286,7 +286,7 @@ type Stats struct {
 	BackendBytesWritten    int64
 	CacheBytesServed       int64 // bytes of reads served from cache
 	BackendBytesServedRead int64
-	CoalescedReads         int64 // miss blocks served by joining another caller's in-flight fetch
+	CoalescedReads         int64 // miss blocks served by joining another caller's write or admitted fetch in flight
 	RotateFailures         int64 // epoch rotations aborted before the swap by a backend or log error (VariantD)
 	ResetFailures          int64 // epoch log resets that failed after the swap committed — the rotation still counts in Epochs (VariantD)
 	FlushErrors            int64 // dirty write-backs that failed (the blocks stay dirty and resident)
@@ -743,9 +743,7 @@ func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics
 	sh.stats.Reads += int64(nBlocks)
 	sh.stats.ReadHits += servedDirty
 	sh.stats.CacheBytesServed += servedDirty * block.Size
-	sh.stats.BackendReads += nReads
-	sh.stats.BackendBytesRead += nBytes
-	sh.stats.BackendBytesServedRead += nBytes
+	sh.countBackendReadsLocked(nReads, nBytes)
 	sh.mu.Unlock()
 	s.tenantAccess(server, volume, int64(nBlocks), false)
 	s.tenantHits(server, volume, servedDirty)
@@ -921,21 +919,20 @@ func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, 
 }
 
 // ReadAt reads len(p) bytes from the volume at off, serving cached blocks
-// from the cache and the rest from the backend. Missing blocks are offered
-// to the sieve and admitted only if it approves.
-//
-// The backend fetch happens without any shard lock: missing keys are first
-// reserved in their shard's in-flight table (misses already being fetched
-// by another caller are joined rather than refetched), then read from the
-// ensemble, and finally — under the shard lock again — offered to the
-// sieve and installed.
+// from the cache and the rest from the backend, straight into p and with
+// no shard lock held. Missing blocks are offered to the sieve first. Only
+// the few it admits are reserved in their shard's in-flight table (so that
+// concurrent misses of one join rather than refetch, and an intervening
+// write or Invalidate can veto the install) and installed, under the shard
+// lock again, after the fetch; a rejected block leaves no trace in the
+// store beyond its sieve count and the backend counters.
 func (s *Store) ReadAt(server, volume int, p []byte, off uint64) error {
 	return s.do("read", &s.histRead, &s.errRead, s.readCached, s.bypassRead, server, volume, p, off)
 }
 
-// miss is one block a read did not find: owned (this call fetches it) or
-// joined (another call's flight will deliver it). idx is its position in
-// the request.
+// miss is one block a read did not find and has a flight for: admitted
+// (this call fetches and installs it; sh is its shard) or joined (another
+// call's flight will deliver it). idx is its position in the request.
 type miss struct {
 	idx int
 	f   *flight
@@ -955,15 +952,20 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	key0 := block.MakeKey(server, volume, first)
 
 	// Classify: one critical section per shard, shards ascending, each
-	// shard's blocks in request order — so a shard's recency order moves
-	// exactly as a block-by-block walk would move it. A hit is one index
-	// probe, one relink and one copy.
+	// shard's blocks in request order — so a shard's recency order and its
+	// sieve's counts move exactly as a block-by-block walk would move them.
+	// A hit is one index probe, one relink and one copy. A miss with no
+	// flight to join is offered to the sieve, and takes a flight only if
+	// admitted; its position overwrites the spent front of order.
 	var orderBuf [orderInline]uint64
-	var mineBuf, joinedBuf [8]miss
+	var admittedBuf, joinedBuf [8]miss
 	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
-	mine, joined := mineBuf[:0], joinedBuf[:0]
+	admitted, joined := admittedBuf[:0], joinedBuf[:0]
+	var now time.Time // the sieve's clock, read once a block has actually missed
+	fetch := 0
 	for lo := 0; lo < len(order); {
 		sh, hi := s.shardRun(order, lo)
+		var run sieve.Run
 		sh.mu.Lock()
 		hits := 0
 		for _, e := range order[lo:hi] {
@@ -979,12 +981,19 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 				f.waiters++
 				f.waitLocked()
 				sh.stats.CoalescedReads++
-				joined = append(joined, miss{idx: i, f: f, sh: sh})
+				joined = append(joined, miss{idx: i, f: f})
 				continue
 			}
-			f := &flight{}
-			sh.inflight[key] = f
-			mine = append(mine, miss{idx: i, f: f, sh: sh})
+			if fetch == 0 {
+				now = s.now()
+			}
+			order[fetch] = uint64(i)
+			fetch++
+			if sh.sieveAdmits(&run, key, now) {
+				f := &flight{}
+				sh.inflight[key] = f
+				admitted = append(admitted, miss{idx: i, f: f, sh: sh})
+			}
 		}
 		sh.stats.Reads += int64(hi - lo)
 		sh.stats.ReadHits += int64(hits)
@@ -992,32 +1001,43 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 		sh.mu.Unlock()
 		lo = hi
 	}
-	s.tenantHits(server, volume, int64(nBlocks-len(mine)-len(joined)))
+	s.tenantHits(server, volume, int64(nBlocks-fetch-len(joined)))
 	if tr != nil {
-		tr.Misses = len(mine)
+		tr.Misses = fetch
 		tr.Coalesced = len(joined)
-		tr.Hits = nBlocks - len(mine) - len(joined)
+		tr.Hits = nBlocks - fetch - len(joined)
 	}
-	if len(mine)+len(joined) == 0 {
-		return nil
+	if fetch > 0 {
+		if err := s.readMisses(key0, p, order[:fetch], admitted, tr); err != nil {
+			return err
+		}
 	}
-	return s.readMisses(key0, p, mine, joined, order, tr)
+	// Join coalesced misses last: every flight this call owns is already
+	// completed, so blocking here cannot deadlock. A joined flight that
+	// failed is re-fetched as a plain rejected miss.
+	for _, m := range joined {
+		if <-m.f.done; m.f.err == nil {
+			copy(p[m.idx*block.Size:(m.idx+1)*block.Size], m.f.data)
+		} else if s.closed.Load() {
+			return ErrClosed
+		} else if err := s.readMisses(key0, p, []uint64{uint64(m.idx)}, nil, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// readMisses finishes a read that missed: it fetches the owned misses,
-// offers them to the sieve, completes their flights, and then waits for
-// the flights it joined. mine is in shard order, as classification left
-// it; scratch is the spent shard-order slice, big enough for mine.
-func (s *Store) readMisses(key0 block.Key, p []byte, mine, joined []miss, scratch []uint64, tr *metrics.OpTrace) error {
-	// Fetch owned misses from the ensemble in contiguous runs — lock-free,
-	// so concurrent callers overlap their backend latency. Runs follow
-	// block adjacency, not shard boundaries: backend request geometry is
-	// unchanged by sharding.
-	at := scratch[:0] // the owned blocks' positions in the request, ascending
-	for _, m := range mine {
-		at = append(at, uint64(m.idx))
+// readMisses fetches the blocks of a read that missed — at holds their
+// positions in the request — into p, then installs those the sieve admitted
+// (in shard order, as classification left them) and completes their flights.
+func (s *Store) readMisses(key0 block.Key, p []byte, at []uint64, admitted []miss, tr *metrics.OpTrace) error {
+	// Fetch from the ensemble in contiguous runs — lock-free, so concurrent
+	// callers overlap their backend latency. Runs follow block adjacency,
+	// not shard boundaries: backend request geometry is unchanged by
+	// sharding.
+	if s.shardMask != 0 {
+		slices.Sort(at)
 	}
-	slices.Sort(at)
 	var fetchErr error
 	var nReads, nBytes int64
 	okBefore := len(p) / block.Size // blocks before this position were fetched
@@ -1037,30 +1057,27 @@ func (s *Store) readMisses(key0 block.Key, p []byte, mine, joined []miss, scratc
 		lo = hi
 	}
 
-	// Re-acquire shard by shard to account, admit, and complete the owned
-	// flights. Blocks fetched before a failed run are still admitted.
-	// Backend counters are charged once, to the first shard touched. The
-	// sieve's clock is read here, where a block actually missed, and not on
-	// the way in.
-	now, admitted := s.now(), 0
-	for lo := 0; lo < len(mine); {
-		sh := mine[lo].sh
+	// One lock round charges the backend counters. Admitted blocks, if any,
+	// are installed shard by shard — those fetched before a failed run too —
+	// unless a write or Invalidate of the block (stale) or Close intervened.
+	sh := s.shardOf(key0 + block.Key(at[0]))
+	sh.mu.Lock()
+	sh.countBackendReadsLocked(nReads, nBytes)
+	sh.mu.Unlock()
+	installed := 0
+	for lo := 0; lo < len(admitted); {
+		sh := admitted[lo].sh
 		hi := lo + 1
-		for hi < len(mine) && mine[hi].sh == sh {
+		for hi < len(admitted) && admitted[hi].sh == sh {
 			hi++
 		}
 		sh.mu.Lock()
-		if lo == 0 {
-			sh.stats.BackendReads += nReads
-			sh.stats.BackendBytesRead += nBytes
-			sh.stats.BackendBytesServedRead += nBytes
-		}
-		for _, m := range mine[lo:hi] {
+		for _, m := range admitted[lo:hi] {
 			key := key0 + block.Key(m.idx)
 			if m.idx < okBefore {
 				data := p[m.idx*block.Size : (m.idx+1)*block.Size]
-				if !m.f.stale && !s.closed.Load() && sh.maybeAdmit(key, data, block.Read, now, false) {
-					admitted++
+				if !m.f.stale && !s.closed.Load() && sh.installAdmitted(key, data, false) {
+					installed++
 				}
 				m.f.publishLocked(data)
 			} else {
@@ -1072,80 +1089,9 @@ func (s *Store) readMisses(key0 block.Key, p []byte, mine, joined []miss, scratc
 		lo = hi
 	}
 	if tr != nil {
-		tr.Admitted = admitted
+		tr.Admitted = installed
 	}
-	if fetchErr != nil {
-		return fetchErr
-	}
-
-	// Join coalesced misses last: every flight this call owns is already
-	// completed above, so blocking here cannot deadlock.
-	for _, m := range joined {
-		dst := p[m.idx*block.Size : (m.idx+1)*block.Size]
-		if err := s.awaitFlight(m.sh, m.f, key0+block.Key(m.idx), dst); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// awaitFlight waits for another caller's in-flight fetch of key, which
-// the caller joined under the shard lock, and copies the result into dst.
-// If that flight failed, the block is re-fetched directly (joining yet
-// another flight if one has appeared meanwhile).
-func (s *Store) awaitFlight(sh *shard, f *flight, key block.Key, dst []byte) error {
-	for {
-		<-f.done
-		if f.err == nil {
-			copy(dst, f.data)
-			return nil
-		}
-		sh.mu.Lock()
-		if s.closed.Load() {
-			sh.mu.Unlock()
-			return ErrClosed
-		}
-		if slot, ok := sh.tab.Lookup(key); ok {
-			sh.tab.Hit(slot)
-			copy(dst, sh.frame(slot))
-			sh.stats.ReadHits++
-			sh.stats.CacheBytesServed += block.Size
-			sh.mu.Unlock()
-			return nil
-		}
-		if nf, ok := sh.inflight[key]; ok {
-			nf.waiters++
-			nf.waitLocked()
-			sh.mu.Unlock()
-			f = nf
-			continue
-		}
-		nf := &flight{}
-		sh.inflight[key] = nf
-		sh.mu.Unlock()
-
-		err := s.backend.ReadAt(key.Server(), key.Volume(), dst, key.Offset())
-
-		sh.mu.Lock()
-		if err == nil {
-			sh.stats.BackendReads++
-			sh.stats.BackendBytesRead += block.Size
-			sh.stats.BackendBytesServedRead += block.Size
-			if !nf.stale && !s.closed.Load() {
-				// Use the post-fetch clock, not the caller's pre-block one:
-				// this path may have waited on several flights, and a stale
-				// timestamp would admit through a sieve window that has in
-				// fact already expired.
-				sh.maybeAdmit(key, dst, block.Read, s.now(), false)
-			}
-			nf.publishLocked(dst)
-		} else {
-			nf.err = err
-		}
-		sh.finishLocked(key, nf)
-		sh.mu.Unlock()
-		return err
-	}
+	return fetchErr
 }
 
 // A shard-order word names one block of a request: its shard above
@@ -1262,6 +1208,7 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 					sh.stats.BackendWrites++
 					sh.stats.BackendBytesWritten += int64(len(p))
 				}
+				var run sieve.Run
 				for _, e := range order[lo:hi] {
 					i := e & orderBlock
 					key := key0 + block.Key(i)
@@ -1274,7 +1221,7 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 						sh.writeFrameLocked(slot, data)
 						sh.stats.WriteHits++
 						hits++
-					} else if sh.maybeAdmit(key, data, block.Write, now, false) {
+					} else if sh.sieveAdmits(&run, key, now) && sh.installAdmitted(key, data, false) {
 						admitted++
 					}
 				}
@@ -1293,6 +1240,7 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 	// cache: it writes through instead.
 	through := make([]bool, nBlocks)
 	s.eachShard(order, func(sh *shard, lo, hi int) {
+		var run sieve.Run
 		for _, e := range order[lo:hi] {
 			i := e & orderBlock
 			key := key0 + block.Key(i)
@@ -1305,7 +1253,7 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 				sh.setDirtyLocked(sh.writeFrameLocked(slot, data))
 				sh.stats.WriteHits++
 				hits++
-			case sh.maybeAdmit(key, data, block.Write, now, true):
+			case sh.sieveAdmits(&run, key, now) && sh.installAdmitted(key, data, true):
 				admitted++
 			default:
 				through[i] = true

@@ -62,46 +62,66 @@ func (c *CConfig) Validate() error {
 	return nil
 }
 
+// A winCounter's last word holds its newest subwindow in the low winBits —
+// compared modulo 2^winBits, exact for a counter idle under 2^55
+// subwindows — and, in an IMCT slot, a tracked count in the byte above.
+const (
+	winBits    = 56
+	winMask    = 1<<winBits - 1
+	trackedMax = 255
+)
+
 // winCounter tracks misses over the last k subwindows with rotating
 // counters (§3.3): counter i%k holds subwindow i's count; when time
 // advances, stale counters are zeroed lazily.
 type winCounter struct {
-	counts  [maxSubwindows]uint16
-	lastWin int64
+	counts [maxSubwindows]uint16
+	// last: the newest subwindow seen and, in an IMCT slot, how many
+	// MCT-tracked keys hash to the slot — exactly, until the count reaches
+	// trackedMax and sticks — so a miss on a slot with none skips the MCT.
+	last uint64
 }
 
 // bump advances the counter to subwindow win, adds one miss, and returns
-// the total count over the window.
+// the total count over the window. Counters for subwindows that have fallen
+// out of the window are zeroed; a counter idle for ≥ k subwindows is all
+// stale (the paper's last-updated check). A win behind the newest seen —
+// two callers racing a subwindow boundary — counts in the newest: rewinding
+// would make the next in-order miss zero the live subwindow.
 func (w *winCounter) bump(win int64, k int) int {
-	w.advance(win, k)
-	if w.counts[win%int64(k)] < ^uint16(0) {
-		w.counts[win%int64(k)]++
-	}
-	return w.total(k)
-}
-
-// advance zeroes out counters for subwindows that have fallen out of the
-// window. If the counter has been idle for ≥ k subwindows all counts are
-// inferred stale and zeroed (the paper's last-updated check).
-func (w *winCounter) advance(win int64, k int) {
-	if win-w.lastWin >= int64(k) {
-		for i := 0; i < k; i++ {
-			w.counts[i] = 0
-		}
-	} else {
-		for i := w.lastWin + 1; i <= win; i++ {
+	switch d := w.age(win); {
+	case d < 0:
+		win -= d
+	case d >= int64(k):
+		w.counts = [maxSubwindows]uint16{}
+	default:
+		for i := win - d + 1; i <= win; i++ {
 			w.counts[i%int64(k)] = 0
 		}
 	}
-	w.lastWin = win
-}
-
-func (w *winCounter) total(k int) int {
+	w.last = w.last&^winMask | uint64(win)&winMask
+	if c := &w.counts[win%int64(k)]; *c < ^uint16(0) {
+		*c++
+	}
 	t := 0
-	for i := 0; i < k; i++ {
-		t += int(w.counts[i])
+	for _, c := range w.counts[:k] {
+		t += int(c)
 	}
 	return t
+}
+
+// age is how many subwindows win is ahead of the newest this counter has
+// seen; negative when it is behind.
+func (w *winCounter) age(win int64) int64 {
+	return (win<<(64-winBits) - int64(w.last<<(64-winBits))) >> (64 - winBits)
+}
+
+// track moves an IMCT slot's tracked count by d as a key that hashes to it
+// enters or leaves the MCT. A saturated count stays saturated.
+func (w *winCounter) track(d int64) {
+	if w.last>>winBits < trackedMax {
+		w.last += uint64(d) << winBits
+	}
 }
 
 // CStats counts the sieve's internal traffic for reporting and tests.
@@ -146,9 +166,6 @@ func NewC(cfg CConfig) (*C, error) {
 // Name implements Policy.
 func (s *C) Name() string { return "SieveStore-C" }
 
-// Config returns the sieve's configuration.
-func (s *C) Config() CConfig { return s.cfg }
-
 // Stats returns a snapshot of the sieve's counters.
 func (s *C) Stats() CStats {
 	st := s.stats
@@ -156,69 +173,94 @@ func (s *C) Stats() CStats {
 	return st
 }
 
-// hash mixes a block key onto an IMCT slot (SplitMix64 finalizer).
-func (s *C) hash(key block.Key) int {
+// slotOf mixes a block key onto one of n IMCT slots (SplitMix64 finalizer).
+func slotOf(key block.Key, n int) int {
 	x := uint64(key)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x % uint64(len(s.imct)))
+	return int(x % uint64(n))
 }
 
-// ShouldAllocate implements Policy. On each miss the block's IMCT slot is
-// bumped; once the (aliased) slot count reaches T1 the block is tracked
-// precisely in the MCT, and once its precise count reaches T2 the block is
-// allocated. Allocation resets the block's precise state.
+// ShouldAllocate implements Policy: a run of one miss.
 func (s *C) ShouldAllocate(acc block.Access) bool {
 	return s.ShouldAllocateN(acc, 0)
 }
 
-// ShouldAllocateN is ShouldAllocate with the allocation threshold raised
-// by extra: the block allocates only once its precise count reaches
-// T2+extra. The multi-tenant layer uses it to penalize (or, with an
+// ShouldAllocateN is ShouldAllocate with Run.Admit's extra.
+func (s *C) ShouldAllocateN(acc block.Access, extra int) bool {
+	return s.Begin(acc.Time).Admit(acc.Key, extra)
+}
+
+// Run is the sieve opened at one instant for a run of misses — the blocks
+// one request missed in one shard. The subwindow is computed and the MCT
+// prune checked once, at Begin; each Admit then costs one hash and, for a
+// block the sieve rejects, touches one IMCT slot and nothing else.
+type Run struct {
+	s   *C
+	win int64
+}
+
+// Begin opens a run at time t (nanoseconds on the caller's clock). The full
+// MCT sweep (the paper prunes the MCT to eliminate stale blocks) runs once
+// per subwindow advance, dropping entries idle for a whole window; a t
+// behind the newest subwindow seen is clamped to it, so the sweep cannot
+// run twice for one boundary.
+func (s *C) Begin(t int64) Run {
+	win := t / s.subNanos
+	if win > s.lastWin {
+		s.lastWin = win
+		for key, e := range s.mct {
+			if e.age(win) >= int64(s.cfg.Subwindows) {
+				s.drop(key, &s.imct[slotOf(key, len(s.imct))])
+				s.stats.Pruned++
+			}
+		}
+	}
+	return Run{s, s.lastWin}
+}
+
+// Admit counts one missed block of the run and reports whether it is
+// allocated. The block's IMCT slot is bumped; once the (aliased) slot count
+// reaches T1 the block is tracked precisely in the MCT, and once its
+// precise count reaches T2+extra it is allocated, which resets its precise
+// state. The multi-tenant layer uses extra to penalize (or, with an
 // unreachable extra, effectively deny) a throttled tenant while its
 // counters keep accumulating — window counters saturate at 65535, so an
 // extra at or beyond that can never be crossed — and admission resumes at
 // full speed the moment the penalty is lifted.
-func (s *C) ShouldAllocateN(acc block.Access, extra int) bool {
+func (r Run) Admit(key block.Key, extra int) bool {
+	s := r.s
 	s.stats.Misses++
-	win := acc.Time / s.subNanos
-	s.maybePrune(win)
-	slot := &s.imct[s.hash(acc.Key)]
-	imctCount := slot.bump(win, s.cfg.Subwindows)
-	entry, tracked := s.mct[acc.Key]
-	if !tracked {
+	slot := &s.imct[slotOf(key, len(s.imct))]
+	imctCount := slot.bump(r.win, s.cfg.Subwindows)
+	var entry *winCounter
+	if slot.last>>winBits != 0 {
+		entry = s.mct[key]
+	}
+	if entry == nil {
 		if imctCount < s.cfg.T1 {
 			return false
 		}
 		// Promotion: begin precise tracking. The promoting miss is the
 		// block's first precisely-counted miss.
-		entry = &winCounter{lastWin: win}
-		s.mct[acc.Key] = entry
+		entry = &winCounter{last: uint64(r.win) & winMask}
+		s.mct[key] = entry
+		slot.track(1)
 		s.stats.Promotions++
 	}
-	if entry.bump(win, s.cfg.Subwindows) < s.cfg.T2+extra {
+	if entry.bump(r.win, s.cfg.Subwindows) < s.cfg.T2+extra {
 		return false
 	}
-	delete(s.mct, acc.Key)
+	s.drop(key, slot)
 	s.stats.Allocations++
 	return true
 }
 
-// maybePrune periodically sweeps stale MCT entries (the paper prunes the
-// MCT to eliminate stale blocks). A full sweep runs once per subwindow
-// advance, dropping entries idle for a whole window.
-func (s *C) maybePrune(win int64) {
-	if win == s.lastWin {
-		return
-	}
-	s.lastWin = win
-	for key, e := range s.mct {
-		if win-e.lastWin >= int64(s.cfg.Subwindows) {
-			delete(s.mct, key)
-			s.stats.Pruned++
-		}
-	}
+// drop forgets a tracked key, whose IMCT slot is slot.
+func (s *C) drop(key block.Key, slot *winCounter) {
+	delete(s.mct, key)
+	slot.track(-1)
 }

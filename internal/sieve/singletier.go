@@ -35,15 +35,8 @@ func (s *SingleTier) Name() string { return "SingleTier-IMCT" }
 
 // ShouldAllocate implements Policy.
 func (s *SingleTier) ShouldAllocate(acc block.Access) bool {
-	win := acc.Time / s.subNanos
-	x := uint64(acc.Key)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	slot := &s.imct[x%uint64(len(s.imct))]
-	return slot.bump(win, s.cfg.Subwindows) >= s.threshold
+	slot := &s.imct[slotOf(acc.Key, len(s.imct))]
+	return slot.bump(acc.Time/s.subNanos, s.cfg.Subwindows) >= s.threshold
 }
 
 var (
