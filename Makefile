@@ -104,8 +104,9 @@ bench-e2e:
 # Parent-vs-change on one benchmark workload, the way every speed claim in
 # CHANGES.md is measured: `make ab PARENT=<rev> WORKLOAD=lib_trace PAIRS=10`
 # builds bench/ from a checkout of PARENT and from the working tree, runs
-# alternating same-seed pairs and prints per-pair ratios, medians, quartiles
-# and wins for every end-to-end metric (see ab.sh; SECONDS sizes the stream).
+# alternating same-seed pairs and prints per-pair ratios, medians, quartiles,
+# wins and a faster/slower/unresolved/identical verdict for every end-to-end
+# metric (see ab.sh; SECONDS sizes the stream; WORKLOAD=all runs all four).
 PAIRS ?= 10
 SECONDS ?= 15
 ab:

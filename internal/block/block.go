@@ -82,6 +82,21 @@ func (k Key) Number() uint64 { return uint64(k) & MaxBlockNumber }
 // Offset returns the byte offset of the block within its volume.
 func (k Key) Offset() uint64 { return k.Number() * Size }
 
+// PageHash mixes the number of the 4 KiB page the block lies in (which
+// keeps the key's server and volume bits, so it is unique across the
+// ensemble) through a 64-bit avalanche. It is the one placement hash:
+// core.Store reduces it to a shard and sieved.Logger to a partition, so the
+// BlocksPerPage blocks of a page always share both, and a partition count
+// that is a multiple of the (power-of-two) shard count leaves every
+// partition holding keys of exactly one shard.
+func (k Key) PageHash() uint64 {
+	x := uint64(k) / BlocksPerPage
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return x
+}
+
 // Next returns the key of the block immediately following k in the same
 // volume. It panics if k is the last representable block of its volume.
 func (k Key) Next() Key {

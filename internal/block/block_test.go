@@ -157,3 +157,18 @@ func TestRequestFirstBlockEnd(t *testing.T) {
 		t.Errorf("End() = %d", got)
 	}
 }
+
+func TestPageHashIsPerPage(t *testing.T) {
+	// Property: the blocks of a page share a hash; the same page number on
+	// another volume, or the next page, gets another.
+	f := func(server, volume uint8, number uint32) bool {
+		k := MakeKey(int(server%MaxServers), int(volume%MaxVolumes), uint64(number))
+		first := k - k%BlocksPerPage
+		other := MakeKey((k.Server()+1)%MaxServers, k.Volume(), k.Number())
+		return k.PageHash() == first.PageHash() && k.PageHash() == (first+BlocksPerPage-1).PageHash() &&
+			k.PageHash() != (first+BlocksPerPage).PageHash() && k.PageHash() != other.PageHash()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -120,7 +120,7 @@ func withinGolden(got, want float64) bool {
 }
 
 func TestGoldenTrace(t *testing.T) {
-	for _, tc := range []struct {
+	cases := []struct {
 		name    string
 		variant Variant
 		shards  int
@@ -131,7 +131,11 @@ func TestGoldenTrace(t *testing.T) {
 		// VariantC's admissions shift slightly with sharding (per-shard
 		// IMCTs alias differently and eviction is shard-local); VariantD
 		// admits only at epoch boundaries from a global log, so its
-		// numbers are shard-count-invariant.
+		// numbers are shard-count-invariant. SieveStoreC/SIEVE/Shards8 was
+		// re-recorded when placement moved from the block to the 4 KiB page
+		// (its AllocWrites left ±1 %; SieveStoreC/Shards8 stayed inside and
+		// keeps its row); each row with Shards > 1 follows its variant's
+		// Shards1 row and must stay within 0.01 of that row's hit ratio.
 		//
 		// The LRU rows predate the Policy seam and must stay bit-identical
 		// through it; the SIEVE rows were recorded when the seam landed.
@@ -153,15 +157,21 @@ func TestGoldenTrace(t *testing.T) {
 		{"SieveStoreC/SIEVE/Shards1", VariantC, 1, "sieve",
 			goldenResult{HitRatio: 0.867063, AllocWrites: 1873, Admissions: 1873, Epochs: 0}},
 		{"SieveStoreC/SIEVE/Shards8", VariantC, 8, "sieve",
-			goldenResult{HitRatio: 0.866155, AllocWrites: 1903, Admissions: 1903, Epochs: 0}},
+			goldenResult{HitRatio: 0.865568, AllocWrites: 1940, Admissions: 1940, Epochs: 0}},
 		{"SieveStoreD/SIEVE/Shards1", VariantD, 1, "sieve",
 			goldenResult{HitRatio: 0.685907, AllocWrites: 0, Admissions: 660, Epochs: 5}},
 		{"SieveStoreD/SIEVE/Shards8", VariantD, 8, "sieve",
 			goldenResult{HitRatio: 0.685907, AllocWrites: 0, Admissions: 660, Epochs: 5}},
-	} {
+	}
+	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runGoldenWorkloadPolicy(t, tc.variant, tc.shards, tc.policy)
 			t.Logf("golden %s: %s", tc.name, formatGolden(got))
+			if tc.shards > 1 {
+				if base := cases[i-1].want.HitRatio; math.Abs(got.HitRatio-base) > 0.01 {
+					t.Errorf("hit ratio = %.6f, more than 0.01 from %s's %.6f", got.HitRatio, cases[i-1].name, base)
+				}
+			}
 			if !withinGolden(got.HitRatio, tc.want.HitRatio) {
 				t.Errorf("hit ratio = %.6f, want %.6f ±1%%", got.HitRatio, tc.want.HitRatio)
 			}

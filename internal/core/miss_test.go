@@ -181,29 +181,34 @@ func (b slowReads) ReadAt(server, volume int, p []byte, off uint64) error {
 // and is its only writer, so it knows what a read of its blocks must
 // return once its own call has completed, and checks that before every
 // mutation; at quiesce every resident frame must equal the backend. The
-// cache holds the whole range, so a wrong frame is never evicted unseen.
+// cache holds twice the range — pages hash to shards unevenly — so a wrong
+// frame is never evicted unseen.
 func TestMissesRaceWritesAndInvalidate(t *testing.T) {
 	const (
-		blocks = 64
+		blocks = 1024
 		seed   = 20260101
 	)
-	for _, shards := range []int{1, 2} {
+	for _, shards := range []int{1, 2, 8} {
 		mem := store.NewMem()
 		mem.AddVolume(0, 0, blocks*block.Size)
-		s, err := Open(slowReads{mem}, Options{CacheBytes: blocks * block.Size, Shards: shards, SieveC: twoMissSieve()})
+		s, err := Open(slowReads{mem}, Options{CacheBytes: 2 * blocks * block.Size, Shards: shards, SieveC: twoMissSieve()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// worker runs ops of 1–8 blocks at random places in [lo, hi).
+		// worker runs ops at random places in [lo, hi), page-aligned or not:
+		// of 1–8 blocks, or one time in sixteen of more than 64 KiB.
 		var wg sync.WaitGroup
 		worker := func(id, lo, hi, ops int, do func(buf []byte, first int, stamp uint64) error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed + int64(id)))
-				buf := make([]byte, 8*block.Size)
+				buf := make([]byte, 160*block.Size)
 				for i := 1; i <= ops; i++ {
 					n := 1 + rng.Intn(8)
+					if rng.Intn(16) == 0 {
+						n = 129 + rng.Intn(32)
+					}
 					first := lo + rng.Intn(hi-lo-n+1)
 					if err := do(buf[:n*block.Size], first, uint64(id)<<32|uint64(i)); err != nil {
 						t.Errorf("seed %d Shards %d worker %d op %d: %v", seed, shards, id, i, err)
@@ -251,8 +256,8 @@ func TestMissesRaceWritesAndInvalidate(t *testing.T) {
 		wg.Wait()
 
 		st, sv := s.Stats(), s.SieveStats()
-		if st.AllocWrites < 100 || sv.Misses-sv.Allocations < 100 {
-			t.Errorf("Shards %d: the run did not mix rejected and admitted misses: %+v, sieve %+v", shards, st, sv)
+		if st.AllocWrites < 100 || sv.Misses-sv.Allocations < 100 || st.Evictions != 0 {
+			t.Errorf("Shards %d: the run did not mix rejected and admitted misses, or evicted: %+v, sieve %+v", shards, st, sv)
 		}
 		want := make([]byte, block.Size)
 		for _, sh := range s.shards {
@@ -273,5 +278,50 @@ func TestMissesRaceWritesAndInvalidate(t *testing.T) {
 			sh.mu.Unlock()
 		}
 		s.Close()
+	}
+}
+
+// TestHitsProceedWhileSieveBusy pins what the sieve's own lock is for: with
+// a shard's sieve held — a page's worth of counting, or an MCT prune — a hit
+// in that shard is served at once, and only a miss waits.
+func TestHitsProceedWhileSieveBusy(t *testing.T) {
+	mem := store.NewMem()
+	mem.AddVolume(0, 0, 1<<20)
+	s, err := Open(mem, Options{CacheBytes: 64 * block.Size, SieveC: smallSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buf := make([]byte, block.PageSize)
+	if err := s.ReadAt(0, 0, buf, 0); err != nil { // smallSieve admits on the first miss
+		t.Fatal(err)
+	}
+	sh := s.shards[0]
+	sh.sieveMu.Lock()
+	read := func(off uint64) chan error {
+		done := make(chan error, 1)
+		go func() { done <- s.ReadAt(0, 0, make([]byte, block.PageSize), off) }()
+		return done
+	}
+	select {
+	case err := <-read(0):
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a hit waited for the sieve's lock")
+	}
+	miss := read(16 * block.PageSize)
+	select {
+	case <-miss:
+		t.Error("a miss got past a held sieve")
+	case <-time.After(20 * time.Millisecond):
+	}
+	sh.sieveMu.Unlock()
+	if err := <-miss; err != nil {
+		t.Error(err)
+	}
+	if st := s.Stats(); st.ReadHits != 8 || st.AllocWrites != 16 {
+		t.Errorf("ReadHits %d, AllocWrites %d, want 8 and 16", st.ReadHits, st.AllocWrites)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,98 +22,111 @@ import (
 func TestStoreMatchesReferenceModel(t *testing.T) {
 	for _, variant := range []Variant{VariantC, VariantD} {
 		t.Run(variant.String(), func(t *testing.T) {
-			const (
-				volBytes = 1 << 18 // 256 KiB playground
-				ops      = 4000
-			)
-			rng := rand.New(rand.NewSource(99))
-			clk := newFakeClock()
-			be := store.NewMem()
-			be.AddVolume(0, 0, volBytes)
-			be.AddVolume(1, 1, volBytes)
-			opts := Options{
-				CacheBytes: 32 * block.Size, // tiny: force constant eviction
-				Variant:    variant,
-				Now:        clk.Now,
-			}
-			if variant == VariantC {
-				opts.SieveC = sieve.CConfig{IMCTSize: 256, T1: 2, T2: 1, Window: time.Hour, Subwindows: 4}
-			} else {
-				opts.DThreshold = 2
-				opts.Epoch = time.Hour
-				opts.SpillDir = t.TempDir()
-			}
-			st, err := Open(be, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-
-			// Reference contents per volume.
-			model := map[[2]int][]byte{
-				{0, 0}: make([]byte, volBytes),
-				{1, 1}: make([]byte, volBytes),
-			}
-			vols := [][2]int{{0, 0}, {1, 1}}
-
-			for i := 0; i < ops; i++ {
-				v := vols[rng.Intn(len(vols))]
-				nBlocks := 1 + rng.Intn(8)
-				maxOff := volBytes/block.Size - nBlocks
-				off := uint64(rng.Intn(maxOff+1)) * block.Size
-				n := nBlocks * block.Size
-				clk.Advance(time.Duration(rng.Intn(1000)) * time.Millisecond)
-				switch rng.Intn(10) {
-				case 0, 1, 2: // write
-					data := make([]byte, n)
-					rng.Read(data)
-					if err := st.WriteAt(v[0], v[1], data, off); err != nil {
-						t.Fatalf("op %d write: %v", i, err)
-					}
-					copy(model[v][off:off+uint64(n)], data)
-				case 3: // invalidate
-					if _, err := st.Invalidate(v[0], v[1], off, n); err != nil {
-						t.Fatalf("op %d invalidate: %v", i, err)
-					}
-				case 4: // epoch rotation / time jump
-					clk.Advance(2 * time.Hour)
-					if variant == VariantD {
-						if err := st.RotateEpoch(); err != nil {
-							t.Fatalf("op %d rotate: %v", i, err)
-						}
-					}
-				default: // read (the common case, and also hot-set traffic)
-					if rng.Intn(2) == 0 {
-						off = 0 // a popular region so the cache really fills
-					}
-					got := make([]byte, n)
-					if err := st.ReadAt(v[0], v[1], got, off); err != nil {
-						t.Fatalf("op %d read: %v", i, err)
-					}
-					want := model[v][off : off+uint64(n)]
-					if !bytes.Equal(got, want) {
-						t.Fatalf("op %d: read(%d,%d)@%d diverged from model", i, v[0], v[1], off)
-					}
-				}
-				if s := st.Stats(); s.CachedBlocks > s.CapacityBlocks {
-					t.Fatalf("op %d: cache over capacity: %+v", i, s)
-				}
-			}
-			// Final sweep: every block of both volumes must match the model.
-			for _, v := range vols {
-				got := make([]byte, volBytes)
-				if err := st.ReadAt(v[0], v[1], got, 0); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, model[v]) {
-					t.Fatalf("final sweep diverged on volume %v", v)
-				}
-			}
-			st2 := st.Stats()
-			if st2.Hits() == 0 {
-				t.Error("model test never hit the cache — workload too cold to be meaningful")
+			for _, shards := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("Shards%d", shards), func(t *testing.T) { storeMatchesModel(t, variant, shards) })
 			}
 		})
+	}
+}
+
+func storeMatchesModel(t *testing.T, variant Variant, shards int) {
+	const (
+		volBytes = 1 << 18 // 256 KiB playground
+		ops      = 4000
+	)
+	rng := rand.New(rand.NewSource(99))
+	clk := newFakeClock()
+	be := store.NewMem()
+	be.AddVolume(0, 0, volBytes)
+	be.AddVolume(1, 1, volBytes)
+	opts := Options{
+		CacheBytes: 32 * block.Size, // tiny: force constant eviction
+		Shards:     shards,
+		Variant:    variant,
+		Now:        clk.Now,
+	}
+	if variant == VariantC {
+		opts.SieveC = sieve.CConfig{IMCTSize: 256, T1: 2, T2: 1, Window: time.Hour, Subwindows: 4}
+	} else {
+		opts.DThreshold = 2
+		opts.Epoch = time.Hour
+		opts.SpillDir = t.TempDir()
+	}
+	st, err := Open(be, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	// Reference contents per volume.
+	model := map[[2]int][]byte{
+		{0, 0}: make([]byte, volBytes),
+		{1, 1}: make([]byte, volBytes),
+	}
+	vols := [][2]int{{0, 0}, {1, 1}}
+
+	for i := 0; i < ops; i++ {
+		v := vols[rng.Intn(len(vols))]
+		// Mostly sub-page requests at any block offset (so they straddle
+		// pages, hence shards, as often as not); one in sixteen is longer
+		// than 64 KiB and walks a run of pages in every shard.
+		nBlocks := 1 + rng.Intn(8)
+		if rng.Intn(16) == 0 {
+			nBlocks = 129 + rng.Intn(32)
+		}
+		maxOff := volBytes/block.Size - nBlocks
+		off := uint64(rng.Intn(maxOff+1)) * block.Size
+		n := nBlocks * block.Size
+		clk.Advance(time.Duration(rng.Intn(1000)) * time.Millisecond)
+		switch rng.Intn(10) {
+		case 0, 1, 2: // write
+			data := make([]byte, n)
+			rng.Read(data)
+			if err := st.WriteAt(v[0], v[1], data, off); err != nil {
+				t.Fatalf("op %d write: %v", i, err)
+			}
+			copy(model[v][off:off+uint64(n)], data)
+		case 3: // invalidate
+			if _, err := st.Invalidate(v[0], v[1], off, n); err != nil {
+				t.Fatalf("op %d invalidate: %v", i, err)
+			}
+		case 4: // epoch rotation / time jump
+			clk.Advance(2 * time.Hour)
+			if variant == VariantD {
+				if err := st.RotateEpoch(); err != nil {
+					t.Fatalf("op %d rotate: %v", i, err)
+				}
+			}
+		default: // read (the common case, and also hot-set traffic)
+			if rng.Intn(2) == 0 {
+				off = 0 // a popular region so the cache really fills
+			}
+			got := make([]byte, n)
+			if err := st.ReadAt(v[0], v[1], got, off); err != nil {
+				t.Fatalf("op %d read: %v", i, err)
+			}
+			want := model[v][off : off+uint64(n)]
+			if !bytes.Equal(got, want) {
+				t.Fatalf("op %d: read(%d,%d)@%d diverged from model", i, v[0], v[1], off)
+			}
+		}
+		if s := st.Stats(); s.CachedBlocks > s.CapacityBlocks {
+			t.Fatalf("op %d: cache over capacity: %+v", i, s)
+		}
+	}
+	// Final sweep: every block of both volumes must match the model.
+	for _, v := range vols {
+		got := make([]byte, volBytes)
+		if err := st.ReadAt(v[0], v[1], got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, model[v]) {
+			t.Fatalf("final sweep diverged on volume %v", v)
+		}
+	}
+	st2 := st.Stats()
+	if st2.Hits() == 0 {
+		t.Error("model test never hit the cache — workload too cold to be meaningful")
 	}
 }
 

@@ -97,13 +97,7 @@ func (sh *shard) countPinnedLocked(n int64) {
 // the full request (a partial prefix's tail ReadAt records the op),
 // keeping read-op counts at one per request.
 func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
-	if n <= 0 || n%block.Size != 0 || off%block.Size != 0 {
-		return nil
-	}
-	if end := off + uint64(n); end < off || (end-1)/block.Size > block.MaxBlockNumber {
-		return nil
-	}
-	if server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
+	if checkIO(off, n) != nil || server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
 		return nil
 	}
 	if s.closed.Load() || s.degraded.Load() {
@@ -134,24 +128,26 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 	// recency bump repeated at once by the caller's tail ReadAt, which
 	// walks the same blocks in the same order — so every shard's order
 	// ends where a block-by-block walk that stopped at the miss leaves it.
-	var orderBuf [orderInline]uint64
-	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
+	var runBuf [runsInline]uint64
+	runs := s.pageRuns(runBuf[:0], key0, nBlocks)
 	prefix := nBlocks
-	for lo := 0; lo < len(order); {
-		sh, hi := s.shardRun(order, lo)
+	for lo := 0; lo < len(runs); {
+		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
 		pinned := len(pr.pins)
-		for _, e := range order[lo:hi] {
-			i := int(e & orderBlock)
-			slot, ok := sh.tab.Lookup(key0 + block.Key(i))
-			if !ok {
-				prefix = min(prefix, i)
-				break
+	visit:
+		for _, w := range runs[lo:hi] {
+			for i, end := runSpan(w); i < end; i++ {
+				slot, ok := sh.tab.Lookup(key0 + block.Key(i))
+				if !ok {
+					prefix = min(prefix, i)
+					break visit
+				}
+				sh.tab.Hit(slot)
+				sh.pinLocked(slot)
+				pr.views[i] = sh.frame(slot)
+				pr.pins = append(pr.pins, slotPin{sh: sh, slot: slot, idx: uint32(i)})
 			}
-			sh.tab.Hit(slot)
-			sh.pinLocked(slot)
-			pr.views[i] = sh.frame(slot)
-			pr.pins = append(pr.pins, slotPin{sh: sh, slot: slot, idx: uint32(i)})
 		}
 		sh.countPinnedLocked(int64(len(pr.pins) - pinned))
 		sh.mu.Unlock()

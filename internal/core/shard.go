@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -38,6 +39,8 @@ type flight struct {
 	// stale only fetches: a fetch holds pre-replacement data, but a write
 	// completing afterwards carries *newer* data and must still fold it in.
 	isWrite bool
+	// admit: the sieve admitted this block of a write; its fold installs it.
+	admit bool
 }
 
 // waitLocked returns the channel finishLocked will close. Must be called
@@ -47,6 +50,15 @@ func (f *flight) waitLocked() <-chan struct{} {
 		f.done = make(chan struct{})
 	}
 	return f.done
+}
+
+// joinLocked makes the caller a waiter on f, found in the in-flight table:
+// finishLocked will publish the block's bytes to it.
+func (sh *shard) joinLocked(f *flight) *flight {
+	f.waiters++
+	f.waitLocked()
+	sh.stats.CoalescedReads++
+	return f
 }
 
 // waitFor drops the shard lock until f, found in the in-flight table,
@@ -81,9 +93,9 @@ type slotState struct {
 
 // shard is one lock-striped partition of the Store: a fully-associative
 // cache (LRU by default; Options.Policy) over its slice of the key space,
-// with its own in-flight table, sieve state, and stats. Keys map to shards
-// by hash (Store.shardIndex); with Options.Shards == 1 the single shard is
-// exactly the paper's fully-associative cache.
+// with its own in-flight table, sieve and stats. Keys map to shards by the
+// hash of their 4 KiB page (Store.shardIndex), so a shard holds whole pages;
+// with Options.Shards == 1 the one shard is exactly the paper's cache.
 //
 // Resident blocks live in one slot table. tab is the only keyed index:
 // key→slot, the slot's key, the free slots and the replacement order.
@@ -103,7 +115,12 @@ type shard struct {
 	nDirty    int  // slots with dirty set
 	nPinned   int  // slots with pins > 0
 	inflight  map[block.Key]*flight
-	sieveC    *sieve.C
+	// sieveMu guards sieveC. It is taken with mu released; mu may then be
+	// taken inside it (shard.admit), never the other way round. admitSeq
+	// counts the read flights registered there.
+	sieveMu  sync.Mutex
+	sieveC   *sieve.C
+	admitSeq atomic.Uint32
 	// rotSkip is non-nil while a store-wide epoch transition is staging
 	// (it doubles as the per-shard "rotating" flag): keys written or
 	// invalidated during the transition are recorded so the commit cannot
@@ -216,27 +233,64 @@ func (sh *shard) writeFrameLocked(slot uint32, data []byte) uint32 {
 	return to
 }
 
-// sieveAdmits offers a block that missed at now to the sieve (VariantC;
-// VariantD never admits continuously) and reports its decision. run is the
-// caller's sieve run for this visit to the shard, opened here at the
-// visit's first miss.
-func (sh *shard) sieveAdmits(run *sieve.Run, key block.Key, now time.Time) bool {
-	if sh.sieveC == nil {
-		return false
+// sieveLocked offers the blocks of a request that missed in this shard — at
+// holds their positions from key0, in request order — to the sieve and
+// appends to dst the positions it admits. The caller holds sieveMu and not
+// mu: a page's eight counter slots are eight cache misses, about a
+// microsecond that neither a hit nor another request's walk should wait for.
+func (sh *shard) sieveLocked(dst []uint64, key0 block.Key, at []uint64, now time.Time) []uint64 {
+	run := sh.sieveC.Begin(now.Sub(sh.store.sieveBase).Nanoseconds())
+	for _, i := range at {
+		key := key0 + block.Key(i)
+		// Tenant QoS raises the tenant's threshold: by the soft-throttle
+		// penalty when its endurance bucket runs low, out of reach while it
+		// is over quota or out of budget. The miss is counted either way, so
+		// a penalized tenant's hot blocks admit the moment the penalty lifts.
+		extra := 0
+		if a := sh.store.acct; a != nil {
+			extra, _ = a.Admission(tenant.IDOf(key), now)
+		}
+		if run.Admit(key, extra) {
+			dst = append(dst, i)
+		}
 	}
-	if *run == (sieve.Run{}) {
-		*run = sh.sieveC.Begin(now.Sub(sh.store.sieveBase).Nanoseconds())
+	return dst
+}
+
+// admit offers a read's misses in this shard, at[from:], to the sieve and
+// gives each block it admits a flight, appended to admitted. Single-flight
+// stays exact although the shard lock was down since the read classified
+// (seq is admitSeq as read then): flights are registered inside the sieve's
+// critical section — mu nests in sieveMu, never the reverse — so a reader
+// the sieve turns down after another's admission finds admitSeq moved, looks
+// again, and joins the flight it would have found had the two steps been
+// one. A block a write reserved meanwhile is joined likewise and leaves at.
+func (sh *shard) admit(key0 block.Key, at []uint64, from int, seq uint32, now time.Time, admitted, joined []miss) ([]uint64, []miss, []miss) {
+	var admBuf [block.BlocksPerPage]uint64
+	sh.sieveMu.Lock()
+	defer sh.sieveMu.Unlock()
+	adm := sh.sieveLocked(admBuf[:0], key0, at[from:], now)
+	if len(adm) == 0 && sh.admitSeq.Load() == seq {
+		return at, admitted, joined
 	}
-	// Tenant QoS raises the tenant's effective sieve threshold: by the
-	// soft-throttle penalty when its endurance bucket runs low, and to an
-	// unreachable level while it is at/over quota or out of endurance
-	// budget. The sieve still counts the miss either way, so a penalized
-	// tenant's hot blocks admit the moment the penalty lifts.
-	extra := 0
-	if a := sh.store.acct; a != nil {
-		extra, _ = a.Admission(tenant.IDOf(key), now)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	keep := at[:from]
+	for _, i := range at[from:] {
+		key := key0 + block.Key(i)
+		if f, ok := sh.inflight[key]; ok {
+			joined = append(joined, miss{idx: int(i), f: sh.joinLocked(f)})
+			continue
+		}
+		keep = append(keep, i)
+		if slices.Contains(adm, i) && !sh.tab.Contains(key) {
+			f := &flight{}
+			sh.inflight[key] = f
+			admitted = append(admitted, miss{idx: int(i), f: f, sh: sh})
+			sh.admitSeq.Add(1)
+		}
 	}
-	return run.Admit(key, extra)
+	return keep, admitted, joined
 }
 
 // installAdmitted installs a block the sieve admitted — dirty, for a
@@ -252,14 +306,6 @@ func (sh *shard) installAdmitted(key block.Key, data []byte, dirty bool) bool {
 	sh.stats.AllocWrites++
 	sh.tenantAllocWrite(key, 1)
 	return true
-}
-
-// countBackendReadsLocked charges n ensemble reads that fetched bytes for
-// a read's misses.
-func (sh *shard) countBackendReadsLocked(n, bytes int64) {
-	sh.stats.BackendReads += n
-	sh.stats.BackendBytesRead += bytes
-	sh.stats.BackendBytesServedRead += bytes
 }
 
 // install copies data into a slot for key, evicting (and, in write-back
@@ -374,63 +420,66 @@ func (sh *shard) finishLocked(key block.Key, f *flight) {
 	}
 }
 
-// reserveLocked claims this shard's blocks of a write (run, a slice of
-// Store.shardOrder words over key0) in the in-flight table, pointing each
-// at its element of flights, which is indexed by block. Acquisition is
-// all-or-nothing within the shard: if any key is already claimed (a miss
-// fetch or another write), the shard lock is dropped and the caller waits
-// for that flight with no reservations of its own held *in this shard*,
-// then retries. Cross-shard writers and staged flushes both acquire
-// shards in ascending index order, so waiting here while holding
-// reservations only in lower-numbered shards cannot form a cycle. Caller
-// must hold sh.mu; it may be released and re-acquired.
-func (sh *shard) reserveLocked(key0 block.Key, run []uint64, flights []flight) error {
-	for {
-		var conflict *flight
-		for _, e := range run {
-			if f, ok := sh.inflight[key0+block.Key(e&orderBlock)]; ok {
-				conflict = f
-				break
+// reserveLocked counts this shard's blocks of a write (runs, the shard's
+// slice of Store.pageRuns words over key0) as written and claims them in the
+// in-flight table, each pointed at its element of flights, which is indexed
+// by block; the positions of those not resident go on at, for the sieve.
+// Acquisition is all-or-nothing within the shard: if any key is already
+// claimed (a miss fetch or another write), the shard lock is dropped and the
+// caller waits for that flight with no reservations of its own held *in this
+// shard*, then retries. Cross-shard writers and staged flushes both acquire
+// shards in ascending index order, so waiting here while holding reservations
+// only in lower-numbered shards cannot form a cycle. Caller must hold sh.mu;
+// it may be released and re-acquired.
+func (sh *shard) reserveLocked(key0 block.Key, runs []uint64, flights []flight, at []uint64) ([]uint64, error) {
+retry:
+	for _, w := range runs {
+		for i, end := runSpan(w); i < end; i++ {
+			if f, ok := sh.inflight[key0+block.Key(i)]; ok {
+				sh.waitFor(f)
+				if sh.store.closed.Load() {
+					return at, ErrClosed
+				}
+				goto retry
 			}
 		}
-		if conflict == nil {
-			break
-		}
-		sh.waitFor(conflict)
-		if sh.store.closed.Load() {
-			return ErrClosed
+	}
+	for _, w := range runs {
+		for i, end := runSpan(w); i < end; i++ {
+			sh.stats.Writes++
+			flights[i].isWrite = true
+			sh.inflight[key0+block.Key(i)] = &flights[i]
+			if sh.sieveC != nil && !sh.tab.Contains(key0+block.Key(i)) {
+				at = append(at, uint64(i))
+			}
 		}
 	}
-	for _, e := range run {
-		i := e & orderBlock
-		flights[i].isWrite = true
-		sh.inflight[key0+block.Key(i)] = &flights[i]
-	}
-	return nil
+	return at, nil
 }
 
 // completeLocked publishes a write's outcome to any coalesced readers and
-// releases this shard's reservations (run, as for reserveLocked). p is the
+// releases this shard's reservations (runs, as for reserveLocked). p is the
 // written payload (nil when the operation failed before producing data);
 // err is propagated to waiters.
-func (sh *shard) completeLocked(key0 block.Key, run []uint64, flights []flight, p []byte, err error) {
-	for _, e := range run {
-		i := e & orderBlock
-		f, key := &flights[i], key0+block.Key(i)
-		if err != nil {
-			f.err = err
-		} else {
-			if p != nil {
-				f.publishLocked(p[i*block.Size : (i+1)*block.Size])
+func (sh *shard) completeLocked(key0 block.Key, runs []uint64, flights []flight, p []byte, err error) {
+	for _, w := range runs {
+		for i, end := runSpan(w); i < end; i++ {
+			f, key := &flights[i], key0+block.Key(i)
+			if err != nil {
+				f.err = err
+			} else {
+				if p != nil {
+					f.publishLocked(p[i*block.Size : (i+1)*block.Size])
+				}
+				// A write landing while an epoch transition is staging has
+				// newer data than the transition's batch fetch: tell the swap
+				// not to install its copy of this block.
+				if sh.rotSkip != nil {
+					sh.rotSkip[key] = true
+				}
 			}
-			// A write landing while an epoch transition is staging has
-			// newer data than the transition's batch fetch: tell the swap
-			// not to install its copy of this block.
-			if sh.rotSkip != nil {
-				sh.rotSkip[key] = true
-			}
+			sh.finishLocked(key, f)
 		}
-		sh.finishLocked(key, f)
 	}
 }
 

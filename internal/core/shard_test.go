@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/sieved"
 	"repro/internal/store"
 )
 
@@ -84,12 +88,16 @@ func shardTrace(ops, span int) []shardTraceOp {
 // under both the LRU and SIEVE replacement engines and checks (a) every
 // combination returns byte-correct data, (b) access counters are
 // identical, and (c) hit ratios stay within 1% of that policy's Shards=1
-// figure — shard-local eviction is the only allowed divergence.
+// figure — shard-local eviction is the only allowed divergence. The
+// smallest shard holds 64 blocks, eight pages: a shard is fully associative
+// over pages, and one of a page or two (the 8-block shards this test ran
+// before placement went by page) is a direct-mapped page cache, which no
+// configuration deploys and no hit-ratio bar describes.
 // (Shards=1 bit-identity with the unsharded seed is covered separately by
 // the internal/replay simulator cross-validation.)
 func TestShardEquivalence(t *testing.T) {
-	const span = 512
-	trace := shardTrace(6000, span)
+	const span = 4096
+	trace := shardTrace(48000, span)
 	content := func(blk uint64) byte { return byte(blk*7 + 13) }
 
 	run := func(shards int, policy string) Stats {
@@ -144,11 +152,11 @@ func TestShardEquivalence(t *testing.T) {
 	}
 
 	// LRU's shard-local eviction must track the global figure to 1%.
-	// SIEVE pays more for tiny shards (8 blocks each here): its hand
-	// approximates recency coarsely at that granularity, so its bar is
-	// looser — the realistic 512-block configuration is pinned to ±1% of
-	// LRU by the golden suite instead.
-	tolerance := map[string]float64{"lru": 0.01, "sieve": 0.10}
+	// SIEVE's hand approximates recency more coarsely in a small shard, so
+	// its bar on this uniform-within-the-hot-set trace is looser — on its
+	// Zipf workload the golden suite pins the same 64-block shards to
+	// within 0.01 of SIEVE's own Shards=1 figure.
+	tolerance := map[string]float64{"lru": 0.01, "sieve": 0.05}
 	for _, policy := range []string{"lru", "sieve"} {
 		t.Run(policy, func(t *testing.T) {
 			base := run(1, policy)
@@ -592,5 +600,58 @@ func TestSnapshotRoundTripAcrossShardCounts(t *testing.T) {
 				t.Errorf("restored block 5 = %x, want 6", p[0])
 			}
 		})
+	}
+}
+
+// TestPartitionFeedsOneShard pins the invariant rotation and logging lean
+// on: the access log's partitions and the store's shards place a key by the
+// same page hash, so partition p holds only keys of shard p mod Shards —
+// read back here from the spill files themselves.
+func TestPartitionFeedsOneShard(t *testing.T) {
+	for _, shards := range []int{2, 32} {
+		mem := store.NewMem()
+		mem.AddVolume(0, 0, 1<<20)
+		mem.AddVolume(3, 1, 1<<20)
+		dir := t.TempDir()
+		st, err := Open(mem, Options{CacheBytes: 64 * block.Size, Shards: shards, Variant: VariantD, SpillDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 20*block.Size)
+		for i := uint64(0); i < 200; i++ {
+			n := 1 + i%20 // from inside a page to across three, at any block offset
+			if err := st.ReadAt(int(i%2)*3, int(i%2), buf[:n*block.Size], i*7*block.Size); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "part-*.log"))
+		if err != nil || len(files) != max(shards, sieved.DefaultPartitions) {
+			t.Fatalf("Shards %d: %d partition files (%v)", shards, len(files), err)
+		}
+		tuples := 0
+		for p, path := range files { // Glob sorts, and the names are zero-padded
+			log, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for len(log) > 0 {
+				key, n := binary.Uvarint(log)
+				_, m := binary.Uvarint(log[n:])
+				if n <= 0 || m <= 0 {
+					t.Fatalf("%s: malformed tuple", path)
+				}
+				log = log[n+m:]
+				tuples++
+				if si := st.shardIndex(block.Key(key)); si != p%shards {
+					t.Fatalf("Shards %d: partition %d holds %v, a key of shard %d", shards, p, block.Key(key), si)
+				}
+			}
+		}
+		if tuples < 2000 {
+			t.Errorf("Shards %d: only %d tuples logged", shards, tuples)
+		}
 	}
 }

@@ -251,11 +251,11 @@ func slotModelRun(t *testing.T, policy string, seed int64) {
 // hotStore returns a two-shard store with latency tracking on — the
 // configuration the benchmark's lib_hot runs — whose sieve admits on the
 // first miss, with blocks [0, n) of volume 0:0 read in once.
-func hotStore(t *testing.T, n int) *Store {
+func hotStore(t *testing.T, shards, n int) *Store {
 	t.Helper()
 	be := store.NewMem()
 	be.AddVolume(0, 0, 1<<20)
-	s, err := Open(be, Options{CacheBytes: 256 * block.Size, Shards: 2, TrackLatency: true, SieveC: smallSieve()})
+	s, err := Open(be, Options{CacheBytes: int64(shards) * 128 * block.Size, Shards: shards, TrackLatency: true, SieveC: smallSieve()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func hotStore(t *testing.T, n int) *Store {
 // TestHitPathAllocations guards the all-hit paths' allocation counts: an
 // 8-block ReadAt makes none, and ReadPinned+Release only the PinnedRead.
 func TestHitPathAllocations(t *testing.T) {
-	s := hotStore(t, 64)
+	s := hotStore(t, 2, 64)
 	buf := make([]byte, block.PageSize)
 	before := s.Stats()
 	if n := testing.AllocsPerRun(200, func() {
@@ -297,50 +297,50 @@ func TestHitPathAllocations(t *testing.T) {
 	}
 }
 
-// TestShardVisitKeepsRecencyOrder pins the batching rule: a multi-block
-// read visits each shard once, but within a shard it touches blocks in
+// TestShardVisitKeepsRecencyOrder pins the placement and batching rules.
+// Every aligned 4 KiB page maps, whole, to one shard. A request that spans
+// pages visits each shard once, but within a shard it touches blocks in
 // request order, so every shard's recency order is what a block-by-block
 // walk leaves — replayed here on one plain LRU per shard.
 func TestShardVisitKeepsRecencyOrder(t *testing.T) {
-	const blocks = 200
-	s := hotStore(t, blocks)
+	for _, shards := range []int{2, 8, 64} {
+		s := &Store{shardMask: uint64(shards - 1)}
+		used := map[int]bool{}
+		for page := uint64(0); page < 1024; page++ {
+			first := block.MakeKey(int(page%3), 1, page*block.BlocksPerPage)
+			used[s.shardIndex(first)] = true
+			for b := block.Key(1); b < block.BlocksPerPage; b++ {
+				if s.shardIndex(first+b) != s.shardIndex(first) {
+					t.Fatalf("Shards %d: blocks %v and %v of one page map to different shards", shards, first, first+b)
+				}
+			}
+		}
+		if len(used) != shards {
+			t.Errorf("Shards %d: 1024 pages landed in only %d shards", shards, len(used))
+		}
+	}
+
+	const blocks = 400
+	s := hotStore(t, 8, blocks)
 	ref := make([]*cache.Cache, len(s.shards))
 	for i, sh := range s.shards {
 		ref[i] = cache.New(sh.tab.Capacity())
 	}
-	walk := func(first, n int) {
+	walk := func(first, n int) (crossed bool) {
 		for b := first; b < first+n; b++ {
 			key := block.MakeKey(0, 0, uint64(b))
+			crossed = crossed || s.shardIndex(key) != s.shardIndex(block.MakeKey(0, 0, uint64(first)))
 			ref[s.shardIndex(key)].Insert(key)
 		}
+		return crossed
 	}
 	walk(0, blocks)
-	// A page whose blocks alternate between the two shards, read in too.
-	alternating := -1
-	for b := blocks; b < 2000 && alternating < 0; b++ {
-		alternating = b
-		for i := 0; i < block.BlocksPerPage; i++ {
-			if s.shardIndex(block.MakeKey(0, 0, uint64(b+i))) != i%2 {
-				alternating = -1
-			}
-		}
-	}
-	if alternating < 0 {
-		t.Fatal("no page alternates between the shards")
-	}
-	buf := make([]byte, 16*block.Size)
-	for i := 0; i < block.BlocksPerPage; i++ {
-		if err := s.ReadAt(0, 0, buf[:block.Size], uint64(alternating+i)*block.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-	walk(alternating, block.BlocksPerPage)
+	buf := make([]byte, 40*block.Size)
 	rng := rand.New(rand.NewSource(3))
+	crossings := 0
 	for i := 0; i < 300; i++ {
-		first, n := rng.Intn(blocks-16), 1+rng.Intn(16)
-		if i%3 == 0 {
-			first, n = alternating, block.BlocksPerPage
-		}
+		// Unaligned, from inside one page to across six.
+		first, n := rng.Intn(blocks-40), 1+rng.Intn(40)
 		if i%2 == 0 {
 			if err := s.ReadAt(0, 0, buf[:n*block.Size], uint64(first)*block.Size); err != nil {
 				t.Fatal(err)
@@ -350,7 +350,9 @@ func TestShardVisitKeepsRecencyOrder(t *testing.T) {
 		} else {
 			pr.Release()
 		}
-		walk(first, n)
+		if walk(first, n) {
+			crossings++
+		}
 		for si, sh := range s.shards {
 			sh.mu.Lock()
 			got := sh.tab.Keys()
@@ -360,7 +362,61 @@ func TestShardVisitKeepsRecencyOrder(t *testing.T) {
 			}
 		}
 	}
-	if st := s.Stats(); st.Evictions != 0 || st.CachedBlocks != blocks+block.BlocksPerPage {
-		t.Fatalf("the replay assumes every read hit: %+v", st)
+	if st := s.Stats(); st.Evictions != 0 || st.CachedBlocks != blocks || crossings < 100 {
+		t.Fatalf("the replay assumes every read hit, and most to span shards (%d did): %+v", crossings, st)
+	}
+}
+
+// TestAlignedPageTouchesOneShard: an all-hit aligned 4 KiB read, copied or
+// pinned, is one critical section in one shard — Reads moves in exactly one
+// — and at two shards, where the per-block mapping made it two, allocates
+// nothing.
+func TestAlignedPageTouchesOneShard(t *testing.T) {
+	for _, shards := range []int{2, 8} {
+		s := hotStore(t, shards, 64)
+		buf := make([]byte, block.PageSize)
+		reads := func() []int64 {
+			out := make([]int64, len(s.shards))
+			for i, sh := range s.shards {
+				sh.mu.Lock()
+				out[i] = sh.stats.Reads
+				sh.mu.Unlock()
+			}
+			return out
+		}
+		for page := uint64(0); page < 8; page++ {
+			for _, pinned := range []bool{false, true} {
+				before := reads()
+				if !pinned {
+					if err := s.ReadAt(0, 0, buf, page*block.PageSize); err != nil {
+						t.Fatal(err)
+					}
+				} else if pr := s.ReadPinned(0, 0, block.PageSize, page*block.PageSize); pr.Blocks() != block.BlocksPerPage {
+					t.Fatalf("Shards %d page %d: pinned %d blocks of a resident page", shards, page, pr.Blocks())
+				} else {
+					pr.Release()
+				}
+				moved := 0
+				for i, n := range reads() {
+					if n -= before[i]; n != 0 {
+						moved++
+						if n != block.BlocksPerPage {
+							t.Errorf("Shards %d page %d: shard %d counted %d reads", shards, page, i, n)
+						}
+					}
+				}
+				if moved != 1 {
+					t.Errorf("Shards %d page %d pinned=%v: Reads moved in %d shards, want 1", shards, page, pinned, moved)
+				}
+			}
+		}
+		if shards == 2 {
+			if n := testing.AllocsPerRun(100, func() { s.ReadAt(0, 0, buf, 3*block.PageSize) }); n != 0 {
+				t.Errorf("aligned all-hit 4 KiB ReadAt at two shards: %v allocations, want 0", n)
+			}
+		}
+		if st := s.Stats(); st.BackendReads != 64 {
+			t.Errorf("Shards %d: the measured reads were not all hits: %+v", shards, st)
+		}
 	}
 }

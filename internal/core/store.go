@@ -70,12 +70,13 @@ type Options struct {
 	// CacheBytes is the cache capacity (default 16 GiB; must be a multiple
 	// of the 512-byte block size).
 	CacheBytes int64
-	// Shards splits the store into this many key-hash shards, each with its
-	// own lock, slot table, and sieve state, so the hit path scales
-	// with cores. Must be a power of two; 0 or 1 (the default) keeps the
-	// single fully-associative cache of the paper. Capacity is partitioned
-	// evenly across shards, so with Shards > 1 eviction is shard-local —
-	// hit ratios can differ marginally from the global-LRU figure.
+	// Shards splits the store into this many shards, each with its own
+	// lock, slot table, and sieve state, so the hit path scales with cores;
+	// a block lives in the shard its 4 KiB page hashes to. Must be a power
+	// of two; 0 or 1 (the default) keeps the single fully-associative cache
+	// of the paper. Capacity is partitioned evenly across shards, so with
+	// Shards > 1 eviction is shard-local — hit ratios can differ marginally
+	// from the global-LRU figure.
 	Shards int
 	// Policy selects the cache's replacement engine: "lru" (default, the
 	// paper's policy) or "sieve" (case-insensitive; cache.TableNames).
@@ -368,19 +369,18 @@ var ErrRange = errors.New("core: request beyond addressable block range")
 
 // Store is a SieveStore cache instance. It is safe for concurrent use.
 //
-// Concurrency model: the cache is split into Options.Shards key-hash
+// Concurrency model: the cache is split into Options.Shards page-hash
 // shards, each guarded by its own mutex over that shard's slot table,
-// in-flight table, sieve state, and stats. No shard lock is
-// ever held across hot-path backend I/O: a miss reserves its keys in the
-// shard's in-flight table, releases the lock, fetches from the ensemble,
-// then re-acquires it for sieve admission and frame installation.
-// Duplicate concurrent misses for a key coalesce onto the first fetch
-// (single-flight); writes reserve their key range — visiting shards in
-// ascending index order, the global deadlock-avoidance rule — so
-// backend-write order and cache-update order cannot invert. Cross-shard
-// operations (epoch rotation, Flush, Close, snapshots) are staged per
-// shard in the same ascending order. SieveStore-D access logging happens
-// before any shard lock is taken.
+// in-flight table and stats; the shard's sieve has a lock of its own, taken
+// with the shard's released, so counting a page's misses never stands in
+// front of a hit. No shard lock is held across hot-path backend I/O: a read
+// fetches its misses unlocked — the admitted ones reserved in the in-flight
+// table, so duplicate concurrent misses coalesce onto one fetch — and
+// re-locks to install. Writes reserve their key range — shards in ascending
+// index order, the global deadlock-avoidance rule — so backend-write order
+// and cache-update order cannot invert. Cross-shard operations (rotation,
+// Flush, Close, snapshots) are staged per shard in the same order.
+// SieveStore-D access logging happens before any shard lock is taken.
 type Store struct {
 	backend Backend
 	opts    Options
@@ -411,6 +411,10 @@ type Store struct {
 	// timestamps. (start also begins there but is reset by RotateEpoch,
 	// which must not rewind the sieve's windows.)
 	sieveBase time.Time
+
+	// missReads and missBytes count the ensemble reads (and their bytes) that
+	// served read misses: charged with no lock, folded into Stats.
+	missReads, missBytes atomic.Int64
 
 	epochs         atomic.Int64
 	rotateFailures atomic.Int64
@@ -546,7 +550,7 @@ func Open(backend Backend, opts Options) (*Store, error) {
 			s.ownSpill = dir
 		}
 		// Keep the partition count a multiple of the shard count: both
-		// hash with the same mix, so every partition then holds keys of
+		// reduce the same page hash, so every partition then holds keys of
 		// exactly one shard (partition p feeds shard p mod Shards) and
 		// concurrent shards never contend on a partition lock.
 		partitions := sieved.DefaultPartitions
@@ -586,18 +590,12 @@ func (s *Store) Shards() int { return len(s.shards) }
 // run ("LRU", "SIEVE", ...). Immutable after Open.
 func (s *Store) Policy() string { return s.shards[0].tab.Name() }
 
-// shardIndex maps a key to its shard with the same 64-bit avalanche mix
-// the sieved logger hashes partitions with, so shard i's keys land in
-// exactly the partitions ≡ i (mod Shards).
+// shardIndex maps a key to its shard by the hash of its 4 KiB page — the
+// hash the sieved logger reduces to a partition, so shard i's keys land in
+// exactly the partitions ≡ i (mod Shards). An aligned 4 KiB request takes one
+// lock, and a shard's dirty or selected blocks sit in page-long runs.
 func (s *Store) shardIndex(key block.Key) int {
-	if s.shardMask == 0 {
-		return 0
-	}
-	x := uint64(key)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x & s.shardMask)
+	return int(key.PageHash() & s.shardMask)
 }
 
 func (s *Store) shardOf(key block.Key) *shard { return s.shards[s.shardIndex(key)] }
@@ -614,12 +612,10 @@ func (s *Store) Stats() Stats {
 		sub.CachedBlocks = int64(sh.tab.Len())
 		sub.DirtyBlocks = int64(sh.nDirty)
 		sub.PinnedFrames = int64(sh.nPinned)
-		if sh.sieveC != nil {
-			sub.SieveTrackedBlocks = int64(sh.sieveC.Stats().MCTSize)
-		}
 		sh.mu.Unlock()
 		st.accumulate(sub)
 	}
+	st.SieveTrackedBlocks = int64(s.SieveStats().MCTSize)
 	if s.acct != nil {
 		t := s.acct.Totals()
 		st.Tenants = t.Tenants
@@ -628,6 +624,9 @@ func (s *Store) Stats() Stats {
 		st.TenantClips = t.SelectionClips
 		st.TenantRepartitions = t.Repartitions
 	}
+	st.BackendReads += s.missReads.Load()
+	st.BackendBytesRead += s.missBytes.Load()
+	st.BackendBytesServedRead += s.missBytes.Load()
 	st.Epochs = s.epochs.Load()
 	st.RotateFailures = s.rotateFailures.Load()
 	st.ResetFailures = s.resetFailures.Load()
@@ -704,18 +703,19 @@ func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics
 	var served []bool
 	if s.opts.WriteBack {
 		key0 := block.MakeKey(server, volume, first)
-		var buf [orderInline]uint64
-		order := s.shardOrder(buf[:0], key0, nBlocks)
-		s.eachShard(order, func(sh *shard, lo, hi int) {
-			for _, e := range order[lo:hi] {
-				i := int(e & orderBlock)
-				if slot, ok := sh.tab.Lookup(key0 + block.Key(i)); ok && sh.state[slot].dirty {
-					copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
-					if served == nil {
-						served = make([]bool, nBlocks)
+		var buf [runsInline]uint64
+		runs := s.pageRuns(buf[:0], key0, nBlocks)
+		s.eachShard(runs, func(sh *shard, lo, hi int) {
+			for _, w := range runs[lo:hi] {
+				for i, end := runSpan(w); i < end; i++ {
+					if slot, ok := sh.tab.Lookup(key0 + block.Key(i)); ok && sh.state[slot].dirty {
+						copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
+						if served == nil {
+							served = make([]bool, nBlocks)
+						}
+						served[i] = true
+						servedDirty++
 					}
-					served[i] = true
-					servedDirty++
 				}
 			}
 		})
@@ -743,8 +743,9 @@ func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics
 	sh.stats.Reads += int64(nBlocks)
 	sh.stats.ReadHits += servedDirty
 	sh.stats.CacheBytesServed += servedDirty * block.Size
-	sh.countBackendReadsLocked(nReads, nBytes)
 	sh.mu.Unlock()
+	s.missReads.Add(nReads)
+	s.missBytes.Add(nBytes)
 	s.tenantAccess(server, volume, int64(nBlocks), false)
 	s.tenantHits(server, volume, servedDirty)
 	s.bypassReads.Add(int64(nBlocks))
@@ -781,30 +782,40 @@ func (s *Store) bypassWrite(server, volume int, p []byte, off uint64, tr *metric
 		tr.Bypass = true
 		tr.Misses = nBlocks
 	}
-	s.dropRange(server, volume, first, nBlocks)
+	s.dropRange(block.MakeKey(server, volume, first), nBlocks, false)
 	return nil
 }
 
-// dropRange discards cached state for [first, first+n) after the backend
-// was modified directly (bypass writes): resident frames are freed
-// without write-back (the whole block was just overwritten, so a dirty
-// frame is superseded), in-flight operations are marked stale and
-// detached so a fetch racing the bypass write cannot install pre-write
-// data, and keys are recorded in rotSkip so a staging epoch commit cannot
-// resurrect its older batch-fetched copy.
-func (s *Store) dropRange(server, volume int, first uint64, n int) {
-	key0 := block.MakeKey(server, volume, first)
-	var buf [orderInline]uint64
-	order := s.shardOrder(buf[:0], key0, n)
-	s.eachShard(order, func(sh *shard, lo, hi int) {
-		for _, e := range order[lo:hi] {
-			key := key0 + block.Key(e&orderBlock)
-			sh.dropFlightLocked(key)
-			if slot, ok := sh.tab.Lookup(key); ok {
+// dropRange discards cached state for the n blocks from key0 and reports
+// how many were resident. In-flight operations are marked stale and detached
+// — a fetch or write in the air would re-install data from before the drop —
+// and keys are recorded in rotSkip, so a staging epoch commit cannot
+// resurrect its older batch-fetched copy. A dirty frame holds the only
+// current copy: flush writes it back first (Invalidate); after a bypass
+// write the whole block was just overwritten, and it is simply freed.
+func (s *Store) dropRange(key0 block.Key, n int, flush bool) (dropped int, err error) {
+	var buf [runsInline]uint64
+	runs := s.pageRuns(buf[:0], key0, n)
+	s.eachShard(runs, func(sh *shard, lo, hi int) {
+		for _, w := range runs[lo:hi] {
+			for i, end := runSpan(w); i < end && err == nil; i++ {
+				key := key0 + block.Key(i)
+				sh.dropFlightLocked(key)
+				slot, ok := sh.tab.Lookup(key)
+				if !ok {
+					continue
+				}
+				if flush && sh.state[slot].dirty {
+					if err = sh.flushSlot(slot); err != nil {
+						break
+					}
+				}
 				sh.removeLocked(slot)
+				dropped++
 			}
 		}
 	})
+	return dropped, err
 }
 
 // Close releases the store's resources. In write-back mode the dirty
@@ -854,12 +865,11 @@ func (s *Store) Close() error {
 // requests arriving off the wire: block.MakeKey treats an out-of-range
 // component as a caller bug and panics, and a remote peer's stray offset
 // must surface as an error, not take the daemon down.
-func checkIO(p []byte, off uint64) error {
-	if off%block.Size != 0 || len(p)%block.Size != 0 || len(p) == 0 {
+func checkIO(off uint64, n int) error {
+	if off%block.Size != 0 || n%block.Size != 0 || n <= 0 {
 		return ErrAlignment
 	}
-	end := off + uint64(len(p))
-	if end < off || (end-1)/block.Size > block.MaxBlockNumber {
+	if end := off + uint64(n); end < off || (end-1)/block.Size > block.MaxBlockNumber {
 		return ErrRange
 	}
 	return nil
@@ -877,7 +887,7 @@ type ioPath func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) 
 // the store leaves bypass mode if it completes without a fresh cache fault.
 func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, bypass ioPath,
 	server, volume int, p []byte, off uint64) error {
-	if err := checkIO(p, off); err != nil {
+	if err := checkIO(off, len(p)); err != nil {
 		return err
 	}
 	tr := s.beginTrace(op, server, volume, p, off)
@@ -918,13 +928,12 @@ func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, 
 	return err
 }
 
-// ReadAt reads len(p) bytes from the volume at off, serving cached blocks
-// from the cache and the rest from the backend, straight into p and with
-// no shard lock held. Missing blocks are offered to the sieve first. Only
-// the few it admits are reserved in their shard's in-flight table (so that
-// concurrent misses of one join rather than refetch, and an intervening
-// write or Invalidate can veto the install) and installed, under the shard
-// lock again, after the fetch; a rejected block leaves no trace in the
+// ReadAt reads len(p) bytes from the volume at off: cached blocks from the
+// cache, the rest from the backend, straight into p with no lock held.
+// Missing blocks are offered to the sieve first. Only the few it admits are
+// reserved in their shard's in-flight table (concurrent misses of one join
+// rather than refetch; an intervening write or Invalidate vetoes the install)
+// and installed after the fetch; a rejected block leaves no trace in the
 // store beyond its sieve count and the backend counters.
 func (s *Store) ReadAt(server, volume int, p []byte, off uint64) error {
 	return s.do("read", &s.histRead, &s.errRead, s.readCached, s.bypassRead, server, volume, p, off)
@@ -955,60 +964,53 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	// shard's blocks in request order — so a shard's recency order and its
 	// sieve's counts move exactly as a block-by-block walk would move them.
 	// A hit is one index probe, one relink and one copy. A miss with no
-	// flight to join is offered to the sieve, and takes a flight only if
-	// admitted; its position overwrites the spent front of order.
-	var orderBuf [orderInline]uint64
+	// flight to join goes on at, to be fetched, and is offered to the sieve
+	// with the shard lock released (shard.admit).
+	var runBuf [runsInline]uint64
+	var atBuf [missInline]uint64
 	var admittedBuf, joinedBuf [8]miss
-	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
-	admitted, joined := admittedBuf[:0], joinedBuf[:0]
+	runs := s.pageRuns(runBuf[:0], key0, nBlocks)
+	at, admitted, joined := atBuf[:0], admittedBuf[:0], joinedBuf[:0]
 	var now time.Time // the sieve's clock, read once a block has actually missed
-	fetch := 0
-	for lo := 0; lo < len(order); {
-		sh, hi := s.shardRun(order, lo)
-		var run sieve.Run
+	for lo := 0; lo < len(runs); {
+		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
-		hits := 0
-		for _, e := range order[lo:hi] {
-			i := int(e & orderBlock)
-			key := key0 + block.Key(i)
-			if slot, ok := sh.tab.Lookup(key); ok {
-				sh.tab.Hit(slot)
-				copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
-				hits++
-				continue
-			}
-			if f, ok := sh.inflight[key]; ok {
-				f.waiters++
-				f.waitLocked()
-				sh.stats.CoalescedReads++
-				joined = append(joined, miss{idx: i, f: f})
-				continue
-			}
-			if fetch == 0 {
-				now = s.now()
-			}
-			order[fetch] = uint64(i)
-			fetch++
-			if sh.sieveAdmits(&run, key, now) {
-				f := &flight{}
-				sh.inflight[key] = f
-				admitted = append(admitted, miss{idx: i, f: f, sh: sh})
+		hits, missed, seq := 0, len(at), sh.admitSeq.Load()
+		for _, w := range runs[lo:hi] {
+			i, end := runSpan(w)
+			sh.stats.Reads += int64(end - i)
+			for ; i < end; i++ {
+				key := key0 + block.Key(i)
+				if slot, ok := sh.tab.Lookup(key); ok {
+					sh.tab.Hit(slot)
+					copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
+					hits++
+				} else if f, ok := sh.inflight[key]; ok {
+					joined = append(joined, miss{idx: i, f: sh.joinLocked(f)})
+				} else {
+					at = append(at, uint64(i))
+				}
 			}
 		}
-		sh.stats.Reads += int64(hi - lo)
 		sh.stats.ReadHits += int64(hits)
 		sh.stats.CacheBytesServed += int64(hits) * block.Size
 		sh.mu.Unlock()
+		if sh.sieveC != nil && len(at) > missed {
+			if now.IsZero() {
+				now = s.now()
+			}
+			at, admitted, joined = sh.admit(key0, at, missed, seq, now, admitted, joined)
+		}
 		lo = hi
 	}
-	s.tenantHits(server, volume, int64(nBlocks-fetch-len(joined)))
+	s.tenantHits(server, volume, int64(nBlocks-len(at)-len(joined)))
 	if tr != nil {
-		tr.Misses = fetch
+		tr.Misses = len(at)
 		tr.Coalesced = len(joined)
-		tr.Hits = nBlocks - fetch - len(joined)
+		tr.Hits = nBlocks - len(at) - len(joined)
 	}
-	if fetch > 0 {
-		if err := s.readMisses(key0, p, order[:fetch], admitted, tr); err != nil {
+	if len(at) > 0 {
+		if err := s.readMisses(key0, p, at, admitted, tr); err != nil {
 			return err
 		}
 	}
@@ -1057,13 +1059,11 @@ func (s *Store) readMisses(key0 block.Key, p []byte, at []uint64, admitted []mis
 		lo = hi
 	}
 
-	// One lock round charges the backend counters. Admitted blocks, if any,
-	// are installed shard by shard — those fetched before a failed run too —
+	// The backend counters take no lock. Admitted blocks, if any, are
+	// installed shard by shard — those fetched before a failed run too —
 	// unless a write or Invalidate of the block (stale) or Close intervened.
-	sh := s.shardOf(key0 + block.Key(at[0]))
-	sh.mu.Lock()
-	sh.countBackendReadsLocked(nReads, nBytes)
-	sh.mu.Unlock()
+	s.missReads.Add(nReads)
+	s.missBytes.Add(nBytes)
 	installed := 0
 	for lo := 0; lo < len(admitted); {
 		sh := admitted[lo].sh
@@ -1094,46 +1094,55 @@ func (s *Store) readMisses(key0 block.Key, p []byte, at []uint64, admitted []mis
 	return fetchErr
 }
 
-// A shard-order word names one block of a request: its shard above
-// orderShift, its position in the request below.
+// A run word names one page run of a request — its blocks inside one 4 KiB
+// page, which share a shard: the shard above runShardShift, the run's first
+// position in the request below it, its length in the low runLenBits.
 const (
-	orderShift  = 40
-	orderBlock  = 1<<orderShift - 1
-	orderInline = 32 // words callers keep on their stack: a 16 KiB request
+	runShardShift = 40
+	runLenBits    = 4
+	runsInline    = 8  // run words callers keep on their stack: a 28 KiB request
+	missInline    = 32 // missed positions a read keeps on its stack: 16 KiB
 )
 
-// shardOrder appends one word per block of [key0, key0+n), sorted
-// ascending: shards in index order, each shard's blocks together and in
-// request order. Every walk that may lock more than one shard — reads,
-// writes, invalidation — follows it, one critical section per shard;
-// ascending shard order is the store's global lock-ordering rule. dst is
-// scratch, usually a stack array: nothing is allocated for a request of up
-// to orderInline blocks.
-func (s *Store) shardOrder(dst []uint64, key0 block.Key, n int) []uint64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, uint64(s.shardIndex(key0+block.Key(i)))<<orderShift|uint64(i))
+// pageRuns appends one word per page run of [key0, key0+n), sorted
+// ascending: shards in index order, a shard's runs together and in request
+// order. Every walk that may lock more than one shard follows it, one
+// critical section per shard; ascending shard order is the store's global
+// lock-ordering rule. A request inside one page, the common case, is one
+// word: one hash, nothing to sort. dst is scratch, usually a stack array.
+func (s *Store) pageRuns(dst []uint64, key0 block.Key, n int) []uint64 {
+	for lo := 0; lo < n; {
+		key := key0 + block.Key(lo)
+		l := min(n-lo, block.BlocksPerPage-int(key%block.BlocksPerPage))
+		dst = append(dst, uint64(s.shardIndex(key))<<runShardShift|uint64(lo)<<runLenBits|uint64(l))
+		lo += l
 	}
-	if s.shardMask != 0 {
+	if len(dst) > 1 && s.shardMask != 0 {
 		slices.Sort(dst)
 	}
 	return dst
 }
 
-// shardRun returns the shard that order[lo] names and the end of its run.
-func (s *Store) shardRun(order []uint64, lo int) (sh *shard, hi int) {
-	si := order[lo] >> orderShift
-	for hi = lo + 1; hi < len(order) && order[hi]>>orderShift == si; hi++ {
+// runSpan returns the positions [lo, hi) in the request that run word w names.
+func runSpan(w uint64) (lo, hi int) {
+	lo = int((w & (1<<runShardShift - 1)) >> runLenBits)
+	return lo, lo + int(w&(1<<runLenBits-1))
+}
+
+// shardRuns returns the shard that runs[lo] names and the end of its words.
+func (s *Store) shardRuns(runs []uint64, lo int) (sh *shard, hi int) {
+	si := runs[lo] >> runShardShift
+	for hi = lo + 1; hi < len(runs) && runs[hi]>>runShardShift == si; hi++ {
 	}
 	return s.shards[si], hi
 }
 
-// eachShard calls do once per shard of order, in order, holding that
-// shard's lock; order[lo:hi] are the shard's words. (It passes the bounds,
-// not the slice: an argument to a func value escapes, and order usually
-// sits on the caller's stack.)
-func (s *Store) eachShard(order []uint64, do func(sh *shard, lo, hi int)) {
-	for lo := 0; lo < len(order); {
-		sh, hi := s.shardRun(order, lo)
+// eachShard calls do once per shard of runs, in order, holding that shard's
+// lock; runs[lo:hi] are the shard's words (the bounds, not the slice: an
+// argument to a func value escapes, and runs usually sits on a stack).
+func (s *Store) eachShard(runs []uint64, do func(sh *shard, lo, hi int)) {
+	for lo := 0; lo < len(runs); {
+		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
 		do(sh, lo, hi)
 		sh.mu.Unlock()
@@ -1142,14 +1151,12 @@ func (s *Store) eachShard(order []uint64, do func(sh *shard, lo, hi int)) {
 }
 
 // WriteAt writes p through to the backend, updating cached blocks in place
-// and offering missing blocks to the sieve.
-//
-// The backend write happens without any shard lock. The written key range
-// is reserved in the shards' in-flight tables first — in shard order,
-// all-or-nothing within each shard — which (a) serializes overlapping
-// writes so backend order and cache order cannot invert, and (b) lets
-// concurrent read misses on these keys coalesce onto the written data
-// instead of racing the write with a backend fetch.
+// and offering missing blocks to the sieve. The backend write happens with
+// no lock held. The written key range is reserved in the shards' in-flight
+// tables first — in shard order, all-or-nothing within each shard — which
+// serializes overlapping writes, so backend order and cache order cannot
+// invert, and lets concurrent read misses on these keys coalesce onto the
+// written data instead of racing the write with a backend fetch.
 func (s *Store) WriteAt(server, volume int, p []byte, off uint64) error {
 	return s.do("write", &s.histWrite, &s.errWrite, s.writeCached, s.bypassWrite, server, volume, p, off)
 }
@@ -1167,110 +1174,110 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 	s.tenantAccess(server, volume, int64(nBlocks), true)
 	key0 := block.MakeKey(server, volume, first)
 
-	var orderBuf [orderInline]uint64
-	order := s.shardOrder(orderBuf[:0], key0, nBlocks)
+	// Reserve, shard by shard. The blocks a shard does not hold are offered
+	// to the sieve at once, under its lock, not the shard's (the reservation
+	// keeps them ours); the fold below installs the ones it admits.
+	var runBuf [runsInline]uint64
+	var atBuf [missInline]uint64
+	var admBuf [block.BlocksPerPage]uint64
+	runs := s.pageRuns(runBuf[:0], key0, nBlocks)
 	flights := make([]flight, nBlocks) // by block; one allocation per write
-	for lo := 0; lo < len(order); {
-		sh, hi := s.shardRun(order, lo)
+	for lo := 0; lo < len(runs); {
+		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
-		sh.stats.Writes += int64(hi - lo)
-		rerr := sh.reserveLocked(key0, order[lo:hi], flights)
+		at, rerr := sh.reserveLocked(key0, runs[lo:hi], flights, atBuf[:0])
 		sh.mu.Unlock()
 		if rerr != nil {
 			// Release the reservations already held in earlier shards.
-			s.eachShard(order[:lo], func(sh *shard, lo, hi int) {
-				sh.completeLocked(key0, order[lo:hi], flights, nil, rerr)
+			s.eachShard(runs[:lo], func(sh *shard, lo, hi int) {
+				sh.completeLocked(key0, runs[lo:hi], flights, nil, rerr)
 			})
 			return rerr
+		}
+		if len(at) > 0 {
+			sh.sieveMu.Lock()
+			for _, i := range sh.sieveLocked(admBuf[:0], key0, at, now) {
+				flights[i].admit = true
+			}
+			sh.sieveMu.Unlock()
 		}
 		lo = hi
 	}
 
-	// Backend counters are charged once, to the first shard visited.
-	first0 := s.shards[order[0]>>orderShift]
-	var hits, admitted int
-	account := func() {
-		s.tenantHits(server, volume, int64(hits))
-		if tr != nil {
-			tr.Hits = hits
-			tr.Misses = nBlocks - hits
-			tr.Admitted = admitted
-		}
+	// Write-through: the backend is always authoritative, and is written
+	// first, unlocked. Write-back: absorbed marks the blocks the cache takes
+	// (dirty); only the others reach the backend, after the fold.
+	wb := s.opts.WriteBack
+	var werr error
+	var nWrites, nBytes int64
+	var absorbed []bool
+	if wb {
+		absorbed = make([]bool, nBlocks)
+	} else if werr = s.backend.WriteAt(server, volume, p, off); werr == nil {
+		nWrites, nBytes = 1, int64(len(p))
 	}
-	if !s.opts.WriteBack {
-		// Write-through: the backend is always authoritative. Write it
-		// first (unlocked), then fold the data into the cache shard by
-		// shard.
-		werr := s.backend.WriteAt(server, volume, p, off)
-		s.eachShard(order, func(sh *shard, lo, hi int) {
-			if werr == nil {
-				if sh == first0 {
-					sh.stats.BackendWrites++
-					sh.stats.BackendBytesWritten += int64(len(p))
+	// Backend counters are charged once, to the first shard visited.
+	first0 := s.shards[runs[0]>>runShardShift]
+	complete := func(sh *shard, lo, hi int) {
+		if sh == first0 {
+			sh.stats.BackendWrites += nWrites
+			sh.stats.BackendBytesWritten += nBytes
+		}
+		sh.completeLocked(key0, runs[lo:hi], flights, p, werr)
+	}
+
+	// Fold the data into the cache, one critical section per shard, blocks
+	// in request order: a resident block takes it in place, an admitted one
+	// is installed. A block whose reservation went stale (invalidated since
+	// it was taken), or a store closed meanwhile (Close may already have
+	// drained this shard), must not park data in the cache: under write-back
+	// it writes through. A write-through write is complete with its fold.
+	var hits, admitted int
+	s.eachShard(runs, func(sh *shard, lo, hi int) {
+		for _, w := range runs[lo:hi] {
+			for i, end := runSpan(w); i < end && werr == nil; i++ {
+				if flights[i].stale || s.closed.Load() {
+					continue
 				}
-				var run sieve.Run
-				for _, e := range order[lo:hi] {
-					i := e & orderBlock
-					key := key0 + block.Key(i)
-					if flights[i].stale || s.closed.Load() {
-						continue // invalidated (or store closed) mid-write
+				key, data := key0+block.Key(i), p[i*block.Size:(i+1)*block.Size]
+				if slot, ok := sh.tab.Lookup(key); ok {
+					sh.tab.Hit(slot)
+					if slot = sh.writeFrameLocked(slot, data); wb {
+						sh.setDirtyLocked(slot)
 					}
-					data := p[i*block.Size : (i+1)*block.Size]
-					if slot, ok := sh.tab.Lookup(key); ok {
-						sh.tab.Hit(slot)
-						sh.writeFrameLocked(slot, data)
-						sh.stats.WriteHits++
-						hits++
-					} else if sh.sieveAdmits(&run, key, now) && sh.installAdmitted(key, data, false) {
-						admitted++
-					}
+					sh.stats.WriteHits++
+					hits++
+				} else if flights[i].admit && sh.installAdmitted(key, data, wb) {
+					admitted++
+				} else {
+					continue
+				}
+				if wb {
+					absorbed[i] = true
 				}
 			}
-			sh.completeLocked(key0, order[lo:hi], flights, p, werr)
-		})
-		account()
+		}
+		if !wb {
+			complete(sh, lo, hi)
+		}
+	})
+	s.tenantHits(server, volume, int64(hits))
+	if tr != nil {
+		tr.Hits = hits
+		tr.Misses = nBlocks - hits
+		tr.Admitted = admitted
+	}
+	if !wb {
 		return werr
 	}
 
-	// Write-back: cached (and newly admitted) blocks absorb the write and
-	// are marked dirty; only the remaining blocks reach the backend now.
-	// A block whose reservation went stale (invalidated between our
-	// reservation and this pass), or a store closed meanwhile (Close may
-	// already have drained this shard), must not park dirty data in the
-	// cache: it writes through instead.
-	through := make([]bool, nBlocks)
-	s.eachShard(order, func(sh *shard, lo, hi int) {
-		var run sieve.Run
-		for _, e := range order[lo:hi] {
-			i := e & orderBlock
-			key := key0 + block.Key(i)
-			data := p[i*block.Size : (i+1)*block.Size]
-			switch slot, ok := sh.tab.Lookup(key); {
-			case flights[i].stale || s.closed.Load():
-				through[i] = true
-			case ok:
-				sh.tab.Hit(slot)
-				sh.setDirtyLocked(sh.writeFrameLocked(slot, data))
-				sh.stats.WriteHits++
-				hits++
-			case sh.sieveAdmits(&run, key, now) && sh.installAdmitted(key, data, true):
-				admitted++
-			default:
-				through[i] = true
-			}
-		}
-	})
-	account()
-
-	var werr error
-	var nWrites, nBytes int64
 	for i := 0; i < nBlocks && werr == nil; {
-		if !through[i] {
+		if absorbed[i] {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < nBlocks && through[j] {
+		for j < nBlocks && !absorbed[j] {
 			j++
 		}
 		buf := p[i*block.Size : j*block.Size]
@@ -1280,13 +1287,7 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 		}
 		i = j
 	}
-	s.eachShard(order, func(sh *shard, lo, hi int) {
-		if sh == first0 {
-			sh.stats.BackendWrites += nWrites
-			sh.stats.BackendBytesWritten += nBytes
-		}
-		sh.completeLocked(key0, order[lo:hi], flights, p, werr)
-	})
+	s.eachShard(runs, complete)
 	return werr
 }
 
@@ -1401,37 +1402,29 @@ func forEach(n int, do func(i int) error) error {
 		return nil
 	}
 	var (
-		mu    sync.Mutex
-		next  int
-		first error
+		next  atomic.Int64
+		first atomic.Pointer[error]
 		wg    sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				if first != nil || next >= n {
-					mu.Unlock()
+			for first.Load() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				i := next
-				next++
-				mu.Unlock()
 				if err := do(i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
+					first.CompareAndSwap(nil, &err)
 				}
 			}
 		}()
 	}
-	wg.Wait()
-	return first
+	if wg.Wait(); first.Load() != nil {
+		return *first.Load()
+	}
+	return nil
 }
 
 // fetchBatch reads the given blocks from the ensemble in contiguous
@@ -1532,16 +1525,11 @@ func (s *Store) LatencyHistograms() (read, write metrics.HistogramSnapshot) {
 func (s *Store) SieveStats() sieve.CStats {
 	var out sieve.CStats
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		if sh.sieveC != nil {
-			st := sh.sieveC.Stats()
-			out.Misses += st.Misses
-			out.Promotions += st.Promotions
-			out.Allocations += st.Allocations
-			out.Pruned += st.Pruned
-			out.MCTSize += st.MCTSize
+			sh.sieveMu.Lock()
+			out.Add(sh.sieveC.Stats())
+			sh.sieveMu.Unlock()
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -1592,15 +1580,7 @@ func (s *Store) logAccess(server, volume int, first uint64, nBlocks int) {
 		err = f()
 	}
 	if err == nil {
-		if nBlocks == 1 {
-			err = s.logger.Log(block.MakeKey(server, volume, first))
-		} else {
-			keys := make([]block.Key, nBlocks)
-			for i := range keys {
-				keys[i] = block.MakeKey(server, volume, first+uint64(i))
-			}
-			err = s.logger.LogBatch(keys)
-		}
+		err = s.logger.LogRun(block.MakeKey(server, volume, first), nBlocks)
 	}
 	s.noteSpill(err)
 }
@@ -1925,44 +1905,11 @@ func (s *Store) Contains(server, volume int, off uint64) bool {
 // ensemble is modified outside the Store (the write-through design makes
 // this unnecessary for I/O that goes through the Store itself).
 func (s *Store) Invalidate(server, volume int, off uint64, length int) (int, error) {
-	if off%block.Size != 0 || length%block.Size != 0 || length <= 0 {
-		return 0, ErrAlignment
-	}
-	if end := off + uint64(length); end < off || (end-1)/block.Size > block.MaxBlockNumber {
-		return 0, ErrRange
+	if err := checkIO(off, length); err != nil {
+		return 0, err
 	}
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	key0 := block.MakeKey(server, volume, off/block.Size)
-	var buf [orderInline]uint64
-	order := s.shardOrder(buf[:0], key0, length/block.Size)
-	dropped := 0
-	var err error
-	s.eachShard(order, func(sh *shard, lo, hi int) {
-		for _, e := range order[lo:hi] {
-			if err != nil {
-				return
-			}
-			key := key0 + block.Key(e&orderBlock)
-			// A fetch or write in flight for this key would re-install data
-			// from before the invalidation, and an epoch transition staging
-			// right now may have fetched this block already.
-			sh.dropFlightLocked(key)
-			slot, ok := sh.tab.Lookup(key)
-			if !ok {
-				continue
-			}
-			// A dirty block holds the only current copy: write it back
-			// before dropping, or the data would be lost.
-			if sh.state[slot].dirty {
-				if err = sh.flushSlot(slot); err != nil {
-					return
-				}
-			}
-			sh.removeLocked(slot)
-			dropped++
-		}
-	})
-	return dropped, err
+	return s.dropRange(block.MakeKey(server, volume, off/block.Size), length/block.Size, true)
 }

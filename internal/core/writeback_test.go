@@ -311,3 +311,41 @@ func TestFlushWindowInjectedSleep(t *testing.T) {
 		t.Fatalf("flush result: %+v", st)
 	}
 }
+
+// writeSizes records the length of every backend write.
+type writeSizes struct {
+	store.Backend
+	sizes []int
+}
+
+func (w *writeSizes) WriteAt(server, volume int, p []byte, off uint64) error {
+	w.sizes = append(w.sizes, len(p))
+	return w.Backend.WriteAt(server, volume, p, off)
+}
+
+// TestDirtyPageFlushesAsOneWrite: a shard holds whole pages, so a dirty
+// aligned 4 KiB page is one contiguous run in its shard's flush — one
+// backend write, where per-block placement scattered it over up to eight.
+func TestDirtyPageFlushesAsOneWrite(t *testing.T) {
+	for _, shards := range []int{2, 8} {
+		be := &writeSizes{Backend: testBackend()}
+		s, err := Open(be, Options{CacheBytes: 256 * block.Size, Shards: shards, SieveC: smallSieve(), WriteBack: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := bytes.Repeat([]byte{0x5A}, block.PageSize)
+		if err := s.WriteAt(0, 0, page, 5*block.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.DirtyBlocks != block.BlocksPerPage || len(be.sizes) != 0 {
+			t.Fatalf("Shards %d: the write was not absorbed whole: %d dirty, backend writes %v", shards, st.DirtyBlocks, be.sizes)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(be.sizes) != 1 || be.sizes[0] != block.PageSize {
+			t.Errorf("Shards %d: Flush of one dirty page issued writes of %v bytes, want one of %d", shards, be.sizes, block.PageSize)
+		}
+		s.Close()
+	}
+}

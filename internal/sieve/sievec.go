@@ -138,6 +138,15 @@ type CStats struct {
 	MCTSize int
 }
 
+// Add sums o into s — the shards of a store each run their own sieve.
+func (s *CStats) Add(o CStats) {
+	s.Misses += o.Misses
+	s.Promotions += o.Promotions
+	s.Allocations += o.Allocations
+	s.Pruned += o.Pruned
+	s.MCTSize += o.MCTSize
+}
+
 // C is SieveStore-C's online sieve: hysteresis-based lazy allocation where
 // only the n-th miss within the recent window triggers allocation, with the
 // two-tier IMCT/MCT structure bounding the precise metastate (§3.3).

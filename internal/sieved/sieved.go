@@ -15,9 +15,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -37,10 +39,10 @@ var errClosed = fmt.Errorf("sieved: logger is closed")
 
 // partition is one hash partition of the access log: an append-only spill
 // file with its own mutex, so concurrent loggers hashing to different
-// partitions never contend. Keys hash to partitions with the same 64-bit
-// avalanche mix core.Store hashes shards with — when the partition count
-// is a multiple of the shard count, each partition holds keys of exactly
-// one shard.
+// partitions never contend. Keys hash to partitions by their 4 KiB page,
+// with the hash core.Store reduces to a shard (block.Key.PageHash): a
+// request's keys fall into page-long runs per partition, and a partition
+// count that is a multiple of the shard count gives each partition one shard.
 type partition struct {
 	// rewrite serializes whole-file rewrites (Compact, Reset, salvage)
 	// against the readers that run without mu (Select, Counts): mu alone
@@ -117,24 +119,66 @@ func makeLogger(dir string, partitions int, resume bool) (*Logger, error) {
 		})
 	}
 	if resume {
-		// Salvage each partition: reduce whatever decodes cleanly and
-		// rewrite the file, dropping a torn final tuple left by a crash
-		// mid-write. Afterwards every partition is compact and valid.
-		for p := range l.parts {
-			part := l.parts[p]
-			part.mu.Lock()
-			salvaged, err := l.readPartitionLocked(p, true)
-			if err == nil {
-				err = l.rewritePartitionLocked(p, salvaged)
-			}
-			part.mu.Unlock()
-			if err != nil {
-				l.Close()
-				return nil, err
-			}
+		if err := l.rebucket(); err != nil {
+			l.Close()
+			return nil, err
 		}
 	}
 	return l, nil
+}
+
+// rebucket is the resume path's salvage. Whatever key → partition mapping
+// wrote a file bucketed its tuples, and a run with more partitions (core
+// sizes the count from Shards) leaves files past this logger's count, so
+// every part-*.log in the directory is salvaged, one at a time: what decodes
+// cleanly is reduced (a final tuple torn by a crash mid-write is dropped),
+// the tuples the current mapping places elsewhere are appended to their
+// partitions and flushed, and only then is the file rewritten with those
+// that stay, or removed if it is not this logger's. A resume interrupted
+// between two files leaves every tuple in one file, and the next finishes
+// the job. The logger is not shared yet: no partition lock is needed.
+func (l *Logger) rebucket() error {
+	own := make(map[string]int, len(l.parts))
+	for p := range l.parts {
+		own[filepath.Base(l.partitionPath(p))] = p
+	}
+	entries, err := os.ReadDir(l.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "part-") || !strings.HasSuffix(e.Name(), ".log") {
+			continue
+		}
+		path := filepath.Join(l.dir, e.Name())
+		salvaged, err := readTuples(path, 0, math.MaxInt64, true)
+		if err != nil {
+			return err
+		}
+		src, mine := own[e.Name()]
+		stay := salvaged[:0]
+		for _, t := range salvaged {
+			if p := l.partitionIndex(t.key); mine && p == src {
+				stay = append(stay, t)
+			} else if err := l.appendLocked(l.parts[p], t.key, t.count); err != nil {
+				return err
+			}
+		}
+		for _, part := range l.parts {
+			if err := part.w.Flush(); err != nil {
+				return err
+			}
+		}
+		if mine {
+			err = l.rewritePartitionLocked(src, stay)
+		} else {
+			err = os.Remove(path)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (l *Logger) partitionPath(p int) string {
@@ -142,109 +186,66 @@ func (l *Logger) partitionPath(p int) string {
 }
 
 // partitionIndex selects the spill file for a key (the paper's hash
-// function on the address).
+// function on the address, here of the key's page).
 func (l *Logger) partitionIndex(key block.Key) int {
-	x := uint64(key)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x % uint64(len(l.parts)))
+	return int(key.PageHash() % uint64(len(l.parts)))
 }
 
 // Log appends an <address, 1> tuple for key.
-func (l *Logger) Log(key block.Key) error { return l.logTuple(key, 1) }
-
-// LogBatch appends an <address, 1> tuple for every key, taking each
-// touched partition's lock once. Order within a partition is irrelevant
-// (the reduction sums counts), so keys are grouped by partition first.
-func (l *Logger) LogBatch(keys []block.Key) error {
-	switch len(keys) {
-	case 0:
-		return nil
-	case 1:
-		return l.logTuple(keys[0], 1)
-	}
-	if l.closed.Load() {
-		return errClosed
-	}
-	type kp struct {
-		key block.Key
-		p   int
-	}
-	idx := make([]kp, len(keys))
-	for i, k := range keys {
-		idx[i] = kp{key: k, p: l.partitionIndex(k)}
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i].p < idx[j].p })
-	for i := 0; i < len(idx); {
-		p := idx[i].p
-		part := l.parts[p]
-		part.mu.Lock()
-		if l.closed.Load() {
-			part.mu.Unlock()
-			return errClosed
-		}
-		for ; i < len(idx) && idx[i].p == p; i++ {
-			if err := l.appendLocked(part, idx[i].key, 1); err != nil {
-				part.mu.Unlock()
-				return err
-			}
-		}
-		part.mu.Unlock()
-	}
-	return nil
-}
+func (l *Logger) Log(key block.Key) error { return l.LogRun(key, 1) }
 
 // LogRequest logs every block the request touches.
 func (l *Logger) LogRequest(req *block.Request) error {
-	n := req.Blocks()
-	first := req.Offset / block.Size
-	if n == 1 {
-		return l.Log(block.MakeKey(req.Server, req.Volume, first))
-	}
-	keys := make([]block.Key, n)
-	for i := range keys {
-		keys[i] = block.MakeKey(req.Server, req.Volume, first+uint64(i))
-	}
-	return l.LogBatch(keys)
+	return l.LogRun(req.FirstBlock(), req.Blocks())
 }
 
-// appendLocked encodes one tuple into partition part's write buffer.
-// Caller must hold part.mu.
+// LogRun appends an <address, 1> tuple for each of the n consecutive keys
+// from first — one request's blocks. The run is walked page by page: a
+// page's keys share a partition, whose lock is taken once for the page (and
+// kept across following pages of the same partition) while the tuples are
+// encoded straight into its write buffer. Order within a partition is moot.
+func (l *Logger) LogRun(first block.Key, n int) (err error) {
+	var held *partition
+	for end := first + block.Key(n); first < end && err == nil; {
+		if part := l.parts[l.partitionIndex(first)]; part != held {
+			if held != nil {
+				held.mu.Unlock()
+			}
+			held = part
+			held.mu.Lock()
+		}
+		if l.closed.Load() {
+			err = errClosed
+		}
+		for page := min(end, first|(block.BlocksPerPage-1)+1); first < page && err == nil; first++ {
+			err = l.appendLocked(held, first, 1)
+		}
+	}
+	if held != nil {
+		held.mu.Unlock()
+	}
+	return err
+}
+
+// appendLocked encodes one tuple in place in partition part's write buffer
+// (a scratch array handed to the writer would escape to the heap, one
+// allocation per tuple). Caller must hold part.mu.
 func (l *Logger) appendLocked(part *partition, key block.Key, count int64) error {
-	var buf [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(key))
-	n += binary.PutUvarint(buf[n:], uint64(count))
-	if _, err := part.w.Write(buf[:n]); err != nil {
+	if part.w.Available() < 2*binary.MaxVarintLen64 {
+		if err := part.w.Flush(); err != nil {
+			return err
+		}
+	}
+	buf := binary.AppendUvarint(part.w.AvailableBuffer(), uint64(key))
+	if _, err := part.w.Write(binary.AppendUvarint(buf, uint64(count))); err != nil {
 		return err
 	}
 	part.tuples++
 	return nil
 }
 
-func (l *Logger) logTuple(key block.Key, count int64) error {
-	if l.closed.Load() {
-		return errClosed
-	}
-	part := l.parts[l.partitionIndex(key)]
-	part.mu.Lock()
-	defer part.mu.Unlock()
-	if l.closed.Load() {
-		return errClosed
-	}
-	return l.appendLocked(part, key, count)
-}
-
 // TupleCount returns the total number of live tuples across partitions.
-func (l *Logger) TupleCount() int64 {
-	var total int64
-	for _, part := range l.parts {
-		part.mu.Lock()
-		total += part.tuples
-		part.mu.Unlock()
-	}
-	return total
-}
+func (l *Logger) TupleCount() int64 { return l.Stats().Tuples }
 
 // LoggerStats reports the access log's footprint across its partitions —
 // the observability layer exports these as gauges.
@@ -299,18 +300,21 @@ func (l *Logger) flushPartitionLocked(p int) (int64, error) {
 }
 
 // readPartitionRange decodes and per-key-reduces the tuples in byte range
-// [from, to) of partition p's file: the tuples are sorted by address and
-// contiguous runs of the same address are summed — the paper's sort +
-// run-length reduction. The range must start and end on tuple boundaries
-// (salvage mode instead drops a torn trailing tuple). It opens the file
-// independently and runs without the partition's mu — appends beyond `to`
-// are invisible and harmless — but holds the partition's rewrite lock
-// (shared) so a concurrent Compact or Reset cannot truncate the file
-// mid-read.
-func (l *Logger) readPartitionRange(p int, from, to int64, salvage bool) ([]tuple, error) {
+// [from, to) of partition p's file, which must start and end on tuple
+// boundaries. It runs without the partition's mu — appends beyond `to` are
+// invisible and harmless — but holds the partition's rewrite lock (shared)
+// so a concurrent Compact or Reset cannot truncate the file mid-read.
+func (l *Logger) readPartitionRange(p int, from, to int64) ([]tuple, error) {
 	l.parts[p].rewrite.RLock()
 	defer l.parts[p].rewrite.RUnlock()
-	f, err := os.Open(l.partitionPath(p))
+	return readTuples(l.partitionPath(p), from, to, false)
+}
+
+// readTuples decodes and per-key-reduces the tuples in byte range
+// [from, to) of a partition file, opened independently of any writer.
+// Salvage mode stops at a torn trailing tuple instead of failing.
+func readTuples(path string, from, to int64, salvage bool) ([]tuple, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -325,23 +329,25 @@ func (l *Logger) readPartitionRange(p int, from, to int64, salvage bool) ([]tupl
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			if salvage {
-				break
-			}
-			return nil, fmt.Errorf("sieved: partition %d: %w", p, err)
+		var c uint64
+		if err == nil {
+			c, err = binary.ReadUvarint(r)
 		}
-		c, err := binary.ReadUvarint(r)
 		if err != nil {
 			if salvage {
 				break
 			}
-			return nil, fmt.Errorf("sieved: partition %d: truncated tuple: %w", p, err)
+			return nil, fmt.Errorf("sieved: %s: truncated tuple: %w", filepath.Base(path), err)
 		}
 		tuples = append(tuples, tuple{key: block.Key(k), count: int64(c)})
 	}
+	return reduce(tuples), nil
+}
+
+// reduce is the paper's sort + run-length reduction, in place: the tuples
+// are sorted by address and contiguous runs of the same address are summed.
+func reduce(tuples []tuple) []tuple {
 	sort.Slice(tuples, func(i, j int) bool { return tuples[i].key < tuples[j].key })
-	// Run-length reduction in place.
 	out := tuples[:0]
 	for _, t := range tuples {
 		if n := len(out); n > 0 && out[n-1].key == t.key {
@@ -350,16 +356,16 @@ func (l *Logger) readPartitionRange(p int, from, to int64, salvage bool) ([]tupl
 			out = append(out, t)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // readPartitionLocked flushes and reduces all of partition p under its mu.
-func (l *Logger) readPartitionLocked(p int, salvage bool) ([]tuple, error) {
+func (l *Logger) readPartitionLocked(p int) ([]tuple, error) {
 	size, err := l.flushPartitionLocked(p)
 	if err != nil {
 		return nil, err
 	}
-	return l.readPartitionRange(p, 0, size, salvage)
+	return l.readPartitionRange(p, 0, size)
 }
 
 // Compact performs the paper's incremental per-key reduction: each
@@ -370,7 +376,7 @@ func (l *Logger) Compact() error {
 	for p := range l.parts {
 		part := l.parts[p]
 		part.mu.Lock()
-		reduced, err := l.readPartitionLocked(p, false)
+		reduced, err := l.readPartitionLocked(p)
 		if err == nil {
 			err = l.rewritePartitionLocked(p, reduced)
 		}
@@ -419,7 +425,7 @@ func (l *Logger) Counts(fn func(key block.Key, count int64)) error {
 		if err != nil {
 			return err
 		}
-		reduced, err := l.readPartitionRange(p, 0, size, false)
+		reduced, err := l.readPartitionRange(p, 0, size)
 		if err != nil {
 			return err
 		}
@@ -451,7 +457,7 @@ func (l *Logger) Select(threshold int64) ([]block.Key, error) {
 		if err != nil {
 			return nil, err
 		}
-		reduced, err := l.readPartitionRange(p, 0, size, false)
+		reduced, err := l.readPartitionRange(p, 0, size)
 		if err != nil {
 			return nil, err
 		}
@@ -510,7 +516,7 @@ func (l *Logger) Reset() error {
 			if size > mark {
 				// Read the tail under the partition lock so no append can
 				// land between the read and the rewrite and be lost.
-				if tail, err = l.readPartitionRange(p, mark, size, false); err != nil {
+				if tail, err = l.readPartitionRange(p, mark, size); err != nil {
 					if first == nil {
 						first = err
 					}

@@ -397,7 +397,11 @@ func TestCompactConcurrentWithCounts(t *testing.T) {
 	wg.Wait()
 }
 
-func TestLogBatchMatchesIndividualLogs(t *testing.T) {
+// TestLogRunMatchesIndividualLogs logs the same runs — inside a page,
+// unaligned across pages, longer than 128 blocks — block by block and
+// through LogRun: same tuples, same counts, and every tuple in the
+// partition its key's page hashes to.
+func TestLogRunMatchesIndividualLogs(t *testing.T) {
 	mk := func(dir string) *Logger {
 		l, err := NewLogger(dir, 8)
 		if err != nil {
@@ -406,21 +410,22 @@ func TestLogBatchMatchesIndividualLogs(t *testing.T) {
 		t.Cleanup(func() { l.Close() })
 		return l
 	}
-	keys := make([]block.Key, 0, 100)
-	for i := 0; i < 50; i++ {
-		k := block.MakeKey(1, 2, uint64(i%13))
-		keys = append(keys, k, k+1000)
-	}
-	one, batch := mk(t.TempDir()), mk(t.TempDir())
-	for _, k := range keys {
-		if err := one.Log(k); err != nil {
+	one, run := mk(t.TempDir()), mk(t.TempDir())
+	for i, r := range []struct {
+		first uint64
+		n     int
+	}{{0, 8}, {8, 1}, {13, 1}, {5, 8}, {3, 70}, {1000, 200}, {4, 4}, {0, 8}, {7, 2}} {
+		first := block.MakeKey(1, i%2, r.first)
+		for k := first; k < first+block.Key(r.n); k++ {
+			if err := one.Log(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := run.LogRun(first, r.n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := batch.LogBatch(keys); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := one.TupleCount(), batch.TupleCount(); a != b {
+	if a, b := one.TupleCount(), run.TupleCount(); a != b {
 		t.Fatalf("tuple counts differ: %d vs %d", a, b)
 	}
 	counts := func(l *Logger) map[block.Key]int64 {
@@ -430,18 +435,50 @@ func TestLogBatchMatchesIndividualLogs(t *testing.T) {
 		}
 		return m
 	}
-	ca, cb := counts(one), counts(batch)
+	ca, cb := counts(one), counts(run)
 	if len(ca) != len(cb) {
 		t.Fatalf("distinct keys differ: %d vs %d", len(ca), len(cb))
 	}
 	for k, v := range ca {
 		if cb[k] != v {
-			t.Errorf("key %v: batch count %d, want %d", k, cb[k], v)
+			t.Errorf("key %v: run count %d, want %d", k, cb[k], v)
+		}
+	}
+	for p := range run.parts {
+		run.parts[p].mu.Lock()
+		tuples, err := run.readPartitionLocked(p)
+		run.parts[p].mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tu := range tuples {
+			if want := run.partitionIndex(tu.key); want != p {
+				t.Errorf("key %v logged to partition %d, hashes to %d", tu.key, p, want)
+			}
+			if page := tu.key &^ (block.BlocksPerPage - 1); run.partitionIndex(page) != p {
+				t.Errorf("key %v is not in its page's partition", tu.key)
+			}
 		}
 	}
 }
 
-func TestConcurrentLogBatchPartitions(t *testing.T) {
+// TestLogRunAllocations: logging a request allocates nothing, whatever its
+// length (the partition buffers flush into files; no slice, no sort).
+func TestLogRunAllocations(t *testing.T) {
+	l := newTestLogger(t, DefaultPartitions)
+	for _, n := range []int{1, 8, 128} {
+		first := block.MakeKey(0, 1, 5)
+		if a := testing.AllocsPerRun(100, func() {
+			if err := l.LogRun(first, n); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("LogRun of %d blocks: %v allocations, want 0", n, a)
+		}
+	}
+}
+
+func TestConcurrentLogRunPartitions(t *testing.T) {
 	l, err := NewLogger(t.TempDir(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -453,12 +490,8 @@ func TestConcurrentLogBatchPartitions(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			keys := make([]block.Key, 16)
 			for i := 0; i < 100; i++ {
-				for j := range keys {
-					keys[j] = block.MakeKey(w, 0, uint64(i*16+j))
-				}
-				if err := l.LogBatch(keys); err != nil {
+				if err := l.LogRun(block.MakeKey(w%2, 0, uint64(i*16+3)), 16); err != nil {
 					t.Error(err)
 					return
 				}
