@@ -21,8 +21,8 @@ race:
 
 # Fault-injection chaos run under the race detector: concurrent I/O and
 # epoch rotations against a backend that fails, hangs, and spikes, plus
-# cache-device and spill faults — asserting no deadlock, no stale data,
-# and clean recovery out of every degraded mode.
+# spill faults — asserting no deadlock and no stale data once the faults
+# clear.
 test-chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos' ./internal/core/
 

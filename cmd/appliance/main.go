@@ -250,9 +250,8 @@ func main() {
 							s.QuotaDenials, s.ThrottleDenials, s.TenantClips)
 					}
 				}
-				if s.Degraded || s.DegradedEnters > 0 || s.SpillDisables > 0 {
-					line += fmt.Sprintf(" degraded=%v bypassR=%d bypassW=%d cacheFaults=%d spillDisables=%d",
-						s.Degraded, s.BypassReads, s.BypassWrites, s.CacheFaults, s.SpillDisables)
+				if s.SpillDisables > 0 {
+					line += fmt.Sprintf(" spillDisables=%d", s.SpillDisables)
 				}
 				if res != nil {
 					r := res.Stats()

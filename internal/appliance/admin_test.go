@@ -156,26 +156,26 @@ func readErrFrame(t *testing.T, conn net.Conn) (uint32, string) {
 	return binary.BigEndian.Uint32(head[1:5]), string(msg)
 }
 
+// A frame with an unknown op — 6 and 7 are the retired vector ops — gets
+// an error frame echoing its tag, then the server closes the connection.
 func TestUnknownOpClosesConnection(t *testing.T) {
-	client, _, _ := startServer(t)
-	rawHandshake(t, client.conn)
-	// Hand-craft a frame with an unknown op: the server responds with an
-	// error and closes the connection.
-	var hdr [headerSizeV2]byte
-	h := headerV2{op: 99, tag: 7, length: 0}
-	h.encode(hdr[:])
-	if _, err := client.conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	tag, msg := readErrFrame(t, client.conn)
-	if tag != 7 || !strings.Contains(msg, "unknown op") {
-		t.Errorf("tag = %d, message = %q", tag, msg)
-	}
-	// The server drops the connection after a protocol violation.
-	var b [1]byte
-	client.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := client.conn.Read(b[:]); err == nil {
-		t.Error("connection still open after protocol violation")
+	for _, op := range []byte{99, 6, 7} {
+		client, _, _ := startServer(t)
+		rawHandshake(t, client.conn)
+		var hdr [headerSizeV2]byte
+		(&headerV2{op: op, tag: 7 + uint32(op)}).encode(hdr[:])
+		if _, err := client.conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		tag, msg := readErrFrame(t, client.conn)
+		if tag != 7+uint32(op) || !strings.Contains(msg, "unknown op") {
+			t.Errorf("op %d: tag = %d, message = %q", op, tag, msg)
+		}
+		var b [1]byte
+		client.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := client.conn.Read(b[:]); err == nil {
+			t.Errorf("op %d: connection still open after protocol violation", op)
+		}
 	}
 }
 

@@ -167,8 +167,6 @@ type ServerOptions struct {
 type BlockStore interface {
 	ReadAt(server, volume int, p []byte, off uint64) error
 	WriteAt(server, volume int, p []byte, off uint64) error
-	ReadVec(vecs []core.IOVec) error
-	WriteVec(vecs []core.IOVec) error
 	ReadPinned(server, volume, n int, off uint64) *core.PinnedRead
 	Stats() core.Stats
 	RotateEpoch() error
@@ -196,8 +194,6 @@ type Server struct {
 
 	pipelinedReqs atomic.Int64
 	pipelineDepth atomic.Int64
-	vecOps        atomic.Int64
-	vecExtents    atomic.Int64
 	zeroCopyBytes atomic.Int64
 }
 
@@ -231,8 +227,6 @@ type ServerStats struct {
 	ErrorFrames   int64 // error-frame responses sent
 	PipelinedReqs int64 // requests that arrived while another was already in flight on the same connection
 	PipelineDepth int64 // requests in flight right now, across connections
-	VecOps        int64 // OpReadV/OpWriteV frames served
-	VecExtents    int64 // extents carried by those frames
 	ZeroCopyBytes int64 // read bytes served straight from pinned cache frames
 }
 
@@ -250,8 +244,6 @@ func (s *Server) StatsSnapshot() ServerStats {
 		ErrorFrames:   s.errorFrames.Load(),
 		PipelinedReqs: s.pipelinedReqs.Load(),
 		PipelineDepth: s.pipelineDepth.Load(),
-		VecOps:        s.vecOps.Load(),
-		VecExtents:    s.vecExtents.Load(),
 		ZeroCopyBytes: s.zeroCopyBytes.Load(),
 	}
 }

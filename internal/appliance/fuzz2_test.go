@@ -18,9 +18,9 @@ import (
 // lengths must be rejected, and a corrupted magic must fail decode.
 func FuzzFrameRoundTripV2(f *testing.F) {
 	f.Add(byte(OpRead), uint32(0), uint16(0), uint16(0), uint64(0), uint32(512))
-	f.Add(byte(OpWriteV), uint32(1<<31), uint16(3), uint16(1), uint64(1<<40), uint32(4096))
+	f.Add(byte(7), uint32(1<<31), uint16(3), uint16(1), uint64(1<<40), uint32(4096)) // retired op: the codec is op-blind
 	f.Add(byte(OpHello), uint32(0xFFFFFFFF), uint16(65535), uint16(65535), uint64(1<<63), uint32(MaxIOBytes))
-	f.Add(byte(OpReadV), uint32(7), uint16(0), uint16(0), uint64(0), uint32(MaxIOBytes+1))
+	f.Add(byte(6), uint32(7), uint16(0), uint16(0), uint64(0), uint32(MaxIOBytes+1))
 	f.Fuzz(func(t *testing.T, op byte, tag uint32, server, volume uint16, offset uint64, length uint32) {
 		h := headerV2{op: op, tag: tag, server: server, volume: volume, offset: offset, length: length}
 		var buf [headerSizeV2]byte
@@ -55,7 +55,7 @@ func FuzzFrameRoundTripV2(f *testing.F) {
 type fuzzExpectV2 struct {
 	tag     uint32
 	op      byte
-	length  uint32 // OpRead payload bytes; OpReadV total data bytes
+	length  uint32 // OpRead payload bytes
 	mustErr bool   // structural/id failure: the frame must be statusErr
 }
 
@@ -78,19 +78,16 @@ func simulateRequestsV2(data []byte) (exps []fuzzExpectV2, closerTag *uint32, lo
 		if err != nil {
 			return exps, &rawTag, loose
 		}
-		var payload []byte
-		switch h.op {
-		case OpWrite, OpReadV, OpWriteV:
+		if h.op == OpWrite {
 			if len(data)-pos < int(h.length) {
 				return exps, nil, loose // conn closes mid-payload; in-flight responses still arrive
 			}
-			payload = data[pos : pos+int(h.length)]
 			pos += int(h.length)
 		}
 		switch h.op {
-		case OpRead, OpWrite, OpStats, OpRotate, OpInvalidate, OpFlush, OpReadV, OpWriteV:
+		case OpRead, OpWrite, OpStats, OpRotate, OpInvalidate, OpFlush:
 		default:
-			return exps, &rawTag, loose // unknown op (incl. redundant HELLO)
+			return exps, &rawTag, loose // unknown op (incl. redundant HELLO and the retired 6 and 7)
 		}
 		if seen[h.tag] {
 			loose = true
@@ -103,26 +100,6 @@ func simulateRequestsV2(data []byte) (exps []fuzzExpectV2, closerTag *uint32, lo
 				exp.mustErr = true
 			} else if h.op == OpRead {
 				exp.length = h.length
-			}
-		case OpReadV, OpWriteV:
-			tab, rest, total, verr := decodeExtentTable(payload)
-			switch {
-			case verr != nil:
-				exp.mustErr = true
-			case h.op == OpReadV && len(rest) != 0:
-				exp.mustErr = true
-			case h.op == OpWriteV && len(rest) != total:
-				exp.mustErr = true
-			default:
-				for _, e := range tab {
-					if int(e.server) >= block.MaxServers || int(e.volume) >= block.MaxVolumes {
-						exp.mustErr = true
-						break
-					}
-				}
-				if !exp.mustErr && h.op == OpReadV {
-					exp.length = uint32(total)
-				}
 			}
 		}
 		exps = append(exps, exp)
@@ -178,7 +155,7 @@ func verifyV2Responses(t *testing.T, br *bufio.Reader, data []byte) {
 				t.Fatalf("op %d tag %d answered OK, oracle demands an error frame", e.op, e.tag)
 			}
 			switch e.op {
-			case OpRead, OpReadV:
+			case OpRead:
 				if _, err := io.CopyN(io.Discard, br, int64(e.length)); err != nil {
 					t.Fatalf("op %d OK payload (%d bytes): %v", e.op, e.length, err)
 				}

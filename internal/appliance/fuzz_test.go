@@ -161,7 +161,19 @@ func FuzzServerInput(f *testing.F) {
 		return append(buf, payload...)
 	}
 	hello2 := frame(OpHello, 0, 0, ProtocolV2, 0, nil)
-	vec := func(exts ...Extent) []byte { return appendExtentTable(nil, exts) }
+	// vec encodes the payload the retired vector ops 6 and 7 carried —
+	// count u16, then server u16 | volume u16 | offset u64 | length u32 per
+	// extent — so their seeds keep their bytes; both ops are unknown now.
+	vec := func(exts ...[4]uint64) []byte {
+		b := binary.BigEndian.AppendUint16(nil, uint16(len(exts)))
+		for _, e := range exts {
+			b = binary.BigEndian.AppendUint16(b, uint16(e[0]))
+			b = binary.BigEndian.AppendUint16(b, uint16(e[1]))
+			b = binary.BigEndian.AppendUint64(b, e[2])
+			b = binary.BigEndian.AppendUint32(b, uint32(e[3]))
+		}
+		return b
+	}
 	v2seed := func(frames ...[]byte) []byte {
 		out := append([]byte(nil), hello2...)
 		for _, fr := range frames {
@@ -177,14 +189,13 @@ func FuzzServerInput(f *testing.F) {
 	f.Add(v2seed(frame2(OpRead, 6, 0, 0, 0, 512, nil)[:headerSizeV2-3]))                      // truncated v2 header
 	f.Add(v2seed(frame2(OpWrite, 9, 0, 0, 0, 4096, nil)))                                     // v2 write, missing payload
 	f.Add(v2seed(frame2(OpRead, 1, 0, 0, 0, 512, nil), frame2(OpRead, 1, 0, 0, 0, 512, nil))) // duplicate tag
-	tab := vec(Extent{Server: 0, Volume: 0, Off: 0, Data: make([]byte, 512)},
-		Extent{Server: 0, Volume: 0, Off: 4096, Data: make([]byte, 1024)})
-	f.Add(v2seed(frame2(OpReadV, 11, 0, 0, 0, uint32(len(tab)), tab)))
-	f.Add(v2seed(frame2(OpWriteV, 12, 0, 0, 0, uint32(len(tab)+1536), append(tab, make([]byte, 1536)...))))
-	f.Add(v2seed(frame2(OpWriteV, 13, 0, 0, 0, uint32(len(tab)), tab))) // table says 1536 bytes, none follow
-	badVec := vec(Extent{Server: 9999, Volume: 0, Off: 0, Data: make([]byte, 512)})
-	f.Add(v2seed(frame2(OpReadV, 14, 0, 0, 0, uint32(len(badVec)), badVec))) // extent ids out of range
-	f.Add(v2seed([]byte{0x00, 0x01}))                                        // v2 bad magic: closer
+	tab := vec([4]uint64{0, 0, 0, 512}, [4]uint64{0, 0, 4096, 1024})
+	f.Add(v2seed(frame2(6, 11, 0, 0, 0, uint32(len(tab)), tab)))
+	f.Add(v2seed(frame2(7, 12, 0, 0, 0, uint32(len(tab)+1536), append(tab, make([]byte, 1536)...))))
+	f.Add(v2seed(frame2(7, 13, 0, 0, 0, uint32(len(tab)), tab)))
+	badVec := vec([4]uint64{9999, 0, 0, 512})
+	f.Add(v2seed(frame2(6, 14, 0, 0, 0, uint32(len(badVec)), badVec)))
+	f.Add(v2seed([]byte{0x00, 0x01})) // v2 bad magic: closer
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn, err := net.Dial("tcp", addr)

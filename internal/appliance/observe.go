@@ -85,11 +85,6 @@ func NewObservability(st *core.Store) *Observability {
 	c("rotate_failures", func(s core.Stats) int64 { return s.RotateFailures })
 	c("reset_failures", func(s core.Stats) int64 { return s.ResetFailures })
 	c("flush_errors", func(s core.Stats) int64 { return s.FlushErrors })
-	c("bypass_reads", func(s core.Stats) int64 { return s.BypassReads })
-	c("bypass_writes", func(s core.Stats) int64 { return s.BypassWrites })
-	c("degraded_enters", func(s core.Stats) int64 { return s.DegradedEnters })
-	c("degraded_exits", func(s core.Stats) int64 { return s.DegradedExits })
-	c("cache_faults", func(s core.Stats) int64 { return s.CacheFaults })
 	c("spill_disables", func(s core.Stats) int64 { return s.SpillDisables })
 	c("select_overflow", func(s core.Stats) int64 { return s.SelectOverflow })
 	c("pinned_reads", func(s core.Stats) int64 { return s.PinnedReads })
@@ -107,12 +102,6 @@ func NewObservability(st *core.Store) *Observability {
 	g("dirty_blocks", func(s core.Stats) float64 { return float64(s.DirtyBlocks) })
 	g("sieve_tracked_blocks", func(s core.Stats) float64 { return float64(s.SieveTrackedBlocks) })
 	g("hit_ratio", func(s core.Stats) float64 { return s.HitRatio() })
-	g("degraded", func(s core.Stats) float64 {
-		if s.Degraded {
-			return 1
-		}
-		return 0
-	})
 
 	// The active eviction policy, info-style: one series per registered
 	// policy, 1 on the active one, and the eviction counter attributed to
@@ -273,8 +262,6 @@ func (o *Observability) AttachServer(srv *Server) {
 	r.Counter("sievestore.server.error_frames", func() int64 { return srv.StatsSnapshot().ErrorFrames })
 	r.Counter("sievestore.server.pipelined_requests", func() int64 { return srv.StatsSnapshot().PipelinedReqs })
 	r.Gauge("sievestore.server.pipeline_depth", func() float64 { return float64(srv.StatsSnapshot().PipelineDepth) })
-	r.Counter("sievestore.server.vec_ops", func() int64 { return srv.StatsSnapshot().VecOps })
-	r.Counter("sievestore.server.vec_extents", func() int64 { return srv.StatsSnapshot().VecExtents })
 	r.Counter("sievestore.server.zero_copy_bytes", func() int64 { return srv.StatsSnapshot().ZeroCopyBytes })
 }
 

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -260,6 +262,53 @@ func TestObservabilityNoTracing(t *testing.T) {
 		if !strings.Contains(metricsBody, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, grepLines(metricsBody, "policy"))
 		}
+	}
+}
+
+// TestMetricsSeriesPinned pins the /metrics surface: it renders the widest
+// registration there is — a VariantD store with tenant tracking (the
+// sieved and tenant families), a server and a resilient backend attached,
+// one tenant seen — and compares the sorted "# TYPE" lines with
+// testdata/metrics_series.txt. A change that adds, removes or renames a
+// series has to edit that file, so the change shows in its diff.
+func TestMetricsSeriesPinned(t *testing.T) {
+	be := store.NewMem()
+	be.AddVolume(0, 0, 1<<20)
+	res := resilience.Wrap(be, resilience.Config{Timeout: time.Second})
+	st, err := core.Open(res, core.Options{
+		CacheBytes:     64 * block.Size,
+		Variant:        core.VariantD,
+		SpillDir:       t.TempDir(),
+		TenantTracking: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.WriteAt(0, 0, make([]byte, block.Size), 0); err != nil {
+		t.Fatal(err)
+	}
+	obs := NewObservability(st)
+	obs.AttachServer(NewServer(st))
+	obs.AttachResilience(res)
+	web := httptest.NewServer(obs.Handler())
+	defer web.Close()
+
+	body, _ := httpGet(t, web.URL+"/metrics")
+	var got []string
+	for _, l := range strings.Split(body, "\n") {
+		if name, ok := strings.CutPrefix(l, "# TYPE "); ok {
+			got = append(got, name)
+		}
+	}
+	slices.Sort(got)
+	raw, err := os.ReadFile("testdata/metrics_series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics series differ from testdata/metrics_series.txt; got:\n%s", strings.Join(got, "\n"))
 	}
 }
 

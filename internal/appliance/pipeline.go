@@ -1,6 +1,6 @@
-// Client side of the wire protocol: the lazy handshake, the tagged request
-// pipeline (per-tag completion map + one reader goroutine per
-// connection), and the ReadBatch/WriteBatch scatter/gather API.
+// Client side of the wire protocol: the lazy handshake and the tagged
+// request pipeline (per-tag completion map + one reader goroutine per
+// connection).
 package appliance
 
 import (
@@ -19,8 +19,7 @@ import (
 // failures.
 type pendingOp struct {
 	op   byte
-	read []byte   // OpRead: destination buffer, filled by the reader
-	vec  []Extent // OpReadV: destination extents, filled in table order
+	read []byte // OpRead: destination buffer, filled by the reader
 
 	stats []byte // OpStats: raw JSON payload
 	inval uint32 // OpInvalidate: dropped count
@@ -176,12 +175,13 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 			rerr = fmt.Errorf("%w: bad status 0x%02x", ErrProtocol, status)
 		}
 		if rerr != nil {
-			// The frame body couldn't be read: complete this op as a
-			// transport failure too, then break the rest.
+			// The frame body couldn't be read: break the connection, then
+			// complete this op as a transport failure too — in that order,
+			// so its caller's next op already finds the connection broken.
 			p.err = rerr
 			p.transport = true
-			close(p.done)
 			c.failConn(gen, rerr)
+			close(p.done)
 			return
 		}
 		// When the pipeline drains, clear the read deadline armed by the
@@ -208,13 +208,6 @@ func (c *Client) readBody(br *bufio.Reader, p *pendingOp) error {
 	case OpRead:
 		_, err := io.ReadFull(br, p.read)
 		return err
-	case OpReadV:
-		for _, e := range p.vec {
-			if _, err := io.ReadFull(br, e.Data); err != nil {
-				return err
-			}
-		}
-		return nil
 	case OpStats:
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
@@ -234,7 +227,7 @@ func (c *Client) readBody(br *bufio.Reader, p *pendingOp) error {
 		}
 		p.inval = binary.BigEndian.Uint32(b[:])
 		return nil
-	default: // OpWrite, OpWriteV, OpRotate, OpFlush: empty body
+	default: // OpWrite, OpRotate, OpFlush: empty body
 		return nil
 	}
 }
@@ -319,61 +312,4 @@ func (c *Client) do2(h headerV2, segs [][]byte, p *pendingOp) error {
 		// Transport failure with retry budget left: the next send2 finds
 		// the connection broken, redials (handshaking again), and replays.
 	}
-}
-
-// validateBatch applies the scalar ops' client-side validation to a
-// batch: ids must fit the wire format, every extent must be non-empty,
-// and no extent or the batch total may exceed MaxIOBytes.
-func validateBatch(exts []Extent) error {
-	if len(exts) == 0 {
-		return fmt.Errorf("%w: empty batch", ErrProtocol)
-	}
-	if len(exts) > MaxVecExtents {
-		return fmt.Errorf("%w: batch of %d extents exceeds limit %d", ErrProtocol, len(exts), MaxVecExtents)
-	}
-	total := 0
-	for i, e := range exts {
-		if err := checkIDs(e.Server, e.Volume); err != nil {
-			return err
-		}
-		if len(e.Data) == 0 || len(e.Data) > MaxIOBytes {
-			return fmt.Errorf("%w: batch extent %d length %d out of range", ErrProtocol, i, len(e.Data))
-		}
-		total += len(e.Data)
-		if total > MaxIOBytes {
-			return fmt.Errorf("%w: batch total exceeds %d bytes", ErrProtocol, MaxIOBytes)
-		}
-	}
-	return nil
-}
-
-// ReadBatch fills every extent's Data in one scatter/gather round trip.
-// The batch is all-or-nothing: any extent's failure fails the whole call
-// and leaves all Data contents undefined.
-func (c *Client) ReadBatch(exts []Extent) error {
-	if err := validateBatch(exts); err != nil {
-		return err
-	}
-	table := appendExtentTable(nil, exts)
-	return c.do2(headerV2{op: OpReadV, length: uint32(len(table))},
-		[][]byte{table}, &pendingOp{op: OpReadV, vec: exts})
-}
-
-// WriteBatch writes every extent's Data in one scatter/gather round trip.
-// Like concurrent WriteAt calls, a failure can leave a mix of applied and
-// unapplied extents.
-func (c *Client) WriteBatch(exts []Extent) error {
-	if err := validateBatch(exts); err != nil {
-		return err
-	}
-	table := appendExtentTable(nil, exts)
-	segs := make([][]byte, 0, len(exts)+1)
-	segs = append(segs, table)
-	total := 0
-	for _, e := range exts {
-		segs = append(segs, e.Data)
-		total += len(e.Data)
-	}
-	return c.do2(headerV2{op: OpWriteV, length: uint32(len(table) + total)},
-		segs, &pendingOp{op: OpWriteV})
 }

@@ -236,95 +236,6 @@ func TestPipelineDepthBounded(t *testing.T) {
 	}
 }
 
-// --- batching --------------------------------------------------------------
-
-func TestBatchRoundTrip(t *testing.T) {
-	srv, addr := startServerWith(t, ServerOptions{})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	exts := make([]Extent, 8)
-	for i := range exts {
-		data := bytes.Repeat([]byte{byte(0x10 + i)}, 512*(1+i%3))
-		exts[i] = Extent{Server: 0, Volume: 0, Off: uint64(i) * 8192, Data: data}
-	}
-	if err := c.WriteBatch(exts); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]Extent, len(exts))
-	for i := range got {
-		got[i] = Extent{Server: 0, Volume: 0, Off: exts[i].Off, Data: make([]byte, len(exts[i].Data))}
-	}
-	if err := c.ReadBatch(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if !bytes.Equal(got[i].Data, exts[i].Data) {
-			t.Fatalf("extent %d mismatch", i)
-		}
-	}
-	snap := srv.StatsSnapshot()
-	if snap.VecOps != 2 {
-		t.Errorf("VecOps = %d, want 2", snap.VecOps)
-	}
-	if snap.VecExtents != 16 {
-		t.Errorf("VecExtents = %d, want 16", snap.VecExtents)
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	c := &Client{} // validation happens before any wire traffic
-	if err := c.ReadBatch(nil); !errors.Is(err, ErrProtocol) {
-		t.Errorf("empty batch: err = %v, want ErrProtocol", err)
-	}
-	if err := c.WriteBatch([]Extent{{Server: 0, Volume: 0, Data: nil}}); !errors.Is(err, ErrProtocol) {
-		t.Errorf("empty extent: err = %v, want ErrProtocol", err)
-	}
-	big := []Extent{
-		{Server: 0, Volume: 0, Data: make([]byte, MaxIOBytes)},
-		{Server: 0, Volume: 0, Off: 1 << 30, Data: make([]byte, 512)},
-	}
-	if err := c.WriteBatch(big); !errors.Is(err, ErrProtocol) {
-		t.Errorf("oversized batch: err = %v, want ErrProtocol", err)
-	}
-	bad := []Extent{{Server: -1, Volume: 0, Data: make([]byte, 512)}}
-	if err := c.ReadBatch(bad); err == nil {
-		t.Error("negative server id accepted")
-	}
-}
-
-// A malformed vector frame (bad ids in the extent table) answers an
-// error frame but keeps the connection usable — the payload was fully
-// consumed, so the stream is still frame-aligned.
-func TestVectorErrorKeepsConnection(t *testing.T) {
-	_, addr := startServerWith(t, ServerOptions{})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.WriteAt(0, 0, make([]byte, 512), 0); err != nil { // handshake
-		t.Fatal(err)
-	}
-	// Hand-craft an OpReadV whose extent table is structurally valid but
-	// addresses an out-of-range volume: client-side validation would
-	// reject it, so go through do2 directly.
-	table := appendExtentTable(nil, []Extent{{Server: 0, Volume: 1 << 12, Off: 0, Data: make([]byte, 512)}})
-	err = c.do2(headerV2{op: OpReadV, length: uint32(len(table))},
-		[][]byte{table}, &pendingOp{op: OpReadV, vec: []Extent{{Data: make([]byte, 512)}}})
-	var remote *RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("err = %v, want RemoteError", err)
-	}
-	// The same connection must still serve requests.
-	if err := c.ReadAt(0, 0, make([]byte, 512), 0); err != nil {
-		t.Fatalf("connection unusable after vector error frame: %v", err)
-	}
-}
-
 // --- flush & group commit over the wire ------------------------------------
 
 // Both legal values of DialOptions.Protocol mean the one protocol.

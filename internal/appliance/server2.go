@@ -18,17 +18,15 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/core"
 )
 
 // serveConnV2 takes over a connection once serveConn has answered its
 // HELLO. A malformed header, an unknown op, or a redundant HELLO close the
 // connection after an error frame — but only after every in-flight worker
 // has responded, so the closer error frame is deterministically the last
-// frame on the wire.
-// Malformed vector payloads and out-of-range ids answer an error frame
-// and keep the connection (the payload was fully consumed, so the stream
-// stays frame-aligned).
+// frame on the wire. Out-of-range ids and store errors answer an error
+// frame and keep the connection (any payload was fully consumed, so the
+// stream stays frame-aligned).
 func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	maxP := s.opts.MaxPipeline
 	if maxP <= 0 {
@@ -84,8 +82,7 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 			conn.SetReadDeadline(time.Time{})
 		}
 		var payload []byte
-		switch h.op {
-		case OpWrite, OpReadV, OpWriteV:
+		if h.op == OpWrite {
 			payload = poolGet(int(h.length))
 			if _, err := io.ReadFull(br, payload); err != nil {
 				poolPut(payload)
@@ -93,7 +90,7 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 			}
 		}
 		switch h.op {
-		case OpRead, OpWrite, OpStats, OpRotate, OpInvalidate, OpFlush, OpReadV, OpWriteV:
+		case OpRead, OpWrite, OpStats, OpRotate, OpInvalidate, OpFlush:
 			if inflight.Add(1) > 1 {
 				s.pipelinedReqs.Add(1)
 			}
@@ -114,8 +111,8 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 				s.handleV2(conn, bw, &wmu, h, payload)
 			}(h, payload)
 		default:
-			// Unknown op — including a redundant OpHello — terminates.
-			poolPut(payload)
+			// Unknown op — including a redundant OpHello and the retired
+			// vector ops 6 and 7 — terminates.
 			wg.Wait()
 			s.sendErrV2(conn, bw, &wmu, h.tag, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
 			return
@@ -130,9 +127,8 @@ func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h he
 	// Reject ids the packed block.Key cannot represent before they reach
 	// the store: MakeKey treats out-of-range components as a caller bug and
 	// panics, and a remote peer must not be able to take the daemon down
-	// with a stray header. Only the ops whose header ids address blocks
-	// (vector ops carry ids per extent, checked in parseVec). The frame is
-	// well-formed, so answer with an error and keep the connection.
+	// with a stray header. The frame is well-formed, so answer with an error
+	// and keep the connection.
 	switch h.op {
 	case OpRead, OpWrite, OpInvalidate:
 		if int(h.server) >= block.MaxServers || int(h.volume) >= block.MaxVolumes {
@@ -225,79 +221,7 @@ func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h he
 			return
 		}
 		s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, nil)
-	case OpReadV:
-		s.handleReadV(conn, bw, wmu, h, payload)
-	case OpWriteV:
-		s.handleWriteV(conn, bw, wmu, h, payload)
 	}
-}
-
-// parseVec decodes and fully validates a vector payload, answering the
-// error frame itself on failure.
-func (s *Server) parseVec(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h headerV2, payload []byte) ([]wireExtent, []byte, int, bool) {
-	tab, rest, total, err := decodeExtentTable(payload)
-	if err != nil {
-		s.sendErrV2(conn, bw, wmu, h.tag, err)
-		return nil, nil, 0, false
-	}
-	for _, e := range tab {
-		if int(e.server) >= block.MaxServers || int(e.volume) >= block.MaxVolumes {
-			s.sendErrV2(conn, bw, wmu, h.tag, fmt.Errorf("appliance: server %d / volume %d out of range", e.server, e.volume))
-			return nil, nil, 0, false
-		}
-	}
-	return tab, rest, total, true
-}
-
-func (s *Server) handleReadV(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h headerV2, payload []byte) {
-	tab, rest, total, ok := s.parseVec(conn, bw, wmu, h, payload)
-	if !ok {
-		return
-	}
-	if len(rest) != 0 {
-		s.sendErrV2(conn, bw, wmu, h.tag, fmt.Errorf("%w: %d stray bytes after read vector table", ErrProtocol, len(rest)))
-		return
-	}
-	s.vecOps.Add(1)
-	s.vecExtents.Add(int64(len(tab)))
-	buf := poolGet(total)
-	vecs := make([]core.IOVec, len(tab))
-	off := 0
-	for i, e := range tab {
-		vecs[i] = core.IOVec{Server: int(e.server), Volume: int(e.volume), P: buf[off : off+int(e.length)], Off: e.off}
-		off += int(e.length)
-	}
-	if err := s.store.ReadVec(vecs); err != nil {
-		poolPut(buf)
-		s.sendErrV2(conn, bw, wmu, h.tag, err)
-		return
-	}
-	s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, buf)
-	poolPut(buf)
-}
-
-func (s *Server) handleWriteV(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h headerV2, payload []byte) {
-	tab, rest, total, ok := s.parseVec(conn, bw, wmu, h, payload)
-	if !ok {
-		return
-	}
-	if len(rest) != total {
-		s.sendErrV2(conn, bw, wmu, h.tag, fmt.Errorf("%w: write vector data is %d bytes, table says %d", ErrProtocol, len(rest), total))
-		return
-	}
-	s.vecOps.Add(1)
-	s.vecExtents.Add(int64(len(tab)))
-	vecs := make([]core.IOVec, len(tab))
-	off := 0
-	for i, e := range tab {
-		vecs[i] = core.IOVec{Server: int(e.server), Volume: int(e.volume), P: rest[off : off+int(e.length)], Off: e.off}
-		off += int(e.length)
-	}
-	if err := s.store.WriteVec(vecs); err != nil {
-		s.sendErrV2(conn, bw, wmu, h.tag, err)
-		return
-	}
-	s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, nil)
 }
 
 // writeFrameV2 stages one tagged response frame under the write mutex

@@ -1,6 +1,5 @@
-// Frame layouts of the wire protocol: tagged pipelined frames and vector
-// (scatter/gather) ops. The handshake that precedes them is in the package
-// comment; see DESIGN.md §11.
+// Frame layouts of the wire protocol: tagged pipelined frames. The
+// handshake that precedes them is in the package comment; see DESIGN.md §11.
 //
 //	request:  magic 'S' | op u8 | tag u32 | server u16 | volume u16 | offset u64 | length u32 | payload
 //	response: magic 'R' | tag u32 | status u8 | body
@@ -10,14 +9,6 @@
 // flush, and for errors a u16-prefixed message. The tag lets the server
 // complete requests out of order and the client keep many in flight on one
 // connection.
-//
-// OpReadV/OpWriteV carry an extent table in the payload:
-//
-//	count u16 | count × { server u16 | volume u16 | offset u64 | length u32 }
-//
-// followed (OpWriteV) by the extents' data, concatenated in table order.
-// An OpReadV OK response body is the concatenated data alone — the
-// client knows every length from its own table.
 package appliance
 
 import (
@@ -29,10 +20,9 @@ import (
 const (
 	respMagic = 0x52 // 'R' — tagged response frames lead with this
 
-	// OpReadV and OpWriteV are scatter/gather ops: N extents in one frame,
-	// fanned out to the store's shards server-side.
-	OpReadV  = 6
-	OpWriteV = 7
+	// Ops 6 and 7 were the scatter/gather vector ops. They are unknown ops
+	// now and their numbers are not reused.
+
 	// OpHello opens a connection. It is the one frame that uses the
 	// untagged header codec: its offset field carries the client's maximum
 	// supported version and the OK reply body is one byte, the version the
@@ -50,10 +40,6 @@ const (
 	// the only one there is (version 1, an untagged one-at-a-time framing,
 	// was deleted; see the package comment).
 	ProtocolV2 = 2
-
-	// MaxVecExtents bounds the extent count of one OpReadV/OpWriteV frame.
-	MaxVecExtents = 1024
-	extentSize    = 2 + 2 + 8 + 4
 
 	// maxStatsBytes bounds the OpStats response payload a client will
 	// accept: the u32 length prefix arrives from an untrusted peer, and a
@@ -111,77 +97,6 @@ func respHead(buf []byte, tag uint32, status byte) {
 	buf[0] = respMagic
 	binary.BigEndian.PutUint32(buf[1:5], tag)
 	buf[5] = status
-}
-
-// Extent is one extent of a Client.ReadBatch/WriteBatch: len(Data) bytes
-// of volume (Server, Volume) at byte offset Off. ReadBatch fills Data;
-// WriteBatch sends it.
-type Extent struct {
-	Server, Volume int
-	Off            uint64
-	Data           []byte
-}
-
-// wireExtent is the decoded form of one extent-table entry.
-type wireExtent struct {
-	server, volume uint16
-	off            uint64
-	length         uint32
-}
-
-// appendExtentTable appends the wire encoding of exts' table (count +
-// entries, no data) to buf. Callers validate exts first.
-func appendExtentTable(buf []byte, exts []Extent) []byte {
-	var b [extentSize]byte
-	binary.BigEndian.PutUint16(b[:2], uint16(len(exts)))
-	buf = append(buf, b[:2]...)
-	for _, e := range exts {
-		binary.BigEndian.PutUint16(b[0:], uint16(e.Server))
-		binary.BigEndian.PutUint16(b[2:], uint16(e.Volume))
-		binary.BigEndian.PutUint64(b[4:], e.Off)
-		binary.BigEndian.PutUint32(b[12:], uint32(len(e.Data)))
-		buf = append(buf, b[:]...)
-	}
-	return buf
-}
-
-// decodeExtentTable parses and structurally validates the extent table at
-// the head of an OpReadV/OpWriteV payload, returning the entries, the
-// remaining bytes (OpWriteV data; must be empty for OpReadV), and the
-// total data length. Per-extent and total lengths are bounded by
-// MaxIOBytes; id-range checks against block.MaxServers/MaxVolumes are the
-// server's (it answers an error frame, as it does for scalar ops).
-func decodeExtentTable(p []byte) (tab []wireExtent, rest []byte, total int, err error) {
-	if len(p) < 2 {
-		return nil, nil, 0, fmt.Errorf("%w: vector frame too short", ErrProtocol)
-	}
-	count := int(binary.BigEndian.Uint16(p))
-	if count == 0 || count > MaxVecExtents {
-		return nil, nil, 0, fmt.Errorf("%w: vector count %d out of range [1, %d]", ErrProtocol, count, MaxVecExtents)
-	}
-	need := 2 + count*extentSize
-	if len(p) < need {
-		return nil, nil, 0, fmt.Errorf("%w: vector table truncated", ErrProtocol)
-	}
-	tab = make([]wireExtent, count)
-	for i := range tab {
-		o := 2 + i*extentSize
-		e := wireExtent{
-			server: binary.BigEndian.Uint16(p[o:]),
-			volume: binary.BigEndian.Uint16(p[o+2:]),
-			off:    binary.BigEndian.Uint64(p[o+4:]),
-			length: binary.BigEndian.Uint32(p[o+12:]),
-		}
-		if e.length == 0 || e.length > MaxIOBytes {
-			return nil, nil, 0, fmt.Errorf("%w: vector extent length %d out of range", ErrProtocol, e.length)
-		}
-		total += int(e.length)
-		if total > MaxIOBytes {
-			return nil, nil, 0, fmt.Errorf("%w: vector total exceeds %d bytes", ErrProtocol, MaxIOBytes)
-		}
-		tab[i] = e
-	}
-	return tab, p[need:], total, nil
 }
 
 // payloadPool recycles large request/response payload buffers across

@@ -259,33 +259,40 @@ func (c *Client) group(k block.Key) uint64 { return uint64(k) >> c.shift }
 func stripeIdx(k block.Key) int { return int(mix64(uint64(k)) % nStripes) }
 
 // blockRef is one 512-byte block of an op: its key and its slice of the
-// caller's buffer. seg tells contiguous refs from the same source extent
-// apart, so batching may merge adjacent blocks' slices.
+// caller's buffer.
 type blockRef struct {
 	key  block.Key
 	data []byte
-	seg  int
 }
 
-// appendRefs splits one extent into per-block refs.
-func appendRefs(refs []blockRef, server, volume int, p []byte, off uint64, seg int) ([]blockRef, error) {
+// checkRange validates the geometry of an n-byte op at off: ids the packed
+// block.Key can hold, a non-empty block-aligned extent, and every block
+// inside the addressable range. It runs before any bookkeeping, because
+// block.MakeKey panics on what it rejects.
+func checkRange(server, volume int, off uint64, n int) error {
 	if server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
-		return nil, fmt.Errorf("cluster: server %d / volume %d out of range", server, volume)
+		return fmt.Errorf("cluster: server %d / volume %d out of range", server, volume)
 	}
-	if len(p) == 0 || off%block.Size != 0 || len(p)%block.Size != 0 {
-		return nil, ErrAlignment
+	if n <= 0 || off%block.Size != 0 || n%block.Size != 0 {
+		return ErrAlignment
 	}
-	n0 := off / block.Size
-	count := uint64(len(p) / block.Size)
-	if n0+count > block.MaxBlockNumber {
-		return nil, fmt.Errorf("cluster: block range [%d,%d) out of range", n0, n0+count)
+	if n0, count := off/block.Size, uint64(n/block.Size); n0+count > block.MaxBlockNumber {
+		return fmt.Errorf("cluster: block range [%d,%d) out of range", n0, n0+count)
 	}
-	for i := uint64(0); i < count; i++ {
-		refs = append(refs, blockRef{
-			key:  block.MakeKey(server, volume, n0+i),
+	return nil
+}
+
+// blockRefs splits one op's buffer into per-block refs, in order.
+func blockRefs(server, volume int, p []byte, off uint64) ([]blockRef, error) {
+	if err := checkRange(server, volume, off, len(p)); err != nil {
+		return nil, err
+	}
+	refs := make([]blockRef, len(p)/block.Size)
+	for i := range refs {
+		refs[i] = blockRef{
+			key:  block.MakeKey(server, volume, off/block.Size+uint64(i)),
 			data: p[i*block.Size : (i+1)*block.Size],
-			seg:  seg,
-		})
+		}
 	}
 	return refs, nil
 }
@@ -357,7 +364,7 @@ func (t *topology) ownersFor(c *Client, k block.Key, out []int) []int {
 
 // ReadAt reads len(p) bytes at off; see readRefs for replica selection.
 func (c *Client) ReadAt(server, volume int, p []byte, off uint64) error {
-	refs, err := appendRefs(nil, server, volume, p, off, 0)
+	refs, err := blockRefs(server, volume, p, off)
 	if err != nil {
 		return err
 	}
@@ -367,61 +374,9 @@ func (c *Client) ReadAt(server, volume int, p []byte, off uint64) error {
 
 // WriteAt replicates p to the key range's owners; see writeRefs.
 func (c *Client) WriteAt(server, volume int, p []byte, off uint64) error {
-	refs, err := appendRefs(nil, server, volume, p, off, 0)
+	refs, err := blockRefs(server, volume, p, off)
 	if err != nil {
 		return err
-	}
-	c.writes.Add(1)
-	return c.writeRefs(refs)
-}
-
-// ReadVec serves a scatter/gather read (the gateway server's OpReadV).
-func (c *Client) ReadVec(vecs []core.IOVec) error {
-	var refs []blockRef
-	var err error
-	for i, v := range vecs {
-		if refs, err = appendRefs(refs, v.Server, v.Volume, v.P, v.Off, i); err != nil {
-			return err
-		}
-	}
-	c.reads.Add(1)
-	return c.readRefs(refs)
-}
-
-// WriteVec serves a scatter/gather write (the gateway server's OpWriteV).
-func (c *Client) WriteVec(vecs []core.IOVec) error {
-	var refs []blockRef
-	var err error
-	for i, v := range vecs {
-		if refs, err = appendRefs(refs, v.Server, v.Volume, v.P, v.Off, i); err != nil {
-			return err
-		}
-	}
-	c.writes.Add(1)
-	return c.writeRefs(refs)
-}
-
-// ReadBatch mirrors appliance.Client.ReadBatch over the ring.
-func (c *Client) ReadBatch(exts []appliance.Extent) error {
-	var refs []blockRef
-	var err error
-	for i, e := range exts {
-		if refs, err = appendRefs(refs, e.Server, e.Volume, e.Data, e.Off, i); err != nil {
-			return err
-		}
-	}
-	c.reads.Add(1)
-	return c.readRefs(refs)
-}
-
-// WriteBatch mirrors appliance.Client.WriteBatch over the ring.
-func (c *Client) WriteBatch(exts []appliance.Extent) error {
-	var refs []blockRef
-	var err error
-	for i, e := range exts {
-		if refs, err = appendRefs(refs, e.Server, e.Volume, e.Data, e.Off, i); err != nil {
-			return err
-		}
 	}
 	c.writes.Add(1)
 	return c.writeRefs(refs)
@@ -447,8 +402,8 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 	if c.closed.Load() {
 		return 0, ErrClosed
 	}
-	if length <= 0 {
-		return 0, nil
+	if err := checkRange(server, volume, off, length); err != nil {
+		return 0, err
 	}
 	topo := c.topo.Load()
 	lo := off / block.Size

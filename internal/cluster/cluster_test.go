@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/appliance"
 	"repro/internal/block"
 )
 
@@ -43,6 +46,50 @@ func TestClusterReadWriteRoundTrip(t *testing.T) {
 	st := cl.ClusterStats()
 	if st.Writes != 1 || st.Reads != 1 || st.WriteBlocks != 16 || st.ReadBlocks != 16 {
 		t.Fatalf("counters off: %+v", st)
+	}
+}
+
+// With R = 1 and two nodes, a request spanning many placement groups gives
+// a node a share with another node's groups in between: the share is
+// several extents, and every block must still reach its one owner and read
+// back intact.
+func TestClusterNonContiguousNodeShare(t *testing.T) {
+	_, nodes, cl := newTestRing(t, 2, Config{Replicas: 1, PlacementBlocks: 4})
+	const groups, first = 16, 8 // blocks 8..71: groups 2..17
+	owners, changes := make([]int, groups), 0
+	for g := range owners {
+		owners[g] = cl.topo.Load().ownersFor(cl, block.MakeKey(0, 0, first+uint64(4*g)), nil)[0]
+		if g > 0 && owners[g] != owners[g-1] {
+			changes++
+		}
+	}
+	if changes < 2 {
+		t.Fatalf("group owners %v: no node's share has a gap", owners)
+	}
+	wr := make([]byte, groups*4*block.Size)
+	for i := range wr {
+		wr[i] = byte(i*13 + 5)
+	}
+	if err := cl.WriteAt(0, 0, wr, blockAt(first)); err != nil {
+		t.Fatal(err)
+	}
+	rd := make([]byte, len(wr))
+	if err := cl.ReadAt(0, 0, rd, blockAt(first)); err != nil {
+		t.Fatal(err)
+	}
+	if string(rd) != string(wr) {
+		t.Fatal("round trip over a non-contiguous share returned different bytes")
+	}
+	for id, n := range nodes {
+		want := int64(0)
+		for _, o := range owners {
+			if o == id {
+				want += 4
+			}
+		}
+		if st := n.st.Stats(); st.Writes != want || st.Reads != want {
+			t.Errorf("node %d: %d block writes and %d reads, want %d each", id, st.Writes, st.Reads, want)
+		}
 	}
 }
 
@@ -267,6 +314,91 @@ func TestClusterInvalidateUnreachableNodeHealsLater(t *testing.T) {
 	}
 	if buf[0] != 2 {
 		t.Fatalf("healed node served %d, want 2", buf[0])
+	}
+}
+
+// Regression: a gateway's Invalidate checked no geometry, so an OpInvalidate
+// with in-range ids and an offset past the addressable block range panicked
+// in block.MakeKey inside a server worker and took the process down, and an
+// unaligned or empty range was accepted. Each now answers an error frame,
+// and the connection keeps serving.
+func TestGatewayInvalidateRejectsBadGeometry(t *testing.T) {
+	_, _, cl := newTestRing(t, 2, Config{Replicas: 2, PlacementBlocks: 4})
+	srv := appliance.NewServer(cl)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); srv.Serve(l) }()
+	defer func() { srv.Close(); <-done }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	// HELLO (op 8) offering version 2; the reply is OK | 2.
+	hello := binary.BigEndian.AppendUint16([]byte{'S', 8}, 0)
+	hello = binary.BigEndian.AppendUint16(hello, 0)
+	hello = binary.BigEndian.AppendUint64(hello, 2)
+	hello = binary.BigEndian.AppendUint32(hello, 0)
+	var reply [2]byte
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, reply[:]); err != nil || reply != [2]byte{0, 2} {
+		t.Fatalf("HELLO reply %v, err %v", reply, err)
+	}
+	// invalidate sends one tagged OpInvalidate (op 5) and returns the
+	// response status and body.
+	invalidate := func(tag uint32, off uint64, length uint32) (byte, []byte) {
+		t.Helper()
+		fr := binary.BigEndian.AppendUint32([]byte{'S', 5}, tag)
+		fr = binary.BigEndian.AppendUint16(fr, 0)
+		fr = binary.BigEndian.AppendUint16(fr, 0)
+		fr = binary.BigEndian.AppendUint64(fr, off)
+		fr = binary.BigEndian.AppendUint32(fr, length)
+		if _, err := conn.Write(fr); err != nil {
+			t.Fatal(err)
+		}
+		var head [6]byte
+		if _, err := io.ReadFull(conn, head[:]); err != nil {
+			t.Fatalf("tag %d: no response: %v", tag, err)
+		}
+		if head[0] != 'R' || binary.BigEndian.Uint32(head[1:5]) != tag {
+			t.Fatalf("tag %d: response head % x", tag, head)
+		}
+		n := 4 // OK: the dropped count
+		if head[5] != 0 {
+			var l [2]byte
+			if _, err := io.ReadFull(conn, l[:]); err != nil {
+				t.Fatal(err)
+			}
+			n = int(binary.BigEndian.Uint16(l[:]))
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		return head[5], body
+	}
+	for i, bad := range []struct {
+		off    uint64
+		length uint32
+	}{
+		{(block.MaxBlockNumber + 1) * block.Size, block.Size}, // past the addressable range
+		{100, block.Size}, // unaligned offset
+		{0, 100},          // unaligned length
+		{0, 0},            // empty
+	} {
+		if status, msg := invalidate(uint32(i+1), bad.off, bad.length); status != 1 {
+			t.Errorf("invalidate [%d, +%d): status %d (% x), want an error frame", bad.off, bad.length, status, msg)
+		}
+	}
+	if status, body := invalidate(9, 0, block.Size); status != 0 || len(body) != 4 {
+		t.Fatalf("valid invalidate after the rejections: status %d body %q", status, body)
 	}
 }
 

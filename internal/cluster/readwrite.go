@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/appliance"
 	"repro/internal/block"
 )
 
 // mergeCap bounds how many bytes of adjacent blocks a single extent
-// accumulates when batching per node.
+// accumulates when batching per node. It is far under the wire's
+// MaxIOBytes, so every extent is one frame.
 const mergeCap = 512 * 1024
 
 // nodePlan is one node's share of an op: the ref indices routed to it.
@@ -38,67 +38,42 @@ func planFor(plans map[int]*nodePlan, n *node) *nodePlan {
 	return p
 }
 
-// buildExtents turns a node's ref indices into wire extents, merging
-// runs of adjacent blocks whose buffer slices are contiguous (same
-// source segment, consecutive keys, adjacent indices).
-func buildExtents(refs []blockRef, idxs []int) []appliance.Extent {
-	exts := make([]appliance.Extent, 0, len(idxs))
+// extent is one run of a node's share of an op: blocks at adjacent ref
+// indices, which are consecutive keys and one contiguous slice of the
+// caller's buffer, since the refs of an op come from one buffer in order.
+type extent struct {
+	key  block.Key // the run's first block
+	data []byte
+}
+
+// buildExtents turns a node's ref indices (ascending) into extents of at
+// most mergeCap bytes. A share with another node's groups in between —
+// a request over three or more placement groups — is several extents.
+func buildExtents(refs []blockRef, idxs []int) []extent {
+	exts := make([]extent, 0, len(idxs))
 	prev := -2
 	for _, i := range idxs {
-		r := refs[i]
-		if i == prev+1 {
-			pr := refs[prev]
-			last := &exts[len(exts)-1]
-			if r.seg == pr.seg && r.key == pr.key+1 &&
-				len(last.Data)+block.Size <= mergeCap &&
-				cap(last.Data) >= len(last.Data)+block.Size {
-				last.Data = last.Data[:len(last.Data)+block.Size]
-				prev = i
-				continue
-			}
+		if last := len(exts) - 1; i == prev+1 && len(exts[last].data) < mergeCap {
+			exts[last].data = exts[last].data[:len(exts[last].data)+block.Size]
+		} else {
+			exts = append(exts, extent{key: refs[i].key, data: refs[i].data})
 		}
-		exts = append(exts, appliance.Extent{
-			Server: r.key.Server(),
-			Volume: r.key.Volume(),
-			Off:    r.key.Offset(),
-			Data:   r.data,
-		})
 		prev = i
 	}
 	return exts
 }
 
-// sendExtents ships extents to one node, chunked under the wire
-// protocol's extent-count and byte limits; single extents go scalar.
-func sendExtents(n *node, exts []appliance.Extent, write bool) error {
-	for len(exts) > 0 {
-		count, bytes := 0, 0
-		for count < len(exts) && count < appliance.MaxVecExtents {
-			if bytes+len(exts[count].Data) > appliance.MaxIOBytes {
-				break
-			}
-			bytes += len(exts[count].Data)
-			count++
-		}
-		if count == 0 {
-			count = 1 // a single over-budget extent cannot happen (≤ mergeCap)
-		}
-		chunk := exts[:count]
-		var err error
-		switch {
-		case len(chunk) == 1 && write:
-			err = n.cl.WriteAt(chunk[0].Server, chunk[0].Volume, chunk[0].Data, chunk[0].Off)
-		case len(chunk) == 1:
-			err = n.cl.ReadAt(chunk[0].Server, chunk[0].Volume, chunk[0].Data, chunk[0].Off)
-		case write:
-			err = n.cl.WriteBatch(chunk)
-		default:
-			err = n.cl.ReadBatch(chunk)
-		}
-		if err != nil {
+// sendExtents ships a node's extents one scalar ReadAt or WriteAt each,
+// in order, stopping at the first error.
+func sendExtents(n *node, exts []extent, write bool) error {
+	op := n.cl.ReadAt
+	if write {
+		op = n.cl.WriteAt
+	}
+	for _, e := range exts {
+		if err := op(e.key.Server(), e.key.Volume(), e.data, e.key.Offset()); err != nil {
 			return err
 		}
-		exts = exts[count:]
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -10,196 +9,41 @@ import (
 	"repro/internal/block"
 )
 
-var errCacheDev = errors.New("test: cache device fault")
-
-// openFaultyCache returns a VariantC store whose frame installs fail while
-// *failing is set, plus the backing Mem for direct inspection.
-func openFaultyCache(t *testing.T, clk *fakeClock, failing *atomic.Bool) *Store {
-	t.Helper()
-	be := testBackend()
-	s, err := Open(be, Options{
-		CacheBytes: 64 * block.Size,
-		SieveC:     quickSieve(),
-		Now:        clk.Now,
-		FrameFaultInjector: func(block.Key) error {
-			if failing.Load() {
-				return errCacheDev
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// admitAttempts drives enough distinct-block misses that the sieve approves
-// n installs (quickSieve admits on the 3rd miss of a block).
-func admitAttempts(t *testing.T, s *Store, n int, baseBlock uint64) {
-	t.Helper()
-	buf := make([]byte, block.Size)
-	for b := 0; b < n; b++ {
-		off := (baseBlock + uint64(b)) * block.Size
-		for i := 0; i < 3; i++ {
-			if err := s.ReadAt(0, 0, buf, off); err != nil {
-				t.Fatalf("read block %d: %v", b, err)
-			}
-		}
-	}
-}
-
-func TestDegradedEntryAfterConsecutiveCacheFaults(t *testing.T) {
-	clk := newFakeClock()
-	var failing atomic.Bool
-	failing.Store(true)
-	s := openFaultyCache(t, clk, &failing)
-
-	admitAttempts(t, s, 3, 0) // threshold defaults to 3
-	if !s.Degraded() {
-		t.Fatal("store not degraded after 3 consecutive cache faults")
-	}
-	st := s.Stats()
-	if st.DegradedEnters != 1 || st.CacheFaults < 3 || !st.Degraded {
-		t.Fatalf("stats = %+v, want 1 enter and ≥3 cache faults", st)
-	}
-
-	// While degraded (and before the probe interval elapses), I/O is served
-	// pass-through: correct data, no cache installs, bypass counters move.
-	data := bytes.Repeat([]byte{0xAB}, block.Size)
-	if err := s.WriteAt(0, 0, data, 100*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, block.Size)
-	if err := s.ReadAt(0, 0, got, 100*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("bypass read returned wrong data")
-	}
-	st = s.Stats()
-	if st.BypassReads == 0 || st.BypassWrites == 0 {
-		t.Fatalf("bypass counters did not move: %+v", st)
-	}
-	if s.Contains(0, 0, 100*block.Size) {
-		t.Fatal("bypass write installed a frame")
-	}
-}
-
-func TestDegradedProbeRecovers(t *testing.T) {
-	clk := newFakeClock()
-	var failing atomic.Bool
-	failing.Store(true)
-	s := openFaultyCache(t, clk, &failing)
-
-	// Pre-warm block 50 to two misses (no admission attempt yet) so that a
-	// later probe read of it is exactly the admission-triggering 3rd miss.
-	buf := make([]byte, block.Size)
-	for i := 0; i < 2; i++ {
-		if err := s.ReadAt(0, 0, buf, 50*block.Size); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	admitAttempts(t, s, 3, 0)
-	if !s.Degraded() {
-		t.Fatal("store not degraded")
-	}
-
-	// Device still sick: the probe takes the normal path, attempts the
-	// install, faults again, and the store stays degraded.
-	clk.Advance(2 * time.Second)
-	if err := s.ReadAt(0, 0, buf, 50*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Degraded() {
-		t.Fatal("probe against a sick device must not exit degraded mode")
-	}
-
-	// Device recovers: the next due probe completes fault-free and exits.
-	failing.Store(false)
-	clk.Advance(2 * time.Second)
-	if err := s.ReadAt(0, 0, buf, 50*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	if s.Degraded() {
-		t.Fatal("clean probe did not exit degraded mode")
-	}
-	if st := s.Stats(); st.DegradedExits != 1 || st.Degraded {
-		t.Fatalf("stats = %+v, want 1 exit", st)
-	}
-
-	// Back to normal: admissions install frames again.
-	admitAttempts(t, s, 1, 60)
-	if !s.Contains(0, 0, 60*block.Size) {
-		t.Fatal("recovered store no longer admits")
-	}
-}
-
-func TestBypassWriteDropsStaleCachedCopy(t *testing.T) {
-	clk := newFakeClock()
-	var failing atomic.Bool
-	s := openFaultyCache(t, clk, &failing)
-
-	// Admit block 5 with known contents while the cache device is healthy.
-	old := bytes.Repeat([]byte{0x01}, block.Size)
-	if err := s.WriteAt(0, 0, old, 5*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	admitAttempts(t, s, 1, 5)
-	if !s.Contains(0, 0, 5*block.Size) {
-		t.Fatal("setup: block 5 not cached")
-	}
-
-	// Break the device and enter bypass.
-	failing.Store(true)
-	admitAttempts(t, s, 3, 10)
-	if !s.Degraded() {
-		t.Fatal("store not degraded")
-	}
-
-	// Overwrite block 5 via the bypass path; the cached copy must go.
-	next := bytes.Repeat([]byte{0x02}, block.Size)
-	if err := s.WriteAt(0, 0, next, 5*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	if s.Contains(0, 0, 5*block.Size) {
-		t.Fatal("bypass write left a stale frame resident")
-	}
-
-	// Recover; the read must see the new data, not a resurrected frame.
-	failing.Store(false)
-	clk.Advance(2 * time.Second)
-	got := make([]byte, block.Size)
-	if err := s.ReadAt(0, 0, got, 5*block.Size); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, next) {
-		t.Fatal("read after recovery returned pre-bypass data")
-	}
-}
-
+// A negative DegradedFaultThreshold never disables access logging: every
+// access still tries the sick spill device, and no disable is counted.
 func TestDegradedDisabledByNegativeThreshold(t *testing.T) {
 	clk := newFakeClock()
-	be := testBackend()
-	s, err := Open(be, Options{
+	s, err := Open(testBackend(), Options{
 		CacheBytes:             64 * block.Size,
-		SieveC:                 quickSieve(),
+		Variant:                VariantD,
+		DThreshold:             3,
+		Epoch:                  time.Hour,
 		Now:                    clk.Now,
+		SpillDir:               t.TempDir(),
 		DegradedFaultThreshold: -1,
-		FrameFaultInjector:     func(block.Key) error { return errCacheDev },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	admitAttempts(t, s, 5, 0)
-	if s.Degraded() {
-		t.Fatal("negative threshold must disable degraded mode")
+
+	var spillCalls atomic.Int64
+	testSpillFault = func() error {
+		spillCalls.Add(1)
+		return errors.New("test: spill device fault")
 	}
-	if st := s.Stats(); st.CacheFaults == 0 {
-		t.Fatal("faults should still be counted")
+	defer func() { testSpillFault = nil }()
+	buf := make([]byte, block.Size)
+	for i := 0; i < 10; i++ {
+		if err := s.ReadAt(0, 0, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.SpillDisables != 0 {
+		t.Fatalf("SpillDisables = %d with a negative threshold", st.SpillDisables)
+	}
+	if got := spillCalls.Load(); got != 10 {
+		t.Fatalf("logger tried %d times for 10 accesses, want every one", got)
 	}
 }
 

@@ -87,8 +87,8 @@ func (sh *shard) countPinnedLocked(n int64) {
 
 // ReadPinned serves the longest all-hit prefix of the request
 // [off, off+n) straight from the cache as pinned zero-copy frame views,
-// or nil when nothing is pinnable (bad geometry, degraded or closed
-// store, or a miss on the very first block) — the caller then falls back
+// or nil when nothing is pinnable (bad geometry, a closed store, or a
+// miss on the very first block) — the caller then falls back
 // to ReadAt for the whole request. On a partial prefix the caller writes
 // the views first and issues a ReadAt for the remaining tail; hit/byte
 // accounting and SieveStore-D access logging for the pinned blocks happen
@@ -100,9 +100,7 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 	if checkIO(off, n) != nil || server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
 		return nil
 	}
-	if s.closed.Load() || s.degraded.Load() {
-		// Degraded mode bypasses the cache (and meters recovery probes);
-		// the ReadAt fallback owns that logic.
+	if s.closed.Load() {
 		return nil
 	}
 	var start time.Duration

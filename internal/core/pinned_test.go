@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,42 +319,5 @@ func TestCachedBlocksNoPinDoubleCount(t *testing.T) {
 	pr.Release()
 	if st := s.Stats(); st.PinnedFrames != 0 {
 		t.Fatalf("PinnedFrames = %d after Release", st.PinnedFrames)
-	}
-}
-
-// TestReadPinnedAcrossDegradedFlip (satellite: pins × degraded bypass):
-// views pinned before the store degrades stay valid and release cleanly;
-// new ReadPinned calls bypass while degraded.
-func TestReadPinnedAcrossDegradedFlip(t *testing.T) {
-	clk := newFakeClock()
-	var failing atomic.Bool
-	s := openFaultyCache(t, clk, &failing)
-	seed := bytes.Repeat([]byte{0xDA}, block.Size)
-	if err := s.WriteAt(0, 0, seed, 0); err != nil {
-		t.Fatal(err)
-	}
-	admit(t, s, clk, 0)
-	pr := s.ReadPinned(0, 0, block.Size, 0)
-	if pr == nil {
-		t.Fatal("ReadPinned missed before the flip")
-	}
-	// Trip degraded mode: three consecutive frame-install faults.
-	failing.Store(true)
-	admitAttempts(t, s, 3, 100)
-	if !s.Degraded() {
-		t.Fatal("store not degraded")
-	}
-	// The pre-flip pin still reads the sealed frame.
-	if !bytes.Equal(pr.Views()[0], seed) {
-		t.Fatal("pinned view corrupted by the degraded flip")
-	}
-	// New pinned reads refuse while degraded (the ReadAt fallback owns the
-	// bypass metering).
-	if p2 := s.ReadPinned(0, 0, block.Size, 0); p2 != nil {
-		t.Fatal("ReadPinned served while degraded")
-	}
-	pr.Release()
-	if st := s.Stats(); st.PinnedFrames != 0 {
-		t.Fatalf("PinnedFrames = %d after release", st.PinnedFrames)
 	}
 }

@@ -316,19 +316,11 @@ func (sh *shard) installAdmitted(key block.Key, data []byte, dirty bool) bool {
 // simply not allocated — the caller's own I/O already succeeded and must
 // not be failed by an unrelated block's flush.
 func (sh *shard) install(key block.Key, data []byte) (slot uint32, ok bool) {
-	if inj := sh.store.opts.FrameFaultInjector; inj != nil {
-		if err := inj(key); err != nil {
-			sh.store.noteCacheFault()
-			return 0, false
-		}
-	}
 	if slot, ok = sh.tab.Lookup(key); ok {
 		// A duplicate insert is a touch (snapshot streams can repeat a
 		// key): nothing is evicted and tenant occupancy does not move.
 		sh.tab.Hit(slot)
-		slot = sh.writeFrameLocked(slot, data)
-		sh.store.noteCacheOK()
-		return slot, true
+		return sh.writeFrameLocked(slot, data), true
 	}
 	if sh.tab.Len() >= sh.tab.Capacity() {
 		victim, _ := sh.tab.VictimSlot()
@@ -344,7 +336,6 @@ func (sh *shard) install(key block.Key, data []byte) (slot uint32, ok bool) {
 	slot = sh.tab.Add(key)
 	sh.fillLocked(slot, data)
 	sh.tenantInstall(key)
-	sh.store.noteCacheOK()
 	return slot, true
 }
 

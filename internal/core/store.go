@@ -112,35 +112,22 @@ type Options struct {
 	TrackLatency bool
 	// TraceSample enables sampled operation tracing: one in every
 	// TraceSample ReadAt/WriteAt calls records an OpTrace lifecycle record
-	// (arrival, shard, hit/miss/coalesce/admission counts, degraded-path
-	// flags, whole-call latency) into a fixed-size ring readable via
-	// Traces. 0 disables tracing; 1 traces every operation. The unsampled
-	// hot path costs one atomic add.
+	// (arrival, shard, hit/miss/coalesce/admission counts, whole-call
+	// latency) into a fixed-size ring readable via Traces. 0 disables
+	// tracing; 1 traces every operation. The unsampled hot path costs one
+	// atomic add.
 	TraceSample int
 	// TraceRingSize is how many sampled trace records the ring retains
 	// (default 256).
 	TraceRingSize int
-	// DegradedFaultThreshold is how many consecutive cache-device faults
-	// (frame-write failures, see FrameFaultInjector) flip the store into
-	// pass-through bypass: reads and writes go straight to the backend —
-	// a sick cache device must not take the whole ensemble path down with
-	// it — until a recovery probe succeeds. The same threshold disables
-	// SieveStore-D access logging after that many consecutive spill
-	// errors. 0 means the default (3); negative disables degraded modes.
+	// DegradedFaultThreshold is how many consecutive spill errors disable
+	// SieveStore-D access logging for the rest of the epoch: the spill
+	// device is presumed sick, and a staler epoch selection is the only
+	// cost. 0 means the default (3); negative never disables logging.
 	DegradedFaultThreshold int
-	// DegradedProbeEvery is how often one request is allowed through the
-	// normal cached path (or one access through the disabled spill
-	// logger) to probe for recovery while degraded (default 1 s).
+	// DegradedProbeEvery is how often one access goes through the disabled
+	// spill logger to probe for recovery (default 1 s).
 	DegradedProbeEvery time.Duration
-	// FrameFaultInjector, if non-nil, is consulted before every cache
-	// frame install and models the cache device failing a write: a
-	// non-nil error aborts the admission (the request itself still
-	// succeeds — the data was already fetched or written through) and
-	// counts a cache-device fault toward DegradedFaultThreshold. This is
-	// the seam where an SSD-backed frame store would surface its write
-	// errors; the fault-injection tests drive it directly. Epoch batch
-	// installs (VariantD commit) bypass the seam.
-	FrameFaultInjector func(key block.Key) error
 	// GroupCommitWindow coalesces concurrent Flush calls (write-back mode):
 	// the first flusher waits this long before starting the staged
 	// write-back pass, and every Flush arriving inside the window rides on
@@ -291,11 +278,6 @@ type Stats struct {
 	RotateFailures         int64 // epoch rotations aborted before the swap by a backend or log error (VariantD)
 	ResetFailures          int64 // epoch log resets that failed after the swap committed — the rotation still counts in Epochs (VariantD)
 	FlushErrors            int64 // dirty write-backs that failed (the blocks stay dirty and resident)
-	BypassReads            int64 // blocks read straight from the backend while degraded
-	BypassWrites           int64 // blocks written straight to the backend while degraded
-	DegradedEnters         int64 // transitions into cache-bypass mode
-	DegradedExits          int64 // recoveries out of cache-bypass mode
-	CacheFaults            int64 // cache-device (frame-write) faults observed
 	SpillDisables          int64 // times SieveStore-D access logging was disabled by spill faults
 	SelectOverflow         int64 // hottest-first selected blocks dropped for capacity at epoch swaps (skewed key→shard splits, dirty retentions displacing the selection, tag-store truncation) — VariantD
 	PinnedReads            int64 // blocks served zero-copy via ReadPinned (a subset of ReadHits)
@@ -307,7 +289,6 @@ type Stats struct {
 	ThrottleDenials        int64 // admissions denied by an empty tenant endurance bucket
 	TenantClips            int64 // epoch-selected blocks clipped by tenant quota or endurance budget (VariantD)
 	TenantRepartitions     int64 // quota repartitions run (time-driven and epoch-boundary)
-	Degraded               bool  // whether the store is in cache-bypass mode right now
 
 	// ReadLatency/WriteLatency aggregate whole-call ReadAt/WriteAt service
 	// times when Options.TrackLatency is set (zero otherwise).
@@ -420,21 +401,11 @@ type Store struct {
 	rotateFailures atomic.Int64
 	resetFailures  atomic.Int64
 
-	// Degraded-mode state (see Options.DegradedFaultThreshold). degraded
-	// flips on after DegradedFaultThreshold consecutive cache-device
-	// faults; while set, requests bypass the cache (straight to the
-	// backend) except one probe per DegradedProbeEvery that takes the
-	// normal path — a probe completing without a new cache fault flips
-	// degraded back off. spillDisabled is the analogous per-epoch switch
-	// for SieveStore-D access logging.
-	degraded         atomic.Bool
-	cacheFaultStreak atomic.Int64 // consecutive frame faults; reset by any fault-free install
-	cacheFaults      atomic.Int64 // total frame faults
-	degradedEnters   atomic.Int64
-	degradedExits    atomic.Int64
-	bypassReads      atomic.Int64
-	bypassWrites     atomic.Int64
-	lastCacheProbe   atomic.Int64 // UnixNanos of the last bypass probe
+	// Spill-disable state (see Options.DegradedFaultThreshold):
+	// spillDisabled switches SieveStore-D access logging off for the rest
+	// of the epoch after DegradedFaultThreshold consecutive spill errors;
+	// one access per DegradedProbeEvery (lastSpillProbe, UnixNanos) still
+	// tries the logger, and its success switches logging back on.
 	spillFaultStreak atomic.Int64
 	spillDisabled    atomic.Bool
 	spillDisables    atomic.Int64
@@ -630,15 +601,9 @@ func (s *Store) Stats() Stats {
 	st.Epochs = s.epochs.Load()
 	st.RotateFailures = s.rotateFailures.Load()
 	st.ResetFailures = s.resetFailures.Load()
-	st.BypassReads = s.bypassReads.Load()
-	st.BypassWrites = s.bypassWrites.Load()
-	st.DegradedEnters = s.degradedEnters.Load()
-	st.DegradedExits = s.degradedExits.Load()
-	st.CacheFaults = s.cacheFaults.Load()
 	st.SpillDisables = s.spillDisables.Load()
 	st.GroupCommits = s.groupCommits.Load()
 	st.CoalescedFlushes = s.coalescedFlushes.Load()
-	st.Degraded = s.degraded.Load()
 	st.ReadLatency = latencyFromHistogram(s.histRead.Snapshot(), s.errRead.Load())
 	st.WriteLatency = latencyFromHistogram(s.histWrite.Snapshot(), s.errWrite.Load())
 	return st
@@ -653,169 +618,6 @@ func latencyFromHistogram(h metrics.HistogramSnapshot, errs int64) metrics.OpLat
 		TotalNanos: h.Sum,
 		MaxNanos:   h.Max,
 	}
-}
-
-// Degraded reports whether the store is currently in cache-bypass mode.
-func (s *Store) Degraded() bool { return s.degraded.Load() }
-
-// noteCacheFault records one cache-device fault; crossing the threshold
-// enters bypass mode. Callable under a shard lock (atomics only).
-func (s *Store) noteCacheFault() {
-	s.cacheFaults.Add(1)
-	streak := s.cacheFaultStreak.Add(1)
-	thr := int64(s.opts.DegradedFaultThreshold)
-	if thr > 0 && streak >= thr && s.degraded.CompareAndSwap(false, true) {
-		s.degradedEnters.Add(1)
-		// Wait one full probe interval before the first recovery probe.
-		s.lastCacheProbe.Store(s.now().UnixNano())
-	}
-}
-
-// noteCacheOK resets the consecutive-fault streak after a fault-free
-// frame install.
-func (s *Store) noteCacheOK() { s.cacheFaultStreak.Store(0) }
-
-// exitDegraded leaves bypass mode after a successful recovery probe.
-func (s *Store) exitDegraded() {
-	if s.degraded.CompareAndSwap(true, false) {
-		s.cacheFaultStreak.Store(0)
-		s.degradedExits.Add(1)
-	}
-}
-
-// probeDue claims the per-interval recovery probe slot tracked by last:
-// true means this caller is the probe and last was advanced.
-func (s *Store) probeDue(last *atomic.Int64) bool {
-	now := s.now().UnixNano()
-	l := last.Load()
-	return now-l >= int64(s.opts.DegradedProbeEvery) && last.CompareAndSwap(l, now)
-}
-
-// bypassRead serves a read while degraded: dirty write-back blocks (whose
-// only current copy is the cache frame) come from the cache, everything
-// else straight from the backend. No admission, no access logging, no
-// epoch rotation — the degraded store does the minimum that keeps clients
-// correct.
-func (s *Store) bypassRead(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
-	nBlocks := len(p) / block.Size
-	first := off / block.Size
-	var servedDirty int64
-	var served []bool
-	if s.opts.WriteBack {
-		key0 := block.MakeKey(server, volume, first)
-		var buf [runsInline]uint64
-		runs := s.pageRuns(buf[:0], key0, nBlocks)
-		s.eachShard(runs, func(sh *shard, lo, hi int) {
-			for _, w := range runs[lo:hi] {
-				for i, end := runSpan(w); i < end; i++ {
-					if slot, ok := sh.tab.Lookup(key0 + block.Key(i)); ok && sh.state[slot].dirty {
-						copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
-						if served == nil {
-							served = make([]bool, nBlocks)
-						}
-						served[i] = true
-						servedDirty++
-					}
-				}
-			}
-		})
-	}
-	var err error
-	var nReads, nBytes int64
-	for i := 0; i < nBlocks && err == nil; {
-		if served != nil && served[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < nBlocks && (served == nil || !served[j]) {
-			j++
-		}
-		buf := p[i*block.Size : j*block.Size]
-		if err = s.backend.ReadAt(server, volume, buf, off+uint64(i)*block.Size); err == nil {
-			nReads++
-			nBytes += int64(len(buf))
-		}
-		i = j
-	}
-	sh := s.shardOf(block.MakeKey(server, volume, first))
-	sh.mu.Lock()
-	sh.stats.Reads += int64(nBlocks)
-	sh.stats.ReadHits += servedDirty
-	sh.stats.CacheBytesServed += servedDirty * block.Size
-	sh.mu.Unlock()
-	s.missReads.Add(nReads)
-	s.missBytes.Add(nBytes)
-	s.tenantAccess(server, volume, int64(nBlocks), false)
-	s.tenantHits(server, volume, servedDirty)
-	s.bypassReads.Add(int64(nBlocks))
-	if tr != nil {
-		tr.Bypass = true
-		tr.Hits = int(servedDirty)
-		tr.Misses = nBlocks - int(servedDirty)
-	}
-	return err
-}
-
-// bypassWrite writes straight through to the backend while degraded, then
-// drops any cached copies of the written range — the cache is not being
-// maintained, so a stale resident frame (or an in-flight fetch of
-// pre-write data) must not survive to be served after recovery.
-func (s *Store) bypassWrite(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
-	nBlocks := len(p) / block.Size
-	first := off / block.Size
-	err := s.backend.WriteAt(server, volume, p, off)
-	sh := s.shardOf(block.MakeKey(server, volume, first))
-	sh.mu.Lock()
-	sh.stats.Writes += int64(nBlocks)
-	if err == nil {
-		sh.stats.BackendWrites++
-		sh.stats.BackendBytesWritten += int64(len(p))
-	}
-	sh.mu.Unlock()
-	s.tenantAccess(server, volume, int64(nBlocks), true)
-	if err != nil {
-		return err
-	}
-	s.bypassWrites.Add(int64(nBlocks))
-	if tr != nil {
-		tr.Bypass = true
-		tr.Misses = nBlocks
-	}
-	s.dropRange(block.MakeKey(server, volume, first), nBlocks, false)
-	return nil
-}
-
-// dropRange discards cached state for the n blocks from key0 and reports
-// how many were resident. In-flight operations are marked stale and detached
-// — a fetch or write in the air would re-install data from before the drop —
-// and keys are recorded in rotSkip, so a staging epoch commit cannot
-// resurrect its older batch-fetched copy. A dirty frame holds the only
-// current copy: flush writes it back first (Invalidate); after a bypass
-// write the whole block was just overwritten, and it is simply freed.
-func (s *Store) dropRange(key0 block.Key, n int, flush bool) (dropped int, err error) {
-	var buf [runsInline]uint64
-	runs := s.pageRuns(buf[:0], key0, n)
-	s.eachShard(runs, func(sh *shard, lo, hi int) {
-		for _, w := range runs[lo:hi] {
-			for i, end := runSpan(w); i < end && err == nil; i++ {
-				key := key0 + block.Key(i)
-				sh.dropFlightLocked(key)
-				slot, ok := sh.tab.Lookup(key)
-				if !ok {
-					continue
-				}
-				if flush && sh.state[slot].dirty {
-					if err = sh.flushSlot(slot); err != nil {
-						break
-					}
-				}
-				sh.removeLocked(slot)
-				dropped++
-			}
-		}
-	})
-	return dropped, err
 }
 
 // Close releases the store's resources. In write-back mode the dirty
@@ -875,17 +677,11 @@ func checkIO(off uint64, n int) error {
 	return nil
 }
 
-// ioPath is one way of serving a request: the cached read or write path,
-// or its degraded-mode bypass.
-type ioPath func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error
-
 // do is the frame both I/O entry points share: geometry check, trace
-// sampling, the closed and degraded gates, and — only when latency is
-// tracked or this operation drew a trace — two monotonic clock reads
-// around the call. A degraded store sends the call to bypass unless this
-// caller drew the recovery probe; the probe takes the cached path, and
-// the store leaves bypass mode if it completes without a fresh cache fault.
-func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, bypass ioPath,
+// sampling, the closed gate, and — only when latency is tracked or this
+// operation drew a trace — two monotonic clock reads around path.
+func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64,
+	path func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error,
 	server, volume int, p []byte, off uint64) error {
 	if err := checkIO(off, len(p)); err != nil {
 		return err
@@ -896,24 +692,9 @@ func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, 
 	if timed {
 		start = time.Since(s.monoBase)
 	}
-	var err error
-	switch {
-	case s.closed.Load():
-		err = ErrClosed
-	case !s.degraded.Load():
-		err = cached(server, volume, p, off, tr)
-	default:
-		if tr != nil {
-			tr.Degraded = true
-		}
-		if !s.probeDue(&s.lastCacheProbe) {
-			err = bypass(server, volume, p, off, tr)
-			break
-		}
-		base := s.cacheFaults.Load()
-		if err = cached(server, volume, p, off, tr); err == nil && s.cacheFaults.Load() == base {
-			s.exitDegraded()
-		}
+	err := ErrClosed
+	if !s.closed.Load() {
+		err = path(server, volume, p, off, tr)
 	}
 	if timed {
 		d := time.Since(s.monoBase) - start
@@ -936,7 +717,7 @@ func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64, cached, 
 // and installed after the fetch; a rejected block leaves no trace in the
 // store beyond its sieve count and the backend counters.
 func (s *Store) ReadAt(server, volume int, p []byte, off uint64) error {
-	return s.do("read", &s.histRead, &s.errRead, s.readCached, s.bypassRead, server, volume, p, off)
+	return s.do("read", &s.histRead, &s.errRead, s.readCached, server, volume, p, off)
 }
 
 // miss is one block a read did not find and has a flight for: admitted
@@ -1158,7 +939,7 @@ func (s *Store) eachShard(runs []uint64, do func(sh *shard, lo, hi int)) {
 // invert, and lets concurrent read misses on these keys coalesce onto the
 // written data instead of racing the write with a backend fetch.
 func (s *Store) WriteAt(server, volume int, p []byte, off uint64) error {
-	return s.do("write", &s.histWrite, &s.errWrite, s.writeCached, s.bypassWrite, server, volume, p, off)
+	return s.do("write", &s.histWrite, &s.errWrite, s.writeCached, server, volume, p, off)
 }
 
 func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
@@ -1572,8 +1353,11 @@ func (s *Store) logAccess(server, volume int, first uint64, nBlocks int) {
 	if h := testLogHook; h != nil {
 		h()
 	}
-	if s.spillDisabled.Load() && !s.probeDue(&s.lastSpillProbe) {
-		return
+	if s.spillDisabled.Load() {
+		now, last := s.now().UnixNano(), s.lastSpillProbe.Load()
+		if now-last < int64(s.opts.DegradedProbeEvery) || !s.lastSpillProbe.CompareAndSwap(last, now) {
+			return
+		}
 	}
 	var err error
 	if f := testSpillFault; f != nil {
@@ -1904,12 +1688,40 @@ func (s *Store) Contains(server, volume int, off uint64) bool {
 // volume, returning how many were resident. Use it when the backing
 // ensemble is modified outside the Store (the write-through design makes
 // this unnecessary for I/O that goes through the Store itself).
-func (s *Store) Invalidate(server, volume int, off uint64, length int) (int, error) {
+//
+// In-flight operations on the range are marked stale and detached — a fetch
+// or write in the air would re-install data from before the drop — and the
+// keys are recorded in rotSkip, so a staging epoch commit cannot resurrect
+// its older batch-fetched copy. A dirty frame holds the only current copy:
+// it is written back before it is dropped.
+func (s *Store) Invalidate(server, volume int, off uint64, length int) (dropped int, err error) {
 	if err := checkIO(off, length); err != nil {
 		return 0, err
 	}
 	if s.closed.Load() {
 		return 0, ErrClosed
 	}
-	return s.dropRange(block.MakeKey(server, volume, off/block.Size), length/block.Size, true)
+	key0 := block.MakeKey(server, volume, off/block.Size)
+	var buf [runsInline]uint64
+	runs := s.pageRuns(buf[:0], key0, length/block.Size)
+	s.eachShard(runs, func(sh *shard, lo, hi int) {
+		for _, w := range runs[lo:hi] {
+			for i, end := runSpan(w); i < end && err == nil; i++ {
+				key := key0 + block.Key(i)
+				sh.dropFlightLocked(key)
+				slot, ok := sh.tab.Lookup(key)
+				if !ok {
+					continue
+				}
+				if sh.state[slot].dirty {
+					if err = sh.flushSlot(slot); err != nil {
+						break
+					}
+				}
+				sh.removeLocked(slot)
+				dropped++
+			}
+		}
+	})
+	return dropped, err
 }

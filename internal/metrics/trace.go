@@ -9,22 +9,20 @@ import (
 // went (shard, cache, sieve, backend) and what it cost. Counts are in
 // 512-byte blocks.
 type OpTrace struct {
-	Seq       uint64 `json:"seq"`                // monotone per-ring sequence
-	StartNS   int64  `json:"start_unix_ns"`      // arrival, UnixNano
-	Op        string `json:"op"`                 // "read" or "write"
-	Server    int    `json:"server"`             //
-	Volume    int    `json:"volume"`             //
-	Offset    uint64 `json:"offset"`             // byte offset
-	Blocks    int    `json:"blocks"`             // request size in blocks
-	Shard     int    `json:"shard"`              // shard of the first block
-	Hits      int    `json:"hits"`               // blocks served/updated in cache
-	Misses    int    `json:"misses"`             // blocks this op fetched/wrote through
-	Coalesced int    `json:"coalesced"`          // blocks joined onto another op's flight
-	Admitted  int    `json:"admitted"`           // blocks the sieve admitted (alloc writes)
-	Bypass    bool   `json:"bypass,omitempty"`   // served on the degraded pass-through path
-	Degraded  bool   `json:"degraded,omitempty"` // store was degraded at arrival (probe ops)
-	Err       string `json:"err,omitempty"`      // operation error, if any
-	LatencyNS int64  `json:"latency_ns"`         // whole-call service time
+	Seq       uint64 `json:"seq"`           // monotone per-ring sequence
+	StartNS   int64  `json:"start_unix_ns"` // arrival, UnixNano
+	Op        string `json:"op"`            // "read" or "write"
+	Server    int    `json:"server"`        //
+	Volume    int    `json:"volume"`        //
+	Offset    uint64 `json:"offset"`        // byte offset
+	Blocks    int    `json:"blocks"`        // request size in blocks
+	Shard     int    `json:"shard"`         // shard of the first block
+	Hits      int    `json:"hits"`          // blocks served/updated in cache
+	Misses    int    `json:"misses"`        // blocks this op fetched/wrote through
+	Coalesced int    `json:"coalesced"`     // blocks joined onto another op's flight
+	Admitted  int    `json:"admitted"`      // blocks the sieve admitted (alloc writes)
+	Err       string `json:"err,omitempty"` // operation error, if any
+	LatencyNS int64  `json:"latency_ns"`    // whole-call service time
 }
 
 // TraceRing is a fixed-size ring of sampled OpTrace records. Sampling is
