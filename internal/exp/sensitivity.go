@@ -273,10 +273,10 @@ func AblationReplacement(cfg Config) ([]ReplacementRow, error) {
 	}{
 		{cache.New(capacity), sieveC},
 		{cache.New(capacity), sieve.WMNA{}},
-		{cache.NewClock(capacity), sieve.WMNA{}},
-		{cache.NewFIFO(capacity), sieve.WMNA{}},
+		{NewClock(capacity), sieve.WMNA{}},
+		{NewFIFO(capacity), sieve.WMNA{}},
 		{cache.NewSieve(capacity), sieve.WMNA{}},
-		{cache.NewS3FIFO(capacity), sieve.WMNA{}},
+		{NewS3FIFO(capacity), sieve.WMNA{}},
 	}
 	rows := make([]ReplacementRow, 0, len(configs))
 	for _, c := range configs {
