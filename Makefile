@@ -54,9 +54,8 @@ lint:
 
 # Coverage floors for the observability-critical packages: the metrics
 # primitives feed operator-facing numbers, the appliance parses
-# untrusted network input, and the cache package is the pluggable
-# eviction-policy seam every variant sits on — all must stay thoroughly
-# tested. Other packages report coverage without a floor.
+# untrusted network input, and the cache package is the slot table every
+# variant caches through — all must stay thoroughly tested. Other packages report coverage without a floor.
 COVER_FLOOR_metrics    := 90
 COVER_FLOOR_appliance  := 80
 COVER_FLOOR_cache      := 90

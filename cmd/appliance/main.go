@@ -63,7 +63,6 @@ func main() {
 
 		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus), /statusz (JSON), and /debug/ops on this address (empty: disabled)")
 		traceSample = flag.Int("trace-sample", 0, "sample one in N operations into the /debug/ops lifecycle trace ring (0: off)")
-		traceRing   = flag.Int("trace-ring", 256, "sampled-op trace ring size")
 		mutexFrac   = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate for /debug/pprof/mutex (0: off)")
 
 		backendTimeout = flag.Duration("backend-timeout", 0, "deadline per backend request attempt (0: none; enables the fault-tolerant backend wrapper)")
@@ -76,7 +75,6 @@ func main() {
 		enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
 		repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
 
-		groupCommit = flag.Duration("group-commit-window", 0, "coalesce write-back flush requests arriving within this window into one backend sweep (0: flush immediately)")
 		maxPipeline = flag.Int("max-pipeline", 0, "per-connection cap on in-flight pipelined requests (0: default 32)")
 
 		clusterPeers       = flag.String("cluster-peers", "", "comma-separated appliance addresses: run as a replicated-cluster gateway over these nodes instead of a local store")
@@ -130,18 +128,18 @@ func main() {
 	}
 
 	var backend core.Backend
+	var files *store.File // closed, and so synced, after the store drains into it
 	if *dataDir != "" {
 		fb, err := store.NewFile(*dataDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer fb.Close()
 		for s := 0; s < *servers; s++ {
 			if err := fb.AddVolume(s, 0, uint64(*volumeMB)<<20); err != nil {
 				log.Fatal(err)
 			}
 		}
-		backend = fb
+		backend, files = fb, fb
 	} else {
 		mem := store.NewMem()
 		for s := 0; s < *servers; s++ {
@@ -167,14 +165,12 @@ func main() {
 		nShards = core.DefaultShards()
 	}
 	opts := core.Options{
-		CacheBytes:        *cacheMB << 20,
-		WriteBack:         *writeBack,
-		TrackLatency:      *trackLat,
-		Shards:            nShards,
-		Policy:            *policy,
-		TraceSample:       *traceSample,
-		TraceRingSize:     *traceRing,
-		GroupCommitWindow: *groupCommit,
+		CacheBytes:   *cacheMB << 20,
+		WriteBack:    *writeBack,
+		TrackLatency: *trackLat,
+		Shards:       nShards,
+		Policy:       *policy,
+		TraceSample:  *traceSample,
 
 		TenantTracking:         *tenantTrack,
 		TenantQuotas:           *tenantQuotas,
@@ -197,7 +193,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer st.Close()
 
 	if *snapshot != "" {
 		switch loaded, err := loadSnapshot(st, *snapshot); {
@@ -292,6 +287,11 @@ func main() {
 	}
 	if err := st.Close(); err != nil {
 		log.Printf("store close: %v", err)
+	}
+	if files != nil {
+		if err := files.Close(); err != nil {
+			log.Printf("backend close: %v", err)
+		}
 	}
 }
 

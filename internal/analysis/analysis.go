@@ -7,11 +7,9 @@
 package analysis
 
 import (
-	"io"
 	"sort"
 
 	"repro/internal/block"
-	"repro/internal/trace"
 )
 
 // Counter accumulates per-block access counts, typically for one calendar
@@ -38,20 +36,6 @@ func (c *Counter) AddRequest(req *block.Request) {
 	first := req.Offset / block.Size
 	for i := 0; i < n; i++ {
 		c.Add(block.MakeKey(req.Server, req.Volume, first+uint64(i)))
-	}
-}
-
-// AddTrace drains a trace Reader into the counter.
-func (c *Counter) AddTrace(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		c.AddRequest(&req)
 	}
 }
 

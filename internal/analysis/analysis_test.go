@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/block"
-	"repro/internal/trace"
 )
 
 func key(n uint64) block.Key { return block.MakeKey(0, 0, n) }
@@ -48,20 +47,6 @@ func TestAddRequestExpandsBlocks(t *testing.T) {
 	}
 	if c.Count(block.MakeKey(1, 2, 2)) != 1 || c.Count(block.MakeKey(1, 2, 4)) != 1 {
 		t.Error("wrong blocks counted")
-	}
-}
-
-func TestAddTrace(t *testing.T) {
-	reqs := []block.Request{
-		{Time: 1, Offset: 0, Length: 512},
-		{Time: 2, Offset: 0, Length: 512},
-	}
-	c := NewCounter()
-	if err := c.AddTrace(trace.NewSliceReader(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Total() != 2 || c.Unique() != 1 {
-		t.Errorf("total=%d unique=%d", c.Total(), c.Unique())
 	}
 }
 

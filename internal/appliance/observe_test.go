@@ -29,11 +29,10 @@ func startObservedServer(t *testing.T) (*Client, *core.Store, string) {
 	be.AddVolume(0, 0, 1<<24)
 	res := resilience.Wrap(be, resilience.Config{Timeout: time.Second})
 	st, err := core.Open(res, core.Options{
-		CacheBytes:    256 * block.Size,
-		Variant:       core.VariantC,
-		TrackLatency:  true,
-		TraceSample:   1,
-		TraceRingSize: 32,
+		CacheBytes:   256 * block.Size,
+		Variant:      core.VariantC,
+		TrackLatency: true,
+		TraceSample:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +175,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("/statusz read_latency = %v", lat)
 	}
 
-	// /debug/ops: every op was sampled (TraceSample=1); the ring holds the
-	// most recent 32 with populated lifecycle fields.
+	// /debug/ops: every op was sampled (TraceSample=1); the ring holds all
+	// 36 (4 writes, 32 reads) with populated lifecycle fields.
 	body, resp = httpGet(t, base+"/debug/ops")
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("/debug/ops content-type = %q", ct)
@@ -198,8 +197,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &ops); err != nil {
 		t.Fatalf("/debug/ops is not JSON: %v\n%s", err, body)
 	}
-	if !ops.Sampled || len(ops.Ops) != 32 {
-		t.Fatalf("/debug/ops sampled=%v n=%d, want true/32", ops.Sampled, len(ops.Ops))
+	if !ops.Sampled || len(ops.Ops) != 36 {
+		t.Fatalf("/debug/ops sampled=%v n=%d, want true/36", ops.Sampled, len(ops.Ops))
 	}
 	for i, op := range ops.Ops {
 		if op.Op != "read" && op.Op != "write" {

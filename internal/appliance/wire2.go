@@ -30,7 +30,7 @@ const (
 	OpHello = 8
 	// OpFlush asks the appliance to write its dirty write-back blocks to
 	// the ensemble (a no-op for write-through appliances). Concurrent
-	// flushes group-commit server-side when -group-commit-window is set.
+	// flushes group-commit server-side (core.Store.Flush).
 	OpFlush = 9
 
 	headerSizeV2 = 1 + 1 + 4 + 2 + 2 + 8 + 4 // magic op tag server volume offset length

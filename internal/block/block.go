@@ -97,15 +97,6 @@ func (k Key) PageHash() uint64 {
 	return x
 }
 
-// Next returns the key of the block immediately following k in the same
-// volume. It panics if k is the last representable block of its volume.
-func (k Key) Next() Key {
-	if k.Number() == MaxBlockNumber {
-		panic("block: Next overflows volume")
-	}
-	return k + 1
-}
-
 // String renders the key as server:volume:number for logs and tests.
 func (k Key) String() string {
 	return fmt.Sprintf("%d:%d:%d", k.Server(), k.Volume(), k.Number())
@@ -128,9 +119,6 @@ func (t Kind) String() string {
 	}
 	return "Read"
 }
-
-// IsWrite reports whether the kind is Write.
-func (t Kind) IsWrite() bool { return t == Write }
 
 // Access is a single-block access: the unit the cache simulator, the sieves
 // and the analysis pipeline all operate on. Multi-block trace requests are
@@ -179,18 +167,6 @@ func (r *Request) Blocks() int {
 	}
 	first := r.Offset / Size
 	last := (r.Offset + uint64(r.Length) - 1) / Size
-	return int(last - first + 1)
-}
-
-// Pages returns how many 4 KiB pages the request covers for IOPS
-// accounting. Sub-page and unaligned requests are charged a full page each,
-// matching the paper's conservative drive-cost assessment (§4).
-func (r *Request) Pages() int {
-	if r.Length == 0 {
-		return 1
-	}
-	first := r.Offset / PageSize
-	last := (r.Offset + uint64(r.Length) - 1) / PageSize
 	return int(last - first + 1)
 }
 

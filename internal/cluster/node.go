@@ -279,9 +279,3 @@ func (n *node) clearSpan(v volID, healed span) {
 		delete(n.shedSpans, v)
 	}
 }
-
-func (n *node) spanCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.shedSpans)
-}

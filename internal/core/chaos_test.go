@@ -92,10 +92,9 @@ func runChaos(t *testing.T, variant Variant) {
 	})
 
 	opts := Options{
-		CacheBytes:         32 * block.Size, // smaller than the working set: constant eviction
-		Shards:             4,
-		SieveC:             quickSieve(),
-		DegradedProbeEvery: 5 * time.Millisecond,
+		CacheBytes: 32 * block.Size, // smaller than the working set: constant eviction
+		Shards:     4,
+		SieveC:     quickSieve(),
 	}
 	var chaosOn atomic.Bool
 	if variant == VariantD {
@@ -104,7 +103,8 @@ func runChaos(t *testing.T, variant Variant) {
 		opts.DThreshold = 2
 		opts.SpillDir = t.TempDir()
 		// Spill faults in bursts of 5 — enough consecutive errors to
-		// disable access logging; rotations and probes re-enable it.
+		// disable access logging; the rotator's manual rotations re-enable
+		// it.
 		var spillCtr atomic.Uint64
 		testSpillFault = func() error {
 			if chaosOn.Load() && spillCtr.Add(1)%16 < 5 {
@@ -187,7 +187,7 @@ func runChaos(t *testing.T, variant Variant) {
 			// the served prefix into buf so verification below is uniform.
 			if rng.Intn(4) == 0 {
 				if pr := s.ReadPinned(0, 0, n*block.Size, uint64(b)*block.Size); pr != nil {
-					n = pr.Blocks()
+					n = len(pr.Views())
 					for k, v := range pr.Views() {
 						copy(buf[k*block.Size:], v)
 					}

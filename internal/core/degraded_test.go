@@ -9,44 +9,6 @@ import (
 	"repro/internal/block"
 )
 
-// A negative DegradedFaultThreshold never disables access logging: every
-// access still tries the sick spill device, and no disable is counted.
-func TestDegradedDisabledByNegativeThreshold(t *testing.T) {
-	clk := newFakeClock()
-	s, err := Open(testBackend(), Options{
-		CacheBytes:             64 * block.Size,
-		Variant:                VariantD,
-		DThreshold:             3,
-		Epoch:                  time.Hour,
-		Now:                    clk.Now,
-		SpillDir:               t.TempDir(),
-		DegradedFaultThreshold: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var spillCalls atomic.Int64
-	testSpillFault = func() error {
-		spillCalls.Add(1)
-		return errors.New("test: spill device fault")
-	}
-	defer func() { testSpillFault = nil }()
-	buf := make([]byte, block.Size)
-	for i := 0; i < 10; i++ {
-		if err := s.ReadAt(0, 0, buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.SpillDisables != 0 {
-		t.Fatalf("SpillDisables = %d with a negative threshold", st.SpillDisables)
-	}
-	if got := spillCalls.Load(); got != 10 {
-		t.Fatalf("logger tried %d times for 10 accesses, want every one", got)
-	}
-}
-
 func TestSpillDisableAndProbeReenable(t *testing.T) {
 	clk := newFakeClock()
 	s, err := Open(testBackend(), Options{

@@ -34,9 +34,6 @@ type slotPin struct {
 // not mutate or retain them past Release.
 func (pr *PinnedRead) Views() [][]byte { return pr.views }
 
-// Blocks returns the number of pinned blocks.
-func (pr *PinnedRead) Blocks() int { return len(pr.views) }
-
 // Bytes returns the total pinned payload size.
 func (pr *PinnedRead) Bytes() int { return len(pr.views) * block.Size }
 

@@ -284,7 +284,7 @@ func TestHitPathAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		pr := s.ReadPinned(0, 0, block.PageSize, 8*block.Size)
-		if pr.Blocks() != block.BlocksPerPage {
+		if len(pr.Views()) != block.BlocksPerPage {
 			t.Fatal("not all pinned")
 		}
 		pr.Release()
@@ -345,8 +345,8 @@ func TestShardVisitKeepsRecencyOrder(t *testing.T) {
 			if err := s.ReadAt(0, 0, buf[:n*block.Size], uint64(first)*block.Size); err != nil {
 				t.Fatal(err)
 			}
-		} else if pr := s.ReadPinned(0, 0, n*block.Size, uint64(first)*block.Size); pr.Blocks() != n {
-			t.Fatalf("read %d: pinned %d of %d resident blocks", i, pr.Blocks(), n)
+		} else if pr := s.ReadPinned(0, 0, n*block.Size, uint64(first)*block.Size); len(pr.Views()) != n {
+			t.Fatalf("read %d: pinned %d of %d resident blocks", i, len(pr.Views()), n)
 		} else {
 			pr.Release()
 		}
@@ -391,8 +391,8 @@ func TestAlignedPageTouchesOneShard(t *testing.T) {
 					if err := s.ReadAt(0, 0, buf, page*block.PageSize); err != nil {
 						t.Fatal(err)
 					}
-				} else if pr := s.ReadPinned(0, 0, block.PageSize, page*block.PageSize); pr.Blocks() != block.BlocksPerPage {
-					t.Fatalf("Shards %d page %d: pinned %d blocks of a resident page", shards, page, pr.Blocks())
+				} else if pr := s.ReadPinned(0, 0, block.PageSize, page*block.PageSize); len(pr.Views()) != block.BlocksPerPage {
+					t.Fatalf("Shards %d page %d: pinned %d blocks of a resident page", shards, page, len(pr.Views()))
 				} else {
 					pr.Release()
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,47 +267,6 @@ func TestWriteBackModel(t *testing.T) {
 	}
 	if s.Stats().FlushWrites == 0 {
 		t.Error("no flush writes; write-back never engaged")
-	}
-}
-
-// TestFlushWindowInjectedSleep (satellite: determinism audit): the
-// group-commit window waits through Options.Sleep, so tests with an
-// injected sleep observe the exact window with zero real-time delay.
-func TestFlushWindowInjectedSleep(t *testing.T) {
-	clk := newFakeClock()
-	var slept atomic.Int64
-	s, err := Open(testBackend(), Options{
-		CacheBytes:        64 * block.Size,
-		SieveC:            quickSieve(),
-		WriteBack:         true,
-		GroupCommitWindow: 25 * time.Millisecond,
-		Now:               clk.Now,
-		Sleep: func(d time.Duration) {
-			slept.Add(int64(d))
-			clk.Advance(d) // time passes only on the injected clock
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	admit(t, s, clk, 0)
-	if err := s.WriteAt(0, 0, bytes.Repeat([]byte{0xF0}, block.Size), 0); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := time.Duration(slept.Load()); got != 25*time.Millisecond {
-		t.Fatalf("injected sleep saw %v, want exactly the 25ms window", got)
-	}
-	// The real clock barely moved: the wait went through the seam.
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Fatalf("Flush blocked on real time for %v", wall)
-	}
-	if st := s.Stats(); st.DirtyBlocks != 0 || st.GroupCommits != 1 {
-		t.Fatalf("flush result: %+v", st)
 	}
 }
 

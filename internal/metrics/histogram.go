@@ -106,9 +106,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Snapshot merges the stripes into an exported point-in-time view. Like
-// OpLatency.Snapshot, each field is read atomically but the set is not
-// fenced against concurrent Observe calls (which only grow the counters).
+// Snapshot merges the stripes into an exported point-in-time view. Each
+// field is read atomically, but the set is not fenced against concurrent
+// Observe calls (which only grow the counters).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	s.Counts = make([]int64, HistogramBuckets)
@@ -135,32 +135,6 @@ type HistogramSnapshot struct {
 	Count  int64   // total observations
 	Sum    int64   // summed nanoseconds
 	Max    int64   // worst single observation, nanoseconds
-}
-
-// Add merges two snapshots into a new one. Either operand may be the zero
-// snapshot (nil Counts).
-func (s HistogramSnapshot) Add(o HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{
-		Count: s.Count + o.Count,
-		Sum:   s.Sum + o.Sum,
-		Max:   s.Max,
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	if s.Counts == nil && o.Counts == nil {
-		return out
-	}
-	out.Counts = make([]int64, HistogramBuckets)
-	for i := range out.Counts {
-		if i < len(s.Counts) {
-			out.Counts[i] += s.Counts[i]
-		}
-		if i < len(o.Counts) {
-			out.Counts[i] += o.Counts[i]
-		}
-	}
-	return out
 }
 
 // Mean returns the average observed value (0 if empty).

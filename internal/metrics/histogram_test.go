@@ -126,42 +126,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotAdd(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Millisecond)
-	a.Observe(2 * time.Millisecond)
-	b.Observe(3 * time.Millisecond)
-
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sum := sa.Add(sb)
-	if sum.Count != 3 || sum.Sum != (6*time.Millisecond).Nanoseconds() {
-		t.Fatalf("merged = %+v", sum)
-	}
-	if sum.Max != (3 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("merged max = %d", sum.Max)
-	}
-	var total int64
-	for _, c := range sum.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("merged bucket total = %d", total)
-	}
-	// Merging with empty operands (nil Counts) must work in both positions.
-	var empty HistogramSnapshot
-	if got := sa.Add(empty); got.Count != sa.Count || got.Sum != sa.Sum || got.Max != sa.Max {
-		t.Errorf("Add(empty) = %+v", got)
-	}
-	if got := empty.Add(sa); got.Count != sa.Count || got.Sum != sa.Sum || got.Max != sa.Max {
-		t.Errorf("empty.Add = %+v", got)
-	}
-	if got := empty.Add(empty); got.Counts != nil || got.Count != 0 {
-		t.Errorf("empty.Add(empty) = %+v", got)
-	}
-}
-
 // TestHistogramConcurrent hammers Observe from many goroutines while
-// snapshots and merges run concurrently; final totals must be exact.
+// snapshots and quantiles run concurrently; final totals must be exact.
 // Run under -race.
 func TestHistogramConcurrent(t *testing.T) {
 	const (
@@ -174,14 +140,12 @@ func TestHistogramConcurrent(t *testing.T) {
 	snapWG.Add(1)
 	go func() {
 		defer snapWG.Done()
-		var merged HistogramSnapshot
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				merged = merged.Add(h.Snapshot())
-				_ = merged.Quantile(0.99)
+				_ = h.Snapshot().Quantile(0.99)
 			}
 		}
 	}()

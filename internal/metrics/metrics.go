@@ -1,7 +1,7 @@
 // Package metrics accumulates the per-minute SSD load series behind the
 // paper's drive-occupancy analysis (Figures 8 and 9): page-granular read
-// and write operation counts per trace minute, with helpers to densify,
-// scale, and summarize the series.
+// and write operation counts per trace minute, with helpers to densify
+// and scale the series.
 package metrics
 
 import "repro/internal/ssd"
@@ -38,9 +38,6 @@ func (m *MinuteSeries) AddWrites(minute int, pages float64) {
 	m.writes[minute] += pages
 }
 
-// Len returns the number of minutes covered (up to the last active one).
-func (m *MinuteSeries) Len() int { return len(m.reads) }
-
 // Loads densifies the series to at least totalMinutes entries (idle minutes
 // appear with zero load, as in the paper's 10 080-minute accounting).
 func (m *MinuteSeries) Loads(totalMinutes int) []ssd.MinuteLoad {
@@ -57,24 +54,6 @@ func (m *MinuteSeries) Loads(totalMinutes int) []ssd.MinuteLoad {
 		}
 	}
 	return out
-}
-
-// TotalReads returns the total read pages across the series.
-func (m *MinuteSeries) TotalReads() float64 {
-	var t float64
-	for _, v := range m.reads {
-		t += v
-	}
-	return t
-}
-
-// TotalWrites returns the total write pages across the series.
-func (m *MinuteSeries) TotalWrites() float64 {
-	var t float64
-	for _, v := range m.writes {
-		t += v
-	}
-	return t
 }
 
 // ScaleLoads multiplies a load series by factor, returning a new slice.

@@ -1,56 +1,11 @@
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// OpLatency accumulates whole-call service times for one operation kind
-// (e.g. all ReadAt calls of a store). It is lock-free and safe for
-// concurrent use; the hot path is three atomic adds plus a CAS loop for
-// the maximum. The zero value is ready to use.
-type OpLatency struct {
-	ops     atomic.Int64
-	errs    atomic.Int64
-	totalNS atomic.Int64
-	maxNS   atomic.Int64
-}
-
-// Observe records one completed operation of duration d; failed marks
-// operations that returned an error (their time still counts).
-func (l *OpLatency) Observe(d time.Duration, failed bool) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	l.ops.Add(1)
-	if failed {
-		l.errs.Add(1)
-	}
-	l.totalNS.Add(ns)
-	for {
-		cur := l.maxNS.Load()
-		if ns <= cur || l.maxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// Snapshot returns a consistent-enough point-in-time copy of the counters
-// (each field is read atomically; the set is not fenced against concurrent
-// Observe calls, which only ever grow the counters).
-func (l *OpLatency) Snapshot() OpLatencySnapshot {
-	return OpLatencySnapshot{
-		Ops:        l.ops.Load(),
-		Errors:     l.errs.Load(),
-		TotalNanos: l.totalNS.Load(),
-		MaxNanos:   l.maxNS.Load(),
-	}
-}
-
-// OpLatencySnapshot is an exported, JSON-friendly view of an OpLatency.
-// It is embedded in core.Stats and travels over the appliance's OpStats
-// wire encoding.
+// OpLatencySnapshot is an exported, JSON-friendly summary of one
+// operation kind's whole-call service times (e.g. all ReadAt calls of a
+// store). It is embedded in core.Stats and travels over the appliance's
+// OpStats wire encoding.
 type OpLatencySnapshot struct {
 	Ops        int64 // completed operations
 	Errors     int64 // operations that returned an error
@@ -77,26 +32,4 @@ func (s OpLatencySnapshot) Throughput(elapsed time.Duration) float64 {
 		return 0
 	}
 	return float64(s.Ops) / elapsed.Seconds()
-}
-
-// ErrorRate returns the fraction of operations that failed (0 if empty).
-func (s OpLatencySnapshot) ErrorRate() float64 {
-	if s.Ops <= 0 {
-		return 0
-	}
-	return float64(s.Errors) / float64(s.Ops)
-}
-
-// Add merges two snapshots (e.g. across striped appliance nodes).
-func (s OpLatencySnapshot) Add(o OpLatencySnapshot) OpLatencySnapshot {
-	out := OpLatencySnapshot{
-		Ops:        s.Ops + o.Ops,
-		Errors:     s.Errors + o.Errors,
-		TotalNanos: s.TotalNanos + o.TotalNanos,
-		MaxNanos:   s.MaxNanos,
-	}
-	if o.MaxNanos > out.MaxNanos {
-		out.MaxNanos = o.MaxNanos
-	}
-	return out
 }

@@ -80,21 +80,6 @@ func (r *Registry) Histogram(name string, fn func() HistogramSnapshot) {
 	r.hists[name] = fn
 }
 
-// Names returns all registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.scalars)+len(r.hists))
-	for n := range r.scalars {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // collect snapshots the registry under the read lock after running the
 // prepare hooks.
 func (r *Registry) collect() (scalars map[string]scalarSample, hists map[string]HistogramSnapshot) {

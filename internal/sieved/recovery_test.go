@@ -15,12 +15,12 @@ func TestOpenLoggerResumesEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if err := l1.Log(key(7)); err != nil {
+		if err := l1.LogRun(key(7), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if err := l1.Log(key(9)); err != nil {
+		if err := l1.LogRun(key(9), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestOpenLoggerResumesEpoch(t *testing.T) {
 	// Continue the epoch: key 9 gets 5 more accesses, crossing the
 	// threshold only if the pre-restart tuples survived.
 	for i := 0; i < 5; i++ {
-		if err := l2.Log(key(9)); err != nil {
+		if err := l2.LogRun(key(9), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestNewLoggerTruncatesOldEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := l1.Log(key(1)); err != nil {
+		if err := l1.LogRun(key(1), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func TestOpenLoggerSalvagesTornTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 15; i++ {
-		if err := l1.Log(key(3)); err != nil {
+		if err := l1.LogRun(key(3), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestOpenLoggerRebucketsAcrossPartitionCounts(t *testing.T) {
 			moved += block.BlocksPerPage
 		}
 		for i := 0; i < 6; i++ {
-			if err := l1.Log(moved); err != nil {
+			if err := l1.LogRun(moved, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -150,7 +150,7 @@ func TestOpenLoggerRebucketsAcrossPartitionCounts(t *testing.T) {
 		}
 		defer l2.Close()
 		for i := 0; i < 6; i++ {
-			if err := l2.Log(moved); err != nil {
+			if err := l2.LogRun(moved, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,7 +180,7 @@ func TestOpenLoggerFinishesInterruptedRebucket(t *testing.T) {
 	for page := uint64(0); page < 400; page++ {
 		k := key(page*block.BlocksPerPage + page%block.BlocksPerPage)
 		for i := uint64(0); i <= page%3; i++ {
-			if err := l1.Log(k); err != nil {
+			if err := l1.LogRun(k, 1); err != nil {
 				t.Fatal(err)
 			}
 			want[k]++
@@ -254,7 +254,7 @@ func TestOpenLoggerOnEmptyDirIsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Log(block.MakeKey(0, 0, 1)); err != nil {
+	if err := l.LogRun(block.MakeKey(0, 0, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	sel, err := l.EndEpoch(1)

@@ -191,9 +191,6 @@ func (l *Logger) partitionIndex(key block.Key) int {
 	return int(key.PageHash() % uint64(len(l.parts)))
 }
 
-// Log appends an <address, 1> tuple for key.
-func (l *Logger) Log(key block.Key) error { return l.LogRun(key, 1) }
-
 // LogRequest logs every block the request touches.
 func (l *Logger) LogRequest(req *block.Request) error {
 	return l.LogRun(req.FirstBlock(), req.Blocks())

@@ -34,7 +34,7 @@ func TestCountsAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		k := key(uint64(rng.Intn(300)))
-		if err := l.Log(k); err != nil {
+		if err := l.LogRun(k, 1); err != nil {
 			t.Fatal(err)
 		}
 		want[k]++
@@ -71,7 +71,7 @@ func TestLogRequestCountsBlocks(t *testing.T) {
 func TestCompactPreservesCountsAndShrinks(t *testing.T) {
 	l := newTestLogger(t, 4)
 	for i := 0; i < 1000; i++ {
-		if err := l.Log(key(uint64(i % 50))); err != nil {
+		if err := l.LogRun(key(uint64(i%50)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func TestCompactPreservesCountsAndShrinks(t *testing.T) {
 		}
 	}
 	// Compaction must also be incremental: more logging afterwards merges.
-	if err := l.Log(key(0)); err != nil {
+	if err := l.LogRun(key(0), 1); err != nil {
 		t.Fatal(err)
 	}
 	got0 := int64(0)
@@ -115,7 +115,7 @@ func TestEndEpochSelectsAndResets(t *testing.T) {
 	// Block 1: 15 accesses, block 2: 10, block 3: 9, block 4: 1.
 	for i, n := range map[uint64]int{1: 15, 2: 10, 3: 9, 4: 1} {
 		for j := 0; j < n; j++ {
-			if err := l.Log(key(i)); err != nil {
+			if err := l.LogRun(key(i), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -148,7 +148,7 @@ func TestEndEpochDeterministicTies(t *testing.T) {
 	l := newTestLogger(t, 8)
 	for _, k := range []uint64{9, 3, 7, 1} {
 		for j := 0; j < 12; j++ {
-			if err := l.Log(key(k)); err != nil {
+			if err := l.LogRun(key(k), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -170,7 +170,7 @@ func TestLoggerClosedRejectsWrites(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Log(key(1)); err == nil {
+	if err := l.LogRun(key(1), 1); err == nil {
 		t.Error("Log after Close should fail")
 	}
 	if err := l.Close(); err != nil {
@@ -186,7 +186,7 @@ func TestSpillFilesOnDisk(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 100; i++ {
-		if err := l.Log(key(uint64(i))); err != nil {
+		if err := l.LogRun(key(uint64(i)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func BenchmarkLogAndReduce(b *testing.B) {
 	defer l.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.Log(key(uint64(i % 100000))); err != nil {
+		if err := l.LogRun(key(uint64(i%100000)), 1); err != nil {
 			b.Fatal(err)
 		}
 		// Periodic incremental reduction, as the paper prescribes.
@@ -238,7 +238,7 @@ func TestSelectKeepsLogsUntilReset(t *testing.T) {
 	l := newTestLogger(t, 4)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 3; j++ {
-			if err := l.Log(key(uint64(i))); err != nil {
+			if err := l.LogRun(key(uint64(i)), 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -273,7 +273,7 @@ func TestSelectKeepsLogsUntilReset(t *testing.T) {
 func TestResetKeepsTuplesLoggedAfterSelect(t *testing.T) {
 	l := newTestLogger(t, 4)
 	for j := 0; j < 4; j++ {
-		if err := l.Log(key(1)); err != nil {
+		if err := l.LogRun(key(1), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,7 +283,7 @@ func TestResetKeepsTuplesLoggedAfterSelect(t *testing.T) {
 	// Accesses logged while the epoch transition is in flight must carry
 	// into the next epoch, not be wiped by Reset.
 	for j := 0; j < 2; j++ {
-		if err := l.Log(key(2)); err != nil {
+		if err := l.LogRun(key(2), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestConcurrentLoggingDuringSelect(t *testing.T) {
 				return
 			default:
 			}
-			if err := l.Log(key(uint64(n % 7))); err != nil {
+			if err := l.LogRun(key(uint64(n%7)), 1); err != nil {
 				t.Error(err)
 				done <- n
 				return
@@ -380,7 +380,7 @@ func TestCompactConcurrentWithCounts(t *testing.T) {
 	for round := 1; round <= 10; round++ {
 		for i := 0; i < repeats; i++ {
 			for k := 0; k < keys; k++ {
-				if err := l.Log(key(uint64(k))); err != nil {
+				if err := l.LogRun(key(uint64(k)), 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -417,7 +417,7 @@ func TestLogRunMatchesIndividualLogs(t *testing.T) {
 	}{{0, 8}, {8, 1}, {13, 1}, {5, 8}, {3, 70}, {1000, 200}, {4, 4}, {0, 8}, {7, 2}} {
 		first := block.MakeKey(1, i%2, r.first)
 		for k := first; k < first+block.Key(r.n); k++ {
-			if err := one.Log(k); err != nil {
+			if err := one.LogRun(k, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"io"
 	"math/rand"
 
 	"repro/internal/analysis"
 	"repro/internal/block"
 	"repro/internal/sieve"
 	"repro/internal/sieved"
-	"repro/internal/trace"
 )
 
 // Trace is a day-addressable request trace (satisfied by
@@ -153,27 +151,6 @@ func RunRandBlkD(tr Trace, counters []*analysis.Counter, capacityBlocks int, fra
 	return RunDiscreteSets("RandSieve-BlkD", tr, capacityBlocks, sets)
 }
 
-// PerServerDayCounters builds per-day, per-server access counters.
-func PerServerDayCounters(tr Trace, servers int) ([][]*analysis.Counter, error) {
-	out := make([][]*analysis.Counter, tr.Days())
-	for d := range out {
-		out[d] = make([]*analysis.Counter, servers)
-		for s := range out[d] {
-			out[d][s] = analysis.NewCounter()
-		}
-		reqs, err := tr.Day(d)
-		if err != nil {
-			return nil, err
-		}
-		for i := range reqs {
-			if s := reqs[i].Server; s < servers {
-				out[d][s].AddRequest(&reqs[i])
-			}
-		}
-	}
-	return out, nil
-}
-
 // PerServerStats is one day of an ideal per-server caching configuration
 // (§5.3, quadrants III/IV).
 type PerServerStats struct {
@@ -260,14 +237,8 @@ func EnsembleStatic(counters []*analysis.Counter, capacityBlocks int) []PerServe
 	return out
 }
 
-var _ trace.Reader = (*sliceTrace)(nil) // compile-time interface sanity
-
-// sliceTrace adapts pre-split day slices to the Trace interface and, for
-// convenience, a whole-trace Reader.
-type sliceTrace struct {
-	days [][]block.Request
-	d, i int
-}
+// sliceTrace adapts pre-split day slices to the Trace interface.
+type sliceTrace struct{ days [][]block.Request }
 
 // NewSliceTrace wraps per-day request slices as a Trace.
 func NewSliceTrace(days ...[]block.Request) Trace { return &sliceTrace{days: days} }
@@ -275,16 +246,3 @@ func NewSliceTrace(days ...[]block.Request) Trace { return &sliceTrace{days: day
 func (s *sliceTrace) Days() int { return len(s.days) }
 
 func (s *sliceTrace) Day(d int) ([]block.Request, error) { return s.days[d], nil }
-
-func (s *sliceTrace) Next() (block.Request, error) {
-	for s.d < len(s.days) {
-		if s.i < len(s.days[s.d]) {
-			req := s.days[s.d][s.i]
-			s.i++
-			return req, nil
-		}
-		s.d++
-		s.i = 0
-	}
-	return block.Request{}, io.EOF
-}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/block"
 	"repro/internal/sieve"
 	"repro/internal/trace"
@@ -154,10 +155,7 @@ func TestPerServerConfigurations(t *testing.T) {
 		return reqs
 	}
 	tr := NewSliceTrace(day(0))
-	perServer, err := PerServerDayCounters(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perServer := perServerDayCounters(t, tr, 2)
 	counters, err := DayCounters(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +201,7 @@ func TestPerServerTopFractionUsesOwnBlocksOnly(t *testing.T) {
 	}
 	trace.SortByTime(day0)
 	tr := NewSliceTrace(day0)
-	perServer, err := PerServerDayCounters(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perServer := perServerDayCounters(t, tr, 2)
 	elastic := PerServerTopFraction(perServer, 0.01)
 	if elastic[0].Hits != 200 {
 		t.Errorf("elastic hits = %d", elastic[0].Hits)
@@ -216,18 +211,22 @@ func TestPerServerTopFractionUsesOwnBlocksOnly(t *testing.T) {
 	}
 }
 
-func TestSliceTraceReader(t *testing.T) {
-	day0 := []block.Request{{Time: 1, Length: block.Size}}
-	day1 := []block.Request{{Time: trace.Day + 1, Length: block.Size}}
-	st := NewSliceTrace(day0, day1).(interface {
-		Trace
-		trace.Reader
-	})
-	got, err := trace.Collect(st)
-	if err != nil {
-		t.Fatal(err)
+// perServerDayCounters builds per-day, per-server access counters.
+func perServerDayCounters(t *testing.T, tr Trace, servers int) [][]*analysis.Counter {
+	t.Helper()
+	out := make([][]*analysis.Counter, tr.Days())
+	for d := range out {
+		out[d] = make([]*analysis.Counter, servers)
+		for s := range out[d] {
+			out[d][s] = analysis.NewCounter()
+		}
+		reqs, err := tr.Day(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range reqs {
+			out[d][reqs[i].Server].AddRequest(&reqs[i])
+		}
 	}
-	if len(got) != 2 {
-		t.Errorf("collected %d", len(got))
-	}
+	return out
 }

@@ -17,7 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/block"
 	"repro/internal/cache"
@@ -128,9 +127,6 @@ func NewContinuousTags(tags cache.TagStore, policy sieve.Policy) *Continuous {
 	}
 }
 
-// Tags exposes the underlying tag store (for tests and warm-start).
-func (c *Continuous) Tags() cache.TagStore { return c.cache }
-
 // Process simulates one trace request.
 func (c *Continuous) Process(req *block.Request) {
 	day := trace.DayOf(req.Time)
@@ -184,20 +180,6 @@ func (c *Continuous) Process(req *block.Request) {
 // pages converts a block count to whole 4 KiB page operations.
 func pages(blocks int64) float64 {
 	return float64((blocks + block.BlocksPerPage - 1) / block.BlocksPerPage)
-}
-
-// Run drains a trace reader through the simulator.
-func (c *Continuous) Run(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		c.Process(&req)
-	}
 }
 
 // Result finalizes and returns the simulation result. totalMinutes pads the
@@ -294,22 +276,6 @@ func (d *Discrete) nextDay() int {
 		return 0
 	}
 	return d.curDay + 1
-}
-
-// Run drains a trace reader through the simulator.
-func (d *Discrete) Run(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := d.Process(&req); err != nil {
-			return err
-		}
-	}
 }
 
 // Result finalizes and returns the simulation result.

@@ -1,9 +1,5 @@
 package ssd
 
-import (
-	"fmt"
-)
-
 // This file models multi-drive SieveStore nodes — the paper's §7
 // forward-looking scaling discussion (and the fallback its §5.2 results
 // imply: the 9 minutes where SieveStore-C's load exceeds one X25-E are
@@ -18,15 +14,6 @@ type Array struct {
 	// Imbalance × the fair share of operations (1.0 = perfectly balanced;
 	// hash-striped block caches typically measure 1.05–1.15).
 	Imbalance float64
-}
-
-// NewArray returns an array with the given width and a mild default
-// imbalance of 1.1.
-func NewArray(spec DeviceSpec, drives int) (*Array, error) {
-	if drives < 1 {
-		return nil, fmt.Errorf("ssd: array needs ≥1 drive, got %d", drives)
-	}
-	return &Array{Spec: spec, Drives: drives, Imbalance: 1.1}, nil
 }
 
 // Occupancy returns the hottest member drive's occupancy under the given

@@ -5,19 +5,9 @@ import (
 	"testing"
 )
 
-func TestNewArrayValidates(t *testing.T) {
-	if _, err := NewArray(IntelX25E(), 0); err == nil {
-		t.Error("zero-drive array accepted")
-	}
-	a, err := NewArray(IntelX25E(), 2)
-	if err != nil || a.Drives != 2 || a.Imbalance != 1.1 {
-		t.Errorf("array = %+v, err = %v", a, err)
-	}
-}
-
 func TestArrayOccupancySingleDriveMatchesSpec(t *testing.T) {
 	spec := IntelX25E()
-	a, _ := NewArray(spec, 1)
+	a := Array{Spec: spec, Drives: 1, Imbalance: 1.1}
 	r, w := 35000.0*30, 3300.0*10
 	if got, want := a.Occupancy(r, w), spec.Occupancy(r, w); math.Abs(got-want) > 1e-12 {
 		t.Errorf("single-drive occupancy %v != spec %v", got, want)
@@ -27,8 +17,7 @@ func TestArrayOccupancySingleDriveMatchesSpec(t *testing.T) {
 func TestArrayOccupancyScalesWithWidth(t *testing.T) {
 	spec := IntelX25E()
 	load := 35000.0 * 60 * 3 // three drives' worth of reads
-	a3, _ := NewArray(spec, 3)
-	a3.Imbalance = 1.0
+	a3 := Array{Spec: spec, Drives: 3, Imbalance: 1.0}
 	if got := a3.Occupancy(load, 0); math.Abs(got-1) > 1e-9 {
 		t.Errorf("balanced 3-drive occupancy = %v, want 1", got)
 	}

@@ -5,7 +5,6 @@
 package ssd
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -37,24 +36,6 @@ func IntelX25E() DeviceSpec {
 		EnduranceBytes: 1e15,
 	}
 }
-
-// Validate checks the spec is usable for occupancy math.
-func (d *DeviceSpec) Validate() error {
-	if d.ReadIOPS <= 0 || d.WriteIOPS <= 0 {
-		return fmt.Errorf("ssd: %s: IOPS ratings must be positive", d.Name)
-	}
-	return nil
-}
-
-// RandomReadMBps returns the effective random-read bandwidth for 4 KiB
-// transfers (the paper notes this — 140 MB/s and 13.2 MB/s for the X25-E —
-// is a tighter constraint than the sequential ratings, which is why
-// occupancy is charged per-IOP).
-func (d *DeviceSpec) RandomReadMBps() float64 { return d.ReadIOPS * 4096 / 1e6 }
-
-// RandomWriteMBps returns the effective random-write bandwidth for 4 KiB
-// transfers.
-func (d *DeviceSpec) RandomWriteMBps() float64 { return d.WriteIOPS * 4096 / 1e6 }
 
 // Occupancy converts per-minute page-I/O counts into drive-IOPS occupancy:
 // each 4 KiB read occupies the drive for 1/ReadIOPS seconds and each 4 KiB

@@ -123,10 +123,3 @@ func (m *Mem) WriteAt(server, volume int, p []byte, off uint64) error {
 	}
 	return nil
 }
-
-// ExtentCount returns the number of materialized extents (test aid).
-func (m *Mem) ExtentCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.extents)
-}

@@ -99,26 +99,20 @@ func (f *File) WriteAt(server, volume int, p []byte, off uint64) error {
 	return nil
 }
 
-// Sync flushes all volume files to stable storage.
-func (f *File) Sync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, file := range f.files {
-		if err := file.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	return nil
-}
-
-// Close closes all volume files.
+// Close syncs each volume file to stable storage and closes it, returning
+// the first error. A write-back store drains its dirty blocks into the
+// files on shutdown; this sync is what makes that drain durable.
 func (f *File) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var first error
 	for k, file := range f.files {
-		if err := file.Close(); err != nil && first == nil {
-			first = err
+		err := file.Sync()
+		if cerr := file.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("store: %w", err)
 		}
 		delete(f.files, k)
 	}

@@ -196,9 +196,6 @@ func New(cfg Config) (*Accountant, error) {
 	return &Accountant{cfg: c, tenants: make(map[ID]*state)}, nil
 }
 
-// QuotasEnabled reports whether capacity quotas are enforced.
-func (a *Accountant) QuotasEnabled() bool { return a != nil && a.cfg.Quotas }
-
 // EnduranceEnabled reports whether the endurance budget is active.
 func (a *Accountant) EnduranceEnabled() bool { return a != nil && a.cfg.EnduranceBytesPerDay > 0 }
 

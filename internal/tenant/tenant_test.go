@@ -58,14 +58,14 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal config rejected: %v", err)
 	}
-	if a.QuotasEnabled() || a.EnduranceEnabled() {
+	if a.cfg.Quotas || a.EnduranceEnabled() {
 		t.Error("minimal config should have quotas and endurance off")
 	}
 }
 
 func TestNilAccountantIsDisabled(t *testing.T) {
 	var a *Accountant
-	if a.QuotasEnabled() || a.EnduranceEnabled() {
+	if a.EnduranceEnabled() {
 		t.Error("nil accountant reports features enabled")
 	}
 	now := time.Unix(0, 0)

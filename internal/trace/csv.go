@@ -76,10 +76,6 @@ func (t *NameTable) Name(id int) string {
 // Len returns the number of names in the table.
 func (t *NameTable) Len() int { return len(t.names) }
 
-// Names returns the registered names in ID order. The slice is shared; do
-// not modify it.
-func (t *NameTable) Names() []string { return t.names }
-
 // CSVReader streams an MSR-format CSV trace.
 type CSVReader struct {
 	s     *bufio.Scanner

@@ -90,46 +90,6 @@ func SortByTime(reqs []block.Request) {
 	slices.SortStableFunc(reqs, func(a, b block.Request) int { return cmp.Compare(a.Time, b.Time) })
 }
 
-// Filter returns a Reader that yields only requests for which keep returns
-// true.
-func Filter(r Reader, keep func(*block.Request) bool) Reader {
-	return &filterReader{r: r, keep: keep}
-}
-
-type filterReader struct {
-	r    Reader
-	keep func(*block.Request) bool
-}
-
-func (f *filterReader) Next() (block.Request, error) {
-	for {
-		req, err := f.r.Next()
-		if err != nil {
-			return req, err
-		}
-		if f.keep(&req) {
-			return req, nil
-		}
-	}
-}
-
-// ServerFilter yields only requests issued to the given server.
-func ServerFilter(r Reader, server int) Reader {
-	return Filter(r, func(req *block.Request) bool { return req.Server == server })
-}
-
-// VolumeFilter yields only requests issued to the given server volume.
-func VolumeFilter(r Reader, server, volume int) Reader {
-	return Filter(r, func(req *block.Request) bool {
-		return req.Server == server && req.Volume == volume
-	})
-}
-
-// DayFilter yields only requests issued during calendar day d.
-func DayFilter(r Reader, d int) Reader {
-	return Filter(r, func(req *block.Request) bool { return DayOf(req.Time) == d })
-}
-
 // Merge returns a Reader that merges several time-ordered readers into one
 // time-ordered stream (k-way merge). It is used to combine per-server trace
 // files into the ensemble trace.
@@ -229,31 +189,4 @@ func Expand(dst []block.Access, req *block.Request) []block.Access {
 		})
 	}
 	return dst
-}
-
-// Accesses converts a request Reader into a block.Access stream, expanding
-// multi-block requests. Accesses within a single request are emitted in
-// block order.
-type Accesses struct {
-	r   Reader
-	buf []block.Access
-	pos int
-}
-
-// NewAccesses wraps a request Reader into a per-block access stream.
-func NewAccesses(r Reader) *Accesses { return &Accesses{r: r} }
-
-// Next returns the next single-block access, or io.EOF.
-func (a *Accesses) Next() (block.Access, error) {
-	for a.pos >= len(a.buf) {
-		req, err := a.r.Next()
-		if err != nil {
-			return block.Access{}, err
-		}
-		a.buf = Expand(a.buf[:0], &req)
-		a.pos = 0
-	}
-	acc := a.buf[a.pos]
-	a.pos++
-	return acc, nil
 }

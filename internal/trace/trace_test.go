@@ -47,27 +47,6 @@ func TestSliceReader(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	reqs := []block.Request{
-		req(1, 0, 0, block.Read, 0, 512),
-		req(2, 1, 0, block.Read, 0, 512),
-		req(3, 1, 1, block.Read, 0, 512),
-		req(Day+1, 1, 1, block.Read, 0, 512),
-	}
-	got, err := Collect(ServerFilter(NewSliceReader(reqs), 1))
-	if err != nil || len(got) != 3 {
-		t.Fatalf("ServerFilter: %v %v", got, err)
-	}
-	got, err = Collect(VolumeFilter(NewSliceReader(reqs), 1, 1))
-	if err != nil || len(got) != 2 {
-		t.Fatalf("VolumeFilter: %v %v", got, err)
-	}
-	got, err = Collect(DayFilter(NewSliceReader(reqs), 1))
-	if err != nil || len(got) != 1 || got[0].Time != Day+1 {
-		t.Fatalf("DayFilter: %v %v", got, err)
-	}
-}
-
 func TestMergePreservesTimeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var streams [][]block.Request
@@ -163,31 +142,6 @@ func TestExpandProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAccessesStream(t *testing.T) {
-	reqs := []block.Request{
-		req(1, 0, 0, block.Read, 0, 1024), // 2 blocks
-		req(2, 0, 0, block.Write, 0, 512), // 1 block
-	}
-	a := NewAccesses(NewSliceReader(reqs))
-	var got []block.Access
-	for {
-		acc, err := a.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, acc)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d accesses", len(got))
-	}
-	if got[0].Key.Number() != 0 || got[1].Key.Number() != 1 || got[2].Kind != block.Write {
-		t.Errorf("accesses = %+v", got)
 	}
 }
 

@@ -16,15 +16,6 @@ import (
 // MarshalJSON-friendly: Config and ServerProfile are plain structs, so the
 // default encoding works; these helpers add file handling and validation.
 
-// SaveConfig writes cfg as indented JSON to path.
-func SaveConfig(cfg Config, path string) error {
-	data, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		return fmt.Errorf("workload: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // LoadConfig reads and validates a JSON ensemble configuration.
 func LoadConfig(path string) (Config, error) {
 	var cfg Config

@@ -112,9 +112,6 @@ func New(cfg Config) (*Generator, error) {
 // Names returns the server name table for the generated trace.
 func (g *Generator) Names() *trace.NameTable { return g.names }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // Days returns the number of calendar days in the trace (it satisfies the
 // simulator's Trace interface together with Day).
 func (g *Generator) Days() int { return g.cfg.Days }

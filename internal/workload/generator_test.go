@@ -357,7 +357,7 @@ func TestNamesMatchRoster(t *testing.T) {
 		t.Fatalf("got %d names", names.Len())
 	}
 	if names.Name(0) != "usr" || names.Name(12) != "wdev" {
-		t.Errorf("roster order wrong: %v", names.Names())
+		t.Errorf("roster order wrong: %q ... %q", names.Name(0), names.Name(12))
 	}
 }
 
@@ -374,7 +374,11 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/ensemble.json"
 	cfg := Default(8192)
-	if err := SaveConfig(cfg, path); err != nil {
+	data, err := EncodeConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadConfig(path)
