@@ -39,6 +39,12 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
 workloads=$workload
 [ "$workload" = all ] && workloads="lib_hot lib_trace wire_trace wire_epochs"
 
+# What every measurement names: the change's commit (+dirty when the working
+# tree differs from it), the toolchain and the CPUs the runs had.
+change=$(git -C "$root" rev-parse --short HEAD)
+[ -z "$(git -C "$root" status --porcelain)" ] || change="$change+dirty"
+stamp="$(go env GOVERSION), nproc $(nproc), GOMAXPROCS ${GOMAXPROCS:-$(nproc)}"
+
 # run SIDE DIR PAIR SEED: one benchmark run; its table rows go to runs.txt
 # as "pair side metric value". The benchmark exits non-zero on a failed or
 # mis-verified operation; that stops the comparison.
@@ -56,7 +62,7 @@ run() {
 
 for workload in $workloads; do
 	: >"$tmp/runs.txt"
-	echo "# $workload: $pairs pairs, parent $(git -C "$root" rev-parse --short "$parent") vs working tree, $seconds s streams, seeds $seed0.."
+	echo "# $workload: $pairs pairs, parent $(git -C "$root" rev-parse --short "$parent") vs $change, $stamp, $seconds s streams, seeds $seed0.."
 	i=1
 	while [ "$i" -le "$pairs" ]; do
 		seed=$((seed0 + i))

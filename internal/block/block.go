@@ -97,6 +97,11 @@ func (k Key) PageHash() uint64 {
 	return x
 }
 
+// Page returns the key of the first block of the 4 KiB page k lies in; k
+// is block k-k.Page() of that page. Tables keyed per page rather than per
+// block (the slot table's index, a shard's in-flight table) key by it.
+func (k Key) Page() Key { return k &^ (BlocksPerPage - 1) }
+
 // String renders the key as server:volume:number for logs and tests.
 func (k Key) String() string {
 	return fmt.Sprintf("%d:%d:%d", k.Server(), k.Volume(), k.Number())

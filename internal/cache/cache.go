@@ -36,23 +36,28 @@ type TagStore interface {
 	Insert(key block.Key) (evicted block.Key, wasEvicted bool)
 }
 
-// Cache is a fully-associative tag store: one key→slot index, the slots'
+// Cache is a fully-associative tag store: one page→slots index, the slots'
 // keys, a free-slot list, and a replacement Order that ranks slots — LRU
 // from New, SIEVE from NewSieve. Slots are dense small integers handed out
 // once and reused after Release, so a caller with per-block state of its
 // own (internal/core: frames, pin counts, dirty bits) keeps it in arrays
 // indexed by slot and shares this index instead of keying a second map.
+// Blocks are what it holds, ranks and evicts; the index only groups them
+// by 4 KiB page, so one probe (Page) serves a page run.
 //
 // The keyed methods (Touch, Insert, Contains, Swap) are what the simulator
-// drives; the slot methods (Lookup, Hit, Add, Drop, Release, Move,
+// drives; the slot methods (Lookup, Page, Hit, Add, Drop, Release, Move,
 // SwapSlots) are what internal/core uses.
 // It is not goroutine-safe; concurrent users serialize access.
 type Cache struct {
 	capacity int
-	index    map[block.Key]uint32
-	keys     []block.Key // by slot; a slot keeps its key until reused
-	free     []uint32    // released slots, reused last-in first-out
-	order    Order
+	n        int // resident blocks
+	// index holds, by Key.Page, each block's slot plus one, 0 where it is
+	// not resident; no entry is all zero.
+	index map[block.Key][block.BlocksPerPage]uint32
+	keys  []block.Key // by slot; a slot keeps its key until reused
+	free  []uint32    // released slots, reused last-in first-out
+	order Order
 }
 
 var _ TagStore = (*Cache)(nil)
@@ -79,7 +84,7 @@ func newCache(capacity int, order Order) *Cache {
 	if capacity < 1 {
 		panic(fmt.Sprintf("cache: capacity must be ≥1, got %d", capacity))
 	}
-	return &Cache{capacity: capacity, index: make(map[block.Key]uint32), order: order}
+	return &Cache{capacity: capacity, index: make(map[block.Key][block.BlocksPerPage]uint32), order: order}
 }
 
 // Name identifies the replacement policy.
@@ -89,7 +94,7 @@ func (c *Cache) Name() string { return c.order.Name() }
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of resident blocks.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.n }
 
 // Slots returns how many slots were ever handed out: resident ones, free
 // ones, and any the caller dropped but has not yet released.
@@ -100,8 +105,23 @@ func (c *Cache) FreeSlots() int { return len(c.free) }
 
 // Lookup returns key's slot without updating the order.
 func (c *Cache) Lookup(key block.Key) (slot uint32, ok bool) {
-	slot, ok = c.index[key]
-	return slot, ok
+	s := c.index[key.Page()][key%block.BlocksPerPage]
+	return s - 1, s != 0
+}
+
+// Page returns the index entry of key's page — by block of the page, its
+// slot plus one, 0 where it is not resident — without updating the order.
+func (c *Cache) Page(key block.Key) [block.BlocksPerPage]uint32 { return c.index[key.Page()] }
+
+// set points key's place in the index at s (a slot plus one, or 0 for
+// absent), dropping a page entry that empties.
+func (c *Cache) set(key block.Key, s uint32) {
+	pg := c.index[key.Page()]
+	if pg[key%block.BlocksPerPage] = s; pg == [block.BlocksPerPage]uint32{} {
+		delete(c.index, key.Page())
+	} else {
+		c.index[key.Page()] = pg
+	}
 }
 
 // Key returns the key last stored in slot.
@@ -130,7 +150,8 @@ func (c *Cache) alloc(key block.Key) uint32 {
 func (c *Cache) Add(key block.Key) (slot uint32) {
 	slot = c.alloc(key)
 	c.order.Insert(slot)
-	c.index[key] = slot
+	c.set(key, slot+1)
+	c.n++
 	return slot
 }
 
@@ -139,7 +160,8 @@ func (c *Cache) Add(key block.Key) (slot uint32) {
 // Releases it — once nothing refers to the slot any more.
 func (c *Cache) Drop(slot uint32) {
 	c.order.Remove(slot)
-	delete(c.index, c.keys[slot])
+	c.set(c.keys[slot], 0)
+	c.n--
 }
 
 // Release returns a dropped slot for reuse.
@@ -151,7 +173,7 @@ func (c *Cache) Move(from uint32) (to uint32) {
 	key := c.keys[from]
 	to = c.alloc(key)
 	c.order.Replace(from, to)
-	c.index[key] = to
+	c.set(key, to+1)
 	return to
 }
 
@@ -161,14 +183,14 @@ func (c *Cache) AppendSlots(dst []uint32) []uint32 { return c.order.AppendSlots(
 
 // Contains reports residency without updating recency.
 func (c *Cache) Contains(key block.Key) bool {
-	_, ok := c.index[key]
+	_, ok := c.Lookup(key)
 	return ok
 }
 
 // Touch looks up key and, on a hit, notes it (LRU promotes to
 // most-recently-used). It returns whether the block was resident.
 func (c *Cache) Touch(key block.Key) bool {
-	slot, ok := c.index[key]
+	slot, ok := c.Lookup(key)
 	if ok {
 		c.order.Touch(slot)
 	}
@@ -181,7 +203,7 @@ func (c *Cache) Insert(key block.Key) (evicted block.Key, wasEvicted bool) {
 	if c.Touch(key) {
 		return 0, false
 	}
-	if len(c.index) >= c.capacity {
+	if c.n >= c.capacity {
 		victim, _ := c.order.Victim()
 		evicted, wasEvicted = c.keys[victim], true
 		c.Drop(victim)
@@ -192,11 +214,9 @@ func (c *Cache) Insert(key block.Key) (evicted block.Key, wasEvicted bool) {
 }
 
 // Keys returns the resident blocks hottest first (see AppendSlots).
-func (c *Cache) Keys() []block.Key {
-	slots := c.order.AppendSlots(make([]uint32, 0, len(c.index)))
-	out := make([]block.Key, len(slots))
-	for i, slot := range slots {
-		out[i] = c.keys[slot]
+func (c *Cache) Keys() (out []block.Key) {
+	for _, slot := range c.order.AppendSlots(nil) {
+		out = append(out, c.keys[slot])
 	}
 	return out
 }
@@ -250,19 +270,12 @@ func (c *Cache) Swap(keys []block.Key) (moved int, evicted []block.Key, overflow
 // two partitions differ by more than one block. It panics when n < 1 or
 // total < n (a partition of capacity zero cannot hold a cache).
 func PartitionCapacity(total, n int) []int {
-	if n < 1 {
-		panic("cache: PartitionCapacity with n < 1")
-	}
-	if total < n {
-		panic("cache: PartitionCapacity with total < n")
+	if n < 1 || total < n {
+		panic(fmt.Sprintf("cache: PartitionCapacity(%d, %d) needs 1 ≤ n ≤ total", total, n))
 	}
 	caps := make([]int, n)
-	base, extra := total/n, total%n
 	for i := range caps {
-		caps[i] = base
-		if i < extra {
-			caps[i]++
-		}
+		caps[i] = (total + n - 1 - i) / n
 	}
 	return caps
 }

@@ -94,7 +94,7 @@ func (sh *shard) countPinnedLocked(n int64) {
 // the full request (a partial prefix's tail ReadAt records the op),
 // keeping read-op counts at one per request.
 func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
-	if checkIO(off, n) != nil || server < 0 || server >= block.MaxServers || volume < 0 || volume >= block.MaxVolumes {
+	if checkIO(server, volume, off, n) != nil {
 		return nil
 	}
 	if s.closed.Load() {
@@ -132,9 +132,10 @@ func (s *Store) ReadPinned(server, volume, n int, off uint64) *PinnedRead {
 		pinned := len(pr.pins)
 	visit:
 		for _, w := range runs[lo:hi] {
-			for i, end := runSpan(w); i < end; i++ {
-				slot, ok := sh.tab.Lookup(key0 + block.Key(i))
-				if !ok {
+			i, end, pk, b := runPage(key0, w)
+			for pg := sh.tab.Page(pk); i < end; i, b = i+1, b+1 {
+				slot := pg[b] - 1
+				if pg[b] == 0 {
 					prefix = min(prefix, i)
 					break visit
 				}

@@ -97,8 +97,8 @@ type slotState struct {
 // hash of their 4 KiB page (Store.shardIndex), so a shard holds whole pages;
 // with Options.Shards == 1 the one shard is exactly the paper's cache.
 //
-// Resident blocks live in one slot table. tab is the only keyed index:
-// key→slot, the slot's key, the free slots and the replacement order.
+// Resident blocks live in one slot table. tab is the only index of them:
+// page→slots, the slot's key, the free slots and the replacement order.
 // Everything else about a block is an array indexed by its slot — state
 // here, and the frame at a fixed place in slabs, which grow one slab at a
 // time as slots are first handed out and never move, so a pinned view
@@ -114,7 +114,9 @@ type shard struct {
 	slabShift uint // log2 of this shard's frames per slab
 	nDirty    int  // slots with dirty set
 	nPinned   int  // slots with pins > 0
-	inflight  map[block.Key]*flight
+	// inflight holds by Key.Page the flight of each block of the page, nil
+	// where none is, so a page run costs one probe. No entry is all nil.
+	inflight map[block.Key][block.BlocksPerPage]*flight
 	// sieveMu guards sieveC. It is taken with mu released; mu may then be
 	// taken inside it (shard.admit), never the other way round. admitSeq
 	// counts the read flights registered there.
@@ -123,10 +125,10 @@ type shard struct {
 	admitSeq atomic.Uint32
 	// rotSkip is non-nil while a store-wide epoch transition is staging
 	// (it doubles as the per-shard "rotating" flag): keys written or
-	// invalidated during the transition are recorded so the commit cannot
-	// install its (older) fetched copy of them. The shard's commit
-	// consumes and clears it.
-	rotSkip map[block.Key]bool
+	// invalidated during the transition are recorded (a bit in their page's
+	// mask) so the commit cannot install its (older) fetched copy of them.
+	// The shard's commit consumes and clears it.
+	rotSkip map[block.Key]uint8
 	stats   Stats
 
 	// _pad keeps adjacent shard allocations from false-sharing a cache
@@ -137,7 +139,7 @@ type shard struct {
 // newShard builds shard idx over tab. Slabs hold slabFrames frames, or the
 // smallest power of two that covers a smaller shard's capacity.
 func newShard(s *Store, idx int, tab *cache.Cache) *shard {
-	sh := &shard{store: s, idx: idx, tab: tab, inflight: make(map[block.Key]*flight)}
+	sh := &shard{store: s, idx: idx, tab: tab, inflight: make(map[block.Key][block.BlocksPerPage]*flight)}
 	for 1<<sh.slabShift < slabFrames && 1<<sh.slabShift < tab.Capacity() {
 		sh.slabShift++
 	}
@@ -276,18 +278,23 @@ func (sh *shard) admit(key0 block.Key, at []uint64, from int, seq uint32, now ti
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	keep := at[:from]
-	for _, i := range at[from:] {
-		key := key0 + block.Key(i)
-		if f, ok := sh.inflight[key]; ok {
-			joined = append(joined, miss{idx: int(i), f: sh.joinLocked(f)})
-			continue
+	for j := from; j < len(at); { // a page's misses sit together in at
+		pk := (key0 + block.Key(at[j])).Page()
+		pf, pg, n := sh.inflight[pk], sh.tab.Page(pk), len(admitted)
+		for ; j < len(at) && (key0+block.Key(at[j])).Page() == pk; j++ {
+			i, b := at[j], (key0+block.Key(at[j]))%block.BlocksPerPage
+			if f := pf[b]; f != nil {
+				joined = append(joined, miss{idx: int(i), f: sh.joinLocked(f)})
+				continue
+			}
+			if keep = append(keep, i); slices.Contains(adm, i) && pg[b] == 0 {
+				pf[b] = &flight{}
+				admitted = append(admitted, miss{idx: int(i), f: pf[b], sh: sh})
+				sh.admitSeq.Add(1)
+			}
 		}
-		keep = append(keep, i)
-		if slices.Contains(adm, i) && !sh.tab.Contains(key) {
-			f := &flight{}
-			sh.inflight[key] = f
-			admitted = append(admitted, miss{idx: int(i), f: f, sh: sh})
-			sh.admitSeq.Add(1)
+		if len(admitted) > n {
+			sh.inflight[pk] = pf
 		}
 	}
 	return keep, admitted, joined
@@ -377,35 +384,46 @@ func (sh *shard) dirtyKeysLocked(only func(block.Key) bool) []block.Key {
 // replacement carries newer data than anything fetched or snapshotted and
 // must still fold it into the cache.
 func (sh *shard) staleFetchFlightsLocked() {
-	for key, f := range sh.inflight {
-		if f.isWrite {
-			continue
-		}
-		f.stale = true
-		delete(sh.inflight, key)
+	for pk := range sh.inflight {
+		sh.detachLocked(pk, 0, block.BlocksPerPage, func(_ int, f *flight) bool {
+			f.stale = f.stale || !f.isWrite
+			return !f.isWrite
+		})
 	}
 }
 
-// dropFlightLocked marks key's in-flight operation, if any, stale and
-// detaches it: its owner must not install a view from before whatever the
-// caller is doing to the block, and later misses fetch fresh. A transition
-// staging right now likewise must not resurrect its fetched copy.
-func (sh *shard) dropFlightLocked(key block.Key) {
-	if f, ok := sh.inflight[key]; ok {
-		f.stale = true
-		delete(sh.inflight, key)
+// detachLocked takes out of page pk's in-flight entry each flight on blocks
+// [b, b+n) that match accepts (j counts from b), deleting the entry once it
+// empties.
+func (sh *shard) detachLocked(pk block.Key, b, n int, match func(j int, f *flight) bool) {
+	pf := sh.inflight[pk]
+	for j, f := range pf[b : b+n] {
+		if f != nil && match(j, f) {
+			pf[b+j] = nil
+		}
 	}
+	if pf == [block.BlocksPerPage]*flight{} {
+		delete(sh.inflight, pk)
+	} else {
+		sh.inflight[pk] = pf
+	}
+}
+
+// dropFlightsLocked marks the flights on blocks [b, b+n) of page pk stale
+// and detaches them: their owners must not install a view from before what
+// the caller is doing to the blocks, and later misses fetch fresh. A
+// transition staging right now likewise must not resurrect its copy.
+func (sh *shard) dropFlightsLocked(pk block.Key, b, n int) {
+	sh.detachLocked(pk, b, n, func(_ int, f *flight) bool { f.stale = true; return true })
 	if sh.rotSkip != nil {
-		sh.rotSkip[key] = true
+		sh.rotSkip[pk] |= uint8((1<<n - 1) << b)
 	}
 }
 
 // finishLocked ends a flight: it leaves the in-flight table (unless it was
 // detached as stale, or replaced, meanwhile) and whoever waits on it wakes.
 func (sh *shard) finishLocked(key block.Key, f *flight) {
-	if sh.inflight[key] == f {
-		delete(sh.inflight, key)
-	}
+	sh.detachLocked(key.Page(), int(key%block.BlocksPerPage), 1, func(_ int, g *flight) bool { return g == f })
 	if f.done != nil {
 		close(f.done)
 	}
@@ -423,27 +441,34 @@ func (sh *shard) finishLocked(key block.Key, f *flight) {
 // only in lower-numbered shards cannot form a cycle. Caller must hold sh.mu;
 // it may be released and re-acquired.
 func (sh *shard) reserveLocked(key0 block.Key, runs []uint64, flights []flight, at []uint64) ([]uint64, error) {
+	at0 := len(at)
 retry:
-	for _, w := range runs {
-		for i, end := runSpan(w); i < end; i++ {
-			if f, ok := sh.inflight[key0+block.Key(i)]; ok {
-				sh.waitFor(f)
-				if sh.store.closed.Load() {
+	for r, w := range runs {
+		lo, hi, pk, b := runPage(key0, w)
+		pf := sh.inflight[pk]
+		for _, f := range pf[b : b+hi-lo] {
+			if f != nil {
+				for _, w := range runs[:r] { // hand back what this shard holds
+					lo, hi, pk, b := runPage(key0, w)
+					sh.detachLocked(pk, b, hi-lo, func(j int, g *flight) bool { return g == &flights[lo+j] })
+					sh.stats.Writes -= int64(hi - lo)
+				}
+				at = at[:at0]
+				if sh.waitFor(f); sh.store.closed.Load() {
 					return at, ErrClosed
 				}
 				goto retry
 			}
 		}
-	}
-	for _, w := range runs {
-		for i, end := runSpan(w); i < end; i++ {
-			sh.stats.Writes++
-			flights[i].isWrite = true
-			sh.inflight[key0+block.Key(i)] = &flights[i]
-			if sh.sieveC != nil && !sh.tab.Contains(key0+block.Key(i)) {
+		pg := sh.tab.Page(pk)
+		for i := lo; i < hi; i, b = i+1, b+1 {
+			flights[i].isWrite, pf[b] = true, &flights[i]
+			if sh.sieveC != nil && pg[b] == 0 {
 				at = append(at, uint64(i))
 			}
 		}
+		sh.inflight[pk] = pf
+		sh.stats.Writes += int64(hi - lo)
 	}
 	return at, nil
 }
@@ -454,22 +479,24 @@ retry:
 // err is propagated to waiters.
 func (sh *shard) completeLocked(key0 block.Key, runs []uint64, flights []flight, p []byte, err error) {
 	for _, w := range runs {
-		for i, end := runSpan(w); i < end; i++ {
-			f, key := &flights[i], key0+block.Key(i)
+		lo, hi, pk, b := runPage(key0, w)
+		sh.detachLocked(pk, b, hi-lo, func(j int, f *flight) bool { return f == &flights[lo+j] })
+		for i := lo; i < hi; i++ {
+			f := &flights[i]
 			if err != nil {
 				f.err = err
-			} else {
-				if p != nil {
-					f.publishLocked(p[i*block.Size : (i+1)*block.Size])
-				}
-				// A write landing while an epoch transition is staging has
-				// newer data than the transition's batch fetch: tell the swap
-				// not to install its copy of this block.
-				if sh.rotSkip != nil {
-					sh.rotSkip[key] = true
-				}
+			} else if p != nil {
+				f.publishLocked(p[i*block.Size : (i+1)*block.Size])
 			}
-			sh.finishLocked(key, f)
+			if f.done != nil {
+				close(f.done)
+			}
+		}
+		// A write landing while an epoch transition is staging has newer
+		// data than the transition's batch fetch: tell the swap not to
+		// install its copy of these blocks.
+		if err == nil && sh.rotSkip != nil {
+			sh.rotSkip[pk] |= uint8((1<<(hi-lo) - 1) << b)
 		}
 	}
 }
@@ -508,13 +535,14 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 	staged := make([]byte, len(victims)*block.Size)
 	for i := 0; i < len(victims); {
 		k := victims[i]
-		if f, ok := sh.inflight[k]; ok {
+		pf := sh.inflight[k.Page()]
+		if f := pf[k%block.BlocksPerPage]; f != nil {
 			sh.waitFor(f)
 			continue // re-check this key
 		}
 		if slot, ok := dirtySlot(k); ok {
 			flights[i] = &flight{isWrite: true}
-			sh.inflight[k] = flights[i]
+			pf[k%block.BlocksPerPage], sh.inflight[k.Page()] = flights[i], pf
 			copy(staged[i*block.Size:], sh.frame(slot))
 		} // else flushed or dropped while we waited
 		i++
@@ -603,9 +631,11 @@ func (sh *shard) commitEpochLocked(selected []block.Key, fetched map[block.Key][
 	// itself. Write-back through-writes never fold their data into the
 	// cache afterwards, so installing the fetched copy would serve stale
 	// data until the next epoch: treat the key as skipped now.
-	for k, f := range sh.inflight {
-		if f.isWrite {
-			sh.rotSkip[k] = true
+	for pk, pf := range sh.inflight {
+		for b, f := range pf {
+			if f != nil && f.isWrite {
+				sh.rotSkip[pk] |= 1 << b
+			}
 		}
 	}
 	// Blocks still dirty at commit (re-dirtied while no lock was held)
@@ -626,7 +656,7 @@ func (sh *shard) commitEpochLocked(selected []block.Key, fetched map[block.Key][
 			sh.stats.SelectOverflow++
 			continue
 		}
-		if !sh.tab.Contains(k) && (fetched[k] == nil || sh.rotSkip[k]) {
+		if !sh.tab.Contains(k) && (fetched[k] == nil || sh.rotSkip[k.Page()]>>(k%block.BlocksPerPage)&1 != 0) {
 			// Not resident and nothing trustworthy fetched (written or
 			// invalidated during the transition): leave it out; a later
 			// epoch can re-select it.

@@ -235,7 +235,7 @@ func slotModelRun(t *testing.T, policy string, seed int64) {
 					next[key] = fetched[key]
 				}
 			}
-			sh.rotSkip = make(map[block.Key]bool)
+			sh.rotSkip = make(map[block.Key]uint8)
 			sh.commitEpochLocked(selected, fetched)
 			m.want = next
 		}
@@ -294,6 +294,27 @@ func TestHitPathAllocations(t *testing.T) {
 	after := s.Stats()
 	if after.BackendReads != before.BackendReads || after.PinnedFrames != 0 {
 		t.Errorf("the measured reads were not all hits, or left pins: %+v", after)
+	}
+}
+
+// TestWriteHitAllocations guards the write path: an aligned 4 KiB
+// write-through write that hits makes one allocation, its blocks' flights,
+// and the page-keyed in-flight table it reserves them in is empty after.
+func TestWriteHitAllocations(t *testing.T) {
+	s := hotStore(t, 2, 64)
+	buf := make([]byte, block.PageSize)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.WriteAt(0, 0, buf, block.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("all-hit aligned 4 KiB WriteAt: %v allocations, want at most the []flight", n)
+	}
+	if n := inflightLen(s); n != 0 {
+		t.Errorf("%d in-flight entries after the writes", n)
+	}
+	if st := s.Stats(); st.WriteHits != st.Writes || st.Writes != 201*block.BlocksPerPage {
+		t.Errorf("the measured writes were not all hits: %+v", st)
 	}
 }
 

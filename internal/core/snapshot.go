@@ -30,6 +30,13 @@ import (
 
 var snapMagic = [4]byte{'S', 'V', 'S', '1'}
 
+// snapHeader is the format's fixed part; a load ignores variant and capacity.
+type snapHeader struct {
+	Magic           [4]byte
+	Variant         uint8
+	Capacity, Count uint64
+}
+
 // ErrBadSnapshot reports a malformed or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("core: bad snapshot")
 
@@ -65,24 +72,13 @@ func (s *Store) SaveSnapshot(w io.Writer) error {
 		capacity += sh.tab.Capacity()
 		sh.mu.Unlock()
 	}
-	variant := s.opts.Variant
 
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(snapMagic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(variant)); err != nil {
+	hdr := snapHeader{snapMagic, uint8(s.opts.Variant), uint64(capacity), uint64(len(keys))}
+	if err := binary.Write(bw, binary.BigEndian, hdr); err != nil {
 		return err
 	}
 	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(capacity))
-	if _, err := bw.Write(u64[:]); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(u64[:], uint64(len(keys)))
-	if _, err := bw.Write(u64[:]); err != nil {
-		return err
-	}
 	for i, k := range keys {
 		binary.BigEndian.PutUint64(u64[:], uint64(k))
 		if _, err := bw.Write(u64[:]); err != nil {
@@ -109,42 +105,24 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	// snapshot reader must not stall concurrent I/O. (Capacity is fixed at
 	// Open, so reading it without the lock is safe.)
 	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	var hdr snapHeader
+	if err := binary.Read(br, binary.BigEndian, &hdr); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if magic != snapMagic {
-		return fmt.Errorf("%w: magic %q", ErrBadSnapshot, magic[:])
+	if hdr.Magic != snapMagic {
+		return fmt.Errorf("%w: magic %q", ErrBadSnapshot, hdr.Magic[:])
 	}
-	if _, err := br.ReadByte(); err != nil { // variant: informational only
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	// Snapshot capacity is informational; the live capacity governs.
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	count := binary.BigEndian.Uint64(u64[:])
 
 	// Entries arrive MRU-first; cap at capacity (the tail is the cold end).
-	totalCap := 0
-	for _, sh := range s.shards {
-		totalCap += sh.tab.Capacity()
-	}
-	keep := count
-	if capacity := uint64(totalCap); keep > capacity {
-		keep = capacity
-	}
+	keep := min(hdr.Count, uint64(s.opts.CacheBytes/block.Size))
 	type entry struct {
 		key  block.Key
 		data []byte
 	}
 	entries := make([]entry, 0, keep)
+	var u64 [8]byte
 	buf := make([]byte, block.Size)
-	for i := uint64(0); i < count; i++ {
+	for i := uint64(0); i < hdr.Count; i++ {
 		if _, err := io.ReadFull(br, u64[:]); err != nil {
 			return fmt.Errorf("%w: entry %d: %v", ErrBadSnapshot, i, err)
 		}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -249,32 +250,16 @@ type Stats struct {
 	WriteLatency metrics.OpLatencySnapshot
 }
 
-// accumulate folds one shard's counters into the receiver.
+// accumulate adds one shard's counters into the receiver: every int64
+// field, of which the store-level ones (Epochs, the tenant totals, …) are
+// zero in a shard's and set by Stats afterwards.
 func (s *Stats) accumulate(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.ReadHits += o.ReadHits
-	s.WriteHits += o.WriteHits
-	s.AllocWrites += o.AllocWrites
-	s.Evictions += o.Evictions
-	s.EpochMoves += o.EpochMoves
-	s.Epochs += o.Epochs
-	s.BackendReads += o.BackendReads
-	s.BackendWrites += o.BackendWrites
-	s.CachedBlocks += o.CachedBlocks
-	s.CapacityBlocks += o.CapacityBlocks
-	s.DirtyBlocks += o.DirtyBlocks
-	s.FlushWrites += o.FlushWrites
-	s.BackendBytesRead += o.BackendBytesRead
-	s.BackendBytesWritten += o.BackendBytesWritten
-	s.CacheBytesServed += o.CacheBytesServed
-	s.CoalescedReads += o.CoalescedReads
-	s.RotateFailures += o.RotateFailures
-	s.ResetFailures += o.ResetFailures
-	s.FlushErrors += o.FlushErrors
-	s.SelectOverflow += o.SelectOverflow
-	s.PinnedReads += o.PinnedReads
-	s.PinnedFrames += o.PinnedFrames
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := range dst.NumField() {
+		if f := dst.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(f.Int() + src.Field(i).Int())
+		}
+	}
 }
 
 // Hits returns total block hits.
@@ -295,8 +280,8 @@ var ErrClosed = errors.New("core: store is closed")
 // ErrAlignment rejects I/O that is not 512-byte aligned.
 var ErrAlignment = errors.New("core: offset and length must be multiples of 512")
 
-// ErrRange rejects I/O whose offset or extent exceeds the addressable
-// block range (block.MaxBlockNumber blocks per volume).
+// ErrRange rejects I/O beyond the addressable range: a server or volume ID
+// past block.MaxServers or block.MaxVolumes, a block past MaxBlockNumber.
 var ErrRange = errors.New("core: request beyond addressable block range")
 
 // Store is a SieveStore cache instance. It is safe for concurrent use.
@@ -344,9 +329,9 @@ type Store struct {
 	// which must not rewind the sieve's windows.)
 	sieveBase time.Time
 
-	// missReads and missBytes count the ensemble reads (and their bytes) that
-	// served read misses: charged with no lock, folded into Stats.
-	missReads, missBytes atomic.Int64
+	// fetchReads and fetchBytes count the ensemble reads (and their bytes) of
+	// read misses and epoch batch fetches: charged with no lock.
+	fetchReads, fetchBytes atomic.Int64
 
 	epochs         atomic.Int64
 	rotateFailures atomic.Int64
@@ -535,8 +520,6 @@ func (s *Store) shardIndex(key block.Key) int {
 	return int(key.PageHash() & s.shardMask)
 }
 
-func (s *Store) shardOf(key block.Key) *shard { return s.shards[s.shardIndex(key)] }
-
 // Stats returns a snapshot of the store's counters, merged across shards.
 // Each shard is snapshotted under its own lock; concurrent operations may
 // land between shard snapshots, so cross-shard sums are momentary, not a
@@ -560,8 +543,8 @@ func (s *Store) Stats() Stats {
 		st.TenantClips = t.SelectionClips
 		st.TenantRepartitions = t.Repartitions
 	}
-	st.BackendReads += s.missReads.Load()
-	st.BackendBytesRead += s.missBytes.Load()
+	st.BackendReads += s.fetchReads.Load()
+	st.BackendBytesRead += s.fetchBytes.Load()
 	st.Epochs = s.epochs.Load()
 	st.RotateFailures = s.rotateFailures.Load()
 	st.ResetFailures = s.resetFailures.Load()
@@ -627,15 +610,16 @@ func (s *Store) Close() error {
 	return err
 }
 
-// checkIO validates request geometry. The block-range check matters for
-// requests arriving off the wire: block.MakeKey treats an out-of-range
-// component as a caller bug and panics, and a remote peer's stray offset
-// must surface as an error, not take the daemon down.
-func checkIO(off uint64, n int) error {
+// checkIO validates a request's IDs and geometry, at every entry point. The
+// range checks matter for requests arriving off the wire: block.MakeKey
+// panics on an out-of-range component, a caller bug, and a remote peer's
+// stray ID or offset must surface as an error, not take the daemon down.
+func checkIO(server, volume int, off uint64, n int) error {
 	if off%block.Size != 0 || n%block.Size != 0 || n <= 0 {
 		return ErrAlignment
 	}
-	if end := off + uint64(n); end < off || (end-1)/block.Size > block.MaxBlockNumber {
+	if end := off + uint64(n); end < off || (end-1)/block.Size > block.MaxBlockNumber ||
+		uint(server) >= block.MaxServers || uint(volume) >= block.MaxVolumes {
 		return ErrRange
 	}
 	return nil
@@ -647,7 +631,7 @@ func checkIO(off uint64, n int) error {
 func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64,
 	path func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error,
 	server, volume int, p []byte, off uint64) error {
-	if err := checkIO(off, len(p)); err != nil {
+	if err := checkIO(server, volume, off, len(p)); err != nil {
 		return err
 	}
 	tr := s.beginTrace(op, server, volume, p, off)
@@ -708,9 +692,9 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	// Classify: one critical section per shard, shards ascending, each
 	// shard's blocks in request order — so a shard's recency order and its
 	// sieve's counts move exactly as a block-by-block walk would move them.
-	// A hit is one index probe, one relink and one copy. A miss with no
-	// flight to join goes on at, to be fetched, and is offered to the sieve
-	// with the shard lock released (shard.admit).
+	// A page run is one slot-table and one in-flight probe, a hit one relink
+	// and one copy. A miss with no flight to join goes on at, to be fetched,
+	// and is offered to the sieve with the shard lock released (shard.admit).
 	var runBuf [runsInline]uint64
 	var atBuf [missInline]uint64
 	var admittedBuf, joinedBuf [8]miss
@@ -722,15 +706,15 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 		sh.mu.Lock()
 		hits, missed, seq := 0, len(at), sh.admitSeq.Load()
 		for _, w := range runs[lo:hi] {
-			i, end := runSpan(w)
+			i, end, pk, b := runPage(key0, w)
 			sh.stats.Reads += int64(end - i)
-			for ; i < end; i++ {
-				key := key0 + block.Key(i)
-				if slot, ok := sh.tab.Lookup(key); ok {
+			pg, pf := sh.tab.Page(pk), sh.inflight[pk]
+			for ; i < end; i, b = i+1, b+1 {
+				if slot := pg[b] - 1; pg[b] != 0 {
 					sh.tab.Hit(slot)
 					copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
 					hits++
-				} else if f, ok := sh.inflight[key]; ok {
+				} else if f := pf[b]; f != nil {
 					joined = append(joined, miss{idx: i, f: sh.joinLocked(f)})
 				} else {
 					at = append(at, uint64(i))
@@ -807,8 +791,8 @@ func (s *Store) readMisses(key0 block.Key, p []byte, at []uint64, admitted []mis
 	// The backend counters take no lock. Admitted blocks, if any, are
 	// installed shard by shard — those fetched before a failed run too —
 	// unless a write or Invalidate of the block (stale) or Close intervened.
-	s.missReads.Add(nReads)
-	s.missBytes.Add(nBytes)
+	s.fetchReads.Add(nReads)
+	s.fetchBytes.Add(nBytes)
 	installed := 0
 	for lo := 0; lo < len(admitted); {
 		sh := admitted[lo].sh
@@ -868,10 +852,12 @@ func (s *Store) pageRuns(dst []uint64, key0 block.Key, n int) []uint64 {
 	return dst
 }
 
-// runSpan returns the positions [lo, hi) in the request that run word w names.
-func runSpan(w uint64) (lo, hi int) {
+// runPage returns the positions [lo, hi) in the request over key0 that run
+// word w names, the page they lie in (Key.Page) and lo's block in it.
+func runPage(key0 block.Key, w uint64) (lo, hi int, page block.Key, b int) {
 	lo = int((w & (1<<runShardShift - 1)) >> runLenBits)
-	return lo, lo + int(w&(1<<runLenBits-1))
+	k := key0 + block.Key(lo)
+	return lo, lo + int(w&(1<<runLenBits-1)), k.Page(), int(k % block.BlocksPerPage)
 }
 
 // shardRuns returns the shard that runs[lo] names and the end of its words.
@@ -980,20 +966,23 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 	var hits, admitted int
 	s.eachShard(runs, func(sh *shard, lo, hi int) {
 		for _, w := range runs[lo:hi] {
-			for i, end := runSpan(w); i < end && werr == nil; i++ {
+			i, end, pk, b := runPage(key0, w)
+			pg := sh.tab.Page(pk)
+			for ; i < end && werr == nil; i, b = i+1, b+1 {
 				if flights[i].stale || s.closed.Load() {
 					continue
 				}
-				key, data := key0+block.Key(i), p[i*block.Size:(i+1)*block.Size]
-				if slot, ok := sh.tab.Lookup(key); ok {
+				data := p[i*block.Size : (i+1)*block.Size]
+				if slot := pg[b] - 1; pg[b] != 0 {
 					sh.tab.Hit(slot)
 					if slot = sh.writeFrameLocked(slot, data); wb {
 						sh.setDirtyLocked(slot)
 					}
 					sh.stats.WriteHits++
 					hits++
-				} else if flights[i].admit && sh.installAdmitted(key, data, wb) {
+				} else if flights[i].admit && sh.installAdmitted(pk+block.Key(b), data, wb) {
 					admitted++
+					pg = sh.tab.Page(pk) // its eviction may have taken a page-mate
 				} else {
 					continue
 				}
@@ -1479,7 +1468,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	// the swap cannot install a fetched copy that their data supersedes.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.rotSkip = make(map[block.Key]bool)
+		sh.rotSkip = make(map[block.Key]uint8)
 		sh.mu.Unlock()
 	}
 	disarm := func() {
@@ -1510,11 +1499,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	if s.acct != nil {
 		selected, _ = s.acct.ClipSelection(selected)
 	}
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.tab.Capacity()
-	}
-	if len(selected) > total {
+	if total := int(s.opts.CacheBytes / block.Size); len(selected) > total {
 		selected = selected[:total] // Select orders hottest-first
 	}
 	// Split the selection across shards, preserving hottest-first order
@@ -1523,11 +1508,13 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	// half-empty — those hot blocks are lost for the epoch, so count them
 	// in SelectOverflow instead of dropping them silently.
 	perShard := make([][]block.Key, len(s.shards))
+	inNew := make(map[block.Key]bool, len(selected))
 	var splitOverflow int64
 	for _, k := range selected {
 		si := s.shardIndex(k)
 		if len(perShard[si]) < s.shards[si].tab.Capacity() {
 			perShard[si] = append(perShard[si], k)
+			inNew[k] = true
 		} else {
 			splitOverflow++
 		}
@@ -1577,13 +1564,8 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 		sh.mu.Unlock()
 	}
 	fetched, nReads, nBytes, err := s.fetchBatch(need)
-	if nReads > 0 || nBytes > 0 {
-		sh0 := s.shards[0]
-		sh0.mu.Lock()
-		sh0.stats.BackendReads += nReads
-		sh0.stats.BackendBytesRead += nBytes
-		sh0.mu.Unlock()
-	}
+	s.fetchReads.Add(nReads)
+	s.fetchBytes.Add(nBytes)
 	if err != nil {
 		disarm()
 		return false, err
@@ -1596,12 +1578,6 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	// Stage 3: write back dirty blocks the swap would evict — staged like
 	// Flush, shard by shard ascending, and aborting the rotation on
 	// failure (evicting them unflushed would lose data).
-	inNew := make(map[block.Key]bool, len(selected))
-	for si := range s.shards {
-		for _, k := range perShard[si] {
-			inNew[k] = true
-		}
-	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		ferr := sh.flushStagedLocked(func(k block.Key) bool { return !inNew[k] })
@@ -1646,7 +1622,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 // Contains reports whether a block is currently cached (test/debug aid).
 func (s *Store) Contains(server, volume int, off uint64) bool {
 	key := block.MakeKey(server, volume, off/block.Size)
-	sh := s.shardOf(key)
+	sh := s.shards[s.shardIndex(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.tab.Contains(key)
@@ -1663,7 +1639,7 @@ func (s *Store) Contains(server, volume int, off uint64) bool {
 // its older batch-fetched copy. A dirty frame holds the only current copy:
 // it is written back before it is dropped.
 func (s *Store) Invalidate(server, volume int, off uint64, length int) (dropped int, err error) {
-	if err := checkIO(off, length); err != nil {
+	if err := checkIO(server, volume, off, length); err != nil {
 		return 0, err
 	}
 	if s.closed.Load() {
@@ -1673,12 +1649,13 @@ func (s *Store) Invalidate(server, volume int, off uint64, length int) (dropped 
 	var buf [runsInline]uint64
 	runs := s.pageRuns(buf[:0], key0, length/block.Size)
 	s.eachShard(runs, func(sh *shard, lo, hi int) {
-		for _, w := range runs[lo:hi] {
-			for i, end := runSpan(w); i < end && err == nil; i++ {
-				key := key0 + block.Key(i)
-				sh.dropFlightLocked(key)
-				slot, ok := sh.tab.Lookup(key)
-				if !ok {
+		for r := lo; r < hi && err == nil; r++ {
+			i, end, pk, b := runPage(key0, runs[r])
+			sh.dropFlightsLocked(pk, b, end-i)
+			pg := sh.tab.Page(pk)
+			for ; i < end && err == nil; i, b = i+1, b+1 {
+				slot := pg[b] - 1
+				if pg[b] == 0 {
 					continue
 				}
 				if sh.state[slot].dirty {

@@ -134,6 +134,47 @@ func TestBlockRangeEnforced(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeIDsAreErrors: a server or volume ID a block key cannot hold
+// is ErrRange at every entry point — nil from ReadPinned — never the panic
+// block.MakeKey makes of it.
+func TestOutOfRangeIDsAreErrors(t *testing.T) {
+	s := openC(t, newFakeClock())
+	buf := make([]byte, block.Size)
+	for _, id := range []struct{ server, volume int }{
+		{block.MaxServers, 0}, {0, block.MaxVolumes}, {-1, 0}, {0, -1},
+	} {
+		calls := map[string]func() error{
+			"ReadAt":  func() error { return s.ReadAt(id.server, id.volume, buf, 0) },
+			"WriteAt": func() error { return s.WriteAt(id.server, id.volume, buf, 0) },
+			"Invalidate": func() error {
+				_, err := s.Invalidate(id.server, id.volume, 0, block.Size)
+				return err
+			},
+			"ReadPinned": func() error {
+				if s.ReadPinned(id.server, id.volume, block.Size, 0) != nil {
+					return errors.New("pinned a view")
+				}
+				return ErrRange
+			},
+		}
+		for name, call := range calls {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(server %d, volume %d) panicked: %v", name, id.server, id.volume, r)
+					}
+				}()
+				if err := call(); !errors.Is(err, ErrRange) {
+					t.Errorf("%s(server %d, volume %d) = %v, want ErrRange", name, id.server, id.volume, err)
+				}
+			}()
+		}
+	}
+	if st := s.Stats(); st.Reads != 0 || st.Writes != 0 || st.BackendReads != 0 || st.BackendWrites != 0 {
+		t.Errorf("a rejected call reached the store: %+v", st)
+	}
+}
+
 func TestWriteThroughAndReadBack(t *testing.T) {
 	clk := newFakeClock()
 	be := testBackend()
