@@ -34,6 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *sweepScale == 0 {
+		*sweepScale = *scale * 8
+	}
 	cfg := exp.DefaultConfig(*scale)
 	cfg.Workload.Seed = *seed
 	cfg.TraceDir = *traceDir
@@ -84,15 +87,11 @@ func main() {
 	section("S7", "Scaling projection & network feasibility")
 	fmt.Println(res.ScalingReport())
 
+	sweepCfg := exp.DefaultConfig(*sweepScale)
+	sweepCfg.Workload.Seed = *seed
 	if !*skipSweeps {
-		qs := *sweepScale
-		if qs == 0 {
-			qs = *scale * 8
-		}
-		qCfg := exp.DefaultConfig(qs)
-		qCfg.Workload.Seed = *seed
-		section("F1", fmt.Sprintf("Design-space quadrants (scale 1/%d)", qs))
-		rows, err := exp.Quadrants(qCfg)
+		section("F1", fmt.Sprintf("Design-space quadrants (scale 1/%d)", *sweepScale))
+		rows, err := exp.Quadrants(sweepCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,13 +107,7 @@ func main() {
 	}
 
 	if !*skipSweeps {
-		ss := *sweepScale
-		if ss == 0 {
-			ss = *scale * 8
-		}
-		sweepCfg := exp.DefaultConfig(ss)
-		sweepCfg.Workload.Seed = *seed
-		section("SENS", fmt.Sprintf("Sensitivity & ablations (scale 1/%d)", ss))
+		section("SENS", fmt.Sprintf("Sensitivity & ablations (scale 1/%d)", *sweepScale))
 		dRows, err := exp.SensitivityD(sweepCfg, []int64{4, 6, 8, 10, 14, 20})
 		if err != nil {
 			log.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/sieve"
 	"repro/internal/sim"
@@ -35,12 +36,12 @@ func main() {
 		threshold = flag.Int64("threshold", 10, "SieveStore-D epoch threshold")
 		topFrac   = flag.Float64("top", 0.01, "ideal sieve popularity cut")
 		randP     = flag.Float64("randp", 0.01, "random sieve allocation fraction")
-		in        = flag.String("in", "", "day-split trace directory (see tracegen -split); empty generates synthetically")
+		in        = flag.String("in", "", "day-split trace directory (see trace -outformat daydir); empty generates synthetically")
 	)
 	flag.Parse()
 
-	cfg := workload.Default(*scale)
-	cfg.Seed = *seed
+	cfg := exp.DefaultConfig(*scale)
+	cfg.Workload.Seed = *seed
 	var tr sim.Trace
 	if *in != "" {
 		dd, err := trace.OpenDayDir(*in)
@@ -49,16 +50,13 @@ func main() {
 		}
 		tr = dd
 	} else {
-		gen, err := workload.New(cfg)
+		gen, err := workload.New(cfg.Workload)
 		if err != nil {
 			log.Fatal(err)
 		}
 		tr = gen
 	}
-	capacityBlocks := int(*cacheGB * (1 << 30) / 512 / float64(*scale))
-	if capacityBlocks < 8 {
-		capacityBlocks = 8
-	}
+	capacityBlocks := cfg.CacheBlocks(*cacheGB)
 
 	var (
 		res *sim.Result
@@ -66,16 +64,11 @@ func main() {
 	)
 	switch *policy {
 	case "sievec", "singletier":
-		sc := sieve.DefaultCConfig()
-		sc.IMCTSize = 1 << 28 / *scale
-		if sc.IMCTSize < 1024 {
-			sc.IMCTSize = 1024
-		}
 		var p sieve.Policy
 		if *policy == "sievec" {
-			p, err = sieve.NewC(sc)
+			p, err = sieve.NewC(cfg.SieveC)
 		} else {
-			p, err = sieve.NewSingleTier(sc)
+			p, err = sieve.NewSingleTier(cfg.SieveC)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -83,10 +76,7 @@ func main() {
 		res, err = sim.RunContinuous(tr, capacityBlocks, p)
 	case "adaptive":
 		acfg := sieve.DefaultAdaptiveConfig()
-		acfg.Base.IMCTSize = 1 << 28 / *scale
-		if acfg.Base.IMCTSize < 1024 {
-			acfg.Base.IMCTSize = 1024
-		}
+		acfg.Base = cfg.SieveC
 		var p *sieve.Adaptive
 		p, err = sieve.NewAdaptive(acfg)
 		if err != nil {
@@ -99,10 +89,10 @@ func main() {
 	case "perserver":
 		// Quadrant IV: one private SieveStore-C cache per server, the total
 		// capacity split evenly.
-		servers := len(cfg.Servers)
+		servers := len(cfg.Workload.Servers)
 		factory := func(int) (sieve.Policy, error) {
-			sc := sieve.DefaultCConfig()
-			sc.IMCTSize = 1 << 28 / *scale / servers
+			sc := cfg.SieveC
+			sc.IMCTSize /= servers
 			if sc.IMCTSize < 256 {
 				sc.IMCTSize = 256
 			}

@@ -37,7 +37,7 @@ func startDServer(t *testing.T) (*Client, *core.Store, *store.Mem) {
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); srv.Serve(l) }()
-	client, err := Dial(l.Addr().String())
+	client, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestBadMagicClosesConnection(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialWith("127.0.0.1:1", DialOptions{}); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }

@@ -435,7 +435,7 @@ type Client struct {
 	closed     bool
 	reconnects int64
 
-	// ready is set by the first op's handshake (lazy, so Dial stays
+	// ready is set by the first op's handshake (lazy, so DialWith stays
 	// I/O-free); every later connection is handshaken by reconnectLocked
 	// before it carries a request.
 	ready bool
@@ -454,8 +454,8 @@ type Client struct {
 }
 
 // DialOptions hardens a Client against a flaky wire or a restarting
-// appliance. The zero value imposes nothing (the historical Dial behavior:
-// no deadlines, a broken connection stays broken).
+// appliance. The zero value imposes nothing: no deadlines, and a broken
+// connection stays broken.
 type DialOptions struct {
 	// Timeout bounds each round trip's wire I/O (request write through
 	// response payload read; 0 = unbounded). A hit deadline breaks the
@@ -479,12 +479,6 @@ type DialOptions struct {
 	// stays only because bench/run.go sets it and bench/ changes only in a
 	// benchmark issue; it leaves in the next one.
 	Protocol int
-}
-
-// Dial connects to an appliance at addr with no deadlines and no
-// auto-reconnect (DialOptions zero value).
-func Dial(addr string) (*Client, error) {
-	return DialWith(addr, DialOptions{})
 }
 
 // DialWith connects to an appliance at addr, hardened with opts. The
@@ -630,9 +624,9 @@ func (c *Client) RotateEpoch() error {
 }
 
 // Flush asks the appliance to write its dirty write-back blocks to the
-// ensemble (a no-op for a write-through appliance). Flushes arriving
-// within the server's group-commit window coalesce into one staged
-// write-back pass.
+// ensemble (a no-op for a write-through appliance). The store coalesces
+// concurrent flushes: a Flush that arrives while a sweep is running waits
+// for it and then joins the one follow-up sweep every such caller shares.
 func (c *Client) Flush() error {
 	return c.do2(headerV2{op: OpFlush}, nil, &pendingOp{op: OpFlush})
 }

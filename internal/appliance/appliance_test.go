@@ -38,7 +38,7 @@ func startServer(t *testing.T) (*Client, *core.Store, *store.Mem) {
 		defer close(done)
 		srv.Serve(l)
 	}()
-	client, err := Dial(l.Addr().String())
+	client, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialWith(addr, DialOptions{})
 			if err != nil {
 				errs <- err
 				return
@@ -245,7 +245,7 @@ func BenchmarkRoundTrip4K(b *testing.B) {
 	}
 	go srv.Serve(l)
 	defer srv.Close()
-	client, err := Dial(l.Addr().String())
+	client, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

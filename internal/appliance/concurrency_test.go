@@ -41,7 +41,7 @@ func startLatencyServer(t *testing.T) *Client {
 		defer close(done)
 		srv.Serve(l)
 	}()
-	client, err := Dial(l.Addr().String())
+	client, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestClientBreaksOnTransportError(t *testing.T) {
 		conn.Write(make([]byte, h.length/2))
 	}()
 
-	c, err := Dial(l.Addr().String())
+	c, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestApplianceConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialWith(addr, DialOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -312,7 +312,7 @@ func TestApplianceShardedStore(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialWith(addr, DialOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -351,7 +351,7 @@ func TestApplianceShardedStore(t *testing.T) {
 	adminWg.Add(1)
 	go func() {
 		defer adminWg.Done()
-		c, err := Dial(addr)
+		c, err := DialWith(addr, DialOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -393,7 +393,7 @@ func TestApplianceShardedStore(t *testing.T) {
 	}
 	// Every written block must be durable in cache or backend: a final
 	// read-back through a fresh client sees each client's last pattern.
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
@@ -92,7 +93,7 @@ func NewObservability(st *core.Store) *Observability {
 	c("coalesced_flushes", func(s core.Stats) int64 { return s.CoalescedFlushes })
 	c("backend_bytes_read", func(s core.Stats) int64 { return s.BackendBytesRead })
 	c("backend_bytes_written", func(s core.Stats) int64 { return s.BackendBytesWritten })
-	c("cache_bytes_served", func(s core.Stats) int64 { return s.CacheBytesServed })
+	c("cache_bytes_served", func(s core.Stats) int64 { return s.ReadHits * block.Size })
 	c("read_ops", func(s core.Stats) int64 { return s.ReadLatency.Ops })
 	c("read_errors", func(s core.Stats) int64 { return s.ReadLatency.Errors })
 	c("write_ops", func(s core.Stats) int64 { return s.WriteLatency.Ops })

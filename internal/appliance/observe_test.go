@@ -44,7 +44,7 @@ func startObservedServer(t *testing.T) (*Client, *core.Store, string) {
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); srv.Serve(l) }()
-	client, err := Dial(l.Addr().String())
+	client, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +399,11 @@ func TestObservabilityTenantMetrics(t *testing.T) {
 	// The next scrape registers both tenants' series and reports their
 	// live counters.
 	body, _ = httpGet(t, web.URL+"/metrics")
+	// Bytes served from the cache are the read hits' blocks.
+	hits := st.Stats().ReadHits
+	if want := "sievestore_core_cache_bytes_served " + itoa(hits*block.Size); hits == 0 || !strings.Contains(body, want) {
+		t.Errorf("/metrics missing %q (read hits %d)\n%s", want, hits, grepLines(body, "cache_bytes_served"))
+	}
 	for _, want := range []string{
 		"sievestore_core_tenants 2",
 		"# TYPE sievestore_tenant_0_0_reads counter",

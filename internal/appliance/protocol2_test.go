@@ -19,7 +19,7 @@ import (
 
 func TestV2NegotiatedByDefault(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestClientRejectsBadHelloReply(t *testing.T) {
 // per-connection write mutex.
 func TestPipelineConcurrency(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func drainedDepth(srv *Server) int64 {
 // The server must bound in-flight requests per connection at MaxPipeline.
 func TestPipelineDepthBounded(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{MaxPipeline: 2})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestInvalidateRejectsBadLength(t *testing.T) {
 	}
 	// In-range lengths still reach the wire (and work end to end).
 	_, addr := startServerWith(t, ServerOptions{})
-	cc, err := Dial(addr)
+	cc, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

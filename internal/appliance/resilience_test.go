@@ -112,7 +112,7 @@ func TestClientReconnectMidWorkload(t *testing.T) {
 
 func TestClientWithoutReconnectStaysBroken(t *testing.T) {
 	_, addr := startServerWith(t, ServerOptions{})
-	c, err := Dial(addr) // zero DialOptions: historical semantics
+	c, err := DialWith(addr, DialOptions{}) // zero DialOptions: historical semantics
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestClientWithoutReconnectStaysBroken(t *testing.T) {
 func TestServerMaxConnsRejectsWithBusy(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{MaxConns: 1})
 
-	c1, err := Dial(addr)
+	c1, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestServerMaxConnsRejectsWithBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := Dial(addr)
+	c2, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestServerMaxConnsRejectsWithBusy(t *testing.T) {
 
 func TestServerIdleTimeoutDropsDeadPeer(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{IdleTimeout: 50 * time.Millisecond})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestServerIdleTimeoutDropsDeadPeer(t *testing.T) {
 func TestIOTimeoutDoesNotCloseIdleConnection(t *testing.T) {
 	const ioTimeout = 50 * time.Millisecond
 	_, addr := startServerWith(t, ServerOptions{IOTimeout: ioTimeout})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestIdleTimeoutNotIOTimeoutClosesSilentPeer(t *testing.T) {
 		idleTimeout = 600 * time.Millisecond
 	)
 	srv, addr := startServerWith(t, ServerOptions{IOTimeout: ioTimeout, IdleTimeout: idleTimeout})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

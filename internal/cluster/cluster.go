@@ -522,8 +522,9 @@ func (c *Client) Flush() error {
 }
 
 // Stats aggregates the serving nodes' store counters — the gateway's
-// OpStats answer. Gauges (capacity, cached, dirty) sum across nodes;
-// unreachable nodes contribute nothing.
+// OpStats answer. Every int64 field, gauges included, sums across nodes
+// (core.Stats.Add); the latency snapshots stay zero, and unreachable nodes
+// contribute nothing.
 func (c *Client) Stats() core.Stats {
 	var agg core.Stats
 	topo := c.topo.Load()
@@ -544,18 +545,7 @@ func (c *Client) Stats() core.Stats {
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			agg.Reads += st.Reads
-			agg.Writes += st.Writes
-			agg.ReadHits += st.ReadHits
-			agg.WriteHits += st.WriteHits
-			agg.AllocWrites += st.AllocWrites
-			agg.Evictions += st.Evictions
-			agg.BackendReads += st.BackendReads
-			agg.BackendWrites += st.BackendWrites
-			agg.FlushWrites += st.FlushWrites
-			agg.CachedBlocks += st.CachedBlocks
-			agg.CapacityBlocks += st.CapacityBlocks
-			agg.DirtyBlocks += st.DirtyBlocks
+			agg.Add(st)
 		}()
 	}
 	wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/appliance"
 	"repro/internal/block"
+	"repro/internal/core"
 )
 
 func fillByte(p []byte, b byte) {
@@ -414,6 +416,44 @@ func TestClusterStatsAggregates(t *testing.T) {
 	}
 	if st.Writes == 0 {
 		t.Fatalf("aggregated writes is zero: %+v", st)
+	}
+}
+
+// TestClusterStatsSumsEveryCounter checks that the gateway's Stats is the
+// field-by-field sum of its nodes' for every int64 counter and gauge.
+func TestClusterStatsSumsEveryCounter(t *testing.T) {
+	_, nodes, cl := newTestRing(t, 2, Config{Replicas: 2})
+	buf := make([]byte, 16*block.Size)
+	if err := cl.WriteAt(0, 0, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := make([]byte, 64*block.Size)
+			for i := 0; i < 8; i++ {
+				if err := cl.ReadAt(0, 0, p, blockAt(uint64(64*i))); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	var want core.Stats
+	for _, n := range nodes {
+		want.Add(n.st.Stats())
+	}
+	got := reflect.ValueOf(cl.Stats())
+	for i, w := 0, reflect.ValueOf(want); i < w.NumField(); i++ {
+		if f := w.Field(i); f.Kind() == reflect.Int64 && got.Field(i).Int() != f.Int() {
+			t.Errorf("gateway %s = %d, nodes sum to %d", w.Type().Field(i).Name, got.Field(i).Int(), f.Int())
+		}
+	}
+	if want.Reads == 0 || want.BackendBytesRead == 0 {
+		t.Fatalf("no traffic reached the nodes: %+v", want)
 	}
 }
 

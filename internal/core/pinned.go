@@ -79,7 +79,6 @@ func (sh *shard) countPinnedLocked(n int64) {
 	sh.stats.Reads += n
 	sh.stats.ReadHits += n
 	sh.stats.PinnedReads += n
-	sh.stats.CacheBytesServed += n * block.Size
 }
 
 // ReadPinned serves the longest all-hit prefix of the request

@@ -227,7 +227,6 @@ type Stats struct {
 	FlushWrites         int64 // dirty blocks written back to the ensemble
 	BackendBytesRead    int64
 	BackendBytesWritten int64
-	CacheBytesServed    int64 // bytes of reads served from cache
 	CoalescedReads      int64 // miss blocks served by joining another caller's write or admitted fetch in flight
 	RotateFailures      int64 // epoch rotations aborted before the swap by a backend or log error (VariantD)
 	ResetFailures       int64 // epoch log resets that failed after the swap committed — the rotation still counts in Epochs (VariantD)
@@ -250,10 +249,11 @@ type Stats struct {
 	WriteLatency metrics.OpLatencySnapshot
 }
 
-// accumulate adds one shard's counters into the receiver: every int64
-// field, of which the store-level ones (Epochs, the tenant totals, …) are
-// zero in a shard's and set by Stats afterwards.
-func (s *Stats) accumulate(o Stats) {
+// Add adds o's counters into the receiver: every int64 field, gauges
+// included. Stats sums its shards with it (whose store-level fields —
+// Epochs, the tenant totals, … — are zero and set afterwards), and a
+// cluster gateway its nodes.
+func (s *Stats) Add(o Stats) {
 	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
 	for i := range dst.NumField() {
 		if f := dst.Field(i); f.Kind() == reflect.Int64 {
@@ -533,7 +533,7 @@ func (s *Store) Stats() Stats {
 		sub.DirtyBlocks = int64(sh.nDirty)
 		sub.PinnedFrames = int64(sh.nPinned)
 		sh.mu.Unlock()
-		st.accumulate(sub)
+		st.Add(sub)
 	}
 	if s.acct != nil {
 		t := s.acct.Totals()
@@ -722,7 +722,6 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 			}
 		}
 		sh.stats.ReadHits += int64(hits)
-		sh.stats.CacheBytesServed += int64(hits) * block.Size
 		sh.mu.Unlock()
 		if sh.sieveC != nil && len(at) > missed {
 			if now.IsZero() {

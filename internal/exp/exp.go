@@ -45,7 +45,7 @@ type Config struct {
 	// SpillDir hosts SieveStore-D's partition logs; empty uses a temp dir.
 	SpillDir string
 	// TraceDir, when set, replays a day-split trace directory (see
-	// tracegen -split / traceconv) instead of generating the synthetic
+	// cmd/trace -outformat daydir) instead of generating the synthetic
 	// workload — the path for running the evaluation on real MSR traces.
 	// Workload.Scale is still used to size the cache and to scale the
 	// drive-occupancy analysis; set it to the trace's scale (1 for raw MSR

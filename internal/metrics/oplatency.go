@@ -23,13 +23,3 @@ func (s OpLatencySnapshot) Mean() time.Duration {
 	}
 	return time.Duration(s.TotalNanos / s.Ops)
 }
-
-// Throughput returns operations per second over a wall-clock window.
-// A zero, negative, or sub-nanosecond window, or a negative op count,
-// yields 0 — never Inf or NaN.
-func (s OpLatencySnapshot) Throughput(elapsed time.Duration) float64 {
-	if elapsed <= 0 || s.Ops < 0 {
-		return 0
-	}
-	return float64(s.Ops) / elapsed.Seconds()
-}

@@ -115,7 +115,7 @@ func TestMemPropertyRoundTrip(t *testing.T) {
 func TestLatencyAccounting(t *testing.T) {
 	m := NewMem()
 	m.AddVolume(0, 0, 1<<20)
-	l := NewLatency(m)
+	l := &Latency{Backend: m, PerRequest: 8 * time.Millisecond, PerByte: 10 * time.Nanosecond}
 	buf := make([]byte, 4096)
 	if err := l.WriteAt(0, 0, buf, 0); err != nil {
 		t.Fatal(err)

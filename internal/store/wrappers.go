@@ -10,8 +10,7 @@ import (
 
 // Latency wraps a Backend and accounts HDD-like service time for every
 // request. By default the delay is only *recorded* (so tests stay fast);
-// with Sleep=true it is actually imposed, which the appliance example uses
-// to make the cache's effect visible.
+// with Sleep=true it is actually imposed.
 type Latency struct {
 	Backend
 	// PerRequest is the fixed positioning cost (seek+rotate).
@@ -23,16 +22,6 @@ type Latency struct {
 
 	busy int64 // accumulated nanoseconds
 	ops  int64
-}
-
-// NewLatency wraps backend with enterprise-HDD-like defaults (≈8 ms
-// positioning, ≈100 MB/s transfer).
-func NewLatency(backend Backend) *Latency {
-	return &Latency{
-		Backend:    backend,
-		PerRequest: 8 * time.Millisecond,
-		PerByte:    10 * time.Nanosecond,
-	}
 }
 
 func (l *Latency) account(n int) {

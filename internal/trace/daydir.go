@@ -11,7 +11,7 @@ import (
 )
 
 // This file implements on-disk, day-partitioned traces: a whole-trace
-// stream (e.g. a real MSR-Cambridge CSV download, or tracegen output) is
+// stream (e.g. a real MSR-Cambridge CSV download, or cmd/trace output) is
 // split into one compact binary file per calendar day, and the resulting
 // directory can then be opened as a day-addressable trace for the
 // simulator — the experiment harness replays traces day by day, and

@@ -9,9 +9,9 @@ import (
 // JSON configuration support: operators tune the synthetic ensemble (or
 // describe their own) in a config file instead of editing Go code.
 //
-//	tracegen -dump-config > ensemble.json   # start from the Table 1 roster
+//	trace -outformat config > ensemble.json   # start from the Table 1 roster
 //	$EDITOR ensemble.json
-//	tracegen -config ensemble.json -out trace.csv
+//	trace -in ensemble.json -out trace.csv
 
 // MarshalJSON-friendly: Config and ServerProfile are plain structs, so the
 // default encoding works; these helpers add file handling and validation.
@@ -32,7 +32,7 @@ func LoadConfig(path string) (Config, error) {
 	return cfg, nil
 }
 
-// EncodeConfig renders cfg as indented JSON (for -dump-config).
+// EncodeConfig renders cfg as indented JSON (for cmd/trace -outformat config).
 func EncodeConfig(cfg Config) ([]byte, error) {
 	data, err := json.MarshalIndent(cfg, "", "  ")
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // TestReachability pins the functions under internal/ that no binary
-// reaches. It links every cmd/ tool, every example and the bench/ module
+// reaches. It links every cmd/ tool and the bench/ module
 // with inlining off and the linker's -dumpdep, which prints one "from -> to"
 // edge per symbol its dead-code pass keeps, and names each declared
 // function the way the linker does: pkg.F, pkg.(*T).M, pkg.T.M. Every
@@ -34,7 +34,7 @@ func TestReachability(t *testing.T) {
 	out := t.TempDir()
 	reached := make(map[string]bool)
 	for _, args := range [][]string{
-		{"build", "-o", out + "/", "-gcflags=all=-l", "-ldflags=-dumpdep", "./cmd/...", "./examples/..."},
+		{"build", "-o", out + "/", "-gcflags=all=-l", "-ldflags=-dumpdep", "./cmd/..."},
 		{"build", "-C", "bench", "-o", filepath.Join(out, "bench.bin"), "-gcflags=all=-l", "-ldflags=-dumpdep", "."},
 	} {
 		var stderr bytes.Buffer
