@@ -54,16 +54,19 @@ lint:
 
 # Coverage floors for the observability-critical packages: the metrics
 # primitives feed operator-facing numbers, the appliance parses
-# untrusted network input, and the cache package is the slot table every
-# variant caches through — all must stay thoroughly tested. Other packages report coverage without a floor.
+# untrusted network input, the cache package is the slot table every
+# variant caches through, and the sieve decides what every variant
+# admits — all must stay thoroughly tested. Other packages report
+# coverage without a floor.
 COVER_FLOOR_metrics    := 90
 COVER_FLOOR_appliance  := 80
 COVER_FLOOR_cache      := 90
 COVER_FLOOR_tenant     := 85
+COVER_FLOOR_sieve      := 90
 
 cover:
 	@out=$$($(GO) test -cover ./internal/...); echo "$$out"; fail=0; \
-	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tenant:$(COVER_FLOOR_tenant); do \
+	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tenant:$(COVER_FLOOR_tenant) sieve:$(COVER_FLOOR_sieve); do \
 	  pkg=$${spec%%:*}; floor=$${spec##*:}; \
 	  pct=$$(echo "$$out" | awk -v p="repro/internal/$$pkg" \
 	    '$$2==p { for (i=1; i<=NF; i++) if ($$i ~ /%$$/) { gsub(/%/, "", $$i); print $$i } }'); \
@@ -128,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/appliance/ -fuzz FuzzServerInput -fuzztime 30s -run XXX
 	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime 30s -run XXX
 	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime 30s -run XXX
+	$(GO) test ./internal/sieve/ -fuzz FuzzSieveMatchesReference -fuzztime 30s -run XXX
 
 # Quick smoke over every fuzz target (seed corpora + 5s of new inputs
 # each) — cheap enough for pre-commit; `make fuzz` is the long soak.
@@ -140,6 +144,7 @@ test-fuzz:
 	$(GO) test ./internal/appliance/ -fuzz FuzzServerInput -fuzztime 5s -run XXX
 	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime 5s -run XXX
 	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime 5s -run XXX
+	$(GO) test ./internal/sieve/ -fuzz FuzzSieveMatchesReference -fuzztime 5s -run XXX
 
 fmt:
 	gofmt -w .

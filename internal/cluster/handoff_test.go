@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,4 +229,51 @@ func TestHandoffShedHealRestoresAllBlocks(t *testing.T) {
 		}
 	}
 	nodes[0].restart()
+}
+
+// A write that loaded the topology before a Leave and reaches the leaving
+// node after it must not strand a hint there: nothing drains a removed
+// node, so the hint would keep ClusterStats' depth above zero forever.
+// The write is parked on its stripe lock — after its topology load,
+// before its hint — while the node leaves.
+func TestLeaveRefusesLateHint(t *testing.T) {
+	_, _, cl := newTestRing(t, 3, Config{Replicas: 3, WriteQuorum: 1, PlacementBlocks: 4})
+	buf := make([]byte, block.Size)
+	stripe := &cl.stripes[stripeIdx(block.MakeKey(0, 0, 7))]
+	stripe.mu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- cl.WriteAt(0, 0, buf, blockAt(7)) }()
+	waitGoroutine(t, "(*Client).writeRefs", "(*Client).lockStripes")
+	if err := cl.Leave(2); err != nil {
+		t.Fatal(err)
+	}
+	stripe.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("write across the Leave: %v", err)
+	}
+	if d := cl.topo.Load().nodes[2].hintDepth(); d != 0 {
+		t.Fatalf("removed node holds %d hints", d)
+	}
+	settle(t, cl, 5*time.Second)
+}
+
+// waitGoroutine waits until one goroutine's stack holds every one of
+// frames.
+func waitGoroutine(t *testing.T, frames ...string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			found := 0
+			for _, f := range frames {
+				if strings.Contains(g, f) {
+					found++
+				}
+			}
+			if found == len(frames) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine reached %v", frames)
 }

@@ -101,6 +101,7 @@ const (
 	hintQueued   = iota // appended to the queue
 	hintReplaced        // superseded an older pending hint in place
 	hintShed            // dropped at the bound; recorded in the shed spans
+	hintRefused         // the node has left the ring; nothing is queued
 )
 
 // offerHint buffers data (nil = invalidate) for later delivery of key.
@@ -108,10 +109,16 @@ const (
 // newest, hint per key, which is what makes drain order per key trivial
 // and replay idempotent. At the bound the hint is shed: the key's range
 // joins the coarse shed union and the caller must treat the node as not
-// holding the block.
+// holding the block. A removed node refuses the hint, which the caller
+// treats the same way: Leave emptied its queue and nothing drains it, so a
+// write that routed by the topology it loaded before the Leave would
+// otherwise strand a hint there for good.
 func (n *node) offerHint(key block.Key, data []byte, max int) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if n.state == nodeRemoved {
+		return hintRefused
+	}
 	if h, ok := n.hints[key]; ok {
 		h.data = data
 		return hintReplaced

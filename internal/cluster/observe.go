@@ -114,11 +114,14 @@ func (c *Client) ClusterStats() ClusterStats {
 			Ups:       n.ups,
 			Drains:    n.drains,
 		}
+		counted := n.state != nodeRemoved // as Flush: nothing drains a removed node
 		n.mu.Unlock()
 		ns.BreakerOpen = n.br.Open()
 		ns.Trips = n.br.Trips()
 		ns.Transitions = n.br.Transitions()
-		st.HintDepth += ns.HintDepth
+		if counted {
+			st.HintDepth += ns.HintDepth
+		}
 		st.Nodes = append(st.Nodes, ns)
 	}
 	return st

@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/block"
@@ -79,12 +80,13 @@ func sendExtents(n *node, exts []extent, write bool) error {
 }
 
 // hintBlockLocked buffers ref for n and clears n's acked bit — the node
-// no longer holds the freshest copy until the hint drains. Caller holds
-// ref's stripe lock.
+// no longer holds the freshest copy until the hint drains, or ever, if it
+// has left the ring and refused the hint. Caller holds ref's stripe lock.
 func (c *Client) hintBlockLocked(n *node, ref blockRef) {
 	data := append([]byte(nil), ref.data...)
-	n.offerHint(ref.key, data, c.cfg.HandoffMax)
-	c.hinted.Add(1)
+	if n.offerHint(ref.key, data, c.cfg.HandoffMax) != hintRefused {
+		c.hinted.Add(1)
+	}
 	c.markAcked(ref.key, n.id, false)
 }
 
@@ -257,7 +259,7 @@ func (c *Client) readRefs(refs []blockRef) error {
 		wg.Wait()
 		if len(failed) > 0 {
 			c.fallthroughs.Add(int64(len(failed)))
-			sortInts(failed)
+			slices.Sort(failed)
 		}
 		pending = failed
 	}

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/appliance"
@@ -273,7 +274,7 @@ func (c *Client) repairKey(topo *topology, k block.Key, owners []int) []int {
 	// where reachable so a later ownership flip cannot surface them.
 	for _, t := range topo.nodes {
 		bit := uint64(1) << uint(t.id)
-		if e.acked&bit == 0 || containsInt(owners, t.id) {
+		if e.acked&bit == 0 || slices.Contains(owners, t.id) {
 			continue
 		}
 		if !t.serving() && t.getState() != nodeRemoved {
@@ -366,13 +367,4 @@ func (n *node) canSource() bool {
 	st := n.state
 	n.mu.Unlock()
 	return (st == nodeUp || st == nodeRemoved) && !n.br.Open()
-}
-
-func containsInt(a []int, x int) bool {
-	for _, v := range a {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -7,6 +7,8 @@
 // preference list — the read path walks it for fall-through.
 package cluster
 
+import "slices"
+
 // ring is an immutable membership snapshot. Topology changes build a new
 // ring (copy-on-write) so block routing never takes a lock.
 type ring struct {
@@ -16,7 +18,7 @@ type ring struct {
 
 func newRing(ids []int) *ring {
 	r := &ring{version: 1, ids: append([]int(nil), ids...)}
-	sortInts(r.ids)
+	slices.Sort(r.ids)
 	return r
 }
 
@@ -24,7 +26,7 @@ func newRing(ids []int) *ring {
 func (r *ring) with(id int) *ring {
 	n := &ring{version: r.version + 1}
 	n.ids = append(append([]int(nil), r.ids...), id)
-	sortInts(n.ids)
+	slices.Sort(n.ids)
 	return n
 }
 
@@ -39,14 +41,7 @@ func (r *ring) without(id int) *ring {
 	return n
 }
 
-func (r *ring) has(id int) bool {
-	for _, m := range r.ids {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
+func (r *ring) has(id int) bool { return slices.Contains(r.ids, id) }
 
 // mix64 is splitmix64's finalizer — a cheap, well-distributed 64-bit
 // mixer (no external deps).
@@ -98,13 +93,4 @@ func (r *ring) replicas(group uint64, n int, out []int) []int {
 		}
 	}
 	return out
-}
-
-// sortInts is a tiny insertion sort (member lists are single digits).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func ringOf(ids ...int) *ring { return newRing(ids) }
 
@@ -73,7 +76,7 @@ func TestRingMinimalMovementOnJoin(t *testing.T) {
 				moved = true
 				continue
 			}
-			if !containsInt(a, id) {
+			if !slices.Contains(a, id) {
 				t.Fatalf("group %d: owner %d appeared without a join (old %v new %v)", g, id, a, b)
 			}
 		}
@@ -96,7 +99,7 @@ func TestRingMinimalMovementOnLeave(t *testing.T) {
 	for g := uint64(0); g < 5000; g++ {
 		a = old.replicas(g, 2, a)
 		b = shrunk.replicas(g, 2, b)
-		if containsInt(a, 2) {
+		if slices.Contains(a, 2) {
 			continue // this group legitimately re-homes
 		}
 		for i := range a {

@@ -68,13 +68,11 @@ func (c *AdaptiveConfig) Validate() error {
 type Adaptive struct {
 	cfg   AdaptiveConfig
 	inner *C
-	t2    int
 	// window accounting
-	periodStart  int64
-	misses       int64
-	allocs       int64
-	adjustments  int64
-	lastDecision string
+	periodStart int64
+	misses      int64
+	allocs      int64
+	adjustments int64
 }
 
 // NewAdaptive returns a self-tuning sieve.
@@ -86,14 +84,14 @@ func NewAdaptive(cfg AdaptiveConfig) (*Adaptive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptive{cfg: cfg, inner: inner, t2: cfg.Base.T2}, nil
+	return &Adaptive{cfg: cfg, inner: inner}, nil
 }
 
 // Name implements Policy.
 func (a *Adaptive) Name() string { return "SieveStore-C-adaptive" }
 
 // T2 returns the current precise-tier threshold.
-func (a *Adaptive) T2() int { return a.t2 }
+func (a *Adaptive) T2() int { return a.inner.cfg.T2 }
 
 // Adjustments returns how many times the controller changed T2.
 func (a *Adaptive) Adjustments() int64 { return a.adjustments }
@@ -123,19 +121,13 @@ func (a *Adaptive) maybeAdjust(now int64) {
 	}
 	if a.misses >= 100 { // don't steer on noise
 		rate := float64(a.allocs) * 1000 / float64(a.misses)
-		switch {
-		case rate > a.cfg.TargetAllocsPerMille*1.5 && a.t2 < a.cfg.MaxT2:
-			a.t2++
-			a.inner.cfg.T2 = a.t2
+		switch t2 := &a.inner.cfg.T2; {
+		case rate > a.cfg.TargetAllocsPerMille*1.5 && *t2 < a.cfg.MaxT2:
+			*t2++
 			a.adjustments++
-			a.lastDecision = "raise"
-		case rate < a.cfg.TargetAllocsPerMille*0.5 && a.t2 > a.cfg.MinT2:
-			a.t2--
-			a.inner.cfg.T2 = a.t2
+		case rate < a.cfg.TargetAllocsPerMille*0.5 && *t2 > a.cfg.MinT2:
+			*t2--
 			a.adjustments++
-			a.lastDecision = "lower"
-		default:
-			a.lastDecision = "hold"
 		}
 	}
 	a.periodStart = now

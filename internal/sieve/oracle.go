@@ -74,28 +74,7 @@ type OracleResult struct {
 // with the farthest next use). This maximizes hits but, as the paper's
 // a,a,b,b,a,a,c,c,... example shows, does not minimize allocation-writes.
 func BeladySelective(stream []block.Key, capacity int) OracleResult {
-	next := nextUses(stream)
-	h := &beladyHeap{pos: make(map[block.Key]int, capacity)}
-	var res OracleResult
-	for i, key := range stream {
-		if _, ok := h.pos[key]; ok {
-			res.Hits++
-			h.update(key, next[i])
-			continue
-		}
-		if h.len() < capacity {
-			h.push(key, next[i])
-			res.AllocWrites++
-			continue
-		}
-		// Allocate only if this block's next use beats the worst resident's.
-		if next[i] < h.peekMax() {
-			h.popMax()
-			h.push(key, next[i])
-			res.AllocWrites++
-		}
-	}
-	return res
+	return belady(stream, capacity, true)
 }
 
 // FixedAllocation simulates the same cache with a fixed resident set: the
@@ -160,8 +139,6 @@ type beladyHeap struct {
 	pos     map[block.Key]int
 }
 
-func (h *beladyHeap) len() int { return len(h.keys) }
-
 func (h *beladyHeap) swap(i, j int) {
 	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
 	h.nextUse[i], h.nextUse[j] = h.nextUse[j], h.nextUse[i]
@@ -217,8 +194,8 @@ func (h *beladyHeap) update(k block.Key, next int) {
 	}
 }
 
-func (h *beladyHeap) popMax() (block.Key, int) {
-	k, next := h.keys[0], h.nextUse[0]
+func (h *beladyHeap) popMax() {
+	k := h.keys[0]
 	last := len(h.keys) - 1
 	h.swap(0, last)
 	h.keys = h.keys[:last]
@@ -227,10 +204,7 @@ func (h *beladyHeap) popMax() (block.Key, int) {
 	if len(h.keys) > 0 {
 		h.down(0)
 	}
-	return k, next
 }
-
-func (h *beladyHeap) peekMax() int { return h.nextUse[0] }
 
 // BeladyAOD simulates Belady's MIN replacement with allocate-on-demand over
 // the reference stream in O(n log C): every miss allocates (evicting the
@@ -238,6 +212,11 @@ func (h *beladyHeap) peekMax() int { return h.nextUse[0] }
 // replacement baseline: it maximizes hits for an unsieved cache yet still
 // pays an allocation-write on every miss.
 func BeladyAOD(stream []block.Key, capacity int) OracleResult {
+	return belady(stream, capacity, false)
+}
+
+// belady is BeladyAOD, or with selective BeladySelective.
+func belady(stream []block.Key, capacity int, selective bool) OracleResult {
 	next := nextUses(stream)
 	h := &beladyHeap{pos: make(map[block.Key]int, capacity)}
 	var res OracleResult
@@ -247,11 +226,14 @@ func BeladyAOD(stream []block.Key, capacity int) OracleResult {
 			h.update(key, next[i])
 			continue
 		}
-		res.AllocWrites++
-		if h.len() >= capacity {
+		if len(h.keys) >= capacity {
+			if selective && next[i] >= h.nextUse[0] {
+				continue // no resident's next use is later than this block's
+			}
 			h.popMax()
 		}
 		h.push(key, next[i])
+		res.AllocWrites++
 	}
 	return res
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // refC is SieveStore-C as first written: a full-width last-subwindow per
-// counter, one MCT probe per miss, the prune checked on every call. It is
-// the oracle the packed slot, the tracked-count probe skip and the run
-// entry point are checked against; it is only ever fed in-order time.
+// counter, counters capped at 65535, one MCT probe per miss, the prune
+// checked on every call. It is the oracle the packed slot and its lane cap,
+// the slab MCT, the tracked-count probe skip, the per-advance sweep and the
+// run entry point are checked against; it is only ever fed in-order time.
 type refC struct {
 	cfg     CConfig
 	c       *C // for subNanos and the slot hash
@@ -26,11 +27,17 @@ type refCounter struct {
 	lastWin int64
 }
 
-func (w *refCounter) bump(win int64, k int) int {
+// age zeroes the lanes of the subwindows since the counter's last, up to
+// win, and makes win its last.
+func (w *refCounter) age(win int64, k int) {
 	for i := max(w.lastWin+1, win-int64(k)+1); i <= win; i++ {
 		w.counts[i%int64(k)] = 0
 	}
 	w.lastWin = win
+}
+
+func (w *refCounter) bump(win int64, k int) int {
+	w.age(win, k)
 	w.counts[win%int64(k)] = min(w.counts[win%int64(k)]+1, 65535)
 	t := 0
 	for _, c := range w.counts[:k] {
@@ -39,7 +46,7 @@ func (w *refCounter) bump(win int64, k int) int {
 	return t
 }
 
-func newRefC(t *testing.T, cfg CConfig) *refC {
+func newRefC(t testing.TB, cfg CConfig) *refC {
 	c, err := NewC(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,76 +85,185 @@ func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
 	return true
 }
 
-// TestRunMatchesSingleCallsAndReference feeds one random miss stream —
-// bursts of several blocks at one instant, subwindow roll-overs, idle gaps
-// longer than the window (prune), non-zero extra, and a one-slot IMCT whose
-// tracked count saturates — to the reference, to a sieve called once per
-// block, and to a sieve called once per burst. Decisions, counters and the
-// MCT's contents must agree throughout, and every IMCT slot's tracked count
-// must be exact.
+// refSingle is SingleTier as first written: refC's counters, each aged
+// lazily by its own last subwindow, against T1+T2.
+func refSingle(cfg CConfig, c *C) func(block.Access) bool {
+	imct := make([]refCounter, cfg.IMCTSize)
+	return func(acc block.Access) bool {
+		return imct[slotOf(acc.Key, len(imct))].bump(acc.Time/c.subNanos, cfg.Subwindows) >= cfg.T1+cfg.T2
+	}
+}
+
+// step is one instant of a miss stream: how far the clock moves before it,
+// the blocks missed at that instant, and the extra they are offered with.
+type step struct {
+	dt    int64
+	keys  []block.Key
+	extra int
+}
+
+// randomSteps draws n steps over keys blocks: bursts of up to eight blocks
+// at one instant, subwindow roll-overs, idle gaps of up to three windows
+// (prune), a rare jump of ~2^40 ns — ≫ 2^16 subwindows — and a non-zero
+// extra one step in eight.
+func randomSteps(rng *rand.Rand, n, keys int) []step {
+	steps := make([]step, n)
+	for i := range steps {
+		st := &steps[i]
+		switch r := rng.Intn(1000); {
+		case r == 0:
+			st.dt = 1<<40 + rng.Int63n(1<<40)
+		case r < 10:
+			st.dt = rng.Int63n(3 * 8000)
+		default:
+			st.dt = rng.Int63n(40)
+		}
+		if rng.Intn(8) == 0 {
+			st.extra = 1 + rng.Intn(3)
+		}
+		for b := 1 + rng.Intn(8); b > 0; b-- {
+			st.keys = append(st.keys, block.Key(rng.Intn(keys)))
+		}
+	}
+	return steps
+}
+
+// checkAgainstReference feeds steps to the reference, to a sieve called once
+// per block and to a sieve called once per step, and to SingleTier beside
+// refSingle when T1+T2 is within the lane cap. Decisions, counters and the
+// MCT's contents must agree throughout, every IMCT slot's tracked count must
+// be exact, and the slab must hold exactly the tracked keys. It returns the
+// sieve's final counters.
+func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
+	ref := newRefC(t, cfg)
+	single, _ := NewC(cfg)
+	batched, _ := NewC(cfg)
+	var one *SingleTier
+	var oneRef func(block.Access) bool
+	if cfg.T1+cfg.T2 <= laneCap {
+		one, _ = NewSingleTier(cfg)
+		oneRef = refSingle(cfg, ref.c)
+	}
+	now := int64(0)
+	for i, st := range steps {
+		now += st.dt
+		run := batched.Begin(now)
+		for _, key := range st.keys {
+			acc := block.Access{Time: now, Key: key}
+			want := ref.shouldAllocateN(acc, st.extra)
+			if got := single.Begin(now).Admit(key, st.extra); got != want {
+				t.Fatalf("%+v step %d key %d: single call says %v, reference %v", cfg, i, key, got, want)
+			}
+			if got := run.Admit(key, st.extra); got != want {
+				t.Fatalf("%+v step %d key %d: run says %v, reference %v", cfg, i, key, got, want)
+			}
+			if one != nil && one.ShouldAllocate(acc) != oneRef(acc) {
+				t.Fatalf("%+v step %d key %d: SingleTier disagrees with its reference", cfg, i, key)
+			}
+		}
+		if i%500 != 0 && i != len(steps)-1 {
+			continue
+		}
+		for _, s := range []*C{single, batched} {
+			if st := s.Stats(); st != (CStats{ref.stats.Misses, ref.stats.Promotions, ref.stats.Allocations, ref.stats.Pruned, len(ref.mct)}) {
+				t.Fatalf("%+v step %d: stats %+v, reference %+v with %d tracked", cfg, i, st, ref.stats, len(ref.mct))
+			}
+			if len(s.slab) != len(s.mct) {
+				t.Fatalf("%+v step %d: %d slab entries, %d tracked", cfg, i, len(s.slab), len(s.mct))
+			}
+			perSlot := make([]uint64, cfg.IMCTSize)
+			for key, j := range s.mct {
+				e := s.slab[j]
+				r, ok := ref.mct[key]
+				if ok {
+					// The reference ages lazily; compare its view from now.
+					aged := *r
+					aged.age(ref.lastWin, cfg.Subwindows)
+					r = &aged
+				}
+				if !ok || e.key != key || !reflect.DeepEqual(r.counts[:cfg.Subwindows], widen(e.counts[:cfg.Subwindows])) {
+					t.Fatalf("%+v step %d: MCT entry %d = %+v, reference %v", cfg, i, key, e, r)
+				}
+				perSlot[slotOf(key, len(s.imct))]++
+			}
+			for j, w := range s.imct {
+				if got := uint64(w) >> trackedShift; got != perSlot[j] && got != trackedMax {
+					t.Fatalf("%+v step %d: slot %d counts %d tracked keys, has %d", cfg, i, j, got, perSlot[j])
+				}
+			}
+		}
+	}
+	return single.Stats()
+}
+
+// referenceConfig is seed's configuration for the reference tests: k in
+// 1–8 and T1 from 1 to 9, or, one seed in four, T1 near the lane cap over a
+// one- or seven-slot IMCT, which are hot enough to reach it (the one-slot
+// IMCT saturates its lanes).
+func referenceConfig(seed int64, rng *rand.Rand) CConfig {
+	cfg := CConfig{
+		IMCTSize:   []int{1, 7, 64, 509}[seed%4],
+		T1:         1 + rng.Intn(9),
+		T2:         1 + rng.Intn(4),
+		Window:     8000,
+		Subwindows: 1 + rng.Intn(maxSubwindows),
+	}
+	if seed%8 < 2 {
+		cfg.T1 = laneCap - rng.Intn(8)
+	}
+	return cfg
+}
+
+// TestRunMatchesSingleCallsAndReference runs checkAgainstReference over 24
+// random configurations and streams, including a one-slot IMCT whose lanes
+// and tracked count saturate.
 func TestRunMatchesSingleCallsAndReference(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := CConfig{
-			IMCTSize:   []int{1, 7, 64, 509}[seed%4],
-			T1:         1 + rng.Intn(9),
-			T2:         1 + rng.Intn(4),
-			Window:     8000,
-			Subwindows: 1 + rng.Intn(maxSubwindows),
-		}
-		keys := 40 + rng.Intn(600)
-		ref := newRefC(t, cfg)
-		single, _ := NewC(cfg)
-		batched, _ := NewC(cfg)
-		now := int64(0)
-		for step := 0; step < 20000; step++ {
-			switch rng.Intn(100) {
-			case 0:
-				now += rng.Int63n(3 * 8000)
-			default:
-				now += rng.Int63n(40)
-			}
-			extra := 0
-			if rng.Intn(8) == 0 {
-				extra = 1 + rng.Intn(3)
-			}
-			run := batched.Begin(now)
-			for n := 1 + rng.Intn(8); n > 0; n-- {
-				acc := block.Access{Time: now, Key: block.Key(rng.Intn(keys))}
-				want := ref.shouldAllocateN(acc, extra)
-				if got := single.ShouldAllocateN(acc, extra); got != want {
-					t.Fatalf("seed %d step %d key %d: single call says %v, reference %v", seed, step, acc.Key, got, want)
-				}
-				if got := run.Admit(acc.Key, extra); got != want {
-					t.Fatalf("seed %d step %d key %d: run says %v, reference %v", seed, step, acc.Key, got, want)
-				}
-			}
-			if step%500 != 0 {
-				continue
-			}
-			for _, s := range []*C{single, batched} {
-				if st := s.Stats(); st != (CStats{ref.stats.Misses, ref.stats.Promotions, ref.stats.Allocations, ref.stats.Pruned, len(ref.mct)}) {
-					t.Fatalf("seed %d step %d: stats %+v, reference %+v with %d tracked", seed, step, st, ref.stats, len(ref.mct))
-				}
-				perSlot := make([]uint64, cfg.IMCTSize)
-				for key, e := range s.mct {
-					r, ok := ref.mct[key]
-					if !ok || !reflect.DeepEqual(r.counts[:cfg.Subwindows], widen(e.counts[:cfg.Subwindows])) {
-						t.Fatalf("seed %d step %d: MCT entry %d = %v, reference %v", seed, step, key, e.counts, r)
-					}
-					perSlot[slotOf(key, len(s.imct))]++
-				}
-				for i := range s.imct {
-					if got := s.imct[i].last >> winBits; got != perSlot[i] && got != trackedMax {
-						t.Fatalf("seed %d step %d: slot %d counts %d tracked keys, has %d", seed, step, i, got, perSlot[i])
-					}
-				}
-			}
-		}
-		if single.Stats().Pruned == 0 || single.Stats().Allocations == 0 {
-			t.Fatalf("seed %d exercised no prune or no allocation: %+v", seed, single.Stats())
+		cfg := referenceConfig(seed, rng)
+		st := checkAgainstReference(t, cfg, randomSteps(rng, 20000, 40+rng.Intn(600)))
+		if st.Pruned == 0 || st.Allocations == 0 {
+			t.Fatalf("seed %d exercised no prune or no allocation: %+v", seed, st)
 		}
 	}
+}
+
+// FuzzSieveMatchesReference is checkAgainstReference on a configuration
+// and a miss stream the fuzzer picks: each four bytes of ops are one step —
+// clock advance, key, burst length and extra — seeded from the
+// configurations TestRunMatchesSingleCallsAndReference draws.
+func FuzzSieveMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := referenceConfig(seed, rng)
+		ops := make([]byte, 4*256)
+		rng.Read(ops)
+		f.Add(uint16(cfg.IMCTSize), uint8(cfg.T1), uint8(cfg.T2), uint8(cfg.Subwindows), ops)
+	}
+	f.Fuzz(func(t *testing.T, imct uint16, t1, t2, k uint8, ops []byte) {
+		cfg := CConfig{
+			IMCTSize:   1 + int(imct)%512,
+			T1:         1 + int(t1)%laneCap,
+			T2:         1 + int(t2)%16,
+			Window:     8000,
+			Subwindows: 1 + int(k)%maxSubwindows,
+		}
+		var steps []step
+		for ; len(ops) >= 4; ops = ops[4:] {
+			st := step{dt: int64(ops[0] % 64), extra: int(ops[3] >> 6)}
+			switch {
+			case ops[0] == 255:
+				st.dt = 1<<40 + int64(ops[1])<<30
+			case ops[0] >= 240:
+				st.dt = int64(ops[0]-239) * 2000
+			}
+			for b := 1 + int(ops[2]%8); b > 0; b-- {
+				st.keys = append(st.keys, block.Key(ops[1])+block.Key(b*int(ops[3]&63)))
+			}
+			steps = append(steps, st)
+		}
+		checkAgainstReference(t, cfg, steps)
+	})
 }
 
 func widen(c []uint16) []int {
@@ -162,14 +278,14 @@ func widen(c []uint16) []int {
 // newest — two callers that read the clock either side of a boundary and
 // reached the sieve in the other order — counts in the newest subwindow.
 // Rewinding made the next in-order miss zero the live subwindow, and made
-// the sieve's full MCT sweep run a second time for the same boundary.
+// the sieve's full sweep run a second time for the same boundary.
 func TestStaleSubwindowDoesNotRewind(t *testing.T) {
-	var w winCounter
+	w := oneSlot(4, 1)
 	for i := 0; i < 5; i++ {
-		w.bump(10, 4)
+		w.bump(10)
 	}
-	w.bump(9, 4)
-	if got := w.bump(10, 4); got != 7 {
+	w.bump(9)
+	if got := w.bump(10); got != 7 {
 		t.Errorf("bump(10)×5, bump(9), bump(10) = %d, want 7", got)
 	}
 

@@ -3,6 +3,7 @@ package sieve
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,7 @@ func TestCConfigValidate(t *testing.T) {
 		func(c *CConfig) { c.IMCTSize = 0 },
 		func(c *CConfig) { c.T1 = 0 },
 		func(c *CConfig) { c.T2 = 0 },
+		func(c *CConfig) { c.T1 = laneCap + 1 },
 		func(c *CConfig) { c.Subwindows = 0 },
 		func(c *CConfig) { c.Subwindows = maxSubwindows + 1 },
 		func(c *CConfig) { c.Window = 0 },
@@ -69,33 +71,40 @@ func TestCConfigValidate(t *testing.T) {
 	if _, err := NewSingleTier(CConfig{}); err == nil {
 		t.Error("NewSingleTier must validate")
 	}
+	c := DefaultCConfig()
+	c.T1, c.T2 = laneCap, 1
+	if _, err := NewC(c); err != nil {
+		t.Errorf("T1 at the lane cap: %v", err)
+	}
+	if _, err := NewSingleTier(c); err == nil || !strings.Contains(err.Error(), "127") {
+		t.Errorf("NewSingleTier with T1+T2 past the lane cap: %v, want an error naming 127", err)
+	}
 }
 
 func TestWinCounterRotation(t *testing.T) {
-	var w winCounter
-	k := 4
+	w := oneSlot(4, 1)
 	// Three misses in window 0.
-	w.bump(0, k)
-	w.bump(0, k)
-	if got := w.bump(0, k); got != 3 {
+	w.bump(0)
+	w.bump(0)
+	if got := w.bump(0); got != 3 {
 		t.Fatalf("total = %d, want 3", got)
 	}
 	// One miss per subsequent subwindow: total accumulates over the window.
-	if got := w.bump(1, k); got != 4 {
+	if got := w.bump(1); got != 4 {
 		t.Fatalf("total = %d, want 4", got)
 	}
-	if got := w.bump(2, k); got != 5 {
+	if got := w.bump(2); got != 5 {
 		t.Fatalf("total = %d, want 5", got)
 	}
-	if got := w.bump(3, k); got != 6 {
+	if got := w.bump(3); got != 6 {
 		t.Fatalf("total = %d, want 6", got)
 	}
 	// Window 4 expires window 0's three misses.
-	if got := w.bump(4, k); got != 4 {
+	if got := w.bump(4); got != 4 {
 		t.Fatalf("total = %d, want 4 after expiry", got)
 	}
 	// A long idle gap zeroes everything.
-	if got := w.bump(100, k); got != 1 {
+	if got := w.bump(100); got != 1 {
 		t.Fatalf("total = %d, want 1 after gap", got)
 	}
 }
@@ -134,19 +143,19 @@ func TestSieveCAllocatesOnlyAfterThresholds(t *testing.T) {
 	}
 }
 
-// TestSieveCShouldAllocateNPenalty pins the QoS hook semantics: extra
-// raises only the final allocation threshold (T2+extra), the counters
-// keep accumulating regardless, and a deny-level extra (beyond the
-// uint16 counter saturation) can never be crossed — yet the first
-// unpenalized miss afterwards allocates immediately, because nothing
-// was forgotten while the tenant was penalized.
+// TestSieveCShouldAllocateNPenalty pins the QoS hook semantics of Admit's
+// extra: it raises only the final allocation threshold (T2+extra), the
+// counters keep accumulating regardless, and a deny-level extra can never
+// be crossed — yet the first unpenalized miss afterwards allocates
+// immediately, because nothing was forgotten while the tenant was
+// penalized.
 func TestSieveCShouldAllocateNPenalty(t *testing.T) {
 	// extra=2 moves the allocating miss from 12 (see
 	// TestSieveCAllocatesOnlyAfterThresholds) to 14.
 	s := sieveCFor(t, 1<<16)
 	allocAt := 0
 	for i := 1; i <= 20; i++ {
-		if s.ShouldAllocateN(acc(int64(i)*1e9, 42, block.Read), 2) {
+		if s.Begin(int64(i)*1e9).Admit(42, 2) {
 			allocAt = i
 			break
 		}
@@ -159,21 +168,43 @@ func TestSieveCShouldAllocateNPenalty(t *testing.T) {
 	// unpenalized miss allocates instantly.
 	s = sieveCFor(t, 1<<16)
 	for i := 1; i <= 40; i++ {
-		if s.ShouldAllocateN(acc(int64(i)*1e9, 42, block.Read), 1<<20) {
+		if s.Begin(int64(i)*1e9).Admit(42, 1<<20) {
 			t.Fatalf("denied miss %d allocated", i)
 		}
 	}
-	if !s.ShouldAllocateN(acc(41*1e9, 42, block.Read), 0) {
+	if !s.Begin(41*1e9).Admit(42, 0) {
 		t.Error("first unpenalized miss after a deny streak should allocate")
 	}
+}
 
-	// extra=0 must be ShouldAllocate, decision for decision.
-	a, b := sieveCFor(t, 1<<16), sieveCFor(t, 1<<16)
-	for i := 1; i <= 30; i++ {
-		ac := acc(int64(i)*1e9, uint64(i%3), block.Read)
-		if a.ShouldAllocate(ac) != b.ShouldAllocateN(ac, 0) {
-			t.Fatalf("miss %d: ShouldAllocate diverges from ShouldAllocateN(…, 0)", i)
+// TestDenyPenaltyOutlastsSaturation pins what makes tenant.DenyPenalty
+// (1<<20) a denial: it is above the largest total an MCT entry can reach,
+// k·65535 with k = 8, so even a block whose every lane, IMCT and MCT, is
+// saturated is never admitted under it — and is admitted the moment the
+// penalty lifts.
+func TestDenyPenaltyOutlastsSaturation(t *testing.T) {
+	s, err := NewC(CConfig{IMCTSize: 64, T1: 9, T2: 4, Window: 8000, Subwindows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deny = 1 << 20
+	for win := int64(0); win < 8; win++ {
+		run := s.Begin(win * 1000)
+		for i := 0; i < 65535+laneCap+10; i++ {
+			if run.Admit(42, deny) {
+				t.Fatalf("subwindow %d miss %d admitted under the deny penalty", win, i)
+			}
 		}
+	}
+	e := s.slab[s.mct[42]]
+	if slot := *s.slot(42); slot&^(trackedMax<<trackedShift) != 1<<(maxSubwindows*laneBits)-1 || e.bump(0) != 8*65535 {
+		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, e.counts)
+	}
+	if s.Begin(7000).Admit(42, deny) {
+		t.Fatal("a fully saturated block admitted under the deny penalty")
+	}
+	if !s.Begin(7000).Admit(42, 0) {
+		t.Fatal("the first unpenalized miss did not admit")
 	}
 }
 

@@ -7,9 +7,20 @@ import (
 	"repro/internal/block"
 )
 
-// maxSubwindows bounds the rotating-counter array so counters can live
-// inline without per-entry allocation.
-const maxSubwindows = 8
+// An IMCT slot (imctSlot) is one word: k ≤ maxSubwindows lanes of laneBits
+// each in the low bits, lane i%k counting subwindow i's misses and
+// saturating at laneCap, and in the top byte how many MCT-tracked keys hash
+// to the slot — exactly, until that count reaches trackedMax and sticks —
+// so a miss on a slot with none skips the MCT. An IMCT total is only ever
+// compared with a threshold of at most laneCap (Validate, NewSingleTier),
+// so a saturated lane decides exactly as an unbounded one would.
+const (
+	maxSubwindows = 8
+	laneBits      = 7
+	laneCap       = 1<<laneBits - 1
+	trackedShift  = maxSubwindows * laneBits
+	trackedMax    = 255
+)
 
 // CConfig parameterizes SieveStore-C's two-tier sieve (§3.3).
 type CConfig struct {
@@ -18,7 +29,8 @@ type CConfig struct {
 	IMCTSize int
 	// T1 is the IMCT threshold: a block's (possibly aliased) slot must
 	// have seen at least T1 misses in the window before the block is
-	// promoted to precise tracking. The paper tunes T1 = 9.
+	// promoted to precise tracking. The paper tunes T1 = 9; at most 127,
+	// the IMCT lane cap.
 	T1 int
 	// T2 is the MCT threshold: a promoted block must see T2 further
 	// precisely-counted misses before it is allocated. The paper tunes
@@ -50,8 +62,8 @@ func (c *CConfig) Validate() error {
 	if c.IMCTSize < 1 {
 		return fmt.Errorf("sieve: IMCTSize must be ≥1, got %d", c.IMCTSize)
 	}
-	if c.T1 < 1 || c.T2 < 1 {
-		return fmt.Errorf("sieve: thresholds must be ≥1, got t1=%d t2=%d", c.T1, c.T2)
+	if c.T1 < 1 || c.T1 > laneCap || c.T2 < 1 {
+		return fmt.Errorf("sieve: thresholds must be 1≤t1≤%d (the IMCT lane cap) and t2≥1, got t1=%d t2=%d", laneCap, c.T1, c.T2)
 	}
 	if c.Subwindows < 1 || c.Subwindows > maxSubwindows {
 		return fmt.Errorf("sieve: Subwindows must be in [1,%d], got %d", maxSubwindows, c.Subwindows)
@@ -62,66 +74,46 @@ func (c *CConfig) Validate() error {
 	return nil
 }
 
-// A winCounter's last word holds its newest subwindow in the low winBits —
-// compared modulo 2^winBits, exact for a counter idle under 2^55
-// subwindows — and, in an IMCT slot, a tracked count in the byte above.
-const (
-	winBits    = 56
-	winMask    = 1<<winBits - 1
-	trackedMax = 255
-)
+type imctSlot uint64
 
-// winCounter tracks misses over the last k subwindows with rotating
-// counters (§3.3): counter i%k holds subwindow i's count; when time
-// advances, stale counters are zeroed lazily.
-type winCounter struct {
-	counts [maxSubwindows]uint16
-	// last: the newest subwindow seen and, in an IMCT slot, how many
-	// MCT-tracked keys hash to the slot — exactly, until the count reaches
-	// trackedMax and sticks — so a miss on a slot with none skips the MCT.
-	last uint64
-}
-
-// bump advances the counter to subwindow win, adds one miss, and returns
-// the total count over the window. Counters for subwindows that have fallen
-// out of the window are zeroed; a counter idle for ≥ k subwindows is all
-// stale (the paper's last-updated check). A win behind the newest seen —
-// two callers racing a subwindow boundary — counts in the newest: rewinding
-// would make the next in-order miss zero the live subwindow.
-func (w *winCounter) bump(win int64, k int) int {
-	switch d := w.age(win); {
-	case d < 0:
-		win -= d
-	case d >= int64(k):
-		w.counts = [maxSubwindows]uint16{}
-	default:
-		for i := win - d + 1; i <= win; i++ {
-			w.counts[i%int64(k)] = 0
-		}
-	}
-	w.last = w.last&^winMask | uint64(win)&winMask
-	if c := &w.counts[win%int64(k)]; *c < ^uint16(0) {
-		*c++
+// bump counts one miss in lane and returns the slot's total over the
+// window: every lane at or past k stays zero, so that is all of them.
+func (w *imctSlot) bump(lane uint) int {
+	if *w>>(lane*laneBits)&laneCap != laneCap {
+		*w += 1 << (lane * laneBits)
 	}
 	t := 0
-	for _, c := range w.counts[:k] {
-		t += int(c)
+	for x := *w &^ (trackedMax << trackedShift); x != 0; x >>= laneBits {
+		t += int(x & laneCap)
 	}
 	return t
 }
 
-// age is how many subwindows win is ahead of the newest this counter has
-// seen; negative when it is behind.
-func (w *winCounter) age(win int64) int64 {
-	return (win<<(64-winBits) - int64(w.last<<(64-winBits))) >> (64 - winBits)
+// track moves the slot's tracked count by d as a key that hashes to it
+// enters or leaves the MCT. A saturated count stays saturated.
+func (w *imctSlot) track(d int) {
+	if *w>>trackedShift < trackedMax {
+		*w += imctSlot(d) << trackedShift
+	}
 }
 
-// track moves an IMCT slot's tracked count by d as a key that hashes to it
-// enters or leaves the MCT. A saturated count stays saturated.
-func (w *winCounter) track(d int64) {
-	if w.last>>winBits < trackedMax {
-		w.last += uint64(d) << winBits
+// mctEntry is one precisely tracked key and its lanes, laid out as an IMCT
+// slot's but 16 bits wide.
+type mctEntry struct {
+	counts [maxSubwindows]uint16
+	key    block.Key
+}
+
+// bump counts one miss in lane and returns the entry's total.
+func (e *mctEntry) bump(lane uint) int {
+	if c := &e.counts[lane]; *c < ^uint16(0) {
+		*c++
 	}
+	t := 0
+	for _, c := range e.counts {
+		t += int(c)
+	}
+	return t
 }
 
 // CStats counts the sieve's internal traffic for reporting and tests.
@@ -149,13 +141,18 @@ func (s *CStats) Add(o CStats) {
 
 // C is SieveStore-C's online sieve: hysteresis-based lazy allocation where
 // only the n-th miss within the recent window triggers allocation, with the
-// two-tier IMCT/MCT structure bounding the precise metastate (§3.3).
+// two-tier IMCT/MCT structure bounding the precise metastate (§3.3). Every
+// lane is relative to lastWin, the newest subwindow seen, which counts in
+// lane. The MCT holds no pointer: the map gives a tracked key's index in
+// slab, which holds exactly the tracked keys.
 type C struct {
 	cfg      CConfig
 	subNanos int64
-	imct     []winCounter
-	mct      map[block.Key]*winCounter
 	lastWin  int64
+	lane     uint
+	imct     []imctSlot
+	mct      map[block.Key]uint32
+	slab     []mctEntry
 	stats    CStats
 }
 
@@ -167,8 +164,8 @@ func NewC(cfg CConfig) (*C, error) {
 	return &C{
 		cfg:      cfg,
 		subNanos: cfg.Window.Nanoseconds() / int64(cfg.Subwindows),
-		imct:     make([]winCounter, cfg.IMCTSize),
-		mct:      make(map[block.Key]*winCounter),
+		imct:     make([]imctSlot, cfg.IMCTSize),
+		mct:      make(map[block.Key]uint32),
 	}, nil
 }
 
@@ -193,83 +190,111 @@ func slotOf(key block.Key, n int) int {
 	return int(x % uint64(n))
 }
 
+// slot is key's IMCT slot.
+func (s *C) slot(key block.Key) *imctSlot { return &s.imct[slotOf(key, len(s.imct))] }
+
 // ShouldAllocate implements Policy: a run of one miss.
 func (s *C) ShouldAllocate(acc block.Access) bool {
-	return s.ShouldAllocateN(acc, 0)
-}
-
-// ShouldAllocateN is ShouldAllocate with Run.Admit's extra.
-func (s *C) ShouldAllocateN(acc block.Access, extra int) bool {
-	return s.Begin(acc.Time).Admit(acc.Key, extra)
+	return s.Begin(acc.Time).Admit(acc.Key, 0)
 }
 
 // Run is the sieve opened at one instant for a run of misses — the blocks
-// one request missed in one shard. The subwindow is computed and the MCT
-// prune checked once, at Begin; each Admit then costs one hash and, for a
-// block the sieve rejects, touches one IMCT slot and nothing else.
-type Run struct {
-	s   *C
-	win int64
-}
+// one request missed in one shard. The subwindow is computed and the sieve
+// aged once, at Begin; each Admit then costs one hash and, for a block the
+// sieve rejects, touches one IMCT slot and nothing else.
+type Run struct{ s *C }
 
-// Begin opens a run at time t (nanoseconds on the caller's clock). The full
-// MCT sweep (the paper prunes the MCT to eliminate stale blocks) runs once
-// per subwindow advance, dropping entries idle for a whole window; a t
-// behind the newest subwindow seen is clamped to it, so the sweep cannot
-// run twice for one boundary.
+// Begin opens a run at time t (nanoseconds on the caller's clock). At a
+// subwindow advance it ages the whole sieve in one sweep: the entered
+// subwindows' lanes are zeroed in every IMCT slot and MCT entry, and an
+// entry left all zero — idle for a whole window — is dropped (the paper
+// prunes the MCT to eliminate stale blocks).
 func (s *C) Begin(t int64) Run {
-	win := t / s.subNanos
-	if win > s.lastWin {
-		s.lastWin = win
-		for key, e := range s.mct {
-			if e.age(win) >= int64(s.cfg.Subwindows) {
-				s.drop(key, &s.imct[slotOf(key, len(s.imct))])
+	if lanes := s.advance(t); lanes != 0 {
+		for i := len(s.slab) - 1; i >= 0; i-- {
+			e := &s.slab[i]
+			for l := range e.counts {
+				if lanes>>l&1 != 0 {
+					e.counts[l] = 0
+				}
+			}
+			if e.counts == ([maxSubwindows]uint16{}) {
+				s.drop(uint32(i), s.slot(e.key))
 				s.stats.Pruned++
 			}
 		}
 	}
-	return Run{s, s.lastWin}
+	return Run{s}
+}
+
+// advance moves the clock to time t's subwindow and zeroes, in every IMCT
+// slot, the lanes of the subwindows entered — all k when the jump spans a
+// window (the paper's rotating counters, aged eagerly). It returns those
+// lanes as a bit set: none when t is in the newest subwindow seen or behind
+// it, which is clamped to the newest, so a late caller neither rewinds the
+// lanes nor ages them twice for one boundary.
+func (s *C) advance(t int64) (lanes uint) {
+	win, k := t/s.subNanos, int64(s.cfg.Subwindows)
+	var cleared imctSlot
+	for i := max(s.lastWin+1, win-k+1); i <= win; i++ {
+		lanes |= 1 << (i % k)
+		cleared |= laneCap << (i % k * laneBits)
+	}
+	if lanes != 0 {
+		s.lastWin, s.lane = win, uint(win%k)
+		for i := range s.imct {
+			s.imct[i] &^= cleared
+		}
+	}
+	return lanes
 }
 
 // Admit counts one missed block of the run and reports whether it is
 // allocated. The block's IMCT slot is bumped; once the (aliased) slot count
 // reaches T1 the block is tracked precisely in the MCT, and once its
 // precise count reaches T2+extra it is allocated, which resets its precise
-// state. The multi-tenant layer uses extra to penalize (or, with an
-// unreachable extra, effectively deny) a throttled tenant while its
-// counters keep accumulating — window counters saturate at 65535, so an
-// extra at or beyond that can never be crossed — and admission resumes at
-// full speed the moment the penalty is lifted.
+// state. The multi-tenant layer uses extra to penalize a throttled tenant,
+// or to deny it with an extra past any count (tenant.DenyPenalty, above the
+// k·65535 an MCT total saturates at; TestDenyPenaltyOutlastsSaturation),
+// while its counters keep accumulating, so admission resumes at full speed
+// the moment the penalty is lifted.
 func (r Run) Admit(key block.Key, extra int) bool {
 	s := r.s
 	s.stats.Misses++
-	slot := &s.imct[slotOf(key, len(s.imct))]
-	imctCount := slot.bump(r.win, s.cfg.Subwindows)
-	var entry *winCounter
-	if slot.last>>winBits != 0 {
-		entry = s.mct[key]
+	slot := s.slot(key)
+	n := slot.bump(s.lane)
+	i, tracked := uint32(0), false
+	if *slot>>trackedShift != 0 {
+		i, tracked = s.mct[key]
 	}
-	if entry == nil {
-		if imctCount < s.cfg.T1 {
+	if !tracked {
+		if n < s.cfg.T1 {
 			return false
 		}
 		// Promotion: begin precise tracking. The promoting miss is the
 		// block's first precisely-counted miss.
-		entry = &winCounter{last: uint64(r.win) & winMask}
-		s.mct[key] = entry
+		i = uint32(len(s.slab))
+		s.slab = append(s.slab, mctEntry{key: key})
+		s.mct[key] = i
 		slot.track(1)
 		s.stats.Promotions++
 	}
-	if entry.bump(r.win, s.cfg.Subwindows) < s.cfg.T2+extra {
+	if s.slab[i].bump(s.lane) < s.cfg.T2+extra {
 		return false
 	}
-	s.drop(key, slot)
+	s.drop(i, slot)
 	s.stats.Allocations++
 	return true
 }
 
-// drop forgets a tracked key, whose IMCT slot is slot.
-func (s *C) drop(key block.Key, slot *winCounter) {
-	delete(s.mct, key)
+// drop forgets the tracked key at slab index i, whose IMCT slot is slot,
+// moving the slab's last entry into its place.
+func (s *C) drop(i uint32, slot *imctSlot) {
+	delete(s.mct, s.slab[i].key)
+	if last := uint32(len(s.slab) - 1); i != last {
+		s.slab[i] = s.slab[last]
+		s.mct[s.slab[i].key] = i
+	}
+	s.slab = s.slab[:len(s.slab)-1]
 	slot.track(-1)
 }

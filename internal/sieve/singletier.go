@@ -1,6 +1,10 @@
 package sieve
 
-import "repro/internal/block"
+import (
+	"fmt"
+
+	"repro/internal/block"
+)
 
 // SingleTier is the ablation variant of SieveStore-C with only the
 // imprecise tier: allocation is decided directly from the (aliased) IMCT
@@ -8,26 +12,23 @@ import "repro/internal/block"
 // piggyback on the miss counts of popular blocks that share their slot and
 // receive undeserved allocations (§3.3); the ablation benchmark
 // demonstrates exactly that pollution.
-type SingleTier struct {
-	cfg       CConfig
-	subNanos  int64
-	imct      []winCounter
-	threshold int
-}
+type SingleTier struct{ c *C }
 
 // NewSingleTier returns a single-tier sieve allocating once a block's
 // (aliased) slot sees cfg.T1+cfg.T2 misses in the window — the same total
-// miss budget as the two-tier sieve, but counted without precision.
+// miss budget as the two-tier sieve, but counted without precision: a C
+// with that sum as its T1 and an MCT it never reaches, so the sum may not
+// pass the IMCT lane cap.
 func NewSingleTier(cfg CConfig) (*SingleTier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SingleTier{
-		cfg:       cfg,
-		subNanos:  cfg.Window.Nanoseconds() / int64(cfg.Subwindows),
-		imct:      make([]winCounter, cfg.IMCTSize),
-		threshold: cfg.T1 + cfg.T2,
-	}, nil
+	cfg.T1 += cfg.T2
+	c, err := NewC(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("sieve: SingleTier counts to T1+T2: %w", err)
+	}
+	return &SingleTier{c}, nil
 }
 
 // Name implements Policy.
@@ -35,8 +36,8 @@ func (s *SingleTier) Name() string { return "SingleTier-IMCT" }
 
 // ShouldAllocate implements Policy.
 func (s *SingleTier) ShouldAllocate(acc block.Access) bool {
-	slot := &s.imct[slotOf(acc.Key, len(s.imct))]
-	return slot.bump(acc.Time/s.subNanos, s.cfg.Subwindows) >= s.threshold
+	s.c.advance(acc.Time)
+	return s.c.slot(acc.Key).bump(s.c.lane) >= s.c.cfg.T1
 }
 
 var (

@@ -3,7 +3,26 @@ package sieve
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
+
+// slotClock is a sieve's one-slot IMCT driven the way the sieve drives it:
+// aged at each subwindow advance, then bumped in the newest subwindow's lane.
+type slotClock struct{ *C }
+
+func oneSlot(k int, subNanos int64) *slotClock {
+	c, err := NewC(CConfig{IMCTSize: 1, T1: 1, T2: 1, Window: time.Duration(subNanos * int64(k)), Subwindows: k})
+	if err != nil {
+		panic(err)
+	}
+	return &slotClock{c}
+}
+
+// bump counts one miss at time t and returns the slot's window total.
+func (c *slotClock) bump(t int64) int {
+	c.advance(t)
+	return c.imct[0].bump(c.lane)
+}
 
 // exactWindow is a reference implementation: it remembers every miss
 // timestamp and counts those within the exact sliding window.
@@ -41,7 +60,7 @@ func TestWinCounterApproximatesExactWindow(t *testing.T) {
 	)
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var w winCounter
+		w := oneSlot(k, sub)
 		lower := &exactWindow{} // window W - sub
 		upper := &exactWindow{} // window W + sub
 		now := int64(0)
@@ -52,7 +71,7 @@ func TestWinCounterApproximatesExactWindow(t *testing.T) {
 			} else {
 				now += int64(rng.Int63n(sub / 2))
 			}
-			got := w.bump(now/sub, k)
+			got := w.bump(now)
 			lo := lower.bump(now, windowNS-sub)
 			hi := upper.bump(now, windowNS+sub)
 			if got < lo || got > hi {
@@ -66,26 +85,45 @@ func TestWinCounterApproximatesExactWindow(t *testing.T) {
 // TestWinCounterNeverExceedsTotalMisses is a cheap safety property: the
 // windowed count can never exceed the number of bumps.
 func TestWinCounterNeverExceedsTotalMisses(t *testing.T) {
-	var w winCounter
+	w := oneSlot(4, 1)
 	for i := 1; i <= 100; i++ {
-		if got := w.bump(int64(i/10), 4); got > i {
+		if got := w.bump(int64(i / 10)); got > i {
 			t.Fatalf("count %d after %d bumps", got, i)
 		}
 	}
 }
 
-// TestWinCounterSaturation: counters are uint16; a pathological hot slot
-// must saturate rather than wrap.
+// TestWinCounterSaturation: an IMCT lane saturates at laneCap and an MCT
+// lane at 65535 rather than wrap, so an IMCT total tops out at k·laneCap
+// and an MCT total at k·65535, and a lane that has saturated still counts
+// as one.
 func TestWinCounterSaturation(t *testing.T) {
-	var w winCounter
+	w := oneSlot(4, 1)
 	last := 0
+	for i := 0; i < 1000; i++ {
+		last = w.bump(0)
+	}
+	if last != laneCap {
+		t.Fatalf("IMCT count %d after 1000 bumps in one subwindow, want %d", last, laneCap)
+	}
+	w.imct[0].track(1)
+	for win := int64(1); win < 4; win++ {
+		for i := 0; i < 1000; i++ {
+			last = w.bump(win)
+		}
+	}
+	if last != 4*laneCap || w.imct[0]>>trackedShift != 1 {
+		t.Fatalf("IMCT count %d, tracked %d after four saturated subwindows, want %d and 1", last, w.imct[0]>>trackedShift, 4*laneCap)
+	}
+	if got := w.bump(4); got != 3*laneCap+1 {
+		t.Fatalf("count %d after subwindow 0 expired, want %d", got, 3*laneCap+1)
+	}
+
+	var e mctEntry
 	for i := 0; i < 70000; i++ {
-		last = w.bump(0, 4)
+		last = e.bump(2)
 	}
-	if last < 65535 {
-		t.Fatalf("count %d after 70000 bumps in one subwindow", last)
-	}
-	if last > 65535*4 {
-		t.Fatalf("count %d wrapped", last)
+	if last != 65535 {
+		t.Fatalf("MCT count %d after 70000 bumps in one lane, want 65535", last)
 	}
 }

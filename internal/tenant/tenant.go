@@ -82,10 +82,11 @@ const (
 	ThrottleHard = 2
 )
 
-// DenyPenalty is the sieve-threshold delta that encodes "denied": large
-// enough that no window counter (they saturate at 65535) can reach it,
-// so the sieve keeps counting the tenant's misses without ever
-// admitting. Core uses it for quota and hard-endurance denials.
+// DenyPenalty is the sieve-threshold delta that encodes "denied": above
+// the 8·65535 a sieve's precise window total saturates at (sieve's
+// TestDenyPenaltyOutlastsSaturation), so the sieve keeps counting the
+// tenant's misses without ever admitting. Core uses it for quota and
+// hard-endurance denials.
 const DenyPenalty = 1 << 20
 
 // Config parameterizes an Accountant.
