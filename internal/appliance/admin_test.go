@@ -129,8 +129,8 @@ func TestRotateOnVariantCIsNoop(t *testing.T) {
 // rawHandshake opens a hand-driven connection: HELLO out, OK | 2 back.
 func rawHandshake(t *testing.T, conn net.Conn) {
 	t.Helper()
-	var hello [headerSize]byte
-	(&header{op: OpHello, offset: ProtocolV2}).encode(hello[:])
+	var hello [preambleSize]byte
+	(&preamble{op: OpHello, offset: ProtocolV2}).encode(hello[:])
 	if _, err := conn.Write(hello[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func rawHandshake(t *testing.T, conn net.Conn) {
 func readErrFrame(t *testing.T, conn net.Conn) (uint32, string) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var head [respHeadV2 + 2]byte
+	var head [respHeadSize + 2]byte
 	if _, err := io.ReadFull(conn, head[:]); err != nil || head[0] != respMagic || head[5] != statusErr {
 		t.Fatalf("response head = %v, err = %v", head, err)
 	}
-	msg := make([]byte, binary.BigEndian.Uint16(head[respHeadV2:]))
+	msg := make([]byte, binary.BigEndian.Uint16(head[respHeadSize:]))
 	if _, err := io.ReadFull(conn, msg); err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestUnknownOpClosesConnection(t *testing.T) {
 	for _, op := range []byte{99, 6, 7} {
 		client, _, _ := startServer(t)
 		rawHandshake(t, client.conn)
-		var hdr [headerSizeV2]byte
-		(&headerV2{op: op, tag: 7 + uint32(op)}).encode(hdr[:])
+		var hdr [headerSize]byte
+		(&header{op: op, tag: 7 + uint32(op)}).encode(hdr[:])
 		if _, err := client.conn.Write(hdr[:]); err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestUnknownOpClosesConnection(t *testing.T) {
 func TestBadMagicClosesConnection(t *testing.T) {
 	client, _, _ := startServer(t)
 	rawHandshake(t, client.conn)
-	junk := make([]byte, headerSizeV2)
+	junk := make([]byte, headerSize)
 	junk[0] = 0x00
 	if _, err := client.conn.Write(junk); err != nil {
 		t.Fatal(err)

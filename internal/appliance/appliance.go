@@ -6,7 +6,7 @@
 //
 // The wire protocol is a minimal length-prefixed binary framing (the paper
 // assumes iSCSI; any block protocol works, so we use the simplest one that
-// exercises the same data path). There is one protocol; wire2.go has the
+// exercises the same data path). There is one protocol; wire.go has the
 // frame layouts and DESIGN.md §11 the rationale.
 //
 // A connection opens with an 18-byte HELLO preamble whose offset field
@@ -73,7 +73,7 @@ const (
 	// MaxIOBytes bounds a single request's transfer size.
 	MaxIOBytes = 16 << 20
 
-	headerSize = 1 + 1 + 2 + 2 + 8 + 4
+	preambleSize = 1 + 1 + 2 + 2 + 8 + 4
 
 	// maxErrMsg bounds an error-frame message (u16 length prefix).
 	maxErrMsg = 65535
@@ -102,8 +102,9 @@ var ErrAlreadyServing = errors.New("appliance: Serve already called")
 // back to this sentinel.
 var ErrServerBusy = errors.New("appliance: server at connection limit")
 
-// header is the fixed-size request prefix.
-type header struct {
+// preamble is the HELLO frame: the untagged fixed-size prefix a
+// connection opens with.
+type preamble struct {
 	op     byte
 	server uint16
 	volume uint16
@@ -111,7 +112,7 @@ type header struct {
 	length uint32
 }
 
-func (h *header) encode(buf []byte) {
+func (h *preamble) encode(buf []byte) {
 	buf[0] = magic
 	buf[1] = h.op
 	binary.BigEndian.PutUint16(buf[2:], h.server)
@@ -120,11 +121,11 @@ func (h *header) encode(buf []byte) {
 	binary.BigEndian.PutUint32(buf[14:], h.length)
 }
 
-func decodeHeader(buf []byte) (header, error) {
+func decodePreamble(buf []byte) (preamble, error) {
 	if buf[0] != magic {
-		return header{}, fmt.Errorf("%w: bad magic 0x%02x", ErrProtocol, buf[0])
+		return preamble{}, fmt.Errorf("%w: bad magic 0x%02x", ErrProtocol, buf[0])
 	}
-	h := header{
+	h := preamble{
 		op:     buf[1],
 		server: binary.BigEndian.Uint16(buf[2:]),
 		volume: binary.BigEndian.Uint16(buf[4:]),
@@ -132,7 +133,7 @@ func decodeHeader(buf []byte) (header, error) {
 		length: binary.BigEndian.Uint32(buf[14:]),
 	}
 	if h.length > MaxIOBytes {
-		return header{}, fmt.Errorf("%w: length %d exceeds limit", ErrProtocol, h.length)
+		return preamble{}, fmt.Errorf("%w: length %d exceeds limit", ErrProtocol, h.length)
 	}
 	return h, nil
 }
@@ -248,8 +249,9 @@ func (s *Server) StatsSnapshot() ServerStats {
 	}
 }
 
-// sendErr is writeErr with the server's error-frame counter attached.
-func (s *Server) sendErr(bw *bufio.Writer, err error) bool {
+// sendReject is writeErr with the server's error-frame counter attached:
+// the untagged reply that turns a connection away before serveConn.
+func (s *Server) sendReject(bw *bufio.Writer, err error) bool {
 	s.errorFrames.Add(1)
 	return writeErr(bw, err)
 }
@@ -298,7 +300,7 @@ func (s *Server) Serve(l net.Listener) error {
 				defer s.wg.Done()
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(time.Second))
-				s.sendErr(bufio.NewWriterSize(conn, 64), ErrServerBusy)
+				s.sendReject(bufio.NewWriterSize(conn, 64), ErrServerBusy)
 				// Absorb whatever the peer already sent before closing:
 				// closing with unread data risks a reset that discards the
 				// busy frame before the peer reads it.
@@ -312,7 +314,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			s.serveConn(conn)
+			s.handshake(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -349,18 +351,18 @@ func (s *Server) Close() error {
 	return err
 }
 
-// serveConn runs the handshake and hands the connection to the pipelined
+// handshake answers the HELLO and hands the connection to the pipelined
 // loop. The first frame must be a HELLO offering version 2 or later;
 // anything else gets one untagged error reply and a close, so a peer that
 // speaks another protocol never reaches the store.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) handshake(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	if s.opts.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-	var hdr [headerSize]byte
+	var hdr [preambleSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return // EOF, idle timeout, or broken connection
 	}
@@ -368,7 +370,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
 	}
 	s.requests.Add(1)
-	h, err := decodeHeader(hdr[:])
+	h, err := decodePreamble(hdr[:])
 	switch {
 	case err != nil:
 	case h.op != OpHello:
@@ -377,7 +379,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		err = fmt.Errorf("%w: HELLO offers protocol v%d, this server speaks v%d", ErrProtocol, h.offset, ProtocolV2)
 	}
 	if err != nil {
-		s.sendErr(bw, err)
+		s.sendReject(bw, err)
 		return
 	}
 	bw.WriteByte(statusOK)
@@ -385,7 +387,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if bw.Flush() != nil {
 		return
 	}
-	s.serveConnV2(conn, br, bw)
+	s.serveConn(conn, br, bw)
 }
 
 // writeErr stages an error frame and flushes it in one write.
@@ -601,7 +603,7 @@ func (c *Client) ReadAt(server, volume int, p []byte, off uint64) error {
 	if err := checkIDs(server, volume); err != nil {
 		return err
 	}
-	return c.do2(headerV2{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
+	return c.do(header{op: OpRead, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
 		nil, &pendingOp{op: OpRead, read: p})
 }
 
@@ -613,14 +615,14 @@ func (c *Client) WriteAt(server, volume int, p []byte, off uint64) error {
 	if err := checkIDs(server, volume); err != nil {
 		return err
 	}
-	return c.do2(headerV2{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
+	return c.do(header{op: OpWrite, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(len(p))},
 		[][]byte{p}, &pendingOp{op: OpWrite})
 }
 
 // RotateEpoch forces a SieveStore-D epoch rotation on the appliance
 // (no-op for a VariantC appliance).
 func (c *Client) RotateEpoch() error {
-	return c.do2(headerV2{op: OpRotate}, nil, &pendingOp{op: OpRotate})
+	return c.do(header{op: OpRotate}, nil, &pendingOp{op: OpRotate})
 }
 
 // Flush asks the appliance to write its dirty write-back blocks to the
@@ -628,7 +630,7 @@ func (c *Client) RotateEpoch() error {
 // concurrent flushes: a Flush that arrives while a sweep is running waits
 // for it and then joins the one follow-up sweep every such caller shares.
 func (c *Client) Flush() error {
-	return c.do2(headerV2{op: OpFlush}, nil, &pendingOp{op: OpFlush})
+	return c.do(header{op: OpFlush}, nil, &pendingOp{op: OpFlush})
 }
 
 // Invalidate drops the appliance's cached blocks in [off, off+length),
@@ -645,7 +647,7 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 		return 0, fmt.Errorf("%w: invalidate of %d bytes out of range", ErrProtocol, length)
 	}
 	p := &pendingOp{op: OpInvalidate}
-	err := c.do2(headerV2{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
+	err := c.do(header{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
 	return int(p.inval), err
 }
 
@@ -653,7 +655,7 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 func (c *Client) Stats() (core.Stats, error) {
 	var st core.Stats
 	p := &pendingOp{op: OpStats}
-	if err := c.do2(headerV2{op: OpStats}, nil, p); err != nil {
+	if err := c.do(header{op: OpStats}, nil, p); err != nil {
 		return st, err
 	}
 	return st, json.Unmarshal(p.stats, &st)

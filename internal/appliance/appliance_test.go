@@ -165,10 +165,10 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := header{op: OpWrite, server: 12, volume: 4, offset: 1 << 40, length: 65536}
-	buf := make([]byte, headerSize)
+	h := preamble{op: OpWrite, server: 12, volume: 4, offset: 1 << 40, length: 65536}
+	buf := make([]byte, preambleSize)
 	h.encode(buf)
-	got, err := decodeHeader(buf)
+	got, err := decodePreamble(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +178,14 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestDecodeHeaderRejectsGarbage(t *testing.T) {
-	buf := make([]byte, headerSize)
+	buf := make([]byte, preambleSize)
 	buf[0] = 0xFF
-	if _, err := decodeHeader(buf); !errors.Is(err, ErrProtocol) {
+	if _, err := decodePreamble(buf); !errors.Is(err, ErrProtocol) {
 		t.Errorf("bad magic: %v", err)
 	}
-	h := header{op: OpRead, length: MaxIOBytes + 1}
+	h := preamble{op: OpRead, length: MaxIOBytes + 1}
 	h.encode(buf)
-	if _, err := decodeHeader(buf); !errors.Is(err, ErrProtocol) {
+	if _, err := decodePreamble(buf); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized length: %v", err)
 	}
 }

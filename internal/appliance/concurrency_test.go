@@ -75,12 +75,12 @@ func TestClientBreaksOnTransportError(t *testing.T) {
 		if !serveHelloV2(br, conn) {
 			return
 		}
-		hdr := make([]byte, headerSizeV2)
+		hdr := make([]byte, headerSize)
 		if _, err := io.ReadFull(br, hdr); err != nil {
 			return
 		}
-		h, _ := decodeHeaderV2(hdr)
-		var head [respHeadV2]byte
+		h, _ := decodeHeader(hdr)
+		var head [respHeadSize]byte
 		respHead(head[:], h.tag, statusOK)
 		conn.Write(head[:])
 		conn.Write(make([]byte, h.length/2))

@@ -45,8 +45,8 @@ func (c *Client) handshakeLocked() error {
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	var hello [headerSize]byte
-	(&header{op: OpHello, offset: ProtocolV2}).encode(hello[:])
+	var hello [preambleSize]byte
+	(&preamble{op: OpHello, offset: ProtocolV2}).encode(hello[:])
 	if _, err := c.bw.Write(hello[:]); err != nil {
 		return c.fail(err)
 	}
@@ -88,7 +88,7 @@ func (c *Client) handshakeLocked() error {
 	// The HELLO armed a deadline that would otherwise linger: with no op in
 	// flight yet on this generation (we hold c.mu, nothing has been sent),
 	// an idle reader must not time out waiting for the first response.
-	// send2 re-arms the deadline per request.
+	// send re-arms the deadline per request.
 	if c.opts.Timeout > 0 {
 		c.conn.SetDeadline(time.Time{})
 	}
@@ -132,7 +132,7 @@ func (c *Client) abortPending(gen int, err error) {
 // stream position unknown, so it breaks the connection.
 func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 	for {
-		var head [respHeadV2]byte
+		var head [respHeadSize]byte
 		if _, err := io.ReadFull(br, head[:]); err != nil {
 			c.failConn(gen, err)
 			return
@@ -187,7 +187,7 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader, gen int) {
 		// When the pipeline drains, clear the read deadline armed by the
 		// send path so the idle reader doesn't time out between bursts.
 		// The clear must happen INSIDE the pendMu critical section that
-		// observes the empty map: send2 registers under pendMu before
+		// observes the empty map: send registers under pendMu before
 		// arming its deadline, so clearing outside the lock could wipe a
 		// deadline a concurrent sender just armed and leave that op
 		// waiting forever on a hung server.
@@ -232,13 +232,13 @@ func (c *Client) readBody(br *bufio.Reader, p *pendingOp) error {
 	}
 }
 
-// send2 assigns a tag, registers p, and writes one request frame (header plus
+// send assigns a tag, registers p, and writes one request frame (header plus
 // payload segments, coalesced in the write buffer). A write failure
 // breaks the connection and aborts the pipeline — including p, whose
 // done channel is then already closed. Entry errors (closed client,
 // broken connection without retry budget, exhausted reconnects, a failed
 // first handshake) are returned without registering p.
-func (c *Client) send2(h headerV2, segs [][]byte, p *pendingOp) error {
+func (c *Client) send(h header, segs [][]byte, p *pendingOp) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -268,7 +268,7 @@ func (c *Client) send2(h headerV2, segs [][]byte, p *pendingOp) error {
 		// only when the pipeline drains — the whole in-flight window.
 		c.conn.SetDeadline(time.Now().Add(c.opts.Timeout))
 	}
-	var hdr [headerSizeV2]byte
+	var hdr [headerSize]byte
 	h.encode(hdr[:])
 	_, err := c.bw.Write(hdr[:])
 	for _, seg := range segs {
@@ -296,20 +296,20 @@ func (c *Client) send2(h headerV2, segs [][]byte, p *pendingOp) error {
 	return nil
 }
 
-// do2 runs one pipelined op to completion inside the redial-and-replay
+// do runs one pipelined op to completion inside the redial-and-replay
 // envelope: transport failures are retried up to MaxReconnects times,
 // server error frames are not.
-func (c *Client) do2(h headerV2, segs [][]byte, p *pendingOp) error {
+func (c *Client) do(h header, segs [][]byte, p *pendingOp) error {
 	for attempt := 0; ; attempt++ {
 		p.reset()
-		if err := c.send2(h, segs, p); err != nil {
+		if err := c.send(h, segs, p); err != nil {
 			return err
 		}
 		<-p.done
 		if p.err == nil || !p.transport || attempt >= c.opts.MaxReconnects {
 			return p.err
 		}
-		// Transport failure with retry budget left: the next send2 finds
+		// Transport failure with retry budget left: the next send finds
 		// the connection broken, redials (handshaking again), and replays.
 	}
 }

@@ -46,23 +46,23 @@ func TestV2NegotiatedByDefault(t *testing.T) {
 // a close, and its bytes never reach the store or the pipeline.
 func TestPreHandshakeFramesRejected(t *testing.T) {
 	srv, addr := startServerWith(t, ServerOptions{})
-	frame := func(h header, payload []byte) []byte {
-		buf := make([]byte, headerSize, headerSize+len(payload))
+	frame := func(h preamble, payload []byte) []byte {
+		buf := make([]byte, preambleSize, preambleSize+len(payload))
 		h.encode(buf)
 		return append(buf, payload...)
 	}
-	badMagic := frame(header{op: OpHello, offset: ProtocolV2}, nil)
+	badMagic := frame(preamble{op: OpHello, offset: ProtocolV2}, nil)
 	badMagic[0] = 0x00
 	cases := []struct {
 		name      string
 		in        []byte
 		wantReply bool
 	}{
-		{"v1 read", frame(header{op: OpRead, length: 512}, nil), true},
-		{"v1 write with payload", frame(header{op: OpWrite, length: 512}, make([]byte, 512)), true},
-		{"HELLO offering v1", frame(header{op: OpHello, offset: 1}, nil), true},
+		{"v1 read", frame(preamble{op: OpRead, length: 512}, nil), true},
+		{"v1 write with payload", frame(preamble{op: OpWrite, length: 512}, make([]byte, 512)), true},
+		{"HELLO offering v1", frame(preamble{op: OpHello, offset: 1}, nil), true},
 		{"bad magic", badMagic, true},
-		{"truncated preamble", frame(header{op: OpHello, offset: ProtocolV2}, nil)[:headerSize-5], false},
+		{"truncated preamble", frame(preamble{op: OpHello, offset: ProtocolV2}, nil)[:preambleSize-5], false},
 	}
 	wantErrFrames := int64(0)
 	for _, tc := range cases {
@@ -111,7 +111,7 @@ func TestClientRejectsBadHelloReply(t *testing.T) {
 	} {
 		addr := scriptServer(t, func(conn net.Conn) {
 			defer conn.Close()
-			io.ReadFull(conn, make([]byte, headerSize))
+			io.ReadFull(conn, make([]byte, preambleSize))
 			conn.Write(reply)
 			io.Copy(io.Discard, conn)
 		})
@@ -296,13 +296,13 @@ func statsLenServer(t *testing.T, n uint32) string {
 		if !serveHelloV2(br, conn) {
 			return
 		}
-		h2 := make([]byte, headerSizeV2)
+		h2 := make([]byte, headerSize)
 		if _, err := io.ReadFull(br, h2); err != nil {
 			return
 		}
-		resp := make([]byte, respHeadV2+4)
+		resp := make([]byte, respHeadSize+4)
 		respHead(resp, binary.BigEndian.Uint32(h2[2:6]), statusOK)
-		binary.BigEndian.PutUint32(resp[respHeadV2:], n)
+		binary.BigEndian.PutUint32(resp[respHeadSize:], n)
 		conn.Write(resp)
 		io.Copy(io.Discard, br)
 	})

@@ -72,7 +72,7 @@ func scriptServer(t *testing.T, scripts ...func(conn net.Conn)) string {
 
 // serveHelloV2 consumes the client's HELLO preamble and answers v2.
 func serveHelloV2(br *bufio.Reader, conn net.Conn) bool {
-	hdr := make([]byte, headerSize)
+	hdr := make([]byte, preambleSize)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return false
 	}
@@ -85,10 +85,10 @@ func serveHelloV2(br *bufio.Reader, conn net.Conn) bool {
 
 // respondReadV2 answers one OpRead request with its offset-derived
 // pattern payload.
-func respondReadV2(conn net.Conn, h headerV2) bool {
-	resp := make([]byte, respHeadV2+int(h.length))
-	respHead(resp[:respHeadV2], h.tag, statusOK)
-	fillPat(resp[respHeadV2:], h.offset)
+func respondReadV2(conn net.Conn, h header) bool {
+	resp := make([]byte, respHeadSize+int(h.length))
+	respHead(resp[:respHeadSize], h.tag, statusOK)
+	fillPat(resp[respHeadSize:], h.offset)
 	_, err := conn.Write(resp)
 	return err == nil
 }
@@ -107,12 +107,12 @@ func TestPipelineReplayAfterMidPipelineDisconnect(t *testing.T) {
 				return
 			}
 			// Read all three pipelined requests, answer only the first.
-			hdr := make([]byte, headerSizeV2)
+			hdr := make([]byte, headerSize)
 			for i := 0; i < 3; i++ {
 				if _, err := io.ReadFull(br, hdr); err != nil {
 					return
 				}
-				h, err := decodeHeaderV2(hdr)
+				h, err := decodeHeader(hdr)
 				if err != nil {
 					return
 				}
@@ -128,12 +128,12 @@ func TestPipelineReplayAfterMidPipelineDisconnect(t *testing.T) {
 			if !serveHelloV2(br, conn) {
 				return
 			}
-			hdr := make([]byte, headerSizeV2)
+			hdr := make([]byte, headerSize)
 			for {
 				if _, err := io.ReadFull(br, hdr); err != nil {
 					return
 				}
-				h, err := decodeHeaderV2(hdr)
+				h, err := decodeHeader(hdr)
 				if err != nil {
 					return
 				}
@@ -190,11 +190,11 @@ func TestStaleGenerationCompletionRejected(t *testing.T) {
 			if !serveHelloV2(br, conn) {
 				return
 			}
-			hdr := make([]byte, headerSizeV2)
+			hdr := make([]byte, headerSize)
 			if _, err := io.ReadFull(br, hdr); err != nil {
 				return
 			}
-			h, err := decodeHeaderV2(hdr)
+			h, err := decodeHeader(hdr)
 			if err != nil {
 				return
 			}
@@ -212,9 +212,9 @@ func TestStaleGenerationCompletionRejected(t *testing.T) {
 			// current-generation op) and fail this connection without
 			// touching any caller buffer.
 			staleTag := <-tagCh
-			resp := make([]byte, respHeadV2+1024)
-			respHead(resp[:respHeadV2], staleTag, statusOK)
-			for i := respHeadV2; i < len(resp); i++ {
+			resp := make([]byte, respHeadSize+1024)
+			respHead(resp[:respHeadSize], staleTag, statusOK)
+			for i := respHeadSize; i < len(resp); i++ {
 				resp[i] = 0xAB
 			}
 			conn.Write(resp)
@@ -227,12 +227,12 @@ func TestStaleGenerationCompletionRejected(t *testing.T) {
 			if !serveHelloV2(br, conn) {
 				return
 			}
-			hdr := make([]byte, headerSizeV2)
+			hdr := make([]byte, headerSize)
 			for {
 				if _, err := io.ReadFull(br, hdr); err != nil {
 					return
 				}
-				h, err := decodeHeaderV2(hdr)
+				h, err := decodeHeader(hdr)
 				if err != nil {
 					return
 				}

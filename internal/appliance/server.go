@@ -20,14 +20,14 @@ import (
 	"repro/internal/block"
 )
 
-// serveConnV2 takes over a connection once serveConn has answered its
+// serveConn takes over a connection once handshake has answered its
 // HELLO. A malformed header, an unknown op, or a redundant HELLO close the
 // connection after an error frame — but only after every in-flight worker
 // has responded, so the closer error frame is deterministically the last
 // frame on the wire. Out-of-range ids and store errors answer an error
 // frame and keep the connection (any payload was fully consumed, so the
 // stream stays frame-aligned).
-func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
+func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	maxP := s.opts.MaxPipeline
 	if maxP <= 0 {
 		maxP = defaultMaxPipeline
@@ -38,7 +38,7 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 		sem      = make(chan struct{}, maxP)
 		inflight atomic.Int64
 	)
-	// Drain workers before serveConn's deferred conn.Close(): every
+	// Drain workers before handshake's deferred conn.Close(): every
 	// accepted request gets its response bytes staged and flushed.
 	defer wg.Wait()
 	// quiesce sets the read deadline of a connection with nothing in
@@ -54,7 +54,7 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 			conn.SetReadDeadline(time.Time{})
 		}
 	}
-	hdr := make([]byte, headerSizeV2)
+	hdr := make([]byte, headerSize)
 	for {
 		// Armed only while nothing is in flight: a worker slower than
 		// IdleTimeout must not kill the connection under the reader's feet.
@@ -65,13 +65,13 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 			return // EOF, idle timeout, or broken connection
 		}
 		s.requests.Add(1)
-		h, err := decodeHeaderV2(hdr)
+		h, err := decodeHeader(hdr)
 		if err != nil {
 			// The tag field sits at a fixed offset even in a rejected
 			// header; echo it so the client can fail the right op.
 			tag := binary.BigEndian.Uint32(hdr[2:6])
 			wg.Wait()
-			s.sendErrV2(conn, bw, &wmu, tag, err)
+			s.sendErr(conn, bw, &wmu, tag, err)
 			return
 		}
 		if s.opts.IOTimeout > 0 {
@@ -97,7 +97,7 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 			s.pipelineDepth.Add(1)
 			sem <- struct{}{}
 			wg.Add(1)
-			go func(h headerV2, payload []byte) {
+			go func(h header, payload []byte) {
 				defer func() {
 					<-sem
 					s.pipelineDepth.Add(-1)
@@ -108,21 +108,21 @@ func (s *Server) serveConnV2(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) 
 					}
 					wg.Done()
 				}()
-				s.handleV2(conn, bw, &wmu, h, payload)
+				s.handle(conn, bw, &wmu, h, payload)
 			}(h, payload)
 		default:
 			// Unknown op — including a redundant OpHello and the retired
 			// vector ops 6 and 7 — terminates.
 			wg.Wait()
-			s.sendErrV2(conn, bw, &wmu, h.tag, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
+			s.sendErr(conn, bw, &wmu, h.tag, fmt.Errorf("%w: unknown op %d", ErrProtocol, h.op))
 			return
 		}
 	}
 }
 
-// handleV2 executes one request and stages its response. payload is
+// handle executes one request and stages its response. payload is
 // pool-owned and released here.
-func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h headerV2, payload []byte) {
+func (s *Server) handle(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h header, payload []byte) {
 	defer poolPut(payload)
 	// Reject ids the packed block.Key cannot represent before they reach
 	// the store: MakeKey treats out-of-range components as a caller bug and
@@ -132,7 +132,7 @@ func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h he
 	switch h.op {
 	case OpRead, OpWrite, OpInvalidate:
 		if int(h.server) >= block.MaxServers || int(h.volume) >= block.MaxVolumes {
-			s.sendErrV2(conn, bw, wmu, h.tag, fmt.Errorf("appliance: server %d / volume %d out of range", h.server, h.volume))
+			s.sendErr(conn, bw, wmu, h.tag, fmt.Errorf("appliance: server %d / volume %d out of range", h.server, h.volume))
 			return
 		}
 	}
@@ -157,13 +157,13 @@ func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h he
 					pr.Release()
 				}
 				poolPut(tail)
-				s.sendErrV2(conn, bw, wmu, h.tag, err)
+				s.sendErr(conn, bw, wmu, h.tag, err)
 				return
 			}
 		}
 		s.zeroCopyBytes.Add(int64(pinned))
 		wmu.Lock()
-		var head [respHeadV2]byte
+		var head [respHeadSize]byte
 		respHead(head[:], h.tag, statusOK)
 		bw.Write(head[:])
 		if pr != nil {
@@ -187,49 +187,49 @@ func (s *Server) handleV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h he
 		}
 	case OpWrite:
 		if err := s.store.WriteAt(int(h.server), int(h.volume), payload, h.offset); err != nil {
-			s.sendErrV2(conn, bw, wmu, h.tag, err)
+			s.sendErr(conn, bw, wmu, h.tag, err)
 			return
 		}
-		s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, nil)
+		s.writeFrame(conn, bw, wmu, h.tag, statusOK, nil)
 	case OpStats:
 		data, err := json.Marshal(s.store.Stats())
 		if err != nil {
-			s.sendErrV2(conn, bw, wmu, h.tag, err)
+			s.sendErr(conn, bw, wmu, h.tag, err)
 			return
 		}
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-		s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, lenBuf[:], data)
+		s.writeFrame(conn, bw, wmu, h.tag, statusOK, lenBuf[:], data)
 	case OpRotate:
 		if err := s.store.RotateEpoch(); err != nil {
-			s.sendErrV2(conn, bw, wmu, h.tag, err)
+			s.sendErr(conn, bw, wmu, h.tag, err)
 			return
 		}
-		s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, nil)
+		s.writeFrame(conn, bw, wmu, h.tag, statusOK, nil)
 	case OpInvalidate:
 		dropped, err := s.store.Invalidate(int(h.server), int(h.volume), h.offset, int(h.length))
 		if err != nil {
-			s.sendErrV2(conn, bw, wmu, h.tag, err)
+			s.sendErr(conn, bw, wmu, h.tag, err)
 			return
 		}
 		var resp [4]byte
 		binary.BigEndian.PutUint32(resp[:], uint32(dropped))
-		s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, resp[:])
+		s.writeFrame(conn, bw, wmu, h.tag, statusOK, resp[:])
 	case OpFlush:
 		if err := s.store.Flush(); err != nil {
-			s.sendErrV2(conn, bw, wmu, h.tag, err)
+			s.sendErr(conn, bw, wmu, h.tag, err)
 			return
 		}
-		s.writeFrameV2(conn, bw, wmu, h.tag, statusOK, nil)
+		s.writeFrame(conn, bw, wmu, h.tag, statusOK, nil)
 	}
 }
 
-// writeFrameV2 stages one tagged response frame under the write mutex
+// writeFrame stages one tagged response frame under the write mutex
 // and flushes it. A flush failure closes the connection (unblocking the
 // reader); the remaining workers' flushes then fail the same way.
-func (s *Server) writeFrameV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, tag uint32, status byte, segs ...[]byte) {
+func (s *Server) writeFrame(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, tag uint32, status byte, segs ...[]byte) {
 	wmu.Lock()
-	var head [respHeadV2]byte
+	var head [respHeadSize]byte
 	respHead(head[:], tag, status)
 	bw.Write(head[:])
 	for _, seg := range segs {
@@ -244,11 +244,11 @@ func (s *Server) writeFrameV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, 
 	}
 }
 
-// sendErrV2 stages a tagged error frame.
-func (s *Server) sendErrV2(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, tag uint32, err error) {
+// sendErr stages a tagged error frame.
+func (s *Server) sendErr(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, tag uint32, err error) {
 	s.errorFrames.Add(1)
 	msg := truncateErrMsg(err.Error(), maxErrMsg)
 	var lenBuf [2]byte
 	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	s.writeFrameV2(conn, bw, wmu, tag, statusErr, lenBuf[:], []byte(msg))
+	s.writeFrame(conn, bw, wmu, tag, statusErr, lenBuf[:], []byte(msg))
 }

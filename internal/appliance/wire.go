@@ -33,8 +33,8 @@ const (
 	// flushes group-commit server-side (core.Store.Flush).
 	OpFlush = 9
 
-	headerSizeV2 = 1 + 1 + 4 + 2 + 2 + 8 + 4 // magic op tag server volume offset length
-	respHeadV2   = 1 + 4 + 1                 // magic tag status
+	headerSize   = 1 + 1 + 4 + 2 + 2 + 8 + 4 // magic op tag server volume offset length
+	respHeadSize = 1 + 4 + 1                 // magic tag status
 
 	// ProtocolV2 is the version the HELLO offers and the reply confirms —
 	// the only one there is (version 1, an untagged one-at-a-time framing,
@@ -53,9 +53,9 @@ const (
 	defaultMaxPipeline = 32
 )
 
-// headerV2 is the fixed-size prefix of a request frame: the HELLO's header
+// header is the fixed-size prefix of a request frame: the HELLO preamble
 // with a u32 tag after the op byte.
-type headerV2 struct {
+type header struct {
 	op     byte
 	tag    uint32
 	server uint16
@@ -64,7 +64,7 @@ type headerV2 struct {
 	length uint32
 }
 
-func (h *headerV2) encode(buf []byte) {
+func (h *header) encode(buf []byte) {
 	buf[0] = magic
 	buf[1] = h.op
 	binary.BigEndian.PutUint32(buf[2:], h.tag)
@@ -74,11 +74,11 @@ func (h *headerV2) encode(buf []byte) {
 	binary.BigEndian.PutUint32(buf[18:], h.length)
 }
 
-func decodeHeaderV2(buf []byte) (headerV2, error) {
+func decodeHeader(buf []byte) (header, error) {
 	if buf[0] != magic {
-		return headerV2{}, fmt.Errorf("%w: bad magic 0x%02x", ErrProtocol, buf[0])
+		return header{}, fmt.Errorf("%w: bad magic 0x%02x", ErrProtocol, buf[0])
 	}
-	h := headerV2{
+	h := header{
 		op:     buf[1],
 		tag:    binary.BigEndian.Uint32(buf[2:]),
 		server: binary.BigEndian.Uint16(buf[6:]),
@@ -87,7 +87,7 @@ func decodeHeaderV2(buf []byte) (headerV2, error) {
 		length: binary.BigEndian.Uint32(buf[18:]),
 	}
 	if h.length > MaxIOBytes {
-		return headerV2{}, fmt.Errorf("%w: length %d exceeds limit", ErrProtocol, h.length)
+		return header{}, fmt.Errorf("%w: length %d exceeds limit", ErrProtocol, h.length)
 	}
 	return h, nil
 }
