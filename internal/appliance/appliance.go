@@ -163,11 +163,12 @@ type ServerOptions struct {
 // BlockStore is the storage surface a Server serves over the wire. A
 // *core.Store is the canonical implementation; cluster.Client satisfies
 // it too, so a Server can front a whole replicated ring as a gateway.
-// ReadPinned may return nil to decline zero-copy service — the read
-// then falls back to ReadAt.
 type BlockStore interface {
 	ReadAt(server, volume int, p []byte, off uint64) error
 	WriteAt(server, volume int, p []byte, off uint64) error
+	// ReadPinned is never called, and every implementation declines (nil).
+	// It stays only because bench/ overrides it, and leaves with
+	// ROADMAP.md item 1(f).
 	ReadPinned(server, volume, n int, off uint64) *core.PinnedRead
 	Stats() core.Stats
 	RotateEpoch() error
@@ -195,7 +196,6 @@ type Server struct {
 
 	pipelinedReqs atomic.Int64
 	pipelineDepth atomic.Int64
-	zeroCopyBytes atomic.Int64
 }
 
 // NewServer returns a Server around st with no limits (ServerOptions zero
@@ -228,7 +228,9 @@ type ServerStats struct {
 	ErrorFrames   int64 // error-frame responses sent
 	PipelinedReqs int64 // requests that arrived while another was already in flight on the same connection
 	PipelineDepth int64 // requests in flight right now, across connections
-	ZeroCopyBytes int64 // read bytes served straight from pinned cache frames
+	// ZeroCopyBytes is always 0: reads are served through ReadAt. It stays
+	// only because bench/ reads it, and leaves with ROADMAP.md item 1(f).
+	ZeroCopyBytes int64
 }
 
 // StatsSnapshot snapshots the server's counters.
@@ -245,7 +247,6 @@ func (s *Server) StatsSnapshot() ServerStats {
 		ErrorFrames:   s.errorFrames.Load(),
 		PipelinedReqs: s.pipelinedReqs.Load(),
 		PipelineDepth: s.pipelineDepth.Load(),
-		ZeroCopyBytes: s.zeroCopyBytes.Load(),
 	}
 }
 

@@ -88,7 +88,6 @@ func NewObservability(st *core.Store) *Observability {
 	c("flush_errors", func(s core.Stats) int64 { return s.FlushErrors })
 	c("spill_disables", func(s core.Stats) int64 { return s.SpillDisables })
 	c("select_overflow", func(s core.Stats) int64 { return s.SelectOverflow })
-	c("pinned_reads", func(s core.Stats) int64 { return s.PinnedReads })
 	c("group_commits", func(s core.Stats) int64 { return s.GroupCommits })
 	c("coalesced_flushes", func(s core.Stats) int64 { return s.CoalescedFlushes })
 	c("backend_bytes_read", func(s core.Stats) int64 { return s.BackendBytesRead })
@@ -257,7 +256,6 @@ func (o *Observability) AttachServer(srv *Server) {
 	r.Counter("sievestore.server.error_frames", func() int64 { return srv.StatsSnapshot().ErrorFrames })
 	r.Counter("sievestore.server.pipelined_requests", func() int64 { return srv.StatsSnapshot().PipelinedReqs })
 	r.Gauge("sievestore.server.pipeline_depth", func() float64 { return float64(srv.StatsSnapshot().PipelineDepth) })
-	r.Counter("sievestore.server.zero_copy_bytes", func() int64 { return srv.StatsSnapshot().ZeroCopyBytes })
 }
 
 // AttachResilience registers the fault-tolerant backend wrapper's

@@ -1,9 +1,7 @@
 // Server side of the wire protocol: the pipelined connection loop. One
 // reader pulls tagged frames off the wire and dispatches each request to a
 // worker (bounded by ServerOptions.MaxPipeline); workers complete out of
-// order, staging responses under a per-connection write mutex. Reads are
-// served zero-copy from pinned cache frames where the blocks are
-// resident.
+// order, staging responses under a per-connection write mutex.
 package appliance
 
 import (
@@ -138,53 +136,13 @@ func (s *Server) handle(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h head
 	}
 	switch h.op {
 	case OpRead:
-		// Zero-copy fast path: pin the all-hit prefix's cache frames and
-		// write them to the wire directly; only the (miss) tail is read
-		// into a scratch buffer. ReadPinned accounts and logs the pinned
-		// blocks itself, so the two halves together count exactly like one
-		// ReadAt.
-		n := int(h.length)
-		pr := s.store.ReadPinned(int(h.server), int(h.volume), n, h.offset)
-		pinned := 0
-		if pr != nil {
-			pinned = pr.Bytes()
+		p := poolGet(int(h.length))
+		if err := s.store.ReadAt(int(h.server), int(h.volume), p, h.offset); err != nil {
+			s.sendErr(conn, bw, wmu, h.tag, err)
+		} else {
+			s.writeFrame(conn, bw, wmu, h.tag, statusOK, p)
 		}
-		var tail []byte
-		if n > pinned || n == 0 {
-			tail = poolGet(n - pinned)
-			if err := s.store.ReadAt(int(h.server), int(h.volume), tail, h.offset+uint64(pinned)); err != nil {
-				if pr != nil {
-					pr.Release()
-				}
-				poolPut(tail)
-				s.sendErr(conn, bw, wmu, h.tag, err)
-				return
-			}
-		}
-		s.zeroCopyBytes.Add(int64(pinned))
-		wmu.Lock()
-		var head [respHeadSize]byte
-		respHead(head[:], h.tag, statusOK)
-		bw.Write(head[:])
-		if pr != nil {
-			for _, v := range pr.Views() {
-				bw.Write(v)
-			}
-		}
-		if len(tail) > 0 {
-			bw.Write(tail)
-		}
-		err := bw.Flush()
-		wmu.Unlock()
-		if pr != nil {
-			pr.Release()
-		}
-		if tail != nil {
-			poolPut(tail)
-		}
-		if err != nil {
-			conn.Close()
-		}
+		poolPut(p)
 	case OpWrite:
 		if err := s.store.WriteAt(int(h.server), int(h.volume), payload, h.offset); err != nil {
 			s.sendErr(conn, bw, wmu, h.tag, err)

@@ -39,15 +39,15 @@ type TagStore interface {
 // Cache is a fully-associative tag store: one page→slots index, the slots'
 // keys, a free-slot list, and a replacement Order that ranks slots — LRU
 // from New, SIEVE from NewSieve. Slots are dense small integers handed out
-// once and reused after Release, so a caller with per-block state of its
-// own (internal/core: frames, pin counts, dirty bits) keeps it in arrays
-// indexed by slot and shares this index instead of keying a second map.
+// once and reused after Remove, so a caller with per-block state of its
+// own (internal/core: frames, dirty bits) keeps it in arrays indexed by
+// slot and shares this index instead of keying a second map.
 // Blocks are what it holds, ranks and evicts; the index only groups them
 // by 4 KiB page, so one probe (Page) serves a page run.
 //
 // The keyed methods (Touch, Insert, Contains, Swap) are what the simulator
-// drives; the slot methods (Lookup, Page, Hit, Add, Drop, Release, Move,
-// SwapSlots) are what internal/core uses.
+// drives; the slot methods (Lookup, Page, Hit, Add, Remove, SwapSlots) are
+// what internal/core uses.
 // It is not goroutine-safe; concurrent users serialize access.
 type Cache struct {
 	capacity int
@@ -96,11 +96,11 @@ func (c *Cache) Capacity() int { return c.capacity }
 // Len returns the number of resident blocks.
 func (c *Cache) Len() int { return c.n }
 
-// Slots returns how many slots were ever handed out: resident ones, free
-// ones, and any the caller dropped but has not yet released.
+// Slots returns how many slots were ever handed out: resident ones and free
+// ones.
 func (c *Cache) Slots() int { return len(c.keys) }
 
-// FreeSlots returns how many released slots await reuse.
+// FreeSlots returns how many removed slots await reuse.
 func (c *Cache) FreeSlots() int { return len(c.free) }
 
 // Lookup returns key's slot without updating the order.
@@ -130,51 +130,33 @@ func (c *Cache) Key(slot uint32) block.Key { return c.keys[slot] }
 // Hit notes a hit on a resident slot.
 func (c *Cache) Hit(slot uint32) { c.order.Touch(slot) }
 
-// VictimSlot is the slot to Drop to make room in a full cache.
+// VictimSlot is the slot to Remove to make room in a full cache.
 func (c *Cache) VictimSlot() (uint32, bool) { return c.order.Victim() }
 
-// alloc hands out a slot for key: a released one, else the next new one.
-func (c *Cache) alloc(key block.Key) uint32 {
-	if n := len(c.free); n > 0 {
-		slot := c.free[n-1]
-		c.free = c.free[:n-1]
-		c.keys[slot] = key
-		return slot
-	}
-	c.keys = append(c.keys, key)
-	return uint32(len(c.keys) - 1)
-}
-
 // Add makes a non-resident key resident, as the newest, in a slot of its
-// own. The cache must not be full: the caller Drops VictimSlot first.
+// own: a removed one, else the next new one. The cache must not be full:
+// the caller Removes VictimSlot first.
 func (c *Cache) Add(key block.Key) (slot uint32) {
-	slot = c.alloc(key)
+	if n := len(c.free); n > 0 {
+		slot, c.free = c.free[n-1], c.free[:n-1]
+		c.keys[slot] = key
+	} else {
+		slot = uint32(len(c.keys))
+		c.keys = append(c.keys, key)
+	}
 	c.order.Insert(slot)
 	c.set(key, slot+1)
 	c.n++
 	return slot
 }
 
-// Drop removes a resident slot from the index and the order. The slot
-// stays allocated, and Key keeps naming its block, until the caller
-// Releases it — once nothing refers to the slot any more.
-func (c *Cache) Drop(slot uint32) {
+// Remove takes a resident slot out of the index and the order and frees it
+// for reuse. Key keeps naming its block until the slot is handed out again.
+func (c *Cache) Remove(slot uint32) {
 	c.order.Remove(slot)
 	c.set(c.keys[slot], 0)
 	c.n--
-}
-
-// Release returns a dropped slot for reuse.
-func (c *Cache) Release(slot uint32) { c.free = append(c.free, slot) }
-
-// Move rehouses a resident block: a new slot takes over from's key and
-// its exact place in the order, and from is left as Drop leaves a slot.
-func (c *Cache) Move(from uint32) (to uint32) {
-	key := c.keys[from]
-	to = c.alloc(key)
-	c.order.Replace(from, to)
-	c.set(key, to+1)
-	return to
+	c.free = append(c.free, slot)
 }
 
 // AppendSlots appends the resident slots, hottest first where the policy
@@ -206,8 +188,7 @@ func (c *Cache) Insert(key block.Key) (evicted block.Key, wasEvicted bool) {
 	if c.n >= c.capacity {
 		victim, _ := c.order.Victim()
 		evicted, wasEvicted = c.keys[victim], true
-		c.Drop(victim)
-		c.Release(victim)
+		c.Remove(victim)
 	}
 	c.Add(key)
 	return evicted, wasEvicted
@@ -223,14 +204,13 @@ func (c *Cache) Keys() (out []block.Key) {
 
 // SwapSlots installs exactly the given block set, hottest first, evicting
 // everything else — SieveStore-D's end-of-epoch batch allocation. Residents
-// outside the set go first, each handed to evict, which must Drop it and,
-// unless something still refers to the slot, Release it; retained keys
-// are then refreshed and new ones added coldest first, so keys[0] ends
-// hottest and the cache is never over capacity. It returns the slots of the keys that
-// actually moved in — the paper's observation that replacement and
-// allocation "cancel" for blocks retained across epochs (§3.2). Keys
-// beyond capacity cannot be installed; they are dropped from the cold
-// tail and counted in overflow, never silently.
+// outside the set go first, each handed to evict, which must Remove it;
+// retained keys are then refreshed and new ones added coldest first, so
+// keys[0] ends hottest and the cache is never over capacity. It returns the
+// slots of the keys that actually moved in — the paper's observation that
+// replacement and allocation "cancel" for blocks retained across epochs
+// (§3.2). Keys beyond capacity cannot be installed; they are dropped from
+// the cold tail and counted in overflow, never silently.
 func (c *Cache) SwapSlots(keys []block.Key, evict func(slot uint32)) (moved []uint32, overflow int) {
 	if over := len(keys) - c.capacity; over > 0 {
 		overflow = over
@@ -258,8 +238,7 @@ func (c *Cache) SwapSlots(keys []block.Key, evict func(slot uint32)) (moved []ui
 func (c *Cache) Swap(keys []block.Key) (moved int, evicted []block.Key, overflow int) {
 	in, overflow := c.SwapSlots(keys, func(slot uint32) {
 		evicted = append(evicted, c.keys[slot])
-		c.Drop(slot)
-		c.Release(slot)
+		c.Remove(slot)
 	})
 	return len(in), evicted, overflow
 }

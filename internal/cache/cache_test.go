@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -72,22 +71,21 @@ func TestRemove(t *testing.T) {
 	if !ok {
 		t.Fatal("inserted key has no slot")
 	}
-	c.Drop(slot)
+	c.Remove(slot)
 	if c.Len() != 0 || c.Contains(key(1)) {
-		t.Error("block still resident after Drop")
+		t.Error("block still resident after Remove")
 	}
 	if c.Key(slot) != key(1) {
-		t.Error("a dropped slot must name its block until Release")
+		t.Error("a removed slot must name its block until it is reused")
 	}
 	if _, ok := c.VictimSlot(); ok {
 		t.Error("victim in an empty cache")
 	}
-	c.Release(slot)
 	if c.FreeSlots() != 1 {
-		t.Errorf("FreeSlots = %d after Release, want 1", c.FreeSlots())
+		t.Errorf("FreeSlots = %d after Remove, want 1", c.FreeSlots())
 	}
 	if got := c.Add(key(2)); got != slot || c.Slots() != 1 {
-		t.Errorf("Add took slot %d of %d, want the released slot %d", got, c.Slots(), slot)
+		t.Errorf("Add took slot %d of %d, want the removed slot %d", got, c.Slots(), slot)
 	}
 }
 
@@ -152,8 +150,7 @@ func TestReplaceAllEmpty(t *testing.T) {
 	}
 }
 
-// TestInvariants drives random operations, dropping and releasing slots
-// among them, and checks structural invariants after each: size ≤
+// TestInvariants drives random operations, removing slots among them, and checks structural invariants after each: size ≤
 // capacity, Keys() consistent with the index, list links intact.
 func TestInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -181,8 +178,7 @@ func TestInvariants(t *testing.T) {
 				t.Fatalf("op %d: Lookup(%v) = %v", i, k, ok)
 			}
 			if ok {
-				c.Drop(slot)
-				c.Release(slot)
+				c.Remove(slot)
 			}
 			delete(resident, k)
 		case 3:
@@ -292,69 +288,5 @@ func TestPartitionCapacity(t *testing.T) {
 			}()
 			PartitionCapacity(bad.total, bad.n)
 		}()
-	}
-}
-
-// slotAccess drives c through the slot API the way internal/core does: a
-// resident key is a Hit; a missing one evicts VictimSlot when the cache is
-// full, then is Added. It returns the evicted key, if any.
-func slotAccess(c *Cache, k block.Key) (evicted block.Key, ok bool) {
-	if slot, hit := c.Lookup(k); hit {
-		c.Hit(slot)
-		return 0, false
-	}
-	if c.Len() == c.Capacity() {
-		victim, _ := c.VictimSlot()
-		evicted, ok = c.Key(victim), true
-		c.Drop(victim)
-		c.Release(victim)
-	}
-	c.Add(k)
-	return evicted, ok
-}
-
-// TestSlotMoveMatchesTwin pins Move: a block rehoused in a new slot keeps
-// its exact place in the order — its LRU position, its SIEVE visited bit,
-// and a SIEVE hand resting on it — so a cache whose blocks keep moving
-// evicts exactly what an unmoved twin evicts.
-func TestSlotMoveMatchesTwin(t *testing.T) {
-	for _, mk := range []func(int) *Cache{New, NewSieve} {
-		moved, still := mk(8), mk(8)
-		t.Run(moved.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(3))
-			for i := 0; i < 5000; i++ {
-				k := key(uint64(rng.Intn(24)))
-				switch rng.Intn(5) {
-				case 0:
-					if from, ok := moved.Lookup(k); ok {
-						to := moved.Move(from)
-						moved.Release(from)
-						if got, _ := moved.Lookup(k); got != to || moved.Key(to) != k {
-							t.Fatalf("op %d: %v moved to slot %d, index says %d", i, k, to, got)
-						}
-					}
-				case 1:
-					// Park both hands where an eviction would.
-					moved.VictimSlot()
-					still.VictimSlot()
-				default:
-					evM, okM := slotAccess(moved, k)
-					evS, okS := slotAccess(still, k)
-					if evM != evS || okM != okS {
-						t.Fatalf("op %d: moved cache evicted (%v,%v), twin (%v,%v)", i, evM, okM, evS, okS)
-					}
-				}
-			}
-			var got, want []block.Key
-			for _, slot := range moved.AppendSlots(nil) {
-				got = append(got, moved.Key(slot))
-			}
-			for _, slot := range still.AppendSlots(nil) {
-				want = append(want, still.Key(slot))
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("order after moves %v, twin %v", got, want)
-			}
-		})
 	}
 }

@@ -40,7 +40,7 @@ func checkIndex(t *testing.T, step int, c *Cache, model map[block.Key]uint32, ke
 	}
 }
 
-// TestPageIndexMatchesModel drives Add, Drop, Move and SwapSlots over keys
+// TestPageIndexMatchesModel drives Add, Remove and SwapSlots over keys
 // that leave pages partially resident — twelve pages on two volumes
 // through a 20-block cache — and checks the page index against a plain
 // key→slot map after every step.
@@ -65,12 +65,11 @@ func TestPageIndexMatchesModel(t *testing.T) {
 			}
 			drop := func(slot uint32) {
 				delete(model, c.Key(slot))
-				c.Drop(slot)
-				c.Release(slot)
+				c.Remove(slot)
 			}
 			for step := 0; step < 20000; step++ {
 				switch op := rng.Intn(100); {
-				case op < 45: // add, evicting the victim when full
+				case op < 60: // add, evicting the victim when full
 					k := keys[rng.Intn(len(keys))]
 					if _, ok := model[k]; ok {
 						break
@@ -80,14 +79,9 @@ func TestPageIndexMatchesModel(t *testing.T) {
 						drop(victim)
 					}
 					model[k] = c.Add(k)
-				case op < 70:
+				case op < 95:
 					if _, slot, ok := resident(); ok {
 						drop(slot)
-					}
-				case op < 95:
-					if k, from, ok := resident(); ok {
-						model[k] = c.Move(from)
-						c.Release(from)
 					}
 				default: // an epoch swap to a random set, some of it resident
 					set := make([]block.Key, 0, 24)

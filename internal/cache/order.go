@@ -2,8 +2,8 @@ package cache
 
 // Order is a replacement engine over dense slot numbers instead of keys:
 // the Cache that owns it maps keys to slots once, and everything that is
-// per-block thereafter — recency links here, frames, pin counts and dirty
-// bits in internal/core — is an array indexed by slot. An Order only
+// per-block thereafter — recency links here, frames and dirty bits in
+// internal/core — is an array indexed by slot. An Order only
 // ranks; the Cache counts residents and evicts Victim when it is full.
 type Order interface {
 	Name() string
@@ -18,9 +18,6 @@ type Order interface {
 	Victim() (slot uint32, ok bool)
 	// Remove drops a resident slot, repairing any cursor on it.
 	Remove(slot uint32)
-	// Replace puts slot to in slot from's exact position and state; from
-	// leaves the order.
-	Replace(from, to uint32)
 	// AppendSlots appends the resident slots, hottest first.
 	AppendSlots(dst []uint32) []uint32
 }
@@ -55,16 +52,6 @@ func (l *slotList) pushFront(e uint32) {
 	l.links[0].next = e
 }
 
-func (l *slotList) replace(from, to uint32) {
-	for int(to) >= len(l.links) {
-		l.links = append(l.links, slotLink{})
-	}
-	k := l.links[from]
-	l.links[to] = k
-	l.links[k.prev].next = to
-	l.links[k.next].prev = to
-}
-
 func (l *slotList) appendSlots(dst []uint32) []uint32 {
 	for e := l.links[0].next; e != 0; e = l.links[e].next {
 		dst = append(dst, e-1)
@@ -90,8 +77,6 @@ func (o *lruOrder) Insert(slot uint32) { o.l.pushFront(slot + 1) }
 func (o *lruOrder) Victim() (uint32, bool) { return o.l.oldest() - 1, o.l.oldest() != 0 }
 
 func (o *lruOrder) Remove(slot uint32) { o.l.unlink(slot + 1) }
-
-func (o *lruOrder) Replace(from, to uint32) { o.l.replace(from+1, to+1) }
 
 func (o *lruOrder) AppendSlots(dst []uint32) []uint32 { return o.l.appendSlots(dst) }
 
@@ -163,14 +148,6 @@ func (o *sieveOrder) Remove(slot uint32) {
 		o.hand = o.l.links[e].prev
 	}
 	o.l.unlink(e)
-}
-
-func (o *sieveOrder) Replace(from, to uint32) {
-	o.l.replace(from+1, to+1)
-	o.setVisited(to+1, o.visited[from+1])
-	if o.hand == from+1 {
-		o.hand = to + 1
-	}
 }
 
 // AppendSlots lists newest-first (insertion order; the hand's sweep region

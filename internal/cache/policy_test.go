@@ -153,14 +153,13 @@ func TestSieveHandRepairOnRemove(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		s.Insert(key(i))
 	}
-	// Park the hand on the victim, then Drop that exact slot: the hand
+	// Park the hand on the victim, then Remove that exact slot: the hand
 	// must advance (toward newer) rather than dangle.
 	slot, ok := s.VictimSlot()
 	if !ok {
 		t.Fatal("no victim in a full cache")
 	}
-	s.Drop(slot)
-	s.Release(slot)
+	s.Remove(slot)
 	// Insert + evict repeatedly; no crash and no over-capacity.
 	for i := uint64(10); i < 30; i++ {
 		s.Insert(key(i))
@@ -168,7 +167,7 @@ func TestSieveHandRepairOnRemove(t *testing.T) {
 			t.Fatalf("over capacity after dropping the hand's block")
 		}
 	}
-	// Drop the newest block while the hand sits on it (hand wraps).
+	// Remove the newest block while the hand sits on it (hand wraps).
 	s2 := NewSieve(2)
 	s2.Insert(key(1))
 	s2.Insert(key(2))
@@ -177,9 +176,8 @@ func TestSieveHandRepairOnRemove(t *testing.T) {
 	if s2.Key(slot) != key(2) {
 		t.Fatalf("victim = %v, want key 2", s2.Key(slot))
 	}
-	// Hand is on key 2; dropping it forces the wrap-to-nil repair path.
-	s2.Drop(slot)
-	s2.Release(slot)
+	// Hand is on key 2; removing it forces the wrap-to-nil repair path.
+	s2.Remove(slot)
 	if ev, ok := s2.Insert(key(3)); ok {
 		t.Fatalf("eviction %v from non-full sieve", ev)
 	}

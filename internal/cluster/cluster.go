@@ -382,8 +382,8 @@ func (c *Client) WriteAt(server, volume int, p []byte, off uint64) error {
 	return c.writeRefs(refs)
 }
 
-// ReadPinned always declines: zero-copy pinned reads are a single-store
-// optimization; the gateway server falls back to ReadAt.
+// ReadPinned always declines, as core.Store's does. It stays only because
+// appliance.BlockStore names it, and leaves with ROADMAP.md item 1(f).
 func (c *Client) ReadPinned(server, volume, n int, off uint64) *core.PinnedRead {
 	return nil
 }

@@ -84,13 +84,6 @@ func (f *flight) publishLocked(src []byte) {
 // shards use a smaller power of two, see newShard.
 const slabFrames = 256
 
-// slotState is what the shard keeps per slot beside the frame itself.
-type slotState struct {
-	pins   int32 // zero-copy readers holding the frame (Store.ReadPinned)
-	dirty  bool  // write-back: the frame is the only current copy
-	doomed bool  // left the cache while pinned: freed by the last unpin
-}
-
 // shard is one lock-striped partition of the Store: a fully-associative
 // cache (LRU by default; Options.Policy) over its slice of the key space,
 // with its own in-flight table, sieve and stats. Keys map to shards by the
@@ -99,21 +92,19 @@ type slotState struct {
 //
 // Resident blocks live in one slot table. tab is the only index of them:
 // page→slots, the slot's key, the free slots and the replacement order.
-// Everything else about a block is an array indexed by its slot — state
-// here, and the frame at a fixed place in slabs, which grow one slab at a
-// time as slots are first handed out and never move, so a pinned view
-// stays valid for as long as its slot is held.
+// Everything else about a block is an array indexed by its slot — its dirty
+// bit here, and its frame at a fixed place in slabs, which grow one slab at
+// a time as slots are first handed out.
 type shard struct {
 	store *Store
 	idx   int
 
 	mu        sync.Mutex
 	tab       *cache.Cache
-	state     []slotState
+	dirty     []bool // by slot, write-back: the frame is the only current copy
 	slabs     [][]byte
 	slabShift uint // log2 of this shard's frames per slab
 	nDirty    int  // slots with dirty set
-	nPinned   int  // slots with pins > 0
 	// inflight holds by Key.Page the flight of each block of the page, nil
 	// where none is, so a page run costs one probe. No entry is all nil.
 	inflight map[block.Key][block.BlocksPerPage]*flight
@@ -153,12 +144,12 @@ func (sh *shard) frame(slot uint32) []byte {
 	return sh.slabs[slot>>sh.slabShift][off : off+block.Size : off+block.Size]
 }
 
-// fillLocked copies data into a slot tab just handed out, growing state
+// fillLocked copies data into a slot tab just handed out, growing dirty
 // and slabs to cover a slot that is new (slots are dense, so this adds a
 // slab at a time, and never the whole capacity up front).
 func (sh *shard) fillLocked(slot uint32, data []byte) {
-	for int(slot) >= len(sh.state) {
-		sh.state = append(sh.state, slotState{})
+	for int(slot) >= len(sh.dirty) {
+		sh.dirty = append(sh.dirty, false)
 	}
 	for int(slot>>sh.slabShift) >= len(sh.slabs) {
 		sh.slabs = append(sh.slabs, make([]byte, block.Size<<sh.slabShift))
@@ -166,73 +157,24 @@ func (sh *shard) fillLocked(slot uint32, data []byte) {
 	copy(sh.frame(slot), data)
 }
 
-// pinLocked takes a reference on a resident slot for a zero-copy reader.
-// A pinned frame is never mutated or reused: writes go copy-on-write
-// (writeFrameLocked) and eviction dooms the slot (removeLocked).
-func (sh *shard) pinLocked(slot uint32) {
-	if sh.state[slot].pins++; sh.state[slot].pins == 1 {
-		sh.nPinned++
-	}
-}
-
-// unpinLocked drops a reference; the last unpin of a doomed slot frees it.
-func (sh *shard) unpinLocked(slot uint32) {
-	st := &sh.state[slot]
-	if st.pins--; st.pins > 0 {
-		return
-	}
-	sh.nPinned--
-	if st.doomed {
-		st.doomed = false
-		sh.tab.Release(slot)
-	}
-}
-
 // removeLocked takes a resident slot out of the cache: the tenant's
-// occupancy moves, and the slot goes back for reuse — unless a zero-copy
-// reader still holds it pinned, in which case it is doomed and the last
-// unpin releases it. Every path that takes a block out ends here;
-// releasing a slot directly could hand a pinned frame to a writer while
-// its bytes are still on their way to a wire.
+// occupancy moves, and the slot goes back for reuse. Every path that takes
+// a block out ends here.
 func (sh *shard) removeLocked(slot uint32) {
-	sh.tab.Drop(slot)
-	st := &sh.state[slot]
-	if st.dirty {
-		st.dirty = false
+	sh.tenantEvict(sh.tab.Key(slot))
+	if sh.dirty[slot] {
+		sh.dirty[slot] = false
 		sh.nDirty--
 	}
-	sh.tenantEvict(sh.tab.Key(slot))
-	if st.pins > 0 {
-		st.doomed = true
-		return
-	}
-	sh.tab.Release(slot)
+	sh.tab.Remove(slot)
 }
 
 // setDirtyLocked marks a resident slot as holding the only current copy.
 func (sh *shard) setDirtyLocked(slot uint32) {
-	if !sh.state[slot].dirty {
-		sh.state[slot].dirty = true
+	if !sh.dirty[slot] {
+		sh.dirty[slot] = true
 		sh.nDirty++
 	}
-}
-
-// writeFrameLocked folds data into a resident slot and returns the slot
-// the block lives in afterwards. A pinned frame is never mutated in place
-// (its bytes are owned by in-flight zero-copy responses): the block moves
-// to a fresh slot that inherits its place in the order and its dirty bit,
-// and the pinned original is doomed.
-func (sh *shard) writeFrameLocked(slot uint32, data []byte) uint32 {
-	if sh.state[slot].pins == 0 {
-		copy(sh.frame(slot), data)
-		return slot
-	}
-	to := sh.tab.Move(slot)
-	sh.fillLocked(to, data)
-	sh.state[to].dirty = sh.state[slot].dirty
-	sh.state[slot].dirty = false
-	sh.state[slot].doomed = true
-	return to
 }
 
 // sieveLocked offers the blocks of a request that missed in this shard — at
@@ -327,11 +269,12 @@ func (sh *shard) install(key block.Key, data []byte) (slot uint32, ok bool) {
 		// A duplicate insert is a touch (snapshot streams can repeat a
 		// key): nothing is evicted and tenant occupancy does not move.
 		sh.tab.Hit(slot)
-		return sh.writeFrameLocked(slot, data), true
+		copy(sh.frame(slot), data)
+		return slot, true
 	}
 	if sh.tab.Len() >= sh.tab.Capacity() {
 		victim, _ := sh.tab.VictimSlot()
-		if sh.state[victim].dirty {
+		if sh.dirty[victim] {
 			if err := sh.flushSlot(victim); err != nil {
 				sh.stats.FlushErrors++
 				return 0, false
@@ -355,7 +298,7 @@ func (sh *shard) flushSlot(slot uint32) error {
 	sh.stats.BackendWrites++
 	sh.stats.BackendBytesWritten += block.Size
 	sh.stats.FlushWrites++
-	sh.state[slot].dirty = false
+	sh.dirty[slot] = false
 	sh.nDirty--
 	return nil
 }
@@ -364,8 +307,8 @@ func (sh *shard) flushSlot(slot uint32) error {
 // ascending key order.
 func (sh *shard) dirtyKeysLocked(only func(block.Key) bool) []block.Key {
 	var keys []block.Key
-	for slot, left := 0, sh.nDirty; left > 0 && slot < len(sh.state); slot++ {
-		if !sh.state[slot].dirty {
+	for slot, left := 0, sh.nDirty; left > 0 && slot < len(sh.dirty); slot++ {
+		if !sh.dirty[slot] {
 			continue
 		}
 		left--
@@ -525,7 +468,7 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 	}
 	dirtySlot := func(k block.Key) (uint32, bool) {
 		slot, ok := sh.tab.Lookup(k)
-		return slot, ok && sh.state[slot].dirty
+		return slot, ok && sh.dirty[slot]
 	}
 
 	// staged holds the victims' frames side by side, in key order, so a
@@ -577,7 +520,7 @@ func (sh *shard) flushStagedLocked(only func(block.Key) bool) error {
 			if runErr[ri] != nil {
 				sh.stats.FlushErrors++
 			} else if slot, ok := dirtySlot(victims[i]); ok {
-				sh.state[slot].dirty = false
+				sh.dirty[slot] = false
 				sh.nDirty--
 				sh.stats.FlushWrites++
 			}
@@ -606,8 +549,8 @@ func (sh *shard) drainDirtyLocked() error {
 			return err
 		}
 	}
-	for slot := 0; slot < len(sh.state) && sh.nDirty > 0; slot++ {
-		if sh.state[slot].dirty {
+	for slot := 0; slot < len(sh.dirty) && sh.nDirty > 0; slot++ {
+		if sh.dirty[slot] {
 			if err := sh.flushSlot(uint32(slot)); err != nil {
 				return err
 			}

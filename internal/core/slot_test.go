@@ -13,22 +13,13 @@ import (
 )
 
 // slotModel drives one shard's slot table directly, beside a plain
-// map[Key][]byte of what must be resident and a list of the pins the test
-// holds, and checks the two against each other after every step.
+// map[Key][]byte of what must be resident, and checks the two against each
+// other after every step.
 type slotModel struct {
 	t    *testing.T
 	sh   *shard
 	want map[block.Key][]byte
-	pins []modelPin
 	step int
-}
-
-// modelPin is one pin the test holds: the view it was lent and the bytes
-// that view must keep showing until it is handed back.
-type modelPin struct {
-	slot uint32
-	view []byte
-	data []byte
 }
 
 func (m *slotModel) check() {
@@ -37,97 +28,55 @@ func (m *slotModel) check() {
 	if sh.tab.Len() != len(m.want) {
 		m.t.Fatalf("step %d: %d resident, model has %d", m.step, sh.tab.Len(), len(m.want))
 	}
-	// Every allocated slot is in exactly one of three places: resident,
-	// free, or doomed (out of the cache, alive for its pins).
-	const (
-		resident = 1 + iota
-		free
-		doomed
-	)
-	owner := make([]int, sh.tab.Slots())
-	claim := func(slot uint32, as int) {
-		if owner[slot] != 0 {
-			m.t.Fatalf("step %d: slot %d is both %d and %d", m.step, slot, owner[slot], as)
-		}
-		owner[slot] = as
-	}
+	// Every slot handed out is in exactly one of two places: resident or
+	// free.
+	resident := make([]bool, sh.tab.Slots())
 	dirty := 0
 	for key, data := range m.want {
 		slot, ok := sh.tab.Lookup(key)
 		if !ok {
 			m.t.Fatalf("step %d: %v not resident", m.step, key)
 		}
-		claim(slot, resident)
+		if resident[slot] {
+			m.t.Fatalf("step %d: slot %d holds two resident blocks", m.step, slot)
+		}
+		resident[slot] = true
 		if !bytes.Equal(sh.frame(slot), data) {
 			m.t.Fatalf("step %d: %v in slot %d holds %x.., want %x..", m.step, key, slot, sh.frame(slot)[:4], data[:4])
 		}
-		if sh.state[slot].doomed {
-			m.t.Fatalf("step %d: resident slot %d is doomed", m.step, slot)
-		}
-		if sh.state[slot].dirty {
+		if sh.dirty[slot] {
 			dirty++
 		}
 	}
 	for _, slot := range sh.tab.AppendSlots(nil) {
-		if owner[slot] != resident {
+		if !resident[slot] {
 			m.t.Fatalf("step %d: the order holds slot %d, which is not resident", m.step, slot)
 		}
 	}
-	nDoomed, nPinned := 0, 0
-	held := make(map[uint32]int32)
-	for _, p := range m.pins {
-		held[p.slot]++
-		if !bytes.Equal(p.view, p.data) {
-			m.t.Fatalf("step %d: pinned view of slot %d changed under its reader", m.step, p.slot)
+	for slot, d := range sh.dirty {
+		if d && !resident[slot] {
+			m.t.Fatalf("step %d: free slot %d is dirty", m.step, slot)
 		}
 	}
-	for slot := range sh.state {
-		st := sh.state[slot]
-		if st.pins != held[uint32(slot)] {
-			m.t.Fatalf("step %d: slot %d counts %d pins, the test holds %d", m.step, slot, st.pins, held[uint32(slot)])
-		}
-		if st.pins > 0 {
-			nPinned++
-		}
-		if st.doomed {
-			if st.pins == 0 || st.dirty {
-				m.t.Fatalf("step %d: doomed slot %d: %+v", m.step, slot, st)
-			}
-			claim(uint32(slot), doomed)
-			nDoomed++
-		}
+	if got := len(m.want) + sh.tab.FreeSlots(); got != sh.tab.Slots() {
+		m.t.Fatalf("step %d: resident %d + free %d != %d slots", m.step, len(m.want), sh.tab.FreeSlots(), sh.tab.Slots())
 	}
-	nFree := 0
-	for slot, as := range owner {
-		if as == 0 {
-			claim(uint32(slot), free)
-			nFree++
-		}
+	if dirty != sh.nDirty {
+		m.t.Fatalf("step %d: nDirty %d, found %d", m.step, sh.nDirty, dirty)
 	}
-	if nFree != sh.tab.FreeSlots() {
-		m.t.Fatalf("step %d: %d slots are neither resident nor doomed, the free list holds %d", m.step, nFree, sh.tab.FreeSlots())
-	}
-	if got := len(m.want) + nFree + nDoomed; got != sh.tab.Slots() {
-		m.t.Fatalf("step %d: resident %d + free %d + doomed %d != %d slots", m.step, len(m.want), nFree, nDoomed, sh.tab.Slots())
-	}
-	if dirty != sh.nDirty || nPinned != sh.nPinned {
-		m.t.Fatalf("step %d: nDirty %d (found %d), nPinned %d (found %d)", m.step, sh.nDirty, dirty, sh.nPinned, nPinned)
-	}
-	// Slots are never handed out beyond need: capacity, the one an
-	// evicting install holds beside its victim's, and one per pin.
-	if max := sh.tab.Capacity() + 1 + maxModelPins; sh.tab.Slots() > max {
-		m.t.Fatalf("step %d: %d slots for capacity %d and at most %d pins", m.step, sh.tab.Slots(), sh.tab.Capacity(), maxModelPins)
+	// Slots are never handed out beyond capacity: a removed slot is reused
+	// before a new one is made.
+	if sh.tab.Slots() > sh.tab.Capacity() {
+		m.t.Fatalf("step %d: %d slots for capacity %d", m.step, sh.tab.Slots(), sh.tab.Capacity())
 	}
 	if want := (sh.tab.Slots() + 1<<sh.slabShift - 1) >> sh.slabShift; len(sh.slabs) != want {
 		m.t.Fatalf("step %d: %d slabs for %d slots, want %d", m.step, len(sh.slabs), sh.tab.Slots(), want)
 	}
 }
 
-const maxModelPins = 12
-
 // TestSlotTableMatchesModel is the slot table's randomized model test:
-// install, evict, touch, invalidate, pin, unpin, evict-while-pinned,
-// write-to-pinned copy-on-write and the epoch swap, on LRU and SIEVE.
+// install, evict, touch, invalidate, write in place and the epoch swap, on
+// LRU and SIEVE.
 func TestSlotTableMatchesModel(t *testing.T) {
 	for _, policy := range []string{"lru", "sieve"} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -166,7 +115,7 @@ func slotModelRun(t *testing.T, policy string, seed int64) {
 	}
 	for m.step = 0; m.step < 6000; m.step++ {
 		switch op := rng.Intn(100); {
-		case op < 35: // install; full, this evicts — pinned victims included
+		case op < 45: // install; full, this evicts
 			key, data := randKey(), payload()
 			if _, ok := m.want[key]; !ok && sh.tab.Len() == capacity {
 				victim, _ := sh.tab.VictimSlot()
@@ -176,37 +125,22 @@ func slotModelRun(t *testing.T, policy string, seed int64) {
 				t.Fatalf("step %d: install refused", m.step)
 			}
 			m.want[key] = data
-		case op < 50: // touch
+		case op < 65: // touch
 			if _, slot, ok := residentKey(); ok {
 				sh.tab.Hit(slot)
 			}
-		case op < 60: // invalidate
+		case op < 75: // invalidate
 			key := randKey()
 			if slot, ok := sh.tab.Lookup(key); ok {
 				sh.removeLocked(slot)
 				delete(m.want, key)
 			}
-		case op < 75: // pin
-			if key, slot, ok := residentKey(); ok && len(m.pins) < maxModelPins {
-				sh.pinLocked(slot)
-				m.pins = append(m.pins, modelPin{slot: slot, view: sh.frame(slot), data: m.want[key]})
-			}
-		case op < 87: // unpin
-			if n := len(m.pins); n > 0 {
-				i := rng.Intn(n)
-				sh.unpinLocked(m.pins[i].slot)
-				m.pins[i] = m.pins[n-1]
-				m.pins = m.pins[:n-1]
-			}
-		case op < 97: // write; copy-on-write when pinned, and sometimes dirty
+		case op < 97: // write in place, as WriteAt folds a hit; sometimes dirty
 			if key, slot, ok := residentKey(); ok {
 				data := payload()
-				to := sh.writeFrameLocked(slot, data)
-				if pinned := sh.state[slot].pins > 0; pinned == (to == slot) {
-					t.Fatalf("step %d: write to slot %d (pinned=%v) landed in slot %d", m.step, slot, pinned, to)
-				}
+				copy(sh.frame(slot), data)
 				if rng.Intn(2) == 0 {
-					sh.setDirtyLocked(to)
+					sh.setDirtyLocked(slot)
 				}
 				m.want[key] = data
 			}
@@ -241,11 +175,6 @@ func slotModelRun(t *testing.T, policy string, seed int64) {
 		}
 		m.check()
 	}
-	for _, p := range m.pins {
-		sh.unpinLocked(p.slot)
-	}
-	m.pins = nil
-	m.check()
 }
 
 // hotStore returns a two-shard store with latency tracking on — the
@@ -269,8 +198,8 @@ func hotStore(t *testing.T, shards, n int) *Store {
 	return s
 }
 
-// TestHitPathAllocations guards the all-hit paths' allocation counts: an
-// 8-block ReadAt makes none, and ReadPinned+Release only the PinnedRead.
+// TestHitPathAllocations guards the all-hit path's allocation count: an
+// 8-block ReadAt makes none.
 func TestHitPathAllocations(t *testing.T) {
 	s := hotStore(t, 2, 64)
 	buf := make([]byte, block.PageSize)
@@ -282,18 +211,8 @@ func TestHitPathAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("all-hit 8-block ReadAt: %v allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		pr := s.ReadPinned(0, 0, block.PageSize, 8*block.Size)
-		if len(pr.Views()) != block.BlocksPerPage {
-			t.Fatal("not all pinned")
-		}
-		pr.Release()
-	}); n > 1 {
-		t.Errorf("all-hit 8-block ReadPinned+Release: %v allocations, want at most the PinnedRead", n)
-	}
-	after := s.Stats()
-	if after.BackendReads != before.BackendReads || after.PinnedFrames != 0 {
-		t.Errorf("the measured reads were not all hits, or left pins: %+v", after)
+	if after := s.Stats(); after.BackendReads != before.BackendReads {
+		t.Errorf("the measured reads were not all hits: %+v", after)
 	}
 }
 
@@ -362,14 +281,8 @@ func TestShardVisitKeepsRecencyOrder(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		// Unaligned, from inside one page to across six.
 		first, n := rng.Intn(blocks-40), 1+rng.Intn(40)
-		if i%2 == 0 {
-			if err := s.ReadAt(0, 0, buf[:n*block.Size], uint64(first)*block.Size); err != nil {
-				t.Fatal(err)
-			}
-		} else if pr := s.ReadPinned(0, 0, n*block.Size, uint64(first)*block.Size); len(pr.Views()) != n {
-			t.Fatalf("read %d: pinned %d of %d resident blocks", i, len(pr.Views()), n)
-		} else {
-			pr.Release()
+		if err := s.ReadAt(0, 0, buf[:n*block.Size], uint64(first)*block.Size); err != nil {
+			t.Fatal(err)
 		}
 		if walk(first, n) {
 			crossings++
@@ -388,10 +301,9 @@ func TestShardVisitKeepsRecencyOrder(t *testing.T) {
 	}
 }
 
-// TestAlignedPageTouchesOneShard: an all-hit aligned 4 KiB read, copied or
-// pinned, is one critical section in one shard — Reads moves in exactly one
-// — and at two shards, where the per-block mapping made it two, allocates
-// nothing.
+// TestAlignedPageTouchesOneShard: an all-hit aligned 4 KiB read is one
+// critical section in one shard — Reads moves in exactly one — and at two
+// shards, where the per-block mapping made it two, allocates nothing.
 func TestAlignedPageTouchesOneShard(t *testing.T) {
 	for _, shards := range []int{2, 8} {
 		s := hotStore(t, shards, 64)
@@ -406,29 +318,21 @@ func TestAlignedPageTouchesOneShard(t *testing.T) {
 			return out
 		}
 		for page := uint64(0); page < 8; page++ {
-			for _, pinned := range []bool{false, true} {
-				before := reads()
-				if !pinned {
-					if err := s.ReadAt(0, 0, buf, page*block.PageSize); err != nil {
-						t.Fatal(err)
-					}
-				} else if pr := s.ReadPinned(0, 0, block.PageSize, page*block.PageSize); len(pr.Views()) != block.BlocksPerPage {
-					t.Fatalf("Shards %d page %d: pinned %d blocks of a resident page", shards, page, len(pr.Views()))
-				} else {
-					pr.Release()
-				}
-				moved := 0
-				for i, n := range reads() {
-					if n -= before[i]; n != 0 {
-						moved++
-						if n != block.BlocksPerPage {
-							t.Errorf("Shards %d page %d: shard %d counted %d reads", shards, page, i, n)
-						}
+			before := reads()
+			if err := s.ReadAt(0, 0, buf, page*block.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			moved := 0
+			for i, n := range reads() {
+				if n -= before[i]; n != 0 {
+					moved++
+					if n != block.BlocksPerPage {
+						t.Errorf("Shards %d page %d: shard %d counted %d reads", shards, page, i, n)
 					}
 				}
-				if moved != 1 {
-					t.Errorf("Shards %d page %d pinned=%v: Reads moved in %d shards, want 1", shards, page, pinned, moved)
-				}
+			}
+			if moved != 1 {
+				t.Errorf("Shards %d page %d: Reads moved in %d shards, want 1", shards, page, moved)
 			}
 		}
 		if shards == 2 {

@@ -233,10 +233,8 @@ type Stats struct {
 	FlushErrors         int64 // dirty write-backs that failed (the blocks stay dirty and resident)
 	SpillDisables       int64 // times SieveStore-D access logging was disabled by spill faults
 	SelectOverflow      int64 // hottest-first selected blocks dropped for capacity at epoch swaps (skewed key→shard splits, dirty retentions displacing the selection, tag-store truncation) — VariantD
-	PinnedReads         int64 // blocks served zero-copy via ReadPinned (a subset of ReadHits)
 	GroupCommits        int64 // write-back sweeps a Flush started
 	CoalescedFlushes    int64 // Flush calls that rode on another caller's sweep
-	PinnedFrames        int64 // frames currently lent out to zero-copy readers
 	Tenants             int64 // distinct (server, volume) tenants seen (tenant tracking only)
 	QuotaDenials        int64 // admissions denied because the tenant was at/over its soft quota
 	ThrottleDenials     int64 // admissions denied by an empty tenant endurance bucket
@@ -531,7 +529,6 @@ func (s *Store) Stats() Stats {
 		sub := sh.stats
 		sub.CachedBlocks = int64(sh.tab.Len())
 		sub.DirtyBlocks = int64(sh.nDirty)
-		sub.PinnedFrames = int64(sh.nPinned)
 		sh.mu.Unlock()
 		st.Add(sub)
 	}
@@ -974,7 +971,8 @@ func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metric
 				data := p[i*block.Size : (i+1)*block.Size]
 				if slot := pg[b] - 1; pg[b] != 0 {
 					sh.tab.Hit(slot)
-					if slot = sh.writeFrameLocked(slot, data); wb {
+					copy(sh.frame(slot), data)
+					if wb {
 						sh.setDirtyLocked(slot)
 					}
 					sh.stats.WriteHits++
@@ -1657,7 +1655,7 @@ func (s *Store) Invalidate(server, volume int, off uint64, length int) (dropped 
 				if pg[b] == 0 {
 					continue
 				}
-				if sh.state[slot].dirty {
+				if sh.dirty[slot] {
 					if err = sh.flushSlot(slot); err != nil {
 						break
 					}

@@ -135,8 +135,8 @@ func TestBlockRangeEnforced(t *testing.T) {
 }
 
 // TestOutOfRangeIDsAreErrors: a server or volume ID a block key cannot hold
-// is ErrRange at every entry point — nil from ReadPinned — never the panic
-// block.MakeKey makes of it.
+// is ErrRange at every entry point, never the panic block.MakeKey makes of
+// it.
 func TestOutOfRangeIDsAreErrors(t *testing.T) {
 	s := openC(t, newFakeClock())
 	buf := make([]byte, block.Size)
@@ -149,12 +149,6 @@ func TestOutOfRangeIDsAreErrors(t *testing.T) {
 			"Invalidate": func() error {
 				_, err := s.Invalidate(id.server, id.volume, 0, block.Size)
 				return err
-			},
-			"ReadPinned": func() error {
-				if s.ReadPinned(id.server, id.volume, block.Size, 0) != nil {
-					return errors.New("pinned a view")
-				}
-				return ErrRange
 			},
 		}
 		for name, call := range calls {

@@ -390,22 +390,6 @@ func TestTenantAccountingFence(t *testing.T) {
 				off := zipf.Uint64() * block.Size
 				nblk := 1 + r.Intn(4)
 				if r.Intn(10) < 7 {
-					// One read in four goes through the wire server's
-					// zero-copy path: pinned prefix plus a ReadAt tail, which
-					// together must count exactly like one ReadAt.
-					if r.Intn(4) == 0 {
-						n := nblk * block.Size
-						if pr := st.ReadPinned(0, vol, n, off); pr != nil {
-							served := pr.Bytes()
-							pr.Release()
-							if served < n {
-								if err := st.ReadAt(0, vol, rbuf[:n-served], off+uint64(served)); err != nil {
-									t.Fatal(err)
-								}
-							}
-							continue
-						}
-					}
 					if err := st.ReadAt(0, vol, rbuf[:nblk*block.Size], off); err != nil {
 						t.Fatal(err)
 					}
