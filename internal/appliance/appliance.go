@@ -259,11 +259,13 @@ func (s *Server) sendReject(bw *bufio.Writer, err error) bool {
 
 // Serve accepts connections on l until Close is called. It always returns a
 // non-nil error: net.ErrClosed after a clean shutdown, ErrAlreadyServing if
-// the server already has a listener (a Server serves at most once).
+// the server already has a listener (a Server serves at most once). A closed
+// server closes l, since a Close that ran first could not free its port.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		l.Close()
 		return net.ErrClosed
 	}
 	if s.listener != nil {

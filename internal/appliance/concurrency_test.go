@@ -137,10 +137,18 @@ func TestServeRejectsDoubleServe(t *testing.T) {
 	if err := <-done; !errors.Is(err, net.ErrClosed) {
 		t.Errorf("Serve after Close: want net.ErrClosed, got %v", err)
 	}
-	// A closed server refuses to serve again.
+	// A closed server refuses to serve again, and closes the listener it
+	// refused: Close has already run, so nothing else would, and the port
+	// would stay bound. A Close that races ahead of Serve's first lock
+	// lands here too.
 	if err := srv.Serve(l2); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("Serve on closed server: want net.ErrClosed, got %v", err)
 	}
+	l3, err := net.Listen("tcp", l2.Addr().String())
+	if err != nil {
+		t.Fatalf("the refused listener still holds its port: %v", err)
+	}
+	l3.Close()
 }
 
 // TestWriteErrTruncatesAtRuneBoundary: the 65535-byte error-message cap

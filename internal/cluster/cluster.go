@@ -1,11 +1,12 @@
 // Package cluster scales the appliance out to a replicated ring of
-// cache nodes. A cluster.Client routes per-block over a rendezvous-hash
-// ring, replicates every write to R nodes (W-of-R direct-ack quorum),
-// falls reads through to the next replica when a node's circuit breaker
-// is open, buffers writes for down replicas in hinted-handoff queues
-// that drain idempotently on recovery, and rebalances in the background
-// after join/leave — streaming only the affected keys. See DESIGN.md
-// §13 for the invariants.
+// cache nodes. The ring is fixed for the life of a Client: the nodes are
+// Config.Nodes, with ids 0…N−1. A cluster.Client routes per-block over
+// a rendezvous-hash ring, replicates every write to R nodes (W-of-R
+// direct-ack quorum), falls reads through to the next replica when a
+// node's circuit breaker is open, buffers writes for down replicas in
+// hinted-handoff queues that drain idempotently on recovery, and
+// re-replicates dirty blocks a crash left short of R. See DESIGN.md §13
+// for the invariants.
 //
 // The Client implements appliance.BlockStore, so an appliance.Server can
 // front the whole ring as a protocol gateway (cmd/appliance
@@ -126,13 +127,6 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// topology is an immutable (ring, nodes) snapshot, swapped atomically on
-// join/leave so the block-routing hot path never locks.
-type topology struct {
-	ring  *ring
-	nodes []*node // indexed by id; removed nodes keep their slot
-}
-
 // nStripes is the dirty-map / write-serialization stripe count.
 const nStripes = 64
 
@@ -156,9 +150,8 @@ type dirtyEntry struct {
 // Client is the cluster-aware block client.
 type Client struct {
 	cfg     Config
-	shift   uint // log2(PlacementBlocks)
-	topoMu  sync.Mutex
-	topo    atomic.Pointer[topology]
+	shift   uint    // log2(PlacementBlocks)
+	nodes   []*node // indexed by id; the ring's members
 	stripes [nStripes]stripe
 
 	closed   atomic.Bool
@@ -181,7 +174,6 @@ type Client struct {
 	hinted         atomic.Int64
 	drained        atomic.Int64
 	rebalanced     atomic.Int64
-	staleDropped   atomic.Int64
 	probes         atomic.Int64
 }
 
@@ -210,20 +202,16 @@ func New(cfg Config) (*Client, error) {
 	for i := range c.stripes {
 		c.stripes[i].dirty = make(map[block.Key]*dirtyEntry)
 	}
-	nodes := make([]*node, 0, len(cfg.Nodes))
-	ids := make([]int, 0, len(cfg.Nodes))
 	for i, addr := range cfg.Nodes {
 		cl, err := appliance.DialWith(addr, cfg.Dial)
 		if err != nil {
-			for _, n := range nodes {
+			for _, n := range c.nodes {
 				n.cl.Close()
 			}
 			return nil, fmt.Errorf("cluster: dial node %d (%s): %w", i, addr, err)
 		}
-		nodes = append(nodes, newNode(i, addr, cl, cfg.Breaker))
-		ids = append(ids, i)
+		c.nodes = append(c.nodes, newNode(i, addr, cl, cfg.Breaker))
 	}
-	c.topo.Store(&topology{ring: newRing(ids), nodes: nodes})
 	c.wg.Add(1)
 	go c.repairLoop()
 	return c, nil
@@ -238,7 +226,7 @@ func (c *Client) Close() error {
 	}
 	close(c.stop)
 	c.wg.Wait()
-	for _, n := range c.topo.Load().nodes {
+	for _, n := range c.nodes {
 		n.cl.Close()
 	}
 	return nil
@@ -355,9 +343,9 @@ func (c *Client) markAcked(k block.Key, id int, holds bool) {
 	}
 }
 
-// ownersFor computes key's replica preference list into out.
-func (t *topology) ownersFor(c *Client, k block.Key, out []int) []int {
-	return t.ring.replicas(c.group(k), c.cfg.Replicas, out)
+// owners computes key's replica preference list into out.
+func (c *Client) owners(k block.Key, out []int) []int {
+	return ring(len(c.nodes)).replicas(c.group(k), c.cfg.Replicas, out)
 }
 
 // --- appliance.BlockStore surface -----------------------------------
@@ -405,22 +393,18 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 	if err := checkRange(server, volume, off, length); err != nil {
 		return 0, err
 	}
-	topo := c.topo.Load()
 	lo := off / block.Size
 	hi := (off + uint64(length) - 1) / block.Size
 	// Drop client-side bookkeeping for the range first: pending hints
 	// would re-deliver invalidated data, and dirty entries no longer
 	// describe live cache state.
-	c.invalidateLocal(topo, server, volume, lo, hi)
+	c.invalidateLocal(server, volume, lo, hi)
 	max := 0
 	var firstErr error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, n := range topo.nodes {
+	for _, n := range c.nodes {
 		n := n
-		if n.getState() == nodeRemoved {
-			continue
-		}
 		if !n.serving() {
 			n.addSpan(server, volume, lo, hi)
 			continue
@@ -455,13 +439,13 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 
 // invalidateLocal drops hints and dirty entries covering blocks
 // [lo,hi] of (server,volume).
-func (c *Client) invalidateLocal(topo *topology, server, volume int, lo, hi uint64) {
+func (c *Client) invalidateLocal(server, volume int, lo, hi uint64) {
 	for num := lo; num <= hi; num++ {
 		k := block.MakeKey(server, volume, num)
 		s := &c.stripes[stripeIdx(k)]
 		s.mu.Lock()
 		delete(s.dirty, k)
-		for _, n := range topo.nodes {
+		for _, n := range c.nodes {
 			n.dropHint(k)
 		}
 		s.mu.Unlock()
@@ -480,12 +464,9 @@ func (c *Client) Flush() error {
 	// empty, and Flush must not hang forever on it.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		topo := c.topo.Load()
 		depth := 0
-		for _, n := range topo.nodes {
-			if n.getState() != nodeRemoved {
-				depth += n.hintDepth()
-			}
+		for _, n := range c.nodes {
+			depth += n.hintDepth()
 		}
 		if depth == 0 {
 			break
@@ -527,10 +508,9 @@ func (c *Client) Flush() error {
 // contribute nothing.
 func (c *Client) Stats() core.Stats {
 	var agg core.Stats
-	topo := c.topo.Load()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, n := range topo.nodes {
+	for _, n := range c.nodes {
 		n := n
 		if !n.serving() {
 			continue
@@ -564,11 +544,10 @@ func (c *Client) broadcastCollect(op func(n *node) error, okMask *uint64) error 
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	topo := c.topo.Load()
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
-	for _, n := range topo.nodes {
+	for _, n := range c.nodes {
 		n := n
 		if !n.serving() {
 			continue

@@ -17,20 +17,15 @@ import (
 
 // Node lifecycle states.
 const (
-	nodeUp      = iota // serving; direct reads and writes route here
-	nodeDown           // unreachable; writes buffer as hints, reads fall through
-	nodeRemoved        // administratively left the ring
+	nodeUp   = iota // serving; direct reads and writes route here
+	nodeDown        // unreachable; writes buffer as hints, reads fall through
 )
 
 func stateName(s int32) string {
-	switch s {
-	case nodeUp:
+	if s == nodeUp {
 		return "up"
-	case nodeDown:
-		return "down"
-	default:
-		return "removed"
 	}
+	return "down"
 }
 
 // volID names one volume of the ensemble.
@@ -96,41 +91,26 @@ func (n *node) serving() bool {
 	return n.getState() == nodeUp && !n.br.Open()
 }
 
-// Hint-offer outcomes.
-const (
-	hintQueued   = iota // appended to the queue
-	hintReplaced        // superseded an older pending hint in place
-	hintShed            // dropped at the bound; recorded in the shed spans
-	hintRefused         // the node has left the ring; nothing is queued
-)
-
 // offerHint buffers data (nil = invalidate) for later delivery of key.
 // An existing entry is replaced in place — the queue holds at most one,
 // newest, hint per key, which is what makes drain order per key trivial
 // and replay idempotent. At the bound the hint is shed: the key's range
-// joins the coarse shed union and the caller must treat the node as not
-// holding the block. A removed node refuses the hint, which the caller
-// treats the same way: Leave emptied its queue and nothing drains it, so a
-// write that routed by the topology it loaded before the Leave would
-// otherwise strand a hint there for good.
-func (n *node) offerHint(key block.Key, data []byte, max int) int {
+// joins the coarse shed union, which keeps excluding the block from
+// reads at this node until the heal invalidates it there.
+func (n *node) offerHint(key block.Key, data []byte, max int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.state == nodeRemoved {
-		return hintRefused
-	}
 	if h, ok := n.hints[key]; ok {
 		h.data = data
-		return hintReplaced
+		return
 	}
 	if max > 0 && len(n.hints) >= max {
 		n.sheds++
 		n.addSpanLocked(key)
-		return hintShed
+		return
 	}
 	n.hints[key] = &hintOp{data: data}
 	n.order = append(n.order, key)
-	return hintQueued
 }
 
 // dropHint removes a pending hint made obsolete by a successful direct

@@ -33,11 +33,10 @@ type NodeStatus struct {
 
 // ClusterStats is a point-in-time snapshot of the whole ring.
 type ClusterStats struct {
-	RingVersion uint64 `json:"ring_version"`
-	RingSize    int    `json:"ring_size"`
-	Replicas    int    `json:"replicas"`
-	WriteQuorum int    `json:"write_quorum"`
-	WriteBack   bool   `json:"write_back"`
+	RingSize    int  `json:"ring_size"`
+	Replicas    int  `json:"replicas"`
+	WriteQuorum int  `json:"write_quorum"`
+	WriteBack   bool `json:"write_back"`
 
 	Reads          int64 `json:"reads"`
 	Writes         int64 `json:"writes"`
@@ -48,12 +47,11 @@ type ClusterStats struct {
 	Hinted         int64 `json:"hinted"`
 	Drained        int64 `json:"drained"`
 	Rebalanced     int64 `json:"rebalanced"`
-	StaleDropped   int64 `json:"stale_dropped"`
 	Probes         int64 `json:"probes"`
 
 	// DirtyKeys is the write-back dirty-tracking population;
-	// UnderReplicated counts dirty keys not yet acked by every current
-	// owner (the replication sweep's backlog — 0 when fully settled).
+	// UnderReplicated counts dirty keys not yet acked by every owner
+	// (the replication sweep's backlog — 0 when fully settled).
 	DirtyKeys       int `json:"dirty_keys"`
 	UnderReplicated int `json:"under_replicated"`
 	HintDepth       int `json:"hint_depth"` // total across nodes
@@ -65,10 +63,8 @@ type ClusterStats struct {
 // stripe locks briefly; it is meant for scrapes and test settling, not
 // hot paths.
 func (c *Client) ClusterStats() ClusterStats {
-	topo := c.topo.Load()
 	st := ClusterStats{
-		RingVersion:    topo.ring.version,
-		RingSize:       len(topo.ring.ids),
+		RingSize:       len(c.nodes),
 		Replicas:       c.cfg.Replicas,
 		WriteQuorum:    c.cfg.WriteQuorum,
 		WriteBack:      c.cfg.WriteBack,
@@ -81,7 +77,6 @@ func (c *Client) ClusterStats() ClusterStats {
 		Hinted:         c.hinted.Load(),
 		Drained:        c.drained.Load(),
 		Rebalanced:     c.rebalanced.Load(),
-		StaleDropped:   c.staleDropped.Load(),
 		Probes:         c.probes.Load(),
 	}
 	var owners []int
@@ -90,7 +85,7 @@ func (c *Client) ClusterStats() ClusterStats {
 		s.mu.Lock()
 		st.DirtyKeys += len(s.dirty)
 		for k, e := range s.dirty {
-			owners = topo.ownersFor(c, k, owners)
+			owners = c.owners(k, owners)
 			for _, id := range owners {
 				if e.acked&(1<<uint(id)) == 0 {
 					st.UnderReplicated++
@@ -100,7 +95,7 @@ func (c *Client) ClusterStats() ClusterStats {
 		}
 		s.mu.Unlock()
 	}
-	for _, n := range topo.nodes {
+	for _, n := range c.nodes {
 		n.mu.Lock()
 		ns := NodeStatus{
 			ID:        n.id,
@@ -114,14 +109,11 @@ func (c *Client) ClusterStats() ClusterStats {
 			Ups:       n.ups,
 			Drains:    n.drains,
 		}
-		counted := n.state != nodeRemoved // as Flush: nothing drains a removed node
 		n.mu.Unlock()
 		ns.BreakerOpen = n.br.Open()
 		ns.Trips = n.br.Trips()
 		ns.Transitions = n.br.Transitions()
-		if counted {
-			st.HintDepth += ns.HintDepth
-		}
+		st.HintDepth += ns.HintDepth
 		st.Nodes = append(st.Nodes, ns)
 	}
 	return st
@@ -148,9 +140,7 @@ func (c *Client) Register(r *metrics.Registry) {
 	cnt("hinted", func(s ClusterStats) int64 { return s.Hinted })
 	cnt("drained", func(s ClusterStats) int64 { return s.Drained })
 	cnt("rebalanced", func(s ClusterStats) int64 { return s.Rebalanced })
-	cnt("stale_dropped", func(s ClusterStats) int64 { return s.StaleDropped })
 	cnt("probes", func(s ClusterStats) int64 { return s.Probes })
-	gauge("ring_version", func(s ClusterStats) float64 { return float64(s.RingVersion) })
 	gauge("ring_size", func(s ClusterStats) float64 { return float64(s.RingSize) })
 	gauge("replicas", func(s ClusterStats) float64 { return float64(s.Replicas) })
 	gauge("write_quorum", func(s ClusterStats) float64 { return float64(s.WriteQuorum) })
@@ -166,7 +156,7 @@ func (c *Client) Register(r *metrics.Registry) {
 		}
 		return float64(up)
 	})
-	for id := range c.topo.Load().nodes {
+	for id := range c.nodes {
 		id := id
 		nodeSnap := func() NodeStatus {
 			s := c.clusterSnap()

@@ -80,28 +80,17 @@ func sendExtents(n *node, exts []extent, write bool) error {
 }
 
 // hintBlockLocked buffers ref for n and clears n's acked bit — the node
-// no longer holds the freshest copy until the hint drains, or ever, if it
-// has left the ring and refused the hint. Caller holds ref's stripe lock.
+// no longer holds the freshest copy until the hint drains. Caller holds
+// ref's stripe lock.
 func (c *Client) hintBlockLocked(n *node, ref blockRef) {
-	data := append([]byte(nil), ref.data...)
-	if n.offerHint(ref.key, data, c.cfg.HandoffMax) != hintRefused {
-		c.hinted.Add(1)
-	}
+	n.offerHint(ref.key, append([]byte(nil), ref.data...), c.cfg.HandoffMax)
+	c.hinted.Add(1)
 	c.markAcked(ref.key, n.id, false)
-}
-
-// effectiveQuorum is W clamped to the live ring size.
-func (c *Client) effectiveQuorum(topo *topology) int {
-	need := c.cfg.WriteQuorum
-	if rs := len(topo.ring.ids); need > rs {
-		need = rs
-	}
-	return need
 }
 
 // writeRefs fans the blocks out to their owners: direct batched writes
 // to serving nodes, hints for the rest. Per block, at least
-// effectiveQuorum owners must acknowledge directly or the op fails with
+// WriteQuorum owners must acknowledge directly or the op fails with
 // ErrWriteQuorum (hinted copies are still delivered eventually either
 // way). The refs' stripe locks are held across the fan-out, serializing
 // same-key writes, hint supersede, drain, and re-replication against
@@ -113,7 +102,6 @@ func (c *Client) writeRefs(refs []blockRef) error {
 	if len(refs) == 0 {
 		return nil
 	}
-	topo := c.topo.Load()
 	unlock := c.lockStripes(refs)
 	defer unlock()
 
@@ -122,11 +110,11 @@ func (c *Client) writeRefs(refs []blockRef) error {
 	lastGroup := ^uint64(0)
 	for i, ref := range refs {
 		if g := c.group(ref.key); g != lastGroup {
-			owners = topo.ownersFor(c, ref.key, owners)
+			owners = c.owners(ref.key, owners)
 			lastGroup = g
 		}
 		for _, id := range owners {
-			n := topo.nodes[id]
+			n := c.nodes[id]
 			if n.serving() {
 				p := planFor(plans, n)
 				p.idxs = append(p.idxs, i)
@@ -165,7 +153,7 @@ func (c *Client) writeRefs(refs []blockRef) error {
 	wg.Wait()
 	c.writeBlocks.Add(int64(len(refs)))
 
-	need := c.effectiveQuorum(topo)
+	need := c.cfg.WriteQuorum
 	for i, a := range acks {
 		if a < need {
 			c.quorumFailures.Add(1)
@@ -201,7 +189,6 @@ func (c *Client) readRefs(refs []blockRef) error {
 	if len(refs) == 0 {
 		return nil
 	}
-	topo := c.topo.Load()
 	pending := make([]int, len(refs))
 	for i := range pending {
 		pending[i] = i
@@ -218,7 +205,7 @@ func (c *Client) readRefs(refs []blockRef) error {
 		for _, i := range pending {
 			ref := refs[i]
 			if g := c.group(ref.key); g != lastGroup {
-				owners = topo.ownersFor(c, ref.key, owners)
+				owners = c.owners(ref.key, owners)
 				lastGroup = g
 			}
 			chosen := -1
@@ -226,7 +213,7 @@ func (c *Client) readRefs(refs []blockRef) error {
 				if tried[i]&(1<<uint(id)) != 0 {
 					continue
 				}
-				if c.readEligible(topo.nodes[id], ref.key) {
+				if c.readEligible(c.nodes[id], ref.key) {
 					chosen = id
 					break
 				}
@@ -235,7 +222,7 @@ func (c *Client) readRefs(refs []blockRef) error {
 				return fmt.Errorf("%w: block %v (every owner down, hinted, shed, or behind)", ErrNoReplica, ref.key)
 			}
 			tried[i] |= 1 << uint(chosen)
-			p := planFor(plans, topo.nodes[chosen])
+			p := planFor(plans, c.nodes[chosen])
 			p.idxs = append(p.idxs, i)
 		}
 

@@ -1,15 +1,11 @@
 // The background repair engine: one goroutine that probes down nodes,
 // wipes the acked bits of nodes whose caches must be presumed lost,
-// heals shed ranges, drains hinted handoff, and re-replicates
-// under-replicated dirty blocks — which is also the whole rebalancing
-// mechanism after Join/Leave, since membership change just makes some
-// blocks under-replicated on their new owners and over-replicated on
-// their old ones.
+// heals shed ranges, drains hinted handoff, and re-replicates dirty
+// blocks that a crash left short of R: the sweep copies each one from a
+// surviving owner to the owners that lost it.
 package cluster
 
 import (
-	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/appliance"
@@ -17,7 +13,7 @@ import (
 )
 
 // repairLoop runs repairPass on the ProbeEvery cadence, or sooner when
-// kicked by a failure or a membership change.
+// kicked by a failure.
 func (c *Client) repairLoop() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.ProbeEvery)
@@ -42,10 +38,9 @@ func (c *Client) repairLoop() {
 func (c *Client) repairPass() {
 	c.repairMu.Lock()
 	defer c.repairMu.Unlock()
-	topo := c.topo.Load()
-	c.demoteSweep(topo)
-	c.probeDown(topo)
-	for _, n := range topo.nodes {
+	c.demoteSweep()
+	c.probeDown()
+	for _, n := range c.nodes {
 		if c.closed.Load() {
 			return
 		}
@@ -55,9 +50,9 @@ func (c *Client) repairPass() {
 		}
 	}
 	if c.cfg.WriteBack {
-		c.replicationSweep(topo)
+		c.replicationSweep()
 	}
-	c.settleHealing(topo)
+	c.settleHealing()
 }
 
 // demoteSweep clears the acked bits of every node that went down since
@@ -65,10 +60,10 @@ func (c *Client) repairPass() {
 // longer counts as holding any dirty block's freshest copy. Runs before
 // probeDown (which skips demote-pending nodes), so a node can never
 // come back up with pre-crash bits still standing.
-func (c *Client) demoteSweep(topo *topology) {
+func (c *Client) demoteSweep() {
 	var mask uint64
 	var pending []*node
-	for _, n := range topo.nodes {
+	for _, n := range c.nodes {
 		if n.demotePending.Load() {
 			mask |= 1 << uint(n.id)
 			pending = append(pending, n)
@@ -98,8 +93,8 @@ func (c *Client) demoteSweep(topo *topology) {
 // half-open, and a successful Record closes it. Probe success marks the
 // node up and healing; its queued hints and shed ranges are then
 // processed by the same pass.
-func (c *Client) probeDown(topo *topology) {
-	for _, n := range topo.nodes {
+func (c *Client) probeDown() {
+	for _, n := range c.nodes {
 		if n.getState() != nodeDown || n.demotePending.Load() {
 			continue
 		}
@@ -192,13 +187,11 @@ func (c *Client) drainNode(n *node) {
 }
 
 // replicationSweep walks the dirty map and restores every key to full
-// replication on its current owners: copy from any node still holding
-// the freshest data to each up-to-date-less owner, then — once every
-// owner holds it — invalidate the leftover copies on former owners.
-// This single mechanism covers re-replication after a crash demotion
-// AND key movement after Join/Leave (the source may well not be an
-// owner anymore; that is how data streams off a departed node).
-func (c *Client) replicationSweep(topo *topology) {
+// replication after a crash demotion: copy from an owner still holding
+// the freshest data to each owner that lost it. Acked bits are only ever
+// set on owners — by direct writes, hint drains and these copies — so
+// the source is always an owner and no other node holds a copy to drop.
+func (c *Client) replicationSweep() {
 	var owners []int
 	for i := range c.stripes {
 		s := &c.stripes[i]
@@ -214,7 +207,7 @@ func (c *Client) replicationSweep(topo *topology) {
 			if c.closed.Load() {
 				return
 			}
-			owners = c.repairKey(topo, k, owners)
+			owners = c.repairKey(k, owners)
 		}
 	}
 }
@@ -222,7 +215,7 @@ func (c *Client) replicationSweep(topo *topology) {
 // repairKey restores one dirty key to full replication; see
 // replicationSweep. Holds the key's stripe lock across the copy, which
 // guarantees the copied bytes are the freshest acked version.
-func (c *Client) repairKey(topo *topology, k block.Key, owners []int) []int {
+func (c *Client) repairKey(k block.Key, owners []int) []int {
 	s := &c.stripes[stripeIdx(k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,17 +224,17 @@ func (c *Client) repairKey(topo *topology, k block.Key, owners []int) []int {
 		// Deleted meanwhile, or every holder crashed: nothing to copy from.
 		return owners
 	}
-	owners = topo.ownersFor(c, k, owners)
+	owners = c.owners(k, owners)
 	var src *node
-	for _, t := range topo.nodes {
-		if e.acked&(1<<uint(t.id)) != 0 && t.canSource() {
+	for _, id := range owners {
+		if t := c.nodes[id]; e.acked&(1<<uint(id)) != 0 && t.serving() {
 			src = t
 			break
 		}
 	}
 	var buf []byte
 	for _, id := range owners {
-		t := topo.nodes[id]
+		t := c.nodes[id]
 		if e.acked&(1<<uint(id)) != 0 {
 			continue
 		}
@@ -265,106 +258,17 @@ func (c *Client) repairKey(topo *topology, k block.Key, owners []int) []int {
 		t.dropHint(k) // the copy is fresher than any queued hint
 		c.rebalanced.Add(1)
 	}
-	for _, id := range owners {
-		if e.acked&(1<<uint(id)) == 0 {
-			return owners // not fully covered yet; keep old copies as sources
-		}
-	}
-	// Full coverage: the former owners' copies are redundant. Invalidate
-	// where reachable so a later ownership flip cannot surface them.
-	for _, t := range topo.nodes {
-		bit := uint64(1) << uint(t.id)
-		if e.acked&bit == 0 || slices.Contains(owners, t.id) {
-			continue
-		}
-		if !t.serving() && t.getState() != nodeRemoved {
-			continue // down: the demote sweep clears its bit
-		}
-		if _, err := t.cl.Invalidate(k.Server(), k.Volume(), k.Offset(), block.Size); err != nil {
-			c.recordResult(t, err)
-			continue
-		}
-		c.recordResult(t, nil)
-		e.acked &^= bit
-		c.staleDropped.Add(1)
-	}
 	return owners
 }
 
 // settleHealing clears the healing flag on nodes whose hint queue and
 // shed union have fully settled.
-func (c *Client) settleHealing(topo *topology) {
-	for _, n := range topo.nodes {
+func (c *Client) settleHealing() {
+	for _, n := range c.nodes {
 		n.mu.Lock()
 		if n.healing && len(n.hints) == 0 && len(n.shedSpans) == 0 {
 			n.healing = false
 		}
 		n.mu.Unlock()
 	}
-}
-
-// --- membership ------------------------------------------------------
-
-// Join dials addr, adds it to the ring, and kicks the repair goroutine,
-// whose replication sweep streams the dirty keys the new node now owns.
-// Returns the new node's id.
-func (c *Client) Join(addr string) (int, error) {
-	if c.closed.Load() {
-		return 0, ErrClosed
-	}
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	topo := c.topo.Load()
-	id := len(topo.nodes)
-	if id >= 64 {
-		return 0, ErrTooManyNodes
-	}
-	cl, err := appliance.DialWith(addr, c.cfg.Dial)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: dial joining node %s: %w", addr, err)
-	}
-	nodes := append(append([]*node(nil), topo.nodes...), newNode(id, addr, cl, c.cfg.Breaker))
-	c.topo.Store(&topology{ring: topo.ring.with(id), nodes: nodes})
-	c.kickRepair()
-	return id, nil
-}
-
-// Leave removes node id from the ring. The node keeps its slot (and its
-// acked bits — it remains a re-replication *source* until its dirty
-// blocks have streamed to their new owners), but takes no new traffic:
-// it is not consulted for reads, and writes route to the shrunk ring.
-// In write-back mode, call after the rebalance settles or accept that
-// un-streamed sole copies become unavailable; Flush first for a clean
-// departure.
-func (c *Client) Leave(id int) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	c.topoMu.Lock()
-	defer c.topoMu.Unlock()
-	topo := c.topo.Load()
-	if id < 0 || id >= len(topo.nodes) || !topo.ring.has(id) {
-		return fmt.Errorf("cluster: node %d not in ring", id)
-	}
-	n := topo.nodes[id]
-	n.mu.Lock()
-	n.state = nodeRemoved
-	// Pending deliveries are moot: the node serves nothing anymore.
-	n.hints = make(map[block.Key]*hintOp)
-	n.order = nil
-	n.shedSpans = make(map[volID]span)
-	n.mu.Unlock()
-	c.topo.Store(&topology{ring: topo.ring.without(id), nodes: topo.nodes})
-	c.kickRepair()
-	return nil
-}
-
-// canSource reports whether the node may serve as a re-replication
-// source: up or administratively removed (data intact either way), with
-// a quiet breaker.
-func (n *node) canSource() bool {
-	n.mu.Lock()
-	st := n.state
-	n.mu.Unlock()
-	return (st == nodeUp || st == nodeRemoved) && !n.br.Open()
 }

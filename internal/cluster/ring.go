@@ -1,47 +1,13 @@
 // Rendezvous (highest-random-weight) placement: every placement group
 // ranks every ring member by a keyed hash, and the top R members are the
-// group's replica set. Unlike a token ring, rendezvous hashing needs no
-// virtual-node bookkeeping, gives minimal movement on membership change
-// (a join steals exactly the groups it now wins; a leave re-homes only
-// the departed node's groups), and yields a deterministic, ordered
-// preference list — the read path walks it for fall-through.
+// group's replica set. Rendezvous hashing needs no virtual-node
+// bookkeeping and yields a deterministic, ordered preference list — the
+// read path walks it for fall-through.
 package cluster
 
-import "slices"
-
-// ring is an immutable membership snapshot. Topology changes build a new
-// ring (copy-on-write) so block routing never takes a lock.
-type ring struct {
-	version uint64
-	ids     []int // member node ids, ascending
-}
-
-func newRing(ids []int) *ring {
-	r := &ring{version: 1, ids: append([]int(nil), ids...)}
-	slices.Sort(r.ids)
-	return r
-}
-
-// with returns a new ring including id.
-func (r *ring) with(id int) *ring {
-	n := &ring{version: r.version + 1}
-	n.ids = append(append([]int(nil), r.ids...), id)
-	slices.Sort(n.ids)
-	return n
-}
-
-// without returns a new ring excluding id.
-func (r *ring) without(id int) *ring {
-	n := &ring{version: r.version + 1}
-	for _, m := range r.ids {
-		if m != id {
-			n.ids = append(n.ids, m)
-		}
-	}
-	return n
-}
-
-func (r *ring) has(id int) bool { return slices.Contains(r.ids, id) }
+// ring is the fixed membership: node ids 0…n−1, the order of
+// Config.Nodes.
+type ring int
 
 // mix64 is splitmix64's finalizer — a cheap, well-distributed 64-bit
 // mixer (no external deps).
@@ -59,12 +25,12 @@ func score(id int, group uint64) uint64 {
 	return mix64(group ^ mix64(uint64(id)+0x9e3779b97f4a7c15))
 }
 
-// replicas appends the r highest-scoring members for group to out
-// (best first) and returns it. r is clamped to the membership size.
-func (r *ring) replicas(group uint64, n int, out []int) []int {
+// replicas appends the n highest-scoring members for group to out
+// (best first) and returns it. n is clamped to the membership size.
+func (r ring) replicas(group uint64, n int, out []int) []int {
 	out = out[:0]
-	if n > len(r.ids) {
-		n = len(r.ids)
+	if n > int(r) {
+		n = int(r)
 	}
 	if n <= 0 {
 		return out
@@ -72,7 +38,7 @@ func (r *ring) replicas(group uint64, n int, out []int) []int {
 	// Insertion into a tiny top-n list: n is 2 or 3 in practice, so this
 	// beats sorting all members per group.
 	scores := make([]uint64, 0, 8)
-	for _, id := range r.ids {
+	for id := 0; id < int(r); id++ {
 		s := score(id, group)
 		pos := len(out)
 		for pos > 0 && s > scores[pos-1] {

@@ -14,7 +14,8 @@
 //     ErrCircuitOpen instead of eating the full timeout on every one,
 //     with half-open probing to detect recovery.
 //
-// Use Wrap to compose all three; each layer is also usable alone.
+// Wrap composes all three, and RetryPolicy is only its configuration.
+// The breaker is also usable alone: internal/cluster keeps one per node.
 package resilience
 
 import (
@@ -39,24 +40,6 @@ var ErrBackendTimeout = errors.New("resilience: backend request timed out")
 // not yet passed a recovery probe).
 var ErrCircuitOpen = errors.New("resilience: circuit open")
 
-// transient tags an error as retryable for Transient(). Any layer can
-// mark its own error types by implementing `Transient() bool`;
-// classification composes across wrapping layers via errors.Unwrap.
-type transientErr struct{ err error }
-
-func (e transientErr) Error() string   { return e.err.Error() }
-func (e transientErr) Unwrap() error   { return e.err }
-func (e transientErr) Transient() bool { return true }
-
-// MarkTransient wraps err so Transient reports it retryable. A nil err
-// stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transientErr{err}
-}
-
 // Transient classifies err: true means a retry may succeed (the failure
 // was a timeout or declared itself transient), false means retrying is
 // wasted work (the device rejected the request deterministically — bad
@@ -64,7 +47,8 @@ func MarkTransient(err error) error {
 // permanent: retrying a misdirected write is worse than failing it.
 //
 // An error anywhere in the Unwrap chain can decide: the first
-// `Transient() bool` method wins; otherwise a true `Timeout() bool`
+// `Transient() bool` method wins, so any layer marks its own error types
+// retryable by implementing it; otherwise a true `Timeout() bool`
 // (net.Error and friends) means transient.
 func Transient(err error) bool {
 	for e := err; e != nil; e = errors.Unwrap(e) {

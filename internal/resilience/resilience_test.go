@@ -9,6 +9,22 @@ import (
 	"time"
 )
 
+// transientErr tags an error as retryable for Transient.
+type transientErr struct{ err error }
+
+func (e transientErr) Error() string   { return e.err.Error() }
+func (e transientErr) Unwrap() error   { return e.err }
+func (e transientErr) Transient() bool { return true }
+
+// MarkTransient wraps err so Transient reports it retryable. A nil err
+// stays nil.
+func MarkTransient(err error) error {
+	if err == nil {
+		return nil
+	}
+	return transientErr{err}
+}
+
 // blockingBackend hangs every request on a channel until released.
 type blockingBackend struct {
 	release chan struct{}
@@ -144,12 +160,17 @@ func TestTransientClassification(t *testing.T) {
 	}
 }
 
+// retryOnly wraps sb with p as its only layer: no deadline, no breaker.
+func retryOnly(sb *scriptBackend, p RetryPolicy) *Resilient {
+	return Wrap(sb, Config{Retry: p, Breaker: BreakerConfig{Threshold: -1}})
+}
+
 func TestRetryTransientUntilSuccess(t *testing.T) {
 	flaky := MarkTransient(errors.New("blip"))
 	sb := &scriptBackend{script: []error{flaky, flaky, nil}}
 	var slept int
-	p := RetryPolicy{Max: 3, Base: time.Millisecond, Sleep: func(time.Duration) { slept++ }}
-	err := p.Do(func() error { return sb.next() })
+	r := retryOnly(sb, RetryPolicy{Max: 3, Base: time.Millisecond, Sleep: func(time.Duration) { slept++ }})
+	err := r.WriteAt(0, 0, nil, 0)
 	if err != nil {
 		t.Fatalf("err = %v, want nil after retries", err)
 	}
@@ -161,8 +182,8 @@ func TestRetryTransientUntilSuccess(t *testing.T) {
 func TestRetryFailsFastOnPermanent(t *testing.T) {
 	perm := errors.New("volume does not exist")
 	sb := &scriptBackend{script: []error{perm, nil}}
-	p := RetryPolicy{Max: 5, Base: time.Millisecond, Sleep: func(time.Duration) { t.Fatal("slept on a permanent error") }}
-	if err := p.Do(func() error { return sb.next() }); !errors.Is(err, perm) {
+	r := retryOnly(sb, RetryPolicy{Max: 5, Base: time.Millisecond, Sleep: func(time.Duration) { t.Fatal("slept on a permanent error") }})
+	if err := r.WriteAt(0, 0, nil, 0); !errors.Is(err, perm) {
 		t.Fatalf("err = %v, want the permanent error", err)
 	}
 	if sb.Calls() != 1 {
@@ -173,8 +194,8 @@ func TestRetryFailsFastOnPermanent(t *testing.T) {
 func TestRetryBudgetExhausted(t *testing.T) {
 	flaky := MarkTransient(errors.New("blip"))
 	sb := &scriptBackend{script: []error{flaky, flaky, flaky, flaky, flaky}}
-	p := RetryPolicy{Max: 2, Base: time.Millisecond, Sleep: func(time.Duration) {}}
-	if err := p.Do(func() error { return sb.next() }); !errors.Is(err, flaky) {
+	r := retryOnly(sb, RetryPolicy{Max: 2, Base: time.Millisecond, Sleep: func(time.Duration) {}})
+	if err := r.WriteAt(0, 0, nil, 0); !errors.Is(err, flaky) {
 		t.Fatalf("err = %v, want the transient error after budget", err)
 	}
 	if sb.Calls() != 3 { // 1 + 2 retries

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// RetryPolicy retries transient failures with capped exponential backoff
-// and full jitter. The zero value retries nothing.
+// RetryPolicy configures Wrap's retries of transient failures: capped
+// exponential backoff with full jitter. The zero value retries nothing.
 type RetryPolicy struct {
 	// Max is the retry budget per operation: how many attempts may follow
 	// the first (0 = never retry).
@@ -65,17 +65,4 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 		j = time.Nanosecond
 	}
 	return j
-}
-
-// Do runs op, retrying transient failures until it succeeds, fails
-// permanently, or exhausts the budget. The last error is returned.
-func (p RetryPolicy) Do(op func() error) error {
-	p = p.withDefaults()
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = op(); err == nil || attempt >= p.Max || !Transient(err) {
-			return err
-		}
-		p.Sleep(p.backoff(attempt))
-	}
 }
