@@ -125,6 +125,7 @@ experiments-quick:
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime 30s -run XXX
 	$(GO) test ./internal/trace/ -fuzz FuzzCSVReader -fuzztime 30s -run XXX
+	$(GO) test ./internal/trace/ -fuzz FuzzSortByTimeMatchesStable -fuzztime 30s -run XXX
 	$(GO) test ./internal/core/ -fuzz FuzzLoadSnapshot -fuzztime 30s -run XXX
 	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTrip$$' -fuzztime 30s -run XXX
 	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTripV2$$' -fuzztime 30s -run XXX
@@ -138,6 +139,7 @@ fuzz:
 test-fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzBinaryReader -fuzztime 5s -run XXX
 	$(GO) test ./internal/trace/ -fuzz FuzzCSVReader -fuzztime 5s -run XXX
+	$(GO) test ./internal/trace/ -fuzz FuzzSortByTimeMatchesStable -fuzztime 5s -run XXX
 	$(GO) test ./internal/core/ -fuzz FuzzLoadSnapshot -fuzztime 5s -run XXX
 	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTrip$$' -fuzztime 5s -run XXX
 	$(GO) test ./internal/appliance/ -fuzz 'FuzzFrameRoundTripV2$$' -fuzztime 5s -run XXX

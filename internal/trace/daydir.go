@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/block"
 )
@@ -168,13 +167,9 @@ func (dd *DayDir) SortDayFiles() error {
 		if err != nil {
 			return err
 		}
-		if len(reqs) == 0 {
+		if SortByTime(reqs) {
 			continue
 		}
-		if sort.SliceIsSorted(reqs, func(i, j int) bool { return reqs[i].Time < reqs[j].Time }) {
-			continue
-		}
-		SortByTime(reqs)
 		f, err := os.Create(filepath.Join(dd.dir, dayFileName(d)))
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
