@@ -33,8 +33,10 @@ trap 'exit 130' INT TERM
 
 mkdir "$tmp/parent"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
-(cd "$tmp/parent/bench" && go build -o "$tmp/bench.parent" .)
-(cd "$root/bench" && go build -o "$tmp/bench.change" .)
+# -trimpath and -buildvcs=false keep the checkout's path and VCS stamp out
+# of the binaries, so two builds of one commit are byte-identical.
+(cd "$tmp/parent/bench" && go build -trimpath -buildvcs=false -o "$tmp/bench.parent" .)
+(cd "$root/bench" && go build -trimpath -buildvcs=false -o "$tmp/bench.change" .)
 
 workloads=$workload
 [ "$workload" = all ] && workloads="lib_hot lib_trace wire_trace wire_epochs"
