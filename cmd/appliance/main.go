@@ -36,7 +36,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/resilience"
-	"repro/internal/sieve"
 	"repro/internal/store"
 )
 
@@ -180,7 +179,6 @@ func main() {
 	switch *variant {
 	case "c":
 		opts.Variant = core.VariantC
-		opts.SieveC = sieve.DefaultCConfig()
 	case "d":
 		opts.Variant = core.VariantD
 		opts.Epoch = *epoch

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,6 +66,63 @@ func (g *gateBackend) fetchCount(off uint64) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.fetches[off]
+}
+
+// TestCloseWaitsOutStagingRotation: a Close arriving while an epoch
+// rotation's batch fetch is in the air must wait for the rotation to
+// commit. The rotation needs the logger and the spill directory — owned by
+// the store here, so Close removes it — until then.
+func TestCloseWaitsOutStagingRotation(t *testing.T) {
+	mem := store.NewMem()
+	mem.AddVolume(0, 0, 1<<20)
+	gate := newGateBackend(mem)
+	clk := newFakeClock()
+	st, err := Open(gate, Options{CacheBytes: 64 * block.Size, Variant: VariantD, DThreshold: 2, Epoch: time.Hour, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release) // gate open while block 5 gets hot
+	buf := make([]byte, block.Size)
+	for i := 0; i < 2; i++ {
+		if err := st.ReadAt(0, 0, buf, 5*block.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate.release = make(chan struct{})
+	gate.drain()
+
+	rotated := make(chan error, 1)
+	go func() { rotated <- st.RotateEpoch() }()
+	select {
+	case <-gate.entered: // the rotation's batch fetch is now in the air
+	case <-time.After(5 * time.Second):
+		t.Fatal("rotation never reached the backend")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- st.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a rotation was staging", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := os.Stat(st.ownSpill); err != nil {
+		t.Fatalf("spill directory gone before the rotation committed: %v", err)
+	}
+
+	close(gate.release)
+	if err := <-rotated; err != nil {
+		t.Fatalf("rotation: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := st.Stats(); got.Epochs != 1 || got.RotateFailures != 0 || got.ResetFailures != 0 {
+		t.Errorf("epochs=%d rotateFailures=%d resetFailures=%d, want a committed rotation",
+			got.Epochs, got.RotateFailures, got.ResetFailures)
+	}
+	if _, err := os.Stat(st.ownSpill); !os.IsNotExist(err) {
+		t.Errorf("Close left its spill directory behind: %v", err)
+	}
 }
 
 // TestConcurrentMissesOverlap proves the store no longer holds its lock

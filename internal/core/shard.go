@@ -114,11 +114,10 @@ type shard struct {
 	sieveMu  sync.Mutex
 	sieveC   *sieve.C
 	admitSeq atomic.Uint32
-	// rotSkip is non-nil while a store-wide epoch transition is staging
-	// (it doubles as the per-shard "rotating" flag): keys written or
-	// invalidated during the transition are recorded (a bit in their page's
-	// mask) so the commit cannot install its (older) fetched copy of them.
-	// The shard's commit consumes and clears it.
+	// rotSkip is non-nil while a store-wide epoch transition is staging:
+	// keys written or invalidated during the transition are recorded (a bit
+	// in their page's mask) so the commit cannot install its (older)
+	// fetched copy of them. The shard's commit consumes and clears it.
 	rotSkip map[block.Key]uint8
 	stats   Stats
 

@@ -97,67 +97,29 @@ func (s *Store) SaveSnapshot(w io.Writer) error {
 // if the backing ensemble may have changed while the cache was down,
 // Invalidate the affected ranges (or skip loading).
 func (s *Store) LoadSnapshot(r io.Reader) error {
-	// Fail fast on a closed store (checked again before the install).
+	// Fail fast on a closed store (checked again before the install), then
+	// parse the whole stream with no lock held: a slow or huge snapshot
+	// reader must not stall concurrent I/O.
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	// Parse the whole stream first, with no lock held: a slow or huge
-	// snapshot reader must not stall concurrent I/O. (Capacity is fixed at
-	// Open, so reading it without the lock is safe.)
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr snapHeader
-	if err := binary.Read(br, binary.BigEndian, &hdr); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if hdr.Magic != snapMagic {
-		return fmt.Errorf("%w: magic %q", ErrBadSnapshot, hdr.Magic[:])
+	entries, err := readSnapshot(r, uint64(s.opts.CacheBytes/block.Size))
+	if err != nil {
+		return err
 	}
 
-	// Entries arrive MRU-first; cap at capacity (the tail is the cold end).
-	keep := min(hdr.Count, uint64(s.opts.CacheBytes/block.Size))
-	type entry struct {
-		key  block.Key
-		data []byte
-	}
-	entries := make([]entry, 0, keep)
-	var u64 [8]byte
-	buf := make([]byte, block.Size)
-	for i := uint64(0); i < hdr.Count; i++ {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return fmt.Errorf("%w: entry %d: %v", ErrBadSnapshot, i, err)
-		}
-		k := block.Key(binary.BigEndian.Uint64(u64[:]))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("%w: entry %d data: %v", ErrBadSnapshot, i, err)
-		}
-		if i < keep {
-			entries = append(entries, entry{key: k, data: append([]byte(nil), buf...)})
-		}
-	}
-
-	// An epoch transition staging right now would evict most of the
-	// restored set at its commit (its final set was chosen before the
-	// load): wait it out, then hold the rotating flag ourselves so no new
-	// transition can start while shards are being replaced.
+	// Hold rotMu across the replacement: an epoch transition staging now
+	// would evict most of the restored set at its commit (its final set was
+	// chosen before the load), so wait it out, and let none start until the
+	// shards are replaced.
 	s.rotMu.Lock()
-	for s.rotating {
-		s.rotCond.Wait()
-	}
+	defer s.rotMu.Unlock()
 	if s.closed.Load() {
-		s.rotMu.Unlock()
 		return ErrClosed
 	}
-	s.rotating = true
-	s.rotMu.Unlock()
-	defer func() {
-		s.rotMu.Lock()
-		s.rotating = false
-		s.rotCond.Broadcast()
-		s.rotMu.Unlock()
-	}()
 
 	// Split MRU-first across shards, each capped at its own capacity.
-	perShard := make([][]entry, len(s.shards))
+	perShard := make([][]snapEntry, len(s.shards))
 	for _, e := range entries {
 		si := s.shardIndex(e.key)
 		if len(perShard[si]) < s.shards[si].tab.Capacity() {
@@ -186,9 +148,6 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 			sh.removeLocked(slot)
 		}
 		// Install in reverse so the hottest block ends most-recently-used.
-		// No rotation can be staging here (the rotating flag is ours), so
-		// the restored frames cannot be overwritten or evicted by an
-		// epoch commit.
 		es := perShard[si]
 		for i := len(es) - 1; i >= 0; i-- {
 			sh.install(es[i].key, es[i].data)
@@ -196,4 +155,36 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// snapEntry is one parsed snapshot entry.
+type snapEntry struct {
+	key  block.Key
+	data []byte
+}
+
+// readSnapshot parses a SaveSnapshot stream and returns its first keep
+// entries, MRU first (the tail is the cold end). The slice grows as entries
+// arrive: the header's count is the stream's claim, not a size to allocate.
+func readSnapshot(r io.Reader, keep uint64) ([]snapEntry, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var hdr snapHeader
+	if err := binary.Read(br, binary.BigEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if hdr.Magic != snapMagic {
+		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, hdr.Magic[:])
+	}
+	var entries []snapEntry
+	var rec [8 + block.Size]byte
+	for i := uint64(0); i < hdr.Count; i++ {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadSnapshot, i, err)
+		}
+		if i < keep {
+			k := block.Key(binary.BigEndian.Uint64(rec[:8]))
+			entries = append(entries, snapEntry{k, append([]byte(nil), rec[8:]...)})
+		}
+	}
+	return entries, nil
 }

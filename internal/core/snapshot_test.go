@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -157,6 +159,32 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 	snap.Write(make([]byte, 8+100))            // entry cut short
 	if err := s.LoadSnapshot(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("truncated entry: %v", err)
+	}
+}
+
+// TestLoadSnapshotCountIsNotAnAllocation: a header is only a claim. A
+// 21-byte stream that claims 2^40 entries against a 1 GiB store must fail
+// as a bad snapshot without allocating for the claim — a slice sized to
+// the capacity would be 2^21 entries, 64 MiB.
+func TestLoadSnapshotCountIsNotAnAllocation(t *testing.T) {
+	s, err := Open(testBackend(), Options{CacheBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var hdr bytes.Buffer
+	if err := binary.Write(&hdr, binary.BigEndian, snapHeader{snapMagic, 0, 1 << 21, 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.LoadSnapshot(&hdr)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("want ErrBadSnapshot, got %v", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("a 21-byte snapshot allocated %d bytes", d)
 	}
 }
 

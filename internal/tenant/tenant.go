@@ -413,18 +413,41 @@ func (a *Accountant) ClipSelection(keys []block.Key) ([]block.Key, int64) {
 	if a == nil || !a.cfg.Quotas {
 		return keys, 0
 	}
-	taken := make(map[ID]int64)
+	return a.clip(keys, func(id ID) int64 { return a.get(id).quota.Load() })
+}
+
+// ClipAllowance enforces endurance budgets on the blocks an epoch swap
+// would newly install: each tenant keeps at most the allocation-writes
+// its bucket affords right now (AllowanceBlocks), order preserved. The
+// input slice is filtered in place. No-op with the budget off.
+func (a *Accountant) ClipAllowance(keys []block.Key, now time.Time) []block.Key {
+	if !a.EnduranceEnabled() {
+		return keys
+	}
+	out, _ := a.clip(keys, func(id ID) int64 { return a.AllowanceBlocks(id, now) })
+	return out
+}
+
+// clip filters keys in place, order preserved: each tenant keeps its first
+// budget(id) keys, budget read at the tenant's first key, and the rest
+// count as clips.
+func (a *Accountant) clip(keys []block.Key, budget func(ID) int64) ([]block.Key, int64) {
+	left := make(map[ID]int64)
 	out := keys[:0]
 	var clipped int64
 	for _, k := range keys {
 		id := IDOf(k)
-		if taken[id] >= a.get(id).quota.Load() {
+		n, seen := left[id]
+		if !seen {
+			n = budget(id)
+		}
+		left[id] = n - 1
+		if n <= 0 {
 			a.NoteClip(id, 1)
 			clipped++
-			continue
+		} else {
+			out = append(out, k)
 		}
-		taken[id]++
-		out = append(out, k)
 	}
 	return out, clipped
 }

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -424,6 +425,41 @@ func TestClipSelection(t *testing.T) {
 	out, clipped = na8.ClipSelection(keys)
 	if clipped != 0 || len(out) != len(keys) {
 		t.Errorf("quotas-off clip = %d of %d", clipped, len(out))
+	}
+}
+
+// TestClipAllowance: each tenant keeps the new installs its endurance
+// bucket affords, read once at its first key, in the order given; the rest
+// count as clips. With the budget off (or no accountant) nothing is clipped.
+func TestClipAllowance(t *testing.T) {
+	const envelope = 24 * 64 * 512 // a 64-block burst, as in TestEnduranceBucket
+	a, err := New(Config{CapacityBlocks: 64, BlockBytes: 512, EnduranceBytesPerDay: envelope})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1_000_000, 0)
+	a.OnAllocWrite(MakeID(0, 0), 61, now) // 0/0 affords 3 more, 0/1 a full 64
+	var keys, want []block.Key
+	for i := uint64(0); i < 5; i++ {
+		keys = append(keys, block.MakeKey(0, 0, i), block.MakeKey(0, 1, i))
+		if i < 3 {
+			want = append(want, block.MakeKey(0, 0, i))
+		}
+		want = append(want, block.MakeKey(0, 1, i))
+	}
+	if got := a.ClipAllowance(slices.Clone(keys), now); !slices.Equal(got, want) {
+		t.Errorf("ClipAllowance kept %v, want %v", got, want)
+	}
+	if snap := a.Snapshot(); snap[0].SelectionClips != 2 || snap[1].SelectionClips != 0 {
+		t.Errorf("per-tenant clips = %d, %d; want 2, 0", snap[0].SelectionClips, snap[1].SelectionClips)
+	}
+
+	off, _ := New(Config{CapacityBlocks: 64})
+	var none *Accountant
+	for _, acct := range []*Accountant{off, none} {
+		if got := acct.ClipAllowance(slices.Clone(keys), now); !slices.Equal(got, keys) {
+			t.Errorf("budget off: kept %d of %d keys", len(got), len(keys))
+		}
 	}
 }
 

@@ -53,30 +53,15 @@ func TestReachability(t *testing.T) {
 	}
 
 	unreached := make(map[string]bool)
-	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
+	eachFunc(t, "internal", func(path string, _ *token.FileSet, fn *ast.FuncDecl) {
+		if fn.Name.Name == "init" || fn.Name.Name == "_" {
+			return
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		name, wrapper := linkName("repro/"+filepath.ToSlash(filepath.Dir(path)), fn)
+		if !reached[name] && !reached[wrapper] {
+			unreached[name] = true
 		}
-		pkg := "repro/" + filepath.ToSlash(filepath.Dir(path))
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
-				continue
-			}
-			name, wrapper := linkName(pkg, fn)
-			if !reached[name] && !reached[wrapper] {
-				unreached[name] = true
-			}
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	listed, err := readUnreachable("testdata/unreachable.txt")
 	if err != nil {
@@ -101,6 +86,43 @@ func TestReachability(t *testing.T) {
 	}
 	for _, name := range stale {
 		t.Errorf("%s: listed in testdata/unreachable.txt but reachable or gone; drop the entry", name)
+	}
+}
+
+// TestFunctionLength holds every non-test function under internal/core to
+// 80 lines, counted from its func keyword to its closing brace.
+func TestFunctionLength(t *testing.T) {
+	const maxLines = 80
+	eachFunc(t, "internal/core", func(path string, fset *token.FileSet, fn *ast.FuncDecl) {
+		start, end := fset.Position(fn.Pos()), fset.Position(fn.End())
+		if n := end.Line - start.Line + 1; n > maxLines {
+			t.Errorf("%s:%d: %s is %d lines, over the %d-line bar", path, start.Line, fn.Name.Name, n, maxLines)
+		}
+	})
+}
+
+// eachFunc parses every non-test Go file under root and calls visit with
+// each function declaration in it.
+func eachFunc(t *testing.T, root string, visit func(path string, fset *token.FileSet, fn *ast.FuncDecl)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				visit(path, fset, fn)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
