@@ -23,27 +23,32 @@ import (
 	"repro/internal/workload"
 )
 
-// benchScale trades fidelity for time: the full experiment at this scale
-// runs in a few seconds. cmd/experiments regenerates everything at the
-// default 1/512 scale.
+// benchScale trades fidelity for time: the full experiment and the sweep at
+// this scale run in a few seconds each. cmd/experiments regenerates
+// everything at the default 1/512 scale.
 const benchScale = 16384
 
+// The experiment run and the sweep, each done once and shared by every
+// benchmark.
 var (
-	benchOnce    sync.Once
-	benchResults *exp.Results
-	benchErr     error
+	benchRun   = sync.OnceValues(func() (*exp.Results, error) { return exp.Run(exp.DefaultConfig(benchScale)) })
+	benchSweep = sync.OnceValues(func() (*exp.SweepResults, error) { return exp.Sweep(exp.DefaultConfig(benchScale)) })
 )
 
-func results(b *testing.B) *exp.Results {
+// fixture returns a shared fixture's value, failing the benchmark on its
+// error.
+func fixture[T any](b *testing.B, f func() (T, error)) T {
 	b.Helper()
-	benchOnce.Do(func() {
-		benchResults, benchErr = exp.Run(exp.DefaultConfig(benchScale))
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
+	v, err := f()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return benchResults
+	return v
 }
+
+func results(b *testing.B) *exp.Results { return fixture(b, benchRun) }
+
+func sweep(b *testing.B) *exp.SweepResults { return fixture(b, benchSweep) }
 
 // BenchmarkTable1TraceSummary regenerates Table 1 (the ensemble/trace
 // roster summary).
@@ -274,65 +279,62 @@ func BenchmarkSec53PerServer(b *testing.B) {
 // BenchmarkSensitivityDThreshold regenerates the §5.1 SieveStore-D
 // threshold sweep.
 func BenchmarkSensitivityDThreshold(b *testing.B) {
-	cfg := exp.DefaultConfig(benchScale * 2)
-	var rows []exp.DThresholdRow
-	var err error
+	s := sweep(b)
+	var table string
 	for i := 0; i < b.N; i++ {
-		rows, err = exp.SensitivityD(cfg, []int64{8, 10, 14, 20})
-		if err != nil {
-			b.Fatal(err)
+		table = exp.FormatSensitivity(s.DThreshold, nil, nil, nil)
+	}
+	b.Logf("\n%s", table)
+	for _, r := range s.DThreshold {
+		switch r.Threshold {
+		case 10:
+			b.ReportMetric(r.HitRatio*100, "t10-hit-%")
+		case 20:
+			b.ReportMetric(r.HitRatio*100, "t20-hit-%")
 		}
 	}
-	b.Logf("%+v", rows)
-	b.ReportMetric(rows[1].HitRatio*100, "t10-hit-%")
-	b.ReportMetric(rows[3].HitRatio*100, "t20-hit-%")
 }
 
 // BenchmarkSensitivityCWindow regenerates the §5.1 window sweep.
 func BenchmarkSensitivityCWindow(b *testing.B) {
-	cfg := exp.DefaultConfig(benchScale * 2)
-	var rows []exp.CWindowRow
-	var err error
+	s := sweep(b)
+	var table string
 	for i := 0; i < b.N; i++ {
-		rows, err = exp.SensitivityCWindow(cfg, []time.Duration{2 * time.Hour, 8 * time.Hour})
-		if err != nil {
-			b.Fatal(err)
+		table = exp.FormatSensitivity(nil, s.CWindow, nil, nil)
+	}
+	b.Logf("\n%s", table)
+	for _, r := range s.CWindow {
+		switch r.Window {
+		case 2 * time.Hour:
+			b.ReportMetric(r.HitRatio*100, "w2h-hit-%")
+		case 8 * time.Hour:
+			b.ReportMetric(r.HitRatio*100, "w8h-hit-%")
 		}
 	}
-	b.Logf("%+v", rows)
-	b.ReportMetric(rows[0].HitRatio*100, "w2h-hit-%")
-	b.ReportMetric(rows[1].HitRatio*100, "w8h-hit-%")
 }
 
 // BenchmarkAblationSingleTier regenerates the two-tier-vs-single-tier
 // ablation (DESIGN.md).
 func BenchmarkAblationSingleTier(b *testing.B) {
-	cfg := exp.DefaultConfig(benchScale * 2)
-	var rows []exp.AblationRow
-	var err error
+	s := sweep(b)
+	var table string
 	for i := 0; i < b.N; i++ {
-		rows, err = exp.AblationSingleTier(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		table = exp.FormatSensitivity(nil, nil, s.SingleTier, nil)
 	}
-	b.Logf("%+v", rows)
+	b.Logf("\n%s", table)
+	rows := s.SingleTier
 	b.ReportMetric(float64(rows[1].AllocWrites)/float64(rows[0].AllocWrites), "single-tier-alloc-blowup-x")
 }
 
 // BenchmarkFig1Quadrants regenerates the Figure 1 design-space matrix
-// (sieved/unsieved × ensemble/per-server) as four full simulations.
+// (sieved/unsieved × ensemble/per-server).
 func BenchmarkFig1Quadrants(b *testing.B) {
-	cfg := exp.DefaultConfig(benchScale)
-	var rows []exp.QuadrantResult
-	var err error
+	rows := sweep(b).Quadrants
+	var table string
 	for i := 0; i < b.N; i++ {
-		rows, err = exp.Quadrants(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		table = exp.FormatQuadrants(rows)
 	}
-	b.Logf("\n%s", exp.FormatQuadrants(rows))
+	b.Logf("\n%s", table)
 	b.ReportMetric(100*rows[0].HitRatio, "QI-sieved-ensemble-hit-%")
 	b.ReportMetric(100*rows[1].HitRatio, "QII-unsieved-ensemble-hit-%")
 	b.ReportMetric(100*rows[3].HitRatio, "QIV-sieved-perserver-hit-%")

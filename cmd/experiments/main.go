@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/exp"
 	"repro/internal/sieve"
@@ -89,13 +88,13 @@ func main() {
 
 	sweepCfg := exp.DefaultConfig(*sweepScale)
 	sweepCfg.Workload.Seed = *seed
+	var sweep *exp.SweepResults
 	if !*skipSweeps {
-		section("F1", fmt.Sprintf("Design-space quadrants (scale 1/%d)", *sweepScale))
-		rows, err := exp.Quadrants(sweepCfg)
-		if err != nil {
+		if sweep, err = exp.Sweep(sweepCfg); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(exp.FormatQuadrants(rows))
+		section("F1", fmt.Sprintf("Design-space quadrants (scale 1/%d)", *sweepScale))
+		fmt.Println(exp.FormatQuadrants(sweep.Quadrants))
 	}
 
 	if *csvDir != "" {
@@ -108,39 +107,10 @@ func main() {
 
 	if !*skipSweeps {
 		section("SENS", fmt.Sprintf("Sensitivity & ablations (scale 1/%d)", *sweepScale))
-		dRows, err := exp.SensitivityD(sweepCfg, []int64{4, 6, 8, 10, 14, 20})
-		if err != nil {
-			log.Fatal(err)
-		}
-		wRows, err := exp.SensitivityCWindow(sweepCfg, []time.Duration{
-			2 * time.Hour, 4 * time.Hour, 8 * time.Hour, 16 * time.Hour})
-		if err != nil {
-			log.Fatal(err)
-		}
-		aRows, err := exp.AblationSingleTier(sweepCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kRows, err := exp.AblationSubwindows(sweepCfg, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(exp.FormatSensitivity(dRows, wRows, aRows, kRows))
-		rRows, err := exp.AblationReplacement(sweepCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(exp.FormatReplacement(rRows))
-		oracleRows, err := exp.RunMinOracle(sweepCfg, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sieveDay, err := exp.SieveCDay(sweepCfg, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(exp.FormatOracle(oracleRows, sieveDay))
-		seedRows, err := exp.SeedSweep(sweepCfg, []int64{1, 2, 3})
+		fmt.Println(exp.FormatSensitivity(sweep.DThreshold, sweep.CWindow, sweep.SingleTier, sweep.Subwindows))
+		fmt.Println(exp.FormatReplacement(sweep.Replacement))
+		fmt.Println(exp.FormatOracle(sweep.Oracle, sweep.OracleSieveC))
+		seedRows, err := exp.SeedSweep(sweepCfg)
 		if err != nil {
 			log.Fatal(err)
 		}

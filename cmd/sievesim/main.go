@@ -89,26 +89,11 @@ func main() {
 	case "perserver":
 		// Quadrant IV: one private SieveStore-C cache per server, the total
 		// capacity split evenly.
-		servers := len(cfg.Workload.Servers)
-		factory := func(int) (sieve.Policy, error) {
-			sc := cfg.SieveC
-			sc.IMCTSize /= servers
-			if sc.IMCTSize < 256 {
-				sc.IMCTSize = 256
-			}
-			return sieve.NewC(sc)
-		}
 		var perServer []*sim.Result
-		res, perServer, err = sim.RunPerServerContinuous(tr, servers, capacityBlocks, factory)
+		res, perServer, err = sim.RunPerServerContinuous(tr, len(cfg.Workload.Servers), capacityBlocks, cfg.PerServerSieveC())
 		if err == nil {
-			spec := ssd.IntelX25E()
-			scaled := make([]*sim.Result, len(perServer))
-			for i, r := range perServer {
-				scaled[i] = &sim.Result{Name: r.Name, Days: r.Days,
-					Minutes: metrics.ScaleLoads(r.Minutes, float64(*scale))}
-			}
 			fmt.Printf("per-server drives @99.9%% coverage (one device per server): %d\n",
-				sim.PerServerDriveNeeds(&spec, scaled, 0.999))
+				cfg.PerServerDrives(perServer))
 		}
 	case "aod":
 		res, err = sim.RunContinuous(tr, capacityBlocks, sieve.AOD{})

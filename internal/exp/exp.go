@@ -1,10 +1,12 @@
 // Package exp is the experiment harness: it reruns every table and figure
 // of the paper's evaluation (§2, §5) over the synthetic ensemble trace and
 // returns typed rows that cmd/experiments prints and bench_test.go reports.
+// Run computes the main evaluation; Sweep computes the §5.1 sensitivity
+// sweeps, the ablations, the Figure 1 quadrants and the §3.1 oracle day.
 //
-// All policies are simulated in lockstep, day by day, so each trace day is
-// generated exactly once and memory stays bounded by a single day plus the
-// policies' own metastate.
+// Each simulates all of its configurations in lockstep, day by day, so each
+// trace day is generated exactly once and memory stays bounded by a single
+// day plus the policies' own metastate.
 package exp
 
 import (
@@ -256,9 +258,7 @@ func Run(cfg Config) (*Results, error) {
 			}
 			perServer[reqs[i].Server].AddRequest(&reqs[i])
 		}
-		if len(perServer) > servers {
-			servers = len(perServer)
-		}
+		servers = max(servers, len(perServer))
 		top1 := counter.TopFraction(cfg.TopFrac)
 		info := DayInfo{
 			Day:         d,
@@ -286,7 +286,7 @@ func Run(cfg Config) (*Results, error) {
 		res.PerServerElastic = append(res.PerServerElastic,
 			sim.PerServerTopFraction([][]*analysis.Counter{perServer}, cfg.TopFrac)...)
 		res.PerServerStatic = append(res.PerServerStatic,
-			sim.PerServerStatic([][]*analysis.Counter{perServer}, small/maxInt(servers, 1))...)
+			sim.PerServerStatic([][]*analysis.Counter{perServer}, small/max(servers, 1))...)
 		res.EnsembleShared = append(res.EnsembleShared,
 			sim.EnsembleStatic([]*analysis.Counter{counter}, small)...)
 		res.PerServerElastic[d].Day = d
@@ -322,7 +322,7 @@ func Run(cfg Config) (*Results, error) {
 			return nil, err
 		}
 		prevDSet = next
-		prevRandSample = randomSample(rng, counter, cfg.RandP)
+		prevRandSample = sim.RandomSample(rng, counter, cfg.RandP)
 		prevTop = top1
 	}
 
@@ -358,26 +358,6 @@ func Run(cfg Config) (*Results, error) {
 	res.TraceStats = st
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// randomSample draws frac of the counter's unique blocks uniformly
-// (RandSieve-BlkD's next-day set).
-func randomSample(rng *rand.Rand, c *analysis.Counter, frac float64) []block.Key {
-	keys := c.TopFraction(1.0)
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	n := int(frac * float64(len(keys)))
-	if n < 1 && len(keys) > 0 {
-		n = 1
-	}
-	return keys[:n]
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // collectSkewCurves extracts the Figure 3(a–c) scoped CDFs on the days the

@@ -11,6 +11,7 @@ import (
 )
 
 func TestExportCSV(t *testing.T) {
+	t.Parallel()
 	res := results(t)
 	dir := t.TempDir()
 	paths, err := res.ExportCSV(dir)
@@ -50,13 +51,12 @@ func TestExportCSV(t *testing.T) {
 	// fig5 must contain every policy.
 	data, _ := os.ReadFile(filepath.Join(dir, "fig5_captured.csv"))
 	for p := 0; p < numPolicies; p++ {
-		if !strings.Contains(string(data), PolicyName(p)) {
-			t.Errorf("fig5 CSV missing %s", PolicyName(p))
-		}
+		contains(t, string(data), PolicyName(p))
 	}
 }
 
 func TestScalingAndNetwork(t *testing.T) {
+	t.Parallel()
 	res := results(t)
 	table := res.Scaling(PSieveC, []float64{1, 4, 16})
 	if len(table) != 3 {
@@ -78,20 +78,14 @@ func TestScalingAndNetwork(t *testing.T) {
 		t.Errorf("worst-case SSD fraction = %v, want ≈0.5", worst)
 	}
 	report := res.ScalingReport()
-	if !strings.Contains(report, "ensemble load") || !strings.Contains(report, "network") {
-		t.Errorf("report incomplete:\n%s", report)
-	}
+	contains(t, report, "ensemble load", "network")
 }
 
 func TestQuadrants(t *testing.T) {
-	rows, err := Quadrants(DefaultConfig(expTestScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	qI, qII, qIII, qIV := rows[0], rows[1], rows[2], rows[3]
+	t.Parallel()
+	rows := sweep(t).Quadrants
+	q := byKey(t, rows, func(r QuadrantResult) string { return r.Quadrant }, "I", "II", "III", "IV")
+	qI, qII, qIII, qIV := q["I"], q["II"], q["III"], q["IV"]
 	// Quadrant I must dominate on hits and be cheapest on drives.
 	if qI.HitRatio <= qII.HitRatio || qI.HitRatio <= qIII.HitRatio {
 		t.Errorf("quadrant I not dominant: %+v", rows)
@@ -107,95 +101,67 @@ func TestQuadrants(t *testing.T) {
 	if qI.AllocWrites*20 > qII.AllocWrites || qIV.AllocWrites*20 > qIII.AllocWrites {
 		t.Errorf("sieving not reducing alloc-writes: %+v", rows)
 	}
-	out := FormatQuadrants(rows)
-	if !strings.Contains(out, "Quadrant I dominates") {
-		t.Errorf("format incomplete:\n%s", out)
-	}
+	contains(t, FormatQuadrants(rows), "Quadrant I dominates")
 }
 
 func TestLatencyTable(t *testing.T) {
+	t.Parallel()
 	res := results(t)
-	out := res.LatencyTable()
-	if !strings.Contains(out, "SieveStore-C") || !strings.Contains(out, "speedup") {
-		t.Errorf("latency table incomplete:\n%s", out)
-	}
-	// SieveStore-C must show a larger speedup than the unsieved cache.
-	if !strings.Contains(out, "x") {
-		t.Error("no speedup column rendered")
-	}
+	// SieveStore-C must show a larger speedup than the unsieved cache: the
+	// speedup column renders.
+	contains(t, res.LatencyTable(), "SieveStore-C", "speedup", "x")
 }
 
 func TestAblationReplacement(t *testing.T) {
-	rows, err := AblationReplacement(DefaultConfig(expTestScale))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rows := sweep(t).Replacement
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if !strings.Contains(rows[0].Name, "SieveStore-C") {
-		t.Fatalf("row0 = %+v", rows[0])
-	}
-	// The modern promotion-free engines must be in the unsieved lineup.
-	names := ""
-	for _, r := range rows[1:] {
-		names += r.Name + " "
-	}
-	for _, want := range []string{"SIEVE", "S3-FIFO"} {
-		if !strings.Contains(names, want) {
-			t.Errorf("ablation missing %s row: %s", want, names)
-		}
-	}
-	// §3.1: the classic replacement policies (rows 1-3: LRU, CLOCK, FIFO)
-	// cannot rescue the unsieved cache's hit ratio...
-	for _, r := range rows[1:4] {
-		if r.HitRatio >= rows[0].HitRatio {
-			t.Errorf("unsieved %s (%.3f) matched sieved (%.3f)", r.Name, r.HitRatio, rows[0].HitRatio)
+	classic := []string{"WMNA", "WMNA/CLOCK", "WMNA/FIFO"}
+	unsieved := append(classic, "WMNA/SIEVE", "WMNA/S3-FIFO")
+	r := byKey(t, rows, func(r ReplacementRow) string { return r.Name }, append(unsieved, "SieveStore-C")...)
+	sieved := r["SieveStore-C"]
+	// §3.1: the classic replacement policies (LRU, CLOCK, FIFO) cannot
+	// rescue the unsieved cache's hit ratio...
+	for _, name := range classic {
+		if r[name].HitRatio >= sieved.HitRatio {
+			t.Errorf("unsieved %s (%.3f) matched sieved (%.3f)", name, r[name].HitRatio, sieved.HitRatio)
 		}
 	}
 	// ...and NO unsieved policy — including the quick-demotion engines,
 	// which can approach the sieved hit ratio — escapes allocating on
 	// every miss: the allocation-write storm is the allocation policy's.
-	for _, r := range rows[1:] {
-		if r.AllocWrites < 10*rows[0].AllocWrites {
-			t.Errorf("unsieved %s alloc-writes (%d) not dominated", r.Name, r.AllocWrites)
+	for _, name := range unsieved {
+		if r[name].AllocWrites < 10*sieved.AllocWrites {
+			t.Errorf("unsieved %s alloc-writes (%d) not dominated", name, r[name].AllocWrites)
 		}
 	}
 	// The classic unsieved variants cluster: replacement choice moves the
 	// needle far less than sieving does.
-	lo, hi := rows[1].HitRatio, rows[1].HitRatio
-	for _, r := range rows[2:4] {
-		if r.HitRatio < lo {
-			lo = r.HitRatio
-		}
-		if r.HitRatio > hi {
-			hi = r.HitRatio
-		}
+	lo, hi := r["WMNA"].HitRatio, r["WMNA"].HitRatio
+	for _, name := range classic {
+		lo, hi = min(lo, r[name].HitRatio), max(hi, r[name].HitRatio)
 	}
-	if hi-lo > rows[0].HitRatio-hi {
-		t.Errorf("replacement spread (%.3f) exceeds the sieving gap (%.3f)", hi-lo, rows[0].HitRatio-hi)
+	if hi-lo > sieved.HitRatio-hi {
+		t.Errorf("replacement spread (%.3f) exceeds the sieving gap (%.3f)", hi-lo, sieved.HitRatio-hi)
 	}
-	out := FormatReplacement(rows)
-	if !strings.Contains(out, "unsieved") || !strings.Contains(out, "sieved cache") {
-		t.Errorf("format incomplete:\n%s", out)
-	}
+	contains(t, FormatReplacement(rows), "unsieved", "sieved cache")
 }
 
 func TestRunMinOracle(t *testing.T) {
-	cfg := DefaultConfig(expTestScale)
-	rows, err := RunMinOracle(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rows := sweep(t).Oracle
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	aod, sel := rows[0], rows[1]
+	o := byKey(t, rows, func(r OracleRow) string { return r.Name }, "MIN + allocate-on-demand", "MIN + selective-allocation")
+	aod, sel := o["MIN + allocate-on-demand"], o["MIN + selective-allocation"]
 	// MIN maximizes hits: at least as many as the day's measured ideal.
 	res := results(t)
-	if aod.HitRatio() < res.Policies[PIdeal].Days[2].HitRatio()*0.9 {
+	if aod.HitRatio() < res.Policies[PIdeal].Days[oracleDay].HitRatio()*0.9 {
 		t.Errorf("MIN-AOD hit ratio %.3f below ideal's %.3f", aod.HitRatio(),
-			res.Policies[PIdeal].Days[2].HitRatio())
+			res.Policies[PIdeal].Days[oracleDay].HitRatio())
 	}
 	// Selective allocation never hits less than AOD under MIN... it can
 	// only skip useless allocations, so hits match or exceed.
@@ -208,21 +174,21 @@ func TestRunMinOracle(t *testing.T) {
 	}
 	// And even selective oracle allocation uses far more allocation-writes
 	// than the sieve (which allocates ~0.1-1% of accesses).
-	cAllocs := res.Policies[PSieveC].Days[2].AllocWrites
+	cAllocs := res.Policies[PSieveC].Days[oracleDay].AllocWrites
 	if sel.AllocWrites < 5*cAllocs {
 		t.Errorf("oracle-selective allocs %d vs sieve %d: expected a wide gap", sel.AllocWrites, cAllocs)
 	}
-	out := FormatOracle(rows, res.Policies[PSieveC].Days[2])
-	if !strings.Contains(out, "SieveStore-C") {
-		t.Errorf("format incomplete:\n%s", out)
-	}
+	contains(t, FormatOracle(rows, res.Policies[PSieveC].Days[oracleDay]), "SieveStore-C")
 }
 
 func TestRunFromTraceDir(t *testing.T) {
+	t.Parallel()
 	// Write the synthetic trace to a day directory, then run the full
 	// evaluation from the files: results must match the generator run
-	// exactly (same trace, same seeds).
-	cfg := DefaultConfig(expTestScale)
+	// exactly (same trace, same seeds). No check depends on a paper figure,
+	// so the scale is the largest the generator accepts: every one of the
+	// 13 servers still has requests on each of the 3 days.
+	cfg := DefaultConfig(1 << 17)
 	cfg.Workload.Days = 3
 	gen, err := workload.New(cfg.Workload)
 	if err != nil {
@@ -233,16 +199,10 @@ func TestRunFromTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fromGen, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromGen := must(t, func() (*Results, error) { return Run(cfg) })
 	cfgDir := cfg
 	cfgDir.TraceDir = dir
-	fromDir, err := Run(cfgDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromDir := must(t, func() (*Results, error) { return Run(cfgDir) })
 	if fromDir.Days != 3 {
 		t.Fatalf("days = %d", fromDir.Days)
 	}
@@ -262,23 +222,16 @@ func TestRunFromTraceDir(t *testing.T) {
 		}
 	}
 	// Renderers must work without the synthetic name table.
-	if out := fromDir.Table1(); !strings.Contains(out, "server0") {
-		t.Errorf("Table1 from tracedir:\n%s", out)
-	}
-	if out := fromDir.Fig5(); !strings.Contains(out, "SieveStore-C") {
-		t.Error("Fig5 from tracedir broken")
-	}
+	contains(t, fromDir.Table1(), "server0")
+	contains(t, fromDir.Fig5(), "SieveStore-C")
 }
 
 func TestSeedSweep(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multiple full runs")
 	}
-	cfg := DefaultConfig(expTestScale * 2)
-	rows, err := SeedSweep(cfg, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := must(t, seedFixture)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -292,10 +245,9 @@ func TestSeedSweep(t *testing.T) {
 		}
 	}
 	// Different seeds produce different traces.
-	if rows[0].Ideal == rows[1].Ideal && rows[1].Ideal == rows[2].Ideal {
+	seeds := byKey(t, rows, func(r SeedRow) int64 { return r.Seed }, 1, 2, 3)
+	if seeds[1].Ideal == seeds[2].Ideal && seeds[2].Ideal == seeds[3].Ideal {
 		t.Error("seeds did not change the trace")
 	}
-	if !strings.Contains(FormatSeedSweep(rows), "C-gain") {
-		t.Error("format incomplete")
-	}
+	contains(t, FormatSeedSweep(rows), "C-gain")
 }

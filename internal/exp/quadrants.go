@@ -6,16 +6,14 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sieve"
 	"repro/internal/sim"
-	"repro/internal/ssd"
-	"repro/internal/workload"
 )
 
-// This file runs the paper's Figure 1 design space as an executable 2×2
-// matrix: {sieved, unsieved} × {ensemble-level, per-server}. All four
-// quadrants are full continuous-cache simulations at identical total
-// capacity, and the cost column counts physical drives (per-server
-// configurations pay one device per server — the minimum-drive problem the
-// paper notes).
+// QuadrantResult is one cell of the paper's Figure 1 design space, which
+// Sweep runs as an executable 2×2 matrix: {sieved, unsieved} ×
+// {ensemble-level, per-server}. All four quadrants are full continuous-cache
+// simulations at identical total capacity, and the cost column counts
+// physical drives (per-server configurations pay one device per server — the
+// minimum-drive problem the paper notes).
 type QuadrantResult struct {
 	// Quadrant is the paper's numbering: I sieved+ensemble,
 	// II unsieved+ensemble, III unsieved+per-server, IV sieved+per-server.
@@ -28,108 +26,25 @@ type QuadrantResult struct {
 	Drives int
 }
 
-// Quadrants evaluates the 2×2 design space at cfg's scale.
-func Quadrants(cfg Config) ([]QuadrantResult, error) {
-	capacity := cfg.CacheBlocks(cfg.CacheGB)
-	servers := len(cfg.Workload.Servers)
-	spec := Device()
-	scale := float64(cfg.Workload.Scale)
-
-	newGen := func() (*workload.Generator, error) { return workload.New(cfg.Workload) }
-	newSieve := func(imct int) (sieve.Policy, error) {
-		sc := cfg.SieveC
-		if imct > 0 {
-			sc.IMCTSize = imct
-		}
-		return sieve.NewC(sc)
-	}
-
-	var out []QuadrantResult
-
-	// Quadrant I: SieveStore — sieved, ensemble-level.
-	gen, err := newGen()
-	if err != nil {
-		return nil, err
-	}
-	policy, err := newSieve(0)
-	if err != nil {
-		return nil, err
-	}
-	resI, err := sim.RunContinuous(gen, capacity, policy)
-	if err != nil {
-		return nil, err
-	}
-	loadsI := metrics.ScaleLoads(resI.Minutes, scale)
-	out = append(out, QuadrantResult{
-		Quadrant: "I", Name: "SieveStore-C (sieved, ensemble)",
-		HitRatio:    resI.Total().HitRatio(),
-		AllocWrites: resI.Total().AllocWrites,
-		Drives:      ssd.DrivesAtCoverage(ssd.DrivesNeeded(&spec, loadsI), 0.999),
-	})
-
-	// Quadrant II: unsieved, ensemble-level (WMNA, the stronger baseline).
-	gen, err = newGen()
-	if err != nil {
-		return nil, err
-	}
-	resII, err := sim.RunContinuous(gen, capacity, sieve.WMNA{})
-	if err != nil {
-		return nil, err
-	}
-	loadsII := metrics.ScaleLoads(resII.Minutes, scale)
-	out = append(out, QuadrantResult{
-		Quadrant: "II", Name: "WMNA (unsieved, ensemble)",
-		HitRatio:    resII.Total().HitRatio(),
-		AllocWrites: resII.Total().AllocWrites,
-		Drives:      ssd.DrivesAtCoverage(ssd.DrivesNeeded(&spec, loadsII), 0.999),
-	})
-
-	// Quadrant III: unsieved, per-server.
-	gen, err = newGen()
-	if err != nil {
-		return nil, err
-	}
-	combIII, perIII, err := sim.RunPerServerContinuous(gen, servers, capacity,
-		func(int) (sieve.Policy, error) { return sieve.WMNA{}, nil })
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, QuadrantResult{
-		Quadrant: "III", Name: "WMNA (unsieved, per-server)",
-		HitRatio:    combIII.Total().HitRatio(),
-		AllocWrites: combIII.Total().AllocWrites,
-		Drives:      perServerDrives(&spec, perIII, scale),
-	})
-
-	// Quadrant IV: sieved, per-server.
-	gen, err = newGen()
-	if err != nil {
-		return nil, err
-	}
-	perSieveIMCT := cfg.SieveC.IMCTSize / servers
-	if perSieveIMCT < 256 {
-		perSieveIMCT = 256
-	}
-	combIV, perIV, err := sim.RunPerServerContinuous(gen, servers, capacity,
-		func(int) (sieve.Policy, error) { return newSieve(perSieveIMCT) })
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, QuadrantResult{
-		Quadrant: "IV", Name: "SieveStore-C (sieved, per-server)",
-		HitRatio:    combIV.Total().HitRatio(),
-		AllocWrites: combIV.Total().AllocWrites,
-		Drives:      perServerDrives(&spec, perIV, scale),
-	})
-	return out, nil
+// PerServerSieveC returns the policy factory for quadrant IV: one private
+// SieveStore-C per server, each with an even share of the IMCT (never under
+// 256 slots).
+func (c *Config) PerServerSieveC() sim.PolicyFactory {
+	sc := c.SieveC
+	sc.IMCTSize = max(sc.IMCTSize/len(c.Workload.Servers), 256)
+	return func(int) (sieve.Policy, error) { return sieve.NewC(sc) }
 }
 
-func perServerDrives(spec *ssd.DeviceSpec, perServer []*sim.Result, scale float64) int {
+// PerServerDrives counts the physical drives private caches need at 99.9%
+// time coverage, with each cache's load scaled back to paper volume and at
+// least one device per server (sim.PerServerDriveNeeds).
+func (c *Config) PerServerDrives(perServer []*sim.Result) int {
+	spec := Device()
 	scaled := make([]*sim.Result, len(perServer))
 	for i, r := range perServer {
-		scaled[i] = &sim.Result{Name: r.Name, Days: r.Days, Minutes: metrics.ScaleLoads(r.Minutes, scale)}
+		scaled[i] = &sim.Result{Minutes: metrics.ScaleLoads(r.Minutes, float64(c.Workload.Scale))}
 	}
-	return sim.PerServerDriveNeeds(spec, scaled, 0.999)
+	return sim.PerServerDriveNeeds(&spec, scaled, 0.999)
 }
 
 // FormatQuadrants renders the Figure 1 matrix.

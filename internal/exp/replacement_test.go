@@ -26,6 +26,7 @@ func resident(ts cache.TagStore, key block.Key) bool {
 }
 
 func TestFIFOBasics(t *testing.T) {
+	t.Parallel()
 	f := NewFIFO(2)
 	if f.Name() != "FIFO" {
 		t.Error("identity wrong")
@@ -50,6 +51,7 @@ func TestFIFOBasics(t *testing.T) {
 }
 
 func TestFIFOQueueCompaction(t *testing.T) {
+	t.Parallel()
 	// The queue must stay O(capacity) at every point of a long insert
 	// storm — not just after a final compaction.
 	f := NewFIFO(4)
@@ -72,6 +74,7 @@ func TestFIFOQueueCompaction(t *testing.T) {
 }
 
 func TestClockSecondChance(t *testing.T) {
+	t.Parallel()
 	c := NewClock(3)
 	if c.Name() != "CLOCK" {
 		t.Error("identity wrong")
@@ -103,6 +106,7 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestClockApproximatesLRUUnderReuse(t *testing.T) {
+	t.Parallel()
 	// A hot block touched between every insertion must survive a long
 	// insertion storm under CLOCK (second chance) but not under FIFO.
 	hot := key(999)
@@ -125,6 +129,7 @@ func TestClockApproximatesLRUUnderReuse(t *testing.T) {
 }
 
 func TestReplacementConstructorsPanic(t *testing.T) {
+	t.Parallel()
 	for _, f := range []func(){
 		func() { NewFIFO(0) },
 		func() { NewClock(0) },
@@ -141,6 +146,7 @@ func TestReplacementConstructorsPanic(t *testing.T) {
 }
 
 func TestS3FIFOGhostPromotesToMain(t *testing.T) {
+	t.Parallel()
 	s := NewS3FIFO(10) // small target 1, main 9, ghost 9
 	for i := uint64(0); i < 10; i++ {
 		s.Insert(key(i))
@@ -162,6 +168,7 @@ func TestS3FIFOGhostPromotesToMain(t *testing.T) {
 }
 
 func TestS3FIFOGhostStaysBounded(t *testing.T) {
+	t.Parallel()
 	s := NewS3FIFO(20)
 	for i := uint64(0); i < 100000; i++ {
 		s.Insert(key(i))
@@ -176,6 +183,7 @@ func TestS3FIFOGhostStaysBounded(t *testing.T) {
 }
 
 func TestS3FIFOPromotionOnAccess(t *testing.T) {
+	t.Parallel()
 	// A probationary block that IS accessed gets promoted to main at
 	// small-queue eviction time instead of being demoted.
 	s := NewS3FIFO(10)

@@ -89,17 +89,7 @@ func (r *Results) Fig2b() string {
 // composition table (Figure 3).
 func (r *Results) Fig3() string {
 	var b strings.Builder
-	top1 := func(points []analysis.CDFPoint) float64 {
-		for _, p := range points {
-			if p.Percentile >= 0.01 {
-				return p.CumFraction
-			}
-		}
-		if len(points) == 0 {
-			return 0
-		}
-		return points[len(points)-1].CumFraction
-	}
+	top1 := func(points []analysis.CDFPoint) float64 { return cdfAt(points, 0.01) }
 	line(&b, "Figure 3(a): server-to-server skew (top-1%% capture, day 2)")
 	line(&b, "  prxy: %.3f   src1: %.3f", top1(r.Skew.PrxyDay2), top1(r.Skew.Src1Day2))
 	line(&b, "Figure 3(b): volume-to-volume skew (web, day 2)")
@@ -120,6 +110,20 @@ func (r *Results) Fig3() string {
 		line(&b, "%s", row)
 	}
 	return b.String()
+}
+
+// cdfAt reads a CDF curve at a percentile: the first point at or past it,
+// else the curve's end.
+func cdfAt(points []analysis.CDFPoint, pct float64) float64 {
+	for _, p := range points {
+		if p.Percentile >= pct {
+			return p.CumFraction
+		}
+	}
+	if len(points) == 0 {
+		return 0
+	}
+	return points[len(points)-1].CumFraction
 }
 
 // Fig5 renders the accesses-captured comparison (Figure 5).
@@ -200,17 +204,10 @@ func (r *Results) Fig6() string {
 	rTotal := r.Policies[PRandC].Total()
 	line(&b, "Totals: SieveStore-D moves=%d SieveStore-C allocs=%d WMNA-32GB allocs=%d (%.0fx) RandSieve-C=%d (%.1fx SieveStore)",
 		dTotal.Moves, cTotal.AllocWrites, uTotal.AllocWrites,
-		float64(uTotal.AllocWrites)/float64(max64(1, cTotal.AllocWrites)),
+		float64(uTotal.AllocWrites)/float64(max(1, cTotal.AllocWrites)),
 		rTotal.AllocWrites,
-		float64(rTotal.AllocWrites)/float64(max64(1, cTotal.AllocWrites)))
+		float64(rTotal.AllocWrites)/float64(max(1, cTotal.AllocWrites)))
 	return b.String()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig7 renders the total-SSD-accesses breakdown (Figure 7).
@@ -337,7 +334,7 @@ func (r *Results) Summary() string {
 	cAlloc := r.Policies[PSieveC].Total().AllocWrites
 	uAlloc := r.Policies[PWMNA32].Total().AllocWrites
 	line(&b, "  allocation-writes: SieveStore-C %d vs WMNA-32GB %d (%.0fx reduction)",
-		cAlloc, uAlloc, float64(uAlloc)/float64(max64(1, cAlloc)))
+		cAlloc, uAlloc, float64(uAlloc)/float64(max(1, cAlloc)))
 	sd := r.Occupancy(PSieveD)
 	sc := r.Occupancy(PSieveC)
 	w := r.Occupancy(PWMNA32)

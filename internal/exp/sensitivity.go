@@ -1,21 +1,15 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/block"
-	"repro/internal/cache"
-	"repro/internal/sieve"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
-// This file implements the paper's sensitivity analyses (§5.1) and the
-// design-choice ablations DESIGN.md calls out.
+// This file holds the rows of the paper's sensitivity analyses (§5.1), the
+// design-choice ablations DESIGN.md calls out and the §3.1 oracle day, which
+// Sweep computes, and their renderers.
 
 // DThresholdRow is one point of the SieveStore-D threshold sweep.
 type DThresholdRow struct {
@@ -27,100 +21,11 @@ type DThresholdRow struct {
 	Moves int64
 }
 
-// SensitivityD sweeps SieveStore-D's epoch threshold. The discrete model
-// makes this computable from per-day counters alone: day d's hits under
-// threshold t are the day-d counts of blocks whose day-(d-1) count
-// reached t.
-func SensitivityD(cfg Config, thresholds []int64) ([]DThresholdRow, error) {
-	gen, err := workload.New(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-	days := cfg.Workload.Days
-	counters := make([]*analysis.Counter, days)
-	for d := 0; d < days; d++ {
-		reqs, err := gen.Day(d)
-		if err != nil {
-			return nil, err
-		}
-		c := analysis.NewCounter()
-		for i := range reqs {
-			c.AddRequest(&reqs[i])
-		}
-		counters[d] = c
-	}
-	var totalAccesses int64
-	for d := 1; d < days; d++ {
-		totalAccesses += counters[d].Total()
-	}
-	capacity := cfg.CacheBlocks(cfg.CacheGB)
-	rows := make([]DThresholdRow, 0, len(thresholds))
-	for _, t := range thresholds {
-		var hits, moves int64
-		var prev map[block.Key]bool
-		for d := 0; d < days; d++ {
-			// TopFraction(1.0) is sorted hottest-first, so truncating at
-			// the cache capacity keeps the hottest qualifying blocks —
-			// exactly what the batch allocator does.
-			sel := make(map[block.Key]bool)
-			for _, k := range counters[d].TopFraction(1.0) {
-				if counters[d].Count(k) < t || len(sel) >= capacity {
-					break
-				}
-				sel[k] = true
-			}
-			if d > 0 {
-				for k := range prev {
-					hits += counters[d].Count(k)
-				}
-			}
-			for k := range sel {
-				if !prev[k] {
-					moves++
-				}
-			}
-			prev = sel
-		}
-		ratio := 0.0
-		if totalAccesses > 0 {
-			ratio = float64(hits) / float64(totalAccesses)
-		}
-		rows = append(rows, DThresholdRow{Threshold: t, HitRatio: ratio, Moves: moves})
-	}
-	return rows, nil
-}
-
 // CWindowRow is one point of the SieveStore-C window sweep.
 type CWindowRow struct {
 	Window   time.Duration
 	HitRatio float64
 	Allocs   int64
-}
-
-// SensitivityCWindow reruns SieveStore-C with different sliding-window
-// lengths W (the paper observes degradation below 8 h and insensitivity
-// above).
-func SensitivityCWindow(cfg Config, windows []time.Duration) ([]CWindowRow, error) {
-	rows := make([]CWindowRow, 0, len(windows))
-	for _, w := range windows {
-		gen, err := workload.New(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		sc := cfg.SieveC
-		sc.Window = w
-		policy, err := sieve.NewC(sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunContinuous(gen, cfg.CacheBlocks(cfg.CacheGB), policy)
-		if err != nil {
-			return nil, err
-		}
-		t := res.Total()
-		rows = append(rows, CWindowRow{Window: w, HitRatio: t.HitRatio(), Allocs: t.AllocWrites})
-	}
-	return rows, nil
 }
 
 // AblationRow compares SieveStore-C against its single-tier (IMCT-only)
@@ -132,70 +37,11 @@ type AblationRow struct {
 	AllocWrites int64
 }
 
-// AblationSingleTier runs the two-tier sieve and the single-tier ablation
-// side by side.
-func AblationSingleTier(cfg Config) ([]AblationRow, error) {
-	run := func(p sieve.Policy) (AblationRow, error) {
-		gen, err := workload.New(cfg.Workload)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		res, err := sim.RunContinuous(gen, cfg.CacheBlocks(cfg.CacheGB), p)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		t := res.Total()
-		return AblationRow{Name: p.Name(), HitRatio: t.HitRatio(), AllocWrites: t.AllocWrites}, nil
-	}
-	two, err := sieve.NewC(cfg.SieveC)
-	if err != nil {
-		return nil, err
-	}
-	one, err := sieve.NewSingleTier(cfg.SieveC)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]AblationRow, 0, 2)
-	for _, p := range []sieve.Policy{two, one} {
-		row, err := run(p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // SubwindowRow compares k-subwindow discretizations of the sliding window.
 type SubwindowRow struct {
 	Subwindows  int
 	HitRatio    float64
 	AllocWrites int64
-}
-
-// AblationSubwindows sweeps the window discretization k (the paper uses
-// k = 4; the ablation shows the discretization loses little accuracy).
-func AblationSubwindows(cfg Config, ks []int) ([]SubwindowRow, error) {
-	rows := make([]SubwindowRow, 0, len(ks))
-	for _, k := range ks {
-		gen, err := workload.New(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		sc := cfg.SieveC
-		sc.Subwindows = k
-		policy, err := sieve.NewC(sc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunContinuous(gen, cfg.CacheBlocks(cfg.CacheGB), policy)
-		if err != nil {
-			return nil, err
-		}
-		t := res.Total()
-		rows = append(rows, SubwindowRow{Subwindows: k, HitRatio: t.HitRatio(), AllocWrites: t.AllocWrites})
-	}
-	return rows, nil
 }
 
 // FormatSensitivity renders the sensitivity/ablation rows.
@@ -216,7 +62,7 @@ func FormatSensitivity(dRows []DThresholdRow, wRows []CWindowRow, aRows []Ablati
 	}
 	if len(aRows) == 2 && aRows[1].AllocWrites > 0 {
 		line(&b, "  (single-tier admits %.1fx the allocation-writes of the two-tier sieve)",
-			float64(aRows[1].AllocWrites)/float64(max64(1, aRows[0].AllocWrites)))
+			float64(aRows[1].AllocWrites)/float64(max(1, aRows[0].AllocWrites)))
 	}
 	line(&b, "  Subwindow discretization k:")
 	for _, r := range kRows {
@@ -226,67 +72,16 @@ func FormatSensitivity(dRows []DThresholdRow, wRows []CWindowRow, aRows []Ablati
 }
 
 // ReplacementRow compares replacement policies under a fixed allocation
-// policy.
+// policy: §3.1's unsieved cache under five replacement engines against
+// SieveStore-C under LRU. The classic engines cannot close the hit-ratio
+// gap; the quick-demotion ones (S3-FIFO's probationary queue is itself a
+// coarse admission filter) can come close on hits — but every unsieved row
+// still allocates on every miss, so the cost-performance gap belongs to the
+// allocation policy either way.
 type ReplacementRow struct {
 	Name        string
 	HitRatio    float64
 	AllocWrites int64
-}
-
-// AblationReplacement runs the §3.1 demonstration: the unsieved baseline
-// under five replacement policies (LRU, CLOCK, FIFO, and the modern
-// promotion-free SIEVE and S3-FIFO engines) against SieveStore-C under
-// plain LRU. The classic policies cannot close the hit-ratio gap; the
-// quick-demotion engines (S3-FIFO's probationary queue is itself a
-// coarse admission filter) can come close on hits — but every unsieved
-// row still allocates on every miss, paying an order of magnitude more
-// allocation-writes. The cost-performance gap belongs to the allocation
-// policy either way.
-func AblationReplacement(cfg Config) ([]ReplacementRow, error) {
-	capacity := cfg.CacheBlocks(cfg.CacheGB)
-	run := func(tags cache.TagStore, p sieve.Policy) (ReplacementRow, error) {
-		gen, err := workload.New(cfg.Workload)
-		if err != nil {
-			return ReplacementRow{}, err
-		}
-		c := sim.NewContinuousTags(tags, p)
-		for d := 0; d < cfg.Workload.Days; d++ {
-			reqs, err := gen.Day(d)
-			if err != nil {
-				return ReplacementRow{}, err
-			}
-			for i := range reqs {
-				c.Process(&reqs[i])
-			}
-		}
-		res := c.Result(0)
-		t := res.Total()
-		return ReplacementRow{Name: res.Name, HitRatio: t.HitRatio(), AllocWrites: t.AllocWrites}, nil
-	}
-	sieveC, err := sieve.NewC(cfg.SieveC)
-	if err != nil {
-		return nil, err
-	}
-	configs := []struct {
-		tags cache.TagStore
-		p    sieve.Policy
-	}{
-		{cache.New(capacity), sieveC},
-		{cache.New(capacity), sieve.WMNA{}},
-		{NewClock(capacity), sieve.WMNA{}},
-		{NewFIFO(capacity), sieve.WMNA{}},
-		{cache.NewSieve(capacity), sieve.WMNA{}},
-		{NewS3FIFO(capacity), sieve.WMNA{}},
-	}
-	rows := make([]ReplacementRow, 0, len(configs))
-	for _, c := range configs {
-		row, err := run(c.tags, c.p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // FormatReplacement renders the replacement ablation.
@@ -299,9 +94,7 @@ func FormatReplacement(rows []ReplacementRow) string {
 	if len(rows) >= 2 {
 		best := rows[1].HitRatio
 		for _, r := range rows[2:] {
-			if r.HitRatio > best {
-				best = r.HitRatio
-			}
+			best = max(best, r.HitRatio)
 		}
 		if best < rows[0].HitRatio {
 			line(&b, "  (best unsieved replacement reaches %.3f — still %.0f%% behind the sieved cache)",
@@ -331,38 +124,6 @@ func (r OracleRow) HitRatio() float64 {
 	return float64(r.Hits) / float64(r.Accesses)
 }
 
-// RunMinOracle executes the §3.1 thought experiment on a real trace day:
-// Belady's MIN with allocate-on-demand (the unbeatable replacement policy,
-// still drowning in allocation-writes) and Belady with selective
-// allocation (maximal hits, still orders of magnitude more allocation-
-// writes than sieving needs). Both use clairvoyance no real system has.
-func RunMinOracle(cfg Config, day int) ([]OracleRow, error) {
-	gen, err := workload.New(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := gen.Day(day)
-	if err != nil {
-		return nil, err
-	}
-	var stream []block.Key
-	var buf []block.Access
-	for i := range reqs {
-		buf = trace.Expand(buf[:0], &reqs[i])
-		for _, a := range buf {
-			stream = append(stream, a.Key)
-		}
-	}
-	capacity := cfg.CacheBlocks(cfg.CacheGB)
-	aod := sieve.BeladyAOD(stream, capacity)
-	sel := sieve.BeladySelective(stream, capacity)
-	n := int64(len(stream))
-	return []OracleRow{
-		{Name: "MIN + allocate-on-demand", Hits: int64(aod.Hits), AllocWrites: int64(aod.AllocWrites), Accesses: n},
-		{Name: "MIN + selective-allocation", Hits: int64(sel.Hits), AllocWrites: int64(sel.AllocWrites), Accesses: n},
-	}, nil
-}
-
 // FormatOracle renders the oracle rows next to a measured SieveStore-C day.
 func FormatOracle(rows []OracleRow, sieveC sim.DayStats) string {
 	var b strings.Builder
@@ -373,30 +134,9 @@ func FormatOracle(rows []OracleRow, sieveC sim.DayStats) string {
 	}
 	line(&b, "  %-28s hit=%.3f alloc-writes=%d (%.2f%% of accesses)",
 		"SieveStore-C (no oracle)", sieveC.HitRatio(), sieveC.AllocWrites,
-		100*float64(sieveC.AllocWrites)/float64(max64(1, sieveC.Accesses)))
+		100*float64(sieveC.AllocWrites)/float64(max(1, sieveC.Accesses)))
 	line(&b, "  Even clairvoyant replacement cannot avoid allocation-writes without sieving.")
 	return b.String()
-}
-
-// SieveCDay runs SieveStore-C alone over the trace and returns one day's
-// statistics — a cheap companion for the oracle comparison.
-func SieveCDay(cfg Config, day int) (sim.DayStats, error) {
-	gen, err := workload.New(cfg.Workload)
-	if err != nil {
-		return sim.DayStats{}, err
-	}
-	policy, err := sieve.NewC(cfg.SieveC)
-	if err != nil {
-		return sim.DayStats{}, err
-	}
-	res, err := sim.RunContinuous(gen, cfg.CacheBlocks(cfg.CacheGB), policy)
-	if err != nil {
-		return sim.DayStats{}, err
-	}
-	if day < 0 || day >= len(res.Days) {
-		return sim.DayStats{}, fmt.Errorf("exp: day %d out of range", day)
-	}
-	return res.Days[day], nil
 }
 
 // SeedRow is one trace seed's headline gains.
@@ -407,12 +147,12 @@ type SeedRow struct {
 	Ideal float64 // whole-trace ideal hit ratio
 }
 
-// SeedSweep reruns the full evaluation across several trace seeds to check
-// that the headline conclusions (sieved > unsieved, orderings) are not
-// artifacts of one random trace instance.
-func SeedSweep(cfg Config, seeds []int64) ([]SeedRow, error) {
-	rows := make([]SeedRow, 0, len(seeds))
-	for _, seed := range seeds {
+// SeedSweep reruns the full evaluation across the sweep's trace seeds to
+// check that the headline conclusions (sieved > unsieved, orderings) are
+// not artifacts of one random trace instance.
+func SeedSweep(cfg Config) ([]SeedRow, error) {
+	rows := make([]SeedRow, 0, len(sweepSeeds))
+	for _, seed := range sweepSeeds {
 		c := cfg
 		c.Workload.Seed = seed
 		res, err := Run(c)

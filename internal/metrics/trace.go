@@ -33,9 +33,9 @@ type OpTrace struct {
 type TraceRing struct {
 	sampleEvery uint64
 	ctr         atomic.Uint64
-	seq         atomic.Uint64
 
 	mu   sync.Mutex
+	seq  uint64 // stamped under mu, so ring order is sequence order
 	recs []OpTrace
 	n    int // records written, saturating at len(recs)
 	next int // ring cursor
@@ -63,8 +63,9 @@ func (t *TraceRing) Sample() bool {
 
 // Record stores rec in the ring, stamping its sequence number.
 func (t *TraceRing) Record(rec OpTrace) {
-	rec.Seq = t.seq.Add(1)
 	t.mu.Lock()
+	t.seq++
+	rec.Seq = t.seq
 	t.recs[t.next] = rec
 	t.next = (t.next + 1) % len(t.recs)
 	if t.n < len(t.recs) {

@@ -45,21 +45,29 @@ func TopSets(counters []*analysis.Counter, frac float64) [][]block.Key {
 	return out
 }
 
-// RunContinuous simulates a continuous policy over the whole trace.
-func RunContinuous(tr Trace, capacityBlocks int, policy sieve.Policy) (*Result, error) {
-	c := NewContinuous(capacityBlocks, policy)
-	totalMinutes := 0
+// eachRequest calls fn on every request of tr in order, day by day.
+func eachRequest(tr Trace, fn func(*block.Request) error) error {
 	for d := 0; d < tr.Days(); d++ {
 		reqs, err := tr.Day(d)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := range reqs {
-			c.Process(&reqs[i])
+			if err := fn(&reqs[i]); err != nil {
+				return err
+			}
 		}
-		totalMinutes = (d + 1) * 24 * 60
 	}
-	return c.Result(totalMinutes), nil
+	return nil
+}
+
+// RunContinuous simulates a continuous policy over the whole trace.
+func RunContinuous(tr Trace, capacityBlocks int, policy sieve.Policy) (*Result, error) {
+	c := NewContinuous(capacityBlocks, policy)
+	if err := eachRequest(tr, func(req *block.Request) error { c.Process(req); return nil }); err != nil {
+		return nil, err
+	}
+	return c.Result(tr.Days() * 24 * 60), nil
 }
 
 // RunDiscreteSets simulates a discrete-epoch cache whose day-d resident set
@@ -71,20 +79,10 @@ func RunDiscreteSets(name string, tr Trace, capacityBlocks int, sets [][]block.K
 		}
 		return nil
 	})
-	totalMinutes := 0
-	for day := 0; day < tr.Days(); day++ {
-		reqs, err := tr.Day(day)
-		if err != nil {
-			return nil, err
-		}
-		for i := range reqs {
-			if err := d.Process(&reqs[i]); err != nil {
-				return nil, err
-			}
-		}
-		totalMinutes = (day + 1) * 24 * 60
+	if err := eachRequest(tr, d.Process); err != nil {
+		return nil, err
 	}
-	return d.Result(totalMinutes), nil
+	return d.Result(tr.Days() * 24 * 60), nil
 }
 
 // RunIdeal simulates the paper's ideal sieve: the top `frac` most popular
@@ -139,16 +137,21 @@ func RunRandBlkD(tr Trace, counters []*analysis.Counter, capacityBlocks int, fra
 	rng := rand.New(rand.NewSource(seed))
 	sets := make([][]block.Key, tr.Days())
 	for d := 1; d < tr.Days(); d++ {
-		prev := counters[d-1]
-		keys := prev.TopFraction(1.0) // all accessed blocks, deterministic order
-		n := int(frac * float64(len(keys)))
-		if n < 1 && len(keys) > 0 {
-			n = 1
-		}
-		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		sets[d] = keys[:n]
+		sets[d] = RandomSample(rng, counters[d-1], frac)
 	}
 	return RunDiscreteSets("RandSieve-BlkD", tr, capacityBlocks, sets)
+}
+
+// RandomSample draws frac of the blocks a counter saw, uniformly and at
+// least one if it saw any: RandSieve-BlkD's next-day set.
+func RandomSample(rng *rand.Rand, c *analysis.Counter, frac float64) []block.Key {
+	keys := c.TopFraction(1.0) // all accessed blocks, deterministic order
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	n := int(frac * float64(len(keys)))
+	if n < 1 && len(keys) > 0 {
+		n = 1
+	}
+	return keys[:n]
 }
 
 // PerServerStats is one day of an ideal per-server caching configuration

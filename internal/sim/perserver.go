@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/block"
 	"repro/internal/sieve"
 	"repro/internal/ssd"
 )
@@ -19,47 +20,61 @@ import (
 // shared across private caches.
 type PolicyFactory func(server int) (sieve.Policy, error)
 
-// RunPerServerContinuous simulates `servers` private caches, each of
-// capacity totalCapacityBlocks/servers, and returns the aggregated result
-// plus the per-server results. Requests are routed by their Server field;
-// requests from servers ≥ `servers` are rejected.
-func RunPerServerContinuous(tr Trace, servers, totalCapacityBlocks int, factory PolicyFactory) (*Result, []*Result, error) {
+// PerServer routes each request to its own server's private cache.
+type PerServer struct{ sims []*Continuous }
+
+// NewPerServer builds `servers` private caches, each of capacity
+// totalCapacityBlocks/servers and with its own policy instance.
+func NewPerServer(servers, totalCapacityBlocks int, factory PolicyFactory) (*PerServer, error) {
 	if servers < 1 {
-		return nil, nil, fmt.Errorf("sim: servers must be ≥1, got %d", servers)
+		return nil, fmt.Errorf("sim: servers must be ≥1, got %d", servers)
 	}
 	perCap := totalCapacityBlocks / servers
 	if perCap < 1 {
-		return nil, nil, fmt.Errorf("sim: capacity %d too small for %d servers", totalCapacityBlocks, servers)
+		return nil, fmt.Errorf("sim: capacity %d too small for %d servers", totalCapacityBlocks, servers)
 	}
-	sims := make([]*Continuous, servers)
-	for s := range sims {
+	p := &PerServer{sims: make([]*Continuous, servers)}
+	for s := range p.sims {
 		policy, err := factory(s)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		sims[s] = NewContinuous(perCap, policy)
+		p.sims[s] = NewContinuous(perCap, policy)
 	}
-	totalMinutes := 0
-	for d := 0; d < tr.Days(); d++ {
-		reqs, err := tr.Day(d)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range reqs {
-			s := reqs[i].Server
-			if s < 0 || s >= servers {
-				return nil, nil, fmt.Errorf("sim: request for unknown server %d", s)
-			}
-			sims[s].Process(&reqs[i])
-		}
-		totalMinutes = (d + 1) * 24 * 60
+	return p, nil
+}
+
+// Process simulates one request in its server's cache; requests from
+// servers beyond the configured count are rejected.
+func (p *PerServer) Process(req *block.Request) error {
+	if req.Server < 0 || req.Server >= len(p.sims) {
+		return fmt.Errorf("sim: request for unknown server %d", req.Server)
 	}
-	perServer := make([]*Result, servers)
-	for s, c := range sims {
+	p.sims[req.Server].Process(req)
+	return nil
+}
+
+// Result returns the aggregated result plus the per-server results.
+func (p *PerServer) Result(totalMinutes int) (*Result, []*Result) {
+	perServer := make([]*Result, len(p.sims))
+	for s, c := range p.sims {
 		perServer[s] = c.Result(totalMinutes)
 		perServer[s].Name = fmt.Sprintf("%s[server %d]", perServer[s].Name, s)
 	}
-	combined := CombineResults("per-server "+perServer[0].Name, totalMinutes, perServer)
+	return CombineResults("per-server "+perServer[0].Name, totalMinutes, perServer), perServer
+}
+
+// RunPerServerContinuous runs a PerServer configuration over the whole
+// trace and returns its aggregated and per-server results.
+func RunPerServerContinuous(tr Trace, servers, totalCapacityBlocks int, factory PolicyFactory) (*Result, []*Result, error) {
+	p, err := NewPerServer(servers, totalCapacityBlocks, factory)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := eachRequest(tr, p.Process); err != nil {
+		return nil, nil, err
+	}
+	combined, perServer := p.Result(tr.Days() * 24 * 60)
 	return combined, perServer, nil
 }
 
@@ -71,24 +86,9 @@ func RunPerServerContinuous(tr Trace, servers, totalCapacityBlocks int, factory 
 // analyses of private configurations.
 func CombineResults(name string, totalMinutes int, results []*Result) *Result {
 	out := &Result{Name: name}
-	maxDays := 0
-	for _, r := range results {
-		if len(r.Days) > maxDays {
-			maxDays = len(r.Days)
-		}
-	}
-	out.day(maxDays - 1) // allocate
 	for _, r := range results {
 		for _, d := range r.Days {
-			agg := out.day(d.Day)
-			agg.Accesses += d.Accesses
-			agg.Reads += d.Reads
-			agg.Writes += d.Writes
-			agg.ReadHits += d.ReadHits
-			agg.WriteHits += d.WriteHits
-			agg.AllocWrites += d.AllocWrites
-			agg.Evictions += d.Evictions
-			agg.Moves += d.Moves
+			out.day(d.Day).add(d)
 		}
 	}
 	n := totalMinutes

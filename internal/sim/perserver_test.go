@@ -89,6 +89,18 @@ func TestRunPerServerContinuousValidation(t *testing.T) {
 	}
 }
 
+func TestRunPerServerContinuousEmptyTrace(t *testing.T) {
+	// A trace whose only day is empty (sievesim -policy perserver over a
+	// day directory with one empty day file) has no day rows to combine.
+	combined, perServer, err := RunPerServerContinuous(NewSliceTrace([]block.Request{}), 13, 1300, aodFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(perServer) != 13 || len(combined.Days) != 0 || len(combined.Minutes) != 24*60 {
+		t.Errorf("combined %d day rows, %d minutes over %d servers", len(combined.Days), len(combined.Minutes), len(perServer))
+	}
+}
+
 func TestCombineResultsMinuteLoads(t *testing.T) {
 	a := &Result{Name: "a", Days: []DayStats{{Day: 0, Accesses: 10, ReadHits: 5, Reads: 10}},
 		Minutes: []ssd.MinuteLoad{{Minute: 0, ReadPages: 3}}}

@@ -70,19 +70,23 @@ type Result struct {
 	Minutes []ssd.MinuteLoad
 }
 
+// add accumulates o's counts into d.
+func (d *DayStats) add(o DayStats) {
+	d.Accesses += o.Accesses
+	d.Reads += o.Reads
+	d.Writes += o.Writes
+	d.ReadHits += o.ReadHits
+	d.WriteHits += o.WriteHits
+	d.AllocWrites += o.AllocWrites
+	d.Evictions += o.Evictions
+	d.Moves += o.Moves
+}
+
 // Total sums the per-day statistics.
 func (r *Result) Total() DayStats {
-	var t DayStats
-	t.Day = -1
+	t := DayStats{Day: -1}
 	for _, d := range r.Days {
-		t.Accesses += d.Accesses
-		t.Reads += d.Reads
-		t.Writes += d.Writes
-		t.ReadHits += d.ReadHits
-		t.WriteHits += d.WriteHits
-		t.AllocWrites += d.AllocWrites
-		t.Evictions += d.Evictions
-		t.Moves += d.Moves
+		t.add(d)
 	}
 	return t
 }
