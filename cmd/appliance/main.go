@@ -57,7 +57,7 @@ func main() {
 		dataDir   = flag.String("data", "", "back volumes with sparse files under this directory (empty: in-memory)")
 		statsEach = flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
 		trackLat  = flag.Bool("track-latency", true, "record per-op read/write service times (reported in stats)")
-		shards    = flag.Int("shards", 0, "store lock shards, power of two (0: one per CPU)")
+		shards    = flag.Int("shards", 0, "store lock shards, power of two (0: four per CPU, rounded up to a power of two)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
 
 		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus), /statusz (JSON), and /debug/ops on this address (empty: disabled)")

@@ -80,8 +80,8 @@ func (f *flight) publishLocked(src []byte) {
 	}
 }
 
-// slabFrames is how many 512-byte frames one slab holds (128 KiB). Small
-// shards use a smaller power of two, see newShard.
+// slabFrames caps the 512-byte frames one slab holds (128 KiB); see
+// newShard.
 const slabFrames = 256
 
 // shard is one lock-striped partition of the Store: a fully-associative
@@ -126,11 +126,11 @@ type shard struct {
 	_pad [64]byte //nolint:unused
 }
 
-// newShard builds shard idx over tab. Slabs hold slabFrames frames, or the
-// smallest power of two that covers a smaller shard's capacity.
+// newShard builds shard idx over tab. A slab holds the largest power of two
+// ≤ capacity/32 frames (1 to slabFrames), so a partly used slab wastes < 1/32.
 func newShard(s *Store, idx int, tab *cache.Cache) *shard {
 	sh := &shard{store: s, idx: idx, tab: tab, inflight: make(map[block.Key][block.BlocksPerPage]*flight)}
-	for 1<<sh.slabShift < slabFrames && 1<<sh.slabShift < tab.Capacity() {
+	for 2<<sh.slabShift <= min(slabFrames, tab.Capacity()/32) {
 		sh.slabShift++
 	}
 	sh.stats.CapacityBlocks = int64(tab.Capacity())

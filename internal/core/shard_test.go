@@ -7,7 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,9 +39,6 @@ func TestShardsValidation(t *testing.T) {
 	if _, err := Open(mem, Options{CacheBytes: 2 * block.Size, Shards: 4}); err == nil {
 		t.Error("Shards=4 over a 2-block cache: want capacity error")
 	}
-	if n := DefaultShards(); n < 1 || n&(n-1) != 0 {
-		t.Errorf("DefaultShards() = %d, want a power of two ≥ 1", n)
-	}
 
 	st8, err := Open(mem, Options{CacheBytes: 64 * block.Size, Shards: 8})
 	if err != nil {
@@ -51,6 +50,101 @@ func TestShardsValidation(t *testing.T) {
 	}
 	if got := st8.Stats().CapacityBlocks; got != 64 {
 		t.Errorf("CapacityBlocks = %d, want 64 (partitioned, not truncated)", got)
+	}
+}
+
+// TestDefaultShards pins the contention rule: the smallest power of two ≥
+// 4 × GOMAXPROCS, capped at 256. It sets GOMAXPROCS, so it does not run in
+// parallel.
+func TestDefaultShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, want int }{{1, 4}, {2, 8}, {3, 16}, {64, 256}, {100, 256}} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := DefaultShards(); got != c.want {
+			t.Errorf("GOMAXPROCS %d: DefaultShards() = %d, want %d", c.procs, got, c.want)
+		}
+	}
+}
+
+// TestSlabWasteBounded checks the slab rule at the benchmark's geometry: an
+// 8 MiB store split 8 ways and half full allocates frames for its resident
+// blocks plus at most capacity/32 more, so the rounding up to whole slabs
+// does not grow with the shard count.
+func TestSlabWasteBounded(t *testing.T) {
+	const capacity, pages = 8 << 20 / block.Size, 8 << 20 / block.PageSize
+	mem := store.NewMem()
+	mem.AddVolume(0, 0, capacity*block.Size)
+	st, err := Open(mem, Options{CacheBytes: capacity * block.Size, Shards: 8, SieveC: smallSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// Half the volume's pages, scattered (an odd multiplier permutes them),
+	// so the shards fill unevenly and their last slabs partly.
+	p := make([]byte, block.PageSize)
+	for i := uint64(0); i < pages/2; i++ {
+		if err := st.WriteAt(0, 0, p, i*0x9e3779b1%pages*block.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := st.Stats().CachedBlocks
+	if resident != capacity/2 {
+		t.Fatalf("CachedBlocks = %d, want %d", resident, capacity/2)
+	}
+	frames := 0
+	for _, sh := range st.shards {
+		frames += len(sh.slabs) << sh.slabShift
+	}
+	if limit := int(resident) + capacity/32; frames > limit {
+		t.Errorf("%d frames allocated for %d resident blocks, want ≤ %d", frames, resident, limit)
+	}
+}
+
+// BenchmarkReadHitParallel runs 4 KiB hits from every P over a warmed store
+// at each shard count. With -mutexprofile it shows what a hit waits on its
+// shard's lock as the lock is split finer.
+func BenchmarkReadHitParallel(b *testing.B) {
+	const capacity, pages = 8 << 20 / block.Size, 1 << 9 // pages: half the cache
+	for i, shards := range []int{1, 2, 8, DefaultShards()} {
+		name := fmt.Sprintf("shards=%d", shards)
+		if i == 3 {
+			name = fmt.Sprintf("default=%d", shards)
+		}
+		b.Run(name, func(b *testing.B) {
+			mem := store.NewMem()
+			mem.AddVolume(0, 0, pages*block.PageSize)
+			st, err := Open(mem, Options{CacheBytes: capacity * block.Size, Shards: shards, SieveC: smallSieve()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			p := make([]byte, block.PageSize)
+			for pg := uint64(0); pg < pages; pg++ {
+				if err := st.WriteAt(0, 0, p, pg*block.PageSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var seed atomic.Uint64
+			b.SetBytes(block.PageSize)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				x := seed.Add(0x9e3779b97f4a7c15) // per-goroutine xorshift state
+				buf := make([]byte, block.PageSize)
+				for pb.Next() {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					if err := st.ReadAt(0, 0, buf, x%pages*block.PageSize); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			if s := st.Stats(); s.ReadHits != s.Reads {
+				b.Errorf("%d of %d reads hit, want all", s.ReadHits, s.Reads)
+			}
+		})
 	}
 }
 

@@ -23,10 +23,11 @@ import (
 //	count    u64   (resident blocks)
 //	entries  count × { key u64 | data [512]byte }   (MRU first)
 //
-// All integers are big-endian. A sharded store writes its shards in
-// ascending order, each MRU-first — with Shards=1 this is exactly the
-// global MRU order. Snapshots are portable across shard counts: keys
-// rehash into their shards on load, keeping relative recency.
+// All integers are big-endian. A sharded store interleaves its shards'
+// MRU lists by rank (every shard's MRU block, then every second, …), so a
+// load into fewer shards or a smaller cache keeps the hottest of every
+// shard; with Shards=1 this is exactly the global MRU order. Keys rehash
+// into their shards on load, keeping relative recency.
 
 var snapMagic = [4]byte{'S', 'V', 'S', '1'}
 
@@ -40,21 +41,20 @@ type snapHeader struct {
 // ErrBadSnapshot reports a malformed or incompatible snapshot stream.
 var ErrBadSnapshot = errors.New("core: bad snapshot")
 
-// SaveSnapshot writes the cache contents (tags and data, MRU→LRU per
-// shard) to w. The store remains usable: each shard's image is staged
-// under its lock at memory speed (dirty blocks drained, tags and frames
-// copied) and the whole image is then streamed to w with no lock held, so
-// a slow writer never stalls I/O. Each shard's slice is a consistent
+// SaveSnapshot writes the cache contents (tags and data, MRU→LRU by rank
+// across shards) to w. The store remains usable: each shard's image is
+// staged under its lock at memory speed (dirty blocks drained, tags and
+// frames copied) and the whole image is then streamed to w with no lock
+// held, so a slow writer never stalls I/O. Each shard's slice is a consistent
 // point-in-time view as of its copy; with Shards=1 the whole image is one
 // consistent instant.
 func (s *Store) SaveSnapshot(w io.Writer) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	var keys []block.Key
-	var data []byte
-	capacity := 0
-	for _, sh := range s.shards {
+	imgs := make([][]byte, len(s.shards)) // by shard: its entries, MRU first
+	count, capacity := 0, 0
+	for si, sh := range s.shards {
 		sh.mu.Lock()
 		// Write-back mode: flush first so the backend and the snapshot are
 		// a consistent pair (a restore must be able to trust either copy).
@@ -66,26 +66,27 @@ func (s *Store) SaveSnapshot(w io.Writer) error {
 			return err
 		}
 		for _, slot := range sh.tab.AppendSlots(nil) { // MRU → LRU
-			keys = append(keys, sh.tab.Key(slot))
-			data = append(data, sh.frame(slot)...)
+			imgs[si] = binary.BigEndian.AppendUint64(imgs[si], uint64(sh.tab.Key(slot)))
+			imgs[si] = append(imgs[si], sh.frame(slot)...)
 		}
+		count += sh.tab.Len()
 		capacity += sh.tab.Capacity()
 		sh.mu.Unlock()
 	}
 
 	bw := bufio.NewWriterSize(w, 1<<16)
-	hdr := snapHeader{snapMagic, uint8(s.opts.Variant), uint64(capacity), uint64(len(keys))}
+	hdr := snapHeader{snapMagic, uint8(s.opts.Variant), uint64(capacity), uint64(count)}
 	if err := binary.Write(bw, binary.BigEndian, hdr); err != nil {
 		return err
 	}
-	var u64 [8]byte
-	for i, k := range keys {
-		binary.BigEndian.PutUint64(u64[:], uint64(k))
-		if _, err := bw.Write(u64[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(data[i*block.Size : (i+1)*block.Size]); err != nil {
-			return err
+	for off := 0; count > 0; off += snapEntrySize { // by rank, then shard
+		for _, img := range imgs {
+			if off < len(img) {
+				count--
+				if _, err := bw.Write(img[off : off+snapEntrySize]); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return bw.Flush()
@@ -103,7 +104,7 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	entries, err := readSnapshot(r, uint64(s.opts.CacheBytes/block.Size))
+	perShard, err := s.readSnapshot(r)
 	if err != nil {
 		return err
 	}
@@ -116,15 +117,6 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	defer s.rotMu.Unlock()
 	if s.closed.Load() {
 		return ErrClosed
-	}
-
-	// Split MRU-first across shards, each capped at its own capacity.
-	perShard := make([][]snapEntry, len(s.shards))
-	for _, e := range entries {
-		si := s.shardIndex(e.key)
-		if len(perShard[si]) < s.shards[si].tab.Capacity() {
-			perShard[si] = append(perShard[si], e)
-		}
 	}
 
 	// Replace shard by shard, ascending. Each shard's drain + replacement
@@ -157,16 +149,20 @@ func (s *Store) LoadSnapshot(r io.Reader) error {
 	return nil
 }
 
+// snapEntrySize is one entry's size in the stream: key, then data.
+const snapEntrySize = 8 + block.Size
+
 // snapEntry is one parsed snapshot entry.
 type snapEntry struct {
 	key  block.Key
 	data []byte
 }
 
-// readSnapshot parses a SaveSnapshot stream and returns its first keep
-// entries, MRU first (the tail is the cold end). The slice grows as entries
-// arrive: the header's count is the stream's claim, not a size to allocate.
-func readSnapshot(r io.Reader, keep uint64) ([]snapEntry, error) {
+// readSnapshot parses a SaveSnapshot stream and splits its entries across
+// the store's shards, MRU first, each cut at its shard's capacity (the
+// stream's tail is the cold end). The slices grow as entries arrive: the
+// header's count is the stream's claim, not a size to allocate.
+func (s *Store) readSnapshot(r io.Reader) ([][]snapEntry, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr snapHeader
 	if err := binary.Read(br, binary.BigEndian, &hdr); err != nil {
@@ -175,16 +171,16 @@ func readSnapshot(r io.Reader, keep uint64) ([]snapEntry, error) {
 	if hdr.Magic != snapMagic {
 		return nil, fmt.Errorf("%w: magic %q", ErrBadSnapshot, hdr.Magic[:])
 	}
-	var entries []snapEntry
-	var rec [8 + block.Size]byte
+	perShard := make([][]snapEntry, len(s.shards))
+	var rec [snapEntrySize]byte
 	for i := uint64(0); i < hdr.Count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadSnapshot, i, err)
 		}
-		if i < keep {
-			k := block.Key(binary.BigEndian.Uint64(rec[:8]))
-			entries = append(entries, snapEntry{k, append([]byte(nil), rec[8:]...)})
+		k := block.Key(binary.BigEndian.Uint64(rec[:8]))
+		if si := s.shardIndex(k); len(perShard[si]) < s.shards[si].tab.Capacity() {
+			perShard[si] = append(perShard[si], snapEntry{k, append([]byte(nil), rec[8:]...)})
 		}
 	}
-	return entries, nil
+	return perShard, nil
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/store"
 )
 
 // heatBlocks makes the given offsets resident (quickSieve admits on the
@@ -106,6 +108,61 @@ func TestSnapshotPreservesLRUOrder(t *testing.T) {
 	}
 	if s2.Contains(0, 0, 0) {
 		t.Error("LRU block should have been dropped")
+	}
+}
+
+// TestSnapshotCutKeepsHottestAcrossShards saves an 8-shard store whose
+// write order interleaves its shards and loads it into a one-shard store of
+// half the size: the load keeps the 128 most recently written blocks, in
+// MRU order, not whole low-numbered shards.
+func TestSnapshotCutKeepsHottestAcrossShards(t *testing.T) {
+	const shards, perShard = 8, 32
+	mem := store.NewMem()
+	mem.AddVolume(0, 0, 1<<20)
+	src, err := Open(mem, Options{CacheBytes: shards * perShard * block.Size, Shards: shards, SieveC: smallSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var byShard [shards][]block.Key
+	for k := block.MakeKey(0, 0, 0); len(byShard[0]) < perShard || len(byShard[shards-1]) < perShard; k++ {
+		if si := src.shardIndex(k); len(byShard[si]) < perShard {
+			byShard[si] = append(byShard[si], k)
+		}
+	}
+	// Round r writes every shard's r-th key, shard 0 last: the global MRU
+	// order is round 31's shards 0…7, then round 30's, and so on.
+	var mru []block.Key
+	p := make([]byte, block.Size)
+	for r := 0; r < perShard; r++ {
+		for si := shards - 1; si >= 0; si-- {
+			k := byShard[si][r]
+			if err := src.WriteAt(0, 0, p, k.Offset()); err != nil {
+				t.Fatal(err)
+			}
+			mru = append([]block.Key{k}, mru...)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.SaveSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := Open(mem, Options{CacheBytes: shards * perShard / 2 * block.Size, SieveC: smallSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dst.shards[0].tab.Keys(), mru[:len(mru)/2]; !slices.Equal(got, want) {
+		kept := 0
+		for _, k := range want {
+			if slices.Contains(got, k) {
+				kept++
+			}
+		}
+		t.Errorf("kept %d of the %d most recent blocks; MRU order %v, want %v", kept, len(want), got, want)
 	}
 }
 

@@ -71,12 +71,12 @@ type Options struct {
 	// of the 512-byte block size).
 	CacheBytes int64
 	// Shards splits the store into this many shards, each with its own
-	// lock, slot table, and sieve state, so the hit path scales with cores;
-	// a block lives in the shard its 4 KiB page hashes to. Must be a power
-	// of two; 0 or 1 (the default) keeps the single fully-associative cache
-	// of the paper. Capacity is partitioned evenly across shards, so with
-	// Shards > 1 eviction is shard-local — hit ratios can differ marginally
-	// from the global-LRU figure.
+	// lock, slot table, and sieve state, so concurrent requests rarely wait
+	// on one another; a block lives in the shard its 4 KiB page hashes to.
+	// Must be a power of two; 0 or 1 (the default) keeps the single
+	// fully-associative cache of the paper. Capacity is partitioned evenly
+	// across shards, so with Shards > 1 eviction is shard-local — hit
+	// ratios can differ marginally from the global-LRU figure.
 	Shards int
 	// Policy selects the cache's replacement engine: "lru" (default, the
 	// paper's policy) or "sieve" (case-insensitive; cache.NewPolicy).
@@ -146,10 +146,13 @@ type Options struct {
 	TenantRepartitionEvery time.Duration
 }
 
-// DefaultShards returns the appliance's default shard count: GOMAXPROCS
-// rounded up to a power of two (capped at 256).
+// DefaultShards returns the appliance's default shard count, sized for lock
+// contention rather than cores: the smallest power of two ≥ 4 × GOMAXPROCS,
+// capped at 256. A page hit holds its shard lock for less than one
+// sync.Mutex spin round, so two requests meeting on one lock spin longer
+// than either hit; four shards per CPU make such meetings rare.
 func DefaultShards() int {
-	n := runtime.GOMAXPROCS(0)
+	n := 4 * runtime.GOMAXPROCS(0)
 	s := 1
 	for s < n && s < 256 {
 		s <<= 1
@@ -433,9 +436,7 @@ func Open(backend Backend, opts Options) (*Store, error) {
 		// IMCT keeps total metastate (and the aliasing rate, since each
 		// shard sees ~1/Shards of the keys) unchanged.
 		cfg := o.SieveC
-		if o.Shards > 1 {
-			cfg.IMCTSize = (cfg.IMCTSize + o.Shards - 1) / o.Shards
-		}
+		cfg.IMCTSize = (cfg.IMCTSize + o.Shards - 1) / o.Shards
 		for _, sh := range s.shards {
 			sc, err := sieve.NewC(cfg)
 			if err != nil {
