@@ -27,6 +27,7 @@ import (
 	_ "net/http/pprof" // handlers on DefaultServeMux; only served when -pprof is set
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -39,114 +40,129 @@ import (
 	"repro/internal/store"
 )
 
+var (
+	listen    = flag.String("listen", "127.0.0.1:9000", "TCP listen address")
+	cacheMB   = flag.Int64("cache-mb", 64, "cache size in MiB")
+	variant   = flag.String("variant", "c", "sieve variant: c or d")
+	policy    = flag.String("policy", "lru", "cache eviction policy: lru or sieve")
+	epoch     = flag.Duration("epoch", 24*time.Hour, "SieveStore-D epoch length")
+	threshold = flag.Int64("threshold", 10, "SieveStore-D epoch access-count threshold")
+	writeBack = flag.Bool("writeback", false, "enable write-back caching")
+	snapshot  = flag.String("snapshot", "", "snapshot file: loaded at boot if present, written on shutdown")
+	spillDir  = flag.String("spill", "", "SieveStore-D spill directory (resumed across restarts)")
+	servers   = flag.Int("servers", 4, "demo backend: number of servers")
+	volumeMB  = flag.Int64("volume-mb", 1024, "demo backend: per-server volume size in MiB")
+	dataDir   = flag.String("data", "", "back volumes with sparse files under this directory (empty: in-memory)")
+	statsEach = flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
+	shards    = flag.Int("shards", 0, "store lock shards, power of two (0: four per CPU, rounded up to a power of two)")
+	pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
+
+	metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus) and /statusz (JSON), and in store mode /debug/ops, on this address (empty: disabled)")
+	traceSample = flag.Int("trace-sample", 0, "sample one in N operations into the /debug/ops lifecycle trace ring (0: off)")
+	mutexFrac   = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate for /debug/pprof/mutex (0: off)")
+
+	backendTimeout = flag.Duration("backend-timeout", 0, "deadline per backend request attempt (0: none; enables the fault-tolerant backend wrapper)")
+	retries        = flag.Int("retries", 0, "retries per backend op on transient errors (0: none; enables the fault-tolerant backend wrapper)")
+	maxConns       = flag.Int("max-conns", 0, "cap on concurrently served connections; extras get a busy error (0: unlimited)")
+	idleTimeout    = flag.Duration("idle-timeout", 0, "drop a peer that keeps the server waiting this long: idle between requests, stalled mid-frame, or not reading responses (0: never)")
+
+	tenantTrack       = flag.Bool("tenant-track", false, "per-tenant (server, volume) accounting: occupancy, hit ratios, alloc-writes (observe-only)")
+	tenantQuotas      = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse (implies -tenant-track)")
+	enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
+	repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
+
+	clusterPeers       = flag.String("cluster-peers", "", "comma-separated appliance addresses: run as a replicated-cluster gateway over these nodes instead of a local store")
+	clusterReplicas    = flag.Int("cluster-replicas", 2, "gateway: replicas per block (R)")
+	clusterQuorum      = flag.Int("cluster-write-quorum", 1, "gateway: direct acks required per write (W, ≤ R)")
+	clusterWriteBack   = flag.Bool("cluster-writeback", false, "gateway: peers run write-back stores (track acked replicas, re-replicate after failures)")
+	clusterPlacement   = flag.Int("cluster-placement-blocks", 128, "gateway: consecutive blocks sharing a replica set (power of two)")
+	clusterHandoffMax  = flag.Int("cluster-handoff-max", 4096, "gateway: per-node hinted-handoff queue bound, in blocks")
+	clusterProbeEvery  = flag.Duration("cluster-probe-every", 250*time.Millisecond, "gateway: down-node probe / repair-sweep cadence")
+	clusterDialTimeout = flag.Duration("cluster-timeout", 2*time.Second, "gateway: per-op deadline on node connections")
+)
+
 func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("appliance: ")
-	var (
-		listen    = flag.String("listen", "127.0.0.1:9000", "TCP listen address")
-		cacheMB   = flag.Int64("cache-mb", 64, "cache size in MiB")
-		variant   = flag.String("variant", "c", "sieve variant: c or d")
-		policy    = flag.String("policy", "lru", "cache eviction policy: lru or sieve")
-		epoch     = flag.Duration("epoch", 24*time.Hour, "SieveStore-D epoch length")
-		threshold = flag.Int64("threshold", 10, "SieveStore-D epoch access-count threshold")
-		writeBack = flag.Bool("writeback", false, "enable write-back caching")
-		snapshot  = flag.String("snapshot", "", "snapshot file: loaded at boot if present, written on shutdown")
-		spillDir  = flag.String("spill", "", "SieveStore-D spill directory (resumed across restarts)")
-		servers   = flag.Int("servers", 4, "demo backend: number of servers")
-		volumeMB  = flag.Int64("volume-mb", 1024, "demo backend: per-server volume size in MiB")
-		dataDir   = flag.String("data", "", "back volumes with sparse files under this directory (empty: in-memory)")
-		statsEach = flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
-		trackLat  = flag.Bool("track-latency", true, "record per-op read/write service times (reported in stats)")
-		shards    = flag.Int("shards", 0, "store lock shards, power of two (0: four per CPU, rounded up to a power of two)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
-
-		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus), /statusz (JSON), and /debug/ops on this address (empty: disabled)")
-		traceSample = flag.Int("trace-sample", 0, "sample one in N operations into the /debug/ops lifecycle trace ring (0: off)")
-		mutexFrac   = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate for /debug/pprof/mutex (0: off)")
-
-		backendTimeout = flag.Duration("backend-timeout", 0, "deadline per backend request attempt (0: none; enables the fault-tolerant backend wrapper)")
-		retries        = flag.Int("retries", 0, "retries per backend op on transient errors (0: none; enables the fault-tolerant backend wrapper)")
-		maxConns       = flag.Int("max-conns", 0, "cap on concurrently served connections; extras get a busy error (0: unlimited)")
-		idleTimeout    = flag.Duration("idle-timeout", 0, "drop connections idle this long between requests (0: never)")
-
-		tenantTrack       = flag.Bool("tenant-track", false, "per-tenant (server, volume) accounting: occupancy, hit ratios, alloc-writes (observe-only)")
-		tenantQuotas      = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse (implies -tenant-track)")
-		enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
-		repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
-
-		maxPipeline = flag.Int("max-pipeline", 0, "per-connection cap on in-flight pipelined requests (0: default 32)")
-
-		clusterPeers       = flag.String("cluster-peers", "", "comma-separated appliance addresses: run as a replicated-cluster gateway over these nodes instead of a local store")
-		clusterReplicas    = flag.Int("cluster-replicas", 2, "gateway: replicas per block (R)")
-		clusterQuorum      = flag.Int("cluster-write-quorum", 1, "gateway: direct acks required per write (W, ≤ R)")
-		clusterWriteBack   = flag.Bool("cluster-writeback", false, "gateway: peers run write-back stores (track acked replicas, re-replicate after failures)")
-		clusterPlacement   = flag.Int("cluster-placement-blocks", 128, "gateway: consecutive blocks sharing a replica set (power of two)")
-		clusterHandoffMax  = flag.Int("cluster-handoff-max", 4096, "gateway: per-node hinted-handoff queue bound, in blocks")
-		clusterProbeEvery  = flag.Duration("cluster-probe-every", 250*time.Millisecond, "gateway: down-node probe / repair-sweep cadence")
-		clusterDialTimeout = flag.Duration("cluster-timeout", 2*time.Second, "gateway: per-op deadline on node connections")
-	)
 	flag.Parse()
 
 	if *pprofAddr != "" {
-		if *mutexFrac > 0 {
-			runtime.SetMutexProfileFraction(*mutexFrac)
-		}
+		runtime.SetMutexProfileFraction(*mutexFrac) // 0, the default, is off
 		go func() {
 			log.Printf("pprof listening on %s", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Printf("pprof server: %v", err)
+			logErr("pprof server", http.ListenAndServe(*pprofAddr, nil))
+		}()
+	}
+	if *clusterPeers != "" {
+		serve(gatewayMode())
+	} else {
+		serve(storeMode())
+	}
+}
+
+// mode is what store mode and gateway mode each build for serve: the
+// BlockStore the server fronts, the line logged once it serves, the
+// -metrics handler, the -stats line, and the step that follows the
+// server's close.
+type mode struct {
+	store    appliance.BlockStore
+	banner   string
+	handler  func(*appliance.Server) http.Handler
+	stats    func(*appliance.Server) string
+	shutdown func()
+}
+
+// serve runs m until SIGINT or SIGTERM: listen, serve the metrics
+// endpoints and the stats ticker beside it, then close the server and
+// shut m down.
+func serve(m mode) {
+	srv := appliance.NewServerWith(m.store, appliance.ServerOptions{
+		MaxConns:    *maxConns,
+		IdleTimeout: *idleTimeout,
+	})
+	if *metricsAddr != "" {
+		h := m.handler(srv)
+		go func() {
+			log.Printf("observability listening on %s", *metricsAddr)
+			logErr("metrics server", http.ListenAndServe(*metricsAddr, h))
+		}()
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe(*listen) }()
+	log.Print(m.banner)
+
+	if *statsEach > 0 {
+		go func() {
+			for range time.Tick(*statsEach) {
+				log.Print(m.stats(srv))
 			}
 		}()
 	}
 
-	srvOpts := appliance.ServerOptions{
-		MaxConns:    *maxConns,
-		IdleTimeout: *idleTimeout,
-		MaxPipeline: *maxPipeline,
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	select {
+	case err := <-done:
+		log.Fatalf("serve: %v", err)
+	case s := <-sig:
+		log.Printf("received %v, shutting down", s)
 	}
+	logErr("server close", srv.Close())
+	m.shutdown()
+}
 
-	// Gateway mode: no local store — the data path is the replicated ring.
-	if *clusterPeers != "" {
-		runGateway(gatewayConfig{
-			listen:      *listen,
-			metricsAddr: *metricsAddr,
-			statsEach:   *statsEach,
-			srvOpts:     srvOpts,
-			cluster: cluster.Config{
-				Nodes:           strings.Split(*clusterPeers, ","),
-				Replicas:        *clusterReplicas,
-				WriteQuorum:     *clusterQuorum,
-				WriteBack:       *clusterWriteBack,
-				PlacementBlocks: *clusterPlacement,
-				HandoffMax:      *clusterHandoffMax,
-				ProbeEvery:      *clusterProbeEvery,
-				Dial:            appliance.DialOptions{Timeout: *clusterDialTimeout},
-			},
-		})
-		return
+// logErr logs err, if any, as the failure of what.
+func logErr(what string, err error) {
+	if err != nil {
+		log.Printf("%s: %v", what, err)
 	}
+}
 
-	var backend core.Backend
-	var files *store.File // closed, and so synced, after the store drains into it
-	if *dataDir != "" {
-		fb, err := store.NewFile(*dataDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for s := 0; s < *servers; s++ {
-			if err := fb.AddVolume(s, 0, uint64(*volumeMB)<<20); err != nil {
-				log.Fatal(err)
-			}
-		}
-		backend, files = fb, fb
-	} else {
-		mem := store.NewMem()
-		for s := 0; s < *servers; s++ {
-			mem.AddVolume(s, 0, uint64(*volumeMB)<<20)
-		}
-		backend = mem
-	}
-
+// storeMode opens the local store: the demo backend, hardened when asked,
+// under a core.Store warmed from the snapshot.
+func storeMode() mode {
+	backend, files := openBackend()
 	// Harden the backend when asked: per-attempt deadlines, transient-error
 	// retries, and per-(server, volume) circuit breakers between the cache
 	// and the ensemble.
@@ -158,7 +174,73 @@ func main() {
 		})
 		backend = res
 	}
+	st, err := core.Open(backend, storeOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *snapshot != "" {
+		switch loaded, err := loadSnapshot(st, *snapshot); {
+		case err != nil:
+			log.Printf("snapshot load failed (starting cold): %v", err)
+		case loaded:
+			log.Printf("warm start: %d blocks restored", st.Stats().CachedBlocks)
+		}
+	}
+	return mode{
+		store: st,
+		banner: fmt.Sprintf("%s serving on %s (cache %d MiB, policy %s, %d shards, %d servers × %d MiB, write-back=%v)",
+			st.Variant(), *listen, *cacheMB, st.Policy(), st.Shards(), *servers, *volumeMB, *writeBack),
+		handler: func(srv *appliance.Server) http.Handler {
+			obs := appliance.NewObservability(st)
+			obs.AttachServer(srv)
+			if res != nil {
+				obs.AttachResilience(res)
+			}
+			return obs.Handler()
+		},
+		stats: func(srv *appliance.Server) string { return storeStatsLine(st, res, srv) },
+		shutdown: func() {
+			if *snapshot != "" {
+				if err := writeSnapshot(st, *snapshot); err != nil {
+					log.Printf("snapshot save failed: %v", err)
+				} else {
+					log.Printf("snapshot saved to %s", *snapshot)
+				}
+			}
+			logErr("store close", st.Close())
+			if files != nil {
+				logErr("backend close", files.Close())
+			}
+		},
+	}
+}
 
+// openBackend builds the demo ensemble: sparse files under -data, or
+// memory. files is the file backend, closed (and so synced) after the
+// store drains into it; nil for memory.
+func openBackend() (backend core.Backend, files *store.File) {
+	if *dataDir == "" {
+		mem := store.NewMem()
+		for s := 0; s < *servers; s++ {
+			mem.AddVolume(s, 0, uint64(*volumeMB)<<20)
+		}
+		return mem, nil
+	}
+	fb, err := store.NewFile(*dataDir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for s := 0; s < *servers; s++ {
+		if err := fb.AddVolume(s, 0, uint64(*volumeMB)<<20); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return fb, fb
+}
+
+// storeOptions maps the flags onto core.Options. The appliance always
+// tracks latency: its stats line and /metrics report it.
+func storeOptions() core.Options {
 	nShards := *shards
 	if nShards == 0 {
 		nShards = core.DefaultShards()
@@ -166,7 +248,7 @@ func main() {
 	opts := core.Options{
 		CacheBytes:   *cacheMB << 20,
 		WriteBack:    *writeBack,
-		TrackLatency: *trackLat,
+		TrackLatency: true,
 		Shards:       nShards,
 		Policy:       *policy,
 		TraceSample:  *traceSample,
@@ -187,179 +269,81 @@ func main() {
 	default:
 		log.Fatalf("unknown variant %q", *variant)
 	}
-	st, err := core.Open(backend, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *snapshot != "" {
-		switch loaded, err := loadSnapshot(st, *snapshot); {
-		case err != nil:
-			log.Printf("snapshot load failed (starting cold): %v", err)
-		case loaded:
-			log.Printf("warm start: %d blocks restored", st.Stats().CachedBlocks)
-		}
-	}
-
-	srv := appliance.NewServerWith(st, srvOpts)
-
-	if *metricsAddr != "" {
-		obs := appliance.NewObservability(st)
-		obs.AttachServer(srv)
-		if res != nil {
-			obs.AttachResilience(res)
-		}
-		go func() {
-			log.Printf("observability listening on %s (/metrics, /statusz, /debug/ops)", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, obs.Handler()); err != nil {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(*listen) }()
-	log.Printf("%s serving on %s (cache %d MiB, policy %s, %d shards, %d servers × %d MiB, write-back=%v)",
-		st.Variant(), *listen, *cacheMB, st.Policy(), st.Shards(), *servers, *volumeMB, *writeBack)
-
-	if *statsEach > 0 {
-		go func() {
-			for range time.Tick(*statsEach) {
-				s := st.Stats()
-				line := fmt.Sprintf("stats: accesses=%d hit=%.1f%% cached=%d/%d dirty=%d allocW=%d epochs=%d coalesced=%d",
-					s.Reads+s.Writes, 100*s.HitRatio(), s.CachedBlocks, s.CapacityBlocks,
-					s.DirtyBlocks, s.AllocWrites, s.Epochs, s.CoalescedReads)
-				if s.SelectOverflow > 0 {
-					line += fmt.Sprintf(" selOverflow=%d", s.SelectOverflow)
-				}
-				if s.FlushErrors > 0 || s.RotateFailures > 0 || s.ResetFailures > 0 {
-					line += fmt.Sprintf(" flushErr=%d rotateFail=%d resetFail=%d",
-						s.FlushErrors, s.RotateFailures, s.ResetFailures)
-				}
-				if s.Tenants > 0 {
-					line += fmt.Sprintf(" tenants=%d", s.Tenants)
-					if s.QuotaDenials > 0 || s.ThrottleDenials > 0 || s.TenantClips > 0 {
-						line += fmt.Sprintf(" quotaDeny=%d throttleDeny=%d tenantClips=%d",
-							s.QuotaDenials, s.ThrottleDenials, s.TenantClips)
-					}
-				}
-				if s.SpillDisables > 0 {
-					line += fmt.Sprintf(" spillDisables=%d", s.SpillDisables)
-				}
-				if res != nil {
-					r := res.Stats()
-					line += fmt.Sprintf(" retries=%d timeouts=%d breakerOpen=%d breakerTrips=%d fastFails=%d",
-						r.Retries, r.Timeouts, r.OpenDevices, r.BreakerTrips, r.BreakerFastFails)
-				}
-				if n := srv.BusyRejects(); n > 0 {
-					line += fmt.Sprintf(" busyRejects=%d", n)
-				}
-				if *trackLat {
-					line += fmt.Sprintf(" rdLat=%v/%v wrLat=%v/%v",
-						s.ReadLatency.Mean().Round(time.Microsecond), time.Duration(s.ReadLatency.MaxNanos).Round(time.Microsecond),
-						s.WriteLatency.Mean().Round(time.Microsecond), time.Duration(s.WriteLatency.MaxNanos).Round(time.Microsecond))
-				}
-				log.Print(line)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-done:
-		log.Fatalf("serve: %v", err)
-	case s := <-sig:
-		log.Printf("received %v, shutting down", s)
-	}
-
-	if err := srv.Close(); err != nil {
-		log.Printf("server close: %v", err)
-	}
-	if *snapshot != "" {
-		if err := writeSnapshot(st, *snapshot); err != nil {
-			log.Printf("snapshot save failed: %v", err)
-		} else {
-			log.Printf("snapshot saved to %s", *snapshot)
-		}
-	}
-	if err := st.Close(); err != nil {
-		log.Printf("store close: %v", err)
-	}
-	if files != nil {
-		if err := files.Close(); err != nil {
-			log.Printf("backend close: %v", err)
-		}
-	}
+	return opts
 }
 
-type gatewayConfig struct {
-	listen      string
-	metricsAddr string
-	statsEach   time.Duration
-	srvOpts     appliance.ServerOptions
-	cluster     cluster.Config
+// storeStatsLine is store mode's -stats line: the cache's counters, the
+// fault-tolerant backend's when it runs, and the server's busy rejects.
+func storeStatsLine(st *core.Store, res *resilience.Resilient, srv *appliance.Server) string {
+	s := st.Stats()
+	line := fmt.Sprintf("stats: accesses=%d hit=%.1f%% cached=%d/%d dirty=%d allocW=%d epochs=%d coalesced=%d",
+		s.Reads+s.Writes, 100*s.HitRatio(), s.CachedBlocks, s.CapacityBlocks,
+		s.DirtyBlocks, s.AllocWrites, s.Epochs, s.CoalescedReads)
+	if s.SelectOverflow > 0 {
+		line += fmt.Sprintf(" selOverflow=%d", s.SelectOverflow)
+	}
+	if s.FlushErrors > 0 || s.RotateFailures > 0 || s.ResetFailures > 0 {
+		line += fmt.Sprintf(" flushErr=%d rotateFail=%d resetFail=%d",
+			s.FlushErrors, s.RotateFailures, s.ResetFailures)
+	}
+	if s.Tenants > 0 {
+		line += fmt.Sprintf(" tenants=%d", s.Tenants)
+		if s.QuotaDenials > 0 || s.ThrottleDenials > 0 || s.TenantClips > 0 {
+			line += fmt.Sprintf(" quotaDeny=%d throttleDeny=%d tenantClips=%d",
+				s.QuotaDenials, s.ThrottleDenials, s.TenantClips)
+		}
+	}
+	if s.SpillDisables > 0 {
+		line += fmt.Sprintf(" spillDisables=%d", s.SpillDisables)
+	}
+	if res != nil {
+		r := res.Stats()
+		line += fmt.Sprintf(" retries=%d timeouts=%d breakerOpen=%d breakerTrips=%d fastFails=%d",
+			r.Retries, r.Timeouts, r.OpenDevices, r.BreakerTrips, r.BreakerFastFails)
+	}
+	if n := srv.StatsSnapshot().BusyRejects; n > 0 {
+		line += fmt.Sprintf(" busyRejects=%d", n)
+	}
+	return line + fmt.Sprintf(" rdLat=%v/%v wrLat=%v/%v",
+		s.ReadLatency.Mean().Round(time.Microsecond), time.Duration(s.ReadLatency.MaxNanos).Round(time.Microsecond),
+		s.WriteLatency.Mean().Round(time.Microsecond), time.Duration(s.WriteLatency.MaxNanos).Round(time.Microsecond))
 }
 
-// runGateway fronts a replicated ring of appliance nodes with the same
+// gatewayMode fronts a replicated ring of appliance nodes with the same
 // wire protocol a single appliance speaks: ensemble servers connect to
 // the gateway, which routes, replicates, and fails over per block.
-func runGateway(cfg gatewayConfig) {
-	cl, err := cluster.New(cfg.cluster)
+func gatewayMode() mode {
+	cfg := cluster.Config{
+		Nodes:           strings.Split(*clusterPeers, ","),
+		Replicas:        *clusterReplicas,
+		WriteQuorum:     *clusterQuorum,
+		WriteBack:       *clusterWriteBack,
+		PlacementBlocks: *clusterPlacement,
+		HandoffMax:      *clusterHandoffMax,
+		ProbeEvery:      *clusterProbeEvery,
+		Dial:            appliance.DialOptions{Timeout: *clusterDialTimeout},
+	}
+	cl, err := cluster.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := appliance.NewServerWith(cl, cfg.srvOpts)
-
-	if cfg.metricsAddr != "" {
-		go func() {
-			log.Printf("cluster observability listening on %s (/metrics, /statusz)", cfg.metricsAddr)
-			if err := http.ListenAndServe(cfg.metricsAddr, cl.Handler()); err != nil {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(cfg.listen) }()
-	log.Printf("cluster gateway serving on %s (%d nodes, R=%d W=%d write-back=%v)",
-		cfg.listen, len(cfg.cluster.Nodes), cfg.cluster.Replicas, cfg.cluster.WriteQuorum, cfg.cluster.WriteBack)
-
-	if cfg.statsEach > 0 {
-		go func() {
-			for range time.Tick(cfg.statsEach) {
-				s := cl.ClusterStats()
-				up := 0
-				for _, n := range s.Nodes {
-					if n.State == "up" {
-						up++
-					}
-				}
-				log.Printf("cluster: nodes=%d/%d reads=%d writes=%d fallthrough=%d hinted=%d drained=%d rebalanced=%d underRepl=%d hints=%d quorumFail=%d",
-					up, s.RingSize, s.Reads, s.Writes, s.Fallthroughs, s.Hinted, s.Drained,
-					s.Rebalanced, s.UnderReplicated, s.HintDepth, s.QuorumFailures)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-done:
-		log.Fatalf("serve: %v", err)
-	case s := <-sig:
-		log.Printf("received %v, shutting down", s)
-	}
-	if err := srv.Close(); err != nil {
-		log.Printf("server close: %v", err)
-	}
-	// Settle the ring before dropping connections: deliver pending hints
-	// and push dirty replicas down to the ensemble.
-	if err := cl.Flush(); err != nil {
-		log.Printf("cluster flush: %v", err)
-	}
-	if err := cl.Close(); err != nil {
-		log.Printf("cluster close: %v", err)
+	return mode{
+		store: cl,
+		banner: fmt.Sprintf("cluster gateway serving on %s (%d nodes, R=%d W=%d write-back=%v)",
+			*listen, len(cfg.Nodes), cfg.Replicas, cfg.WriteQuorum, cfg.WriteBack),
+		handler: func(*appliance.Server) http.Handler { return cl.Handler() },
+		stats: func(*appliance.Server) string {
+			s := cl.ClusterStats()
+			return fmt.Sprintf("cluster: nodes=%d/%d reads=%d writes=%d fallthrough=%d hinted=%d drained=%d rebalanced=%d underRepl=%d hints=%d quorumFail=%d",
+				s.NodesUp(), s.RingSize, s.Reads, s.Writes, s.Fallthroughs, s.Hinted, s.Drained,
+				s.Rebalanced, s.UnderReplicated, s.HintDepth, s.QuorumFailures)
+		},
+		shutdown: func() {
+			// Settle the ring before dropping connections: deliver pending
+			// hints and push dirty replicas down to the ensemble.
+			logErr("cluster flush", cl.Flush())
+			logErr("cluster close", cl.Close())
+		},
 	}
 }
 
@@ -381,21 +365,33 @@ func loadSnapshot(st *core.Store, path string) (loaded bool, err error) {
 	return true, nil
 }
 
-// writeSnapshot saves atomically via a temp file + rename.
+// writeSnapshot saves atomically: it writes and syncs a temp file, renames
+// it over path, and syncs the directory, so a crash leaves either the old
+// snapshot or the whole new one. On failure the temp file is removed and
+// path is untouched.
 func writeSnapshot(st *core.Store, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := st.SaveSnapshot(f); err != nil {
-		f.Close()
+	if err = st.SaveSnapshot(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }

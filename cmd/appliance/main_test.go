@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -68,5 +71,40 @@ func TestLoadSnapshotOpenErrors(t *testing.T) {
 	}
 	if !warm.Contains(0, 0, 0) {
 		t.Fatal("snapshot block not restored")
+	}
+}
+
+// TestWriteSnapshotFailureKeepsPrevious: a save that fails part-way — here
+// SaveSnapshot on a closed store — leaves the previous snapshot
+// byte-identical and no temp file behind.
+func TestWriteSnapshotFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "sieve.snap")
+	st := openTestStore(t)
+	buf := make([]byte, block.Size)
+	for i := 0; i < 2; i++ {
+		if err := st.ReadAt(0, 0, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := writeSnapshot(st, snap); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeSnapshot(st, snap); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("save from a closed store: err = %v, want core.ErrClosed", err)
+	}
+	if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, prev) {
+		t.Fatalf("previous snapshot changed by a failed save (err %v)", err)
+	}
+	if _, err := os.Stat(snap + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("temp file left behind: %v", err)
 	}
 }

@@ -141,23 +141,17 @@ func decodePreamble(buf []byte) (preamble, error) {
 // ServerOptions hardens a Server against misbehaving peers and overload.
 // The zero value imposes nothing (the historical behavior).
 type ServerOptions struct {
-	// IdleTimeout bounds how long a connection may sit between requests
-	// before it is closed (0 = forever). A dead peer otherwise pins a
-	// handler goroutine and a connection slot indefinitely.
+	// IdleTimeout bounds every wait on the peer (0 = forever): the HELLO
+	// exchange, the next header while nothing is in flight, the rest of a
+	// frame once its header has arrived, and each response flush. A dead or
+	// stalled peer otherwise pins a handler goroutine and a connection slot
+	// indefinitely. Time spent in the store is not bounded: it is not the
+	// peer's fault, and the backend has its own deadline.
 	IdleTimeout time.Duration
-	// IOTimeout bounds each request's remaining wire I/O — payload read,
-	// store processing, and response flush — once its header has arrived
-	// (0 = unbounded). Size it for the slowest expected backend op, not
-	// just the wire.
-	IOTimeout time.Duration
 	// MaxConns caps concurrently served connections (0 = unlimited).
 	// Connections beyond the cap receive an ErrServerBusy error frame and
 	// are closed, so a well-behaved client fails fast instead of queueing.
 	MaxConns int
-	// MaxPipeline caps how many pipelined requests one connection may have
-	// in flight server-side; past the cap the connection's reader stops
-	// pulling frames until a response completes (0 = a default of 32).
-	MaxPipeline int
 }
 
 // BlockStore is the storage surface a Server serves over the wire. A
@@ -210,14 +204,6 @@ func NewServerWith(st BlockStore, opts ServerOptions) *Server {
 	return &Server{store: st, opts: opts, conns: make(map[net.Conn]bool)}
 }
 
-// BusyRejects returns how many connections were turned away at the
-// MaxConns limit.
-func (s *Server) BusyRejects() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.busyRejects
-}
-
 // ServerStats is a snapshot of a Server's connection and request
 // counters, exported by the observability layer.
 type ServerStats struct {
@@ -250,11 +236,17 @@ func (s *Server) StatsSnapshot() ServerStats {
 	}
 }
 
-// sendReject is writeErr with the server's error-frame counter attached:
-// the untagged reply that turns a connection away before serveConn.
-func (s *Server) sendReject(bw *bufio.Writer, err error) bool {
+// sendReject flushes the untagged error reply that turns a connection
+// away before serveConn, counted as an error frame.
+func (s *Server) sendReject(bw *bufio.Writer, err error) {
 	s.errorFrames.Add(1)
-	return writeErr(bw, err)
+	msg := truncateErrMsg(err.Error(), maxErrMsg)
+	bw.WriteByte(statusErr)
+	var lenBuf [2]byte
+	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
+	bw.Write(lenBuf[:])
+	bw.WriteString(msg)
+	bw.Flush()
 }
 
 // Serve accepts connections on l until Close is called. It always returns a
@@ -363,14 +355,12 @@ func (s *Server) handshake(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, connBufSize)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	if s.opts.IdleTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		// One bound over the whole HELLO exchange, reply included.
+		conn.SetDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
 	var hdr [preambleSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return // EOF, idle timeout, or broken connection
-	}
-	if s.opts.IOTimeout > 0 {
-		conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
 	}
 	s.requests.Add(1)
 	h, err := decodePreamble(hdr[:])
@@ -391,17 +381,6 @@ func (s *Server) handshake(conn net.Conn) {
 		return
 	}
 	s.serveConn(conn, br, bw)
-}
-
-// writeErr stages an error frame and flushes it in one write.
-func writeErr(bw *bufio.Writer, err error) bool {
-	msg := truncateErrMsg(err.Error(), maxErrMsg)
-	bw.WriteByte(statusErr)
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	bw.Write(lenBuf[:])
-	bw.WriteString(msg)
-	return bw.Flush() == nil
 }
 
 // truncateErrMsg caps msg at max bytes without splitting a UTF-8 rune:

@@ -36,13 +36,9 @@ type Observability struct {
 
 	store *core.Store
 	start time.Time
-	now   func() time.Time
 
-	mu      sync.RWMutex
-	stats   core.Stats
-	sieve   sieve.CStats
-	spill   sieved.LoggerStats
-	tenants []tenant.Snapshot
+	mu   sync.RWMutex
+	last scrape
 
 	// Tenants appear dynamically as I/O arrives, so their per-tenant
 	// series are registered lazily from refresh (the registry has no
@@ -57,19 +53,75 @@ func NewObservability(st *core.Store) *Observability {
 		Registry:   metrics.NewRegistry(),
 		store:      st,
 		start:      time.Now(),
-		now:        time.Now,
 		tenantSeen: make(map[tenant.ID]bool),
 	}
 	r := o.Registry
 	r.OnCollect(o.refresh)
 	r.Uptime("sievestore.uptime_seconds", o.start, nil)
-	r.Gauge("sievestore.core.shards", func() float64 { return float64(st.Shards()) })
+	o.registerCore()
 
+	// The active eviction policy, info-style: one series per policy a
+	// store runs (cache.NewPolicy), 1 on the active one, and the eviction
+	// counter attributed to it (the registry has no labels, so the policy
+	// name lives in the metric name — sievestore_core_policy_evictions_sieve
+	// etc.).
+	active := st.Policy()
+	for _, flag := range []string{"lru", "sieve"} {
+		isActive := strings.EqualFold(flag, active)
+		r.Gauge("sievestore.core.policy."+flag, func() float64 {
+			if isActive {
+				return 1
+			}
+			return 0
+		})
+		r.Counter("sievestore.core.policy_evictions."+flag, func() int64 {
+			if !isActive {
+				return 0
+			}
+			return o.scraped().stats.Evictions
+		})
+	}
+
+	sc := func(name string, f func(sieve.CStats) int64) {
+		r.Counter("sievestore.sieve."+name, func() int64 { return f(o.scraped().sieve) })
+	}
+	sc("misses", func(s sieve.CStats) int64 { return s.Misses })
+	sc("promotions", func(s sieve.CStats) int64 { return s.Promotions })
+	sc("allocations", func(s sieve.CStats) int64 { return s.Allocations })
+	sc("pruned", func(s sieve.CStats) int64 { return s.Pruned })
+	r.Gauge("sievestore.sieve.mct_size", func() float64 { return float64(o.scraped().sieve.MCTSize) })
+
+	if _, ok := st.SpillStats(); ok {
+		sg := func(name string, f func(sieved.LoggerStats) float64) {
+			r.Gauge("sievestore.sieved."+name, func() float64 { return f(o.scraped().spill) })
+		}
+		sg("partitions", func(s sieved.LoggerStats) float64 { return float64(s.Partitions) })
+		sg("tuples", func(s sieved.LoggerStats) float64 { return float64(s.Tuples) })
+		sg("max_partition_tuples", func(s sieved.LoggerStats) float64 { return float64(s.MaxPartitionTuples) })
+		sg("pending_epochs", func(s sieved.LoggerStats) float64 { return float64(s.PendingEpochs) })
+	}
+	return o
+}
+
+// registerCore publishes the store's merged counters, gauges and latency
+// histograms under sievestore.core.*; the counters and gauges read the
+// scrape's core.Stats snapshot.
+func (o *Observability) registerCore() {
+	r, st := o.Registry, o.store
+	r.Gauge("sievestore.core.shards", func() float64 { return float64(st.Shards()) })
+	r.Histogram("sievestore.core.read_latency", func() metrics.HistogramSnapshot {
+		rd, _ := st.LatencyHistograms()
+		return rd
+	})
+	r.Histogram("sievestore.core.write_latency", func() metrics.HistogramSnapshot {
+		_, wr := st.LatencyHistograms()
+		return wr
+	})
 	c := func(name string, f func(core.Stats) int64) {
-		r.Counter("sievestore.core."+name, func() int64 { return f(o.coreStats()) })
+		r.Counter("sievestore.core."+name, func() int64 { return f(o.scraped().stats) })
 	}
 	g := func(name string, f func(core.Stats) float64) {
-		r.Gauge("sievestore.core."+name, func() float64 { return f(o.coreStats()) })
+		r.Gauge("sievestore.core."+name, func() float64 { return f(o.scraped().stats) })
 	}
 	c("reads", func(s core.Stats) int64 { return s.Reads })
 	c("writes", func(s core.Stats) int64 { return s.Writes })
@@ -101,46 +153,6 @@ func NewObservability(st *core.Store) *Observability {
 	g("capacity_blocks", func(s core.Stats) float64 { return float64(s.CapacityBlocks) })
 	g("dirty_blocks", func(s core.Stats) float64 { return float64(s.DirtyBlocks) })
 	g("hit_ratio", func(s core.Stats) float64 { return s.HitRatio() })
-
-	// The active eviction policy, info-style: one series per policy a
-	// store runs (cache.NewPolicy), 1 on the active one, and the eviction counter attributed to
-	// it (the registry has no labels, so the policy name lives in the
-	// metric name — sievestore_core_policy_evictions_sieve etc.).
-	active := st.Policy()
-	for _, flag := range []string{"lru", "sieve"} {
-		isActive := strings.EqualFold(flag, active)
-		r.Gauge("sievestore.core.policy."+flag, func() float64 {
-			if isActive {
-				return 1
-			}
-			return 0
-		})
-		r.Counter("sievestore.core.policy_evictions."+flag, func() int64 {
-			if !isActive {
-				return 0
-			}
-			return o.coreStats().Evictions
-		})
-	}
-
-	r.Histogram("sievestore.core.read_latency", func() metrics.HistogramSnapshot {
-		rd, _ := st.LatencyHistograms()
-		return rd
-	})
-	r.Histogram("sievestore.core.write_latency", func() metrics.HistogramSnapshot {
-		_, wr := st.LatencyHistograms()
-		return wr
-	})
-
-	sc := func(name string, f func(sieve.CStats) int64) {
-		r.Counter("sievestore.sieve."+name, func() int64 { return f(o.sieveStats()) })
-	}
-	sc("misses", func(s sieve.CStats) int64 { return s.Misses })
-	sc("promotions", func(s sieve.CStats) int64 { return s.Promotions })
-	sc("allocations", func(s sieve.CStats) int64 { return s.Allocations })
-	sc("pruned", func(s sieve.CStats) int64 { return s.Pruned })
-	r.Gauge("sievestore.sieve.mct_size", func() float64 { return float64(o.sieveStats().MCTSize) })
-
 	if _, ok := st.TenantStats(); ok {
 		c("tenants", func(s core.Stats) int64 { return s.Tenants })
 		c("quota_denials", func(s core.Stats) int64 { return s.QuotaDenials })
@@ -148,30 +160,33 @@ func NewObservability(st *core.Store) *Observability {
 		c("tenant_clips", func(s core.Stats) int64 { return s.TenantClips })
 		c("tenant_repartitions", func(s core.Stats) int64 { return s.TenantRepartitions })
 	}
+}
 
-	if _, ok := st.SpillStats(); ok {
-		sg := func(name string, f func(sieved.LoggerStats) float64) {
-			r.Gauge("sievestore.sieved."+name, func() float64 { return f(o.spillStats()) })
-		}
-		sg("partitions", func(s sieved.LoggerStats) float64 { return float64(s.Partitions) })
-		sg("tuples", func(s sieved.LoggerStats) float64 { return float64(s.Tuples) })
-		sg("max_partition_tuples", func(s sieved.LoggerStats) float64 { return float64(s.MaxPartitionTuples) })
-		sg("pending_epochs", func(s sieved.LoggerStats) float64 { return float64(s.PendingEpochs) })
-	}
-	return o
+// scrape is one collection's snapshot of the store, which every metric
+// of that collection reads.
+type scrape struct {
+	stats   core.Stats
+	sieve   sieve.CStats
+	spill   sieved.LoggerStats
+	tenants []tenant.Snapshot
+}
+
+// scraped returns the current collection's snapshot.
+func (o *Observability) scraped() scrape {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.last
 }
 
 // refresh snapshots the store once per collection.
 func (o *Observability) refresh() {
-	st := o.store.Stats()
-	sv := o.store.SieveStats()
-	sp, _ := o.store.SpillStats()
-	tn, _ := o.store.TenantStats()
+	sc := scrape{stats: o.store.Stats(), sieve: o.store.SieveStats()}
+	sc.spill, _ = o.store.SpillStats()
+	sc.tenants, _ = o.store.TenantStats()
 	o.mu.Lock()
-	o.stats, o.sieve, o.spill = st, sv, sp
-	o.tenants = tn
+	o.last = sc
 	var fresh []tenant.Snapshot
-	for _, t := range tn {
+	for _, t := range sc.tenants {
 		if !o.tenantSeen[t.ID] {
 			o.tenantSeen[t.ID] = true
 			fresh = append(fresh, t)
@@ -217,32 +232,12 @@ func (o *Observability) registerTenant(id tenant.ID) {
 // if the tenant vanished from the snapshot, which cannot happen today —
 // tenants are never forgotten).
 func (o *Observability) tenantSnapFor(id tenant.ID) tenant.Snapshot {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for _, t := range o.tenants {
+	for _, t := range o.scraped().tenants {
 		if t.ID == id {
 			return t
 		}
 	}
 	return tenant.Snapshot{}
-}
-
-func (o *Observability) coreStats() core.Stats {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.stats
-}
-
-func (o *Observability) sieveStats() sieve.CStats {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.sieve
-}
-
-func (o *Observability) spillStats() sieved.LoggerStats {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.spill
 }
 
 // AttachServer registers the appliance server's connection/request
@@ -261,8 +256,7 @@ func (o *Observability) AttachServer(srv *Server) {
 // AttachResilience registers the fault-tolerant backend wrapper's
 // retry/breaker counters.
 func (o *Observability) AttachResilience(res *resilience.Resilient) {
-	r := o.Registry
-	snap := func() resilience.Snapshot { return res.Stats() }
+	r, snap := o.Registry, res.Stats
 	r.Counter("sievestore.resilience.retries", func() int64 { return snap().Retries })
 	r.Counter("sievestore.resilience.timeouts", func() int64 { return snap().Timeouts })
 	r.Counter("sievestore.resilience.breaker_fast_fails", func() int64 { return snap().BreakerFastFails })
@@ -283,39 +277,52 @@ func (o *Observability) AttachResilience(res *resilience.Resilient) {
 // /debug/ops. Mount it on any listener (cmd/appliance's -metrics flag
 // serves exactly this).
 func (o *Observability) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		o.Registry.WritePrometheus(w)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	mux := MetricsMux(o.Registry, func() map[string]any {
 		body := map[string]any{
 			"variant":        o.store.Variant().String(),
 			"policy":         o.store.Policy(),
 			"shards":         o.store.Shards(),
-			"uptime_seconds": o.now().Sub(o.start).Seconds(),
-			"metrics":        o.Registry.JSONStatus(),
+			"uptime_seconds": time.Since(o.start).Seconds(),
 		}
 		// The per-tenant QoS table, when tenant tracking is on: quotas,
 		// occupancy, hit ratios, and endurance state per (server, volume).
 		if tn, ok := o.store.TenantStats(); ok {
 			body["tenants"] = tn
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body)
+		return body
 	})
 	mux.HandleFunc("/debug/ops", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		traces := o.store.Traces()
-		body := map[string]any{
+		writeJSON(w, map[string]any{
 			"sampled": traces != nil,
 			"ops":     traces,
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body)
+		})
 	})
 	return mux
+}
+
+// MetricsMux serves reg on /metrics as Prometheus text, and on /statusz
+// as indented JSON: the fields status returns, plus reg's JSON status
+// under "metrics". Both the appliance (Observability.Handler) and the
+// cluster gateway build their endpoints with it.
+func MetricsMux(reg *metrics.Registry, status func() map[string]any) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
+		body := status()
+		body["metrics"] = reg.JSONStatus()
+		writeJSON(w, body)
+	})
+	return mux
+}
+
+// writeJSON writes body as indented JSON.
+func writeJSON(w http.ResponseWriter, body any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(body)
 }

@@ -208,16 +208,34 @@ func drainedDepth(srv *Server) int64 {
 	}
 }
 
-// The server must bound in-flight requests per connection at MaxPipeline.
+// The server must bound in-flight requests per connection at
+// defaultMaxPipeline: past it the reader waits, so the depth gauge (which
+// counts that waiting request too) never exceeds the bound by more than
+// one.
 func TestPipelineDepthBounded(t *testing.T) {
-	srv, addr := startServerWith(t, ServerOptions{MaxPipeline: 2})
+	srv, addr := startServerWith(t, ServerOptions{})
 	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	stop := make(chan struct{})
+	maxDepth := make(chan int64)
+	go func() {
+		var m int64
+		for {
+			select {
+			case <-stop:
+				maxDepth <- m
+				return
+			default:
+			}
+			m = max(m, srv.StatsSnapshot().PipelineDepth)
+			runtime.Gosched()
+		}
+	}()
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 2*defaultMaxPipeline; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -231,6 +249,10 @@ func TestPipelineDepthBounded(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	if m := <-maxDepth; m > defaultMaxPipeline+1 {
+		t.Errorf("PipelineDepth peaked at %d, over the %d bound plus the waiting reader", m, defaultMaxPipeline)
+	}
 	if d := drainedDepth(srv); d != 0 {
 		t.Errorf("PipelineDepth = %d after drain, want 0", d)
 	}

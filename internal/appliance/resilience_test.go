@@ -17,6 +17,13 @@ import (
 // and its address so tests can dial with their own DialOptions.
 func startServerWith(t *testing.T, opts ServerOptions) (*Server, string) {
 	t.Helper()
+	return startWrappedServer(t, opts, func(st BlockStore) BlockStore { return st })
+}
+
+// startWrappedServer is startServerWith serving wrap(store) in place of
+// the store.
+func startWrappedServer(t *testing.T, opts ServerOptions, wrap func(BlockStore) BlockStore) (*Server, string) {
+	t.Helper()
 	be := store.NewMem()
 	be.AddVolume(0, 0, 1<<24)
 	st, err := core.Open(be, core.Options{
@@ -26,7 +33,7 @@ func startServerWith(t *testing.T, opts ServerOptions) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(st, opts)
+	srv := NewServerWith(wrap(st), opts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +154,7 @@ func TestServerMaxConnsRejectsWithBusy(t *testing.T) {
 	if err := c2.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("over-cap client err = %v, want ErrServerBusy", err)
 	}
-	if srv.BusyRejects() == 0 {
+	if srv.StatsSnapshot().BusyRejects == 0 {
 		t.Fatal("BusyRejects did not count the rejection")
 	}
 
@@ -200,57 +207,71 @@ func TestServerIdleTimeoutDropsDeadPeer(t *testing.T) {
 	}
 }
 
-// Regression: the per-request I/O deadline was never cleared once the
-// pipeline drained, so with IOTimeout set a connection that sat quiet
-// longer than IOTimeout was closed under a healthy client.
-func TestIOTimeoutDoesNotCloseIdleConnection(t *testing.T) {
-	const ioTimeout = 50 * time.Millisecond
-	_, addr := startServerWith(t, ServerOptions{IOTimeout: ioTimeout})
-	c, err := DialWith(addr, DialOptions{})
+// A peer that stalls mid-frame is dropped: the idle bound covers the rest
+// of a frame once its header has arrived, not only the wait for the next
+// header.
+func TestIdleTimeoutDropsPeerStalledMidFrame(t *testing.T) {
+	const idle = 50 * time.Millisecond
+	srv, addr := startServerWith(t, ServerOptions{IdleTimeout: idle})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	buf := make([]byte, 512)
-	if err := c.ReadAt(0, 0, buf, 0); err != nil {
+	defer conn.Close()
+	rawHandshake(t, conn)
+	// A 4 KiB write's header and its first 100 bytes, then silence.
+	var frame [headerSize + 100]byte
+	(&header{op: OpWrite, tag: 1, length: 4096}).encode(frame[:])
+	if _, err := conn.Write(frame[:]); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(4 * ioTimeout)
-	if err := c.ReadAt(0, 0, buf, 0); err != nil {
-		t.Fatalf("read after idling 4×IOTimeout: %v", err)
+	deadline := time.Now().Add(10 * idle)
+	for {
+		n := srv.StatsSnapshot().ActiveConns
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("peer stalled mid-payload still holds %d connection(s) after 10x IdleTimeout", n)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// With both timeouts set, a quiet connection outlives the I/O bound and is
-// closed by the idle bound.
-func TestIdleTimeoutNotIOTimeoutClosesSilentPeer(t *testing.T) {
-	const (
-		ioTimeout   = 50 * time.Millisecond
-		idleTimeout = 600 * time.Millisecond
-	)
-	srv, addr := startServerWith(t, ServerOptions{IOTimeout: ioTimeout, IdleTimeout: idleTimeout})
+// slowWrites is a store whose every write takes d.
+type slowWrites struct {
+	BlockStore
+	d time.Duration
+}
+
+func (s slowWrites) WriteAt(server, volume int, p []byte, off uint64) error {
+	time.Sleep(s.d)
+	return s.BlockStore.WriteAt(server, volume, p, off)
+}
+
+// Regression: a frame's deadline left armed after the pipeline drained
+// closed a healthy connection that had sat quiet for less than the bound.
+// The idle bound runs from when the pipeline drains, and a request's time
+// in the store does not count against it: here a write takes 1.5×
+// IdleTimeout in the store, and the next request follows its response
+// within a quarter of the bound.
+func TestIOTimeoutDoesNotCloseIdleConnection(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	_, addr := startWrappedServer(t, ServerOptions{IdleTimeout: idle}, func(st BlockStore) BlockStore {
+		return slowWrites{st, 3 * idle / 2}
+	})
 	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	buf := make([]byte, 512)
+	if err := c.WriteAt(0, 0, buf, 0); err != nil {
+		t.Fatalf("write slower than IdleTimeout: %v", err)
+	}
+	time.Sleep(idle / 4)
 	if err := c.ReadAt(0, 0, buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(4 * ioTimeout)
-	if err := c.ReadAt(0, 0, buf, 0); err != nil {
-		t.Fatalf("read after idling 4×IOTimeout, well inside IdleTimeout: %v", err)
-	}
-	quiet := time.Now()
-	for srv.StatsSnapshot().ActiveConns != 0 {
-		if time.Since(quiet) > 5*time.Second {
-			t.Fatal("silent connection was never dropped")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if el := time.Since(quiet); el < idleTimeout {
-		t.Fatalf("silent connection dropped after %v, before the %v idle bound", el, idleTimeout)
+		t.Fatalf("read %v after a slow write's response: %v", idle/4, err)
 	}
 }
 

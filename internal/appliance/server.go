@@ -1,7 +1,7 @@
 // Server side of the wire protocol: the pipelined connection loop. One
 // reader pulls tagged frames off the wire and dispatches each request to a
-// worker (bounded by ServerOptions.MaxPipeline); workers complete out of
-// order, staging responses under a per-connection write mutex.
+// worker (at most defaultMaxPipeline per connection); workers complete out
+// of order, staging responses under a per-connection write mutex.
 package appliance
 
 import (
@@ -26,30 +26,22 @@ import (
 // frame and keep the connection (any payload was fully consumed, so the
 // stream stays frame-aligned).
 func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
-	maxP := s.opts.MaxPipeline
-	if maxP <= 0 {
-		maxP = defaultMaxPipeline
-	}
 	var (
 		wmu      sync.Mutex // serializes response staging + flush
 		wg       sync.WaitGroup
-		sem      = make(chan struct{}, maxP)
+		sem      = make(chan struct{}, defaultMaxPipeline)
 		inflight atomic.Int64
 	)
 	// Drain workers before handshake's deferred conn.Close(): every
 	// accepted request gets its response bytes staged and flushed.
 	defer wg.Wait()
-	// quiesce sets the read deadline of a connection with nothing in
-	// flight: the idle bound if there is one, else none — the last
-	// request's I/O deadline must not fire on a peer that is merely quiet.
+	// quiesce arms the idle bound on a connection with nothing in flight.
 	// Best-effort between pipelined bursts: a worker that drains the
-	// pipeline can run this just after the reader armed the next request's
-	// deadline, which then waits on the idle bound instead.
+	// pipeline can run this just after the reader took the next request,
+	// whose time in the store then counts against the idle bound.
 	quiesce := func() {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		} else if s.opts.IOTimeout > 0 {
-			conn.SetReadDeadline(time.Time{})
 		}
 	}
 	hdr := make([]byte, headerSize)
@@ -72,20 +64,9 @@ func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 			s.sendErr(conn, bw, &wmu, tag, err)
 			return
 		}
-		if s.opts.IOTimeout > 0 {
-			// The deadline covers this request's remaining wire I/O.
-			// Pipelined responses re-arm it per arriving request.
-			conn.SetDeadline(time.Now().Add(s.opts.IOTimeout))
-		} else if s.opts.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Time{})
-		}
-		var payload []byte
-		if h.op == OpWrite {
-			payload = poolGet(int(h.length))
-			if _, err := io.ReadFull(br, payload); err != nil {
-				poolPut(payload)
-				return
-			}
+		payload, err := s.readPayload(conn, br, h)
+		if err != nil {
+			return
 		}
 		switch h.op {
 		case OpRead, OpWrite, OpStats, OpRotate, OpInvalidate, OpFlush:
@@ -116,6 +97,26 @@ func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 			return
 		}
 	}
+}
+
+// readPayload reads the rest of h's frame — an OpWrite payload, into a
+// pool buffer — within IdleTimeout of its header, since sending it is the
+// peer's part. It then clears the read deadline: while the request is in
+// flight, the store's time is not the peer's to bound.
+func (s *Server) readPayload(conn net.Conn, br *bufio.Reader, h header) ([]byte, error) {
+	if s.opts.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		defer conn.SetReadDeadline(time.Time{})
+	}
+	if h.op != OpWrite {
+		return nil, nil
+	}
+	payload := poolGet(int(h.length))
+	if _, err := io.ReadFull(br, payload); err != nil {
+		poolPut(payload)
+		return nil, err
+	}
+	return payload, nil
 }
 
 // handle executes one request and stages its response. payload is
@@ -182,11 +183,16 @@ func (s *Server) handle(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h head
 	}
 }
 
-// writeFrame stages one tagged response frame under the write mutex
-// and flushes it. A flush failure closes the connection (unblocking the
-// reader); the remaining workers' flushes then fail the same way.
+// writeFrame stages one tagged response frame under the write mutex and
+// flushes it, within IdleTimeout when one is set. A flush failure closes
+// the connection (unblocking the reader); the remaining workers' flushes
+// then fail the same way.
 func (s *Server) writeFrame(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, tag uint32, status byte, segs ...[]byte) {
 	wmu.Lock()
+	if s.opts.IdleTimeout > 0 {
+		// A peer that stops reading is as dead as one that stops sending.
+		conn.SetWriteDeadline(time.Now().Add(s.opts.IdleTimeout))
+	}
 	var head [respHeadSize]byte
 	respHead(head[:], tag, status)
 	bw.Write(head[:])

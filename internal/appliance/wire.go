@@ -49,7 +49,7 @@ const (
 
 	// defaultMaxPipeline is how many pipelined requests one connection may
 	// have in flight server-side before the reader stops pulling new
-	// frames (ServerOptions.MaxPipeline = 0).
+	// frames.
 	defaultMaxPipeline = 32
 )
 

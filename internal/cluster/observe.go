@@ -4,10 +4,10 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 
+	"repro/internal/appliance"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
 )
@@ -119,6 +119,17 @@ func (c *Client) ClusterStats() ClusterStats {
 	return st
 }
 
+// NodesUp counts the ring members in state up.
+func (s ClusterStats) NodesUp() int {
+	up := 0
+	for _, n := range s.Nodes {
+		if n.State == "up" {
+			up++
+		}
+	}
+	return up
+}
+
 // Register publishes the cluster counters into a metrics registry under
 // sievestore.cluster.* (rendered sievestore_cluster_* in Prometheus
 // exposition). Per-node series carry the node id in the name — the
@@ -147,15 +158,7 @@ func (c *Client) Register(r *metrics.Registry) {
 	gauge("dirty_keys", func(s ClusterStats) float64 { return float64(s.DirtyKeys) })
 	gauge("under_replicated", func(s ClusterStats) float64 { return float64(s.UnderReplicated) })
 	gauge("hint_depth", func(s ClusterStats) float64 { return float64(s.HintDepth) })
-	gauge("nodes_up", func(s ClusterStats) float64 {
-		up := 0
-		for _, n := range s.Nodes {
-			if n.State == "up" {
-				up++
-			}
-		}
-		return float64(up)
-	})
+	gauge("nodes_up", func(s ClusterStats) float64 { return float64(s.NodesUp()) })
 	for id := range c.nodes {
 		id := id
 		nodeSnap := func() NodeStatus {
@@ -202,20 +205,7 @@ func (c *Client) clusterSnap() ClusterStats {
 func (c *Client) Handler() http.Handler {
 	reg := metrics.NewRegistry()
 	c.Register(reg)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
+	return appliance.MetricsMux(reg, func() map[string]any {
+		return map[string]any{"cluster": c.ClusterStats()}
 	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		body := map[string]any{
-			"cluster": c.ClusterStats(),
-			"metrics": reg.JSONStatus(),
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(body)
-	})
-	return mux
 }

@@ -87,7 +87,9 @@ func runChaos(t *testing.T, variant Variant) {
 	const attemptTimeout = 25 * time.Millisecond
 	res := resilience.Wrap(faulty, resilience.Config{
 		Timeout: attemptTimeout,
-		Retry:   resilience.RetryPolicy{Max: 2, Base: time.Millisecond, Cap: 5 * time.Millisecond},
+		// A tenth of the production backoff (10 ms base): retried writes
+		// stay well inside attemptTimeout, so few are tainted as slow.
+		Retry:   resilience.RetryPolicy{Max: 2, Sleep: func(d time.Duration) { time.Sleep(d / 10) }},
 		Breaker: resilience.BreakerConfig{Threshold: 5, OpenFor: 20 * time.Millisecond},
 	})
 

@@ -420,7 +420,6 @@ func Open(backend Backend, opts Options) (*Store, error) {
 	if o.TenantTracking {
 		acct, err := tenant.New(tenant.Config{
 			CapacityBlocks:       o.CacheBytes / block.Size,
-			BlockBytes:           block.Size,
 			Quotas:               o.TenantQuotas,
 			EnduranceBytesPerDay: o.EnduranceBytesPerDay,
 			RepartitionEvery:     o.TenantRepartitionEvery,

@@ -9,18 +9,12 @@ import (
 
 // BreakerConfig tunes a circuit breaker.
 type BreakerConfig struct {
-	// Threshold trips the breaker when this many of the last Window
+	// Threshold trips the breaker when this many of the last 2×Threshold
 	// outcomes failed (default 5; < 0 disables the breaker).
 	Threshold int
-	// Window is how many recent outcomes are considered (default 2×
-	// Threshold).
-	Window int
-	// OpenFor is how long a tripped breaker fast-fails before letting a
+	// OpenFor is how long a tripped breaker fast-fails before letting one
 	// half-open probe through (default 1 s).
 	OpenFor time.Duration
-	// Probes is how many concurrent half-open probe requests are allowed
-	// (default 1).
-	Probes int
 	// Now is injectable for tests; nil means time.Now.
 	Now func() time.Time
 }
@@ -29,17 +23,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Threshold == 0 {
 		c.Threshold = 5
 	}
-	if c.Window <= 0 {
-		c.Window = 2 * c.Threshold
-	}
-	if c.Window < c.Threshold {
-		c.Window = c.Threshold
-	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = time.Second
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -51,14 +36,14 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 const (
 	stateClosed   = iota // normal operation, outcomes tracked in the window
 	stateOpen            // fast-failing; waiting out OpenFor
-	stateHalfOpen        // letting up to Probes requests test the device
+	stateHalfOpen        // letting one probe request test the device
 )
 
 // Breaker is one device's circuit breaker: closed while the device
-// behaves, open (fast-failing) after Threshold of the last Window
-// requests failed, half-open after OpenFor — a limited number of probes
-// go through, and their outcome closes or re-opens the circuit. It is
-// safe for concurrent use.
+// behaves, open (fast-failing) after Threshold of the last 2×Threshold
+// requests failed, half-open after OpenFor — one probe goes through, and
+// its outcome closes or re-opens the circuit. It is safe for concurrent
+// use.
 type Breaker struct {
 	cfg BreakerConfig
 
@@ -66,7 +51,7 @@ type Breaker struct {
 	state    int
 	window   *metrics.FailureWindow
 	openedAt time.Time
-	inProbe  int // outstanding half-open probes
+	probing  bool // a half-open probe is outstanding
 	trips    int64
 	trans    BreakerTransitions
 }
@@ -93,13 +78,13 @@ func (t *BreakerTransitions) add(o BreakerTransitions) {
 // NewBreaker returns a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, window: metrics.NewFailureWindow(cfg.Window)}
+	return &Breaker{cfg: cfg, window: metrics.NewFailureWindow(2 * cfg.Threshold)}
 }
 
 // Allow reports whether a request may proceed now: nil to proceed,
 // ErrCircuitOpen to fast-fail. Every allowed request MUST be matched by
-// exactly one Record call (the half-open probe budget is reserved here
-// and released there).
+// exactly one Record call (the half-open probe is reserved here and
+// released there).
 func (b *Breaker) Allow() error {
 	if b.cfg.Threshold < 0 {
 		return nil
@@ -114,14 +99,14 @@ func (b *Breaker) Allow() error {
 			return ErrCircuitOpen
 		}
 		b.state = stateHalfOpen
-		b.inProbe = 0
+		b.probing = false
 		b.trans.OpenHalfOpen++
 		fallthrough
 	default: // stateHalfOpen
-		if b.inProbe >= b.cfg.Probes {
+		if b.probing {
 			return ErrCircuitOpen
 		}
-		b.inProbe++
+		b.probing = true
 		return nil
 	}
 }
@@ -141,9 +126,7 @@ func (b *Breaker) Record(err error) {
 			b.trip()
 		}
 	case stateHalfOpen:
-		if b.inProbe > 0 {
-			b.inProbe--
-		}
+		b.probing = false
 		if failed {
 			b.trip()
 		} else {
@@ -167,7 +150,7 @@ func (b *Breaker) trip() {
 	b.state = stateOpen
 	b.openedAt = b.cfg.Now()
 	b.window.Reset()
-	b.inProbe = 0
+	b.probing = false
 	b.trips++
 }
 

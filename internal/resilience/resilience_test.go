@@ -169,7 +169,7 @@ func TestRetryTransientUntilSuccess(t *testing.T) {
 	flaky := MarkTransient(errors.New("blip"))
 	sb := &scriptBackend{script: []error{flaky, flaky, nil}}
 	var slept int
-	r := retryOnly(sb, RetryPolicy{Max: 3, Base: time.Millisecond, Sleep: func(time.Duration) { slept++ }})
+	r := retryOnly(sb, RetryPolicy{Max: 3, Sleep: func(time.Duration) { slept++ }})
 	err := r.WriteAt(0, 0, nil, 0)
 	if err != nil {
 		t.Fatalf("err = %v, want nil after retries", err)
@@ -182,7 +182,7 @@ func TestRetryTransientUntilSuccess(t *testing.T) {
 func TestRetryFailsFastOnPermanent(t *testing.T) {
 	perm := errors.New("volume does not exist")
 	sb := &scriptBackend{script: []error{perm, nil}}
-	r := retryOnly(sb, RetryPolicy{Max: 5, Base: time.Millisecond, Sleep: func(time.Duration) { t.Fatal("slept on a permanent error") }})
+	r := retryOnly(sb, RetryPolicy{Max: 5, Sleep: func(time.Duration) { t.Fatal("slept on a permanent error") }})
 	if err := r.WriteAt(0, 0, nil, 0); !errors.Is(err, perm) {
 		t.Fatalf("err = %v, want the permanent error", err)
 	}
@@ -194,7 +194,7 @@ func TestRetryFailsFastOnPermanent(t *testing.T) {
 func TestRetryBudgetExhausted(t *testing.T) {
 	flaky := MarkTransient(errors.New("blip"))
 	sb := &scriptBackend{script: []error{flaky, flaky, flaky, flaky, flaky}}
-	r := retryOnly(sb, RetryPolicy{Max: 2, Base: time.Millisecond, Sleep: func(time.Duration) {}})
+	r := retryOnly(sb, RetryPolicy{Max: 2, Sleep: func(time.Duration) {}})
 	if err := r.WriteAt(0, 0, nil, 0); !errors.Is(err, flaky) {
 		t.Fatalf("err = %v, want the transient error after budget", err)
 	}
@@ -206,7 +206,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 func TestBreakerTripHalfOpenClose(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	b := NewBreaker(BreakerConfig{Threshold: 3, Window: 4, OpenFor: time.Second, Now: clock})
+	b := NewBreaker(BreakerConfig{Threshold: 3, OpenFor: time.Second, Now: clock})
 
 	fail := errors.New("dead device")
 	// Three failures within the window trip it.
@@ -262,7 +262,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 }
 
 func TestBreakerToleratesIsolatedFailures(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Window: 6})
+	b := NewBreaker(BreakerConfig{Threshold: 3})
 	fail := MarkTransient(errors.New("blip"))
 	// Alternate failure/success: never 3 failures in the last 6.
 	for i := 0; i < 20; i++ {
@@ -273,6 +273,48 @@ func TestBreakerToleratesIsolatedFailures(t *testing.T) {
 			b.Record(fail)
 		} else {
 			b.Record(nil)
+		}
+	}
+}
+
+// TestBreakerWindowIsTwiceThreshold: the breaker trips on Threshold
+// failures within its last 2×Threshold outcomes, and not on Threshold
+// failures spread one outcome wider.
+func TestBreakerWindowIsTwiceThreshold(t *testing.T) {
+	fail := errors.New("dead device")
+	run := func(outcomes string) *Breaker {
+		b := NewBreaker(BreakerConfig{Threshold: 3})
+		for i, o := range outcomes {
+			if err := b.Allow(); err != nil {
+				t.Fatalf("%s: tripped before outcome %d", outcomes, i)
+			}
+			if o == 'F' {
+				b.Record(fail)
+			} else {
+				b.Record(nil)
+			}
+		}
+		return b
+	}
+	if b := run("FSSFSF"); b.Trips() != 1 {
+		t.Errorf("3 failures in 6 outcomes: trips = %d, want 1", b.Trips())
+	}
+	if b := run("FSSSSSFF"); b.Trips() != 0 {
+		t.Errorf("3 failures in 8 outcomes, 2 in the last 6: trips = %d, want 0", b.Trips())
+	}
+}
+
+// TestBackoffBounds: retry n waits in (0, min(1 s, 10 ms·2ⁿ)].
+func TestBackoffBounds(t *testing.T) {
+	for n := 0; n < 70; n++ {
+		limit := retryCap
+		if n < 7 {
+			limit = retryBase << n
+		}
+		for i := 0; i < 100; i++ {
+			if d := backoff(n); d <= 0 || d > limit {
+				t.Fatalf("backoff(%d) = %v, want in (0, %v]", n, d, limit)
+			}
 		}
 	}
 }
@@ -291,7 +333,7 @@ func TestWrapRetriesAndCountsTimeouts(t *testing.T) {
 	flaky := MarkTransient(errors.New("blip"))
 	sb := &scriptBackend{script: []error{flaky, nil}, data: 9}
 	r := Wrap(sb, Config{
-		Retry:   RetryPolicy{Max: 2, Base: time.Millisecond, Sleep: func(time.Duration) {}},
+		Retry:   RetryPolicy{Max: 2, Sleep: func(time.Duration) {}},
 		Breaker: BreakerConfig{Threshold: 5},
 	})
 	p := make([]byte, 4)
@@ -318,7 +360,7 @@ func TestWrapDeadDeviceFastFails(t *testing.T) {
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	r := Wrap(sb, Config{
-		Retry:   RetryPolicy{Max: 1, Base: time.Millisecond, Sleep: func(time.Duration) {}},
+		Retry:   RetryPolicy{Max: 1, Sleep: func(time.Duration) {}},
 		Breaker: BreakerConfig{Threshold: 4, OpenFor: time.Minute, Now: clock},
 	})
 	p := make([]byte, 4)
@@ -372,7 +414,7 @@ func TestWrapConcurrentSmoke(t *testing.T) {
 	sb := &scriptBackend{script: script}
 	r := Wrap(sb, Config{
 		Timeout: time.Second,
-		Retry:   RetryPolicy{Max: 2, Base: time.Microsecond},
+		Retry:   RetryPolicy{Max: 2},
 		Breaker: BreakerConfig{Threshold: 50},
 	})
 	var wg sync.WaitGroup

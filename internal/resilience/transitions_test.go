@@ -13,7 +13,7 @@ import (
 func TestBreakerTransitionCounters(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	b := NewBreaker(BreakerConfig{Threshold: 3, Window: 4, OpenFor: time.Second, Now: clock})
+	b := NewBreaker(BreakerConfig{Threshold: 3, OpenFor: time.Second, Now: clock})
 	fail := errors.New("dead device")
 
 	if tr := b.Transitions(); tr != (BreakerTransitions{}) {
@@ -85,7 +85,7 @@ func TestResilientStatsAggregatesTransitions(t *testing.T) {
 	})
 	r := Wrap(be, Config{
 		Retry:   RetryPolicy{Max: 0},
-		Breaker: BreakerConfig{Threshold: 2, Window: 4, OpenFor: time.Hour},
+		Breaker: BreakerConfig{Threshold: 2, OpenFor: time.Hour},
 	})
 	for dev := 0; dev < 2; dev++ {
 		for i := 0; i < 2; i++ {

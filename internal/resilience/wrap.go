@@ -45,7 +45,9 @@ type Resilient struct {
 // breaker, so a device failing mid-retry trips as fast as one failing
 // distinct requests.
 func Wrap(backend Backend, cfg Config) *Resilient {
-	cfg.Retry = cfg.Retry.withDefaults()
+	if cfg.Retry.Sleep == nil {
+		cfg.Retry.Sleep = time.Sleep
+	}
 	cfg.Breaker = cfg.Breaker.withDefaults()
 	return &Resilient{
 		inner:    WithDeadline(backend, cfg.Timeout),
@@ -93,7 +95,7 @@ func (r *Resilient) do(server, volume int, op func() error) error {
 			return err
 		}
 		r.retries.Add(1)
-		r.cfg.Retry.Sleep(r.cfg.Retry.backoff(attempt))
+		r.cfg.Retry.Sleep(backoff(attempt))
 	}
 }
 

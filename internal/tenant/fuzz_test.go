@@ -3,6 +3,8 @@ package tenant
 import (
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // FuzzTenantAccounting drives a byte-decoded op sequence through an
@@ -36,13 +38,12 @@ func FuzzTenantAccounting(f *testing.F) {
 		if len(data) > 0 {
 			quotas = data[0]&1 != 0
 			if data[0]&2 != 0 {
-				envelope = 24 * capacity * 512 // burst = capacity blocks
+				envelope = 24 * capacity * block.Size // burst = capacity blocks
 			}
 			data = data[1:]
 		}
 		a, err := New(Config{
 			CapacityBlocks:       capacity,
-			BlockBytes:           512,
 			Quotas:               quotas,
 			EnduranceBytesPerDay: envelope,
 		})

@@ -25,8 +25,8 @@
 //   - An endurance budget. Allocation-writes drain a per-tenant token
 //     bucket whose refill rate is the tenant's share of the configured
 //     drive-endurance envelope (bytes/day). A tenant running low is
-//     soft-throttled first (its sieve threshold is raised by
-//     ThrottlePenalty, so only hotter blocks admit); an empty bucket
+//     soft-throttled first (its sieve threshold is raised by two, so
+//     only hotter blocks admit); an empty bucket
 //     hard-denies admission until the envelope refills. Either way the
 //     sieve keeps counting the tenant's misses, so admission resumes
 //     instantly once the budget allows.
@@ -75,7 +75,7 @@ const (
 	// ThrottleNone: the tenant is within its endurance envelope.
 	ThrottleNone = 0
 	// ThrottleSoft: the bucket is running low; admission continues with
-	// the sieve threshold raised by Config.ThrottlePenalty.
+	// the sieve threshold raised by throttlePenalty.
 	ThrottleSoft = 1
 	// ThrottleHard: the bucket is empty; admission is denied until the
 	// envelope refills.
@@ -89,13 +89,21 @@ const (
 // hard-endurance denials.
 const DenyPenalty = 1 << 20
 
-// Config parameterizes an Accountant.
+// Soft-throttle and quota-floor constants.
+const (
+	// throttlePenalty is added to a soft-throttled tenant's sieve
+	// threshold.
+	throttlePenalty = 2
+	// floorDiv sets the guaranteed per-tenant quota floor to
+	// CapacityBlocks/(floorDiv×tenants): idle tenants keep that much, and
+	// hot tenants claim the rest.
+	floorDiv = 8
+)
+
+// Config parameterizes an Accountant. Blocks are block.Size bytes.
 type Config struct {
 	// CapacityBlocks is the cache capacity being partitioned (required).
 	CapacityBlocks int64
-	// BlockBytes is the cache block size (default block.Size); it converts
-	// allocation-writes into endurance-bucket bytes.
-	BlockBytes int64
 	// Quotas enables per-tenant soft capacity quotas and their
 	// repartitioning. Off, the Accountant only tracks.
 	Quotas bool
@@ -107,43 +115,16 @@ type Config struct {
 	// disables the timer (epoch-boundary repartitions still run when the
 	// caller forces them).
 	RepartitionEvery time.Duration
-	// ThrottlePenalty is added to a soft-throttled tenant's sieve
-	// threshold (default 2).
-	ThrottlePenalty int
-	// FloorDiv sets the guaranteed per-tenant quota floor to
-	// CapacityBlocks/(FloorDiv×tenants) (default 8). Smaller values
-	// guarantee idle tenants more; larger values let hot tenants claim
-	// more.
-	FloorDiv int64
 }
 
-func (c *Config) withDefaults() (Config, error) {
-	out := *c
-	if out.CapacityBlocks < 1 {
-		return out, fmt.Errorf("tenant: CapacityBlocks must be ≥1, got %d", out.CapacityBlocks)
+func (c *Config) validate() error {
+	if c.CapacityBlocks < 1 {
+		return fmt.Errorf("tenant: CapacityBlocks must be ≥1, got %d", c.CapacityBlocks)
 	}
-	if out.BlockBytes == 0 {
-		out.BlockBytes = block.Size
+	if c.EnduranceBytesPerDay < 0 {
+		return fmt.Errorf("tenant: EnduranceBytesPerDay must be ≥0, got %d", c.EnduranceBytesPerDay)
 	}
-	if out.BlockBytes < 1 {
-		return out, fmt.Errorf("tenant: BlockBytes must be ≥1, got %d", out.BlockBytes)
-	}
-	if out.EnduranceBytesPerDay < 0 {
-		return out, fmt.Errorf("tenant: EnduranceBytesPerDay must be ≥0, got %d", out.EnduranceBytesPerDay)
-	}
-	if out.ThrottlePenalty == 0 {
-		out.ThrottlePenalty = 2
-	}
-	if out.ThrottlePenalty < 0 {
-		return out, fmt.Errorf("tenant: ThrottlePenalty must be ≥0, got %d", out.ThrottlePenalty)
-	}
-	if out.FloorDiv == 0 {
-		out.FloorDiv = 8
-	}
-	if out.FloorDiv < 1 {
-		return out, fmt.Errorf("tenant: FloorDiv must be ≥1, got %d", out.FloorDiv)
-	}
-	return out, nil
+	return nil
 }
 
 // state is one tenant's accounting. Counters are atomics (bumped under
@@ -190,11 +171,10 @@ type Accountant struct {
 
 // New validates cfg and returns a ready Accountant.
 func New(cfg Config) (*Accountant, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Accountant{cfg: c, tenants: make(map[ID]*state)}, nil
+	return &Accountant{cfg: cfg, tenants: make(map[ID]*state)}, nil
 }
 
 // EnduranceEnabled reports whether the endurance budget is active.
@@ -230,7 +210,7 @@ func (a *Accountant) get(id ID) *state {
 // envelope (bounded below so tiny envelopes still admit a few blocks).
 func (a *Accountant) burstBytes() float64 {
 	b := float64(a.cfg.EnduranceBytesPerDay) / 24
-	if min := float64(8 * a.cfg.BlockBytes); b < min {
+	if min := float64(8 * block.Size); b < min {
 		b = min
 	}
 	return b
@@ -268,7 +248,7 @@ func (a *Accountant) refillLocked(st *state, now time.Time) {
 func (a *Accountant) levelLocked(st *state) int32 {
 	var lvl int32
 	switch {
-	case st.tokens < float64(a.cfg.BlockBytes):
+	case st.tokens < float64(block.Size):
 		lvl = ThrottleHard
 	case st.tokens < a.burstBytes()/4:
 		lvl = ThrottleSoft
@@ -331,7 +311,7 @@ func (a *Accountant) Admission(id ID, now time.Time) (extra int, deny bool) {
 			a.throttleDenial.Add(1)
 			deny = true
 		case ThrottleSoft:
-			extra = a.cfg.ThrottlePenalty
+			extra = throttlePenalty
 		}
 	}
 	if deny {
@@ -354,7 +334,7 @@ func (a *Accountant) OnAllocWrite(id ID, blocks int64, now time.Time) {
 	}
 	st.emu.Lock()
 	a.refillLocked(st, now)
-	st.tokens -= float64(blocks * a.cfg.BlockBytes)
+	st.tokens -= float64(blocks * block.Size)
 	if st.tokens < 0 {
 		st.tokens = 0
 	}
@@ -371,7 +351,7 @@ func (a *Accountant) AllowanceBlocks(id ID, now time.Time) int64 {
 	st := a.get(id)
 	st.emu.Lock()
 	a.refillLocked(st, now)
-	n := int64(st.tokens) / a.cfg.BlockBytes
+	n := int64(st.tokens) / block.Size
 	st.emu.Unlock()
 	if n < 0 {
 		n = 0
@@ -470,7 +450,7 @@ func (a *Accountant) MaybeRepartition(now time.Time) {
 }
 
 // Repartition reassigns quotas by demand: each tenant gets the floor
-// (CapacityBlocks/(FloorDiv×N)) plus its share of the remaining
+// (CapacityBlocks/(floorDiv×N)) plus its share of the remaining
 // capacity proportional to its interval hits, and the interval counters
 // reset. An interval with no hits anywhere keeps the current split
 // (there is no demand signal to act on — and resetting to an equal
@@ -503,7 +483,7 @@ func (a *Accountant) Repartition(now time.Time) {
 		a.repartitions.Add(1)
 		return
 	}
-	floor := a.cfg.CapacityBlocks / (a.cfg.FloorDiv * n)
+	floor := a.cfg.CapacityBlocks / (floorDiv * n)
 	if floor < 1 {
 		floor = 1
 	}

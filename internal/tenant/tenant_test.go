@@ -46,10 +46,7 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero capacity", Config{}},
 		{"negative capacity", Config{CapacityBlocks: -1}},
-		{"negative block size", Config{CapacityBlocks: 64, BlockBytes: -1}},
 		{"negative endurance", Config{CapacityBlocks: 64, EnduranceBytesPerDay: -1}},
-		{"negative penalty", Config{CapacityBlocks: 64, ThrottlePenalty: -1}},
-		{"negative floor div", Config{CapacityBlocks: 64, FloorDiv: -1}},
 	} {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: New accepted %+v", tc.name, tc.cfg)
@@ -122,7 +119,7 @@ func TestInitialQuotas(t *testing.T) {
 	}
 }
 
-// TestRepartition pins the quota formula: floor = capacity/(FloorDiv×N)
+// TestRepartition pins the quota formula: floor = capacity/(floorDiv×N)
 // plus the remainder split proportionally to interval hits, idle tenants
 // donating down to the floor; an interval with no hits anywhere keeps
 // the current split.
@@ -226,9 +223,10 @@ func TestMaybeRepartitionInterval(t *testing.T) {
 
 // TestQuotaAdmission: at/over quota the admission is denied with
 // DenyPenalty; dropping below quota (eviction) lifts the denial
-// immediately.
+// immediately. A lone tenant's first quota is the whole capacity, 4
+// blocks; the floor only enters at a repartition.
 func TestQuotaAdmission(t *testing.T) {
-	a, err := New(Config{CapacityBlocks: 4, Quotas: true, FloorDiv: 4})
+	a, err := New(Config{CapacityBlocks: 4, Quotas: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +254,12 @@ func TestQuotaAdmission(t *testing.T) {
 }
 
 // TestEnduranceBucket walks the token bucket through its three levels
-// with a hand-computed envelope: capacity 64 blocks of 512 B and an
-// envelope of 24×64×512 B/day gives a burst (hour's worth) of exactly
-// 64 blocks, a soft threshold at 16 blocks, and a hard floor below one
-// block.
+// with a hand-computed envelope: capacity 64 blocks and an envelope of
+// 24×64 blocks/day gives a burst (hour's worth) of exactly 64 blocks, a
+// soft threshold at 16 blocks, and a hard floor below one block.
 func TestEnduranceBucket(t *testing.T) {
-	const envelope = 24 * 64 * 512
-	a, err := New(Config{CapacityBlocks: 64, BlockBytes: 512, EnduranceBytesPerDay: envelope})
+	const envelope = 24 * 64 * block.Size
+	a, err := New(Config{CapacityBlocks: 64, EnduranceBytesPerDay: envelope})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +339,8 @@ func TestEnduranceBucket(t *testing.T) {
 // TestEnduranceShareSplit: with quotas off, N tenants refill at 1/N of
 // the envelope each; with quotas on, at their quota share.
 func TestEnduranceShareSplit(t *testing.T) {
-	const envelope = 24 * 64 * 512
-	a, err := New(Config{CapacityBlocks: 64, BlockBytes: 512, EnduranceBytesPerDay: envelope})
+	const envelope = 24 * 64 * block.Size
+	a, err := New(Config{CapacityBlocks: 64, EnduranceBytesPerDay: envelope})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +358,7 @@ func TestEnduranceShareSplit(t *testing.T) {
 
 	// Quota share: a tenant holding 16 of 64 blocks of quota refills at
 	// a quarter rate.
-	q, err := New(Config{CapacityBlocks: 64, BlockBytes: 512, Quotas: true, EnduranceBytesPerDay: envelope})
+	q, err := New(Config{CapacityBlocks: 64, Quotas: true, EnduranceBytesPerDay: envelope})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +429,8 @@ func TestClipSelection(t *testing.T) {
 // bucket affords, read once at its first key, in the order given; the rest
 // count as clips. With the budget off (or no accountant) nothing is clipped.
 func TestClipAllowance(t *testing.T) {
-	const envelope = 24 * 64 * 512 // a 64-block burst, as in TestEnduranceBucket
-	a, err := New(Config{CapacityBlocks: 64, BlockBytes: 512, EnduranceBytesPerDay: envelope})
+	const envelope = 24 * 64 * block.Size // a 64-block burst, as in TestEnduranceBucket
+	a, err := New(Config{CapacityBlocks: 64, EnduranceBytesPerDay: envelope})
 	if err != nil {
 		t.Fatal(err)
 	}
