@@ -3,12 +3,15 @@ package exp
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // expTestScale keeps the end-to-end experiment cheap while preserving the
@@ -267,6 +270,48 @@ func TestSweepRowsGolden(t *testing.T) {
 	if want, err := os.ReadFile("testdata/sweep_rows.txt"); err != nil || b.String() != string(want) {
 		t.Errorf("sweep rows moved (%v):\n got:\n%s\nwant:\n%s", err, b.String(), want)
 	}
+}
+
+// TestRunRowsGolden pins Run's results at full precision, byte for byte:
+// every policy's per-day statistics and an FNV-64 hash of its minute series
+// (Figures 5–9), each day's scalar trace analyses (Figures 2 and 3, O1/O2)
+// and the three §5.3 series.
+func TestRunRowsGolden(t *testing.T) {
+	t.Parallel()
+	got := runRows(results(t))
+	if want, err := os.ReadFile("testdata/run_rows.txt"); err != nil || got != string(want) {
+		t.Errorf("run rows moved (%v):\n got:\n%s\nwant:\n%s", err, got, want)
+	}
+}
+
+// runRows renders what TestRunRowsGolden pins.
+func runRows(res *Results) string {
+	var b strings.Builder
+	for p, r := range res.Policies {
+		for _, d := range r.Days {
+			fmt.Fprintf(&b, "%s %+v\n", PolicyName(p), d)
+		}
+		h := fnv.New64()
+		fmt.Fprintf(h, "%+v", r.Minutes)
+		fmt.Fprintf(&b, "%s minutes=%d fnv64=%016x\n", PolicyName(p), len(r.Minutes), h.Sum64())
+	}
+	for _, di := range res.DayInfo {
+		b.WriteString("DayInfo")
+		v := reflect.ValueOf(di)
+		for i := range v.NumField() {
+			if f := v.Field(i); f.Kind() != reflect.Slice {
+				fmt.Fprintf(&b, " %s:%v", v.Type().Field(i).Name, f.Interface())
+			}
+		}
+		b.WriteString("\n")
+	}
+	names := []string{"PerServerElastic", "PerServerStatic", "EnsembleShared"}
+	for i, series := range [][]sim.PerServerStats{res.PerServerElastic, res.PerServerStatic, res.EnsembleShared} {
+		for _, s := range series {
+			fmt.Fprintf(&b, "%s %+v\n", names[i], s)
+		}
+	}
+	return b.String()
 }
 
 func TestSensitivityD(t *testing.T) {
