@@ -398,11 +398,11 @@ func BenchmarkSimulatorDay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		policy, err := sieve.NewC(cfg.SieveC)
+		policy, err := sieve.NewC(cfg.SieveC())
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := sim.NewContinuous(cfg.CacheBlocks(cfg.CacheGB), policy)
+		c := sim.NewContinuous(cfg.CacheBlocks(exp.CacheGB), policy)
 		for j := range reqs {
 			c.Process(&reqs[j])
 		}

@@ -14,7 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/exp"
 	"repro/internal/sieve"
@@ -23,100 +25,97 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	var (
-		scale      = flag.Int("scale", 512, "trace scale divisor (512 = default experiment scale)")
-		seed       = flag.Int64("seed", 1, "trace seed")
-		skipSweeps = flag.Bool("skip-sweeps", false, "skip sensitivity sweeps and ablations")
-		sweepScale = flag.Int("sweep-scale", 0, "scale for sweeps (default: 8x the main scale)")
-		csvDir     = flag.String("csv", "", "also export per-figure CSV series into this directory")
-		traceDir   = flag.String("trace", "", "day-split trace directory to evaluate instead of the synthetic workload (set -scale to the trace's scale; 1 for raw MSR traces)")
-	)
-	flag.Parse()
-
-	if *sweepScale == 0 {
-		*sweepScale = *scale * 8
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
+}
+
+// run is the command, printing every section to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	var (
+		scale      = fs.Int("scale", 512, "trace scale divisor (512 = default experiment scale)")
+		seed       = fs.Int64("seed", 1, "trace seed")
+		skipSweeps = fs.Bool("skip-sweeps", false, "skip sensitivity sweeps and ablations")
+		csvDir     = fs.String("csv", "", "also export per-figure CSV series into this directory")
+		traceDir   = fs.String("trace", "", "day-split trace directory to evaluate instead of the synthetic workload (set -scale to the trace's scale; 1 for raw MSR traces); the sweeps need the generator and are skipped")
+	)
+	fs.Parse(args)
+
 	cfg := exp.DefaultConfig(*scale)
 	cfg.Workload.Seed = *seed
 	cfg.TraceDir = *traceDir
-	fmt.Printf("SieveStore reproduction — scale 1/%d, seed %d\n", *scale, *seed)
-	fmt.Printf("(cache %.0f GB-equivalent = %d blocks; unsieved comparison also at %.0f GB)\n\n",
-		cfg.CacheGB, cfg.CacheBlocks(cfg.CacheGB), cfg.BigCacheGB)
-
+	fmt.Fprintf(stdout, "SieveStore reproduction — scale 1/%d, seed %d\n", *scale, *seed)
+	fmt.Fprintf(stdout, "(cache %.0f GB-equivalent = %d blocks; unsieved comparison also at %.0f GB)\n\n",
+		exp.CacheGB, cfg.CacheBlocks(exp.CacheGB), exp.BigCacheGB)
 	res, err := exp.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	printRun(stdout, res)
 
-	section := func(id, title string) {
-		fmt.Printf("\n================ %s — %s ================\n", id, title)
-	}
-
-	section("T1", "Trace summary")
-	fmt.Println(res.Table1())
-	section("T2", "Allocation-policy impact (analytic, oracle replacement)")
-	for _, row := range sieve.Table2(0.35, 0.75, 0) {
-		fmt.Printf("%-32s hits=%.4f misses=%.4f allocW=%.4f readHits=%.4f ssdWrites=%.4f ssdOps=%.4f\n",
-			row.Policy, row.Hits, row.Misses, row.AllocWrites, row.ReadHits, row.SSDWrites, row.SSDOps)
-	}
-	section("F2a", "Block access-count distribution")
-	fmt.Println(res.Fig2a())
-	section("F2bc", "Block popularity CDF")
-	fmt.Println(res.Fig2b())
-	section("F3", "Popularity-skew variation")
-	fmt.Println(res.Fig3())
-	section("F5", "Sieving effectiveness: accesses captured")
-	fmt.Println(res.Fig5())
-	section("F6", "Sieving effectiveness: allocation-writes")
-	fmt.Println(res.Fig6())
-	section("F7", "Total SSD accesses")
-	fmt.Println(res.Fig7())
-	section("F8-F9", "Drive IOPS occupancy and drives needed")
-	fmt.Println(res.Fig89())
-	section("S5.3", "Ensemble vs per-server caching")
-	fmt.Println(res.Sec53())
-	section("S5.1", "Endurance")
-	for _, p := range []int{exp.PSieveD, exp.PSieveC} {
-		bytesPerDay, life := res.Endurance(p)
-		fmt.Printf("%-14s writes %.2f TB/day at paper scale → %.0f-year lifetime on a 1 PB drive\n",
-			exp.PolicyName(p), bytesPerDay/1e12, life)
-	}
-	section("LAT", "Derived mean access latency (extension)")
-	fmt.Println(res.LatencyTable())
-	section("S7", "Scaling projection & network feasibility")
-	fmt.Println(res.ScalingReport())
-
-	sweepCfg := exp.DefaultConfig(*sweepScale)
+	// The sweeps run at 8x the main scale, over the generator's trace.
+	sweepCfg := exp.DefaultConfig(*scale * 8)
 	sweepCfg.Workload.Seed = *seed
-	var sweep *exp.SweepResults
-	if !*skipSweeps {
-		if sweep, err = exp.Sweep(sweepCfg); err != nil {
-			log.Fatal(err)
+	var sw *exp.SweepResults
+	if !*skipSweeps && *traceDir != "" {
+		fmt.Fprintln(stdout, "\n(-trace: the quadrants, sensitivity sweeps, ablations and seed sweep need the synthetic generator; skipped)")
+	} else if !*skipSweeps {
+		if sw, err = exp.Sweep(sweepCfg); err != nil {
+			return err
 		}
-		section("F1", fmt.Sprintf("Design-space quadrants (scale 1/%d)", *sweepScale))
-		fmt.Println(exp.FormatQuadrants(sweep.Quadrants))
+		section(stdout, "F1", fmt.Sprintf("Design-space quadrants (scale 1/%d)", sweepCfg.Workload.Scale), exp.FormatQuadrants(sw.Quadrants))
 	}
-
 	if *csvDir != "" {
 		paths, err := res.ExportCSV(*csvDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\nexported %d CSV series under %s\n", len(paths), *csvDir)
+		fmt.Fprintf(stdout, "\nexported %d CSV series under %s\n", len(paths), *csvDir)
 	}
-
-	if !*skipSweeps {
-		section("SENS", fmt.Sprintf("Sensitivity & ablations (scale 1/%d)", *sweepScale))
-		fmt.Println(exp.FormatSensitivity(sweep.DThreshold, sweep.CWindow, sweep.SingleTier, sweep.Subwindows))
-		fmt.Println(exp.FormatReplacement(sweep.Replacement))
-		fmt.Println(exp.FormatOracle(sweep.Oracle, sweep.OracleSieveC))
+	if sw != nil {
 		seedRows, err := exp.SeedSweep(sweepCfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println(exp.FormatSeedSweep(seedRows))
+		section(stdout, "SENS", fmt.Sprintf("Sensitivity & ablations (scale 1/%d)", sweepCfg.Workload.Scale),
+			exp.FormatSensitivity(sw.DThreshold, sw.CWindow, sw.SingleTier, sw.Subwindows),
+			exp.FormatReplacement(sw.Replacement), exp.FormatOracle(sw.Oracle, sw.OracleSieveC), exp.FormatSeedSweep(seedRows))
 	}
+	section(stdout, "SUMMARY", "Headline results", res.Summary())
+	return nil
+}
 
-	section("SUMMARY", "Headline results")
-	fmt.Println(res.Summary())
+// section prints a section banner and then each body.
+func section(w io.Writer, id, title string, bodies ...string) {
+	fmt.Fprintf(w, "\n================ %s — %s ================\n", id, title)
+	for _, b := range bodies {
+		fmt.Fprintln(w, b)
+	}
+}
+
+// printRun prints the sections that read the main run, Table 1 to §7.
+func printRun(w io.Writer, res *exp.Results) {
+	section(w, "T1", "Trace summary", res.Table1())
+	section(w, "T2", "Allocation-policy impact (analytic, oracle replacement)")
+	for _, row := range sieve.Table2(0.35, 0.75, 0) {
+		fmt.Fprintf(w, "%-32s hits=%.4f misses=%.4f allocW=%.4f readHits=%.4f ssdWrites=%.4f ssdOps=%.4f\n",
+			row.Policy, row.Hits, row.Misses, row.AllocWrites, row.ReadHits, row.SSDWrites, row.SSDOps)
+	}
+	section(w, "F2a", "Block access-count distribution", res.Fig2a())
+	section(w, "F2bc", "Block popularity CDF", res.Fig2b())
+	section(w, "F3", "Popularity-skew variation", res.Fig3())
+	section(w, "F5", "Sieving effectiveness: accesses captured", res.Fig5())
+	section(w, "F6", "Sieving effectiveness: allocation-writes", res.Fig6())
+	section(w, "F7", "Total SSD accesses", res.Fig7())
+	section(w, "F8-F9", "Drive IOPS occupancy and drives needed", res.Fig89())
+	section(w, "S5.3", "Ensemble vs per-server caching", res.Sec53())
+	section(w, "S5.1", "Endurance")
+	for _, p := range []int{exp.PSieveD, exp.PSieveC} {
+		bytesPerDay, life := res.Endurance(p)
+		fmt.Fprintf(w, "%-14s writes %.2f TB/day at paper scale → %.0f-year lifetime on a 1 PB drive\n",
+			exp.PolicyName(p), bytesPerDay/1e12, life)
+	}
+	section(w, "LAT", "Derived mean access latency (extension)", res.LatencyTable())
+	section(w, "S7", "Scaling projection & network feasibility", res.ScalingReport())
 }

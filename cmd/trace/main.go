@@ -114,87 +114,88 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *in == "-" && *gaps {
 			return errors.New("-gaps reads the input twice: name a file, not stdin")
 		}
-		decode := func(r io.Reader) trace.Reader {
-			if *informat == "csv" {
-				return trace.NewCSVReader(r, names, *epoch)
-			}
-			return trace.NewBinaryReader(r)
-		}
-		open = func() (trace.Reader, error) {
-			if *in == "-" {
-				return decode(os.Stdin), nil
-			}
-			paths, err := filepath.Glob(*in)
-			if err != nil {
-				return nil, err
-			}
-			if len(paths) == 0 {
-				return nil, fmt.Errorf("no input matches %q", *in)
-			}
-			readers := make([]trace.Reader, len(paths))
-			for i, path := range paths {
-				f, err := os.Open(path)
-				if err != nil {
-					return nil, err
-				}
-				files = append(files, f)
-				readers[i] = decode(f)
-			}
-			return trace.Merge(readers...), nil
-		}
+		open = func() (trace.Reader, error) { return openFiles(*in, *informat == "csv", names, *epoch, &files) }
 	default:
 		return fmt.Errorf("unknown -informat %q (want csv, bin, daydir or gen)", *informat)
 	}
-
-	switch *outformat {
-	case "info":
+	if *outformat == "info" {
 		return create(*out, stdout, func(w io.Writer) error { return info(w, open, names, *top, *gaps) })
-	case "daydir":
-		if *out == "-" {
-			return errors.New("-outformat daydir needs -out <directory>")
+	}
+	return convert(open, *outformat, *out, names, *epoch, stdout, stderr)
+}
+
+// openFiles merges the csv (else bin) files that the glob in names, or
+// stdin for "-", into one reader, adding each file it opens to files.
+func openFiles(in string, csv bool, names *trace.NameTable, epoch int64, files *[]*os.File) (trace.Reader, error) {
+	paths, err := filepath.Glob(in)
+	switch {
+	case in == "-":
+		paths = []string{in}
+	case err != nil:
+		return nil, err
+	case len(paths) == 0:
+		return nil, fmt.Errorf("no input matches %q", in)
+	}
+	readers := make([]trace.Reader, len(paths))
+	for i, path := range paths {
+		f := os.Stdin
+		if path != "-" {
+			if f, err = os.Open(path); err != nil {
+				return nil, err
+			}
+			*files = append(*files, f)
 		}
-		r, err := open()
+		readers[i] = trace.NewBinaryReader(f)
+		if csv {
+			readers[i] = trace.NewCSVReader(f, names, epoch)
+		}
+	}
+	return trace.Merge(readers...), nil
+}
+
+// convert writes the input as a csv or bin file, or as a day directory.
+func convert(open func() (trace.Reader, error), outformat, out string, names *trace.NameTable, epoch int64, stdout, stderr io.Writer) error {
+	if outformat == "config" {
+		return errors.New("-outformat config needs -informat gen")
+	} else if outformat != "csv" && outformat != "bin" && outformat != "daydir" {
+		return fmt.Errorf("unknown -outformat %q (want csv, bin, daydir, config or info)", outformat)
+	} else if outformat == "daydir" && out == "-" {
+		return errors.New("-outformat daydir needs -out <directory>")
+	}
+	r, err := open()
+	if err != nil {
+		return err
+	}
+	if outformat == "daydir" {
+		n, err := trace.SplitByDay(r, out)
 		if err != nil {
 			return err
 		}
-		n, err := trace.SplitByDay(r, *out)
-		if err != nil {
-			return err
-		}
-		dd, err := trace.OpenDayDir(*out)
+		dd, err := trace.OpenDayDir(out)
 		if err != nil {
 			return err
 		}
 		if err := dd.SortDayFiles(); err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "trace: wrote %d day files under %s\n", n, *out)
+		fmt.Fprintf(stderr, "trace: wrote %d day files under %s\n", n, out)
 		return nil
-	case "csv", "bin":
-		r, err := open()
+	}
+	return create(out, stdout, func(w io.Writer) error {
+		var sink interface {
+			trace.Writer
+			Flush() error
+		} = trace.NewBinaryWriter(w)
+		if outformat == "csv" {
+			sink = trace.NewCSVWriter(w, names, epoch)
+		}
+		n, err := drain(r, sink.Write)
 		if err != nil {
 			return err
 		}
-		return create(*out, stdout, func(w io.Writer) error {
-			var sink interface {
-				trace.Writer
-				Flush() error
-			} = trace.NewBinaryWriter(w)
-			if *outformat == "csv" {
-				sink = trace.NewCSVWriter(w, names, *epoch)
-			}
-			n, err := drain(r, sink.Write)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "trace: wrote %d requests\n", n)
-			return sink.Flush()
-		})
-	case "config":
-		return errors.New("-outformat config needs -informat gen")
-	default:
-		return fmt.Errorf("unknown -outformat %q (want csv, bin, daydir, config or info)", *outformat)
-	}
+		fmt.Fprintf(stderr, "trace: wrote %d requests\n", n)
+		return sink.Flush()
+	})
 }
 
 // create runs fn on the output: stdout for "-", else a new file, whose
@@ -277,8 +278,7 @@ func info(w io.Writer, open func() (trace.Reader, error), names *trace.NameTable
 	}
 	if len(days) > 1 {
 		fmt.Fprintln(w, "\nDay-over-day top-set overlap (O2):")
-		prev := days[0].TopFraction(top)
-		for d := 1; d < len(days); d++ {
+		for d, prev := 1, days[0].TopFraction(top); d < len(days); d++ {
 			cur := days[d].TopFraction(top)
 			fmt.Fprintf(w, "  day %d→%d: %.2f\n", d-1, d, analysis.Overlap(prev, cur))
 			prev = cur

@@ -89,8 +89,8 @@ func (c *Counter) SortedCounts() []int64 {
 	return out
 }
 
-// TopFraction returns the most popular ceil(frac·unique) blocks (the
-// paper's "top 1%" when frac = 0.01), most popular first.
+// TopFraction returns the most popular floor(frac·unique) blocks, at least
+// one if there are any, most popular first (frac = 0.01: the "top 1%").
 func (c *Counter) TopFraction(frac float64) []block.Key {
 	n := topN(len(c.counts), frac)
 	es := c.sortedEntries()

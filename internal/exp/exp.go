@@ -30,22 +30,6 @@ type Config struct {
 	// Workload is the trace configuration (defaults to the Table 1
 	// ensemble at the given scale).
 	Workload workload.Config
-	// CacheGB is the SieveStore cache size before scaling (16 GB in the
-	// paper); BigCacheGB is the enlarged unsieved cache (32 GB).
-	CacheGB    float64
-	BigCacheGB float64
-	// TopFrac is the ideal sieve's popularity cut (top 1%).
-	TopFrac float64
-	// DThreshold is SieveStore-D's epoch access-count threshold (10).
-	DThreshold int64
-	// SieveC configures SieveStore-C.
-	SieveC sieve.CConfig
-	// RandP is the random sieves' allocation fraction (1%).
-	RandP float64
-	// Seed drives the random sieves.
-	Seed int64
-	// SpillDir hosts SieveStore-D's partition logs; empty uses a temp dir.
-	SpillDir string
 	// TraceDir, when set, replays a day-split trace directory (see
 	// cmd/trace -outformat daydir) instead of generating the synthetic
 	// workload — the path for running the evaluation on real MSR traces.
@@ -55,28 +39,37 @@ type Config struct {
 	TraceDir string
 }
 
+// The evaluation's fixed settings (§5).
+const (
+	// CacheGB is the SieveStore cache size before scaling (16 GB in the
+	// paper); BigCacheGB is the enlarged unsieved cache (32 GB).
+	CacheGB    float64 = 16
+	BigCacheGB float64 = 32
+	// topFrac is the ideal sieve's popularity cut (top 1%).
+	topFrac = 0.01
+	// dThreshold is SieveStore-D's epoch access-count threshold (10).
+	dThreshold = sieved.DefaultThreshold
+	// randP is the random sieves' allocation fraction (1%), and randSeed
+	// drives them.
+	randP    = 0.01
+	randSeed = 7
+)
+
 // DefaultConfig returns the paper's evaluation setup at the given trace
 // scale.
 func DefaultConfig(scale int) Config {
+	return Config{Workload: workload.Default(scale)}
+}
+
+// SieveC returns SieveStore-C's configuration at the trace's scale. The
+// IMCT is sized relative to the trace footprint so the aliasing rate — the
+// phenomenon the two-tier design exists to tame — matches the paper's
+// setting at any scale (their IMCT was heavily aliased; the MCT did the
+// precise filtering).
+func (c *Config) SieveC() sieve.CConfig {
 	sc := sieve.DefaultCConfig()
-	// Size the IMCT relative to the trace footprint so the aliasing rate —
-	// the phenomenon the two-tier design exists to tame — matches the
-	// paper's setting at any scale (their IMCT was heavily aliased; the MCT
-	// did the precise filtering).
-	sc.IMCTSize = 1 << 28 / scale
-	if sc.IMCTSize < 1024 {
-		sc.IMCTSize = 1024
-	}
-	return Config{
-		Workload:   workload.Default(scale),
-		CacheGB:    16,
-		BigCacheGB: 32,
-		TopFrac:    0.01,
-		DThreshold: sieved.DefaultThreshold,
-		SieveC:     sc,
-		RandP:      0.01,
-		Seed:       7,
-	}
+	sc.IMCTSize = max(1<<28/c.Workload.Scale, 1024)
+	return sc
 }
 
 // CacheBlocks converts an unscaled cache size in GB to scaled 512-byte
@@ -170,266 +163,273 @@ type traceSource interface {
 // cfg.TraceDir is set, over an on-disk day-split trace.
 func Run(cfg Config) (*Results, error) {
 	start := time.Now()
-	var (
-		src   traceSource
-		names *trace.NameTable
-	)
+	src, names, err := openTrace(cfg)
+	if err != nil {
+		return nil, err
+	}
+	spill, err := os.MkdirTemp("", "sievestore-d-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(spill)
+	r, err := newRun(cfg, spill)
+	if err != nil {
+		return nil, err
+	}
+	defer r.logger.Close()
+	r.names = names
+	for d := 0; d < src.Days(); d++ {
+		reqs, err := src.Day(d)
+		if err != nil {
+			return nil, err
+		}
+		if err := r.day(d, reqs); err != nil {
+			return nil, err
+		}
+	}
+	res := r.finish(src.Days())
+	if res.TraceStats, err = trace.Summarize(src.Reader()); err != nil {
+		return nil, err
+	}
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// openTrace opens cfg's trace: the day directory when TraceDir is set,
+// else the generator, whose name table the skew curves need.
+func openTrace(cfg Config) (traceSource, *trace.NameTable, error) {
 	if cfg.TraceDir != "" {
 		dd, err := trace.OpenDayDir(cfg.TraceDir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		src = dd
-	} else {
-		gen, err := workload.New(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		src = gen
-		names = gen.Names()
+		return dd, nil, nil
 	}
-	days := src.Days()
-	spill := cfg.SpillDir
-	if spill == "" {
-		dir, err := os.MkdirTemp("", "sievestore-d-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		spill = dir
+	gen, err := workload.New(cfg.Workload)
+	if err != nil {
+		return nil, nil, err
+	}
+	return gen, gen.Names(), nil
+}
+
+// The policies Run simulates continuously and by discrete epochs, in the
+// order of run.cont and run.disc.
+var (
+	contPolicies = [...]int{PSieveC, PRandC, PAOD, PAOD32, PWMNA, PWMNA32}
+	discPolicies = [...]int{PIdeal, PSieveD, PRandBlkD}
+)
+
+// run is Run's state between trace days: the results so far, every
+// policy's simulator and SieveStore-D's access log.
+type run struct {
+	res *Results
+	// names is the synthetic roster's name table; nil for TraceDir runs,
+	// which get no skew curves.
+	names *trace.NameTable
+	// servers grows as server IDs are discovered (known up front for the
+	// synthetic roster; discovered from the data for TraceDir runs).
+	servers int
+	small   int
+	cont    []*sim.Continuous
+	disc    []*sim.Discrete
+	// sets are the discrete policies' resident sets today; nextD and
+	// nextRand are SieveStore-D's and RandSieve-BlkD's for tomorrow.
+	sets            [len(discPolicies)][]block.Key
+	nextD, nextRand []block.Key
+	prevTop         []block.Key
+	logger          *sieved.Logger
+	rng             *rand.Rand
+}
+
+// newRun builds every policy's simulator; spill hosts SieveStore-D's
+// partition logs.
+func newRun(cfg Config, spill string) (*run, error) {
+	sieveC, err := sieve.NewC(cfg.SieveC())
+	if err != nil {
+		return nil, err
 	}
 	logger, err := sieved.NewLogger(spill, sieved.DefaultPartitions)
 	if err != nil {
 		return nil, err
 	}
-	defer logger.Close()
-
-	res := &Results{Config: cfg, Days: days}
-	small := cfg.CacheBlocks(cfg.CacheGB)
-	big := cfg.CacheBlocks(cfg.BigCacheGB)
-
-	sieveC, err := sieve.NewC(cfg.SieveC)
-	if err != nil {
-		return nil, err
+	small, big := cfg.CacheBlocks(CacheGB), cfg.CacheBlocks(BigCacheGB)
+	r := &run{
+		res:    &Results{Config: cfg},
+		small:  small,
+		logger: logger,
+		rng:    rand.New(rand.NewSource(randSeed)),
+		cont: []*sim.Continuous{
+			sim.NewContinuous(small, sieveC),
+			sim.NewContinuous(small, sieve.NewRandC(randP, randSeed)),
+			sim.NewContinuous(small, sieve.AOD{}),
+			sim.NewContinuous(big, sieve.AOD{}),
+			sim.NewContinuous(small, sieve.WMNA{}),
+			sim.NewContinuous(big, sieve.WMNA{}),
+		},
 	}
-
-	// Continuous runners.
-	contRunners := []*sim.Continuous{
-		sim.NewContinuous(small, sieveC),
-		sim.NewContinuous(small, sieve.NewRandC(cfg.RandP, cfg.Seed)),
-		sim.NewContinuous(small, sieve.AOD{}),
-		sim.NewContinuous(big, sieve.AOD{}),
-		sim.NewContinuous(small, sieve.WMNA{}),
-		sim.NewContinuous(big, sieve.WMNA{}),
+	// The discrete policies read their day's set from r.sets. The ideal
+	// sieve's top-1% fits the 16 GB-equivalent cache with room to spare.
+	for i, p := range discPolicies {
+		r.disc = append(r.disc, sim.NewDiscrete(PolicyName(p), small, func(int) []block.Key { return r.sets[i] }))
 	}
-	contIndex := []int{PSieveC, PRandC, PAOD, PAOD32, PWMNA, PWMNA32}
-
-	// Discrete runners with day-fed sets. The ideal sieve's top-1% fits the
-	// 16 GB-equivalent cache with room to spare (§2).
-	var idealSet, dSet, randSet []block.Key
-	ideal := sim.NewDiscrete("Ideal", small, func(int) []block.Key { return idealSet })
-	sieveD := sim.NewDiscrete("SieveStore-D", small, func(int) []block.Key { return dSet })
-	randD := sim.NewDiscrete("RandSieve-BlkD", small, func(int) []block.Key { return randSet })
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	// servers grows as server IDs are discovered (known up front for the
-	// synthetic roster; discovered from the data for TraceDir runs).
-	servers := 0
 	if cfg.TraceDir == "" {
-		servers = len(cfg.Workload.Servers)
+		r.servers = len(cfg.Workload.Servers)
 	}
-	var prevTop, prevRandSample, prevDSet []block.Key
+	return r, nil
+}
 
-	for d := 0; d < days; d++ {
-		reqs, err := src.Day(d)
-		if err != nil {
-			return nil, err
+// day runs trace day d through the analyses and, in lockstep, through
+// every policy. The ideal sieve holds the day's own top 1% (an oracle);
+// the day then ends SieveStore-D's epoch, which selects the next day's
+// set, and RandSieve-BlkD samples its next-day set from the day's blocks.
+func (r *run) day(d int, reqs []block.Request) error {
+	counter, top1 := r.analyse(d, reqs)
+	r.sets = [len(discPolicies)][]block.Key{top1, r.nextD, r.nextRand}
+	for i := range reqs {
+		req := &reqs[i]
+		for _, c := range r.cont {
+			c.Process(req)
 		}
-		// --- Analyses for Figures 2 and 3 (plus the §5.3 counters). ---
-		counter := analysis.NewCounter()
-		perServer := make([]*analysis.Counter, servers)
-		for s := range perServer {
-			perServer[s] = analysis.NewCounter()
-		}
-		for i := range reqs {
-			counter.AddRequest(&reqs[i])
-			for sID := reqs[i].Server; sID >= len(perServer); {
-				perServer = append(perServer, analysis.NewCounter())
-			}
-			perServer[reqs[i].Server].AddRequest(&reqs[i])
-		}
-		servers = max(servers, len(perServer))
-		top1 := counter.TopFraction(cfg.TopFrac)
-		info := DayInfo{
-			Day:         d,
-			Requests:    len(reqs),
-			Accesses:    counter.Total(),
-			Unique:      counter.Unique(),
-			Top1Share:   counter.TopShare(cfg.TopFrac),
-			Once:        counter.CountLE(1),
-			LE4:         counter.CountLE(4),
-			LE10:        counter.CountLE(10),
-			Bins:        counter.Bins(200),
-			CDF:         counter.CDF(200),
-			Composition: analysis.ShareByServer(top1, servers),
-			// (padded to the final server count after the day loop)
-		}
-		if d > 0 {
-			info.OverlapWithPrev = analysis.Overlap(prevTop, top1)
-		}
-		res.DayInfo = append(res.DayInfo, info)
-		if names != nil {
-			res.collectSkewCurves(names, d, reqs)
-		}
-
-		// §5.3 configurations (computed from the same counters).
-		res.PerServerElastic = append(res.PerServerElastic,
-			sim.PerServerTopFraction([][]*analysis.Counter{perServer}, cfg.TopFrac)...)
-		res.PerServerStatic = append(res.PerServerStatic,
-			sim.PerServerStatic([][]*analysis.Counter{perServer}, small/max(servers, 1))...)
-		res.EnsembleShared = append(res.EnsembleShared,
-			sim.EnsembleStatic([]*analysis.Counter{counter}, small)...)
-		res.PerServerElastic[d].Day = d
-		res.PerServerStatic[d].Day = d
-		res.EnsembleShared[d].Day = d
-
-		// --- Simulations in lockstep. ---
-		idealSet = top1
-		dSet = prevDSet
-		randSet = prevRandSample
-		for i := range reqs {
-			req := &reqs[i]
-			for _, c := range contRunners {
-				c.Process(req)
-			}
-			if err := ideal.Process(req); err != nil {
-				return nil, err
-			}
-			if err := sieveD.Process(req); err != nil {
-				return nil, err
-			}
-			if err := randD.Process(req); err != nil {
-				return nil, err
-			}
-			if err := logger.LogRequest(req); err != nil {
-				return nil, err
+		for _, c := range r.disc {
+			if err := c.Process(req); err != nil {
+				return err
 			}
 		}
-		// End of epoch: select SieveStore-D's next-day set and the random
-		// discrete sample.
-		next, err := logger.EndEpoch(cfg.DThreshold)
-		if err != nil {
-			return nil, err
+		if err := r.logger.LogRequest(req); err != nil {
+			return err
 		}
-		prevDSet = next
-		prevRandSample = sim.RandomSample(rng, counter, cfg.RandP)
-		prevTop = top1
 	}
+	var err error
+	if r.nextD, err = r.logger.EndEpoch(dThreshold); err != nil {
+		return err
+	}
+	r.nextRand = sim.RandomSample(r.rng, counter, randP)
+	return nil
+}
 
-	// Fill the server roster and pad early days' composition vectors to the
-	// final server count (servers appearing later had zero share earlier).
-	if names != nil {
-		res.ServerNames = cfg.Workload.ServerNames()
+// analyse records day d's trace analyses (Figures 2 and 3) and its §5.3
+// rows, and returns the day's counter and top-1% set.
+func (r *run) analyse(d int, reqs []block.Request) (*analysis.Counter, []block.Key) {
+	counter := analysis.NewCounter()
+	perServer := make([]*analysis.Counter, r.servers)
+	for s := range perServer {
+		perServer[s] = analysis.NewCounter()
+	}
+	for i := range reqs {
+		counter.AddRequest(&reqs[i])
+		for len(perServer) <= reqs[i].Server {
+			perServer = append(perServer, analysis.NewCounter())
+		}
+		perServer[reqs[i].Server].AddRequest(&reqs[i])
+	}
+	r.servers = len(perServer)
+	top1 := counter.TopFraction(topFrac)
+	info := DayInfo{
+		Day:         d,
+		Requests:    len(reqs),
+		Accesses:    counter.Total(),
+		Unique:      counter.Unique(),
+		Top1Share:   counter.TopShare(topFrac),
+		Once:        counter.CountLE(1),
+		LE4:         counter.CountLE(4),
+		LE10:        counter.CountLE(10),
+		Bins:        counter.Bins(200),
+		CDF:         counter.CDF(200),
+		Composition: analysis.ShareByServer(top1, r.servers),
+		// (padded to the final server count by finish)
+	}
+	if d > 0 {
+		info.OverlapWithPrev = analysis.Overlap(r.prevTop, top1)
+	}
+	r.prevTop = top1
+	res := r.res
+	res.DayInfo = append(res.DayInfo, info)
+	if r.names != nil {
+		res.collectSkewCurves(r.names, d, reqs)
+	}
+	// §5.3 configurations, from the same counters.
+	res.PerServerElastic = append(res.PerServerElastic,
+		sim.PerServerTopFraction([][]*analysis.Counter{perServer}, topFrac)...)
+	res.PerServerStatic = append(res.PerServerStatic,
+		sim.PerServerStatic([][]*analysis.Counter{perServer}, r.small/max(r.servers, 1))...)
+	res.EnsembleShared = append(res.EnsembleShared,
+		sim.EnsembleStatic([]*analysis.Counter{counter}, r.small)...)
+	res.PerServerElastic[d].Day = d
+	res.PerServerStatic[d].Day = d
+	res.EnsembleShared[d].Day = d
+	return counter, top1
+}
+
+// finish fills the server roster, pads early days' composition vectors to
+// the final server count (servers appearing later had zero share earlier)
+// and collects every policy's result over a trace of days.
+func (r *run) finish(days int) *Results {
+	res := r.res
+	res.Days = days
+	if r.names != nil {
+		res.ServerNames = res.Config.Workload.ServerNames()
 	} else {
-		for sID := 0; sID < servers; sID++ {
-			res.ServerNames = append(res.ServerNames, fmt.Sprintf("server%d", sID))
+		for s := 0; s < r.servers; s++ {
+			res.ServerNames = append(res.ServerNames, fmt.Sprintf("server%d", s))
 		}
 	}
 	for i := range res.DayInfo {
-		for len(res.DayInfo[i].Composition) < servers {
+		for len(res.DayInfo[i].Composition) < r.servers {
 			res.DayInfo[i].Composition = append(res.DayInfo[i].Composition, 0)
 		}
 	}
-
-	totalMinutes := days * 24 * 60
-	res.Policies[PIdeal] = ideal.Result(totalMinutes)
-	res.Policies[PSieveD] = sieveD.Result(totalMinutes)
-	res.Policies[PRandBlkD] = randD.Result(totalMinutes)
-	for i, c := range contRunners {
-		res.Policies[contIndex[i]] = c.Result(totalMinutes)
+	minutes := days * 24 * 60
+	for i, p := range discPolicies {
+		res.Policies[p] = r.disc[i].Result(minutes)
+	}
+	for i, p := range contPolicies {
+		res.Policies[p] = r.cont[i].Result(minutes)
 	}
 	res.Policies[PAOD32].Name = "AOD-32GB"
 	res.Policies[PWMNA32].Name = "WMNA-32GB"
-
-	st, err := trace.Summarize(src.Reader())
-	if err != nil {
-		return nil, err
-	}
-	res.TraceStats = st
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return res
 }
 
 // collectSkewCurves extracts the Figure 3(a–c) scoped CDFs on the days the
-// paper plots. It requires server names (synthetic runs only).
+// paper plots: each one server's (or, with volume ≥ 0, one volume's)
+// popularity CDF. It requires server names (synthetic runs only).
 func (r *Results) collectSkewCurves(names *trace.NameTable, day int, reqs []block.Request) {
-	scoped := func(server, volume int) []analysis.CDFPoint {
+	for _, sc := range []struct {
+		day, volume int
+		server      string
+		curve       *[]analysis.CDFPoint
+	}{
+		{2, -1, "prxy", &r.Skew.PrxyDay2}, {2, -1, "src1", &r.Skew.Src1Day2},
+		{2, 0, "web", &r.Skew.WebVol0Day2}, {2, 1, "web", &r.Skew.WebVol1Day2},
+		{3, -1, "stg", &r.Skew.StgDay3}, {5, -1, "stg", &r.Skew.StgDay5},
+	} {
+		server, ok := names.Lookup(sc.server)
+		if sc.day != day || !ok {
+			continue
+		}
 		c := analysis.NewCounter()
 		for i := range reqs {
-			if reqs[i].Server != server {
-				continue
+			if reqs[i].Server == server && (sc.volume < 0 || reqs[i].Volume == sc.volume) {
+				c.AddRequest(&reqs[i])
 			}
-			if volume >= 0 && reqs[i].Volume != volume {
-				continue
-			}
-			c.AddRequest(&reqs[i])
 		}
-		return c.CDF(100)
-	}
-	lookup := func(name string) int {
-		id, ok := names.Lookup(name)
-		if !ok {
-			return -1
-		}
-		return id
-	}
-	switch day {
-	case 2:
-		if id := lookup("prxy"); id >= 0 {
-			r.Skew.PrxyDay2 = scoped(id, -1)
-		}
-		if id := lookup("src1"); id >= 0 {
-			r.Skew.Src1Day2 = scoped(id, -1)
-		}
-		if id := lookup("web"); id >= 0 {
-			r.Skew.WebVol0Day2 = scoped(id, 0)
-			r.Skew.WebVol1Day2 = scoped(id, 1)
-		}
-	case 3:
-		if id := lookup("stg"); id >= 0 {
-			r.Skew.StgDay3 = scoped(id, -1)
-		}
-	case 5:
-		if id := lookup("stg"); id >= 0 {
-			r.Skew.StgDay5 = scoped(id, -1)
-		}
+		*sc.curve = c.CDF(100)
 	}
 }
 
 // Device returns the cost-model SSD spec.
 func Device() ssd.DeviceSpec { return ssd.IntelX25E() }
 
+// policyNames are the display names, by policy index.
+var policyNames = [numPolicies]string{
+	"Ideal", "SieveStore-D", "SieveStore-C", "RandSieve-BlkD", "RandSieve-C",
+	"AOD-16GB", "AOD-32GB", "WMNA-16GB", "WMNA-32GB",
+}
+
 // PolicyName returns the display name for a policy index.
 func PolicyName(i int) string {
-	switch i {
-	case PIdeal:
-		return "Ideal"
-	case PSieveD:
-		return "SieveStore-D"
-	case PSieveC:
-		return "SieveStore-C"
-	case PRandBlkD:
-		return "RandSieve-BlkD"
-	case PRandC:
-		return "RandSieve-C"
-	case PAOD:
-		return "AOD-16GB"
-	case PAOD32:
-		return "AOD-32GB"
-	case PWMNA:
-		return "WMNA-16GB"
-	case PWMNA32:
-		return "WMNA-32GB"
+	if i < 0 || i >= numPolicies {
+		return fmt.Sprintf("policy-%d", i)
 	}
-	return fmt.Sprintf("policy-%d", i)
+	return policyNames[i]
 }

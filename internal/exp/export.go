@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,83 @@ import (
 // the plots can be regenerated with any plotting tool, and computes the §7
 // scaling projection and §3.3 network feasibility check.
 
+// csvFiles is every figure's CSV file: its name, header line and rows.
+var csvFiles = []struct {
+	name, header string
+	rows         func(*Results, io.Writer)
+}{
+	{"fig2a_access_counts.csv", "day,upper_percentile,avg_count,max_count", func(r *Results, w io.Writer) {
+		for _, di := range r.DayInfo {
+			for _, bin := range di.Bins {
+				fmt.Fprintf(w, "%d,%.6f,%.4f,%d\n", di.Day, bin.UpperPercentile, bin.AvgCount, bin.MaxCount)
+			}
+		}
+	}},
+	{"fig2bc_cdf.csv", "day,percentile,cum_fraction", func(r *Results, w io.Writer) {
+		for _, di := range r.DayInfo {
+			for _, p := range di.CDF {
+				fmt.Fprintf(w, "%d,%.6f,%.6f\n", di.Day, p.Percentile, p.CumFraction)
+			}
+		}
+	}},
+	{"fig3d_composition.csv", "day,server,share", func(r *Results, w io.Writer) {
+		for _, di := range r.DayInfo {
+			for s, share := range di.Composition {
+				fmt.Fprintf(w, "%d,%s,%.6f\n", di.Day, r.ServerNames[s], share)
+			}
+		}
+	}},
+	{"fig5_captured.csv", "day,policy,hit_ratio,read_hits,write_hits", func(r *Results, w io.Writer) {
+		for p := 0; p < numPolicies; p++ {
+			for _, d := range r.Policies[p].Days {
+				fmt.Fprintf(w, "%d,%s,%.6f,%d,%d\n", d.Day, PolicyName(p), d.HitRatio(), d.ReadHits, d.WriteHits)
+			}
+		}
+	}},
+	{"fig6_alloc_writes.csv", "day,policy,alloc_writes,moves", func(r *Results, w io.Writer) {
+		for p := 0; p < numPolicies; p++ {
+			for _, d := range r.Policies[p].Days {
+				fmt.Fprintf(w, "%d,%s,%d,%d\n", d.Day, PolicyName(p), d.AllocWrites, d.Moves)
+			}
+		}
+	}},
+	{"fig7_ssd_ops.csv", "day,policy,read_hits,write_hits,alloc_writes", func(r *Results, w io.Writer) {
+		for _, p := range []int{PSieveD, PSieveC, PWMNA32, PAOD32} {
+			for _, d := range r.Policies[p].Days {
+				fmt.Fprintf(w, "%d,%s,%d,%d,%d\n", d.Day, PolicyName(p), d.ReadHits, d.WriteHits, d.AllocWrites+d.Moves)
+			}
+		}
+	}},
+	// Paper-scale occupancy; idle minutes are skipped to keep the file
+	// tractable.
+	{"fig8_occupancy.csv", "minute,policy,occupancy", func(r *Results, w io.Writer) {
+		spec := Device()
+		for _, p := range []int{PSieveD, PSieveC, PWMNA32} {
+			for m, o := range ssd.OccupancySeries(&spec, r.paperLoads(p)) {
+				if o > 0 {
+					fmt.Fprintf(w, "%d,%s,%.6f\n", m, PolicyName(p), o)
+				}
+			}
+		}
+	}},
+	// Drives needed by minute, sorted ascending.
+	{"fig9_drives.csv", "policy,minute_rank,drives", func(r *Results, w io.Writer) {
+		spec := Device()
+		for _, p := range []int{PSieveD, PSieveC, PWMNA, PWMNA32} {
+			for rank, d := range ssd.DrivesNeeded(&spec, r.paperLoads(p)) {
+				fmt.Fprintf(w, "%s,%d,%d\n", PolicyName(p), rank, d)
+			}
+		}
+	}},
+	{"sec53_perserver.csv", "day,configuration,hit_ratio", func(r *Results, w io.Writer) {
+		for d := 0; d < r.Days; d++ {
+			fmt.Fprintf(w, "%d,ensemble-shared,%.6f\n", d, r.EnsembleShared[d].HitRatio())
+			fmt.Fprintf(w, "%d,perserver-top1,%.6f\n", d, r.PerServerElastic[d].HitRatio())
+			fmt.Fprintf(w, "%d,perserver-split,%.6f\n", d, r.PerServerStatic[d].HitRatio())
+		}
+	}},
+}
+
 // ExportCSV writes every figure's data series under dir and returns the
 // paths written.
 func (r *Results) ExportCSV(dir string) ([]string, error) {
@@ -21,147 +99,35 @@ func (r *Results) ExportCSV(dir string) ([]string, error) {
 		return nil, err
 	}
 	var written []string
-	write := func(name string, build func(*strings.Builder)) error {
+	for _, f := range csvFiles {
 		var b strings.Builder
-		build(&b)
-		path := filepath.Join(dir, name)
+		fmt.Fprintln(&b, f.header)
+		f.rows(r, &b)
+		path := filepath.Join(dir, f.name)
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			return err
+			return written, err
 		}
 		written = append(written, path)
-		return nil
-	}
-
-	// Figure 2(a): day, bin upper percentile, average count, max count.
-	if err := write("fig2a_access_counts.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,upper_percentile,avg_count,max_count")
-		for _, di := range r.DayInfo {
-			for _, bin := range di.Bins {
-				fmt.Fprintf(b, "%d,%.6f,%.4f,%d\n", di.Day, bin.UpperPercentile, bin.AvgCount, bin.MaxCount)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 2(b,c): day, percentile, cumulative fraction.
-	if err := write("fig2bc_cdf.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,percentile,cum_fraction")
-		for _, di := range r.DayInfo {
-			for _, p := range di.CDF {
-				fmt.Fprintf(b, "%d,%.6f,%.6f\n", di.Day, p.Percentile, p.CumFraction)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 3(d): day, server, share of the ensemble top-1%.
-	if err := write("fig3d_composition.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,server,share")
-		for _, di := range r.DayInfo {
-			for s, share := range di.Composition {
-				fmt.Fprintf(b, "%d,%s,%.6f\n", di.Day, r.ServerNames[s], share)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 5: day, policy, hit ratio, read hits, write hits.
-	if err := write("fig5_captured.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,policy,hit_ratio,read_hits,write_hits")
-		for p := 0; p < numPolicies; p++ {
-			for _, d := range r.Policies[p].Days {
-				fmt.Fprintf(b, "%d,%s,%.6f,%d,%d\n", d.Day, PolicyName(p), d.HitRatio(), d.ReadHits, d.WriteHits)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 6: day, policy, allocation-writes (+ moves for discrete).
-	if err := write("fig6_alloc_writes.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,policy,alloc_writes,moves")
-		for p := 0; p < numPolicies; p++ {
-			for _, d := range r.Policies[p].Days {
-				fmt.Fprintf(b, "%d,%s,%d,%d\n", d.Day, PolicyName(p), d.AllocWrites, d.Moves)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 7: day, policy, SSD op breakdown.
-	if err := write("fig7_ssd_ops.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,policy,read_hits,write_hits,alloc_writes")
-		for _, p := range []int{PSieveD, PSieveC, PWMNA32, PAOD32} {
-			for _, d := range r.Policies[p].Days {
-				fmt.Fprintf(b, "%d,%s,%d,%d,%d\n", d.Day, PolicyName(p), d.ReadHits, d.WriteHits, d.AllocWrites+d.Moves)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 8: minute, policy, occupancy (paper-scale).
-	spec := Device()
-	if err := write("fig8_occupancy.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "minute,policy,occupancy")
-		for _, p := range []int{PSieveD, PSieveC, PWMNA32} {
-			loads := metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
-			occ := ssd.OccupancySeries(&spec, loads)
-			for m, o := range occ {
-				// Keep the file tractable: skip idle minutes.
-				if o > 0 {
-					fmt.Fprintf(b, "%d,%s,%.6f\n", m, PolicyName(p), o)
-				}
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// Figure 9: policy, minute-rank, drives needed (sorted ascending).
-	if err := write("fig9_drives.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "policy,minute_rank,drives")
-		for _, p := range []int{PSieveD, PSieveC, PWMNA, PWMNA32} {
-			loads := metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
-			for rank, d := range ssd.DrivesNeeded(&spec, loads) {
-				fmt.Fprintf(b, "%s,%d,%d\n", PolicyName(p), rank, d)
-			}
-		}
-	}); err != nil {
-		return written, err
-	}
-
-	// §5.3: day, configuration, hit ratio.
-	if err := write("sec53_perserver.csv", func(b *strings.Builder) {
-		fmt.Fprintln(b, "day,configuration,hit_ratio")
-		for d := 0; d < r.Days; d++ {
-			fmt.Fprintf(b, "%d,ensemble-shared,%.6f\n", d, r.EnsembleShared[d].HitRatio())
-			fmt.Fprintf(b, "%d,perserver-top1,%.6f\n", d, r.PerServerElastic[d].HitRatio())
-			fmt.Fprintf(b, "%d,perserver-split,%.6f\n", d, r.PerServerStatic[d].HitRatio())
-		}
-	}); err != nil {
-		return written, err
 	}
 	return written, nil
+}
+
+// paperLoads returns policy p's minute loads scaled back to paper volume.
+func (r *Results) paperLoads(p int) []ssd.MinuteLoad {
+	return metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
 }
 
 // Scaling computes the §7 scaling projection for a policy: drives needed
 // as the ensemble's load grows.
 func (r *Results) Scaling(p int, factors []float64) []ssd.ScalingPoint {
-	loads := metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
-	return ssd.ScalingTable(Device(), 1.1, loads, factors)
+	return ssd.ScalingTable(Device(), 1.1, r.paperLoads(p), factors)
 }
 
 // Network computes the §3.3 network feasibility check for a policy on the
 // paper's 4×GbE node.
 func (r *Results) Network(p int) (maxOccupancy, worstCaseSSDFraction float64) {
 	net := ssd.FourGigE()
-	loads := metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
-	return ssd.MaxNetworkOccupancy(net, loads), net.WorstCaseSSDFraction(Device())
+	return ssd.MaxNetworkOccupancy(net, r.paperLoads(p)), net.WorstCaseSSDFraction(Device())
 }
 
 // ScalingReport renders the §7 / §3.3 analyses.

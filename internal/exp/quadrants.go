@@ -4,8 +4,8 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/sieve"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 )
 
 // QuadrantResult is one cell of the paper's Figure 1 design space, which
@@ -26,25 +26,35 @@ type QuadrantResult struct {
 	Drives int
 }
 
-// PerServerSieveC returns the policy factory for quadrant IV: one private
-// SieveStore-C per server, each with an even share of the IMCT (never under
-// 256 slots).
-func (c *Config) PerServerSieveC() sim.PolicyFactory {
-	sc := c.SieveC
-	sc.IMCTSize = max(sc.IMCTSize/len(c.Workload.Servers), 256)
-	return func(int) (sieve.Policy, error) { return sieve.NewC(sc) }
-}
-
-// PerServerDrives counts the physical drives private caches need at 99.9%
-// time coverage, with each cache's load scaled back to paper volume and at
-// least one device per server (sim.PerServerDriveNeeds).
-func (c *Config) PerServerDrives(perServer []*sim.Result) int {
+// quadrants reads the Figure 1 matrix off the runs. Drives count at 99.9%
+// time coverage with loads scaled back to paper volume; a per-server
+// configuration pays at least one device per server
+// (sim.PerServerDriveNeeds).
+func (s *sweepRuns) quadrants(scale, minutes int) []QuadrantResult {
 	spec := Device()
-	scaled := make([]*sim.Result, len(perServer))
-	for i, r := range perServer {
-		scaled[i] = &sim.Result{Minutes: metrics.ScaleLoads(r.Minutes, float64(c.Workload.Scale))}
+	quadrant := func(q, name string, r *sim.Result, drives int) QuadrantResult {
+		t := r.Total()
+		return QuadrantResult{Quadrant: q, Name: name, HitRatio: t.HitRatio(), AllocWrites: t.AllocWrites, Drives: drives}
 	}
-	return sim.PerServerDriveNeeds(&spec, scaled, 0.999)
+	ensemble := func(q, name string, c *sim.Continuous) QuadrantResult {
+		r := c.Result(minutes)
+		loads := metrics.ScaleLoads(r.Minutes, float64(scale))
+		return quadrant(q, name, r, ssd.DrivesAtCoverage(ssd.DrivesNeeded(&spec, loads), 0.999))
+	}
+	perServer := func(q, name string, p *sim.PerServer) QuadrantResult {
+		combined, each := p.Result(minutes)
+		scaled := make([]*sim.Result, len(each))
+		for i, r := range each {
+			scaled[i] = &sim.Result{Minutes: metrics.ScaleLoads(r.Minutes, float64(scale))}
+		}
+		return quadrant(q, name, combined, sim.PerServerDriveNeeds(&spec, scaled, 0.999))
+	}
+	return []QuadrantResult{
+		ensemble("I", "SieveStore-C (sieved, ensemble)", s.base),
+		ensemble("II", "WMNA (unsieved, ensemble)", s.unsieved[0]),
+		perServer("III", "WMNA (unsieved, per-server)", s.perWMNA),
+		perServer("IV", "SieveStore-C (sieved, per-server)", s.perC),
+	}
 }
 
 // FormatQuadrants renders the Figure 1 matrix.

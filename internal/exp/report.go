@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/block"
-	"repro/internal/metrics"
 	"repro/internal/ssd"
 )
 
@@ -241,7 +240,7 @@ type OccupancyAnalysis struct {
 // the drive counts are directly comparable to the paper's.
 func (r *Results) Occupancy(p int) OccupancyAnalysis {
 	spec := Device()
-	loads := metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
+	loads := r.paperLoads(p)
 	occ := ssd.OccupancySeries(&spec, loads)
 	maxOcc := 0.0
 	for _, o := range occ {

@@ -8,10 +8,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/block"
 	"repro/internal/cache"
-	"repro/internal/metrics"
 	"repro/internal/sieve"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -57,15 +55,50 @@ func Sweep(cfg Config) (*SweepResults, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := cfg.CacheBlocks(cfg.CacheGB)
-	var runs []*sim.Continuous
+	capacity := cfg.CacheBlocks(CacheGB)
+	runs, err := newSweepRuns(&cfg, capacity)
+	if err != nil {
+		return nil, err
+	}
+	counters, stream, err := runs.replay(gen, days)
+	if err != nil {
+		return nil, err
+	}
+	minutes := days * 24 * 60
+	res := runs.sensitivity(minutes)
+	res.DThreshold = dThresholdRows(counters, capacity)
+	res.Quadrants = runs.quadrants(cfg.Workload.Scale, minutes)
+	res.Oracle = oracleRows(stream, capacity)
+	res.OracleSieveC = runs.base.Result(minutes).Days[oracleDay]
+	return res, nil
+}
+
+// sweepRuns are the simulations behind the sweep rows, each distinct
+// configuration once.
+type sweepRuns struct {
+	all        []*sim.Continuous // every continuous run, each once
+	base       *sim.Continuous
+	windows    []*sim.Continuous
+	subwindows []*sim.Continuous
+	singleTier *sim.Continuous
+	// unsieved is §3.1's replacement lineup: the unsieved cache under LRU,
+	// CLOCK, FIFO and the promotion-free SIEVE and S3-FIFO engines.
+	unsieved []*sim.Continuous
+	// perWMNA and perC are quadrants III and IV.
+	perWMNA, perC *sim.PerServer
+}
+
+// newSweepRuns builds every sweep simulation over caches of capacity
+// blocks.
+func newSweepRuns(cfg *Config, capacity int) (*sweepRuns, error) {
+	s := &sweepRuns{}
 	add := func(tags cache.TagStore, p sieve.Policy) *sim.Continuous {
-		runs = append(runs, sim.NewContinuousTags(tags, p))
-		return runs[len(runs)-1]
+		s.all = append(s.all, sim.NewContinuousTags(tags, p))
+		return s.all[len(s.all)-1]
 	}
 	sieveC := map[sieve.CConfig]*sim.Continuous{}
 	runC := func(set func(*sieve.CConfig)) (*sim.Continuous, error) {
-		sc := cfg.SieveC
+		sc := cfg.SieveC()
 		set(&sc)
 		if c, ok := sieveC[sc]; ok {
 			return c, nil
@@ -77,46 +110,52 @@ func Sweep(cfg Config) (*SweepResults, error) {
 		sieveC[sc] = add(cache.New(capacity), p)
 		return sieveC[sc], nil
 	}
-	base, err := runC(func(*sieve.CConfig) {})
-	if err != nil {
+	var err error
+	if s.base, err = runC(func(*sieve.CConfig) {}); err != nil {
 		return nil, err
 	}
-	windows := make([]*sim.Continuous, len(sweepWindows))
+	s.windows = make([]*sim.Continuous, len(sweepWindows))
 	for i, w := range sweepWindows {
-		if windows[i], err = runC(func(sc *sieve.CConfig) { sc.Window = w }); err != nil {
+		if s.windows[i], err = runC(func(sc *sieve.CConfig) { sc.Window = w }); err != nil {
 			return nil, err
 		}
 	}
-	subwindows := make([]*sim.Continuous, len(sweepSubwindows))
+	s.subwindows = make([]*sim.Continuous, len(sweepSubwindows))
 	for i, k := range sweepSubwindows {
-		if subwindows[i], err = runC(func(sc *sieve.CConfig) { sc.Subwindows = k }); err != nil {
+		if s.subwindows[i], err = runC(func(sc *sieve.CConfig) { sc.Subwindows = k }); err != nil {
 			return nil, err
 		}
 	}
-	single, err := sieve.NewSingleTier(cfg.SieveC)
+	single, err := sieve.NewSingleTier(cfg.SieveC())
 	if err != nil {
 		return nil, err
 	}
-	singleTier := add(cache.New(capacity), single)
-	// The §3.1 replacement lineup: the unsieved cache under LRU, CLOCK,
-	// FIFO and the promotion-free SIEVE and S3-FIFO engines.
-	unsieved := []*sim.Continuous{
+	s.singleTier = add(cache.New(capacity), single)
+	s.unsieved = []*sim.Continuous{
 		add(cache.New(capacity), sieve.WMNA{}),
 		add(NewClock(capacity), sieve.WMNA{}),
 		add(NewFIFO(capacity), sieve.WMNA{}),
 		add(cache.NewSieve(capacity), sieve.WMNA{}),
 		add(NewS3FIFO(capacity), sieve.WMNA{}),
 	}
+	// Quadrants III and IV: one private cache per server, each with an even
+	// share of capacity and, for SieveStore-C, of the IMCT (never under 256
+	// slots).
 	servers := len(cfg.Workload.Servers)
-	perWMNA, err := sim.NewPerServer(servers, capacity, func(int) (sieve.Policy, error) { return sieve.WMNA{}, nil })
-	if err != nil {
+	sc := cfg.SieveC()
+	sc.IMCTSize = max(sc.IMCTSize/servers, 256)
+	if s.perWMNA, err = sim.NewPerServer(servers, capacity, func(int) (sieve.Policy, error) { return sieve.WMNA{}, nil }); err != nil {
 		return nil, err
 	}
-	perC, err := sim.NewPerServer(servers, capacity, cfg.PerServerSieveC())
-	if err != nil {
+	if s.perC, err = sim.NewPerServer(servers, capacity, func(int) (sieve.Policy, error) { return sieve.NewC(sc) }); err != nil {
 		return nil, err
 	}
+	return s, nil
+}
 
+// replay runs every simulation over the trace's days and returns each
+// day's access counter and the oracle day's block stream.
+func (s *sweepRuns) replay(tr sim.Trace, days int) ([]*analysis.Counter, []block.Key, error) {
 	counters := make([]*analysis.Counter, days)
 	var stream []block.Key
 	var buf []block.Access
@@ -125,11 +164,11 @@ func Sweep(cfg Config) (*SweepResults, error) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for d := range counters {
-		reqs, err := gen.Day(d)
+		reqs, err := tr.Day(d)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for _, c := range runs {
+		for _, c := range s.all {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -142,9 +181,9 @@ func Sweep(cfg Config) (*SweepResults, error) {
 		for i := range reqs {
 			req := &reqs[i]
 			counters[d].AddRequest(req)
-			for _, p := range []*sim.PerServer{perWMNA, perC} {
+			for _, p := range []*sim.PerServer{s.perWMNA, s.perC} {
 				if err := p.Process(req); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			if d == oracleDay {
@@ -156,59 +195,41 @@ func Sweep(cfg Config) (*SweepResults, error) {
 		}
 		wg.Wait()
 	}
+	return counters, stream, nil
+}
 
-	minutes := days * 24 * 60
-	// row reads one run's name, hit ratio and allocation-writes.
+// sensitivity reads the window, subwindow, single-tier and replacement
+// rows off the runs.
+func (s *sweepRuns) sensitivity(minutes int) *SweepResults {
 	row := func(c *sim.Continuous) ReplacementRow {
 		r := c.Result(minutes)
 		return ReplacementRow{Name: r.Name, HitRatio: r.Total().HitRatio(), AllocWrites: r.Total().AllocWrites}
 	}
-	res := &SweepResults{
-		DThreshold: dThresholdRows(counters, capacity),
-		SingleTier: []AblationRow{AblationRow(row(base)), AblationRow(row(singleTier))},
-	}
-	for i, c := range windows {
+	res := &SweepResults{SingleTier: []AblationRow{AblationRow(row(s.base)), AblationRow(row(s.singleTier))}}
+	for i, c := range s.windows {
 		r := row(c)
 		res.CWindow = append(res.CWindow, CWindowRow{Window: sweepWindows[i], HitRatio: r.HitRatio, Allocs: r.AllocWrites})
 	}
-	for i, c := range subwindows {
+	for i, c := range s.subwindows {
 		r := row(c)
 		res.Subwindows = append(res.Subwindows, SubwindowRow{Subwindows: sweepSubwindows[i], HitRatio: r.HitRatio, AllocWrites: r.AllocWrites})
 	}
-	for _, c := range append([]*sim.Continuous{base}, unsieved...) {
+	for _, c := range append([]*sim.Continuous{s.base}, s.unsieved...) {
 		res.Replacement = append(res.Replacement, row(c))
 	}
+	return res
+}
 
-	spec := Device()
-	quadrant := func(q, name string, r *sim.Result, drives int) QuadrantResult {
-		t := r.Total()
-		return QuadrantResult{Quadrant: q, Name: name, HitRatio: t.HitRatio(), AllocWrites: t.AllocWrites, Drives: drives}
-	}
-	ensemble := func(q, name string, c *sim.Continuous) QuadrantResult {
-		r := c.Result(minutes)
-		loads := metrics.ScaleLoads(r.Minutes, float64(cfg.Workload.Scale))
-		return quadrant(q, name, r, ssd.DrivesAtCoverage(ssd.DrivesNeeded(&spec, loads), 0.999))
-	}
-	perServer := func(q, name string, p *sim.PerServer) QuadrantResult {
-		combined, each := p.Result(minutes)
-		return quadrant(q, name, combined, cfg.PerServerDrives(each))
-	}
-	res.Quadrants = []QuadrantResult{
-		ensemble("I", "SieveStore-C (sieved, ensemble)", base),
-		ensemble("II", "WMNA (unsieved, ensemble)", unsieved[0]),
-		perServer("III", "WMNA (unsieved, per-server)", perWMNA),
-		perServer("IV", "SieveStore-C (sieved, per-server)", perC),
-	}
-
+// oracleRows replays the oracle day's block stream under the clairvoyant
+// MIN replacement, allocating on demand and selectively (§3.1).
+func oracleRows(stream []block.Key, capacity int) []OracleRow {
 	aod := sieve.BeladyAOD(stream, capacity)
 	sel := sieve.BeladySelective(stream, capacity)
 	n := int64(len(stream))
-	res.Oracle = []OracleRow{
+	return []OracleRow{
 		{Name: "MIN + allocate-on-demand", Hits: int64(aod.Hits), AllocWrites: int64(aod.AllocWrites), Accesses: n},
 		{Name: "MIN + selective-allocation", Hits: int64(sel.Hits), AllocWrites: int64(sel.AllocWrites), Accesses: n},
 	}
-	res.OracleSieveC = base.Result(minutes).Days[oracleDay]
-	return res, nil
 }
 
 // dThresholdRows sweeps SieveStore-D's epoch threshold. The discrete model

@@ -6,7 +6,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/block"
 	"repro/internal/sieve"
-	"repro/internal/sieved"
 )
 
 // Trace is a day-addressable request trace (satisfied by
@@ -16,33 +15,6 @@ type Trace interface {
 	Days() int
 	// Day returns day d's requests in time order.
 	Day(d int) ([]block.Request, error)
-}
-
-// DayCounters builds a per-day access counter for the whole ensemble.
-func DayCounters(tr Trace) ([]*analysis.Counter, error) {
-	out := make([]*analysis.Counter, tr.Days())
-	for d := range out {
-		reqs, err := tr.Day(d)
-		if err != nil {
-			return nil, err
-		}
-		c := analysis.NewCounter()
-		for i := range reqs {
-			c.AddRequest(&reqs[i])
-		}
-		out[d] = c
-	}
-	return out, nil
-}
-
-// TopSets returns each day's most-popular `frac` of blocks, hottest first
-// (the per-day ideal sieve's resident sets).
-func TopSets(counters []*analysis.Counter, frac float64) [][]block.Key {
-	out := make([][]block.Key, len(counters))
-	for d, c := range counters {
-		out[d] = c.TopFraction(frac)
-	}
-	return out
 }
 
 // eachRequest calls fn on every request of tr in order, day by day.
@@ -68,78 +40,6 @@ func RunContinuous(tr Trace, capacityBlocks int, policy sieve.Policy) (*Result, 
 		return nil, err
 	}
 	return c.Result(tr.Days() * 24 * 60), nil
-}
-
-// RunDiscreteSets simulates a discrete-epoch cache whose day-d resident set
-// is sets[d] (missing days get an empty set).
-func RunDiscreteSets(name string, tr Trace, capacityBlocks int, sets [][]block.Key) (*Result, error) {
-	d := NewDiscrete(name, capacityBlocks, func(day int) []block.Key {
-		if day < len(sets) {
-			return sets[day]
-		}
-		return nil
-	})
-	if err := eachRequest(tr, d.Process); err != nil {
-		return nil, err
-	}
-	return d.Result(tr.Days() * 24 * 60), nil
-}
-
-// RunIdeal simulates the paper's ideal sieve: the top `frac` most popular
-// blocks of each day are resident throughout that same day (an oracle; the
-// left-most bar of Figure 5).
-func RunIdeal(tr Trace, counters []*analysis.Counter, capacityBlocks int, frac float64) (*Result, error) {
-	return RunDiscreteSets("Ideal", tr, capacityBlocks, TopSets(counters, frac))
-}
-
-// RunSieveStoreD simulates SieveStore-D (§3.2): day d's accesses are logged
-// through the offline per-key-reduction pipeline; blocks whose day-d count
-// reaches `threshold` become day d+1's resident set. Day 0 runs with an
-// empty cache (the bootstrap day of Figure 5). dir hosts the spill files.
-func RunSieveStoreD(tr Trace, capacityBlocks int, threshold int64, dir string) (*Result, error) {
-	logger, err := sieved.NewLogger(dir, sieved.DefaultPartitions)
-	if err != nil {
-		return nil, err
-	}
-	defer logger.Close()
-	sets := make([][]block.Key, tr.Days())
-	d := NewDiscrete("SieveStore-D", capacityBlocks, func(day int) []block.Key {
-		return sets[day]
-	})
-	for day := 0; day < tr.Days(); day++ {
-		reqs, err := tr.Day(day)
-		if err != nil {
-			return nil, err
-		}
-		for i := range reqs {
-			if err := d.Process(&reqs[i]); err != nil {
-				return nil, err
-			}
-			if err := logger.LogRequest(&reqs[i]); err != nil {
-				return nil, err
-			}
-		}
-		if day+1 < tr.Days() {
-			set, err := logger.EndEpoch(threshold)
-			if err != nil {
-				return nil, err
-			}
-			sets[day+1] = set
-		}
-	}
-	return d.Result(tr.Days() * 24 * 60), nil
-}
-
-// RunRandBlkD simulates RandSieve-BlkD (Figure 5's random discrete sieve):
-// a uniformly random `frac` of the blocks accessed on day d is
-// batch-allocated for day d+1.
-func RunRandBlkD(tr Trace, counters []*analysis.Counter, capacityBlocks int, frac float64, seed int64) (*Result, error) {
-	rng := rand.New(rand.NewSource(seed))
-	sets := make([][]block.Key, tr.Days())
-	for d := 1; d < tr.Days(); d++ {
-		sets[d] = RandomSample(rng, counters[d-1], frac)
-	}
-	return RunDiscreteSets("RandSieve-BlkD", tr, capacityBlocks, sets)
 }
 
 // RandomSample draws frac of the blocks a counter saw, uniformly and at

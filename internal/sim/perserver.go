@@ -64,20 +64,6 @@ func (p *PerServer) Result(totalMinutes int) (*Result, []*Result) {
 	return CombineResults("per-server "+perServer[0].Name, totalMinutes, perServer), perServer
 }
 
-// RunPerServerContinuous runs a PerServer configuration over the whole
-// trace and returns its aggregated and per-server results.
-func RunPerServerContinuous(tr Trace, servers, totalCapacityBlocks int, factory PolicyFactory) (*Result, []*Result, error) {
-	p, err := NewPerServer(servers, totalCapacityBlocks, factory)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := eachRequest(tr, p.Process); err != nil {
-		return nil, nil, err
-	}
-	combined, perServer := p.Result(tr.Days() * 24 * 60)
-	return combined, perServer, nil
-}
-
 // CombineResults merges several simulation results into one aggregate: day
 // statistics add; minute loads add element-wise. Used for per-server
 // configurations whose caches are separate devices — note that for *drive

@@ -42,10 +42,14 @@ func aodFactory(int) (sieve.Policy, error) { return sieve.AOD{}, nil }
 
 func TestRunPerServerContinuous(t *testing.T) {
 	tr := skewedTwoServerTrace(8)
-	combined, perServer, err := RunPerServerContinuous(tr, 2, 12, aodFactory)
+	p, err := NewPerServer(2, 12, aodFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := eachRequest(tr, p.Process); err != nil {
+		t.Fatal(err)
+	}
+	combined, perServer := p.Result(tr.Days() * 24 * 60)
 	if len(perServer) != 2 {
 		t.Fatalf("per-server results: %d", len(perServer))
 	}
@@ -76,26 +80,30 @@ func TestRunPerServerContinuous(t *testing.T) {
 }
 
 func TestRunPerServerContinuousValidation(t *testing.T) {
-	tr := skewedTwoServerTrace(2)
-	if _, _, err := RunPerServerContinuous(tr, 0, 8, aodFactory); err == nil {
+	if _, err := NewPerServer(0, 8, aodFactory); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if _, _, err := RunPerServerContinuous(tr, 16, 8, aodFactory); err == nil {
+	if _, err := NewPerServer(16, 8, aodFactory); err == nil {
 		t.Error("capacity smaller than server count accepted")
 	}
 	// Requests from servers beyond the configured count must be rejected.
-	if _, _, err := RunPerServerContinuous(tr, 1, 8, aodFactory); err == nil {
+	p, err := NewPerServer(1, 8, aodFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eachRequest(skewedTwoServerTrace(2), p.Process); err == nil {
 		t.Error("unknown-server request accepted")
 	}
 }
 
 func TestRunPerServerContinuousEmptyTrace(t *testing.T) {
-	// A trace whose only day is empty (sievesim -policy perserver over a
-	// day directory with one empty day file) has no day rows to combine.
-	combined, perServer, err := RunPerServerContinuous(NewSliceTrace([]block.Request{}), 13, 1300, aodFactory)
+	// A one-day trace with no requests (a day directory whose only day
+	// file is empty) has no day rows to combine.
+	p, err := NewPerServer(13, 1300, aodFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
+	combined, perServer := p.Result(24 * 60)
 	if len(perServer) != 13 || len(combined.Days) != 0 || len(combined.Minutes) != 24*60 {
 		t.Errorf("combined %d day rows, %d minutes over %d servers", len(combined.Days), len(combined.Minutes), len(perServer))
 	}

@@ -126,6 +126,17 @@ func TestPagesRoundsUp(t *testing.T) {
 	}
 }
 
+// runDiscrete runs tr through a discrete-epoch cache whose day-d resident
+// set is sets[d].
+func runDiscrete(t *testing.T, tr Trace, capacityBlocks int, sets [][]block.Key) *Result {
+	t.Helper()
+	d := NewDiscrete("test", capacityBlocks, func(day int) []block.Key { return sets[day] })
+	if err := eachRequest(tr, d.Process); err != nil {
+		t.Fatal(err)
+	}
+	return d.Result(tr.Days() * 24 * 60)
+}
+
 func TestDiscreteEpochSets(t *testing.T) {
 	k := func(n uint64) block.Key { return block.MakeKey(0, 0, n) }
 	day0 := []block.Request{req(10, 1, block.Read), req(20, 2, block.Read)}
@@ -134,12 +145,7 @@ func TestDiscreteEpochSets(t *testing.T) {
 		req(trace.Day+20, 1, block.Write),
 		req(trace.Day+30, 2, block.Read),
 	}
-	tr := NewSliceTrace(day0, day1)
-	sets := [][]block.Key{nil, {k(1)}}
-	res, err := RunDiscreteSets("test", tr, 10, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDiscrete(t, NewSliceTrace(day0, day1), 10, [][]block.Key{nil, {k(1)}})
 	if res.Days[0].Hits() != 0 || res.Days[0].Moves != 0 {
 		t.Errorf("day0 = %+v", res.Days[0])
 	}
@@ -158,12 +164,7 @@ func TestDiscreteMovesCancelForRetainedBlocks(t *testing.T) {
 	day := func(d int) []block.Request {
 		return []block.Request{req(int64(d)*trace.Day+5, 1, block.Read)}
 	}
-	tr := NewSliceTrace(day(0), day(1), day(2))
-	sets := [][]block.Key{{k(1), k(2)}, {k(1), k(2)}, {k(2), k(3)}}
-	res, err := RunDiscreteSets("test", tr, 10, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runDiscrete(t, NewSliceTrace(day(0), day(1), day(2)), 10, [][]block.Key{{k(1), k(2)}, {k(1), k(2)}, {k(2), k(3)}})
 	if res.Days[0].Moves != 2 {
 		t.Errorf("day0 moves = %d", res.Days[0].Moves)
 	}

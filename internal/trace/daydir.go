@@ -23,15 +23,18 @@ func dayFileName(d int) string { return fmt.Sprintf("day-%03d.trace", d) }
 // SplitByDay drains a (time-ordered) request stream into per-day binary
 // trace files under dir, creating it if needed. It returns the number of
 // days written. Empty days get no file; OpenDayDir treats them as empty.
+// A dir that already holds day files is refused and left as it is.
 func SplitByDay(r Reader, dir string) (days int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("trace: %w", err)
+	}
+	if _, err := OpenDayDir(dir); err == nil {
+		return 0, fmt.Errorf("trace: %s already holds day files", dir)
 	}
 	var (
 		cur     *os.File
 		w       *BinaryWriter
 		curDay  = -1
-		maxDay  = -1
 		closeAl = func() error {
 			if cur == nil {
 				return nil
@@ -68,9 +71,6 @@ func SplitByDay(r Reader, dir string) (days int, err error) {
 			}
 			cur, w = f, NewBinaryWriter(f)
 			curDay = d
-			if d > maxDay {
-				maxDay = d
-			}
 		}
 		if err := w.Write(req); err != nil {
 			return 0, err
@@ -79,7 +79,7 @@ func SplitByDay(r Reader, dir string) (days int, err error) {
 	if err := closeAl(); err != nil {
 		return 0, err
 	}
-	return maxDay + 1, nil
+	return curDay + 1, nil
 }
 
 // DayDir is a day-partitioned on-disk trace. It satisfies the simulator's
@@ -100,9 +100,7 @@ func OpenDayDir(dir string) (*DayDir, error) {
 	for _, e := range entries {
 		var d int
 		if _, err := fmt.Sscanf(e.Name(), "day-%d.trace", &d); err == nil {
-			if d > maxDay {
-				maxDay = d
-			}
+			maxDay = max(maxDay, d)
 		}
 	}
 	if maxDay < 0 {

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/block"
@@ -67,6 +69,27 @@ func TestSplitByDayRejectsRegression(t *testing.T) {
 	reqs := []block.Request{dayReq(2, 1, 1), dayReq(1, 1, 2)}
 	if _, err := SplitByDay(NewSliceReader(reqs), t.TempDir()); err != ErrUnsorted {
 		t.Errorf("want ErrUnsorted, got %v", err)
+	}
+}
+
+// TestSplitByDayRefusesDayFiles: splitting into a directory that already
+// holds a day file would mix two traces on reading it back, so the split is
+// refused with an error naming the directory, and the old file stays as it
+// was.
+func TestSplitByDayRefusesDayFiles(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, dayFileName(5))
+	want := []byte("an earlier trace's day 5")
+	if err := os.WriteFile(old, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := SplitByDay(NewSliceReader([]block.Request{dayReq(0, 1, 1), dayReq(5, 1, 2)}), dir)
+	if err == nil || !strings.Contains(err.Error(), dir) {
+		t.Errorf("split into a directory with day files: err = %v, want one naming %s", err, dir)
+	}
+	entries, _ := os.ReadDir(dir)
+	if got, _ := os.ReadFile(old); len(entries) != 1 || !bytes.Equal(got, want) {
+		t.Errorf("directory changed: %d entries, %s = %q", len(entries), old, got)
 	}
 }
 

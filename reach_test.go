@@ -89,12 +89,11 @@ func TestReachability(t *testing.T) {
 	}
 }
 
-// TestFunctionLength holds every non-test function under internal/core,
-// internal/appliance and cmd/appliance to 80 lines, counted from its func
-// keyword to its closing brace.
+// TestFunctionLength holds every non-test function under internal/ and
+// cmd/ to 80 lines, counted from its func keyword to its closing brace.
 func TestFunctionLength(t *testing.T) {
 	const maxLines = 80
-	for _, root := range []string{"internal/core", "internal/appliance", "cmd/appliance"} {
+	for _, root := range []string{"internal", "cmd"} {
 		eachFunc(t, root, func(path string, fset *token.FileSet, fn *ast.FuncDecl) {
 			start, end := fset.Position(fn.Pos()), fset.Position(fn.End())
 			if n := end.Line - start.Line + 1; n > maxLines {
