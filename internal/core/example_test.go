@@ -170,8 +170,8 @@ func ExampleStore_SaveSnapshot() {
 	fmt.Printf("warm restart: %d blocks resident, %.1f%% hits\n", warm.Stats().CachedBlocks, 100*phase(warm, 3))
 	warm.Close()
 	// Output:
-	// first run: 53.5% hits, then 61.1%
-	// snapshot: 1551 blocks, 0 still dirty
+	// first run: 53.6% hits, then 61.0%
+	// snapshot: 1616 blocks, 0 still dirty
 	// cold restart: 53.7% hits
-	// warm restart: 1551 blocks resident, 62.1% hits
+	// warm restart: 1616 blocks resident, 61.8% hits
 }

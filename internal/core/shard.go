@@ -179,8 +179,10 @@ func (sh *shard) setDirtyLocked(slot uint32) {
 // sieveLocked offers the blocks of a request that missed in this shard — at
 // holds their positions from key0, in request order — to the sieve and
 // appends to dst the positions it admits. The caller holds sieveMu and not
-// mu: a page's eight counter slots are eight cache misses, about a
-// microsecond that neither a hit nor another request's walk should wait for.
+// mu: a page's eight counter slots share one cache line, but counting the
+// page still takes ~0.2–0.25 µs (BenchmarkSievePageRuns) and an MCT probe
+// or a subwindow's aging sweep more, which neither a hit nor another
+// request's walk should wait for.
 func (sh *shard) sieveLocked(dst []uint64, key0 block.Key, at []uint64, now time.Time) []uint64 {
 	run := sh.sieveC.Begin(now.Sub(sh.store.sieveBase).Nanoseconds())
 	for _, i := range at {

@@ -88,8 +88,9 @@ type Options struct {
 	// Variant selects SieveStore-C (default) or SieveStore-D.
 	Variant Variant
 	// SieveC configures the continuous sieve (VariantC). With Shards > 1
-	// each shard runs its own sieve over IMCTSize/Shards slots so total
-	// metastate is unchanged.
+	// each shard runs its own sieve over ⌈IMCTSize/Shards⌉ slots, rounded
+	// up to whole eight-slot lines, so total metastate is unchanged but
+	// for the rounding.
 	SieveC sieve.CConfig
 	// DThreshold is the epoch access-count threshold (VariantD; default 10).
 	DThreshold int64

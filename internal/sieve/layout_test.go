@@ -1,0 +1,43 @@
+package sieve
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/block"
+)
+
+// TestIMCTPageLine pins the page-major layout: an IMCT of n slots holds
+// 8·⌈n/8⌉, and the eight blocks of any page land in slots line·8+b of one
+// line, b their place in the page, through the slot C and SingleTier count
+// in. Across many pages a 4096-slot table uses most of its 512 lines.
+func TestIMCTPageLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 7, 8, 9, 4096} {
+		c, err := NewC(CConfig{IMCTSize: n, T1: 9, T2: 4, Window: time.Hour, Subwindows: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (n + 7) / 8 * 8; len(c.imct) != want {
+			t.Fatalf("IMCTSize %d: table holds %d slots, want %d", n, len(c.imct), want)
+		}
+		lines := map[int]bool{}
+		for i := 0; i < 2000; i++ {
+			page := block.MakeKey(rng.Intn(block.MaxServers), rng.Intn(block.MaxVolumes), uint64(rng.Int63n(1<<30))*block.BlocksPerPage)
+			first := pageSlot(page, len(c.imct))
+			if first%8 != 0 || first >= len(c.imct) {
+				t.Fatalf("IMCTSize %d: page %v starts at slot %d, not a line of %d slots", n, page, first, len(c.imct))
+			}
+			lines[first/8] = true
+			for b := 0; b < block.BlocksPerPage; b++ {
+				if got := c.slot(page + block.Key(b)); got != &c.imct[first+b] {
+					t.Fatalf("IMCTSize %d: block %d of page %v is not in slot %d", n, b, page, first+b)
+				}
+			}
+		}
+		if len(c.imct) == 4096 && len(lines) < 400 {
+			t.Errorf("2000 pages used %d of 512 lines", len(lines))
+		}
+	}
+}

@@ -51,7 +51,7 @@ func newRefC(t testing.TB, cfg CConfig) *refC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refC{cfg: cfg, c: c, imct: make([]refCounter, cfg.IMCTSize), mct: map[block.Key]*refCounter{}}
+	return &refC{cfg: cfg, c: c, imct: make([]refCounter, len(c.imct)), mct: map[block.Key]*refCounter{}}
 }
 
 func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
@@ -67,7 +67,7 @@ func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
 			}
 		}
 	}
-	n := s.imct[slotOf(acc.Key, len(s.imct))].bump(win, k)
+	n := s.imct[pageSlot(acc.Key, len(s.imct))].bump(win, k)
 	e, tracked := s.mct[acc.Key]
 	if !tracked {
 		if n < s.cfg.T1 {
@@ -88,9 +88,9 @@ func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
 // refSingle is SingleTier as first written: refC's counters, each aged
 // lazily by its own last subwindow, against T1+T2.
 func refSingle(cfg CConfig, c *C) func(block.Access) bool {
-	imct := make([]refCounter, cfg.IMCTSize)
+	imct := make([]refCounter, len(c.imct))
 	return func(acc block.Access) bool {
-		return imct[slotOf(acc.Key, len(imct))].bump(acc.Time/c.subNanos, cfg.Subwindows) >= cfg.T1+cfg.T2
+		return imct[pageSlot(acc.Key, len(imct))].bump(acc.Time/c.subNanos, cfg.Subwindows) >= cfg.T1+cfg.T2
 	}
 }
 
@@ -171,7 +171,7 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 			if len(s.slab) != len(s.mct) {
 				t.Fatalf("%+v step %d: %d slab entries, %d tracked", cfg, i, len(s.slab), len(s.mct))
 			}
-			perSlot := make([]uint64, cfg.IMCTSize)
+			perSlot := make([]uint64, len(s.imct))
 			for key, j := range s.mct {
 				e := s.slab[j]
 				r, ok := ref.mct[key]
@@ -184,7 +184,7 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 				if !ok || e.key != key || !reflect.DeepEqual(r.counts[:cfg.Subwindows], widen(e.counts[:cfg.Subwindows])) {
 					t.Fatalf("%+v step %d: MCT entry %d = %+v, reference %v", cfg, i, key, e, r)
 				}
-				perSlot[slotOf(key, len(s.imct))]++
+				perSlot[pageSlot(key, len(s.imct))]++
 			}
 			for j, w := range s.imct {
 				if got := uint64(w) >> trackedShift; got != perSlot[j] && got != trackedMax {

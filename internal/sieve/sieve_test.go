@@ -240,21 +240,22 @@ func TestSieveCWindowExpiry(t *testing.T) {
 }
 
 func TestSieveCAliasingPromotesEarly(t *testing.T) {
-	// With a single-slot IMCT every block aliases onto one counter, so the
-	// T1 gate passes almost immediately and only the precise MCT filters —
-	// the failure mode motivating the two-tier design.
+	// With a one-line IMCT every page aliases onto one line, so the first
+	// blocks of all pages share one counter: the T1 gate passes almost
+	// immediately and only the precise MCT filters — the failure mode
+	// motivating the two-tier design.
 	s, err := NewC(CConfig{IMCTSize: 1, T1: 9, T2: 4, Window: 8 * time.Hour, Subwindows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nine misses from distinct blocks warm the shared slot.
-	for b := uint64(100); b < 109; b++ {
-		s.ShouldAllocate(acc(1e9, b, block.Read))
+	// Nine misses from distinct pages' first blocks warm the shared slot.
+	for p := uint64(100); p < 109; p++ {
+		s.ShouldAllocate(acc(1e9, p*block.BlocksPerPage, block.Read))
 	}
-	// A fresh block now needs only T2 misses.
+	// A fresh page's first block now needs only T2 misses.
 	allocAt := 0
 	for i := 1; i <= 10; i++ {
-		if s.ShouldAllocate(acc(2e9+int64(i), 7, block.Read)) {
+		if s.ShouldAllocate(acc(2e9+int64(i), 7*block.BlocksPerPage, block.Read)) {
 			allocAt = i
 			break
 		}
@@ -287,11 +288,12 @@ func TestSingleTierAllocatesAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 13 misses from 13 *distinct* blocks: the 13th gets allocated purely
-	// by piggybacking — the pollution the MCT exists to stop.
+	// 13 misses from 13 *distinct* blocks, the first of 13 pages that
+	// share the one IMCT line: the 13th gets allocated purely by
+	// piggybacking — the pollution the MCT exists to stop.
 	allocated := false
-	for b := uint64(0); b < 13; b++ {
-		allocated = st.ShouldAllocate(acc(1e9, b, block.Read))
+	for p := uint64(0); p < 13; p++ {
+		allocated = st.ShouldAllocate(acc(1e9, p*block.BlocksPerPage, block.Read))
 	}
 	if !allocated {
 		t.Error("single-tier sieve should admit aliased low-reuse block")

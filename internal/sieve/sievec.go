@@ -24,8 +24,9 @@ const (
 
 // CConfig parameterizes SieveStore-C's two-tier sieve (§3.3).
 type CConfig struct {
-	// IMCTSize is the number of slots in the imprecise miss-count table.
-	// Blocks map many-to-one onto slots, so counts may be aliased.
+	// IMCTSize is the number of slots in the imprecise miss-count table,
+	// rounded up to whole lines of BlocksPerPage (pageSlot). Pages map
+	// many-to-one onto lines, so counts may be aliased.
 	IMCTSize int
 	// T1 is the IMCT threshold: a block's (possibly aliased) slot must
 	// have seen at least T1 misses in the window before the block is
@@ -164,7 +165,7 @@ func NewC(cfg CConfig) (*C, error) {
 	return &C{
 		cfg:      cfg,
 		subNanos: cfg.Window.Nanoseconds() / int64(cfg.Subwindows),
-		imct:     make([]imctSlot, cfg.IMCTSize),
+		imct:     make([]imctSlot, (cfg.IMCTSize+block.BlocksPerPage-1)&^(block.BlocksPerPage-1)),
 		mct:      make(map[block.Key]uint32),
 	}, nil
 }
@@ -179,19 +180,22 @@ func (s *C) Stats() CStats {
 	return st
 }
 
-// slotOf mixes a block key onto one of n IMCT slots (SplitMix64 finalizer).
-func slotOf(key block.Key, n int) int {
-	x := uint64(key)
+// pageSlot is key's slot in an IMCT of n slots, whole 64-byte lines of
+// BlocksPerPage: the SplitMix64 finalizer of its page number picks the line,
+// its place in the page the slot. A missed page costs one line, not eight.
+func pageSlot(key block.Key, n int) int {
+	const b = block.BlocksPerPage
+	x := uint64(key) / b
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x % uint64(n))
+	return int(x%uint64(n/b))*b + int(key%b)
 }
 
 // slot is key's IMCT slot.
-func (s *C) slot(key block.Key) *imctSlot { return &s.imct[slotOf(key, len(s.imct))] }
+func (s *C) slot(key block.Key) *imctSlot { return &s.imct[pageSlot(key, len(s.imct))] }
 
 // ShouldAllocate implements Policy: a run of one miss.
 func (s *C) ShouldAllocate(acc block.Access) bool {

@@ -39,11 +39,3 @@ func (s *SingleTier) ShouldAllocate(acc block.Access) bool {
 	s.c.advance(acc.Time)
 	return s.c.slot(acc.Key).bump(s.c.lane) >= s.c.cfg.T1
 }
-
-var (
-	_ Policy = (*SingleTier)(nil)
-	_ Policy = (*C)(nil)
-	_ Policy = AOD{}
-	_ Policy = WMNA{}
-	_ Policy = (*RandC)(nil)
-)
