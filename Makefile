@@ -133,6 +133,7 @@ fuzz:
 	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime 30s -run XXX
 	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime 30s -run XXX
 	$(GO) test ./internal/sieve/ -fuzz FuzzSieveMatchesReference -fuzztime 30s -run XXX
+	$(GO) test ./internal/cache/ -fuzz FuzzHitRunMatchesHits -fuzztime 30s -run XXX
 
 # Quick smoke over every fuzz target (seed corpora + 5s of new inputs
 # each) — cheap enough for pre-commit; `make fuzz` is the long soak.
@@ -147,6 +148,7 @@ test-fuzz:
 	$(GO) test ./internal/appliance/ -fuzz FuzzClientResponse -fuzztime 5s -run XXX
 	$(GO) test ./internal/tenant/ -fuzz FuzzTenantAccounting -fuzztime 5s -run XXX
 	$(GO) test ./internal/sieve/ -fuzz FuzzSieveMatchesReference -fuzztime 5s -run XXX
+	$(GO) test ./internal/cache/ -fuzz FuzzHitRunMatchesHits -fuzztime 5s -run XXX
 
 fmt:
 	gofmt -w .

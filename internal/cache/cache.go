@@ -46,8 +46,8 @@ type TagStore interface {
 // by 4 KiB page, so one probe (Page) serves a page run.
 //
 // The keyed methods (Touch, Insert, Contains, Swap) are what the simulator
-// drives; the slot methods (Lookup, Page, Hit, Add, Remove, SwapSlots) are
-// what internal/core uses.
+// drives; the slot methods (Lookup, Page, Hit, HitRun, Add, Remove,
+// SwapSlots) are what internal/core uses.
 // It is not goroutine-safe; concurrent users serialize access.
 type Cache struct {
 	capacity int
@@ -128,7 +128,11 @@ func (c *Cache) set(key block.Key, s uint32) {
 func (c *Cache) Key(slot uint32) block.Key { return c.keys[slot] }
 
 // Hit notes a hit on a resident slot.
-func (c *Cache) Hit(slot uint32) { c.order.Touch(slot) }
+func (c *Cache) Hit(slot uint32) { c.order.TouchRun([block.BlocksPerPage]uint32{slot + 1}, 0, 1) }
+
+// HitRun notes hits on the blocks lo…hi-1 of page, an entry from Page, all
+// resident, as Hit on each of their slots in block order would.
+func (c *Cache) HitRun(page [block.BlocksPerPage]uint32, lo, hi int) { c.order.TouchRun(page, lo, hi) }
 
 // VictimSlot is the slot to Remove to make room in a full cache.
 func (c *Cache) VictimSlot() (uint32, bool) { return c.order.Victim() }
@@ -174,7 +178,7 @@ func (c *Cache) Contains(key block.Key) bool {
 func (c *Cache) Touch(key block.Key) bool {
 	slot, ok := c.Lookup(key)
 	if ok {
-		c.order.Touch(slot)
+		c.Hit(slot)
 	}
 	return ok
 }

@@ -1,5 +1,7 @@
 package cache
 
+import "repro/internal/block"
+
 // Order is a replacement engine over dense slot numbers instead of keys:
 // the Cache that owns it maps keys to slots once, and everything that is
 // per-block thereafter — recency links here, frames and dirty bits in
@@ -7,8 +9,10 @@ package cache
 // ranks; the Cache counts residents and evicts Victim when it is full.
 type Order interface {
 	Name() string
-	// Touch notes a hit on a resident slot.
-	Touch(slot uint32)
+	// TouchRun notes hits on the resident blocks lo…hi-1 of a page, in
+	// block order, exactly as one hit on each in turn would. page holds by
+	// block, as a Cache.Page entry does, each slot plus one.
+	TouchRun(page [block.BlocksPerPage]uint32, lo, hi int)
 	// Insert makes slot resident as the newest.
 	Insert(slot uint32)
 	// Victim is the slot to evict next. Policies that approximate recency
@@ -32,6 +36,19 @@ type slotList struct{ links []slotLink }
 type slotLink struct{ prev, next uint32 }
 
 func newSlotList() slotList { return slotList{links: make([]slotLink, 1)} }
+
+// moveFront moves the segment that runs from entry first to entry last,
+// following next, to the front; nothing moves when first is there already.
+func (l *slotList) moveFront(first, last uint32) {
+	if l.links[0].next == first {
+		return
+	}
+	prev, next := l.links[first].prev, l.links[last].next
+	l.links[prev].next, l.links[next].prev = next, prev
+	head := l.links[0].next
+	l.links[first].prev, l.links[last].next = 0, head
+	l.links[head].prev, l.links[0].next = last, first
+}
 
 func (l *slotList) unlink(e uint32) {
 	k := l.links[e]
@@ -65,11 +82,21 @@ type lruOrder struct{ l slotList }
 
 func (o *lruOrder) Name() string { return "LRU" }
 
-func (o *lruOrder) Touch(slot uint32) {
-	if e := slot + 1; o.l.links[0].next != e {
-		o.l.unlink(e)
-		o.l.pushFront(e)
+// TouchRun leaves the run at the front, its last block newest and its first
+// the oldest of them, as moving each block to the front in turn would. A run
+// that already lies so in the list as one segment — each block's entry
+// followed by the previous block's — is spliced to the front whole, and
+// stays put when it leads already; any other run is moved a block at a time.
+func (o *lruOrder) TouchRun(page [block.BlocksPerPage]uint32, lo, hi int) {
+	for b := lo + 1; b < hi; b++ {
+		if o.l.links[page[b]].next != page[b-1] {
+			for _, e := range page[lo:hi] {
+				o.l.moveFront(e, e)
+			}
+			return
+		}
 	}
+	o.l.moveFront(page[hi-1], page[lo])
 }
 
 func (o *lruOrder) Insert(slot uint32) { o.l.pushFront(slot + 1) }
@@ -102,7 +129,17 @@ type sieveOrder struct {
 
 func (o *sieveOrder) Name() string { return "SIEVE" }
 
-func (o *sieveOrder) Touch(slot uint32) { o.visited[slot+1] = true }
+// TouchRun sets the run's visited bits; a run of one (Cache.Hit) skips the
+// loop.
+func (o *sieveOrder) TouchRun(page [block.BlocksPerPage]uint32, lo, hi int) {
+	if hi == lo+1 {
+		o.visited[page[lo]] = true
+		return
+	}
+	for _, e := range page[lo:hi] {
+		o.visited[e] = true
+	}
+}
 
 func (o *sieveOrder) Insert(slot uint32) {
 	o.l.pushFront(slot + 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,6 +45,13 @@ func runGoldenWorkload(t *testing.T, variant Variant, shards int) goldenResult {
 }
 
 func runGoldenWorkloadPolicy(t *testing.T, variant Variant, shards int, policy string) goldenResult {
+	return runGoldenReads(t, variant, shards, policy, nil)
+}
+
+// runGoldenReads is the golden workload with onRead, when not nil, called
+// before each read with the store, the read's first key and its length in
+// blocks.
+func runGoldenReads(t *testing.T, variant Variant, shards int, policy string, onRead func(*Store, block.Key, int)) goldenResult {
 	t.Helper()
 	be := store.NewMem()
 	be.AddVolume(0, 0, (goldenSpan+4)*block.Size)
@@ -87,6 +95,9 @@ func runGoldenWorkloadPolicy(t *testing.T, variant Variant, shards int, policy s
 		nblk := 1 + r.Intn(4)
 		off := blk * block.Size
 		if r.Intn(10) < 7 {
+			if onRead != nil {
+				onRead(st, block.MakeKey(0, 0, blk), nblk)
+			}
 			if err := st.ReadAt(0, 0, rbuf[:nblk*block.Size], off); err != nil {
 				t.Fatalf("op %d: read: %v", i, err)
 			}
@@ -220,6 +231,58 @@ func TestGoldenDeterminism(t *testing.T) {
 	b := runGoldenWorkload(t, VariantD, 8)
 	if a != b {
 		t.Fatalf("two identical runs diverged:\n  %+v\n  %+v", a, b)
+	}
+}
+
+// runShares tallies how the blocks of reads that hit are served: in page
+// runs whose blocks are all resident (the one-HitRun path), and of those in
+// runs whose slots follow one another within one slab (one copy).
+type runShares struct{ hits, resident, oneCopy int64 }
+
+// count classifies the read of n blocks from key0 as the store will serve
+// it, before it is issued; the caller issues reads one at a time.
+func (r *runShares) count(s *Store, key0 block.Key, n int) {
+	for _, w := range s.pageRuns(nil, key0, n) {
+		i, end, pk, b := runPage(key0, w)
+		sh := s.shards[w>>runShardShift]
+		sh.mu.Lock()
+		pg, mask := sh.tab.Page(pk), uint32(1)<<sh.slabShift-1
+		sh.mu.Unlock()
+		run := pg[b : b+end-i]
+		copies := 1
+		for j, e := range run {
+			if e != 0 {
+				r.hits++
+			}
+			if j > 0 && (e != run[j-1]+1 || (e-1)&mask == 0) {
+				copies++
+			}
+		}
+		if !slices.Contains(run, 0) {
+			r.resident += int64(len(run))
+			if copies == 1 {
+				r.oneCopy += int64(len(run))
+			}
+		}
+	}
+}
+
+// TestGoldenRunShares counts, on the golden workload, the share of read
+// hits served as fully-resident page runs and, of those, the share in one
+// copy. Its own hit count must match the store's.
+func TestGoldenRunShares(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		var r runShares
+		var s *Store
+		runGoldenReads(t, VariantC, shards, "", func(st *Store, key0 block.Key, n int) {
+			s = st
+			r.count(st, key0, n)
+		})
+		if hits := s.Stats().ReadHits; r.hits != hits {
+			t.Errorf("Shards%d: counted %d read hits, the store %d", shards, r.hits, hits)
+		}
+		t.Logf("Shards%d: %d read hits, %.3f in fully-resident runs, %.3f of those in one copy",
+			shards, r.hits, float64(r.resident)/float64(r.hits), float64(r.oneCopy)/float64(r.resident))
 	}
 }
 

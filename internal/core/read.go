@@ -37,9 +37,8 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	// Classify: one critical section per shard, shards ascending, each
 	// shard's blocks in request order — so a shard's recency order and its
 	// sieve's counts move exactly as a block-by-block walk would move them.
-	// A page run is one slot-table and one in-flight probe, a hit one relink
-	// and one copy. A miss with no flight to join goes on at, to be fetched,
-	// and is offered to the sieve with the shard lock released (shard.admit).
+	// A miss with no flight to join goes on at, to be fetched, and is
+	// offered to the sieve with the shard lock released (shard.admit).
 	var runBuf [runsInline]uint64
 	var atBuf [missInline]uint64
 	var admittedBuf, joinedBuf [8]miss
@@ -49,24 +48,8 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	for lo := 0; lo < len(runs); {
 		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
-		hits, missed, seq := 0, len(at), sh.admitSeq.Load()
-		for _, w := range runs[lo:hi] {
-			i, end, pk, b := runPage(key0, w)
-			sh.stats.Reads += int64(end - i)
-			pg, pf := sh.tab.Page(pk), sh.inflight[pk]
-			for ; i < end; i, b = i+1, b+1 {
-				if slot := pg[b] - 1; pg[b] != 0 {
-					sh.tab.Hit(slot)
-					copy(p[i*block.Size:(i+1)*block.Size], sh.frame(slot))
-					hits++
-				} else if f := pf[b]; f != nil {
-					joined = append(joined, miss{idx: i, f: sh.joinLocked(f)})
-				} else {
-					at = append(at, uint64(i))
-				}
-			}
-		}
-		sh.stats.ReadHits += int64(hits)
+		missed, seq := len(at), sh.admitSeq.Load()
+		at, joined = sh.classifyLocked(key0, runs[lo:hi], p, at, joined)
 		sh.mu.Unlock()
 		if sh.sieveC != nil && len(at) > missed {
 			if now.IsZero() {
@@ -100,6 +83,61 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 		}
 	}
 	return nil
+}
+
+// classifyLocked walks a read's page runs in this shard — runs over key0,
+// p the request's buffer — copying and noting hits, joining the flights of
+// misses that have one and appending the other misses' positions to at. A
+// run takes one slot-table probe; each stretch of resident blocks in it
+// takes one HitRun and a copy per stretch of consecutive slots
+// (copyFramesLocked). The in-flight table is probed only for a run with a
+// block missing.
+func (sh *shard) classifyLocked(key0 block.Key, runs []uint64, p []byte, at []uint64, joined []miss) ([]uint64, []miss) {
+	hits := 0
+	for _, w := range runs {
+		i, end, pk, b := runPage(key0, w)
+		sh.stats.Reads += int64(end - i)
+		pg := sh.tab.Page(pk)
+		var pf [block.BlocksPerPage]*flight
+		for probed := false; i < end; {
+			n := 0
+			for i+n < end && pg[b+n] != 0 {
+				n++
+			}
+			if n > 0 {
+				sh.tab.HitRun(pg, b, b+n)
+				sh.copyFramesLocked(p[i*block.Size:(i+n)*block.Size], pg, b)
+				hits, i, b = hits+n, i+n, b+n
+				continue
+			}
+			if !probed {
+				pf, probed = sh.inflight[pk], true
+			}
+			if f := pf[b]; f != nil {
+				joined = append(joined, miss{idx: i, f: sh.joinLocked(f)})
+			} else {
+				at = append(at, uint64(i))
+			}
+			i, b = i+1, b+1
+		}
+	}
+	sh.stats.ReadHits += int64(hits)
+	return at, joined
+}
+
+// copyFramesLocked fills p with the frames of page's resident blocks from
+// b on, one copy per stretch of blocks whose slots follow one another
+// within one slab.
+func (sh *shard) copyFramesLocked(p []byte, page [block.BlocksPerPage]uint32, b int) {
+	for mask := uint32(1)<<sh.slabShift - 1; len(p) > 0; {
+		slot, n := page[b]-1, 1
+		for n*block.Size < len(p) && page[b+n] == page[b]+uint32(n) && (slot+uint32(n))&mask != 0 {
+			n++
+		}
+		off := int(slot&mask) * block.Size
+		copy(p[:n*block.Size], sh.slabs[slot>>sh.slabShift][off:])
+		p, b = p[n*block.Size:], b+n
+	}
 }
 
 // readMisses fetches the blocks of a read that missed — at holds their

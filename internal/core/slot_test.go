@@ -216,6 +216,54 @@ func TestHitPathAllocations(t *testing.T) {
 	}
 }
 
+// TestResidentRunReadBack reads back pages whose blocks are all resident
+// but whose slots do not simply follow one another: page 0's blocks 1 and 2
+// swapped slots, so its first and last slot are seven apart as if they did,
+// and page 1's eight consecutive slots straddle a slab boundary. Every read,
+// whole page, part page or both pages, must return the backend's bytes.
+func TestResidentRunReadBack(t *testing.T) {
+	be := store.NewMem()
+	be.AddVolume(0, 0, 1<<20)
+	want := make([]byte, 3*block.PageSize)
+	rand.New(rand.NewSource(44)).Read(want)
+	if err := be.WriteAt(0, 0, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	// 256 blocks: slabs of 8 frames, one shard.
+	s, err := Open(be, Options{CacheBytes: 256 * block.Size, Shards: 1, SieveC: smallSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	read := func(first, n int) []byte {
+		t.Helper()
+		p := bytes.Repeat([]byte{0xa5}, n*block.Size)
+		if err := s.ReadAt(0, 0, p, uint64(first)*block.Size); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, b := range []int{0, 2, 1, 3, 4, 5, 6, 7, 16} { // slots 0…8 in turn
+		read(b, 1)
+	}
+	read(8, block.BlocksPerPage) // page 1 into slots 9…16
+	sh := s.shards[0]
+	for pg, slots := range [][block.BlocksPerPage]uint32{{1, 3, 2, 4, 5, 6, 7, 8}, {10, 11, 12, 13, 14, 15, 16, 17}} {
+		if got := sh.tab.Page(block.MakeKey(0, 0, uint64(pg*block.BlocksPerPage))); got != slots || sh.slabShift != 3 {
+			t.Fatalf("page %d holds slots+1 %v in slabs of %d, want %v in slabs of 8", pg, got, 1<<sh.slabShift, slots)
+		}
+	}
+	before := s.Stats()
+	for _, r := range []struct{ first, n int }{{0, 8}, {8, 8}, {1, 3}, {0, 2}, {9, 7}, {4, 12}, {2, 1}} {
+		if got := read(r.first, r.n); !bytes.Equal(got, want[r.first*block.Size:(r.first+r.n)*block.Size]) {
+			t.Errorf("blocks %d…%d read back wrong bytes", r.first, r.first+r.n-1)
+		}
+	}
+	if after := s.Stats(); after.BackendReads != before.BackendReads || after.ReadHits-before.ReadHits != 41 {
+		t.Errorf("the read-backs were not 41 block hits: %d hits, %d backend reads", after.ReadHits-before.ReadHits, after.BackendReads-before.BackendReads)
+	}
+}
+
 // TestWriteHitAllocations guards the write path: an aligned 4 KiB
 // write-through write that hits makes one allocation, its blocks' flights,
 // and the page-keyed in-flight table it reserves them in is empty after.
