@@ -2,24 +2,59 @@ package sieve
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/block"
 )
 
+// missedPages is a seeded Zipf stream of n missed pages' first blocks over
+// 2^24 pages. Its offset v = 1024 flattens the head, as a cache holding the
+// hottest pages would: about 1 % of misses promote and 0.4 % admit.
+func missedPages(n int) []block.Key {
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1024, 1<<24-1)
+	keys := make([]block.Key, n)
+	for i := range keys {
+		keys[i] = block.MakeKey(0, 0, zipf.Uint64()*block.BlocksPerPage)
+	}
+	return keys
+}
+
+// heapAlloc is the live heap after a collection.
+func heapAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// reportSieves stops the timer and reports the sieves' promotions and
+// admissions per miss, the benchmark's ns per missed block, and what the
+// live heap grew by since base, the sieves' MCTs — map and page records,
+// spare capacity included — per block they track.
+func reportSieves(b *testing.B, base uint64, sieves ...*C) {
+	b.StopTimer()
+	grown := float64(heapAlloc()) - float64(base)
+	var st CStats
+	for _, s := range sieves {
+		st.Add(s.Stats())
+	}
+	b.ReportMetric(float64(st.Promotions)/float64(st.Misses), "promoted/miss")
+	b.ReportMetric(float64(st.Allocations)/float64(st.Misses), "admitted/miss")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*block.BlocksPerPage), "ns/miss")
+	b.ReportMetric(grown/float64(max(st.MCTSize, 1)), "B/tracked")
+}
+
 // BenchmarkSievePageRuns is the sieve as a sharded store drives it: eight
 // sieves of DefaultCConfig's IMCTSize/8 slots, each page routed to one by
-// its PageHash, fed whole missed 4 KiB pages — one Begin and eight Admits
-// per page, a second apart, so a subwindow spans ~900 runs a sieve — from a
-// seeded Zipf stream over 2^24 pages. The stream's offset v = 1024 flattens
-// the head, as a cache holding the hottest pages would: about 1 % of misses
-// promote and 0.4 % admit. It reports ns per missed block.
+// its PageHash, fed missedPages whole — one Begin and eight Admits per page,
+// a second apart, so a subwindow spans ~900 runs a sieve.
 func BenchmarkSievePageRuns(b *testing.B) {
-	const shards, pages, stream = 8, 1 << 24, 1 << 20
+	const shards, stream = 8, 1 << 20
 	cfg := DefaultCConfig()
 	cfg.IMCTSize /= shards
-	var sieves [shards]*C
+	sieves := make([]*C, shards)
 	for i := range sieves {
 		s, err := NewC(cfg)
 		if err != nil {
@@ -27,11 +62,8 @@ func BenchmarkSievePageRuns(b *testing.B) {
 		}
 		sieves[i] = s
 	}
-	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1024, pages-1)
-	keys := make([]block.Key, stream)
-	for i := range keys {
-		keys[i] = block.MakeKey(0, 0, zipf.Uint64()*block.BlocksPerPage)
-	}
+	keys := missedPages(stream)
+	base := heapAlloc()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := keys[i%stream]
@@ -40,11 +72,29 @@ func BenchmarkSievePageRuns(b *testing.B) {
 			run.Admit(key+blk, 0)
 		}
 	}
-	var st CStats
-	for _, s := range sieves {
-		st.Add(s.Stats())
+	reportSieves(b, base, sieves...)
+	runtime.KeepAlive(keys)
+}
+
+// BenchmarkSieveBlockCalls is the sieve as sim.Continuous drives it: one
+// sieve of DefaultCConfig fed missedPages a second apart, one ShouldAllocate
+// per missed block.
+func BenchmarkSieveBlockCalls(b *testing.B) {
+	const stream = 1 << 20
+	s, err := NewC(DefaultCConfig())
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(st.Promotions)/float64(st.Misses), "promoted/miss")
-	b.ReportMetric(float64(st.Allocations)/float64(st.Misses), "admitted/miss")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*block.BlocksPerPage), "ns/miss")
+	keys := missedPages(stream)
+	base := heapAlloc()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := block.Access{Time: int64(i) * int64(time.Second), Key: keys[i%stream]}
+		for blk := 0; blk < block.BlocksPerPage; blk++ {
+			s.ShouldAllocate(acc)
+			acc.Key++
+		}
+	}
+	reportSieves(b, base, s)
+	runtime.KeepAlive(keys)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/block"
 )
@@ -39,5 +40,39 @@ func TestIMCTPageLine(t *testing.T) {
 		if len(c.imct) == 4096 && len(lines) < 400 {
 			t.Errorf("2000 pages used %d of 512 lines", len(lines))
 		}
+	}
+}
+
+// TestMCTFootprint pins the page-major MCT's size: on a stream of whole
+// missed pages, which promote a page's blocks together, its page records,
+// spare capacity included, cost at most 32 bytes per tracked block — against
+// a 24-byte entry plus a map slot per block keyed by block. 4096 pages
+// alias eight to a line of a 4096-slot IMCT, so the second round of misses
+// promotes and T2 = 4 keeps the blocks tracked through the last.
+func TestMCTFootprint(t *testing.T) {
+	s, err := NewC(CConfig{IMCTSize: 4096, T1: 9, T2: 4, Window: time.Hour, Subwindows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pages = 4096
+	size := int(unsafe.Sizeof(mctPage{}))
+	for round := 0; round < 3; round++ {
+		for p := 0; p < pages; p++ {
+			run := s.Begin(int64(round*pages + p))
+			key := block.MakeKey(0, 0, uint64(p)*block.BlocksPerPage)
+			for b := block.Key(0); b < block.BlocksPerPage; b++ {
+				run.Admit(key+b, 0)
+			}
+			tracked := s.Stats().MCTSize
+			if tracked < 2*pages || p%256 != 0 {
+				continue
+			}
+			if per := cap(s.pages) * size / tracked; per > 32 {
+				t.Fatalf("round %d page %d: %d records (capacity %d) of %d B for %d tracked blocks: %d B each", round, p, len(s.pages), cap(s.pages), size, tracked, per)
+			}
+		}
+	}
+	if st := s.Stats(); st.MCTSize < 6*pages || st.Allocations != 0 {
+		t.Fatalf("the stream tracked %d blocks and admitted %d, want ≥ %d and none", st.MCTSize, st.Allocations, 6*pages)
 	}
 }

@@ -1,6 +1,10 @@
 package sieve
 
-import "repro/internal/block"
+import (
+	"container/heap"
+
+	"repro/internal/block"
+)
 
 // This file implements the paper's §3.1 thought experiment: the analytic
 // Table 2 (SSD-operation shares under an oracle replacement policy for each
@@ -132,78 +136,35 @@ func MinCompulsoryAllocFraction(f1, f4 float64) float64 {
 	return f1 + (f4-f1)/4
 }
 
-// beladyHeap is a max-heap of cached blocks keyed by next-use index.
+// beladyHeap is a container/heap max-heap of cached blocks by next use,
+// with each block's index in it.
 type beladyHeap struct {
-	keys    []block.Key
-	nextUse []int
-	pos     map[block.Key]int
+	blocks []beladyBlock
+	pos    map[block.Key]int
 }
 
-func (h *beladyHeap) swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.nextUse[i], h.nextUse[j] = h.nextUse[j], h.nextUse[i]
-	h.pos[h.keys[i]] = i
-	h.pos[h.keys[j]] = j
+type beladyBlock struct {
+	key     block.Key
+	nextUse int
 }
 
-func (h *beladyHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.nextUse[parent] >= h.nextUse[i] {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
+func (h *beladyHeap) Len() int           { return len(h.blocks) }
+func (h *beladyHeap) Less(i, j int) bool { return h.blocks[i].nextUse > h.blocks[j].nextUse }
+func (h *beladyHeap) Swap(i, j int) {
+	h.blocks[i], h.blocks[j] = h.blocks[j], h.blocks[i]
+	h.pos[h.blocks[i].key], h.pos[h.blocks[j].key] = i, j
 }
 
-func (h *beladyHeap) down(i int) {
-	n := len(h.keys)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && h.nextUse[l] > h.nextUse[largest] {
-			largest = l
-		}
-		if r < n && h.nextUse[r] > h.nextUse[largest] {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		h.swap(i, largest)
-		i = largest
-	}
+func (h *beladyHeap) Push(x any) {
+	h.pos[x.(beladyBlock).key] = len(h.blocks)
+	h.blocks = append(h.blocks, x.(beladyBlock))
 }
 
-func (h *beladyHeap) push(k block.Key, next int) {
-	h.keys = append(h.keys, k)
-	h.nextUse = append(h.nextUse, next)
-	h.pos[k] = len(h.keys) - 1
-	h.up(len(h.keys) - 1)
-}
-
-func (h *beladyHeap) update(k block.Key, next int) {
-	i := h.pos[k]
-	old := h.nextUse[i]
-	h.nextUse[i] = next
-	if next > old {
-		h.up(i)
-	} else {
-		h.down(i)
-	}
-}
-
-func (h *beladyHeap) popMax() {
-	k := h.keys[0]
-	last := len(h.keys) - 1
-	h.swap(0, last)
-	h.keys = h.keys[:last]
-	h.nextUse = h.nextUse[:last]
-	delete(h.pos, k)
-	if len(h.keys) > 0 {
-		h.down(0)
-	}
+func (h *beladyHeap) Pop() any {
+	last := h.blocks[len(h.blocks)-1]
+	delete(h.pos, last.key)
+	h.blocks = h.blocks[:len(h.blocks)-1]
+	return last
 }
 
 // BeladyAOD simulates Belady's MIN replacement with allocate-on-demand over
@@ -221,18 +182,19 @@ func belady(stream []block.Key, capacity int, selective bool) OracleResult {
 	h := &beladyHeap{pos: make(map[block.Key]int, capacity)}
 	var res OracleResult
 	for i, key := range stream {
-		if _, ok := h.pos[key]; ok {
+		if j, ok := h.pos[key]; ok {
 			res.Hits++
-			h.update(key, next[i])
+			h.blocks[j].nextUse = next[i]
+			heap.Fix(h, j)
 			continue
 		}
-		if len(h.keys) >= capacity {
-			if selective && next[i] >= h.nextUse[0] {
+		if h.Len() >= capacity {
+			if selective && next[i] >= h.blocks[0].nextUse {
 				continue // no resident's next use is later than this block's
 			}
-			h.popMax()
+			heap.Pop(h)
 		}
-		h.push(key, next[i])
+		heap.Push(h, beladyBlock{key, next[i]})
 		res.AllocWrites++
 	}
 	return res

@@ -1,6 +1,7 @@
 package sieve
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,8 +12,9 @@ import (
 // refC is SieveStore-C as first written: a full-width last-subwindow per
 // counter, counters capped at 65535, one MCT probe per miss, the prune
 // checked on every call. It is the oracle the packed slot and its lane cap,
-// the slab MCT, the tracked-count probe skip, the per-advance sweep and the
-// run entry point are checked against; it is only ever fed in-order time.
+// the page-major MCT, the tracked-count probe skip, the per-advance sweep
+// and the run entry point are checked against; it is only ever fed
+// in-order time.
 type refC struct {
 	cfg     CConfig
 	c       *C // for subNanos and the slot hash
@@ -131,9 +133,8 @@ func randomSteps(rng *rand.Rand, n, keys int) []step {
 // checkAgainstReference feeds steps to the reference, to a sieve called once
 // per block and to a sieve called once per step, and to SingleTier beside
 // refSingle when T1+T2 is within the lane cap. Decisions, counters and the
-// MCT's contents must agree throughout, every IMCT slot's tracked count must
-// be exact, and the slab must hold exactly the tracked keys. It returns the
-// sieve's final counters.
+// MCT's contents must agree throughout, and both sieves' page records must
+// keep checkPages' invariants. It returns the sieve's final counters.
 func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 	ref := newRefC(t, cfg)
 	single, _ := NewC(cfg)
@@ -168,32 +169,62 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 			if st := s.Stats(); st != (CStats{ref.stats.Misses, ref.stats.Promotions, ref.stats.Allocations, ref.stats.Pruned, len(ref.mct)}) {
 				t.Fatalf("%+v step %d: stats %+v, reference %+v with %d tracked", cfg, i, st, ref.stats, len(ref.mct))
 			}
-			if len(s.slab) != len(s.mct) {
-				t.Fatalf("%+v step %d: %d slab entries, %d tracked", cfg, i, len(s.slab), len(s.mct))
-			}
-			perSlot := make([]uint64, len(s.imct))
-			for key, j := range s.mct {
-				e := s.slab[j]
-				r, ok := ref.mct[key]
-				if ok {
-					// The reference ages lazily; compare its view from now.
-					aged := *r
-					aged.age(ref.lastWin, cfg.Subwindows)
-					r = &aged
-				}
-				if !ok || e.key != key || !reflect.DeepEqual(r.counts[:cfg.Subwindows], widen(e.counts[:cfg.Subwindows])) {
-					t.Fatalf("%+v step %d: MCT entry %d = %+v, reference %v", cfg, i, key, e, r)
-				}
-				perSlot[pageSlot(key, len(s.imct))]++
-			}
-			for j, w := range s.imct {
-				if got := uint64(w) >> trackedShift; got != perSlot[j] && got != trackedMax {
-					t.Fatalf("%+v step %d: slot %d counts %d tracked keys, has %d", cfg, i, j, got, perSlot[j])
-				}
-			}
+			checkPages(t, s, ref, cfg, i)
 		}
 	}
 	return single.Stats()
+}
+
+// checkPages checks s's page records at step i: each tracks a block, the map
+// and the records index each other, a record's line is its page's, its
+// tracked blocks count as the reference's do from now and its untracked
+// blocks count nothing, the tracked blocks number Stats().MCTSize and each
+// IMCT slot's tracked count, and the cached page's line and record are its
+// own.
+func checkPages(t testing.TB, s *C, ref *refC, cfg CConfig, i int) {
+	t.Helper()
+	if len(s.pages) != len(s.mct) {
+		t.Fatalf("%+v step %d: %d page records, %d pages mapped", cfg, i, len(s.pages), len(s.mct))
+	}
+	tracked, perSlot := 0, make([]uint64, len(s.imct))
+	for j, p := range s.pages {
+		if p.mask == 0 || p.page != p.page.Page() || s.mct[p.page] != int32(j) || int(p.line) != pageLine(p.page, len(s.imct)) {
+			t.Fatalf("%+v step %d: record %d = {page %d line %d mask %#x}, mapped to %d, line %d", cfg, i, j, p.page, p.line, p.mask, s.mct[p.page], pageLine(p.page, len(s.imct)))
+		}
+		tracked += bits.OnesCount8(p.mask)
+		for b, l := range p.lanes {
+			key := p.page + block.Key(b)
+			if p.mask>>b&1 == 0 {
+				if l != (mctLanes{}) {
+					t.Fatalf("%+v step %d: untracked block %d counts %v", cfg, i, key, l)
+				}
+				continue
+			}
+			r, ok := ref.mct[key]
+			if ok {
+				// The reference ages lazily; compare its view from now.
+				aged := *r
+				aged.age(ref.lastWin, cfg.Subwindows)
+				r = &aged
+			}
+			if !ok || !reflect.DeepEqual(r.counts[:cfg.Subwindows], widen(l[:cfg.Subwindows])) {
+				t.Fatalf("%+v step %d: MCT block %d = %v, reference %v", cfg, i, key, l, r)
+			}
+			perSlot[int(p.line)+b]++
+		}
+	}
+	if tracked != s.Stats().MCTSize {
+		t.Fatalf("%+v step %d: records track %d blocks, MCTSize %d", cfg, i, tracked, s.Stats().MCTSize)
+	}
+	for j, w := range s.imct {
+		if got := uint64(w) >> trackedShift; got != perSlot[j] && got != trackedMax {
+			t.Fatalf("%+v step %d: slot %d counts %d tracked keys, has %d", cfg, i, j, got, perSlot[j])
+		}
+	}
+	rec, mapped := s.mct[s.hotPage]
+	if s.hotLine != pageLine(s.hotPage, len(s.imct)) || s.hotRec >= 0 && (!mapped || rec != s.hotRec) || s.hotRec == noRecord && mapped {
+		t.Fatalf("%+v step %d: cached page %d, line %d, record %d is stale", cfg, i, s.hotPage, s.hotLine, s.hotRec)
+	}
 }
 
 // referenceConfig is seed's configuration for the reference tests: k in

@@ -196,9 +196,9 @@ func TestDenyPenaltyOutlastsSaturation(t *testing.T) {
 			}
 		}
 	}
-	e := s.slab[s.mct[42]]
+	e := s.pages[s.mct[block.Key(42).Page()]].lanes[42%block.BlocksPerPage]
 	if slot := *s.slot(42); slot&^(trackedMax<<trackedShift) != 1<<(maxSubwindows*laneBits)-1 || e.bump(0) != 8*65535 {
-		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, e.counts)
+		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, e)
 	}
 	if s.Begin(7000).Admit(42, deny) {
 		t.Fatal("a fully saturated block admitted under the deny penalty")

@@ -2,6 +2,7 @@ package sieve
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/block"
@@ -98,23 +99,30 @@ func (w *imctSlot) track(d int) {
 	}
 }
 
-// mctEntry is one precisely tracked key and its lanes, laid out as an IMCT
-// slot's but 16 bits wide.
-type mctEntry struct {
-	counts [maxSubwindows]uint16
-	key    block.Key
-}
+// mctLanes is one tracked block's precise count, laid out as an IMCT slot's
+// lanes but 16 bits wide.
+type mctLanes [maxSubwindows]uint16
 
-// bump counts one miss in lane and returns the entry's total.
-func (e *mctEntry) bump(lane uint) int {
-	if c := &e.counts[lane]; *c < ^uint16(0) {
+// bump counts one miss in lane and returns the block's total.
+func (l *mctLanes) bump(lane uint) int {
+	if c := &l[lane]; *c < ^uint16(0) {
 		*c++
 	}
 	t := 0
-	for _, c := range e.counts {
+	for _, c := range l {
 		t += int(c)
 	}
 	return t
+}
+
+// mctPage is the MCT record of a page with a tracked block: mask bit b is
+// set while block b is, lanes[b] then its count and zero otherwise. line is
+// the first slot of the page's IMCT line, for aging to find a block's slot.
+type mctPage struct {
+	lanes [block.BlocksPerPage]mctLanes
+	page  block.Key
+	line  uint32
+	mask  uint8
 }
 
 // CStats counts the sieve's internal traffic for reporting and tests.
@@ -125,9 +133,9 @@ type CStats struct {
 	Promotions int64
 	// Allocations counts positive ShouldAllocate decisions.
 	Allocations int64
-	// Pruned counts MCT entries discarded as stale.
+	// Pruned counts tracked blocks discarded as stale.
 	Pruned int64
-	// MCTSize is the current precise-metastate footprint (entries).
+	// MCTSize is the current precise-metastate footprint (tracked blocks).
 	MCTSize int
 }
 
@@ -144,29 +152,39 @@ func (s *CStats) Add(o CStats) {
 // only the n-th miss within the recent window triggers allocation, with the
 // two-tier IMCT/MCT structure bounding the precise metastate (§3.3). Every
 // lane is relative to lastWin, the newest subwindow seen, which counts in
-// lane. The MCT holds no pointer: the map gives a tracked key's index in
-// slab, which holds exactly the tracked keys.
+// lane and ends at next. The MCT holds no pointer: the map gives a page's
+// index in pages, which holds exactly the pages with a tracked block. The
+// page last admitted to is cached: its IMCT line, and its index in pages,
+// noRecord or, until an Admit needs it, unprobed (page 0's line is 0).
 type C struct {
-	cfg      CConfig
-	subNanos int64
-	lastWin  int64
-	lane     uint
-	imct     []imctSlot
-	mct      map[block.Key]uint32
-	slab     []mctEntry
-	stats    CStats
+	cfg            CConfig
+	subNanos, next int64
+	lastWin        int64
+	lane           uint
+	imct           []imctSlot
+	mct            map[block.Key]int32
+	pages          []mctPage
+	hotPage        block.Key
+	hotLine        int
+	hotRec         int32
+	stats          CStats
 }
+
+const noRecord, unprobed = -1, -2
 
 // NewC returns a SieveStore-C sieve with the given configuration.
 func NewC(cfg CConfig) (*C, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sub := cfg.Window.Nanoseconds() / int64(cfg.Subwindows)
 	return &C{
 		cfg:      cfg,
-		subNanos: cfg.Window.Nanoseconds() / int64(cfg.Subwindows),
+		subNanos: sub,
+		next:     sub,
 		imct:     make([]imctSlot, (cfg.IMCTSize+block.BlocksPerPage-1)&^(block.BlocksPerPage-1)),
-		mct:      make(map[block.Key]uint32),
+		mct:      make(map[block.Key]int32),
+		hotRec:   unprobed,
 	}, nil
 }
 
@@ -174,16 +192,13 @@ func NewC(cfg CConfig) (*C, error) {
 func (s *C) Name() string { return "SieveStore-C" }
 
 // Stats returns a snapshot of the sieve's counters.
-func (s *C) Stats() CStats {
-	st := s.stats
-	st.MCTSize = len(s.mct)
-	return st
-}
+func (s *C) Stats() CStats { return s.stats }
 
-// pageSlot is key's slot in an IMCT of n slots, whole 64-byte lines of
-// BlocksPerPage: the SplitMix64 finalizer of its page number picks the line,
-// its place in the page the slot. A missed page costs one line, not eight.
-func pageSlot(key block.Key, n int) int {
+// pageLine is the first slot of key's page's line in an IMCT of n slots,
+// whole 64-byte lines of BlocksPerPage: the SplitMix64 finalizer of the page
+// number picks the line, a block's place in the page its slot there. A
+// missed page costs one line, not eight.
+func pageLine(key block.Key, n int) int {
 	const b = block.BlocksPerPage
 	x := uint64(key) / b
 	x ^= x >> 30
@@ -191,8 +206,11 @@ func pageSlot(key block.Key, n int) int {
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int(x%uint64(n/b))*b + int(key%b)
+	return int(x%uint64(n/b)) * b
 }
+
+// pageSlot is key's slot in an IMCT of n slots.
+func pageSlot(key block.Key, n int) int { return pageLine(key, n) + int(key%block.BlocksPerPage) }
 
 // slot is key's IMCT slot.
 func (s *C) slot(key block.Key) *imctSlot { return &s.imct[pageSlot(key, len(s.imct))] }
@@ -204,27 +222,35 @@ func (s *C) ShouldAllocate(acc block.Access) bool {
 
 // Run is the sieve opened at one instant for a run of misses — the blocks
 // one request missed in one shard. The subwindow is computed and the sieve
-// aged once, at Begin; each Admit then costs one hash and, for a block the
-// sieve rejects, touches one IMCT slot and nothing else.
+// aged once, at Begin; each Admit then costs, for a block the sieve rejects,
+// one IMCT slot and nothing else, and a page's first Admit one hash.
 type Run struct{ s *C }
 
 // Begin opens a run at time t (nanoseconds on the caller's clock). At a
 // subwindow advance it ages the whole sieve in one sweep: the entered
-// subwindows' lanes are zeroed in every IMCT slot and MCT entry, and an
-// entry left all zero — idle for a whole window — is dropped (the paper
-// prunes the MCT to eliminate stale blocks).
+// subwindows' lanes are zeroed in every IMCT slot and tracked block, and a
+// block left all zero — idle for a whole window — is dropped (the paper
+// prunes the MCT to eliminate stale blocks), its page's record with the
+// last of them.
 func (s *C) Begin(t int64) Run {
 	if lanes := s.advance(t); lanes != 0 {
-		for i := len(s.slab) - 1; i >= 0; i-- {
-			e := &s.slab[i]
-			for l := range e.counts {
-				if lanes>>l&1 != 0 {
-					e.counts[l] = 0
+		for i := len(s.pages) - 1; i >= 0; i-- {
+			p := &s.pages[i]
+			for m := p.mask; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros8(m)
+				l := &p.lanes[b]
+				for j := range l {
+					if lanes>>j&1 != 0 {
+						l[j] = 0
+					}
+				}
+				if *l == (mctLanes{}) {
+					s.untrack(p, b)
+					s.stats.Pruned++
 				}
 			}
-			if e.counts == ([maxSubwindows]uint16{}) {
-				s.drop(uint32(i), s.slot(e.key))
-				s.stats.Pruned++
+			if p.mask == 0 {
+				s.dropPage(int32(i))
 			}
 		}
 	}
@@ -234,10 +260,14 @@ func (s *C) Begin(t int64) Run {
 // advance moves the clock to time t's subwindow and zeroes, in every IMCT
 // slot, the lanes of the subwindows entered — all k when the jump spans a
 // window (the paper's rotating counters, aged eagerly). It returns those
-// lanes as a bit set: none when t is in the newest subwindow seen or behind
-// it, which is clamped to the newest, so a late caller neither rewinds the
-// lanes nor ages them twice for one boundary.
+// lanes as a bit set: none, at the cost of one comparison, when t is before
+// next, the newest subwindow's end. A t behind the newest subwindow is
+// clamped to it, so a late caller neither rewinds the lanes nor ages them
+// twice for one boundary.
 func (s *C) advance(t int64) (lanes uint) {
+	if t < s.next {
+		return 0
+	}
 	win, k := t/s.subNanos, int64(s.cfg.Subwindows)
 	var cleared imctSlot
 	for i := max(s.lastWin+1, win-k+1); i <= win; i++ {
@@ -245,7 +275,7 @@ func (s *C) advance(t int64) (lanes uint) {
 		cleared |= laneCap << (i % k * laneBits)
 	}
 	if lanes != 0 {
-		s.lastWin, s.lane = win, uint(win%k)
+		s.lastWin, s.lane, s.next = win, uint(win%k), (win+1)*s.subNanos
 		for i := range s.imct {
 			s.imct[i] &^= cleared
 		}
@@ -255,50 +285,73 @@ func (s *C) advance(t int64) (lanes uint) {
 
 // Admit counts one missed block of the run and reports whether it is
 // allocated. The block's IMCT slot is bumped; once the (aliased) slot count
-// reaches T1 the block is tracked precisely in the MCT, and once its
-// precise count reaches T2+extra it is allocated, which resets its precise
-// state. The multi-tenant layer uses extra to penalize a throttled tenant,
-// or to deny it with an extra past any count (tenant.DenyPenalty, above the
-// k·65535 an MCT total saturates at; TestDenyPenaltyOutlastsSaturation),
-// while its counters keep accumulating, so admission resumes at full speed
-// the moment the penalty is lifted.
+// reaches T1 the block is tracked precisely in its page's MCT record (looked
+// up once per run of Admits in one page, if a tracked block may be there),
+// and once its precise count reaches T2+extra it is allocated, which resets
+// its precise state. The multi-tenant layer uses extra to penalize a
+// throttled tenant, or to deny it with an extra past any count
+// (tenant.DenyPenalty, above the k·65535 an MCT total saturates at;
+// TestDenyPenaltyOutlastsSaturation), while its counters keep accumulating,
+// so admission resumes at full speed the moment the penalty is lifted.
 func (r Run) Admit(key block.Key, extra int) bool {
 	s := r.s
 	s.stats.Misses++
-	slot := s.slot(key)
-	n := slot.bump(s.lane)
-	i, tracked := uint32(0), false
-	if *slot>>trackedShift != 0 {
-		i, tracked = s.mct[key]
+	if page := key.Page(); page != s.hotPage {
+		s.hotPage, s.hotLine, s.hotRec = page, pageLine(page, len(s.imct)), unprobed
 	}
-	if !tracked {
+	b := int(key % block.BlocksPerPage)
+	slot := &s.imct[s.hotLine+b]
+	n := slot.bump(s.lane)
+	if s.hotRec == unprobed && (*slot>>trackedShift != 0 || n >= s.cfg.T1) {
+		s.hotRec = noRecord
+		if i, ok := s.mct[s.hotPage]; ok {
+			s.hotRec = i
+		}
+	}
+	if s.hotRec < 0 || s.pages[s.hotRec].mask>>b&1 == 0 {
 		if n < s.cfg.T1 {
 			return false
 		}
 		// Promotion: begin precise tracking. The promoting miss is the
 		// block's first precisely-counted miss.
-		i = uint32(len(s.slab))
-		s.slab = append(s.slab, mctEntry{key: key})
-		s.mct[key] = i
+		if s.hotRec < 0 {
+			s.hotRec = int32(len(s.pages))
+			s.pages = append(s.pages, mctPage{page: s.hotPage, line: uint32(s.hotLine)})
+			s.mct[s.hotPage] = s.hotRec
+		}
+		s.pages[s.hotRec].mask |= 1 << b
 		slot.track(1)
 		s.stats.Promotions++
+		s.stats.MCTSize++
 	}
-	if s.slab[i].bump(s.lane) < s.cfg.T2+extra {
+	p := &s.pages[s.hotRec]
+	if p.lanes[b].bump(s.lane) < s.cfg.T2+extra {
 		return false
 	}
-	s.drop(i, slot)
+	s.untrack(p, b)
+	if p.mask == 0 {
+		s.dropPage(s.hotRec)
+	}
 	s.stats.Allocations++
 	return true
 }
 
-// drop forgets the tracked key at slab index i, whose IMCT slot is slot,
-// moving the slab's last entry into its place.
-func (s *C) drop(i uint32, slot *imctSlot) {
-	delete(s.mct, s.slab[i].key)
-	if last := uint32(len(s.slab) - 1); i != last {
-		s.slab[i] = s.slab[last]
-		s.mct[s.slab[i].key] = i
+// untrack forgets block b of page record p.
+func (s *C) untrack(p *mctPage, b int) {
+	p.lanes[b] = mctLanes{}
+	p.mask &^= 1 << b
+	s.imct[int(p.line)+b].track(-1)
+	s.stats.MCTSize--
+}
+
+// dropPage forgets record i, which tracks no block, moving the last record
+// into its place, so the cached record is probed again.
+func (s *C) dropPage(i int32) {
+	delete(s.mct, s.pages[i].page)
+	if last := int32(len(s.pages) - 1); i != last {
+		s.pages[i] = s.pages[last]
+		s.mct[s.pages[i].page] = i
 	}
-	s.slab = s.slab[:len(s.slab)-1]
-	slot.track(-1)
+	s.pages = s.pages[:len(s.pages)-1]
+	s.hotRec = unprobed
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // slotClock is a sieve's one-slot IMCT driven the way the sieve drives it:
@@ -119,11 +121,47 @@ func TestWinCounterSaturation(t *testing.T) {
 		t.Fatalf("count %d after subwindow 0 expired, want %d", got, 3*laneCap+1)
 	}
 
-	var e mctEntry
+	var e mctLanes
 	for i := 0; i < 70000; i++ {
 		last = e.bump(2)
 	}
 	if last != 65535 {
 		t.Fatalf("MCT count %d after 70000 bumps in one lane, want 65535", last)
+	}
+}
+
+// TestBeginAtSubwindowBoundary: a Begin one nanosecond before the newest
+// subwindow's end stays in it and ages nothing; a Begin at the end enters
+// the next subwindow, zeroes its lane and prunes a block idle since. Of two
+// tracked blocks in one page, the pruned one leaves the page's record to
+// the other.
+func TestBeginAtSubwindowBoundary(t *testing.T) {
+	s, err := NewC(CConfig{IMCTSize: 64, T1: 1, T2: 100, Window: 2000, Subwindows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := s.Begin(0)
+	for _, key := range []block.Key{42, 42, 42, 43} {
+		run.Admit(key, 0)
+	}
+	lanes := func(key block.Key) mctLanes { return s.pages[s.mct[key.Page()]].lanes[key%block.BlocksPerPage] }
+	for _, c := range []struct {
+		at, lastWin, next int64
+		tracked           int
+		lanes42           mctLanes
+	}{
+		{999, 0, 1000, 2, mctLanes{4}},
+		{1000, 1, 2000, 2, mctLanes{4, 1}},
+		{1999, 1, 2000, 2, mctLanes{4, 2}},
+		{2000, 2, 3000, 1, mctLanes{1, 2}},
+	} {
+		s.Begin(c.at).Admit(42, 0)
+		if st := s.Stats(); s.lastWin != c.lastWin || s.next != c.next || st.MCTSize != c.tracked || st.Pruned != int64(2-c.tracked) || lanes(42) != c.lanes42 {
+			t.Fatalf("after a miss at %d: subwindow %d ending %d, %d tracked, %d pruned, block 42 %v; want %d, %d, %d, %d, %v",
+				c.at, s.lastWin, s.next, st.MCTSize, st.Pruned, lanes(42), c.lastWin, c.next, c.tracked, 2-c.tracked, c.lanes42)
+		}
+	}
+	if len(s.pages) != 1 || s.pages[0].mask != 1<<2 {
+		t.Fatalf("records %+v, want page 40 tracking block 42 alone", s.pages)
 	}
 }

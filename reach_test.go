@@ -89,6 +89,56 @@ func TestReachability(t *testing.T) {
 	}
 }
 
+// TestFuzzTargetsListed holds the Makefile's FUZZ_TARGETS, which `make
+// fuzz` and `make test-fuzz` run, to the Fuzz functions under internal/ and
+// cmd/: each must be listed as directory:function, and each entry must name
+// one.
+func TestFuzzTargetsListed(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(mk), "\nFUZZ_TARGETS := \\\n")
+	if !ok {
+		t.Fatal("Makefile: no FUZZ_TARGETS := \\ list")
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(list, "\n") {
+		entry, more := strings.CutSuffix(strings.TrimSpace(line), " \\")
+		listed[entry] = true
+		if !more {
+			break
+		}
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+					entry := filepath.Dir(path) + ":" + fn.Name.Name
+					if !listed[entry] {
+						t.Errorf("%s: %s is missing from the Makefile's FUZZ_TARGETS", path, entry)
+					}
+					delete(listed, entry)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for entry := range listed {
+		t.Errorf("Makefile: FUZZ_TARGETS lists %s, which is no Fuzz function", entry)
+	}
+}
+
 // TestFunctionLength holds every non-test function under internal/ and
 // cmd/ to 80 lines, counted from its func keyword to its closing brace.
 func TestFunctionLength(t *testing.T) {
