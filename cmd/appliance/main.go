@@ -274,6 +274,8 @@ func storeOptions() core.Options {
 
 // storeStatsLine is store mode's -stats line: the cache's counters, the
 // fault-tolerant backend's when it runs, and the server's busy rejects.
+// rdLat/wrLat are mean/max over the timed calls: one in eight at random,
+// plus every traced one (core.Options.TrackLatency).
 func storeStatsLine(st *core.Store, res *resilience.Resilient, srv *appliance.Server) string {
 	s := st.Stats()
 	line := fmt.Sprintf("stats: accesses=%d hit=%.1f%% cached=%d/%d dirty=%d allocW=%d epochs=%d coalesced=%d",

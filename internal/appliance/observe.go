@@ -105,7 +105,8 @@ func NewObservability(st *core.Store) *Observability {
 
 // registerCore publishes the store's merged counters, gauges and latency
 // histograms under sievestore.core.*; the counters and gauges read the
-// scrape's core.Stats snapshot.
+// scrape's core.Stats snapshot. The histograms hold the store's timed
+// sample (core.Options.TrackLatency); read_ops/write_ops count every call.
 func (o *Observability) registerCore() {
 	r, st := o.Registry, o.store
 	r.Gauge("sievestore.core.shards", func() float64 { return float64(st.Shards()) })

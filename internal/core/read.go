@@ -15,7 +15,7 @@ import (
 // and installed after the fetch; a rejected block leaves no trace in the
 // store beyond its sieve count and the backend counters.
 func (s *Store) ReadAt(server, volume int, p []byte, off uint64) error {
-	return s.do("read", &s.histRead, &s.errRead, s.readCached, server, volume, p, off)
+	return s.do("read", opRead, s.readCached, server, volume, p, off)
 }
 
 // miss is one block a read did not find and has a flight for: admitted
@@ -29,7 +29,7 @@ type miss struct {
 
 func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
 	nBlocks := len(p) / block.Size
-	key0, err := s.beginOp(server, volume, off, nBlocks, false)
+	key0, err := s.beginOp(server, volume, off, nBlocks, opRead)
 	if err != nil {
 		return err
 	}
@@ -48,6 +48,9 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 	for lo := 0; lo < len(runs); {
 		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
+		if lo == 0 {
+			sh.ops[opRead]++
+		}
 		missed, seq := len(at), sh.admitSeq.Load()
 		at, joined = sh.classifyLocked(key0, runs[lo:hi], p, at, joined)
 		sh.mu.Unlock()

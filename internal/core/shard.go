@@ -120,6 +120,9 @@ type shard struct {
 	// fetched copy of them. The shard's commit consumes and clears it.
 	rotSkip map[block.Key]uint8
 	stats   Stats
+	// ops counts by opRead/opWrite the calls whose first shard lock was
+	// this one's: each call once (opLatency).
+	ops [2]int64
 
 	// _pad keeps adjacent shard allocations from false-sharing a cache
 	// line when the allocator packs them.

@@ -101,8 +101,8 @@ func TestSlabWasteBounded(t *testing.T) {
 }
 
 // BenchmarkReadHitParallel runs 4 KiB hits from every P over a warmed store
-// at each shard count. With -mutexprofile it shows what a hit waits on its
-// shard's lock as the lock is split finer.
+// at each shard count, with latency tracking off and on. With -mutexprofile
+// it shows what a hit waits on its shard's lock as the lock is split finer.
 func BenchmarkReadHitParallel(b *testing.B) {
 	const capacity, pages = 8 << 20 / block.Size, 1 << 9 // pages: half the cache
 	for i, shards := range []int{1, 2, 8, DefaultShards()} {
@@ -110,41 +110,50 @@ func BenchmarkReadHitParallel(b *testing.B) {
 		if i == 3 {
 			name = fmt.Sprintf("default=%d", shards)
 		}
-		b.Run(name, func(b *testing.B) {
-			mem := store.NewMem()
-			mem.AddVolume(0, 0, pages*block.PageSize)
-			st, err := Open(mem, Options{CacheBytes: capacity * block.Size, Shards: shards, SieveC: smallSieve()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			p := make([]byte, block.PageSize)
-			for pg := uint64(0); pg < pages; pg++ {
-				if err := st.WriteAt(0, 0, p, pg*block.PageSize); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var seed atomic.Uint64
-			b.SetBytes(block.PageSize)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				x := seed.Add(0x9e3779b97f4a7c15) // per-goroutine xorshift state
-				buf := make([]byte, block.PageSize)
-				for pb.Next() {
-					x ^= x << 13
-					x ^= x >> 7
-					x ^= x << 17
-					if err := st.ReadAt(0, 0, buf, x%pages*block.PageSize); err != nil {
-						b.Error(err)
-						return
-					}
-				}
+		for _, latency := range []string{"off", "on"} {
+			b.Run(name+"/latency="+latency, func(b *testing.B) {
+				readHitParallel(b, capacity, pages, Options{Shards: shards, TrackLatency: latency == "on"})
 			})
-			b.StopTimer()
-			if s := st.Stats(); s.ReadHits != s.Reads {
-				b.Errorf("%d of %d reads hit, want all", s.ReadHits, s.Reads)
+		}
+	}
+}
+
+// readHitParallel is one BenchmarkReadHitParallel configuration: opts over
+// a cache of capacity blocks that holds pages pages, every read a hit.
+func readHitParallel(b *testing.B, capacity, pages uint64, opts Options) {
+	mem := store.NewMem()
+	mem.AddVolume(0, 0, pages*block.PageSize)
+	opts.CacheBytes, opts.SieveC = int64(capacity*block.Size), smallSieve()
+	st, err := Open(mem, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	p := make([]byte, block.PageSize)
+	for pg := uint64(0); pg < pages; pg++ {
+		if err := st.WriteAt(0, 0, p, pg*block.PageSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var seed atomic.Uint64
+	b.SetBytes(block.PageSize)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		x := seed.Add(0x9e3779b97f4a7c15) // per-goroutine xorshift state
+		buf := make([]byte, block.PageSize)
+		for pb.Next() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			if err := st.ReadAt(0, 0, buf, x%pages*block.PageSize); err != nil {
+				b.Error(err)
+				return
 			}
-		})
+		}
+	})
+	b.StopTimer()
+	if s := st.Stats(); s.ReadHits != s.Reads {
+		b.Errorf("%d of %d reads hit, want all", s.ReadHits, s.Reads)
 	}
 }
 

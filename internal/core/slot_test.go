@@ -199,11 +199,13 @@ func hotStore(t *testing.T, shards, n int) *Store {
 }
 
 // TestHitPathAllocations guards the all-hit path's allocation count: an
-// 8-block ReadAt makes none.
+// 8-block ReadAt makes none, whether it is one of the calls TrackLatency
+// times (hotStore tracks latency) or not.
 func TestHitPathAllocations(t *testing.T) {
 	s := hotStore(t, 2, 64)
 	buf := make([]byte, block.PageSize)
 	before := s.Stats()
+	timed, _ := s.LatencyHistograms()
 	if n := testing.AllocsPerRun(200, func() {
 		if err := s.ReadAt(0, 0, buf, 8*block.Size); err != nil {
 			t.Fatal(err)
@@ -211,8 +213,13 @@ func TestHitPathAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("all-hit 8-block ReadAt: %v allocations, want 0", n)
 	}
-	if after := s.Stats(); after.BackendReads != before.BackendReads {
+	after := s.Stats()
+	if after.BackendReads != before.BackendReads {
 		t.Errorf("the measured reads were not all hits: %+v", after)
+	}
+	// 201 calls: none timed has odds (7/8)^201 < 10⁻¹¹; all timed, 8^-201.
+	if rd, _ := s.LatencyHistograms(); rd.Count == timed.Count || rd.Count-timed.Count == after.ReadLatency.Ops-before.ReadLatency.Ops {
+		t.Errorf("%d of %d measured reads were timed, want some but not all", rd.Count-timed.Count, after.ReadLatency.Ops-before.ReadLatency.Ops)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"reflect"
 	"runtime"
@@ -104,11 +105,11 @@ type Options struct {
 	// Flush, or Close. The default is write-through (the backend is always
 	// authoritative), which is what the paper's appliance model implies.
 	WriteBack bool
-	// TrackLatency records whole-call ReadAt/WriteAt service times into
-	// Stats.ReadLatency/WriteLatency and the latency histograms returned
-	// by LatencyHistograms (a few atomic ops per call, allocation-free;
-	// off by default so trace replay stays allocation- and
-	// syscall-identical).
+	// TrackLatency records the latency distribution of ReadAt/WriteAt calls
+	// into Stats.ReadLatency/WriteLatency and LatencyHistograms: one call in
+	// latencySample at random, and every traced call, is timed; every call
+	// is counted. Allocation-free; off by default so trace replay stays
+	// allocation- and syscall-identical.
 	TrackLatency bool
 	// TraceSample enables sampled operation tracing: one in every
 	// TraceSample ReadAt/WriteAt calls records an OpTrace lifecycle record
@@ -245,7 +246,8 @@ type Stats struct {
 	TenantRepartitions  int64 // quota repartitions run (time-driven and epoch-boundary)
 
 	// ReadLatency/WriteLatency aggregate whole-call ReadAt/WriteAt service
-	// times when Options.TrackLatency is set (zero otherwise).
+	// times when Options.TrackLatency is set (zero otherwise): Ops and
+	// Errors count every call, TotalNanos and MaxNanos the timed sample.
 	ReadLatency  metrics.OpLatencySnapshot
 	WriteLatency metrics.OpLatencySnapshot
 }
@@ -358,17 +360,8 @@ type Store struct {
 	// tracking needs deltas, never wall time.
 	monoBase time.Time
 
-	// histRead/histWrite bucket whole-call service times into mergeable
-	// log-linear histograms (TrackLatency only) and are the single source
-	// of truth for latency accounting: Stats derives the flat
-	// OpLatencySnapshot (ops/total/max) from the histogram so the hot path
-	// pays one Observe, not two. Zero-value ready; Observe is
-	// allocation-free. errRead/errWrite count failed calls separately —
-	// the histogram buckets durations only.
-	histRead  metrics.Histogram
-	histWrite metrics.Histogram
-	errRead   atomic.Int64
-	errWrite  atomic.Int64
+	// lat accounts ReadAt (opRead) and WriteAt (opWrite) calls.
+	lat [2]opLatency
 
 	// trace is the sampled op-lifecycle ring (nil unless TraceSample > 0).
 	trace *metrics.TraceRing
@@ -505,11 +498,14 @@ func (s *Store) shardIndex(key block.Key) int {
 // single global instant (exact with Shards=1).
 func (s *Store) Stats() Stats {
 	var st Stats
+	var ops [2]int64
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sub := sh.stats
 		sub.CachedBlocks = int64(sh.tab.Len())
 		sub.DirtyBlocks = int64(sh.nDirty)
+		ops[opRead] += sh.ops[opRead]
+		ops[opWrite] += sh.ops[opWrite]
 		sh.mu.Unlock()
 		st.Add(sub)
 	}
@@ -531,20 +527,40 @@ func (s *Store) Stats() Stats {
 	st.SpillDisables = s.spillDisables.Load()
 	st.GroupCommits = s.groupCommits.Load()
 	st.CoalescedFlushes = s.coalescedFlushes.Load()
-	st.ReadLatency = latencyFromHistogram(s.histRead.Snapshot(), s.errRead.Load())
-	st.WriteLatency = latencyFromHistogram(s.histWrite.Snapshot(), s.errWrite.Load())
+	if s.opts.TrackLatency {
+		st.ReadLatency = s.lat[opRead].snapshot(ops[opRead])
+		st.WriteLatency = s.lat[opWrite].snapshot(ops[opWrite])
+	}
 	return st
 }
 
-// latencyFromHistogram flattens a histogram snapshot into the wire-stable
-// OpLatencySnapshot shape, folding in the separately tracked error count.
-func latencyFromHistogram(h metrics.HistogramSnapshot, errs int64) metrics.OpLatencySnapshot {
-	return metrics.OpLatencySnapshot{
-		Ops:        h.Count,
-		Errors:     errs,
-		TotalNanos: h.Sum,
-		MaxNanos:   h.Max,
+// latencySample is the share of calls TrackLatency times, one in eight at
+// random: two clock reads and an Observe cost a hit as much as the rest.
+const latencySample = 8
+
+// opRead and opWrite index the two kinds of I/O call.
+const opRead, opWrite = 0, 1
+
+// opLatency accounts one kind of I/O call. Every call is counted exactly:
+// under the first shard lock it takes (shard.ops), or in closed if it was
+// refused at the closed gate before taking one; errs counts the calls that
+// failed. hist holds the service times of the timed sample (Store.do).
+type opLatency struct {
+	hist   metrics.Histogram
+	errs   atomic.Int64
+	closed atomic.Int64
+}
+
+// snapshot flattens the sample into the wire-stable OpLatencySnapshot for
+// ops calls that reached a shard. TotalNanos scales the sample's sum to
+// every call, so Mean is the sample's mean; MaxNanos is the sample's.
+func (l *opLatency) snapshot(ops int64) metrics.OpLatencySnapshot {
+	h := l.hist.Snapshot()
+	out := metrics.OpLatencySnapshot{Ops: ops + l.closed.Load(), Errors: l.errs.Load(), MaxNanos: h.Max}
+	if h.Count > 0 {
+		out.TotalNanos = int64(float64(h.Sum) * (float64(out.Ops) / float64(h.Count)))
 	}
+	return out
 }
 
 // Close releases the store's resources. In write-back mode the dirty
@@ -602,31 +618,29 @@ func checkIO(server, volume int, off uint64, n int) error {
 }
 
 // do is the frame both I/O entry points share: geometry check, trace
-// sampling, the closed gate, and — only when latency is tracked or this
-// operation drew a trace — two monotonic clock reads around path.
-func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64,
+// sampling, an error count, and — only for an operation that drew a trace
+// or, with latency tracked, one of latencySample at random — two monotonic
+// clock reads around path. path counts the call itself (opLatency).
+func (s *Store) do(op string, kind int,
 	path func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error,
 	server, volume int, p []byte, off uint64) error {
 	if err := checkIO(server, volume, off, len(p)); err != nil {
 		return err
 	}
 	tr := s.beginTrace(op, server, volume, p, off)
-	timed := s.opts.TrackLatency || tr != nil
+	timed := tr != nil || s.opts.TrackLatency && rand.Uint32()%latencySample == 0
 	var start time.Duration
 	if timed {
 		start = time.Since(s.monoBase)
 	}
-	err := ErrClosed
-	if !s.closed.Load() {
-		err = path(server, volume, p, off, tr)
+	err := path(server, volume, p, off, tr)
+	if err != nil {
+		s.lat[kind].errs.Add(1)
 	}
 	if timed {
 		d := time.Since(s.monoBase) - start
 		if s.opts.TrackLatency {
-			h.Observe(d)
-			if err != nil {
-				errs.Add(1)
-			}
+			s.lat[kind].hist.Observe(d)
 		}
 		s.endTrace(tr, d, err)
 	}
@@ -635,16 +649,18 @@ func (s *Store) do(op string, h *metrics.Histogram, errs *atomic.Int64,
 
 // beginOp is the prologue both I/O paths share: a due epoch rotation, the
 // closed gate, the tenant tick, then the SieveStore-D access log and the
-// tenant's access charge. It returns the request's first key.
-func (s *Store) beginOp(server, volume int, off uint64, nBlocks int, write bool) (block.Key, error) {
+// tenant's access charge. It returns the request's first key. A call
+// refused at the gate takes no shard lock, so it is counted here.
+func (s *Store) beginOp(server, volume int, off uint64, nBlocks, kind int) (block.Key, error) {
 	s.maybeRotate()
 	if s.closed.Load() {
+		s.lat[kind].closed.Add(1)
 		return 0, ErrClosed
 	}
 	s.tenantTick()
 	first := off / block.Size
 	s.logAccess(server, volume, first, nBlocks)
-	s.tenantAccess(server, volume, int64(nBlocks), write)
+	s.tenantAccess(server, volume, int64(nBlocks), kind == opWrite)
 	return block.MakeKey(server, volume, first), nil
 }
 
@@ -774,11 +790,11 @@ func (s *Store) Traces() []metrics.OpTrace {
 	return s.trace.Dump()
 }
 
-// LatencyHistograms returns mergeable log-bucketed distributions of
-// whole-call ReadAt and WriteAt service times. Empty unless
-// Options.TrackLatency is set.
+// LatencyHistograms returns mergeable log-bucketed distributions of the
+// timed ReadAt and WriteAt calls' service times (Options.TrackLatency).
+// Empty unless TrackLatency is set.
 func (s *Store) LatencyHistograms() (read, write metrics.HistogramSnapshot) {
-	return s.histRead.Snapshot(), s.histWrite.Snapshot()
+	return s.lat[opRead].hist.Snapshot(), s.lat[opWrite].hist.Snapshot()
 }
 
 // SieveStats sums the per-shard continuous-sieve (IMCT/MCT) counters.

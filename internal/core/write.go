@@ -13,12 +13,12 @@ import (
 // invert, and lets concurrent read misses on these keys coalesce onto the
 // written data instead of racing the write with a backend fetch.
 func (s *Store) WriteAt(server, volume int, p []byte, off uint64) error {
-	return s.do("write", &s.histWrite, &s.errWrite, s.writeCached, server, volume, p, off)
+	return s.do("write", opWrite, s.writeCached, server, volume, p, off)
 }
 
 func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
 	nBlocks := len(p) / block.Size
-	key0, err := s.beginOp(server, volume, off, nBlocks, true)
+	key0, err := s.beginOp(server, volume, off, nBlocks, opWrite)
 	if err != nil {
 		return err
 	}
@@ -109,6 +109,9 @@ func (s *Store) reserveWrite(key0 block.Key, runs []uint64, flights []flight) er
 	for lo := 0; lo < len(runs); {
 		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
+		if lo == 0 {
+			sh.ops[opWrite]++
+		}
 		at, err := sh.reserveLocked(key0, runs[lo:hi], flights, atBuf[:0])
 		sh.mu.Unlock()
 		if err != nil {

@@ -65,6 +65,8 @@ func BucketUpper(i int) int64 {
 // histStripes is the fixed stripe count. Observe picks a stripe with the
 // runtime's per-thread fast random source, so concurrent observers land
 // on different cache lines with high probability regardless of GOMAXPROCS.
+// core.Store observes one call in eight, and the stripes still pay there:
+// with one stripe, lib_hot lost 4–11 % of its ops/s on two CPUs.
 const histStripes = 8
 
 // histStripe is one independent accumulator. Stripes are merged only at

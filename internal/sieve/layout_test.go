@@ -75,4 +75,48 @@ func TestMCTFootprint(t *testing.T) {
 	if st := s.Stats(); st.MCTSize < 6*pages || st.Allocations != 0 {
 		t.Fatalf("the stream tracked %d blocks and admitted %d, want ≥ %d and none", st.MCTSize, st.Allocations, 6*pages)
 	}
+	t.Run("churn", testMCTFootprintChurn)
+}
+
+// testMCTFootprintChurn feeds a churning Zipf stream of whole missed pages:
+// the hot set moves to fresh pages every subwindow, forty thousand misses a
+// subwindow for the first window, four thousand after it. The records'
+// capacity must follow the tracked set down: at every Begin, within the
+// four times the live records that Begin's shrink allows, which is
+// 4·144/8 = 72 bytes per tracked block. (A steady 32 bytes per
+// block, as the stream above holds, cannot be held here: a tracked set
+// that falls over several subwindows stays above a quarter of the peak
+// capacity for some of them.)
+func testMCTFootprintChurn(t *testing.T) {
+	s, err := NewC(CConfig{IMCTSize: 4096, T1: 9, T2: 4, Window: time.Hour, Subwindows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rank = 1 << 14
+	size, sub := int(unsafe.Sizeof(mctPage{})), int64(time.Hour)/4
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, rank-1)
+	peak := 0
+	for j := int64(0); j < 20; j++ {
+		n := int64(4000)
+		if j < 4 {
+			n = 40000
+		}
+		for i := int64(0); i < n; i++ {
+			run := s.Begin(j*sub + i*sub/n)
+			tracked := s.Stats().MCTSize
+			peak = max(peak, tracked)
+			if tracked > 0 && cap(s.pages)*size/tracked > 4*size/block.BlocksPerPage {
+				t.Fatalf("subwindow %d: %d records (capacity %d) for %d tracked blocks: %d B each, want ≤ %d",
+					j, len(s.pages), cap(s.pages), tracked, cap(s.pages)*size/tracked, 4*size/block.BlocksPerPage)
+			}
+			key := block.MakeKey(0, 0, (z.Uint64()+uint64(j)*rank)*block.BlocksPerPage)
+			for b := block.Key(0); b < block.BlocksPerPage; b++ {
+				run.Admit(key+b, 0)
+			}
+		}
+	}
+	if tracked := s.Stats().MCTSize; tracked == 0 || peak < 4*tracked || len(s.mct) != len(s.pages) {
+		t.Fatalf("tracked %d blocks at the end, %d at the peak, map %d of %d records: want a fall of 4× or more, one map entry a record",
+			tracked, peak, len(s.mct), len(s.pages))
+	}
 }

@@ -3,6 +3,7 @@ package sieve
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/block"
@@ -231,7 +232,8 @@ type Run struct{ s *C }
 // subwindows' lanes are zeroed in every IMCT slot and tracked block, and a
 // block left all zero — idle for a whole window — is dropped (the paper
 // prunes the MCT to eliminate stale blocks), its page's record with the
-// last of them.
+// last of them. Records fallen below a quarter of their capacity are
+// reallocated, and the map rebuilt, to the live set (indexes kept).
 func (s *C) Begin(t int64) Run {
 	if lanes := s.advance(t); lanes != 0 {
 		for i := len(s.pages) - 1; i >= 0; i-- {
@@ -251,6 +253,13 @@ func (s *C) Begin(t int64) Run {
 			}
 			if p.mask == 0 {
 				s.dropPage(int32(i))
+			}
+		}
+		if len(s.pages) < cap(s.pages)/4 { // neither shrinks by itself
+			s.pages = slices.Clone(s.pages)
+			s.mct = make(map[block.Key]int32, len(s.pages))
+			for i := range s.pages {
+				s.mct[s.pages[i].page] = int32(i)
 			}
 		}
 	}
