@@ -137,6 +137,7 @@ FUZZ_TARGETS := \
 	internal/appliance:FuzzClientResponse \
 	internal/tenant:FuzzTenantAccounting \
 	internal/sieve:FuzzSieveMatchesReference \
+	internal/sieve:FuzzPageIndexMatchesModel \
 	internal/cache:FuzzHitRunMatchesHits
 
 fuzz: FUZZTIME = 30s

@@ -2,6 +2,7 @@ package sieve
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -43,19 +44,25 @@ func TestIMCTPageLine(t *testing.T) {
 	}
 }
 
-// TestMCTFootprint pins the page-major MCT's size: on a stream of whole
-// missed pages, which promote a page's blocks together, its page records,
-// spare capacity included, cost at most 32 bytes per tracked block — against
-// a 24-byte entry plus a map slot per block keyed by block. 4096 pages
-// alias eight to a line of a 4096-slot IMCT, so the second round of misses
-// promotes and T2 = 4 keeps the blocks tracked through the last.
+// mctBytes is what s's MCT holds, spare capacity included: its page
+// records, its lane slab and its page index.
+func mctBytes(s *C) int {
+	return cap(s.pages)*int(unsafe.Sizeof(mctPage{})) + cap(s.lanes)*8 + cap(s.index)*4
+}
+
+// TestMCTFootprint pins the MCT's size at the paper's k = 4: on a stream of
+// whole missed pages, which promote a page's blocks together, its records,
+// lanes and index, spare capacity included, cost at most 16 bytes per
+// tracked block — a 16-byte record and one lane word a block, 80 B a page,
+// and under 16 B of index a page. 4096 pages alias eight to a line of a
+// 4096-slot IMCT, so the second round of misses promotes and T2 = 4 keeps
+// the blocks tracked through the last.
 func TestMCTFootprint(t *testing.T) {
 	s, err := NewC(CConfig{IMCTSize: 4096, T1: 9, T2: 4, Window: time.Hour, Subwindows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pages = 4096
-	size := int(unsafe.Sizeof(mctPage{}))
 	for round := 0; round < 3; round++ {
 		for p := 0; p < pages; p++ {
 			run := s.Begin(int64(round*pages + p))
@@ -67,8 +74,9 @@ func TestMCTFootprint(t *testing.T) {
 			if tracked < 2*pages || p%256 != 0 {
 				continue
 			}
-			if per := cap(s.pages) * size / tracked; per > 32 {
-				t.Fatalf("round %d page %d: %d records (capacity %d) of %d B for %d tracked blocks: %d B each", round, p, len(s.pages), cap(s.pages), size, tracked, per)
+			if per := mctBytes(s) / tracked; per > 16 {
+				t.Fatalf("round %d page %d: %d records (capacity %d, %d lane words, %d index slots) for %d tracked blocks: %d B each",
+					round, p, len(s.pages), cap(s.pages), cap(s.lanes), len(s.index), tracked, per)
 			}
 		}
 	}
@@ -80,20 +88,22 @@ func TestMCTFootprint(t *testing.T) {
 
 // testMCTFootprintChurn feeds a churning Zipf stream of whole missed pages:
 // the hot set moves to fresh pages every subwindow, forty thousand misses a
-// subwindow for the first window, four thousand after it. The records'
-// capacity must follow the tracked set down: at every Begin, within the
-// four times the live records that Begin's shrink allows, which is
-// 4·144/8 = 72 bytes per tracked block. (A steady 32 bytes per
-// block, as the stream above holds, cannot be held here: a tracked set
-// that falls over several subwindows stays above a quarter of the peak
-// capacity for some of them.)
+// subwindow for the first window, four thousand after it. The MCT must
+// follow the tracked set down: at every Begin, within the four times the
+// live records that Begin's shrink allows. A record's capacity costs its 16
+// bytes, 64 of lanes and under 16 of index — which holds under four slots
+// for each of the most records since it was last built, and those never
+// exceed the capacity — so that is 4·96/8 = 48 bytes per tracked block. (A
+// steady 16 bytes per block, as the stream above holds, cannot be held
+// here: a tracked set that falls over several subwindows stays above a
+// quarter of the peak capacity for some of them.)
 func testMCTFootprintChurn(t *testing.T) {
 	s, err := NewC(CConfig{IMCTSize: 4096, T1: 9, T2: 4, Window: time.Hour, Subwindows: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const rank = 1 << 14
-	size, sub := int(unsafe.Sizeof(mctPage{})), int64(time.Hour)/4
+	sub := int64(time.Hour) / 4
 	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, rank-1)
 	peak := 0
 	for j := int64(0); j < 20; j++ {
@@ -105,9 +115,9 @@ func testMCTFootprintChurn(t *testing.T) {
 			run := s.Begin(j*sub + i*sub/n)
 			tracked := s.Stats().MCTSize
 			peak = max(peak, tracked)
-			if tracked > 0 && cap(s.pages)*size/tracked > 4*size/block.BlocksPerPage {
-				t.Fatalf("subwindow %d: %d records (capacity %d) for %d tracked blocks: %d B each, want ≤ %d",
-					j, len(s.pages), cap(s.pages), tracked, cap(s.pages)*size/tracked, 4*size/block.BlocksPerPage)
+			if tracked > 0 && mctBytes(s)/tracked > 48 {
+				t.Fatalf("subwindow %d: %d records (capacity %d, %d lane words, %d index slots) for %d tracked blocks: %d B each, want ≤ 48",
+					j, len(s.pages), cap(s.pages), cap(s.lanes), len(s.index), tracked, mctBytes(s)/tracked)
 			}
 			key := block.MakeKey(0, 0, (z.Uint64()+uint64(j)*rank)*block.BlocksPerPage)
 			for b := block.Key(0); b < block.BlocksPerPage; b++ {
@@ -115,8 +125,85 @@ func testMCTFootprintChurn(t *testing.T) {
 			}
 		}
 	}
-	if tracked := s.Stats().MCTSize; tracked == 0 || peak < 4*tracked || len(s.mct) != len(s.pages) {
-		t.Fatalf("tracked %d blocks at the end, %d at the peak, map %d of %d records: want a fall of 4× or more, one map entry a record",
-			tracked, peak, len(s.mct), len(s.pages))
+	if tracked := s.Stats().MCTSize; tracked == 0 || peak < 4*tracked {
+		t.Fatalf("tracked %d blocks at the end, %d at the peak: want a fall of 4× or more", tracked, peak)
 	}
+	checkIndex(t, s)
+}
+
+// TestPageIndexMatchesModel is checkIndexModel on twenty random streams,
+// which between them wrap a probe run past the index's end.
+func TestPageIndexMatchesModel(t *testing.T) {
+	wrapped := 0
+	for seed := int64(0); seed < 20; seed++ {
+		ops := make([]byte, 4000)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		wrapped += checkIndexModel(t, ops)
+	}
+	if wrapped == 0 {
+		t.Fatal("no probe run wrapped past the index's end")
+	}
+}
+
+// FuzzPageIndexMatchesModel is checkIndexModel on a stream the fuzzer picks.
+func FuzzPageIndexMatchesModel(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		ops := make([]byte, 512)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { checkIndexModel(t, ops) })
+}
+
+// checkIndexModel drives a sieve's page records and index against a map
+// from page to the mark its lanes carry. Each two bytes of ops are one
+// operation on one of 256 pages: addPage (insert), dropPage (the
+// swap-remove, relocating the last record, its lanes and its entry), or
+// Begin's shrink (reallocate and reindex, to as few as two slots). After
+// each, every page is looked up, the index checked (checkIndex) and each
+// record's lanes must be its own. It returns how many records it saw sit
+// before their home slot, their probe run wrapped past the index's end.
+func checkIndexModel(t testing.TB, ops []byte) (wrapped int) {
+	s, err := NewC(CConfig{IMCTSize: 64, T1: 1, T2: 1, Window: 8000, Subwindows: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[block.Key]uint64{}
+	for n := uint64(1); len(ops) >= 2; ops, n = ops[2:], n+1 {
+		page := block.MakeKey(int(ops[1]>>6), 0, uint64(ops[1]&63)*block.BlocksPerPage)
+		rec, mark := record(s, page), model[page]
+		if rec >= 0 != (mark != 0) {
+			t.Fatalf("page %d: record %d, in the model %v", page, rec, mark != 0)
+		}
+		switch {
+		case ops[0]%8 < 4 && mark == 0:
+			i := s.addPage(page, pageHash(page), lineOf(pageHash(page), len(s.imct)))
+			s.lanes[s.laneWord(i, block.BlocksPerPage-1)+1] = n
+			model[page] = n
+		case ops[0]%8 < 7 && mark != 0:
+			s.dropPage(rec)
+			delete(model, page)
+		case ops[0]%8 == 7:
+			s.pages, s.lanes = slices.Clone(s.pages), slices.Clone(s.lanes)
+			s.reindex()
+		}
+		checkIndex(t, s)
+		for page, mark := range model {
+			rec := record(s, page)
+			if rec < 0 {
+				t.Fatalf("page %d is not found", page)
+			}
+			words := s.lanes[s.laneWord(rec, 0):s.laneWord(rec+1, 0)]
+			if words[len(words)-1] != mark || slices.ContainsFunc(words[:len(words)-1], func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("page %d's record %d carries lanes %#x, want %#x in the last word alone", page, rec, words, mark)
+			}
+			if s.find(page, pageHash(page)) < s.home(pageHash(page)) {
+				wrapped++
+			}
+		}
+		if len(model) != len(s.pages) {
+			t.Fatalf("%d records for %d pages", len(s.pages), len(model))
+		}
+	}
+	return wrapped
 }

@@ -3,7 +3,7 @@ package sieve
 import (
 	"math/bits"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/block"
@@ -175,42 +175,44 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 	return single.Stats()
 }
 
-// checkPages checks s's page records at step i: each tracks a block, the map
-// and the records index each other, a record's line is its page's, its
-// tracked blocks count as the reference's do from now and its untracked
-// blocks count nothing, the tracked blocks number Stats().MCTSize and each
-// IMCT slot's tracked count, and the cached page's line and record are its
-// own.
+// checkPages checks s's page records at step i: the index holds them
+// (checkIndex), each tracks a block, a record's line is its page's, its
+// tracked blocks' lane words hold exactly the reference's counts from now and
+// its untracked blocks' words nothing, the tracked blocks number
+// Stats().MCTSize and each IMCT slot's tracked count, and the cached page's
+// hash, line and record are its own.
 func checkPages(t testing.TB, s *C, ref *refC, cfg CConfig, i int) {
 	t.Helper()
-	if len(s.pages) != len(s.mct) {
-		t.Fatalf("%+v step %d: %d page records, %d pages mapped", cfg, i, len(s.pages), len(s.mct))
+	checkIndex(t, s)
+	if len(s.lanes) != len(s.pages)*block.BlocksPerPage*s.words {
+		t.Fatalf("%+v step %d: %d lane words for %d records of %d words a block", cfg, i, len(s.lanes), len(s.pages), s.words)
 	}
 	tracked, perSlot := 0, make([]uint64, len(s.imct))
 	for j, p := range s.pages {
-		if p.mask == 0 || p.page != p.page.Page() || s.mct[p.page] != int32(j) || int(p.line) != pageLine(p.page, len(s.imct)) {
-			t.Fatalf("%+v step %d: record %d = {page %d line %d mask %#x}, mapped to %d, line %d", cfg, i, j, p.page, p.line, p.mask, s.mct[p.page], pageLine(p.page, len(s.imct)))
+		if p.mask == 0 || p.page != p.page.Page() || int(p.line) != lineOf(pageHash(p.page), len(s.imct)) {
+			t.Fatalf("%+v step %d: record %d = {page %d line %d mask %#x}, line %d", cfg, i, j, p.page, p.line, p.mask, lineOf(pageHash(p.page), len(s.imct)))
 		}
 		tracked += bits.OnesCount8(p.mask)
-		for b, l := range p.lanes {
+		for b := 0; b < block.BlocksPerPage; b++ {
 			key := p.page + block.Key(b)
-			if p.mask>>b&1 == 0 {
-				if l != (mctLanes{}) {
-					t.Fatalf("%+v step %d: untracked block %d counts %v", cfg, i, key, l)
+			got := s.lanes[s.laneWord(int32(j), b):][:s.words]
+			want := make([]uint64, s.words)
+			if p.mask>>b&1 != 0 {
+				r, ok := ref.mct[key]
+				if !ok {
+					t.Fatalf("%+v step %d: MCT block %d = %#x, untracked in the reference", cfg, i, key, got)
 				}
-				continue
-			}
-			r, ok := ref.mct[key]
-			if ok {
 				// The reference ages lazily; compare its view from now.
 				aged := *r
 				aged.age(ref.lastWin, cfg.Subwindows)
-				r = &aged
+				for l, c := range aged.counts[:cfg.Subwindows] {
+					want[l/4] |= uint64(c) << (l % 4 * 16)
+				}
+				perSlot[int(p.line)+b]++
 			}
-			if !ok || !reflect.DeepEqual(r.counts[:cfg.Subwindows], widen(l[:cfg.Subwindows])) {
-				t.Fatalf("%+v step %d: MCT block %d = %v, reference %v", cfg, i, key, l, r)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v step %d: MCT block %d lane words %#x, want %#x", cfg, i, key, got, want)
 			}
-			perSlot[int(p.line)+b]++
 		}
 	}
 	if tracked != s.Stats().MCTSize {
@@ -221,9 +223,36 @@ func checkPages(t testing.TB, s *C, ref *refC, cfg CConfig, i int) {
 			t.Fatalf("%+v step %d: slot %d counts %d tracked keys, has %d", cfg, i, j, got, perSlot[j])
 		}
 	}
-	rec, mapped := s.mct[s.hotPage]
-	if s.hotLine != pageLine(s.hotPage, len(s.imct)) || s.hotRec >= 0 && (!mapped || rec != s.hotRec) || s.hotRec == noRecord && mapped {
-		t.Fatalf("%+v step %d: cached page %d, line %d, record %d is stale", cfg, i, s.hotPage, s.hotLine, s.hotRec)
+	rec := record(s, s.hotPage)
+	if s.hotHash != pageHash(s.hotPage) || s.hotLine != lineOf(pageHash(s.hotPage), len(s.imct)) || s.hotRec >= 0 && rec != s.hotRec || s.hotRec == noRecord && rec != noRecord {
+		t.Fatalf("%+v step %d: cached page %d, hash %#x, line %d, record %d is stale", cfg, i, s.hotPage, s.hotHash, s.hotLine, s.hotRec)
+	}
+}
+
+// record is page's record number in s, as its index gives it, or noRecord.
+func record(s *C, page block.Key) int32 { return s.index[s.find(page, pageHash(page))] - 1 }
+
+// checkIndex checks s's page index: a power of two at most half full, its
+// entries as many as the records, and each record found at its own entry.
+func checkIndex(t testing.TB, s *C) {
+	t.Helper()
+	n := len(s.index)
+	if n&(n-1) != 0 || 2*len(s.pages) > n {
+		t.Fatalf("index of %d slots for %d records: want a power of two, at most half full", n, len(s.pages))
+	}
+	entries := 0
+	for _, r := range s.index {
+		if r != 0 {
+			entries++
+		}
+	}
+	if entries != len(s.pages) {
+		t.Fatalf("index holds %d entries for %d records", entries, len(s.pages))
+	}
+	for j, p := range s.pages {
+		if got := record(s, p.page); got != int32(j) {
+			t.Fatalf("record %d (page %d) is found as record %d", j, p.page, got)
+		}
 	}
 }
 
@@ -295,14 +324,6 @@ func FuzzSieveMatchesReference(f *testing.F) {
 		}
 		checkAgainstReference(t, cfg, steps)
 	})
-}
-
-func widen(c []uint16) []int {
-	out := make([]int, len(c))
-	for i, v := range c {
-		out[i] = int(v)
-	}
-	return out
 }
 
 // TestStaleSubwindowDoesNotRewind: a timestamp one subwindow behind the

@@ -57,6 +57,7 @@ func TestCConfigValidate(t *testing.T) {
 		func(c *CConfig) { c.Subwindows = 0 },
 		func(c *CConfig) { c.Subwindows = maxSubwindows + 1 },
 		func(c *CConfig) { c.Window = 0 },
+		func(c *CConfig) { c.Window, c.Subwindows = 3, 4 },
 	}
 	for i, mutate := range bads {
 		c := DefaultCConfig()
@@ -196,9 +197,9 @@ func TestDenyPenaltyOutlastsSaturation(t *testing.T) {
 			}
 		}
 	}
-	e := s.pages[s.mct[block.Key(42).Page()]].lanes[42%block.BlocksPerPage]
-	if slot := *s.slot(42); slot&^(trackedMax<<trackedShift) != 1<<(maxSubwindows*laneBits)-1 || e.bump(0) != 8*65535 {
-		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, e)
+	j := s.laneWord(record(s, block.Key(42).Page()), 42%block.BlocksPerPage)
+	if slot := *s.slot(42); slot&^(trackedMax<<trackedShift) != 1<<(maxSubwindows*laneBits)-1 || s.bumpLanes(j) != 8*65535 {
+		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, lanesOf(s, 42))
 	}
 	if s.Begin(7000).Admit(42, deny) {
 		t.Fatal("a fully saturated block admitted under the deny penalty")

@@ -71,8 +71,8 @@ func (c *CConfig) Validate() error {
 	if c.Subwindows < 1 || c.Subwindows > maxSubwindows {
 		return fmt.Errorf("sieve: Subwindows must be in [1,%d], got %d", maxSubwindows, c.Subwindows)
 	}
-	if c.Window <= 0 {
-		return fmt.Errorf("sieve: Window must be positive")
+	if c.Window.Nanoseconds() < int64(c.Subwindows) {
+		return fmt.Errorf("sieve: Window must be at least a nanosecond a subwindow, got %v for %d", c.Window, c.Subwindows)
 	}
 	return nil
 }
@@ -80,16 +80,16 @@ func (c *CConfig) Validate() error {
 type imctSlot uint64
 
 // bump counts one miss in lane and returns the slot's total over the
-// window: every lane at or past k stays zero, so that is all of them.
+// window: every lane at or past k stays zero, so that is all of them. The
+// sum has no branch: odd lanes shift onto even ones, making four 14-bit
+// fields, and one multiply adds those into the top one, none carrying out.
 func (w *imctSlot) bump(lane uint) int {
 	if *w>>(lane*laneBits)&laneCap != laneCap {
 		*w += 1 << (lane * laneBits)
 	}
-	t := 0
-	for x := *w &^ (trackedMax << trackedShift); x != 0; x >>= laneBits {
-		t += int(x & laneCap)
-	}
-	return t
+	const even = laneCap | laneCap<<14 | laneCap<<28 | laneCap<<42
+	x := uint64(*w)&even + uint64(*w)>>laneBits&even
+	return int(x * (1 | 1<<14 | 1<<28 | 1<<42) >> 42 & (1<<14 - 1))
 }
 
 // track moves the slot's tracked count by d as a key that hashes to it
@@ -100,30 +100,20 @@ func (w *imctSlot) track(d int) {
 	}
 }
 
-// mctLanes is one tracked block's precise count, laid out as an IMCT slot's
-// lanes but 16 bits wide.
-type mctLanes [maxSubwindows]uint16
-
-// bump counts one miss in lane and returns the block's total.
-func (l *mctLanes) bump(lane uint) int {
-	if c := &l[lane]; *c < ^uint16(0) {
-		*c++
-	}
-	t := 0
-	for _, c := range l {
-		t += int(c)
-	}
-	return t
+// wordTotal sums an MCT lane word: four 16-bit saturating lanes, lane i of a
+// tracked block's precise count in bits 16·(i%4) of its word i/4.
+func wordTotal(w uint64) int {
+	w = w&0x0000ffff0000ffff + w>>16&0x0000ffff0000ffff
+	return int(w&0xffffffff + w>>32)
 }
 
 // mctPage is the MCT record of a page with a tracked block: mask bit b is
-// set while block b is, lanes[b] then its count and zero otherwise. line is
+// set while block b is, its lanes then its count and zero otherwise. line is
 // the first slot of the page's IMCT line, for aging to find a block's slot.
 type mctPage struct {
-	lanes [block.BlocksPerPage]mctLanes
-	page  block.Key
-	line  uint32
-	mask  uint8
+	page block.Key
+	line uint32
+	mask uint8
 }
 
 // CStats counts the sieve's internal traffic for reporting and tests.
@@ -153,19 +143,25 @@ func (s *CStats) Add(o CStats) {
 // only the n-th miss within the recent window triggers allocation, with the
 // two-tier IMCT/MCT structure bounding the precise metastate (§3.3). Every
 // lane is relative to lastWin, the newest subwindow seen, which counts in
-// lane and ends at next. The MCT holds no pointer: the map gives a page's
-// index in pages, which holds exactly the pages with a tracked block. The
-// page last admitted to is cached: its IMCT line, and its index in pages,
-// noRecord or, until an Admit needs it, unprobed (page 0's line is 0).
+// lane and ends at next. The MCT holds no pointer: pages holds exactly the
+// pages with a tracked block; lanes, in step with it, words lane words for
+// each of a record's blocks; and index, a linear-probing table at most half
+// full, record numbers plus one (0 is empty) from each page's home slot. The
+// page last admitted to is cached: its hash and IMCT line, and its record,
+// noRecord (an empty slot's value less one) or, until an Admit needs it,
+// unprobed (page 0's line is 0).
 type C struct {
 	cfg            CConfig
 	subNanos, next int64
 	lastWin        int64
 	lane           uint
+	words          int
 	imct           []imctSlot
-	mct            map[block.Key]int32
 	pages          []mctPage
+	lanes          []uint64
+	index          []int32
 	hotPage        block.Key
+	hotHash        uint64
 	hotLine        int
 	hotRec         int32
 	stats          CStats
@@ -183,8 +179,9 @@ func NewC(cfg CConfig) (*C, error) {
 		cfg:      cfg,
 		subNanos: sub,
 		next:     sub,
+		words:    (cfg.Subwindows + 3) / 4,
 		imct:     make([]imctSlot, (cfg.IMCTSize+block.BlocksPerPage-1)&^(block.BlocksPerPage-1)),
-		mct:      make(map[block.Key]int32),
+		index:    make([]int32, 1),
 		hotRec:   unprobed,
 	}, nil
 }
@@ -195,23 +192,26 @@ func (s *C) Name() string { return "SieveStore-C" }
 // Stats returns a snapshot of the sieve's counters.
 func (s *C) Stats() CStats { return s.stats }
 
-// pageLine is the first slot of key's page's line in an IMCT of n slots,
-// whole 64-byte lines of BlocksPerPage: the SplitMix64 finalizer of the page
-// number picks the line, a block's place in the page its slot there. A
-// missed page costs one line, not eight.
-func pageLine(key block.Key, n int) int {
-	const b = block.BlocksPerPage
-	x := uint64(key) / b
+// pageHash is the SplitMix64 finalizer of key's page number: the one hash a
+// missed page costs, which picks its IMCT line and its MCT index slot.
+func pageHash(key block.Key) uint64 {
+	x := uint64(key) / block.BlocksPerPage
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x%uint64(n/b)) * b
+	return x ^ x>>31
 }
 
+// lineOf is the first slot of the line that page hash h picks in an IMCT of
+// n slots, whole 64-byte lines of BlocksPerPage; a block's place in the page
+// is its slot there. A missed page costs one line, not eight.
+func lineOf(h uint64, n int) int { return int(h%uint64(n/block.BlocksPerPage)) * block.BlocksPerPage }
+
 // pageSlot is key's slot in an IMCT of n slots.
-func pageSlot(key block.Key, n int) int { return pageLine(key, n) + int(key%block.BlocksPerPage) }
+func pageSlot(key block.Key, n int) int {
+	return lineOf(pageHash(key), n) + int(key%block.BlocksPerPage)
+}
 
 // slot is key's IMCT slot.
 func (s *C) slot(key block.Key) *imctSlot { return &s.imct[pageSlot(key, len(s.imct))] }
@@ -233,34 +233,27 @@ type Run struct{ s *C }
 // block left all zero — idle for a whole window — is dropped (the paper
 // prunes the MCT to eliminate stale blocks), its page's record with the
 // last of them. Records fallen below a quarter of their capacity are
-// reallocated, and the map rebuilt, to the live set (indexes kept).
+// reallocated, with their lanes, and reindexed, to the live set.
 func (s *C) Begin(t int64) Run {
-	if lanes := s.advance(t); lanes != 0 {
+	if cleared := s.advance(t); cleared != ([2]uint64{}) {
+		for j := range s.lanes { // an untracked block's words stay zero
+			s.lanes[j] &^= cleared[j&(s.words-1)]
+		}
 		for i := len(s.pages) - 1; i >= 0; i-- {
-			p := &s.pages[i]
-			for m := p.mask; m != 0; m &= m - 1 {
+			for m := s.pages[i].mask; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros8(m)
-				l := &p.lanes[b]
-				for j := range l {
-					if lanes>>j&1 != 0 {
-						l[j] = 0
-					}
-				}
-				if *l == (mctLanes{}) {
-					s.untrack(p, b)
+				if j := s.laneWord(int32(i), b); s.lanes[j]|s.lanes[j+s.words-1] == 0 {
+					s.untrack(int32(i), b)
 					s.stats.Pruned++
 				}
 			}
-			if p.mask == 0 {
+			if s.pages[i].mask == 0 {
 				s.dropPage(int32(i))
 			}
 		}
 		if len(s.pages) < cap(s.pages)/4 { // neither shrinks by itself
-			s.pages = slices.Clone(s.pages)
-			s.mct = make(map[block.Key]int32, len(s.pages))
-			for i := range s.pages {
-				s.mct[s.pages[i].page] = int32(i)
-			}
+			s.pages, s.lanes = slices.Clone(s.pages), slices.Clone(s.lanes)
+			s.reindex()
 		}
 	}
 	return Run{s}
@@ -269,27 +262,27 @@ func (s *C) Begin(t int64) Run {
 // advance moves the clock to time t's subwindow and zeroes, in every IMCT
 // slot, the lanes of the subwindows entered — all k when the jump spans a
 // window (the paper's rotating counters, aged eagerly). It returns those
-// lanes as a bit set: none, at the cost of one comparison, when t is before
-// next, the newest subwindow's end. A t behind the newest subwindow is
-// clamped to it, so a late caller neither rewinds the lanes nor ages them
-// twice for one boundary.
-func (s *C) advance(t int64) (lanes uint) {
+// lanes' bits in a tracked block's MCT lane words: none, at the cost of one
+// comparison, when t is before next, the newest subwindow's end. A t behind
+// the newest subwindow is clamped to it, so a late caller neither rewinds
+// the lanes nor ages them twice for one boundary.
+func (s *C) advance(t int64) (mct [2]uint64) {
 	if t < s.next {
-		return 0
+		return mct
 	}
 	win, k := t/s.subNanos, int64(s.cfg.Subwindows)
 	var cleared imctSlot
 	for i := max(s.lastWin+1, win-k+1); i <= win; i++ {
-		lanes |= 1 << (i % k)
+		mct[i%k/4] |= 0xffff << (i % k % 4 * 16)
 		cleared |= laneCap << (i % k * laneBits)
 	}
-	if lanes != 0 {
+	if cleared != 0 {
 		s.lastWin, s.lane, s.next = win, uint(win%k), (win+1)*s.subNanos
 		for i := range s.imct {
 			s.imct[i] &^= cleared
 		}
 	}
-	return lanes
+	return mct
 }
 
 // Admit counts one missed block of the run and reports whether it is
@@ -306,16 +299,14 @@ func (r Run) Admit(key block.Key, extra int) bool {
 	s := r.s
 	s.stats.Misses++
 	if page := key.Page(); page != s.hotPage {
-		s.hotPage, s.hotLine, s.hotRec = page, pageLine(page, len(s.imct)), unprobed
+		s.hotPage, s.hotHash, s.hotRec = page, pageHash(page), unprobed
+		s.hotLine = lineOf(s.hotHash, len(s.imct))
 	}
 	b := int(key % block.BlocksPerPage)
 	slot := &s.imct[s.hotLine+b]
 	n := slot.bump(s.lane)
 	if s.hotRec == unprobed && (*slot>>trackedShift != 0 || n >= s.cfg.T1) {
-		s.hotRec = noRecord
-		if i, ok := s.mct[s.hotPage]; ok {
-			s.hotRec = i
-		}
+		s.hotRec = s.index[s.find(s.hotPage, s.hotHash)] - 1
 	}
 	if s.hotRec < 0 || s.pages[s.hotRec].mask>>b&1 == 0 {
 		if n < s.cfg.T1 {
@@ -324,43 +315,102 @@ func (r Run) Admit(key block.Key, extra int) bool {
 		// Promotion: begin precise tracking. The promoting miss is the
 		// block's first precisely-counted miss.
 		if s.hotRec < 0 {
-			s.hotRec = int32(len(s.pages))
-			s.pages = append(s.pages, mctPage{page: s.hotPage, line: uint32(s.hotLine)})
-			s.mct[s.hotPage] = s.hotRec
+			s.hotRec = s.addPage(s.hotPage, s.hotHash, s.hotLine)
 		}
 		s.pages[s.hotRec].mask |= 1 << b
 		slot.track(1)
 		s.stats.Promotions++
 		s.stats.MCTSize++
 	}
-	p := &s.pages[s.hotRec]
-	if p.lanes[b].bump(s.lane) < s.cfg.T2+extra {
+	if s.bumpLanes(s.laneWord(s.hotRec, b)) < s.cfg.T2+extra {
 		return false
 	}
-	s.untrack(p, b)
-	if p.mask == 0 {
+	s.untrack(s.hotRec, b)
+	if s.pages[s.hotRec].mask == 0 {
 		s.dropPage(s.hotRec)
 	}
 	s.stats.Allocations++
 	return true
 }
 
-// untrack forgets block b of page record p.
-func (s *C) untrack(p *mctPage, b int) {
-	p.lanes[b] = mctLanes{}
+// laneWord is the first lane word of block b of record i.
+func (s *C) laneWord(i int32, b int) int { return (int(i)*block.BlocksPerPage + b) * s.words }
+
+// bumpLanes counts a miss in the current lane of the tracked block whose words
+// start at j and returns its total, with no branch: the last word counts words-1 times.
+func (s *C) bumpLanes(j int) int {
+	w, sh := &s.lanes[j+int(s.lane/4)], s.lane%4*16
+	if *w>>sh&0xffff != 0xffff {
+		*w += 1 << sh
+	}
+	return wordTotal(s.lanes[j]) + (s.words-1)*wordTotal(s.lanes[j+s.words-1])
+}
+
+// untrack forgets block b of record i.
+func (s *C) untrack(i int32, b int) {
+	j, p := s.laneWord(i, b), &s.pages[i]
+	clear(s.lanes[j : j+s.words])
 	p.mask &^= 1 << b
 	s.imct[int(p.line)+b].track(-1)
 	s.stats.MCTSize--
 }
 
-// dropPage forgets record i, which tracks no block, moving the last record
-// into its place, so the cached record is probed again.
+// home is the index slot where a page of hash h starts its probe: the top
+// bits, as the low ones pick its IMCT line, which T1 passes crowd onto.
+func (s *C) home(h uint64) int { return int(h >> (64 - bits.TrailingZeros(uint(len(s.index))))) }
+
+// find is the index slot of page, of hash h, or the empty one ending its run.
+func (s *C) find(page block.Key, h uint64) int {
+	for i := s.home(h); ; i = (i + 1) & (len(s.index) - 1) {
+		if r := s.index[i]; r == 0 || s.pages[r-1].page == page {
+			return i
+		}
+	}
+}
+
+// addPage appends a record, with zero lanes, for page, of hash h and IMCT
+// line, and indexes it, doubling the index rather than fill it past half.
+func (s *C) addPage(page block.Key, h uint64, line int) int32 {
+	s.pages = append(s.pages, mctPage{page: page, line: uint32(line)})
+	s.lanes = append(s.lanes, make([]uint64, block.BlocksPerPage*s.words)...)
+	if 2*len(s.pages) > len(s.index) {
+		s.reindex()
+	} else {
+		s.index[s.find(page, h)] = int32(len(s.pages))
+	}
+	return int32(len(s.pages) - 1)
+}
+
+// reindex rebuilds the index at the least power of two past twice the records.
+func (s *C) reindex() {
+	s.index = make([]int32, 1<<bits.Len(uint(2*len(s.pages))))
+	for i, p := range s.pages {
+		s.index[s.find(p.page, pageHash(p.page))] = int32(i) + 1
+	}
+}
+
+// dropPage forgets record i, which tracks no block: its index entry leaves
+// by backward shift, and the last record, its lanes and its entry move into
+// its place, so the cached record is probed again.
 func (s *C) dropPage(i int32) {
-	delete(s.mct, s.pages[i].page)
+	s.unindex(s.find(s.pages[i].page, pageHash(s.pages[i].page)))
 	if last := int32(len(s.pages) - 1); i != last {
 		s.pages[i] = s.pages[last]
-		s.mct[s.pages[i].page] = i
+		s.index[s.find(s.pages[i].page, pageHash(s.pages[i].page))] = i + 1
+		copy(s.lanes[s.laneWord(i, 0):], s.lanes[s.laneWord(last, 0):])
 	}
-	s.pages = s.pages[:len(s.pages)-1]
+	s.pages, s.lanes = s.pages[:len(s.pages)-1], s.lanes[:len(s.lanes)-block.BlocksPerPage*s.words]
 	s.hotRec = unprobed
+}
+
+// unindex empties index slot i, moving back into the hole each later entry
+// of its probe run whose home is not past the hole, so no run has a gap.
+func (s *C) unindex(i int) {
+	m := len(s.index) - 1
+	for j := (i + 1) & m; s.index[j] != 0; j = (j + 1) & m {
+		if h := s.home(pageHash(s.pages[s.index[j]-1].page)); (j-h)&m >= (j-i)&m {
+			s.index[i], i = s.index[j], j
+		}
+	}
+	s.index[i] = 0
 }

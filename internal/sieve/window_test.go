@@ -2,6 +2,7 @@ package sieve
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,13 +122,43 @@ func TestWinCounterSaturation(t *testing.T) {
 		t.Fatalf("count %d after subwindow 0 expired, want %d", got, 3*laneCap+1)
 	}
 
-	var e mctLanes
+	j := w.laneWord(w.addPage(0, 0, 0), 3)
 	for i := 0; i < 70000; i++ {
-		last = e.bump(2)
+		last = w.bumpLanes(j)
 	}
-	if last != 65535 {
-		t.Fatalf("MCT count %d after 70000 bumps in one lane, want 65535", last)
+	if last != 65535 || w.lanes[j] != 0xffff {
+		t.Fatalf("MCT count %d, lane word %#x after 70000 bumps in one lane, want 65535 in lane 0", last, w.lanes[j])
 	}
+}
+
+// TestIMCTTotalMatchesLoop checks imctSlot.bump's sum, which has no loop,
+// against a loop over the lanes on random slot words: lanes drawn from 0,
+// 1, the cap and anything between, past lane k too, and any tracked byte.
+func TestIMCTTotalMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		w := imctSlot(rng.Intn(trackedMax+1)) << trackedShift
+		for l := 0; l < maxSubwindows; l++ {
+			w |= imctSlot([]int{0, 1, laneCap, rng.Intn(laneCap + 1)}[rng.Intn(4)]) << (l * laneBits)
+		}
+		got, want := w.bump(uint(rng.Intn(maxSubwindows))), 0
+		for x := w &^ (trackedMax << trackedShift); x != 0; x >>= laneBits {
+			want += int(x & laneCap)
+		}
+		if got != want {
+			t.Fatalf("slot %#x bumped totals %d, its lanes sum to %d", uint64(w), got, want)
+		}
+	}
+}
+
+// lanesOf is tracked block key's k lane counts.
+func lanesOf(s *C, key block.Key) []int {
+	j := s.laneWord(record(s, key.Page()), int(key%block.BlocksPerPage))
+	out := make([]int, s.cfg.Subwindows)
+	for l := range out {
+		out[l] = int(s.lanes[j+l/4] >> (l % 4 * 16) & 0xffff)
+	}
+	return out
 }
 
 // TestBeginAtSubwindowBoundary: a Begin one nanosecond before the newest
@@ -144,21 +175,20 @@ func TestBeginAtSubwindowBoundary(t *testing.T) {
 	for _, key := range []block.Key{42, 42, 42, 43} {
 		run.Admit(key, 0)
 	}
-	lanes := func(key block.Key) mctLanes { return s.pages[s.mct[key.Page()]].lanes[key%block.BlocksPerPage] }
 	for _, c := range []struct {
 		at, lastWin, next int64
 		tracked           int
-		lanes42           mctLanes
+		lanes42           []int
 	}{
-		{999, 0, 1000, 2, mctLanes{4}},
-		{1000, 1, 2000, 2, mctLanes{4, 1}},
-		{1999, 1, 2000, 2, mctLanes{4, 2}},
-		{2000, 2, 3000, 1, mctLanes{1, 2}},
+		{999, 0, 1000, 2, []int{4, 0}},
+		{1000, 1, 2000, 2, []int{4, 1}},
+		{1999, 1, 2000, 2, []int{4, 2}},
+		{2000, 2, 3000, 1, []int{1, 2}},
 	} {
 		s.Begin(c.at).Admit(42, 0)
-		if st := s.Stats(); s.lastWin != c.lastWin || s.next != c.next || st.MCTSize != c.tracked || st.Pruned != int64(2-c.tracked) || lanes(42) != c.lanes42 {
+		if st := s.Stats(); s.lastWin != c.lastWin || s.next != c.next || st.MCTSize != c.tracked || st.Pruned != int64(2-c.tracked) || !slices.Equal(lanesOf(s, 42), c.lanes42) {
 			t.Fatalf("after a miss at %d: subwindow %d ending %d, %d tracked, %d pruned, block 42 %v; want %d, %d, %d, %d, %v",
-				c.at, s.lastWin, s.next, st.MCTSize, st.Pruned, lanes(42), c.lastWin, c.next, c.tracked, 2-c.tracked, c.lanes42)
+				c.at, s.lastWin, s.next, st.MCTSize, st.Pruned, lanesOf(s, 42), c.lastWin, c.next, c.tracked, 2-c.tracked, c.lanes42)
 		}
 	}
 	if len(s.pages) != 1 || s.pages[0].mask != 1<<2 {
