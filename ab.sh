@@ -14,7 +14,10 @@
 # tenths of the pairs and the medians differ, that way, by more than the
 # distance between the parent's quartiles; `identical` when the two sides
 # agree on every pair, as a count should per seed; `unresolved` otherwise.
-# Timings on a shared box are only comparable within a pair.
+# Timings on a shared box are only comparable within a pair. Under the table
+# it prints how many pairs ran the same op stream on both sides (the
+# record line's stream_hash) and names any pair that did not: a count
+# compared across streams that differ compares nothing.
 #
 # The parent checkout is a `git archive` into a temporary directory, so
 # nothing is registered in .git and nothing is left behind.
@@ -48,7 +51,8 @@ change=$(git -C "$root" rev-parse --short HEAD)
 stamp="$(go env GOVERSION), nproc $(nproc), GOMAXPROCS ${GOMAXPROCS:-$(nproc)}"
 
 # run SIDE DIR PAIR SEED: one benchmark run; its table rows go to runs.txt
-# as "pair side metric value". The benchmark exits non-zero on a failed or
+# as "pair side metric value", its record line's stream_hash to hashes.txt
+# as "pair side hash". The benchmark exits non-zero on a failed or
 # mis-verified operation; that stops the comparison.
 run() {
 	(cd "$2" && "$tmp/bench.$1" -workload "$workload" -seconds "$seconds" -seed "$4") >"$tmp/out.txt" 2>&1 || {
@@ -60,10 +64,13 @@ run() {
 		/^record / { exit }
 		NF == 4 && $2 ~ /^[-+0-9.e]+$/ && $4 ~ /^[0-9]+$/ { print pair, side, $1, $2 }
 	' "$tmp/out.txt" >>"$tmp/runs.txt"
+	hash=$(sed -n 's/^record .*"stream_hash":"\([^"]*\)".*/\1/p' "$tmp/out.txt")
+	echo "$3 $1 ${hash:-none}" >>"$tmp/hashes.txt"
 }
 
 for workload in $workloads; do
 	: >"$tmp/runs.txt"
+	: >"$tmp/hashes.txt"
 	echo "# $workload: $pairs pairs, parent $(git -C "$root" rev-parse --short "$parent") vs $change, $stamp, $seconds s streams, seeds $seed0.."
 	i=1
 	while [ "$i" -le "$pairs" ]; do
@@ -124,4 +131,15 @@ for workload in $workloads; do
 			}
 		}
 	' "$tmp/runs.txt"
+	awk -v pairs="$pairs" '
+		{ h[$1, $2] = $3 }
+		END {
+			same = 0
+			for (i = 1; i <= pairs; i++) {
+				if (h[i, "parent"] == h[i, "change"] && h[i, "parent"] != "none") same++
+				else printf "  pair %d: stream_hash differs: parent %s, change %s\n", i, h[i, "parent"], h[i, "change"]
+			}
+			printf "streams identical: %d/%d pairs\n", same, pairs
+		}
+	' "$tmp/hashes.txt"
 done

@@ -55,9 +55,13 @@ type Cache struct {
 	// index holds, by Key.Page, each block's slot plus one, 0 where it is
 	// not resident; no entry is all zero.
 	index map[block.Key][block.BlocksPerPage]uint32
-	keys  []block.Key // by slot; a slot keeps its key until reused
-	free  []uint32    // released slots, reused last-in first-out
-	order Order
+	// memo is index's entry for memoPage, kept equal to it by set: Touch and
+	// Insert read through it, so a page's blocks in turn cost one probe.
+	memoPage block.Key
+	memo     [block.BlocksPerPage]uint32
+	keys     []block.Key // by slot; a slot keeps its key until reused
+	free     []uint32    // released slots, reused last-in first-out
+	order    Order
 }
 
 var _ TagStore = (*Cache)(nil)
@@ -114,13 +118,20 @@ func (c *Cache) Lookup(key block.Key) (slot uint32, ok bool) {
 func (c *Cache) Page(key block.Key) [block.BlocksPerPage]uint32 { return c.index[key.Page()] }
 
 // set points key's place in the index at s (a slot plus one, or 0 for
-// absent), dropping a page entry that empties.
+// absent), dropping a page entry that empties, and the memo with it when
+// it holds key's page.
 func (c *Cache) set(key block.Key, s uint32) {
-	pg := c.index[key.Page()]
+	p, pg := key.Page(), c.memo
+	if p != c.memoPage {
+		pg = c.index[p]
+	}
 	if pg[key%block.BlocksPerPage] = s; pg == [block.BlocksPerPage]uint32{} {
-		delete(c.index, key.Page())
+		delete(c.index, p)
 	} else {
-		c.index[key.Page()] = pg
+		c.index[p] = pg
+	}
+	if p == c.memoPage {
+		c.memo = pg
 	}
 }
 
@@ -176,15 +187,19 @@ func (c *Cache) Contains(key block.Key) bool {
 // Touch looks up key and, on a hit, notes it (LRU promotes to
 // most-recently-used). It returns whether the block was resident.
 func (c *Cache) Touch(key block.Key) bool {
-	slot, ok := c.Lookup(key)
-	if ok {
-		c.Hit(slot)
+	if p := key.Page(); p != c.memoPage {
+		c.memoPage, c.memo = p, c.index[p]
 	}
-	return ok
+	s := c.memo[key%block.BlocksPerPage]
+	if s != 0 {
+		c.Hit(s - 1)
+	}
+	return s != 0
 }
 
 // Insert allocates a frame for key. If the cache is full the policy's
-// victim is evicted and returned. Inserting a resident key is a Touch.
+// victim is evicted and returned. Inserting a resident key is a Touch,
+// and after a missed Touch of key it probes nothing.
 func (c *Cache) Insert(key block.Key) (evicted block.Key, wasEvicted bool) {
 	if c.Touch(key) {
 		return 0, false

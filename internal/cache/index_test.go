@@ -9,8 +9,8 @@ import (
 
 // checkIndex compares c with model, key→slot of every resident block:
 // Lookup, Contains and Page agree with it on every key of keys, Len counts
-// it, and the index holds one entry per page with a resident block and no
-// all-zero entry.
+// it, the index holds one entry per page with a resident block and no
+// all-zero entry, and the memo equals the index's entry for its page.
 func checkIndex(t *testing.T, step int, c *Cache, model map[block.Key]uint32, keys []block.Key) {
 	t.Helper()
 	if c.Len() != len(model) {
@@ -38,12 +38,18 @@ func checkIndex(t *testing.T, step int, c *Cache, model map[block.Key]uint32, ke
 	if len(c.index) != len(pages) {
 		t.Fatalf("step %d: %d index entries for %d resident pages", step, len(c.index), len(pages))
 	}
+	if c.memo != c.index[c.memoPage] {
+		t.Fatalf("step %d: memo of page %v holds %v, index %v", step, c.memoPage, c.memo, c.index[c.memoPage])
+	}
 }
 
 // TestPageIndexMatchesModel drives Add, Remove and SwapSlots over keys
-// that leave pages partially resident — twelve pages on two volumes
-// through a 20-block cache — and checks the page index against a plain
-// key→slot map after every step.
+// that leave pages partially resident — twelve pages on two volumes — and
+// walks runs of page-mates with Touch, and Insert on a miss, as the
+// simulator does. It checks the page index and the memo against a plain
+// key→slot map after every step, through a 20-block cache and through a
+// 5-block one, smaller than a page, where a walk's Insert evicts blocks of
+// the page being walked.
 func TestPageIndexMatchesModel(t *testing.T) {
 	var keys []block.Key
 	for v := 0; v < 2; v++ {
@@ -51,51 +57,85 @@ func TestPageIndexMatchesModel(t *testing.T) {
 			keys = append(keys, block.MakeKey(0, v, n))
 		}
 	}
-	for _, c := range []*Cache{New(20), NewSieve(20)} {
-		t.Run(c.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			model := make(map[block.Key]uint32)
-			resident := func() (block.Key, uint32, bool) {
-				slots := c.AppendSlots(nil)
-				if len(slots) == 0 {
-					return 0, 0, false
-				}
-				slot := slots[rng.Intn(len(slots))]
-				return c.Key(slot), slot, true
+	for _, newCache := range []func(int) *Cache{New, NewSieve} {
+		t.Run(newCache(1).Name(), func(t *testing.T) {
+			for _, capacity := range []int{20, 5} {
+				checkPageIndex(t, newCache(capacity), keys)
 			}
-			drop := func(slot uint32) {
-				delete(model, c.Key(slot))
-				c.Remove(slot)
+		})
+	}
+}
+
+func checkPageIndex(t *testing.T, c *Cache, keys []block.Key) {
+	rng := rand.New(rand.NewSource(11))
+	model := make(map[block.Key]uint32)
+	resident := func() (block.Key, uint32, bool) {
+		slots := c.AppendSlots(nil)
+		if len(slots) == 0 {
+			return 0, 0, false
+		}
+		slot := slots[rng.Intn(len(slots))]
+		return c.Key(slot), slot, true
+	}
+	drop := func(slot uint32) {
+		delete(model, c.Key(slot))
+		c.Remove(slot)
+	}
+	// insert Inserts a missed k: it takes the victim's slot when the cache
+	// is full, else the last freed slot, else a new one.
+	insert := func(step int, k block.Key) {
+		full, slot, victim := c.Len() == c.Capacity(), uint32(len(c.keys)), block.Key(0)
+		if n := len(c.free); full {
+			slot, _ = c.VictimSlot()
+			victim = c.Key(slot)
+		} else if n > 0 {
+			slot = c.free[n-1]
+		}
+		if evicted, ok := c.Insert(k); ok != full || (full && evicted != victim) {
+			t.Fatalf("step %d: Insert(%v) = (%v, %v), want (%v, %v)", step, k, evicted, ok, victim, full)
+		}
+		if full {
+			delete(model, victim)
+		}
+		model[k] = slot
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 40: // add, evicting the victim when full
+			k := keys[rng.Intn(len(keys))]
+			if _, ok := model[k]; ok {
+				break
 			}
-			for step := 0; step < 20000; step++ {
-				switch op := rng.Intn(100); {
-				case op < 60: // add, evicting the victim when full
-					k := keys[rng.Intn(len(keys))]
-					if _, ok := model[k]; ok {
-						break
-					}
-					if c.Len() == c.Capacity() {
-						victim, _ := c.VictimSlot()
-						drop(victim)
-					}
-					model[k] = c.Add(k)
-				case op < 95:
-					if _, slot, ok := resident(); ok {
-						drop(slot)
-					}
-				default: // an epoch swap to a random set, some of it resident
-					set := make([]block.Key, 0, 24)
-					for _, i := range rng.Perm(len(keys))[:rng.Intn(24)] {
-						set = append(set, keys[i])
-					}
-					moved, _ := c.SwapSlots(set, drop)
-					for _, slot := range moved {
-						model[c.Key(slot)] = slot
-					}
+			if c.Len() == c.Capacity() {
+				victim, _ := c.VictimSlot()
+				drop(victim)
+			}
+			model[k] = c.Add(k)
+		case op < 60: // walk page-mates from a random block to the page's end
+			pg := keys[rng.Intn(len(keys))].Page()
+			for k := pg + block.Key(rng.Intn(block.BlocksPerPage)); k < pg+block.BlocksPerPage; k++ {
+				if _, ok := model[k]; c.Touch(k) != ok {
+					t.Fatalf("step %d: Touch(%v) = %v, model resident %v", step, k, !ok, ok)
+				} else if !ok {
+					insert(step, k)
 				}
 				checkIndex(t, step, c, model, keys)
 			}
-		})
+		case op < 95:
+			if _, slot, ok := resident(); ok {
+				drop(slot)
+			}
+		default: // an epoch swap to a random set, some of it resident
+			set := make([]block.Key, 0, 24)
+			for _, i := range rng.Perm(len(keys))[:rng.Intn(24)] {
+				set = append(set, keys[i])
+			}
+			moved, _ := c.SwapSlots(set, drop)
+			for _, slot := range moved {
+				model[c.Key(slot)] = slot
+			}
+		}
+		checkIndex(t, step, c, model, keys)
 	}
 }
 

@@ -201,26 +201,18 @@ type EpochSetFunc func(day int) []block.Key
 // Discrete simulates epoch-batch caching: at each day boundary the resident
 // set is replaced wholesale and then remains fixed for the day (§3.2).
 type Discrete struct {
-	name     string
-	capacity int
-	cache    *cache.Cache
-	sets     EpochSetFunc
-	result   Result
-	minutes  metrics.MinuteSeries
-	curDay   int
-	started  bool
-	accBuf   []block.Access
+	cache   *cache.Cache
+	sets    EpochSetFunc
+	result  Result
+	minutes metrics.MinuteSeries
+	curDay  int
+	started bool
+	accBuf  []block.Access
 }
 
 // NewDiscrete returns a discrete-epoch simulator.
 func NewDiscrete(name string, capacityBlocks int, sets EpochSetFunc) *Discrete {
-	return &Discrete{
-		name:     name,
-		capacity: capacityBlocks,
-		cache:    cache.New(capacityBlocks),
-		sets:     sets,
-		result:   Result{Name: name},
-	}
+	return &Discrete{cache: cache.New(capacityBlocks), sets: sets, result: Result{Name: name}}
 }
 
 // beginDay installs day d's resident set.

@@ -129,31 +129,35 @@ func (dd *DayDir) Day(d int) ([]block.Request, error) {
 }
 
 // Reader returns a whole-trace Reader over all days in order.
-func (dd *DayDir) Reader() Reader {
-	return &dayDirReader{dd: dd}
+func (dd *DayDir) Reader() Reader { return DayReader(dd.days, dd.Day) }
+
+// DayReader returns a Reader over days 0…days-1 of a day-addressable trace,
+// fetching each day from day once the previous one is drained. An error
+// from day ends the stream: Next returns it from then on.
+func DayReader(days int, day func(d int) ([]block.Request, error)) Reader {
+	return &dayReader{days: days, day: day}
 }
 
-type dayDirReader struct {
-	dd  *DayDir
-	day int
-	cur []block.Request
-	pos int
+type dayReader struct {
+	days, next int
+	day        func(int) ([]block.Request, error)
+	cur        []block.Request
+	err        error
 }
 
-func (r *dayDirReader) Next() (block.Request, error) {
-	for r.pos >= len(r.cur) {
-		if r.day >= r.dd.days {
-			return block.Request{}, io.EOF
+func (r *dayReader) Next() (block.Request, error) {
+	for len(r.cur) == 0 && r.err == nil {
+		if r.next >= r.days {
+			r.err = io.EOF
+		} else if r.cur, r.err = r.day(r.next); r.err == nil {
+			r.next++
 		}
-		reqs, err := r.dd.Day(r.day)
-		if err != nil {
-			return block.Request{}, err
-		}
-		r.day++
-		r.cur, r.pos = reqs, 0
 	}
-	req := r.cur[r.pos]
-	r.pos++
+	if r.err != nil {
+		return block.Request{}, r.err
+	}
+	req := r.cur[0]
+	r.cur = r.cur[1:]
 	return req, nil
 }
 

@@ -240,14 +240,11 @@ func (m *mergeReader) Next() (block.Request, error) {
 // request does.
 func Expand(dst []block.Access, req *block.Request) []block.Access {
 	n := req.Blocks()
-	first := req.Offset / block.Size
+	// MakeKey checks the last block's number, and with it every block's.
+	first := block.MakeKey(req.Server, req.Volume, req.Offset/block.Size+uint64(n-1)) - block.Key(n-1)
 	for i := 0; i < n; i++ {
 		t := req.Time + req.Duration*int64(i+1)/int64(n)
-		dst = append(dst, block.Access{
-			Time: t,
-			Key:  block.MakeKey(req.Server, req.Volume, first+uint64(i)),
-			Kind: req.Kind,
-		})
+		dst = append(dst, block.Access{Time: t, Key: first + block.Key(i), Kind: req.Kind})
 	}
 	return dst
 }

@@ -3,9 +3,11 @@ package workload
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -444,29 +446,57 @@ func TestEncodeConfig(t *testing.T) {
 // requests, or any change to what the generator emits, moves it.
 const dayStreamGolden = 0x17cc5cfdb2e4e9e
 
+// TestDayStreamGolden checks the digest with Day's servers on one, two and
+// eight workers: the parts must join into the one stream whatever the
+// worker count and whichever worker finishes first.
 func TestDayStreamGolden(t *testing.T) {
-	g := testGen(t, 2048)
-	h := fnv.New64a()
-	var buf [48]byte
-	n := 0
-	for d := 0; d < 4; d++ {
-		reqs, err := g.Day(d)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			g := testGen(t, 2048)
+			h := fnv.New64a()
+			var buf [48]byte
+			n := 0
+			for d := 0; d < 4; d++ {
+				reqs, err := g.Day(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range reqs {
+					b := binary.LittleEndian.AppendUint64(buf[:0], uint64(r.Time))
+					b = binary.LittleEndian.AppendUint64(b, uint64(r.Duration))
+					b = binary.LittleEndian.AppendUint64(b, uint64(r.Server))
+					b = binary.LittleEndian.AppendUint64(b, uint64(r.Volume))
+					b = binary.LittleEndian.AppendUint64(b, r.Offset)
+					b = binary.LittleEndian.AppendUint32(b, r.Length)
+					b = append(b, byte(r.Kind))
+					h.Write(b)
+				}
+				n += len(reqs)
+			}
+			if got := h.Sum64(); got != dayStreamGolden {
+				t.Errorf("days 0–3 of %d requests hash to %#x, want %#x", n, got, uint64(dayStreamGolden))
+			}
+		})
+	}
+}
+
+// BenchmarkGeneratorDay prices trace generation as the benchmark's
+// lib_trace setup pays it: Default(2048), seed 1, one calendar day an
+// iteration (cycling through the eight), in ns per generated request.
+func BenchmarkGeneratorDay(b *testing.B) {
+	g, err := New(Default(2048))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		day, err := g.Day(i % g.Days())
 		if err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
-		for _, r := range reqs {
-			b := binary.LittleEndian.AppendUint64(buf[:0], uint64(r.Time))
-			b = binary.LittleEndian.AppendUint64(b, uint64(r.Duration))
-			b = binary.LittleEndian.AppendUint64(b, uint64(r.Server))
-			b = binary.LittleEndian.AppendUint64(b, uint64(r.Volume))
-			b = binary.LittleEndian.AppendUint64(b, r.Offset)
-			b = binary.LittleEndian.AppendUint32(b, r.Length)
-			b = append(b, byte(r.Kind))
-			h.Write(b)
-		}
-		n += len(reqs)
+		reqs += len(day)
 	}
-	if got := h.Sum64(); got != dayStreamGolden {
-		t.Errorf("days 0–3 of %d requests hash to %#x, want %#x", n, got, uint64(dayStreamGolden))
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reqs), "ns/request")
 }
