@@ -230,6 +230,15 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	}
 }
 
+// TestPayloadPoolCycleAllocatesNothing: once warm, taking a payload buffer
+// from the pool and returning it allocates nothing.
+func TestPayloadPoolCycleAllocatesNothing(t *testing.T) {
+	poolPut(poolGet(4096))
+	if n := testing.AllocsPerRun(1000, func() { poolPut(poolGet(4096)) }); n != 0 {
+		t.Errorf("a warm poolGet/poolPut cycle allocates %v times, want 0", n)
+	}
+}
+
 func BenchmarkRoundTrip4K(b *testing.B) {
 	be := store.NewMem()
 	be.AddVolume(0, 0, 1<<24)
@@ -252,6 +261,7 @@ func BenchmarkRoundTrip4K(b *testing.B) {
 	defer client.Close()
 	buf := make([]byte, 4096)
 	b.SetBytes(4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {

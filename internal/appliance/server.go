@@ -76,7 +76,7 @@ func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 			s.pipelineDepth.Add(1)
 			sem <- struct{}{}
 			wg.Add(1)
-			go func(h header, payload []byte) {
+			go func(h header, payload *[]byte) {
 				defer func() {
 					<-sem
 					s.pipelineDepth.Add(-1)
@@ -103,7 +103,7 @@ func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 // pool buffer — within IdleTimeout of its header, since sending it is the
 // peer's part. It then clears the read deadline: while the request is in
 // flight, the store's time is not the peer's to bound.
-func (s *Server) readPayload(conn net.Conn, br *bufio.Reader, h header) ([]byte, error) {
+func (s *Server) readPayload(conn net.Conn, br *bufio.Reader, h header) (*[]byte, error) {
 	if s.opts.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		defer conn.SetReadDeadline(time.Time{})
@@ -112,7 +112,7 @@ func (s *Server) readPayload(conn net.Conn, br *bufio.Reader, h header) ([]byte,
 		return nil, nil
 	}
 	payload := poolGet(int(h.length))
-	if _, err := io.ReadFull(br, payload); err != nil {
+	if _, err := io.ReadFull(br, *payload); err != nil {
 		poolPut(payload)
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func (s *Server) readPayload(conn net.Conn, br *bufio.Reader, h header) ([]byte,
 
 // handle executes one request and stages its response. payload is
 // pool-owned and released here.
-func (s *Server) handle(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h header, payload []byte) {
+func (s *Server) handle(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h header, payload *[]byte) {
 	defer poolPut(payload)
 	// Reject ids the packed block.Key cannot represent before they reach
 	// the store: MakeKey treats out-of-range components as a caller bug and
@@ -138,14 +138,14 @@ func (s *Server) handle(conn net.Conn, bw *bufio.Writer, wmu *sync.Mutex, h head
 	switch h.op {
 	case OpRead:
 		p := poolGet(int(h.length))
-		if err := s.store.ReadAt(int(h.server), int(h.volume), p, h.offset); err != nil {
+		if err := s.store.ReadAt(int(h.server), int(h.volume), *p, h.offset); err != nil {
 			s.sendErr(conn, bw, wmu, h.tag, err)
 		} else {
-			s.writeFrame(conn, bw, wmu, h.tag, statusOK, p)
+			s.writeFrame(conn, bw, wmu, h.tag, statusOK, *p)
 		}
 		poolPut(p)
 	case OpWrite:
-		if err := s.store.WriteAt(int(h.server), int(h.volume), payload, h.offset); err != nil {
+		if err := s.store.WriteAt(int(h.server), int(h.volume), *payload, h.offset); err != nil {
 			s.sendErr(conn, bw, wmu, h.tag, err)
 			return
 		}

@@ -100,25 +100,28 @@ func respHead(buf []byte, tag uint32, status byte) {
 }
 
 // payloadPool recycles large request/response payload buffers across
-// connections and pipelined request handlers.
+// connections and pipelined request handlers. It holds *[]byte, so neither
+// a Get nor a Put boxes a slice header.
 var payloadPool sync.Pool
 
-// poolGet returns a length-n buffer backed by the payload pool.
-func poolGet(n int) []byte {
-	if v := payloadPool.Get(); v != nil {
-		b := *v.(*[]byte)
-		if cap(b) >= n {
-			return b[:n]
-		}
+// poolGet returns a length-n buffer from the payload pool. A pooled buffer
+// too small for n is replaced in its box, not put back: small buffers put
+// back keep meeting 64 KiB requests, each of which then allocates anew.
+func poolGet(n int) *[]byte {
+	p, _ := payloadPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
 	}
-	return make([]byte, n)
+	if cap(*p) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
-// poolPut recycles a buffer obtained from poolGet.
-func poolPut(b []byte) {
-	if cap(b) == 0 {
-		return
+// poolPut recycles a buffer obtained from poolGet; nil is no buffer.
+func poolPut(p *[]byte) {
+	if p != nil {
+		payloadPool.Put(p)
 	}
-	b = b[:0]
-	payloadPool.Put(&b)
 }

@@ -13,33 +13,55 @@ import (
 // TestIMCTPageLine pins the page-major layout: an IMCT of n slots holds
 // 8·⌈n/8⌉, and the eight blocks of any page land in slots line·8+b of one
 // line, b their place in the page, through the slot C and SingleTier count
-// in. Across many pages a 4096-slot table uses most of its 512 lines.
+// in, whose ⌈k/4⌉ words follow each other. Across many pages a 4096-slot
+// table uses most of its 512 lines.
 func TestIMCTPageLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 7, 8, 9, 4096} {
-		c, err := NewC(CConfig{IMCTSize: n, T1: 9, T2: 4, Window: time.Hour, Subwindows: 4})
+	for _, k := range []int{4, 8} {
+		for _, n := range []int{1, 7, 8, 9, 4096} {
+			c, err := NewC(CConfig{IMCTSize: n, T1: 9, T2: 4, Window: time.Hour, Subwindows: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slots := (n + 7) / 8 * 8
+			if c.slots() != slots || len(c.imct) != slots*c.words {
+				t.Fatalf("k %d IMCTSize %d: table holds %d slots in %d words, want %d of %d words", k, n, c.slots(), len(c.imct), slots, c.words)
+			}
+			lines := map[int]bool{}
+			for i := 0; i < 2000; i++ {
+				page := block.MakeKey(rng.Intn(block.MaxServers), rng.Intn(block.MaxVolumes), uint64(rng.Int63n(1<<30))*block.BlocksPerPage)
+				first := pageSlot(page, slots)
+				if first%8 != 0 || first >= slots {
+					t.Fatalf("k %d IMCTSize %d: page %v starts at slot %d, not a line of %d slots", k, n, page, first, slots)
+				}
+				lines[first/8] = true
+				for b := 0; b < block.BlocksPerPage; b++ {
+					if got := c.slot(page + block.Key(b)); got != (first+b)*c.words {
+						t.Fatalf("k %d IMCTSize %d: block %d of page %v starts at word %d, not slot %d's", k, n, b, page, got, first+b)
+					}
+				}
+			}
+			if slots == 4096 && len(lines) < 400 {
+				t.Errorf("k %d: 2000 pages used %d of 512 lines", k, len(lines))
+			}
+		}
+	}
+}
+
+// TestIMCTFootprint pins the IMCT's size to k: 4 bytes a slot, a 32-byte
+// line a page, at k ≤ 4, and 8 bytes a slot, a 64-byte line, at k ≤ 8.
+func TestIMCTFootprint(t *testing.T) {
+	for k := 1; k <= maxSubwindows; k++ {
+		c, err := NewC(CConfig{IMCTSize: 4096, T1: 9, T2: 4, Window: time.Hour, Subwindows: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (n + 7) / 8 * 8; len(c.imct) != want {
-			t.Fatalf("IMCTSize %d: table holds %d slots, want %d", n, len(c.imct), want)
+		want := 4
+		if k > 4 {
+			want = 8
 		}
-		lines := map[int]bool{}
-		for i := 0; i < 2000; i++ {
-			page := block.MakeKey(rng.Intn(block.MaxServers), rng.Intn(block.MaxVolumes), uint64(rng.Int63n(1<<30))*block.BlocksPerPage)
-			first := pageSlot(page, len(c.imct))
-			if first%8 != 0 || first >= len(c.imct) {
-				t.Fatalf("IMCTSize %d: page %v starts at slot %d, not a line of %d slots", n, page, first, len(c.imct))
-			}
-			lines[first/8] = true
-			for b := 0; b < block.BlocksPerPage; b++ {
-				if got := c.slot(page + block.Key(b)); got != &c.imct[first+b] {
-					t.Fatalf("IMCTSize %d: block %d of page %v is not in slot %d", n, b, page, first+b)
-				}
-			}
-		}
-		if len(c.imct) == 4096 && len(lines) < 400 {
-			t.Errorf("2000 pages used %d of 512 lines", len(lines))
+		if per := cap(c.imct) * int(unsafe.Sizeof(c.imct[0])) / 4096; per != want {
+			t.Errorf("k %d: %d bytes an IMCT slot, want %d", k, per, want)
 		}
 	}
 }

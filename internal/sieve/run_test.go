@@ -53,7 +53,7 @@ func newRefC(t testing.TB, cfg CConfig) *refC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refC{cfg: cfg, c: c, imct: make([]refCounter, len(c.imct)), mct: map[block.Key]*refCounter{}}
+	return &refC{cfg: cfg, c: c, imct: make([]refCounter, c.slots()), mct: map[block.Key]*refCounter{}}
 }
 
 func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
@@ -90,7 +90,7 @@ func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
 // refSingle is SingleTier as first written: refC's counters, each aged
 // lazily by its own last subwindow, against T1+T2.
 func refSingle(cfg CConfig, c *C) func(block.Access) bool {
-	imct := make([]refCounter, len(c.imct))
+	imct := make([]refCounter, c.slots())
 	return func(acc block.Access) bool {
 		return imct[pageSlot(acc.Key, len(imct))].bump(acc.Time/c.subNanos, cfg.Subwindows) >= cfg.T1+cfg.T2
 	}
@@ -187,10 +187,10 @@ func checkPages(t testing.TB, s *C, ref *refC, cfg CConfig, i int) {
 	if len(s.lanes) != len(s.pages)*block.BlocksPerPage*s.words {
 		t.Fatalf("%+v step %d: %d lane words for %d records of %d words a block", cfg, i, len(s.lanes), len(s.pages), s.words)
 	}
-	tracked, perSlot := 0, make([]uint64, len(s.imct))
+	tracked, perSlot := 0, make([]uint32, s.slots())
 	for j, p := range s.pages {
-		if p.mask == 0 || p.page != p.page.Page() || int(p.line) != lineOf(pageHash(p.page), len(s.imct)) {
-			t.Fatalf("%+v step %d: record %d = {page %d line %d mask %#x}, line %d", cfg, i, j, p.page, p.line, p.mask, lineOf(pageHash(p.page), len(s.imct)))
+		if p.mask == 0 || p.page != p.page.Page() || int(p.line) != lineOf(pageHash(p.page), s.slots()) {
+			t.Fatalf("%+v step %d: record %d = {page %d line %d mask %#x}, line %d", cfg, i, j, p.page, p.line, p.mask, lineOf(pageHash(p.page), s.slots()))
 		}
 		tracked += bits.OnesCount8(p.mask)
 		for b := 0; b < block.BlocksPerPage; b++ {
@@ -219,12 +219,12 @@ func checkPages(t testing.TB, s *C, ref *refC, cfg CConfig, i int) {
 		t.Fatalf("%+v step %d: records track %d blocks, MCTSize %d", cfg, i, tracked, s.Stats().MCTSize)
 	}
 	for j, w := range s.imct {
-		if got := uint64(w) >> trackedShift; got != perSlot[j] && got != trackedMax {
-			t.Fatalf("%+v step %d: slot %d counts %d tracked keys, has %d", cfg, i, j, got, perSlot[j])
+		if got := w >> trackedShift; j%s.words != 0 && got != 0 || j%s.words == 0 && got != perSlot[j/s.words] && got != trackedMax {
+			t.Fatalf("%+v step %d: word %d of slot %d counts %d tracked keys, has %d", cfg, i, j%s.words, j/s.words, got, perSlot[j/s.words])
 		}
 	}
 	rec := record(s, s.hotPage)
-	if s.hotHash != pageHash(s.hotPage) || s.hotLine != lineOf(pageHash(s.hotPage), len(s.imct)) || s.hotRec >= 0 && rec != s.hotRec || s.hotRec == noRecord && rec != noRecord {
+	if s.hotHash != pageHash(s.hotPage) || s.hotLine != lineOf(pageHash(s.hotPage), s.slots()) || s.hotRec >= 0 && rec != s.hotRec || s.hotRec == noRecord && rec != noRecord {
 		t.Fatalf("%+v step %d: cached page %d, hash %#x, line %d, record %d is stale", cfg, i, s.hotPage, s.hotHash, s.hotLine, s.hotRec)
 	}
 }

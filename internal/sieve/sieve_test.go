@@ -197,8 +197,8 @@ func TestDenyPenaltyOutlastsSaturation(t *testing.T) {
 			}
 		}
 	}
-	j := s.laneWord(record(s, block.Key(42).Page()), 42%block.BlocksPerPage)
-	if slot := *s.slot(42); slot&^(trackedMax<<trackedShift) != 1<<(maxSubwindows*laneBits)-1 || s.bumpLanes(j) != 8*65535 {
+	j, i := s.laneWord(record(s, block.Key(42).Page()), 42%block.BlocksPerPage), s.slot(42)
+	if slot := s.imct[i : i+2]; slot[0]&^(trackedMax<<trackedShift) != 1<<trackedShift-1 || slot[1] != 1<<trackedShift-1 || s.bumpLanes(j) != 8*65535 {
 		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, lanesOf(s, 42))
 	}
 	if s.Begin(7000).Admit(42, deny) {

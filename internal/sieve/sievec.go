@@ -9,19 +9,20 @@ import (
 	"repro/internal/block"
 )
 
-// An IMCT slot (imctSlot) is one word: k ≤ maxSubwindows lanes of laneBits
-// each in the low bits, lane i%k counting subwindow i's misses and
-// saturating at laneCap, and in the top byte how many MCT-tracked keys hash
-// to the slot — exactly, until that count reaches trackedMax and sticks —
-// so a miss on a slot with none skips the MCT. An IMCT total is only ever
-// compared with a threshold of at most laneCap (Validate, NewSingleTier),
-// so a saturated lane decides exactly as an unbounded one would.
+// An IMCT slot is ⌈k/4⌉ uint32 words, k ≤ maxSubwindows: lane i%k, counting
+// subwindow i's misses and saturating at laneCap, is laneBits at bit
+// laneBits·(i%4) of word i/4, and the top nibble of word 0 holds how many
+// MCT-tracked keys hash to the slot — exactly, until that count reaches
+// trackedMax and sticks — so a miss on a slot with none skips the MCT. An
+// IMCT total is only ever compared with a threshold of at most laneCap
+// (Validate, NewSingleTier), so a saturated lane decides exactly as an
+// unbounded one would.
 const (
 	maxSubwindows = 8
 	laneBits      = 7
 	laneCap       = 1<<laneBits - 1
-	trackedShift  = maxSubwindows * laneBits
-	trackedMax    = 255
+	trackedShift  = 4 * laneBits
+	trackedMax    = 15
 )
 
 // CConfig parameterizes SieveStore-C's two-tier sieve (§3.3).
@@ -77,26 +78,35 @@ func (c *CConfig) Validate() error {
 	return nil
 }
 
-type imctSlot uint64
-
-// bump counts one miss in lane and returns the slot's total over the
-// window: every lane at or past k stays zero, so that is all of them. The
-// sum has no branch: odd lanes shift onto even ones, making four 14-bit
-// fields, and one multiply adds those into the top one, none carrying out.
-func (w *imctSlot) bump(lane uint) int {
-	if *w>>(lane*laneBits)&laneCap != laneCap {
-		*w += 1 << (lane * laneBits)
+// bump counts one miss in the current lane of the IMCT slot whose words
+// start at i.
+func (s *C) bump(i int) {
+	w, sh := &s.imct[i+int(s.lane/4)], s.lane%4*laneBits
+	if *w>>sh&laneCap != laneCap {
+		*w += 1 << sh
 	}
-	const even = laneCap | laneCap<<14 | laneCap<<28 | laneCap<<42
-	x := uint64(*w)&even + uint64(*w)>>laneBits&even
-	return int(x * (1 | 1<<14 | 1<<28 | 1<<42) >> 42 & (1<<14 - 1))
 }
 
-// track moves the slot's tracked count by d as a key that hashes to it
-// enters or leaves the MCT. A saturated count stays saturated.
-func (w *imctSlot) track(d int) {
-	if *w>>trackedShift < trackedMax {
-		*w += imctSlot(d) << trackedShift
+// total is the window total of the IMCT slot whose words start at i: every
+// lane at or past k stays zero, so that is all of them. In each word the
+// odd lanes shift onto the even ones, making two 14-bit fields the tracked
+// nibble falls outside, and the fields add: no branch on a count, only on k,
+// which every call of a sieve takes the same way.
+func (s *C) total(i int) int {
+	const even = laneCap | laneCap<<14
+	x := s.imct[i]&even + s.imct[i]>>laneBits&even
+	if s.words > 1 {
+		x += s.imct[i+1]&even + s.imct[i+1]>>laneBits&even
+	}
+	return int(x&(1<<14-1) + x>>14)
+}
+
+// track moves the tracked count of the IMCT slot whose words start at i by d
+// as a key that hashes to it enters or leaves the MCT. A saturated count
+// stays saturated.
+func (s *C) track(i, d int) {
+	if s.imct[i]>>trackedShift < trackedMax {
+		s.imct[i] += uint32(d) << trackedShift
 	}
 }
 
@@ -156,7 +166,7 @@ type C struct {
 	lastWin        int64
 	lane           uint
 	words          int
-	imct           []imctSlot
+	imct           []uint32
 	pages          []mctPage
 	lanes          []uint64
 	index          []int32
@@ -174,13 +184,13 @@ func NewC(cfg CConfig) (*C, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sub := cfg.Window.Nanoseconds() / int64(cfg.Subwindows)
+	sub, words := cfg.Window.Nanoseconds()/int64(cfg.Subwindows), (cfg.Subwindows+3)/4
 	return &C{
 		cfg:      cfg,
 		subNanos: sub,
 		next:     sub,
-		words:    (cfg.Subwindows + 3) / 4,
-		imct:     make([]imctSlot, (cfg.IMCTSize+block.BlocksPerPage-1)&^(block.BlocksPerPage-1)),
+		words:    words,
+		imct:     make([]uint32, (cfg.IMCTSize+block.BlocksPerPage-1)&^(block.BlocksPerPage-1)*words),
 		index:    make([]int32, 1),
 		hotRec:   unprobed,
 	}, nil
@@ -204,8 +214,9 @@ func pageHash(key block.Key) uint64 {
 }
 
 // lineOf is the first slot of the line that page hash h picks in an IMCT of
-// n slots, whole 64-byte lines of BlocksPerPage; a block's place in the page
-// is its slot there. A missed page costs one line, not eight.
+// n slots, whole lines of BlocksPerPage slots — 32 bytes at k ≤ 4, 64 at
+// k ≤ 8; a block's place in the page is its slot there. A missed page costs
+// one line, not eight.
 func lineOf(h uint64, n int) int { return int(h%uint64(n/block.BlocksPerPage)) * block.BlocksPerPage }
 
 // pageSlot is key's slot in an IMCT of n slots.
@@ -213,8 +224,11 @@ func pageSlot(key block.Key, n int) int {
 	return lineOf(pageHash(key), n) + int(key%block.BlocksPerPage)
 }
 
-// slot is key's IMCT slot.
-func (s *C) slot(key block.Key) *imctSlot { return &s.imct[pageSlot(key, len(s.imct))] }
+// slots is the number of IMCT slots, of words (1 or 2) words each.
+func (s *C) slots() int { return len(s.imct) >> (s.words - 1) }
+
+// slot is the first word of key's IMCT slot.
+func (s *C) slot(key block.Key) int { return pageSlot(key, s.slots()) * s.words }
 
 // ShouldAllocate implements Policy: a run of one miss.
 func (s *C) ShouldAllocate(acc block.Access) bool {
@@ -271,15 +285,15 @@ func (s *C) advance(t int64) (mct [2]uint64) {
 		return mct
 	}
 	win, k := t/s.subNanos, int64(s.cfg.Subwindows)
-	var cleared imctSlot
+	var cleared [2]uint32
 	for i := max(s.lastWin+1, win-k+1); i <= win; i++ {
 		mct[i%k/4] |= 0xffff << (i % k % 4 * 16)
-		cleared |= laneCap << (i % k * laneBits)
+		cleared[i%k/4] |= laneCap << (i % k % 4 * laneBits)
 	}
-	if cleared != 0 {
+	if cleared != ([2]uint32{}) {
 		s.lastWin, s.lane, s.next = win, uint(win%k), (win+1)*s.subNanos
 		for i := range s.imct {
-			s.imct[i] &^= cleared
+			s.imct[i] &^= cleared[i&(s.words-1)]
 		}
 	}
 	return mct
@@ -300,12 +314,13 @@ func (r Run) Admit(key block.Key, extra int) bool {
 	s.stats.Misses++
 	if page := key.Page(); page != s.hotPage {
 		s.hotPage, s.hotHash, s.hotRec = page, pageHash(page), unprobed
-		s.hotLine = lineOf(s.hotHash, len(s.imct))
+		s.hotLine = lineOf(s.hotHash, s.slots())
 	}
 	b := int(key % block.BlocksPerPage)
-	slot := &s.imct[s.hotLine+b]
-	n := slot.bump(s.lane)
-	if s.hotRec == unprobed && (*slot>>trackedShift != 0 || n >= s.cfg.T1) {
+	slot := (s.hotLine + b) * s.words
+	s.bump(slot)
+	n := s.total(slot)
+	if s.hotRec == unprobed && (s.imct[slot]>>trackedShift != 0 || n >= s.cfg.T1) {
 		s.hotRec = s.index[s.find(s.hotPage, s.hotHash)] - 1
 	}
 	if s.hotRec < 0 || s.pages[s.hotRec].mask>>b&1 == 0 {
@@ -318,7 +333,7 @@ func (r Run) Admit(key block.Key, extra int) bool {
 			s.hotRec = s.addPage(s.hotPage, s.hotHash, s.hotLine)
 		}
 		s.pages[s.hotRec].mask |= 1 << b
-		slot.track(1)
+		s.track(slot, 1)
 		s.stats.Promotions++
 		s.stats.MCTSize++
 	}
@@ -351,7 +366,7 @@ func (s *C) untrack(i int32, b int) {
 	j, p := s.laneWord(i, b), &s.pages[i]
 	clear(s.lanes[j : j+s.words])
 	p.mask &^= 1 << b
-	s.imct[int(p.line)+b].track(-1)
+	s.track((int(p.line)+b)*s.words, -1)
 	s.stats.MCTSize--
 }
 

@@ -37,5 +37,7 @@ func (s *SingleTier) Name() string { return "SingleTier-IMCT" }
 // ShouldAllocate implements Policy.
 func (s *SingleTier) ShouldAllocate(acc block.Access) bool {
 	s.c.advance(acc.Time)
-	return s.c.slot(acc.Key).bump(s.c.lane) >= s.c.cfg.T1
+	i := s.c.slot(acc.Key)
+	s.c.bump(i)
+	return s.c.total(i) >= s.c.cfg.T1
 }

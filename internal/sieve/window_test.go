@@ -24,7 +24,8 @@ func oneSlot(k int, subNanos int64) *slotClock {
 // bump counts one miss at time t and returns the slot's window total.
 func (c *slotClock) bump(t int64) int {
 	c.advance(t)
-	return c.imct[0].bump(c.lane)
+	c.C.bump(0)
+	return c.total(0)
 }
 
 // exactWindow is a reference implementation: it remembers every miss
@@ -96,57 +97,84 @@ func TestWinCounterNeverExceedsTotalMisses(t *testing.T) {
 	}
 }
 
-// TestWinCounterSaturation: an IMCT lane saturates at laneCap and an MCT
-// lane at 65535 rather than wrap, so an IMCT total tops out at k·laneCap
-// and an MCT total at k·65535, and a lane that has saturated still counts
-// as one.
+// TestWinCounterSaturation, for every k: an IMCT lane saturates at laneCap
+// and an MCT lane at 65535 rather than wrap, so an IMCT total tops out at
+// k·laneCap and an MCT total at k·65535, and a lane that has saturated
+// still counts as one; a tracked count sticks at trackedMax, and neither
+// saturation reaches the other's bits.
 func TestWinCounterSaturation(t *testing.T) {
-	w := oneSlot(4, 1)
-	last := 0
-	for i := 0; i < 1000; i++ {
-		last = w.bump(0)
-	}
-	if last != laneCap {
-		t.Fatalf("IMCT count %d after 1000 bumps in one subwindow, want %d", last, laneCap)
-	}
-	w.imct[0].track(1)
-	for win := int64(1); win < 4; win++ {
+	for k := 1; k <= maxSubwindows; k++ {
+		w := oneSlot(k, 1)
+		last := 0
 		for i := 0; i < 1000; i++ {
-			last = w.bump(win)
+			last = w.bump(0)
 		}
-	}
-	if last != 4*laneCap || w.imct[0]>>trackedShift != 1 {
-		t.Fatalf("IMCT count %d, tracked %d after four saturated subwindows, want %d and 1", last, w.imct[0]>>trackedShift, 4*laneCap)
-	}
-	if got := w.bump(4); got != 3*laneCap+1 {
-		t.Fatalf("count %d after subwindow 0 expired, want %d", got, 3*laneCap+1)
-	}
+		if last != laneCap {
+			t.Fatalf("k %d: IMCT count %d after 1000 bumps in one subwindow, want %d", k, last, laneCap)
+		}
+		w.track(0, 1)
+		for win := int64(1); win < int64(k); win++ {
+			for i := 0; i < 1000; i++ {
+				last = w.bump(win)
+			}
+		}
+		if last != k*laneCap || w.imct[0]>>trackedShift != 1 {
+			t.Fatalf("k %d: IMCT count %d, tracked %d after k saturated subwindows, want %d and 1", k, last, w.imct[0]>>trackedShift, k*laneCap)
+		}
+		for i := 0; i < 20; i++ {
+			w.track(0, 1)
+		}
+		w.track(0, -1)
+		if got := w.imct[0] >> trackedShift; got != trackedMax || imctLanes(w.C, 0) != k*laneCap {
+			t.Fatalf("k %d: tracked %d, lanes total %d after 21 keys tracked and one untracked, want %d and %d", k, got, imctLanes(w.C, 0), trackedMax, k*laneCap)
+		}
+		if got := w.bump(int64(k)); got != (k-1)*laneCap+1 {
+			t.Fatalf("k %d: count %d after subwindow 0 expired, want %d", k, got, (k-1)*laneCap+1)
+		}
 
-	j := w.laneWord(w.addPage(0, 0, 0), 3)
-	for i := 0; i < 70000; i++ {
-		last = w.bumpLanes(j)
-	}
-	if last != 65535 || w.lanes[j] != 0xffff {
-		t.Fatalf("MCT count %d, lane word %#x after 70000 bumps in one lane, want 65535 in lane 0", last, w.lanes[j])
+		j := w.laneWord(w.addPage(0, 0, 0), 3)
+		for i := 0; i < 70000; i++ {
+			last = w.bumpLanes(j)
+		}
+		if last != 65535 || w.lanes[j] != 0xffff {
+			t.Fatalf("k %d: MCT count %d, lane word %#x after 70000 bumps in one lane, want 65535 in lane 0", k, last, w.lanes[j])
+		}
 	}
 }
 
-// TestIMCTTotalMatchesLoop checks imctSlot.bump's sum, which has no loop,
-// against a loop over the lanes on random slot words: lanes drawn from 0,
-// 1, the cap and anything between, past lane k too, and any tracked byte.
+// imctLanes sums, by a loop, the lanes of every word of the IMCT slot whose
+// words start at i, lanes past k included.
+func imctLanes(s *C, i int) int {
+	n := 0
+	for _, w := range s.imct[i : i+s.words] {
+		for l := 0; l < 4; l++ {
+			n += int(w >> (l * laneBits) & laneCap)
+		}
+	}
+	return n
+}
+
+// TestIMCTTotalMatchesLoop checks, for every k, C.total's sum, which has
+// no loop, after a bump, against imctLanes on random slots: lanes drawn
+// from 0, 1, the cap and anything between, past lane k too, and any
+// tracked count.
 func TestIMCTTotalMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		w := imctSlot(rng.Intn(trackedMax+1)) << trackedShift
-		for l := 0; l < maxSubwindows; l++ {
-			w |= imctSlot([]int{0, 1, laneCap, rng.Intn(laneCap + 1)}[rng.Intn(4)]) << (l * laneBits)
-		}
-		got, want := w.bump(uint(rng.Intn(maxSubwindows))), 0
-		for x := w &^ (trackedMax << trackedShift); x != 0; x >>= laneBits {
-			want += int(x & laneCap)
-		}
-		if got != want {
-			t.Fatalf("slot %#x bumped totals %d, its lanes sum to %d", uint64(w), got, want)
+	for k := 1; k <= maxSubwindows; k++ {
+		w := oneSlot(k, 1)
+		for i := 0; i < 20000; i++ {
+			for j := range w.imct {
+				w.imct[j] = 0
+				for l := 0; l < 4; l++ {
+					w.imct[j] |= uint32([]int{0, 1, laneCap, rng.Intn(laneCap + 1)}[rng.Intn(4)]) << (l * laneBits)
+				}
+			}
+			w.imct[0] |= uint32(rng.Intn(trackedMax+1)) << trackedShift
+			w.lane = uint(rng.Intn(k))
+			w.C.bump(0)
+			if got, want := w.total(0), imctLanes(w.C, 0); got != want {
+				t.Fatalf("k %d: slot %#x bumped in lane %d totals %d, its lanes sum to %d", k, w.imct, w.lane, got, want)
+			}
 		}
 	}
 }

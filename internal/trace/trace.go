@@ -237,13 +237,22 @@ func (m *mergeReader) Next() (block.Request, error) {
 // time and its completion (issue+duration), matching the paper's
 // methodology (§4) for timing allocation-writes: block i of n completes at
 // issue + duration*(i+1)/n, so the last block completes exactly when the
-// request does.
+// request does. The time steps by duration/n, and by one more toward zero
+// each time the remainders add up past n: no divide per block.
 func Expand(dst []block.Access, req *block.Request) []block.Access {
 	n := req.Blocks()
 	// MakeKey checks the last block's number, and with it every block's.
 	first := block.MakeKey(req.Server, req.Volume, req.Offset/block.Size+uint64(n-1)) - block.Key(n-1)
+	n64 := int64(n)
+	q, r := req.Duration/n64, req.Duration%n64
+	t, rem := req.Time, int64(0)
 	for i := 0; i < n; i++ {
-		t := req.Time + req.Duration*int64(i+1)/int64(n)
+		t, rem = t+q, rem+r
+		if rem >= n64 {
+			t, rem = t+1, rem-n64
+		} else if rem <= -n64 {
+			t, rem = t-1, rem+n64
+		}
 		dst = append(dst, block.Access{Time: t, Key: first + block.Key(i), Kind: req.Kind})
 	}
 	return dst

@@ -185,6 +185,39 @@ func TestExpandProperty(t *testing.T) {
 	}
 }
 
+// TestExpandTimesMatchDivision checks Expand's stepped times against block
+// i of n at Time + Duration*(i+1)/n on random and edge-case durations and
+// block counts, both signs, wherever Duration*n does not overflow.
+func TestExpandTimesMatchDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(n int, dur int64) {
+		r := block.Request{Time: rng.Int63n(1 << 50), Duration: dur, Offset: uint64(rng.Intn(1<<20)) * block.Size, Length: uint32(n * block.Size)}
+		for i, a := range Expand(nil, &r) {
+			if want := r.Time + r.Duration*int64(i+1)/int64(n); a.Time != want {
+				t.Fatalf("duration %d over %d blocks: block %d at %d, want %d", dur, n, i, a.Time, want)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 64, 255, 1 << 16} {
+		big := math.MaxInt64 / int64(n)
+		for _, dur := range []int64{0, 1, 2, int64(n) - 1, int64(n), int64(n) + 1, 3*int64(n) - 1, 1e9, big - 1, big} {
+			check(n, dur)
+			check(n, -dur)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		n := 1 + rng.Intn(300)
+		dur := rng.Int63n(math.MaxInt64 / int64(n))
+		if i%4 == 0 {
+			dur = rng.Int63n(4 * int64(n))
+		}
+		if i%2 == 0 {
+			dur = -dur
+		}
+		check(n, dur)
+	}
+}
+
 func TestSortByTimeStable(t *testing.T) {
 	reqs := []block.Request{
 		req(5, 0, 0, block.Read, 0, 512),

@@ -25,6 +25,15 @@ type dayClock struct {
 	burstP float64
 }
 
+// survival is the probability an access of day d survives day-0 thinning:
+// the share of day 0 after StartHour, 1 on full days.
+func survival(cfg *Config, day int) float64 {
+	if day == 0 {
+		return float64(24-cfg.StartHour) / 24
+	}
+	return 1
+}
+
 // diurnalAmplitude shapes the day/night load swing.
 const diurnalAmplitude = 0.65
 
@@ -35,10 +44,9 @@ const diurnalAmplitude = 0.65
 const burstShare = 0.02
 
 func newDayClock(rng *rand.Rand, cfg *Config, p *ServerProfile, day int) *dayClock {
-	c := &dayClock{rng: rng, base: int64(day) * trace.Day, thinP: 1}
+	c := &dayClock{rng: rng, base: int64(day) * trace.Day, thinP: survival(cfg, day)}
 	if day == 0 {
 		c.first = cfg.StartHour
-		c.thinP = float64(24-cfg.StartHour) / 24
 	}
 	// Hourly intensity: 1 + A·cos of the distance from the peak hour.
 	sum := 0.0

@@ -171,7 +171,7 @@ func (s *serverState) build(cfg *Config, rng *rand.Rand) error {
 				theta: effectiveTheta(p, v, d),
 			}
 			vs.days = append(vs.days, day)
-			s.requests[d] += day.estimate(hotBoost(cfg.Seed, s.id, d))
+			s.requests[d] += day.estimate(hotBoost(cfg.Seed, s.id, d), survival(cfg, d))
 		}
 		s.volumes = append(s.volumes, vs)
 	}
@@ -267,13 +267,14 @@ func (v *volumeDay) hotAccesses(r int, boost float64) int {
 }
 
 // estimate is the volume-day's request count as Day sizes its slices by:
-// exact for hot chunks before thinning, two for a cold chunk (mean 1.81).
-func (v *volumeDay) estimate(boost float64) int {
+// exact for hot chunks before thinning, two for a cold chunk (mean 1.81),
+// then scaled by p, the share of accesses thinning keeps.
+func (v *volumeDay) estimate(boost, p float64) int {
 	n := 2 * len(v.cold)
 	for r := range v.hot {
 		n += v.hotAccesses(r, boost)
 	}
-	return n
+	return int(math.Ceil(float64(n) * p))
 }
 
 // hotBoost returns a deterministic per-server-per-day multiplier on hot

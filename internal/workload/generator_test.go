@@ -481,6 +481,24 @@ func TestDayStreamGolden(t *testing.T) {
 	}
 }
 
+// TestDayCapacityFitsLength: Day sizes each worker's part by its servers'
+// estimated requests, day 0's thinned as its accesses are, so on one worker,
+// where the part is Day's result, its capacity stays within 1.5× of its
+// length on the partial day 0 as on a full day.
+func TestDayCapacityFitsLength(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := testGen(t, 2048)
+	for d := 0; d < 2; d++ {
+		reqs, err := g.Day(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if 2*cap(reqs) > 3*len(reqs) {
+			t.Errorf("day %d: %d requests in a slice of capacity %d, over 1.5×", d, len(reqs), cap(reqs))
+		}
+	}
+}
+
 // BenchmarkGeneratorDay prices trace generation as the benchmark's
 // lib_trace setup pays it: Default(2048), seed 1, one calendar day an
 // iteration (cycling through the eight), in ns per generated request.
