@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cache"
 	"repro/internal/exp"
 	"repro/internal/sieve"
 	"repro/internal/sim"
@@ -402,7 +403,7 @@ func BenchmarkSimulatorDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := sim.NewContinuous(cfg.CacheBlocks(exp.CacheGB), policy)
+		c := sim.NewContinuous(cache.New(cfg.CacheBlocks(exp.CacheGB)), policy)
 		for j := range reqs {
 			c.Process(&reqs[j])
 		}

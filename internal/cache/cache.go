@@ -2,7 +2,9 @@
 // through: a fully-associative tag store of 512-byte block frames under LRU
 // replacement (the paper's continuous configurations — SieveStore-C, AOD,
 // WMNA — all share this replacement policy, §4) or SIEVE, plus the batch
-// replacement SieveStore-D's discrete epochs use.
+// replacement SieveStore-D's discrete epochs use. One Order interface ranks
+// slots for every policy; FIFO, CLOCK and S3-FIFO serve the simulator's §3.1
+// replacement ablation, and NewPolicy, the store's, offers LRU and SIEVE.
 //
 // The package tracks only metadata (tags, slots and recency); data
 // movement is the concern of internal/store and internal/core.
@@ -15,30 +17,10 @@ import (
 	"repro/internal/block"
 )
 
-// TagStore is the keyed cache interface the simulator drives. Cache
-// satisfies it; so do the engines the §3.1 replacement ablation swaps in
-// (internal/exp), to show that no replacement policy rescues unsieved
-// ensemble caching — the allocation-write and pollution problems are the
-// allocation policy's.
-//
-// Duplicate-insert contract: Insert on an already-resident key updates
-// the policy's hit state exactly as Touch would (LRU promotes to MRU,
-// SIEVE sets the visited bit), allocates no frame, evicts nothing, and
-// returns (0, false), so the ablation compares replacement policies rather
-// than accidental duplicate-insert semantics.
-type TagStore interface {
-	// Name identifies the replacement policy.
-	Name() string
-	// Touch looks up key and notes a hit; reports residency.
-	Touch(key block.Key) bool
-	// Insert allocates a frame, evicting a victim when full. Resident
-	// keys follow the duplicate-insert contract above.
-	Insert(key block.Key) (evicted block.Key, wasEvicted bool)
-}
-
 // Cache is a fully-associative tag store: one page→slots index, the slots'
 // keys, a free-slot list, and a replacement Order that ranks slots — LRU
-// from New, SIEVE from NewSieve. Slots are dense small integers handed out
+// from New, SIEVE from NewSieve, and FIFO, CLOCK or S3-FIFO from NewFIFO,
+// NewClock or NewS3FIFO. Slots are dense small integers handed out
 // once and reused after Remove, so a caller with per-block state of its
 // own (internal/core: frames, dirty bits) keeps it in arrays indexed by
 // slot and shares this index instead of keying a second map.
@@ -64,13 +46,31 @@ type Cache struct {
 	order    Order
 }
 
-var _ TagStore = (*Cache)(nil)
-
 // New returns an LRU cache with the given capacity in blocks.
 func New(capacity int) *Cache { return newCache(capacity, &lruOrder{l: newSlotList()}) }
 
 // NewSieve returns a SIEVE cache with the given capacity in blocks.
 func NewSieve(capacity int) *Cache { return newCache(capacity, &sieveOrder{l: newSlotList()}) }
+
+// NewFIFO returns a FIFO cache with the given capacity in blocks.
+func NewFIFO(capacity int) *Cache { return newCache(capacity, &fifoOrder{lruOrder{newSlotList()}}) }
+
+// NewClock returns a CLOCK cache with the given capacity in blocks.
+func NewClock(capacity int) *Cache {
+	return newCache(capacity, &clockOrder{sieveOrder{l: newSlotList()}})
+}
+
+// NewS3FIFO returns an S3-FIFO cache with the given total capacity in
+// blocks: a tenth of it, at least one block, is small's, and the ghost
+// remembers as many keys as main holds.
+func NewS3FIFO(capacity int) *Cache {
+	smallCap := max(capacity/10, 1)
+	o := &s3fifoOrder{small: newSlotList(), main: newSlotList(), smallCap: smallCap,
+		ghostCap: max(capacity-smallCap, 1), ghost: make(map[block.Key]uint64)}
+	c := newCache(capacity, o)
+	o.key = c.Key
+	return c
+}
 
 // NewPolicy builds the named replacement engine with the given capacity in
 // blocks: "lru" (or "", the paper's policy) or "sieve", case-insensitive.

@@ -11,12 +11,16 @@ import (
 func key(n uint64) block.Key { return block.MakeKey(0, 0, n) }
 
 func TestNewPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(0) did not panic")
-		}
-	}()
-	New(0)
+	for i, newCache := range engines {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("constructor %d accepted capacity 0", i)
+				}
+			}()
+			newCache(0)
+		}()
+	}
 }
 
 func TestInsertTouchContains(t *testing.T) {

@@ -15,12 +15,13 @@ type Order interface {
 	TouchRun(page [block.BlocksPerPage]uint32, lo, hi int)
 	// Insert makes slot resident as the newest.
 	Insert(slot uint32)
-	// Victim is the slot to evict next. Policies that approximate recency
-	// with a sweeping cursor (SIEVE) may advance it and clear visited bits
-	// on the way — the state changes the eviction itself makes — and
-	// leave it on the victim, so asking twice names the same slot.
+	// Victim is the slot to evict next. It may make the state changes the
+	// eviction itself makes — SIEVE's hand clears visited bits, CLOCK
+	// requeues visited slots, S3-FIFO promotes and decays — but leaves the
+	// victim next, so asking twice names the same slot.
 	Victim() (slot uint32, ok bool)
-	// Remove drops a resident slot, repairing any cursor on it.
+	// Remove drops a resident slot, repairing any cursor on it (S3-FIFO's
+	// ghost remembers one leaving its small queue).
 	Remove(slot uint32)
 	// AppendSlots appends the resident slots, hottest first.
 	AppendSlots(dst []uint32) []uint32
@@ -190,3 +191,152 @@ func (o *sieveOrder) Remove(slot uint32) {
 // AppendSlots lists newest-first (insertion order; the hand's sweep region
 // sits at the tail end).
 func (o *sieveOrder) AppendSlots(dst []uint32) []uint32 { return o.l.appendSlots(dst) }
+
+// fifoOrder is FIFO: hits move nothing, and the victim is the oldest.
+type fifoOrder struct{ lruOrder }
+
+func (o *fifoOrder) Name() string { return "FIFO" }
+
+func (o *fifoOrder) TouchRun([block.BlocksPerPage]uint32, int, int) {}
+
+// clockOrder is CLOCK, second-chance LRU: SIEVE's visited bits on a list
+// whose oldest entry is the one under the hand. Victim requeues a visited
+// entry newest with its bit cleared, as the passing hand would; a new entry,
+// like the ring frame it fills, is newest and unvisited until a hit.
+type clockOrder struct{ sieveOrder }
+
+func (o *clockOrder) Name() string { return "CLOCK" }
+
+func (o *clockOrder) Victim() (uint32, bool) {
+	e := o.l.oldest()
+	for ; e != 0 && o.visited[e]; e = o.l.oldest() {
+		o.visited[e] = false
+		o.l.moveFront(e, e)
+	}
+	return e - 1, e != 0
+}
+
+// s3fifoOrder is S3-FIFO (Yang et al., SOSP'23): a small probationary FIFO,
+// a main FIFO, and a ghost of keys recently evicted from small. Hits only
+// bump a 2-bit counter; Victim promotes small's accessed tail and evicts its
+// unaccessed one, and a miss the ghost remembers enters main. The ghost is
+// keyed, as its blocks hold no slot: key (Cache.Key, wired by NewS3FIFO)
+// names a slot's block from before Insert through Remove.
+type s3fifoOrder struct {
+	small, main        slotList
+	nSmall, nMain      int
+	smallCap, ghostCap int
+	freq               []uint8 // by entry, saturating at 3
+	inMain             []bool  // by entry
+	key                func(slot uint32) block.Key
+	// ghost maps a remembered key to the seq of its live ghostQ entry; a
+	// readmitted key leaves its entry stale rather than splice the queue.
+	ghost     map[block.Key]uint64
+	ghostQ    []ghostEntry
+	ghostHead int
+	ghostSeq  uint64
+}
+
+type ghostEntry struct {
+	key block.Key
+	seq uint64
+}
+
+func (o *s3fifoOrder) Name() string { return "S3-FIFO" }
+
+func (o *s3fifoOrder) TouchRun(page [block.BlocksPerPage]uint32, lo, hi int) {
+	for _, e := range page[lo:hi] {
+		o.freq[e] = min(o.freq[e]+1, 3)
+	}
+}
+
+// Insert enters a block the ghost remembers into main, any other into
+// small.
+func (o *s3fifoOrder) Insert(slot uint32) {
+	e, k := slot+1, o.key(slot)
+	for int(e) >= len(o.freq) {
+		o.freq, o.inMain = append(o.freq, 0), append(o.inMain, false)
+	}
+	_, ghosted := o.ghost[k]
+	delete(o.ghost, k)
+	o.freq[e] = 0
+	o.push(e, ghosted)
+}
+
+func (o *s3fifoOrder) push(e uint32, main bool) {
+	if o.inMain[e] = main; main {
+		o.main.pushFront(e)
+		o.nMain++
+	} else {
+		o.small.pushFront(e)
+		o.nSmall++
+	}
+}
+
+// Victim promotes small's accessed tail to main, and requeues main's with
+// its counter decayed, until the queue it evicts from has an unaccessed
+// tail, and names that. Each pass moves an entry out of small or
+// decrements a counter, so it terminates.
+func (o *s3fifoOrder) Victim() (uint32, bool) {
+	for {
+		if o.nSmall >= o.smallCap || o.nMain == 0 {
+			e := o.small.oldest()
+			if e == 0 || o.freq[e] == 0 {
+				return e - 1, e != 0
+			}
+			o.small.unlink(e)
+			o.nSmall--
+			o.freq[e] = 0
+			o.push(e, true)
+		} else if e := o.main.oldest(); o.freq[e] == 0 {
+			return e - 1, true
+		} else {
+			o.freq[e]--
+			o.main.moveFront(e, e)
+		}
+	}
+}
+
+// Remove drops a slot, remembering one that leaves small in the ghost.
+func (o *s3fifoOrder) Remove(slot uint32) {
+	if e := slot + 1; o.inMain[e] {
+		o.main.unlink(e)
+		o.nMain--
+	} else {
+		o.small.unlink(e)
+		o.nSmall--
+		o.ghostAdd(o.key(slot))
+	}
+}
+
+// ghostAdd remembers k, forgetting the oldest keys beyond ghostCap, and
+// rewrites the queue without its drained prefix and stale entries once
+// either dominates, so it stays O(capacity).
+func (o *s3fifoOrder) ghostAdd(k block.Key) {
+	if _, ok := o.ghost[k]; ok {
+		return
+	}
+	o.ghostSeq++
+	o.ghost[k] = o.ghostSeq
+	o.ghostQ = append(o.ghostQ, ghostEntry{key: k, seq: o.ghostSeq})
+	for len(o.ghost) > o.ghostCap {
+		if g := o.ghostQ[o.ghostHead]; o.ghost[g.key] == g.seq {
+			delete(o.ghost, g.key)
+		}
+		o.ghostHead++
+	}
+	if o.ghostHead*2 >= len(o.ghostQ) && o.ghostHead > 0 || len(o.ghostQ) >= 2*o.ghostCap {
+		live := o.ghostQ[:0]
+		for _, g := range o.ghostQ[o.ghostHead:] {
+			if o.ghost[g.key] == g.seq {
+				live = append(live, g)
+			}
+		}
+		o.ghostQ, o.ghostHead = live, 0
+	}
+}
+
+// AppendSlots lists main, then small, each newest first.
+func (o *s3fifoOrder) AppendSlots(dst []uint32) []uint32 {
+	return o.small.appendSlots(o.main.appendSlots(dst))
+}

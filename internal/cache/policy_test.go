@@ -31,13 +31,18 @@ func TestNewPolicyRegistry(t *testing.T) {
 	}
 }
 
-// TestVictimMatchesInsert pins VictimSlot: at capacity, the slot it names
-// holds exactly the key the next Insert evicts — including under SIEVE,
-// whose VictimSlot advances the hand and clears bits the way the eviction
-// itself would.
+// engines constructs a cache under each replacement order.
+var engines = []func(capacity int) *Cache{New, NewSieve, NewFIFO, NewClock, NewS3FIFO}
+
+// TestVictimMatchesInsert pins VictimSlot under every order: at capacity,
+// the slot it names holds exactly the key the next Insert evicts — also
+// where VictimSlot changes state the way the eviction itself would (SIEVE
+// advances its hand and clears bits, CLOCK clears bits and requeues,
+// S3-FIFO promotes and decays) — so asking twice names the same slot.
 func TestVictimMatchesInsert(t *testing.T) {
 	const capacity = 16
-	for _, c := range []*Cache{New(capacity), NewSieve(capacity)} {
+	for _, newCache := range engines {
+		c := newCache(capacity)
 		t.Run(c.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for i := uint64(0); i < capacity; i++ {
@@ -51,8 +56,8 @@ func TestVictimMatchesInsert(t *testing.T) {
 					c.Touch(keys[rng.Intn(len(keys))])
 				}
 				slot, ok := c.VictimSlot()
-				if !ok {
-					t.Fatalf("round %d: no victim at capacity", round)
+				if again, _ := c.VictimSlot(); !ok || again != slot {
+					t.Fatalf("round %d: VictimSlot named %d (ok=%v), then %d", round, slot, ok, again)
 				}
 				v := c.Key(slot)
 				next++

@@ -13,14 +13,11 @@ import (
 // cannot hold them all, so Remove and eviction keep reshuffling the slots.
 const runPages, runCapacity = 4, 24
 
-// replayRun builds a table of the named policy through the history ops: each
+// replayRun builds a table with newCache through the history ops: each
 // byte names a block of one of runPages pages and adds it (evicting the
 // victim when full), notes a hit on it, or removes it.
-func replayRun(policy string, ops []byte) *Cache {
-	c, err := NewPolicy(policy, runCapacity)
-	if err != nil {
-		panic(err)
-	}
+func replayRun(newCache func(int) *Cache, ops []byte) *Cache {
+	c := newCache(runCapacity)
 	for _, op := range ops {
 		k := key(uint64(op>>2) % (runPages * block.BlocksPerPage))
 		slot, ok := c.Lookup(k)
@@ -75,14 +72,15 @@ func runCase(order []uint32, page [block.BlocksPerPage]uint32, lo, hi int) int {
 	return runSplice
 }
 
-// checkHitRun replays ops on two tables of the named policy, applies
+// checkHitRun replays ops on two tables built by newCache, applies
 // HitRun to the pick-th fully-resident run on one and Hit to each of its
 // slots in block order on the other, and requires the same order and the
 // same victims until both are empty. It returns the run's case, -1 when
 // there is no run to pick.
-func checkHitRun(t *testing.T, policy string, ops []byte, pick int) int {
+func checkHitRun(t *testing.T, newCache func(int) *Cache, ops []byte, pick int) int {
 	t.Helper()
-	run, hit := replayRun(policy, ops), replayRun(policy, ops)
+	run, hit := replayRun(newCache, ops), replayRun(newCache, ops)
+	policy := run.Name()
 	runs := residentRuns(run)
 	if len(runs) == 0 {
 		return -1
@@ -111,22 +109,23 @@ func checkHitRun(t *testing.T, policy string, ops []byte, pick int) int {
 }
 
 // TestHitRunMatchesHits pins HitRun to per-slot Hits in block order on
-// random histories, under LRU and SIEVE, and requires the LRU histories to
+// random histories, under every order, and requires the LRU histories to
 // reach each of TouchRun's three cases: a run already at the front, a
 // splice, and the block-at-a-time fallback.
 func TestHitRunMatchesHits(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for _, policy := range []string{"lru", "sieve"} {
+	for _, newCache := range engines {
 		var cases [3]int
 		for i := 0; i < 3000; i++ {
 			ops := make([]byte, rng.Intn(200))
 			rng.Read(ops)
-			if k := checkHitRun(t, policy, ops, rng.Int()); k >= 0 {
+			if k := checkHitRun(t, newCache, ops, rng.Int()); k >= 0 {
 				cases[k]++
 			}
 		}
+		policy := newCache(1).Name()
 		t.Logf("%s: front/splice/fallback %v", policy, cases)
-		if policy == "lru" && slices.Contains(cases[:], 0) {
+		if policy == "LRU" && slices.Contains(cases[:], 0) {
 			t.Errorf("LRU histories reached front/splice/fallback %v times, want each at least once", cases)
 		}
 	}
@@ -138,15 +137,13 @@ func FuzzHitRunMatchesHits(f *testing.F) {
 	for b := range pageIn {
 		pageIn[b] = byte(b << 2)
 	}
-	f.Add(false, pageIn, uint16(7))                               // whole page, at the front
-	f.Add(false, append(slices.Clone(pageIn), 9<<2), uint16(7))   // whole page, spliced
-	f.Add(false, append(slices.Clone(pageIn), 3<<2|1), uint16(7)) // block 3 hit since: fallback
-	f.Add(true, append(slices.Clone(pageIn), 3<<2|1), uint16(20))
-	f.Fuzz(func(t *testing.T, sieve bool, ops []byte, pick uint16) {
-		policy := "lru"
-		if sieve {
-			policy = "sieve"
-		}
-		checkHitRun(t, policy, ops, int(pick))
+	f.Add(uint8(0), pageIn, uint16(7))                               // LRU: whole page, at the front
+	f.Add(uint8(0), append(slices.Clone(pageIn), 9<<2), uint16(7))   // whole page, spliced
+	f.Add(uint8(0), append(slices.Clone(pageIn), 3<<2|1), uint16(7)) // block 3 hit since: fallback
+	for e := range engines[1:] {
+		f.Add(uint8(e+1), append(slices.Clone(pageIn), 3<<2|1), uint16(20))
+	}
+	f.Fuzz(func(t *testing.T, engine uint8, ops []byte, pick uint16) {
+		checkHitRun(t, engines[int(engine)%len(engines)], ops, int(pick))
 	})
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/block"
+	"repro/internal/cache"
 	"repro/internal/sieve"
 	"repro/internal/sieved"
 	"repro/internal/sim"
@@ -259,12 +260,12 @@ func newRun(cfg Config, spill string) (*run, error) {
 		logger: logger,
 		rng:    rand.New(rand.NewSource(randSeed)),
 		cont: []*sim.Continuous{
-			sim.NewContinuous(small, sieveC),
-			sim.NewContinuous(small, sieve.NewRandC(randP, randSeed)),
-			sim.NewContinuous(small, sieve.AOD{}),
-			sim.NewContinuous(big, sieve.AOD{}),
-			sim.NewContinuous(small, sieve.WMNA{}),
-			sim.NewContinuous(big, sieve.WMNA{}),
+			sim.NewContinuous(cache.New(small), sieveC),
+			sim.NewContinuous(cache.New(small), sieve.NewRandC(randP, randSeed)),
+			sim.NewContinuous(cache.New(small), sieve.AOD{}),
+			sim.NewContinuous(cache.New(big), sieve.AOD{}),
+			sim.NewContinuous(cache.New(small), sieve.WMNA{}),
+			sim.NewContinuous(cache.New(big), sieve.WMNA{}),
 		},
 	}
 	// The discrete policies read their day's set from r.sets. The ideal

@@ -92,8 +92,8 @@ type sweepRuns struct {
 // blocks.
 func newSweepRuns(cfg *Config, capacity int) (*sweepRuns, error) {
 	s := &sweepRuns{}
-	add := func(tags cache.TagStore, p sieve.Policy) *sim.Continuous {
-		s.all = append(s.all, sim.NewContinuousTags(tags, p))
+	add := func(c *cache.Cache, p sieve.Policy) *sim.Continuous {
+		s.all = append(s.all, sim.NewContinuous(c, p))
 		return s.all[len(s.all)-1]
 	}
 	sieveC := map[sieve.CConfig]*sim.Continuous{}
@@ -133,10 +133,10 @@ func newSweepRuns(cfg *Config, capacity int) (*sweepRuns, error) {
 	s.singleTier = add(cache.New(capacity), single)
 	s.unsieved = []*sim.Continuous{
 		add(cache.New(capacity), sieve.WMNA{}),
-		add(NewClock(capacity), sieve.WMNA{}),
-		add(NewFIFO(capacity), sieve.WMNA{}),
+		add(cache.NewClock(capacity), sieve.WMNA{}),
+		add(cache.NewFIFO(capacity), sieve.WMNA{}),
 		add(cache.NewSieve(capacity), sieve.WMNA{}),
-		add(NewS3FIFO(capacity), sieve.WMNA{}),
+		add(cache.NewS3FIFO(capacity), sieve.WMNA{}),
 	}
 	// Quadrants III and IV: one private cache per server, each with an even
 	// share of capacity and, for SieveStore-C, of the IMCT (never under 256

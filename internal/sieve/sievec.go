@@ -128,11 +128,12 @@ type mctPage struct {
 
 // CStats counts the sieve's internal traffic for reporting and tests.
 type CStats struct {
-	// Misses is the number of ShouldAllocate consultations.
+	// Misses counts Admit calls: one per missed block offered to the sieve,
+	// whether by the store's Run or the simulator's ShouldAllocate.
 	Misses int64
 	// Promotions counts blocks promoted past the IMCT into the MCT.
 	Promotions int64
-	// Allocations counts positive ShouldAllocate decisions.
+	// Allocations counts Admit calls that admitted their block.
 	Allocations int64
 	// Pruned counts tracked blocks discarded as stale.
 	Pruned int64

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/cache"
 	"repro/internal/sieve"
 	"repro/internal/workload"
 )
@@ -34,7 +35,7 @@ func BenchmarkContinuousProcess(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := NewContinuous(8<<20/block.Size, policy)
+		c := NewContinuous(cache.New(8<<20/block.Size), policy)
 		for j := range reqs {
 			c.Process(&reqs[j])
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/block"
+	"repro/internal/cache"
 	"repro/internal/sieve"
 )
 
@@ -35,7 +36,7 @@ func eachRequest(tr Trace, fn func(*block.Request) error) error {
 
 // RunContinuous simulates a continuous policy over the whole trace.
 func RunContinuous(tr Trace, capacityBlocks int, policy sieve.Policy) (*Result, error) {
-	c := NewContinuous(capacityBlocks, policy)
+	c := NewContinuous(cache.New(capacityBlocks), policy)
 	if err := eachRequest(tr, func(req *block.Request) error { c.Process(req); return nil }); err != nil {
 		return nil, err
 	}

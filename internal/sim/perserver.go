@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/block"
+	"repro/internal/cache"
 	"repro/internal/sieve"
 	"repro/internal/ssd"
 )
@@ -39,7 +40,7 @@ func NewPerServer(servers, totalCapacityBlocks int, factory PolicyFactory) (*Per
 		if err != nil {
 			return nil, err
 		}
-		p.sims[s] = NewContinuous(perCap, policy)
+		p.sims[s] = NewContinuous(cache.New(perCap), policy)
 	}
 	return p, nil
 }

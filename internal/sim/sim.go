@@ -5,10 +5,12 @@
 //
 // Two caching models are supported, mirroring the paper (§3):
 //
-//   - Continuous: a fully-associative LRU cache consulted on every access,
-//     with a sieve.Policy deciding allocation on misses (SieveStore-C, AOD,
-//     WMNA, RandSieve-C). Allocation-writes are timed at the originating
-//     request's completion (§4) and charged to the SSD load series.
+//   - Continuous: a fully-associative cache.Cache consulted on every
+//     access, with a sieve.Policy deciding allocation on misses
+//     (SieveStore-C, AOD, WMNA, RandSieve-C). Its replacement is LRU, as in
+//     the paper, or FIFO, CLOCK, SIEVE or S3-FIFO for the §3.1 ablation.
+//     Allocation-writes are timed at the originating request's completion
+//     (§4) and charged to the SSD load series.
 //   - Discrete: a per-epoch resident set with no replacement inside the
 //     epoch (SieveStore-D, the per-day Ideal sieve, RandSieve-BlkD). Epoch
 //     moves are counted but not charged to the minute series, matching the
@@ -100,35 +102,25 @@ func (r *Result) day(d int) *DayStats {
 }
 
 // Continuous simulates a continuously-allocated cache under a sieve
-// policy. The replacement policy is the tag store's (LRU by default, as in
-// the paper; FIFO/CLOCK for the §3.1 replacement ablation).
+// policy. The replacement policy is the cache's: LRU in the paper, the
+// others for the §3.1 replacement ablation.
 type Continuous struct {
-	cache   cache.TagStore
+	cache   *cache.Cache
 	policy  sieve.Policy
 	result  Result
 	minutes metrics.MinuteSeries
 	accBuf  []block.Access
 }
 
-// NewContinuous returns a simulator over an LRU cache of capacityBlocks
-// 512-byte frames (the paper's configuration).
-func NewContinuous(capacityBlocks int, policy sieve.Policy) *Continuous {
-	return NewContinuousTags(cache.New(capacityBlocks), policy)
-}
-
-// NewContinuousTags returns a simulator over an arbitrary tag store
-// (replacement policy). The result is named policy/replacement when the
-// replacement is not the default LRU.
-func NewContinuousTags(tags cache.TagStore, policy sieve.Policy) *Continuous {
+// NewContinuous returns a simulator over c, which it owns from then on.
+// The result is named policy/replacement when c's replacement is not the
+// paper's LRU.
+func NewContinuous(c *cache.Cache, policy sieve.Policy) *Continuous {
 	name := policy.Name()
-	if tags.Name() != "LRU" {
-		name += "/" + tags.Name()
+	if c.Name() != "LRU" {
+		name += "/" + c.Name()
 	}
-	return &Continuous{
-		cache:  tags,
-		policy: policy,
-		result: Result{Name: name},
-	}
+	return &Continuous{cache: c, policy: policy, result: Result{Name: name}}
 }
 
 // Process simulates one trace request.
@@ -186,8 +178,10 @@ func pages(blocks int64) float64 {
 	return float64((blocks + block.BlocksPerPage - 1) / block.BlocksPerPage)
 }
 
-// Result finalizes and returns the simulation result. totalMinutes pads the
-// minute series (pass trace length; 0 keeps only active minutes).
+// Result finalizes and returns the simulation result. The minute series is
+// dense from minute 0 and runs to the later of the last active minute and
+// totalMinutes (pass the trace length; 0 ends it at the last active
+// minute), idle minutes at zero load.
 func (c *Continuous) Result(totalMinutes int) *Result {
 	c.result.Minutes = c.minutes.Loads(totalMinutes)
 	return &c.result

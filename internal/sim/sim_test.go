@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/cache"
 	"repro/internal/sieve"
 	"repro/internal/trace"
 )
@@ -13,7 +14,7 @@ func req(t int64, n uint64, kind block.Kind) block.Request {
 }
 
 func TestContinuousAODBasics(t *testing.T) {
-	c := NewContinuous(10, sieve.AOD{})
+	c := NewContinuous(cache.New(10), sieve.AOD{})
 	// First access misses and allocates; second hits.
 	c.Process(&[]block.Request{req(0, 1, block.Read)}[0])
 	r2 := req(1000, 1, block.Read)
@@ -37,7 +38,7 @@ func TestContinuousAODBasics(t *testing.T) {
 }
 
 func TestContinuousWMNADoesNotAllocateWriteMiss(t *testing.T) {
-	c := NewContinuous(10, sieve.WMNA{})
+	c := NewContinuous(cache.New(10), sieve.WMNA{})
 	w := req(0, 1, block.Write)
 	c.Process(&w)
 	w2 := req(1000, 1, block.Write)
@@ -58,7 +59,7 @@ func TestContinuousWMNADoesNotAllocateWriteMiss(t *testing.T) {
 }
 
 func TestContinuousEvictions(t *testing.T) {
-	c := NewContinuous(2, sieve.AOD{})
+	c := NewContinuous(cache.New(2), sieve.AOD{})
 	for i := uint64(0); i < 5; i++ {
 		r := req(int64(i)*1000, i, block.Read)
 		c.Process(&r)
@@ -70,7 +71,7 @@ func TestContinuousEvictions(t *testing.T) {
 }
 
 func TestContinuousDaySplit(t *testing.T) {
-	c := NewContinuous(10, sieve.AOD{})
+	c := NewContinuous(cache.New(10), sieve.AOD{})
 	r1 := req(0, 1, block.Read)
 	r2 := req(trace.Day+5, 1, block.Read)
 	c.Process(&r1)
@@ -92,7 +93,7 @@ func TestContinuousDaySplit(t *testing.T) {
 }
 
 func TestContinuousMinuteCharging(t *testing.T) {
-	c := NewContinuous(100, sieve.AOD{})
+	c := NewContinuous(cache.New(100), sieve.AOD{})
 	// A 16-block (2-page) read miss at minute 3; allocation completes at
 	// minute 4 (duration pushes completion across the boundary).
 	r := block.Request{
