@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -147,6 +148,28 @@ func TestAblationReplacement(t *testing.T) {
 		t.Errorf("replacement spread (%.3f) exceeds the sieving gap (%.3f)", hi-lo, sieved.HitRatio-hi)
 	}
 	contains(t, FormatReplacement(rows), "unsieved", "sieved cache")
+}
+
+// TestReplacementConstructorsPanic checks that every replacement engine the
+// ablation builds its unsieved caches from rejects a zero capacity.
+func TestReplacementConstructorsPanic(t *testing.T) {
+	t.Parallel()
+	for _, f := range []func(){
+		func() { cache.New(0) },
+		func() { cache.NewClock(0) },
+		func() { cache.NewFIFO(0) },
+		func() { cache.NewSieve(0) },
+		func() { cache.NewS3FIFO(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("zero capacity accepted")
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestRunMinOracle(t *testing.T) {
