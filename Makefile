@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build test race test-chaos test-cluster test-tenant cover loc bench bench-verify bench-e2e ab experiments experiments-quick fuzz test-fuzz fmt vet lint clean
+.PHONY: all build test race test-chaos test-tenant cover loc bench bench-verify bench-e2e ab experiments experiments-quick fuzz test-fuzz fmt vet lint clean
 
 # Tier-1 flow: compile, static checks, unit tests, the race detector over
 # every package (the concurrent store/appliance paths must stay
-# race-clean), then the cluster suite, the multi-tenant QoS suite, and the
-# benchmark module's own vet and tests (which smoke-run every workload).
-all: build vet lint test race test-cluster test-tenant bench-verify
+# race-clean), then the multi-tenant QoS suite, and the benchmark
+# module's own vet and tests (which smoke-run every workload).
+all: build vet lint test race test-tenant bench-verify
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,6 @@ test-chaos:
 test-tenant:
 	$(GO) test -race -count=1 -run 'TestTenant' ./internal/core/
 	$(GO) test -race -count=1 ./internal/tenant/
-
-# Replicated-cluster suite under the race detector, including the
-# multi-node chaos run (kill/restart mid-load over an N=3 R=2 ring:
-# zero lost acked writes, no stale reads past the version floor,
-# automatic re-replication back to full R).
-test-cluster:
-	$(GO) test -race -count=1 ./internal/cluster/
 
 # Deeper static analysis, skipped gracefully where the tools aren't
 # installed (this container has neither; no network installs). When

@@ -29,12 +29,10 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/appliance"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/resilience"
 	"repro/internal/store"
@@ -57,7 +55,7 @@ var (
 	shards    = flag.Int("shards", 0, "store lock shards, power of two (0: four per CPU, rounded up to a power of two)")
 	pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (empty: disabled)")
 
-	metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus) and /statusz (JSON), and in store mode /debug/ops, on this address (empty: disabled)")
+	metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus), /statusz (JSON) and /debug/ops on this address (empty: disabled)")
 	traceSample = flag.Int("trace-sample", 0, "sample one in N operations into the /debug/ops lifecycle trace ring (0: off)")
 	mutexFrac   = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate for /debug/pprof/mutex (0: off)")
 
@@ -70,15 +68,6 @@ var (
 	tenantQuotas      = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse (implies -tenant-track)")
 	enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
 	repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
-
-	clusterPeers       = flag.String("cluster-peers", "", "comma-separated appliance addresses: run as a replicated-cluster gateway over these nodes instead of a local store")
-	clusterReplicas    = flag.Int("cluster-replicas", 2, "gateway: replicas per block (R)")
-	clusterQuorum      = flag.Int("cluster-write-quorum", 1, "gateway: direct acks required per write (W, ≤ R)")
-	clusterWriteBack   = flag.Bool("cluster-writeback", false, "gateway: peers run write-back stores (track acked replicas, re-replicate after failures)")
-	clusterPlacement   = flag.Int("cluster-placement-blocks", 128, "gateway: consecutive blocks sharing a replica set (power of two)")
-	clusterHandoffMax  = flag.Int("cluster-handoff-max", 4096, "gateway: per-node hinted-handoff queue bound, in blocks")
-	clusterProbeEvery  = flag.Duration("cluster-probe-every", 250*time.Millisecond, "gateway: down-node probe / repair-sweep cadence")
-	clusterDialTimeout = flag.Duration("cluster-timeout", 2*time.Second, "gateway: per-op deadline on node connections")
 )
 
 func main() {
@@ -93,49 +82,33 @@ func main() {
 			logErr("pprof server", http.ListenAndServe(*pprofAddr, nil))
 		}()
 	}
-	if *clusterPeers != "" {
-		serve(gatewayMode())
-	} else {
-		serve(storeMode())
-	}
-}
 
-// mode is what store mode and gateway mode each build for serve: the
-// BlockStore the server fronts, the line logged once it serves, the
-// -metrics handler, the -stats line, and the step that follows the
-// server's close.
-type mode struct {
-	store    appliance.BlockStore
-	banner   string
-	handler  func(*appliance.Server) http.Handler
-	stats    func(*appliance.Server) string
-	shutdown func()
-}
-
-// serve runs m until SIGINT or SIGTERM: listen, serve the metrics
-// endpoints and the stats ticker beside it, then close the server and
-// shut m down.
-func serve(m mode) {
-	srv := appliance.NewServerWith(m.store, appliance.ServerOptions{
+	st, res, files := openStore()
+	srv := appliance.NewServerWith(st, appliance.ServerOptions{
 		MaxConns:    *maxConns,
 		IdleTimeout: *idleTimeout,
 	})
 	if *metricsAddr != "" {
-		h := m.handler(srv)
+		obs := appliance.NewObservability(st)
+		obs.AttachServer(srv)
+		if res != nil {
+			obs.AttachResilience(res)
+		}
 		go func() {
 			log.Printf("observability listening on %s", *metricsAddr)
-			logErr("metrics server", http.ListenAndServe(*metricsAddr, h))
+			logErr("metrics server", http.ListenAndServe(*metricsAddr, obs.Handler()))
 		}()
 	}
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe(*listen) }()
-	log.Print(m.banner)
+	log.Printf("%s serving on %s (cache %d MiB, policy %s, %d shards, %d servers × %d MiB, write-back=%v)",
+		st.Variant(), *listen, *cacheMB, st.Policy(), st.Shards(), *servers, *volumeMB, *writeBack)
 
 	if *statsEach > 0 {
 		go func() {
 			for range time.Tick(*statsEach) {
-				log.Print(m.stats(srv))
+				log.Print(storeStatsLine(st, res, srv))
 			}
 		}()
 	}
@@ -149,7 +122,17 @@ func serve(m mode) {
 		log.Printf("received %v, shutting down", s)
 	}
 	logErr("server close", srv.Close())
-	m.shutdown()
+	if *snapshot != "" {
+		if err := writeSnapshot(st, *snapshot); err != nil {
+			log.Printf("snapshot save failed: %v", err)
+		} else {
+			log.Printf("snapshot saved to %s", *snapshot)
+		}
+	}
+	logErr("store close", st.Close())
+	if files != nil {
+		logErr("backend close", files.Close())
+	}
 }
 
 // logErr logs err, if any, as the failure of what.
@@ -159,14 +142,15 @@ func logErr(what string, err error) {
 	}
 }
 
-// storeMode opens the local store: the demo backend, hardened when asked,
-// under a core.Store warmed from the snapshot.
-func storeMode() mode {
+// openStore opens the local store: the demo backend, hardened when asked
+// (res is nil otherwise), under a core.Store warmed from the snapshot.
+// files is the file backend, closed after the store drains into it; nil
+// for memory.
+func openStore() (st *core.Store, res *resilience.Resilient, files *store.File) {
 	backend, files := openBackend()
 	// Harden the backend when asked: per-attempt deadlines, transient-error
 	// retries, and per-(server, volume) circuit breakers between the cache
 	// and the ensemble.
-	var res *resilience.Resilient
 	if *backendTimeout > 0 || *retries > 0 {
 		res = resilience.Wrap(backend, resilience.Config{
 			Timeout: *backendTimeout,
@@ -186,33 +170,7 @@ func storeMode() mode {
 			log.Printf("warm start: %d blocks restored", st.Stats().CachedBlocks)
 		}
 	}
-	return mode{
-		store: st,
-		banner: fmt.Sprintf("%s serving on %s (cache %d MiB, policy %s, %d shards, %d servers × %d MiB, write-back=%v)",
-			st.Variant(), *listen, *cacheMB, st.Policy(), st.Shards(), *servers, *volumeMB, *writeBack),
-		handler: func(srv *appliance.Server) http.Handler {
-			obs := appliance.NewObservability(st)
-			obs.AttachServer(srv)
-			if res != nil {
-				obs.AttachResilience(res)
-			}
-			return obs.Handler()
-		},
-		stats: func(srv *appliance.Server) string { return storeStatsLine(st, res, srv) },
-		shutdown: func() {
-			if *snapshot != "" {
-				if err := writeSnapshot(st, *snapshot); err != nil {
-					log.Printf("snapshot save failed: %v", err)
-				} else {
-					log.Printf("snapshot saved to %s", *snapshot)
-				}
-			}
-			logErr("store close", st.Close())
-			if files != nil {
-				logErr("backend close", files.Close())
-			}
-		},
-	}
+	return st, res, files
 }
 
 // openBackend builds the demo ensemble: sparse files under -data, or
@@ -272,7 +230,7 @@ func storeOptions() core.Options {
 	return opts
 }
 
-// storeStatsLine is store mode's -stats line: the cache's counters, the
+// storeStatsLine is the -stats line: the cache's counters, the
 // fault-tolerant backend's when it runs, and the server's busy rejects.
 // rdLat/wrLat are mean/max over the timed calls: one in eight at random,
 // plus every traced one (core.Options.TrackLatency).
@@ -309,44 +267,6 @@ func storeStatsLine(st *core.Store, res *resilience.Resilient, srv *appliance.Se
 	return line + fmt.Sprintf(" rdLat=%v/%v wrLat=%v/%v",
 		s.ReadLatency.Mean().Round(time.Microsecond), time.Duration(s.ReadLatency.MaxNanos).Round(time.Microsecond),
 		s.WriteLatency.Mean().Round(time.Microsecond), time.Duration(s.WriteLatency.MaxNanos).Round(time.Microsecond))
-}
-
-// gatewayMode fronts a replicated ring of appliance nodes with the same
-// wire protocol a single appliance speaks: ensemble servers connect to
-// the gateway, which routes, replicates, and fails over per block.
-func gatewayMode() mode {
-	cfg := cluster.Config{
-		Nodes:           strings.Split(*clusterPeers, ","),
-		Replicas:        *clusterReplicas,
-		WriteQuorum:     *clusterQuorum,
-		WriteBack:       *clusterWriteBack,
-		PlacementBlocks: *clusterPlacement,
-		HandoffMax:      *clusterHandoffMax,
-		ProbeEvery:      *clusterProbeEvery,
-		Dial:            appliance.DialOptions{Timeout: *clusterDialTimeout},
-	}
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return mode{
-		store: cl,
-		banner: fmt.Sprintf("cluster gateway serving on %s (%d nodes, R=%d W=%d write-back=%v)",
-			*listen, len(cfg.Nodes), cfg.Replicas, cfg.WriteQuorum, cfg.WriteBack),
-		handler: func(*appliance.Server) http.Handler { return cl.Handler() },
-		stats: func(*appliance.Server) string {
-			s := cl.ClusterStats()
-			return fmt.Sprintf("cluster: nodes=%d/%d reads=%d writes=%d fallthrough=%d hinted=%d drained=%d rebalanced=%d underRepl=%d hints=%d quorumFail=%d",
-				s.NodesUp(), s.RingSize, s.Reads, s.Writes, s.Fallthroughs, s.Hinted, s.Drained,
-				s.Rebalanced, s.UnderReplicated, s.HintDepth, s.QuorumFailures)
-		},
-		shutdown: func() {
-			// Settle the ring before dropping connections: deliver pending
-			// hints and push dirty replicas down to the ensemble.
-			logErr("cluster flush", cl.Flush())
-			logErr("cluster close", cl.Close())
-		},
-	}
 }
 
 // loadSnapshot restores st from the file at path. A file that does not

@@ -38,7 +38,6 @@ package appliance
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -154,9 +153,9 @@ type ServerOptions struct {
 	MaxConns int
 }
 
-// BlockStore is the storage surface a Server serves over the wire. A
-// *core.Store is the canonical implementation; cluster.Client satisfies
-// it too, so a Server can front a whole replicated ring as a gateway.
+// BlockStore is the storage surface a Server serves over the wire. The
+// daemon serves a *core.Store; bench/ and the tests substitute wrappers
+// around one that trace or slow its calls.
 type BlockStore interface {
 	ReadAt(server, volume int, p []byte, off uint64) error
 	WriteAt(server, volume int, p []byte, off uint64) error
@@ -411,13 +410,12 @@ type Client struct {
 	addr string
 	opts DialOptions
 
-	mu         sync.Mutex
-	conn       net.Conn
-	br         *bufio.Reader
-	bw         *bufio.Writer
-	broken     error // first transport error; nil while the connection is usable
-	closed     bool
-	reconnects int64
+	mu     sync.Mutex
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	broken error // first transport error; nil while the connection is usable
+	closed bool
 
 	// ready is set by the first op's handshake (lazy, so DialWith stays
 	// I/O-free); every later connection is handshaken by reconnectLocked
@@ -487,13 +485,6 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	}, nil
 }
 
-// Reconnects returns how many times the client has successfully redialed.
-func (c *Client) Reconnects() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
-}
-
 // Close closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -550,7 +541,6 @@ func (c *Client) reconnectLocked() error {
 		if c.handshakeLocked() != nil {
 			continue
 		}
-		c.reconnects++
 		return nil
 	}
 	return fmt.Errorf("appliance: reconnect attempts exhausted: %w", c.broken)
@@ -631,14 +621,4 @@ func (c *Client) Invalidate(server, volume int, off uint64, length int) (int, er
 	p := &pendingOp{op: OpInvalidate}
 	err := c.do(header{op: OpInvalidate, server: uint16(server), volume: uint16(volume), offset: off, length: uint32(length)}, nil, p)
 	return int(p.inval), err
-}
-
-// Stats fetches the appliance's cache statistics.
-func (c *Client) Stats() (core.Stats, error) {
-	var st core.Stats
-	p := &pendingOp{op: OpStats}
-	if err := c.do(header{op: OpStats}, nil, p); err != nil {
-		return st, err
-	}
-	return st, json.Unmarshal(p.stats, &st)
 }

@@ -2,6 +2,7 @@ package appliance
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -13,6 +14,18 @@ import (
 	"repro/internal/sieve"
 	"repro/internal/store"
 )
+
+// Stats fetches the appliance's cache statistics: the server's OpStats
+// reply, decoded. No binary asks a remote appliance for them (the daemon
+// logs and serves its own), so only the tests carry this call.
+func (c *Client) Stats() (core.Stats, error) {
+	var st core.Stats
+	p := &pendingOp{op: OpStats}
+	if err := c.do(header{op: OpStats}, nil, p); err != nil {
+		return st, err
+	}
+	return st, json.Unmarshal(p.stats, &st)
+}
 
 // startServer spins up a server over an in-memory ensemble and returns a
 // connected client.

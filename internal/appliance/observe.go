@@ -278,19 +278,25 @@ func (o *Observability) AttachResilience(res *resilience.Resilient) {
 // /debug/ops. Mount it on any listener (cmd/appliance's -metrics flag
 // serves exactly this).
 func (o *Observability) Handler() http.Handler {
-	mux := MetricsMux(o.Registry, func() map[string]any {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		o.Registry.WritePrometheus(w)
+	})
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
 		body := map[string]any{
 			"variant":        o.store.Variant().String(),
 			"policy":         o.store.Policy(),
 			"shards":         o.store.Shards(),
 			"uptime_seconds": time.Since(o.start).Seconds(),
+			"metrics":        o.Registry.JSONStatus(),
 		}
 		// The per-tenant QoS table, when tenant tracking is on: quotas,
 		// occupancy, hit ratios, and endurance state per (server, volume).
 		if tn, ok := o.store.TenantStats(); ok {
 			body["tenants"] = tn
 		}
-		return body
+		writeJSON(w, body)
 	})
 	mux.HandleFunc("/debug/ops", func(w http.ResponseWriter, req *http.Request) {
 		traces := o.store.Traces()
@@ -298,24 +304,6 @@ func (o *Observability) Handler() http.Handler {
 			"sampled": traces != nil,
 			"ops":     traces,
 		})
-	})
-	return mux
-}
-
-// MetricsMux serves reg on /metrics as Prometheus text, and on /statusz
-// as indented JSON: the fields status returns, plus reg's JSON status
-// under "metrics". Both the appliance (Observability.Handler) and the
-// cluster gateway build their endpoints with it.
-func MetricsMux(reg *metrics.Registry, status func() map[string]any) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
-		body := status()
-		body["metrics"] = reg.JSONStatus()
-		writeJSON(w, body)
 	})
 	return mux
 }

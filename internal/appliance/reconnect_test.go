@@ -20,8 +20,7 @@ import (
 // a redial during an in-flight pipeline must never deliver a
 // stale-generation completion into a new request's buffer, and the
 // deadline bookkeeping shared by the sender and the reader must not
-// break healthy idle connections. Cluster failover makes these paths
-// hot.
+// break healthy idle connections.
 
 // patByte derives a payload byte from its absolute volume offset, so a
 // response delivered into the wrong request's buffer is detectable.

@@ -97,8 +97,10 @@ func TestS3FIFOGhostPromotesToMain(t *testing.T) {
 	}
 	// Its return is a ghost hit: key 0 re-enters straight into main and
 	// now survives a storm of one-hit wonders churning the small queue.
+	// Twelve of them: had key 0 re-entered the small queue instead, this
+	// storm would push it out (eight would not).
 	s.Insert(key(0))
-	for i := uint64(200); i < 208; i++ {
+	for i := uint64(200); i < 212; i++ {
 		s.Insert(key(i))
 	}
 	if !s.Contains(key(0)) {

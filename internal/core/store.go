@@ -254,8 +254,7 @@ type Stats struct {
 
 // Add adds o's counters into the receiver: every int64 field, gauges
 // included. Stats sums its shards with it (whose store-level fields —
-// Epochs, the tenant totals, … — are zero and set afterwards), and a
-// cluster gateway its nodes.
+// Epochs, the tenant totals, … — are zero and set afterwards).
 func (s *Stats) Add(o Stats) {
 	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
 	for i := range dst.NumField() {

@@ -15,7 +15,7 @@
 //     with half-open probing to detect recovery.
 //
 // Wrap composes all three, and RetryPolicy is only its configuration.
-// The breaker is also usable alone: internal/cluster keeps one per node.
+// Wrap keeps one breaker per (server, volume).
 package resilience
 
 import (
