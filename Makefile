@@ -52,7 +52,7 @@ lint:
 # admits — all must stay thoroughly tested. Other packages report
 # coverage without a floor.
 COVER_FLOOR_metrics    := 90
-COVER_FLOOR_appliance  := 80
+COVER_FLOOR_appliance  := 90
 COVER_FLOOR_cache      := 90
 COVER_FLOOR_tenant     := 85
 COVER_FLOOR_sieve      := 90

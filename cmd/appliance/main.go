@@ -115,9 +115,18 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if shutdown(done, sig, srv, st, files) != nil {
+		os.Exit(1)
+	}
+}
+
+// shutdown waits for a signal or for Serve to fail, then takes the one
+// shutdown path: server, snapshot, store (flushing write-back blocks), file
+// backend. It returns Serve's error, or nil after a signal.
+func shutdown(done <-chan error, sig <-chan os.Signal, srv *appliance.Server, st *core.Store, files *store.File) (err error) {
 	select {
-	case err := <-done:
-		log.Fatalf("serve: %v", err)
+	case err = <-done:
+		log.Printf("serve: %v", err)
 	case s := <-sig:
 		log.Printf("received %v, shutting down", s)
 	}
@@ -133,6 +142,7 @@ func main() {
 	if files != nil {
 		logErr("backend close", files.Close())
 	}
+	return err
 }
 
 // logErr logs err, if any, as the failure of what.

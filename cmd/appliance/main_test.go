@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/appliance"
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/sieve"
@@ -106,5 +110,80 @@ func TestWriteSnapshotFailureKeepsPrevious(t *testing.T) {
 	}
 	if _, err := os.Stat(snap + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("temp file left behind: %v", err)
+	}
+}
+
+// acceptFails is a listener whose second Accept waits for fail to close
+// and then fails, as Accept does mid-run when the process is out of file
+// descriptors.
+type acceptFails struct {
+	net.Listener
+	accepted bool // only Serve's goroutine calls Accept
+	fail     chan struct{}
+}
+
+func (l *acceptFails) Accept() (net.Conn, error) {
+	if l.accepted {
+		<-l.fail
+		return nil, syscall.EMFILE
+	}
+	l.accepted = true
+	return l.Listener.Accept()
+}
+
+// TestServeFailureShutsDown: when Serve fails, the daemon still closes the
+// store, which writes an acknowledged write-back block to the file
+// backend, and still saves the snapshot, before it exits non-zero.
+func TestServeFailureShutsDown(t *testing.T) {
+	dir := t.TempDir()
+	for name, v := range map[string]string{"data": dir, "writeback": "true", "servers": "1",
+		"volume-mb": "1", "cache-mb": "1", "snapshot": filepath.Join(dir, "sieve.snap")} {
+		prev := flag.Lookup(name).Value.String()
+		flag.Set(name, v)
+		t.Cleanup(func() { flag.Set(name, prev) })
+	}
+	st, _, files := openStore()
+	srv := appliance.NewServer(st)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &acceptFails{Listener: inner, fail: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	c, err := appliance.DialWith(inner.Addr().String(), appliance.DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Writes of 0x11 until the sieve admits block 0, then one of 0x5A,
+	// which the cache takes dirty: acknowledged, but not yet in the file.
+	old, data := bytes.Repeat([]byte{0x11}, block.Size), bytes.Repeat([]byte{0x5A}, block.Size)
+	for i := 0; !st.Contains(0, 0, 0); i++ {
+		if i == 100 {
+			t.Fatal("block 0 never admitted")
+		}
+		if err := c.WriteAt(0, 0, old, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WriteAt(0, 0, data, 0); err != nil {
+		t.Fatal(err)
+	}
+	vol := filepath.Join(dir, "vol-000-000.img")
+	if got, err := os.ReadFile(vol); err != nil || bytes.Equal(got[:block.Size], data) {
+		t.Fatalf("write-back block already in the file before shutdown (err %v)", err)
+	}
+
+	close(l.fail)
+	if err := shutdown(done, nil, srv, st, files); !errors.Is(err, syscall.EMFILE) {
+		t.Fatalf("shutdown = %v, want the Accept error", err)
+	}
+	if got, err := os.ReadFile(vol); err != nil || !bytes.Equal(got[:block.Size], data) {
+		t.Fatalf("acknowledged write-back block lost (err %v)", err)
+	}
+	if _, err := os.Stat(*snapshot); err != nil {
+		t.Fatalf("no snapshot after a serve failure: %v", err)
 	}
 }

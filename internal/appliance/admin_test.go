@@ -126,6 +126,19 @@ func TestRotateOnVariantCIsNoop(t *testing.T) {
 	}
 }
 
+// rawDial opens a connection to addr and shakes hands on it by hand, for
+// tests that speak the raw protocol; the connection closes at cleanup.
+func rawDial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	rawHandshake(t, conn)
+	return conn
+}
+
 // rawHandshake opens a hand-driven connection: HELLO out, OK | 2 back.
 func rawHandshake(t *testing.T, conn net.Conn) {
 	t.Helper()
@@ -159,40 +172,40 @@ func readErrFrame(t *testing.T, conn net.Conn) (uint32, string) {
 // A frame with an unknown op — 6 and 7 are the retired vector ops — gets
 // an error frame echoing its tag, then the server closes the connection.
 func TestUnknownOpClosesConnection(t *testing.T) {
+	_, addr := startServerWith(t, ServerOptions{})
 	for _, op := range []byte{99, 6, 7} {
-		client, _, _ := startServer(t)
-		rawHandshake(t, client.conn)
+		conn := rawDial(t, addr)
 		var hdr [headerSize]byte
 		(&header{op: op, tag: 7 + uint32(op)}).encode(hdr[:])
-		if _, err := client.conn.Write(hdr[:]); err != nil {
+		if _, err := conn.Write(hdr[:]); err != nil {
 			t.Fatal(err)
 		}
-		tag, msg := readErrFrame(t, client.conn)
+		tag, msg := readErrFrame(t, conn)
 		if tag != 7+uint32(op) || !strings.Contains(msg, "unknown op") {
 			t.Errorf("op %d: tag = %d, message = %q", op, tag, msg)
 		}
 		var b [1]byte
-		client.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := client.conn.Read(b[:]); err == nil {
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(b[:]); err == nil {
 			t.Errorf("op %d: connection still open after protocol violation", op)
 		}
 	}
 }
 
 func TestBadMagicClosesConnection(t *testing.T) {
-	client, _, _ := startServer(t)
-	rawHandshake(t, client.conn)
+	_, addr := startServerWith(t, ServerOptions{})
+	conn := rawDial(t, addr)
 	junk := make([]byte, headerSize)
 	junk[0] = 0x00
-	if _, err := client.conn.Write(junk); err != nil {
+	if _, err := conn.Write(junk); err != nil {
 		t.Fatal(err)
 	}
-	if _, msg := readErrFrame(t, client.conn); !strings.Contains(msg, "bad magic") {
+	if _, msg := readErrFrame(t, conn); !strings.Contains(msg, "bad magic") {
 		t.Errorf("message = %q", msg)
 	}
 	var b [1]byte
-	client.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := client.conn.Read(b[:]); err == nil {
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(b[:]); err == nil {
 		t.Error("connection still open after bad magic")
 	}
 }

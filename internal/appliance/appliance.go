@@ -88,7 +88,8 @@ var ErrProtocol = errors.New("appliance: protocol error")
 
 // ErrBrokenConn reports a client connection abandoned after a transport
 // error: the wire position is unknown (a frame may have been half sent or
-// half read), so any further request would misparse stale bytes. Redial.
+// half read), so any further request would misparse stale bytes. A new
+// connection is a new DialWith.
 var ErrBrokenConn = errors.New("appliance: connection broken by earlier transport error")
 
 // ErrAlreadyServing reports a second Serve call on the same Server.
@@ -396,66 +397,37 @@ func truncateErrMsg(msg string, max int) string {
 	return msg[:cut]
 }
 
-// Client is a connection to an appliance Server. It is safe for concurrent
-// use: concurrent calls are pipelined on the one connection as tagged
-// requests, which the server may complete out of order (pipeline.go).
+// Client is one handshaken connection to an appliance Server. It is safe
+// for concurrent use: concurrent calls are pipelined on the connection as
+// tagged requests, which the server may complete out of order
+// (pipeline.go).
 //
 // Any transport error (failed or partial frame write/read) leaves the wire
-// position unknown, so the client marks itself broken, closes the
-// connection, and fails every subsequent call with ErrBrokenConn — the
-// alternative is silently misparsing a stale byte of a half-read response
-// as the next call's status frame. Server-reported RemoteErrors leave the
+// position unknown, so the client closes the connection, fails every
+// pending call with that error and every later one with ErrBrokenConn —
+// the alternative is silently misparsing a stale byte of a half-read
+// response as the next call's status frame. A Client never redials: a new
+// connection is a new DialWith. Server-reported RemoteErrors leave the
 // protocol aligned and do not break the client.
 type Client struct {
-	addr string
-	opts DialOptions
+	conn net.Conn
 
-	mu     sync.Mutex
-	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	broken error // first transport error; nil while the connection is usable
-	closed bool
+	// mu guards the send side: the write buffer, tag assignment and the
+	// client's state.
+	mu      sync.Mutex
+	bw      *bufio.Writer
+	nextTag uint32
+	broken  error // first transport error; nil while the connection is usable
+	closed  bool
 
-	// ready is set by the first op's handshake (lazy, so DialWith stays
-	// I/O-free); every later connection is handshaken by reconnectLocked
-	// before it carries a request.
-	ready bool
-	// gen counts connections: every redial bumps it, and pipeline state
-	// (pending ops, the reader goroutine) is tagged with the gen it
-	// belongs to, so a stale reader's failure cannot break a fresh
-	// connection.
-	gen int
-
-	// Pipeline state: pending maps in-flight tags to their completion
-	// slots. pendMu guards it (never held across I/O); nextTag is guarded
-	// by mu (tags are assigned on the send path).
+	// pending maps in-flight tags to their completion slots. pendMu guards
+	// it and is never held across I/O.
 	pendMu  sync.Mutex
 	pending map[uint32]*pendingOp
-	nextTag uint32
 }
 
-// DialOptions hardens a Client against a flaky wire or a restarting
-// appliance. The zero value imposes nothing: no deadlines, and a broken
-// connection stays broken.
+// DialOptions configures DialWith.
 type DialOptions struct {
-	// Timeout bounds each round trip's wire I/O (request write through
-	// response payload read; 0 = unbounded). A hit deadline breaks the
-	// connection — the wire position is unknown — and, with MaxReconnects
-	// set, triggers a redial.
-	Timeout time.Duration
-	// MaxReconnects is how many times an op whose connection broke mid-
-	// flight redials and retries before giving up (0 = never: every op
-	// after a transport error fails with ErrBrokenConn). Block reads and
-	// writes are idempotent, so replaying one that may or may not have
-	// reached the store is safe; note that a retried RotateEpoch whose
-	// response (only) was lost rotates twice.
-	MaxReconnects int
-	// ReconnectBackoff is the initial delay between redial attempts,
-	// doubling up to 1 s (default 50 ms).
-	ReconnectBackoff time.Duration
-	// DialTimeout bounds each dial, including redials (0 = the OS default).
-	DialTimeout time.Duration
 	// Protocol selects nothing: there is one wire protocol, and 0 and
 	// ProtocolV2 both mean it (any other value fails DialWith). The field
 	// stays only because bench/run.go sets it and bench/ changes only in a
@@ -463,29 +435,35 @@ type DialOptions struct {
 	Protocol int
 }
 
-// DialWith connects to an appliance at addr, hardened with opts. The
-// dial itself performs no protocol I/O; the handshake happens on the first
-// operation.
+// DialWith connects to the appliance at addr and performs the HELLO
+// exchange before it returns, so a Client has one state: handshaken, until
+// a transport error breaks it. A server at its MaxConns limit fails the
+// dial with ErrServerBusy, and any HELLO reply but version 2 with
+// ErrProtocol.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if opts.Protocol != 0 && opts.Protocol != ProtocolV2 {
 		return nil, fmt.Errorf("appliance: unknown protocol %d", opts.Protocol)
 	}
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{
-		addr: addr,
-		opts: opts,
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, connBufSize),
-		bw:   bufio.NewWriterSize(conn, connBufSize),
-
+	br := bufio.NewReaderSize(conn, connBufSize)
+	c := &Client{
+		conn:    conn,
+		bw:      bufio.NewWriterSize(conn, connBufSize),
 		pending: make(map[uint32]*pendingOp),
-	}, nil
+	}
+	if err := hello(br, c.bw); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	go c.readLoop(br)
+	return c, nil
 }
 
-// Close closes the connection.
+// Close closes the connection. Its error is nil if a transport error
+// already closed it.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -496,54 +474,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	return err
-}
-
-// fail marks the connection broken and closes it (the wire position is
-// unknown, so it can never be safely reused). With MaxReconnects set, the
-// next send redials a fresh connection.
-func (c *Client) fail(err error) error {
-	if c.broken == nil {
-		c.broken = err
-		c.conn.Close()
-	}
-	return err
-}
-
-// reconnectLocked redials the appliance, replacing the broken connection.
-// Caller must hold c.mu (the sleeps hold up other senders on this client,
-// which have no connection to send on anyway).
-func (c *Client) reconnectLocked() error {
-	backoff := c.opts.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	for attempt := 0; attempt < c.opts.MaxReconnects; attempt++ {
-		if c.closed {
-			return net.ErrClosed
-		}
-		if attempt > 0 {
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
-		if err != nil {
-			continue
-		}
-		c.conn = conn
-		c.br = bufio.NewReaderSize(conn, connBufSize)
-		c.bw = bufio.NewWriterSize(conn, connBufSize)
-		c.broken = nil
-		c.gen++
-		// A failed handshake marks the fresh connection broken and counts
-		// as a failed attempt.
-		if c.handshakeLocked() != nil {
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("appliance: reconnect attempts exhausted: %w", c.broken)
 }
 
 // RemoteError is a server-side failure reported over the protocol.

@@ -469,9 +469,9 @@ func FuzzClientResponse(f *testing.F) {
 			}
 			conn.Write(data)
 		}()
-		c, err := DialWith(l.Addr().String(), DialOptions{Timeout: 2 * time.Second})
+		c, err := DialWith(l.Addr().String(), DialOptions{})
 		if err != nil {
-			t.Skip("dial failed")
+			return // the HELLO reply was refused: a legal outcome
 		}
 		defer c.Close()
 		// Any outcome is legal; returning (bounded, panic-free) is the test.

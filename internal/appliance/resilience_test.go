@@ -1,9 +1,15 @@
 package appliance
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,90 +57,14 @@ func startWrappedServer(t *testing.T, opts ServerOptions, wrap func(BlockStore) 
 	return srv, l.Addr().String()
 }
 
-// redials is how many times c has redialed: its connection generation,
-// which starts at 0 on the dialed connection and which every redial bumps.
-func redials(c *Client) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-func TestClientReconnectsAfterBrokenConn(t *testing.T) {
-	_, addr := startServerWith(t, ServerOptions{})
-	c, err := DialWith(addr, DialOptions{MaxReconnects: 3, ReconnectBackoff: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	data := bytes.Repeat([]byte{0x7E}, 1024)
-	if err := c.WriteAt(0, 0, data, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sever the wire out from under the client; the next op must redial
-	// transparently instead of failing with ErrBrokenConn forever.
-	c.mu.Lock()
-	c.conn.Close()
-	c.mu.Unlock()
-
-	got := make([]byte, 1024)
-	if err := c.ReadAt(0, 0, got, 0); err != nil {
-		t.Fatalf("read after severed conn: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("reconnected read returned wrong data")
-	}
-	if n := redials(c); n != 1 {
-		t.Fatalf("redials = %d, want 1", n)
-	}
-}
-
-func TestClientReconnectMidWorkload(t *testing.T) {
-	_, addr := startServerWith(t, ServerOptions{})
-	c, err := DialWith(addr, DialOptions{MaxReconnects: 5, ReconnectBackoff: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	buf := make([]byte, 512)
-	for i := 0; i < 50; i++ {
-		want := byte(i)
-		for j := range buf {
-			buf[j] = want
-		}
-		if err := c.WriteAt(0, 0, buf, uint64(i)*512); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-		if i%10 == 5 {
-			c.mu.Lock()
-			c.conn.Close() // chaos: drop the connection every 10 ops
-			c.mu.Unlock()
-		}
-		got := make([]byte, 512)
-		if err := c.ReadAt(0, 0, got, uint64(i)*512); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got[0] != want {
-			t.Fatalf("op %d: got %#x want %#x", i, got[0], want)
-		}
-	}
-	if redials(c) == 0 {
-		t.Fatal("no reconnects recorded despite dropped connections")
-	}
-}
-
 func TestClientWithoutReconnectStaysBroken(t *testing.T) {
 	_, addr := startServerWith(t, ServerOptions{})
-	c, err := DialWith(addr, DialOptions{}) // zero DialOptions: historical semantics
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.mu.Lock()
 	c.fail(errors.New("test: severed"))
-	c.mu.Unlock()
 	if err := c.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrBrokenConn) {
 		t.Fatalf("err = %v, want ErrBrokenConn", err)
 	}
@@ -148,34 +78,21 @@ func TestServerMaxConnsRejectsWithBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	// Make sure c1's connection is actually registered server-side before
-	// dialing the second client (accept is asynchronous).
-	if err := c1.WriteAt(0, 0, make([]byte, 512), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := DialWith(addr, DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrServerBusy) {
-		t.Fatalf("over-cap client err = %v, want ErrServerBusy", err)
+	// The server answered c1's HELLO, so c1 holds the one slot.
+	if _, err := DialWith(addr, DialOptions{}); !errors.Is(err, ErrServerBusy) {
+		t.Fatalf("over-cap dial: err = %v, want ErrServerBusy", err)
 	}
 	if srv.StatsSnapshot().BusyRejects == 0 {
 		t.Fatal("BusyRejects did not count the rejection")
 	}
 
-	// Freeing the slot lets a reconnecting client in.
+	// Freeing the slot lets a new dial in once the server has seen c1 go.
 	c1.Close()
-	c3, err := DialWith(addr, DialOptions{MaxReconnects: 5, ReconnectBackoff: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c3.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err = c3.ReadAt(0, 0, make([]byte, 512), 0); err == nil {
+		c3, err := DialWith(addr, DialOptions{})
+		if err == nil {
+			c3.Close()
 			break
 		}
 		if time.Now().After(deadline) {
@@ -209,7 +126,7 @@ func TestServerIdleTimeoutDropsDeadPeer(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// The client finds out on its next op and, without reconnects, breaks.
+	// The client finds out on its next op, which fails.
 	if err := c.ReadAt(0, 0, make([]byte, 512), 0); err == nil {
 		t.Fatal("op on an idle-dropped connection succeeded")
 	}
@@ -221,12 +138,7 @@ func TestServerIdleTimeoutDropsDeadPeer(t *testing.T) {
 func TestIdleTimeoutDropsPeerStalledMidFrame(t *testing.T) {
 	const idle = 50 * time.Millisecond
 	srv, addr := startServerWith(t, ServerOptions{IdleTimeout: idle})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rawHandshake(t, conn)
+	conn := rawDial(t, addr)
 	// A 4 KiB write's header and its first 100 bytes, then silence.
 	var frame [headerSize + 100]byte
 	(&header{op: OpWrite, tag: 1, length: 4096}).encode(frame[:])
@@ -283,40 +195,301 @@ func TestIOTimeoutDoesNotCloseIdleConnection(t *testing.T) {
 	}
 }
 
-func TestClientRoundTripTimeout(t *testing.T) {
-	// A listener that accepts and then never responds models a hung
-	// appliance; the per-roundtrip deadline must fail the op instead of
-	// blocking forever.
+// patByte derives a payload byte from its absolute volume offset, so a
+// response delivered into the wrong request's buffer is detectable.
+func patByte(off uint64) byte { return byte(off*131 + 17) }
+
+func fillPat(p []byte, off uint64) {
+	for i := range p {
+		p[i] = patByte(off + uint64(i))
+	}
+}
+
+// checkPat verifies p holds off's pattern. Errorf, not Fatalf: it is
+// called from worker goroutines.
+func checkPat(t *testing.T, p []byte, off uint64) {
+	t.Helper()
+	for i := range p {
+		if p[i] != patByte(off+uint64(i)) {
+			t.Errorf("payload corrupt at +%d: got 0x%02x, want 0x%02x", i, p[i], patByte(off+uint64(i)))
+			return
+		}
+	}
+}
+
+// scriptServer runs one scripted function per accepted connection, in
+// accept order; extra connections are closed immediately.
+func scriptServer(t *testing.T, scripts ...func(conn net.Conn)) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	go func() {
-		for {
+		for i := 0; ; i++ {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			defer conn.Close() // hold open, never answer
+			if i < len(scripts) {
+				go scripts[i](conn)
+			} else {
+				conn.Close()
+			}
 		}
 	}()
+	t.Cleanup(func() { l.Close() })
+	return l.Addr().String()
+}
 
-	c, err := DialWith(l.Addr().String(), DialOptions{Timeout: 80 * time.Millisecond})
+// serveHelloV2 consumes the client's HELLO preamble and answers v2.
+func serveHelloV2(br *bufio.Reader, conn net.Conn) bool {
+	hdr := make([]byte, preambleSize)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return false
+	}
+	if hdr[0] != magic || hdr[1] != OpHello {
+		return false
+	}
+	_, err := conn.Write([]byte{statusOK, ProtocolV2})
+	return err == nil
+}
+
+// respondReadV2 answers one OpRead request with its offset-derived
+// pattern payload.
+func respondReadV2(conn net.Conn, h header) bool {
+	resp := make([]byte, respHeadSize+int(h.length))
+	respHead(resp[:respHeadSize], h.tag, statusOK)
+	fillPat(resp[respHeadSize:], h.offset)
+	_, err := conn.Write(resp)
+	return err == nil
+}
+
+// waitReadLoop waits up to 5 s for c's reader goroutine to be running or
+// gone, as want says: for some goroutine's stack to hold, or no longer
+// hold, a readLoop frame whose receiver is c.
+func waitReadLoop(t *testing.T, c *Client, want bool) {
+	t.Helper()
+	frame := []byte(fmt.Sprintf("(*Client).readLoop(%p", c))
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], frame) == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reader goroutine running = %v after 5 s, want %v", !want, want)
+		}
+	}
+}
+
+// A server answers one of three pipelined reads, then sends a response
+// for a tag that no op holds, and hangs up. The answered read keeps its
+// own bytes. The stranded two fail with the protocol error, not
+// ErrBrokenConn, and the poison frame's body reaches neither buffer. The
+// client is broken for good, and its reader has exited.
+func TestUnknownTagStrandsPipelineCleanly(t *testing.T) {
+	addr := scriptServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if !serveHelloV2(br, conn) {
+			return
+		}
+		hdr := make([]byte, headerSize)
+		for i := 0; i < 3; i++ {
+			if _, err := io.ReadFull(br, hdr); err != nil {
+				return
+			}
+			h, err := decodeHeader(hdr)
+			if err != nil {
+				return
+			}
+			if i == 0 && !respondReadV2(conn, h) {
+				return
+			}
+		}
+		poison := bytes.Repeat([]byte{0xAB}, respHeadSize+1024)
+		respHead(poison, 1<<31, statusOK)
+		conn.Write(poison)
+	})
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
-	err = c.ReadAt(0, 0, make([]byte, 512), 0)
-	if err == nil {
-		t.Fatal("read against a hung server succeeded")
+	waitReadLoop(t, c, true)
+
+	offs := []uint64{4096, 1 << 20, 3 << 20}
+	bufs := make([][]byte, len(offs))
+	errs := make([]error, len(offs))
+	var wg sync.WaitGroup
+	for i, off := range offs {
+		bufs[i] = bytes.Repeat([]byte{0xEE}, 1024)
+		wg.Add(1)
+		go func(i int, off uint64) {
+			defer wg.Done()
+			errs[i] = c.ReadAt(0, 0, bufs[i], off)
+		}(i, off)
 	}
-	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("deadline did not bound the round trip (%v)", el)
+	wg.Wait()
+	answered := 0
+	for i, off := range offs {
+		switch {
+		case errs[i] == nil:
+			answered++
+			checkPat(t, bufs[i], off)
+		case errors.Is(errs[i], ErrBrokenConn):
+			t.Errorf("stranded read %d: err = %v, want the transport error", i, errs[i])
+		case !bytes.Equal(bufs[i], bytes.Repeat([]byte{0xEE}, 1024)):
+			t.Errorf("stranded read %d (err %v): buffer written", i, errs[i])
+		}
 	}
-	var nerr net.Error
-	if !errors.As(err, &nerr) || !nerr.Timeout() {
-		t.Fatalf("err = %v, want a net timeout", err)
+	if answered != 1 {
+		t.Errorf("%d reads succeeded, want 1 (errs %v)", answered, errs)
+	}
+	if err := c.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrBrokenConn) {
+		t.Errorf("next op: err = %v, want ErrBrokenConn", err)
+	}
+	waitReadLoop(t, c, false)
+}
+
+// dialRealServer starts a full in-process appliance over a memory
+// ensemble and dials it.
+func dialRealServer(t *testing.T) (*Client, string) {
+	t.Helper()
+	_, addr := startServerWith(t, ServerOptions{})
+	c, err := DialWith(addr, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c, addr
+}
+
+// flakyProxy forwards TCP to a backend but cuts every connection after a
+// bounded number of server→client bytes, slicing response streams at
+// arbitrary frame positions.
+type flakyProxy struct {
+	l       net.Listener
+	backend string
+	conns   atomic.Int64
+}
+
+func (p *flakyProxy) run() {
+	for {
+		conn, err := p.l.Accept()
+		if err != nil {
+			return
+		}
+		go p.handle(conn)
+	}
+}
+
+func (p *flakyProxy) handle(conn net.Conn) {
+	up, err := net.Dial("tcp", p.backend)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	// Vary the cut position per connection so the client doesn't wedge
+	// at one stream offset forever.
+	n := p.conns.Add(1)
+	limit := int64(4096 + (n%7)*1531)
+	go func() {
+		io.Copy(up, conn)
+		up.Close()
+		conn.Close()
+	}()
+	io.CopyN(conn, up, limit)
+	up.Close()
+	conn.Close()
+}
+
+// TestPipelineChaosThroughFlakyProxy hammers a pipeline through a proxy
+// that keeps cutting the connection mid-stream, redialing with a fresh
+// DialWith whenever the shared client reports ErrBrokenConn. Every read
+// that reports success must carry its own offset's bytes: a cut must never
+// satisfy a request from another request's response.
+func TestPipelineChaosThroughFlakyProxy(t *testing.T) {
+	direct, addr := dialRealServer(t)
+	// Pre-fill 256 blocks with their offset patterns via the direct
+	// (unproxied) connection.
+	const blocks = 256
+	buf := make([]byte, block.Size)
+	for i := 0; i < blocks; i++ {
+		off := uint64(i) * block.Size
+		fillPat(buf, off)
+		if err := direct.WriteAt(0, 0, buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := &flakyProxy{l: l, backend: addr}
+	go proxy.run()
+	t.Cleanup(func() { l.Close() })
+
+	var mu sync.Mutex
+	cur, err := DialWith(l.Addr().String(), DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { cur.Close() }()
+	// client returns the shared client, first replacing it with a fresh
+	// dial if it is the broken one. A failed dial keeps the broken client,
+	// whose next op asks again.
+	client := func(broken *Client) *Client {
+		mu.Lock()
+		defer mu.Unlock()
+		if cur == broken {
+			if c, err := DialWith(l.Addr().String(), DialOptions{}); err == nil {
+				cur.Close()
+				cur = c
+			}
+		}
+		return cur
+	}
+
+	const workers = 4
+	const opsPer = 40
+	const attempts = 16
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, block.Size)
+			for i := 0; i < opsPer; i++ {
+				blk := (w*opsPer + i*13) % blocks
+				off := uint64(blk) * block.Size
+				var err error
+				for a := 0; a < attempts; a++ {
+					for j := range buf {
+						buf[j] = 0xEE
+					}
+					c := client(nil)
+					if err = c.ReadAt(0, 0, buf, off); err == nil {
+						break
+					}
+					if errors.Is(err, ErrBrokenConn) {
+						client(c)
+					}
+				}
+				if err != nil {
+					// A cut can outlast the attempts; what matters is that
+					// no *successful* read is wrong.
+					failed.Add(1)
+					continue
+				}
+				checkPat(t, buf, off)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if f := failed.Load(); f > workers*opsPer/2 {
+		t.Fatalf("%d/%d reads failed outright — proxy chaos overwhelmed the redials", f, workers*opsPer)
 	}
 }
