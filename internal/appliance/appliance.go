@@ -424,6 +424,9 @@ type Client struct {
 	// it and is never held across I/O.
 	pendMu  sync.Mutex
 	pending map[uint32]*pendingOp
+
+	// readerDone is closed when readLoop returns.
+	readerDone chan struct{}
 }
 
 // DialOptions configures DialWith.
@@ -450,9 +453,10 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	}
 	br := bufio.NewReaderSize(conn, connBufSize)
 	c := &Client{
-		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, connBufSize),
-		pending: make(map[uint32]*pendingOp),
+		conn:       conn,
+		bw:         bufio.NewWriterSize(conn, connBufSize),
+		pending:    make(map[uint32]*pendingOp),
+		readerDone: make(chan struct{}),
 	}
 	if err := hello(br, c.bw); err != nil {
 		conn.Close()
@@ -462,17 +466,19 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	return c, nil
 }
 
-// Close closes the connection. Its error is nil if a transport error
-// already closed it.
+// Close closes the connection and returns once the client's reader
+// goroutine has exited. Its error is nil if a transport error already
+// closed the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
 	err := c.conn.Close()
 	if c.broken != nil {
 		// fail already closed the conn; the second close's error is noise.
-		return nil
+		err = nil
 	}
+	c.mu.Unlock()
+	<-c.readerDone // the reader takes mu to fail, so mu is released first
 	return err
 }
 

@@ -99,6 +99,7 @@ func (c *Client) fail(err error) {
 // anomaly — unknown tag, bad magic, short read — leaves the stream
 // position unknown, so it breaks the client and exits.
 func (c *Client) readLoop(br *bufio.Reader) {
+	defer close(c.readerDone)
 	for {
 		p, err := c.readResponse(br)
 		if err != nil {

@@ -265,20 +265,45 @@ func respondReadV2(conn net.Conn, h header) bool {
 	return err == nil
 }
 
-// waitReadLoop waits up to 5 s for c's reader goroutine to be running or
-// gone, as want says: for some goroutine's stack to hold, or no longer
-// hold, a readLoop frame whose receiver is c.
-func waitReadLoop(t *testing.T, c *Client, want bool) {
-	t.Helper()
-	frame := []byte(fmt.Sprintf("(*Client).readLoop(%p", c))
+// readLoopRunning reports whether some goroutine's stack holds a readLoop
+// frame whose receiver is c.
+func readLoopRunning(c *Client) bool {
 	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if bytes.Contains(buf[:runtime.Stack(buf, true)], frame) == want {
-			return
-		}
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fmt.Sprintf("(*Client).readLoop(%p", c)))
+}
+
+// closeOnOneP closes c with GOMAXPROCS at 1, so that c's reader, woken by
+// the close, can run only while Close blocks, and reports whether the
+// reader is still running when Close returns.
+func closeOnOneP(t *testing.T, c *Client) (running bool) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := c.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	return readLoopRunning(c)
+}
+
+// waitReadLoop waits up to 5 s for c's reader goroutine to be running.
+func waitReadLoop(t *testing.T, c *Client) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !readLoopRunning(c); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("reader goroutine running = %v after 5 s, want %v", !want, want)
+			t.Fatal("reader goroutine not running after 5 s")
 		}
+	}
+}
+
+// Close returns only once the client's reader goroutine has exited, so a
+// caller can leave no goroutine behind.
+func TestCloseWaitsForReader(t *testing.T) {
+	c, _ := dialRealServer(t)
+	if err := c.WriteAt(0, 0, make([]byte, 512), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitReadLoop(t, c)
+	if closeOnOneP(t, c) {
+		t.Error("reader goroutine still running after Close returned")
 	}
 }
 
@@ -315,8 +340,8 @@ func TestUnknownTagStrandsPipelineCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	waitReadLoop(t, c, true)
+	defer c.Close() // a second Close, after closeOnOneP's, is harmless
+	waitReadLoop(t, c)
 
 	offs := []uint64{4096, 1 << 20, 3 << 20}
 	bufs := make([][]byte, len(offs))
@@ -349,7 +374,9 @@ func TestUnknownTagStrandsPipelineCleanly(t *testing.T) {
 	if err := c.ReadAt(0, 0, make([]byte, 512), 0); !errors.Is(err, ErrBrokenConn) {
 		t.Errorf("next op: err = %v, want ErrBrokenConn", err)
 	}
-	waitReadLoop(t, c, false)
+	if closeOnOneP(t, c) {
+		t.Error("reader goroutine still running after Close returned")
+	}
 }
 
 // dialRealServer starts a full in-process appliance over a memory

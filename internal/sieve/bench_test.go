@@ -76,9 +76,10 @@ func BenchmarkSievePageRuns(b *testing.B) {
 	runtime.KeepAlive(keys)
 }
 
-// BenchmarkSieveBlockCalls is the sieve as sim.Continuous drives it: one
-// sieve of DefaultCConfig fed missedPages a second apart, one ShouldAllocate
-// per missed block.
+// BenchmarkSieveBlockCalls prices ShouldAllocate, a run of one miss: one
+// sieve of DefaultCConfig fed missedPages a second apart, one call per
+// missed block. The simulator opens one run a request instead (AdmitRun),
+// the shape BenchmarkSievePageRuns prices.
 func BenchmarkSieveBlockCalls(b *testing.B) {
 	const stream = 1 << 20
 	s, err := NewC(DefaultCConfig())

@@ -39,18 +39,9 @@ func Table2(hitRatio, readFrac, epsilon float64) []Table2Row {
 	writeHits := hitRatio * (1 - readFrac)
 	readHits := hitRatio * readFrac
 	rows := []Table2Row{
-		{
-			Policy:      "Allocate-on-demand (AOD)",
-			AllocWrites: miss,
-		},
-		{
-			Policy:      "Write-no-allocate (WMNA)",
-			AllocWrites: miss * readFrac,
-		},
-		{
-			Policy:      "Ideal-selective-allocate (ISA)",
-			AllocWrites: epsilon,
-		},
+		{Policy: "Allocate-on-demand (AOD)", AllocWrites: miss},
+		{Policy: "Write-no-allocate (WMNA)", AllocWrites: miss * readFrac},
+		{Policy: "Ideal-selective-allocate (ISA)", AllocWrites: epsilon},
 	}
 	for i := range rows {
 		r := &rows[i]

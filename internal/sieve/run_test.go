@@ -131,8 +131,8 @@ func randomSteps(rng *rand.Rand, n, keys int) []step {
 }
 
 // checkAgainstReference feeds steps to the reference, to a sieve called once
-// per block and to a sieve called once per step, and to SingleTier beside
-// refSingle when T1+T2 is within the lane cap. Decisions, counters and the
+// per block and to a sieve called once per step, and to SingleTier, one run
+// a step, beside refSingle when T1+T2 is within the lane cap. Decisions, counters and the
 // MCT's contents must agree throughout, and both sieves' page records must
 // keep checkPages' invariants. It returns the sieve's final counters.
 func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
@@ -149,7 +149,8 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 	for i, st := range steps {
 		now += st.dt
 		run := batched.Begin(now)
-		for _, key := range st.keys {
+		var oneWant []int
+		for j, key := range st.keys {
 			acc := block.Access{Time: now, Key: key}
 			want := ref.shouldAllocateN(acc, st.extra)
 			if got := single.Begin(now).Admit(key, st.extra); got != want {
@@ -158,8 +159,13 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 			if got := run.Admit(key, st.extra); got != want {
 				t.Fatalf("%+v step %d key %d: run says %v, reference %v", cfg, i, key, got, want)
 			}
-			if one != nil && one.ShouldAllocate(acc) != oneRef(acc) {
-				t.Fatalf("%+v step %d key %d: SingleTier disagrees with its reference", cfg, i, key)
+			if one != nil && oneRef(acc) {
+				oneWant = append(oneWant, j)
+			}
+		}
+		if one != nil {
+			if got := one.AdmitRun(now, block.Read, st.keys, nil); !slices.Equal(got, oneWant) {
+				t.Fatalf("%+v step %d: SingleTier admits %v, its reference %v", cfg, i, got, oneWant)
 			}
 		}
 		if i%500 != 0 && i != len(steps)-1 {

@@ -3,6 +3,7 @@ package sieve
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,18 +15,67 @@ func acc(t int64, n uint64, kind block.Kind) block.Access {
 	return block.Access{Time: t, Key: block.MakeKey(0, 0, n), Kind: kind}
 }
 
+// admitOne offers p a run of one miss, a's block at a's time.
+func admitOne(p Policy, a block.Access) bool {
+	return len(p.AdmitRun(a.Time, a.Kind, []block.Key{a.Key}, nil)) == 1
+}
+
 func TestAODAndWMNA(t *testing.T) {
-	if !(AOD{}).ShouldAllocate(acc(0, 1, block.Read)) || !(AOD{}).ShouldAllocate(acc(0, 1, block.Write)) {
+	if !admitOne(AOD{}, acc(0, 1, block.Read)) || !admitOne(AOD{}, acc(0, 1, block.Write)) {
 		t.Error("AOD must always allocate")
 	}
-	if !(WMNA{}).ShouldAllocate(acc(0, 1, block.Read)) {
+	if !admitOne(WMNA{}, acc(0, 1, block.Read)) {
 		t.Error("WMNA must allocate on read miss")
 	}
-	if (WMNA{}).ShouldAllocate(acc(0, 1, block.Write)) {
+	if admitOne(WMNA{}, acc(0, 1, block.Write)) {
 		t.Error("WMNA must not allocate on write miss")
 	}
 	if (AOD{}).Name() != "AOD" || (WMNA{}).Name() != "WMNA" {
 		t.Error("names wrong")
+	}
+}
+
+// TestAdmitRunAppendsIndexes pins AdmitRun's contract: each policy appends
+// the indexes of the misses it admits, ascending, after what dst held, and
+// C's run is one Begin and one Admit a miss.
+func TestAdmitRunAppendsIndexes(t *testing.T) {
+	misses := []block.Key{3, 9, 4}
+	for _, c := range []struct {
+		p    Policy
+		kind block.Kind
+		want []int
+	}{
+		{AOD{}, block.Write, []int{-1, 0, 1, 2}},
+		{WMNA{}, block.Read, []int{-1, 0, 1, 2}},
+		{WMNA{}, block.Write, []int{-1}},
+		{NewRandC(0, 1), block.Read, []int{-1}},
+		{NewRandC(1, 1), block.Write, []int{-1, 0, 1, 2}},
+	} {
+		if got := c.p.AdmitRun(0, c.kind, misses, []int{-1}); !slices.Equal(got, c.want) {
+			t.Errorf("%s %v: AdmitRun = %v, want %v", c.p.Name(), c.kind, got, c.want)
+		}
+	}
+	cfg := CConfig{IMCTSize: 8, T1: 2, T2: 2, Window: 4000, Subwindows: 4}
+	s, _ := NewC(cfg)
+	twin, _ := NewC(cfg)
+	admitted := 0
+	for i := range 40 {
+		at := int64(i) * 300
+		run, misses := twin.Begin(at), []block.Key{block.Key(i % 5), 7, block.Key(i%3 + 20)}
+		var want []int
+		for j, key := range misses {
+			if run.Admit(key, 0) {
+				want = append(want, j)
+			}
+		}
+		got := s.AdmitRun(at, block.Read, misses, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: AdmitRun = %v, Begin and Admit %v", i, got, want)
+		}
+		admitted += len(got)
+	}
+	if s.Stats() != twin.Stats() || admitted == 0 {
+		t.Errorf("stats %+v, twin %+v, %d admitted", s.Stats(), twin.Stats(), admitted)
 	}
 }
 
@@ -34,7 +84,7 @@ func TestRandCRate(t *testing.T) {
 	n := 100000
 	allocs := 0
 	for i := 0; i < n; i++ {
-		if p.ShouldAllocate(acc(int64(i), uint64(i), block.Read)) {
+		if admitOne(p, acc(int64(i), uint64(i), block.Read)) {
 			allocs++
 		}
 	}
@@ -294,7 +344,7 @@ func TestSingleTierAllocatesAliased(t *testing.T) {
 	// piggybacking — the pollution the MCT exists to stop.
 	allocated := false
 	for p := uint64(0); p < 13; p++ {
-		allocated = st.ShouldAllocate(acc(1e9, p*block.BlocksPerPage, block.Read))
+		allocated = admitOne(st, acc(1e9, p*block.BlocksPerPage, block.Read))
 	}
 	if !allocated {
 		t.Error("single-tier sieve should admit aliased low-reuse block")

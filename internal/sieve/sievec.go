@@ -129,7 +129,7 @@ type mctPage struct {
 // CStats counts the sieve's internal traffic for reporting and tests.
 type CStats struct {
 	// Misses counts Admit calls: one per missed block offered to the sieve,
-	// whether by the store's Run or the simulator's ShouldAllocate.
+	// in a Run that the store or the simulator's AdmitRun opened.
 	Misses int64
 	// Promotions counts blocks promoted past the IMCT into the MCT.
 	Promotions int64
@@ -231,7 +231,13 @@ func (s *C) slots() int { return len(s.imct) >> (s.words - 1) }
 // slot is the first word of key's IMCT slot.
 func (s *C) slot(key block.Key) int { return pageSlot(key, s.slots()) * s.words }
 
-// ShouldAllocate implements Policy: a run of one miss.
+// AdmitRun implements Policy: one Begin at t, then one Admit a miss.
+func (s *C) AdmitRun(t int64, _ block.Kind, misses []block.Key, dst []int) []int {
+	run := s.Begin(t)
+	return admitEach(misses, dst, func(key block.Key) bool { return run.Admit(key, 0) })
+}
+
+// ShouldAllocate is a run of one miss at acc.Time (the bench module's probes).
 func (s *C) ShouldAllocate(acc block.Access) bool {
 	return s.Begin(acc.Time).Admit(acc.Key, 0)
 }

@@ -34,10 +34,13 @@ func NewSingleTier(cfg CConfig) (*SingleTier, error) {
 // Name implements Policy.
 func (s *SingleTier) Name() string { return "SingleTier-IMCT" }
 
-// ShouldAllocate implements Policy.
-func (s *SingleTier) ShouldAllocate(acc block.Access) bool {
-	s.c.advance(acc.Time)
-	i := s.c.slot(acc.Key)
-	s.c.bump(i)
-	return s.c.total(i) >= s.c.cfg.T1
+// AdmitRun implements Policy: the clock advances once a run, and a miss
+// allocates once its bumped slot's total reaches T1+T2.
+func (s *SingleTier) AdmitRun(t int64, _ block.Kind, misses []block.Key, dst []int) []int {
+	s.c.advance(t)
+	return admitEach(misses, dst, func(key block.Key) bool {
+		i := s.c.slot(key)
+		s.c.bump(i)
+		return s.c.total(i) >= s.c.cfg.T1
+	})
 }

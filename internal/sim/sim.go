@@ -5,12 +5,13 @@
 //
 // Two caching models are supported, mirroring the paper (§3):
 //
-//   - Continuous: a fully-associative cache.Cache consulted on every
-//     access, with a sieve.Policy deciding allocation on misses
-//     (SieveStore-C, AOD, WMNA, RandSieve-C). Its replacement is LRU, as in
-//     the paper, or FIFO, CLOCK, SIEVE or S3-FIFO for the §3.1 ablation.
-//     Allocation-writes are timed at the originating request's completion
-//     (§4) and charged to the SSD load series.
+//   - Continuous: a fully-associative cache.Cache probed for every block of
+//     a request, then a sieve.Policy offered the request's misses as one
+//     run at its issue time, in block order, as core.Store offers them to
+//     its sieve (SieveStore-C, AOD, WMNA, RandSieve-C). Its replacement is
+//     LRU, as in the paper, or FIFO, CLOCK, SIEVE or S3-FIFO for the §3.1
+//     ablation. Allocation-writes are timed at the originating request's
+//     completion (§4) and charged to the SSD load series.
 //   - Discrete: a per-epoch resident set with no replacement inside the
 //     epoch (SieveStore-D, the per-day Ideal sieve, RandSieve-BlkD). Epoch
 //     moves are counted but not charged to the minute series, matching the
@@ -110,6 +111,10 @@ type Continuous struct {
 	result  Result
 	minutes metrics.MinuteSeries
 	accBuf  []block.Access
+	// misses and admitted are one request's missed blocks and the indexes
+	// in misses of those the policy admitted.
+	misses   []block.Key
+	admitted []int
 }
 
 // NewContinuous returns a simulator over c, which it owns from then on.
@@ -123,53 +128,49 @@ func NewContinuous(c *cache.Cache, policy sieve.Policy) *Continuous {
 	return &Continuous{cache: c, policy: policy, result: Result{Name: name}}
 }
 
-// Process simulates one trace request.
+// Process simulates one trace request as core.Store serves it: every block
+// is probed first, then the misses go to the policy as one run at the
+// request's issue time, in block order, and the blocks it admits are
+// inserted in that order.
 func (c *Continuous) Process(req *block.Request) {
-	day := trace.DayOf(req.Time)
-	st := c.result.day(day)
+	st := c.result.day(trace.DayOf(req.Time))
 	c.accBuf = trace.Expand(c.accBuf[:0], req)
-	var readHit, writeHit, alloc int64
-	lastAllocTime := req.Time
+	c.misses = c.misses[:0]
 	for _, acc := range c.accBuf {
-		st.Accesses++
-		if acc.Kind == block.Write {
-			st.Writes++
-		} else {
-			st.Reads++
-		}
-		if c.cache.Touch(acc.Key) {
-			if acc.Kind == block.Write {
-				st.WriteHits++
-				writeHit++
-			} else {
-				st.ReadHits++
-				readHit++
-			}
-			continue
-		}
-		if c.policy.ShouldAllocate(acc) {
-			if _, evicted := c.cache.Insert(acc.Key); evicted {
-				st.Evictions++
-			}
-			st.AllocWrites++
-			alloc++
-			// Allocation can only start once the data has been fetched
-			// from the ensemble: at the (interpolated) completion time.
-			lastAllocTime = acc.Time
+		if !c.cache.Touch(acc.Key) {
+			c.misses = append(c.misses, acc.Key)
 		}
 	}
-	// Charge SSD page operations: hits at the request's issue minute,
-	// allocation-writes at the completing access's minute. Partial pages
-	// are charged as whole pages (§4's conservative cost assessment).
-	minute := trace.MinuteOf(req.Time)
-	if readHit > 0 {
-		c.minutes.AddReads(minute, pages(readHit))
+	c.admitted = c.policy.AdmitRun(req.Time, req.Kind, c.misses, c.admitted[:0])
+	for _, j := range c.admitted {
+		if _, evicted := c.cache.Insert(c.misses[j]); evicted {
+			st.Evictions++
+		}
 	}
-	if writeHit > 0 {
-		c.minutes.AddWrites(minute, pages(writeHit))
+	bookHits(st, &c.minutes, req, int64(len(c.accBuf)), int64(len(c.accBuf)-len(c.misses)))
+	if alloc := int64(len(c.admitted)); alloc > 0 {
+		// Allocation can only start once the data has been fetched from
+		// the ensemble, so allocation-writes are charged at the last
+		// admitted block's (interpolated) completion minute (§4).
+		st.AllocWrites += alloc
+		last := c.misses[c.admitted[alloc-1]] - c.accBuf[0].Key
+		c.minutes.AddWrites(trace.MinuteOf(c.accBuf[last].Time), pages(alloc))
 	}
-	if alloc > 0 {
-		c.minutes.AddWrites(trace.MinuteOf(lastAllocTime), pages(alloc))
+}
+
+// bookHits counts a request of n blocks, hits of which hit, into st and
+// charges the hits' SSD pages at the request's issue minute. Partial pages
+// are charged as whole pages (§4's conservative cost assessment).
+func bookHits(st *DayStats, ms *metrics.MinuteSeries, req *block.Request, n, hits int64) {
+	count, hit, charge := &st.Reads, &st.ReadHits, ms.AddReads
+	if req.Kind == block.Write {
+		count, hit, charge = &st.Writes, &st.WriteHits, ms.AddWrites
+	}
+	st.Accesses += n
+	*count += n
+	*hit += hits
+	if hits > 0 {
+		charge(trace.MinuteOf(req.Time), pages(hits))
 	}
 }
 
@@ -230,34 +231,14 @@ func (d *Discrete) Process(req *block.Request) error {
 			d.beginDay(nd)
 		}
 	}
-	st := d.result.day(day)
 	d.accBuf = trace.Expand(d.accBuf[:0], req)
-	var readHit, writeHit int64
+	var hits int64
 	for _, acc := range d.accBuf {
-		st.Accesses++
-		if acc.Kind == block.Write {
-			st.Writes++
-		} else {
-			st.Reads++
-		}
-		if !d.cache.Contains(acc.Key) {
-			continue
-		}
-		if acc.Kind == block.Write {
-			st.WriteHits++
-			writeHit++
-		} else {
-			st.ReadHits++
-			readHit++
+		if d.cache.Contains(acc.Key) {
+			hits++
 		}
 	}
-	minute := trace.MinuteOf(req.Time)
-	if readHit > 0 {
-		d.minutes.AddReads(minute, pages(readHit))
-	}
-	if writeHit > 0 {
-		d.minutes.AddWrites(minute, pages(writeHit))
-	}
+	bookHits(d.result.day(day), &d.minutes, req, int64(len(d.accBuf)), hits)
 	return nil
 }
 

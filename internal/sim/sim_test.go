@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/block"
@@ -201,5 +202,43 @@ func TestDiscreteSkipsEmptyDays(t *testing.T) {
 	}
 	if len(calls) != 3 || calls[0] != 0 || calls[2] != 2 {
 		t.Errorf("beginDay calls = %v", calls)
+	}
+}
+
+// recPolicy records each run it is offered and admits every miss.
+type recPolicy struct {
+	ts   []int64
+	runs [][]block.Key
+}
+
+func (*recPolicy) Name() string { return "rec" }
+
+func (r *recPolicy) AdmitRun(t int64, _ block.Kind, misses []block.Key, dst []int) []int {
+	r.ts, r.runs = append(r.ts, t), append(r.runs, append([]block.Key(nil), misses...))
+	return sieve.AOD{}.AdmitRun(t, block.Read, misses, dst)
+}
+
+// TestContinuousProbesBeforeAdmitting pins Process's call shape, the
+// store's: every block of a request is probed first, so a hit later in the
+// request is not evicted by an earlier block's allocation, and the misses
+// reach the policy as one run, in block order, at the request's issue time
+// however long the request takes.
+func TestContinuousProbesBeforeAdmitting(t *testing.T) {
+	p := &recPolicy{}
+	c := NewContinuous(cache.New(2), p)
+	for i := uint64(1); i <= 2; i++ { // block 1 is the LRU tail, 2 the head
+		r := req(int64(i), i, block.Read)
+		c.Process(&r)
+	}
+	r := block.Request{Time: 10, Duration: 5 * trace.Minute, Kind: block.Read, Offset: 0, Length: 2 * block.Size}
+	c.Process(&r) // block 0 misses, block 1 hits, and 0 evicts 2
+	if d := c.Result(0).Days[0]; d.ReadHits != 1 || d.AllocWrites != 3 || d.Evictions != 1 {
+		t.Errorf("day 0 = %+v, want 1 hit, 3 allocation-writes, 1 eviction", d)
+	}
+	r = block.Request{Time: 20, Kind: block.Write, Offset: 5 * block.Size, Length: 3 * block.Size}
+	c.Process(&r)
+	k := block.MakeKey(0, 0, 0)
+	if want := [][]block.Key{{k + 1}, {k + 2}, {k}, {k + 5, k + 6, k + 7}}; !reflect.DeepEqual(p.runs, want) || !reflect.DeepEqual(p.ts, []int64{1, 2, 10, 20}) {
+		t.Errorf("runs %v at %v, want %v at [1 2 10 20]", p.runs, p.ts, want)
 	}
 }
