@@ -64,10 +64,8 @@ var (
 	maxConns       = flag.Int("max-conns", 0, "cap on concurrently served connections; extras get a busy error (0: unlimited)")
 	idleTimeout    = flag.Duration("idle-timeout", 0, "drop a peer that keeps the server waiting this long: idle between requests, stalled mid-frame, or not reading responses (0: never)")
 
-	tenantTrack       = flag.Bool("tenant-track", false, "per-tenant (server, volume) accounting: occupancy, hit ratios, alloc-writes (observe-only)")
-	tenantQuotas      = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse (implies -tenant-track)")
-	enduranceMBPerDay = flag.Int64("endurance-mb-per-day", 0, "SSD endurance envelope in MiB/day, split across tenants as per-tenant alloc-write token buckets (0: off; implies -tenant-track)")
-	repartitionEvery  = flag.Duration("tenant-repartition-every", 0, "time-driven quota repartition interval (0: default 1m; negative: epoch boundaries only)")
+	tenantTrack  = flag.Bool("tenant-track", false, "per-tenant (server, volume) accounting: occupancy, hit ratios, alloc-writes (observe-only)")
+	tenantQuotas = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse once a sieve subwindow (c) or at each epoch (d) (implies -tenant-track)")
 )
 
 func main() {
@@ -221,10 +219,8 @@ func storeOptions() core.Options {
 		Policy:       *policy,
 		TraceSample:  *traceSample,
 
-		TenantTracking:         *tenantTrack,
-		TenantQuotas:           *tenantQuotas,
-		EnduranceBytesPerDay:   *enduranceMBPerDay << 20,
-		TenantRepartitionEvery: *repartitionEvery,
+		TenantTracking: *tenantTrack,
+		TenantQuotas:   *tenantQuotas,
 	}
 	switch *variant {
 	case "c":
@@ -258,9 +254,8 @@ func storeStatsLine(st *core.Store, res *resilience.Resilient, srv *appliance.Se
 	}
 	if s.Tenants > 0 {
 		line += fmt.Sprintf(" tenants=%d", s.Tenants)
-		if s.QuotaDenials > 0 || s.ThrottleDenials > 0 || s.TenantClips > 0 {
-			line += fmt.Sprintf(" quotaDeny=%d throttleDeny=%d tenantClips=%d",
-				s.QuotaDenials, s.ThrottleDenials, s.TenantClips)
+		if s.QuotaDenials > 0 || s.TenantClips > 0 {
+			line += fmt.Sprintf(" quotaDeny=%d tenantClips=%d", s.QuotaDenials, s.TenantClips)
 		}
 	}
 	if s.SpillDisables > 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -157,7 +158,6 @@ func (o *Observability) registerCore() {
 	if _, ok := st.TenantStats(); ok {
 		c("tenants", func(s core.Stats) int64 { return s.Tenants })
 		c("quota_denials", func(s core.Stats) int64 { return s.QuotaDenials })
-		c("throttle_denials", func(s core.Stats) int64 { return s.ThrottleDenials })
 		c("tenant_clips", func(s core.Stats) int64 { return s.TenantClips })
 		c("tenant_repartitions", func(s core.Stats) int64 { return s.TenantRepartitions })
 	}
@@ -219,24 +219,20 @@ func (o *Observability) registerTenant(id tenant.ID) {
 	tc("hits", func(s tenant.Snapshot) int64 { return s.Hits })
 	tc("alloc_writes", func(s tenant.Snapshot) int64 { return s.AllocWrites })
 	tc("quota_denials", func(s tenant.Snapshot) int64 { return s.QuotaDenials })
-	tc("throttle_denials", func(s tenant.Snapshot) int64 { return s.ThrottleDenials })
 	tc("selection_clips", func(s tenant.Snapshot) int64 { return s.SelectionClips })
-	tc("throttles", func(s tenant.Snapshot) int64 { return s.Throttles })
 	tg("quota_blocks", func(s tenant.Snapshot) float64 { return float64(s.QuotaBlocks) })
 	tg("occupancy_blocks", func(s tenant.Snapshot) float64 { return float64(s.OccupancyBlocks) })
 	tg("hit_ratio", func(s tenant.Snapshot) float64 { return s.HitRatio() })
-	tg("throttled", func(s tenant.Snapshot) float64 { return float64(s.Throttled) })
-	tg("endurance_tokens_bytes", func(s tenant.Snapshot) float64 { return float64(s.EnduranceTokens) })
 }
 
-// tenantSnapFor returns the cached snapshot for one tenant (zero value
-// if the tenant vanished from the snapshot, which cannot happen today —
-// tenants are never forgotten).
+// tenantSnapFor returns the cached snapshot for one tenant, found by
+// binary search in the ID-sorted snapshot (zero value if the tenant
+// vanished from the snapshot, which cannot happen today — tenants are
+// never forgotten).
 func (o *Observability) tenantSnapFor(id tenant.ID) tenant.Snapshot {
-	for _, t := range o.scraped().tenants {
-		if t.ID == id {
-			return t
-		}
+	tn := o.scraped().tenants
+	if i := sort.Search(len(tn), func(i int) bool { return tn[i].ID >= id }); i < len(tn) && tn[i].ID == id {
+		return tn[i]
 	}
 	return tenant.Snapshot{}
 }
@@ -292,7 +288,7 @@ func (o *Observability) Handler() http.Handler {
 			"metrics":        o.Registry.JSONStatus(),
 		}
 		// The per-tenant QoS table, when tenant tracking is on: quotas,
-		// occupancy, hit ratios, and endurance state per (server, volume).
+		// occupancy, hit ratios, denials and clips per (server, volume).
 		if tn, ok := o.store.TenantStats(); ok {
 			body["tenants"] = tn
 		}

@@ -357,7 +357,6 @@ func TestObservabilityTenantMetrics(t *testing.T) {
 	for _, want := range []string{
 		"sievestore_core_tenants 0",
 		"sievestore_core_quota_denials 0",
-		"sievestore_core_throttle_denials 0",
 		"sievestore_core_tenant_clips 0",
 		"sievestore_core_tenant_repartitions 0",
 	} {
@@ -414,7 +413,6 @@ func TestObservabilityTenantMetrics(t *testing.T) {
 		"sievestore_tenant_1_2_writes 0",
 		"sievestore_tenant_0_0_quota_blocks",
 		"sievestore_tenant_0_0_occupancy_blocks",
-		"sievestore_tenant_1_2_endurance_tokens_bytes",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, grepLines(body, "tenant"))

@@ -174,7 +174,7 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	// Quotas repartition at every epoch boundary: the ending epoch's
 	// per-tenant hits are the freshest demand signal, and the selection
 	// clip below then runs against the new split.
-	s.acct.Repartition(s.now())
+	s.acct.Repartition()
 
 	// Stage 1: reduce the logs and select the new set — no locks held.
 	// Tenant quotas clip the hottest-first selection before the capacity
@@ -189,12 +189,8 @@ func (s *Store) rotateStaged() (committed bool, err error) {
 	perShard, inNew, need := s.planEpoch(selected)
 
 	// Stage 2: fetch the selected blocks that are not already resident —
-	// off-lock, in contiguous multi-block runs with bounded parallelism. A
-	// hard-throttled tenant's endurance budget caps how many *new* installs
-	// this epoch may fetch on its behalf: blocks past the allowance stay
-	// unselected (counted as tenant clips) — retained residents cost no SSD
-	// writes and are unaffected.
-	fetched, err := s.fetchBatch(s.acct.ClipAllowance(need, s.now()))
+	// off-lock, in contiguous multi-block runs with bounded parallelism.
+	fetched, err := s.fetchBatch(need)
 	if err != nil {
 		return false, err
 	}

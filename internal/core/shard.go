@@ -187,18 +187,12 @@ func (sh *shard) setDirtyLocked(slot uint32) {
 // or a subwindow's aging sweep more, which neither a hit nor another
 // request's walk should wait for.
 func (sh *shard) sieveLocked(dst []uint64, key0 block.Key, at []uint64, now time.Time) []uint64 {
-	run := sh.sieveC.Begin(now.Sub(sh.store.sieveBase).Nanoseconds())
+	run, a := sh.sieveC.Begin(now.Sub(sh.store.sieveBase).Nanoseconds()), sh.store.acct
 	for _, i := range at {
 		key := key0 + block.Key(i)
-		// Tenant QoS raises the tenant's threshold: by the soft-throttle
-		// penalty when its endurance bucket runs low, out of reach while it
-		// is over quota or out of budget. The miss is counted either way, so
-		// a penalized tenant's hot blocks admit the moment the penalty lifts.
-		extra := 0
-		if a := sh.store.acct; a != nil {
-			extra, _ = a.Admission(tenant.IDOf(key), now)
-		}
-		if run.Admit(key, extra) {
+		// A tenant over its quota is denied. The miss is counted either way,
+		// so its hot blocks admit the moment it is back under quota.
+		if run.Admit(key, a != nil && a.DenyAdmission(tenant.IDOf(key))) {
 			dst = append(dst, i)
 		}
 	}
@@ -619,7 +613,7 @@ func (sh *shard) commitEpochLocked(selected []block.Key, fetched map[block.Key][
 	sh.stats.SelectOverflow += int64(overflow)
 	for _, slot := range moved {
 		// Epoch batch installs are real SSD allocation-writes: move
-		// tenant occupancy and charge the endurance budget.
+		// tenant occupancy and count them.
 		k := sh.tab.Key(slot)
 		sh.fillLocked(slot, fetched[k])
 		sh.stats.EpochMoves++

@@ -124,7 +124,7 @@ type Options struct {
 	// TenantTracking enables per-tenant accounting (occupancy, hit
 	// ratios, allocation-writes) keyed by the (server, volume) identity
 	// every request carries, surfaced via TenantStats. Implied by
-	// TenantQuotas and EnduranceBytesPerDay; on its own it only observes.
+	// TenantQuotas; on its own it only observes.
 	// Off (the default), every path is byte-identical to a tenant-blind
 	// store.
 	TenantTracking bool
@@ -133,19 +133,11 @@ type Options struct {
 	// the sieve's counters) and its share of a VariantD epoch selection
 	// is clipped. Quotas repartition by realized per-tenant reuse — each
 	// interval's hits earn the matching share of capacity above a small
-	// guaranteed floor — every TenantRepartitionEvery and at VariantD
-	// epoch boundaries. See internal/tenant.
+	// guaranteed floor — at an interval the store already keeps: once a
+	// sieve subwindow (SieveC.Window/SieveC.Subwindows, the interval the
+	// sieve ages demand over) under VariantC, and at each epoch boundary
+	// under VariantD. See internal/tenant.
 	TenantQuotas bool
-	// EnduranceBytesPerDay is the SSD endurance envelope: each tenant's
-	// allocation-writes drain a token bucket refilling at the tenant's
-	// capacity share of this daily rate. Running low raises the tenant's
-	// sieve threshold; an empty bucket denies admission until it refills.
-	// 0 (the default) disables the endurance budget.
-	EnduranceBytesPerDay int64
-	// TenantRepartitionEvery is the time-driven quota repartition
-	// interval (default 1 minute). Negative disables the timer, leaving
-	// only VariantD epoch-boundary repartitions.
-	TenantRepartitionEvery time.Duration
 }
 
 // DefaultShards returns the appliance's default shard count, sized for lock
@@ -203,14 +195,8 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Now == nil {
 		out.Now = time.Now
 	}
-	if out.EnduranceBytesPerDay < 0 {
-		return out, fmt.Errorf("core: EnduranceBytesPerDay must be ≥0, got %d", out.EnduranceBytesPerDay)
-	}
-	if out.TenantQuotas || out.EnduranceBytesPerDay > 0 {
+	if out.TenantQuotas {
 		out.TenantTracking = true
-	}
-	if out.TenantRepartitionEvery == 0 {
-		out.TenantRepartitionEvery = time.Minute
 	}
 	return out, nil
 }
@@ -241,9 +227,8 @@ type Stats struct {
 	CoalescedFlushes    int64 // Flush calls that rode on another caller's sweep
 	Tenants             int64 // distinct (server, volume) tenants seen (tenant tracking only)
 	QuotaDenials        int64 // admissions denied because the tenant was at/over its soft quota
-	ThrottleDenials     int64 // admissions denied by an empty tenant endurance bucket
-	TenantClips         int64 // epoch-selected blocks clipped by tenant quota or endurance budget (VariantD)
-	TenantRepartitions  int64 // quota repartitions run (time-driven and epoch-boundary)
+	TenantClips         int64 // epoch-selected blocks clipped by tenant quota (VariantD)
+	TenantRepartitions  int64 // quota repartitions run (once a sieve subwindow under VariantC, at epoch boundaries under VariantD; none without quotas)
 
 	// ReadLatency/WriteLatency aggregate whole-call ReadAt/WriteAt service
 	// times when Options.TrackLatency is set (zero otherwise): Ops and
@@ -411,11 +396,16 @@ func Open(backend Backend, opts Options) (*Store, error) {
 		s.shards[i] = newShard(s, i, tab)
 	}
 	if o.TenantTracking {
+		// VariantC repartitions once a sieve subwindow, the interval the
+		// sieve ages demand over; VariantD only at epoch boundaries.
+		var every time.Duration
+		if o.Variant == VariantC {
+			every = o.SieveC.Window / time.Duration(max(o.SieveC.Subwindows, 1))
+		}
 		acct, err := tenant.New(tenant.Config{
-			CapacityBlocks:       o.CacheBytes / block.Size,
-			Quotas:               o.TenantQuotas,
-			EnduranceBytesPerDay: o.EnduranceBytesPerDay,
-			RepartitionEvery:     o.TenantRepartitionEvery,
+			CapacityBlocks:   o.CacheBytes / block.Size,
+			Quotas:           o.TenantQuotas,
+			RepartitionEvery: every,
 		})
 		if err != nil {
 			return nil, err
@@ -512,7 +502,6 @@ func (s *Store) Stats() Stats {
 		t := s.acct.Totals()
 		st.Tenants = t.Tenants
 		st.QuotaDenials = t.QuotaDenials
-		st.ThrottleDenials = t.ThrottleDenials
 		st.TenantClips = t.SelectionClips
 		st.TenantRepartitions = t.Repartitions
 	}

@@ -10,9 +10,9 @@ import (
 // insert/remove (install, epoch swap, invalidation, snapshot
 // replacement), per-op access/hit counts are charged once per
 // ReadAt/WriteAt to the single (server, volume) tenant the op names,
-// and admission consults the tenant's quota and endurance budget before
-// the sieve. All helpers are nil-safe no-ops when tenant tracking is
-// off, keeping the default path byte-identical.
+// and admission consults the tenant's quota before the sieve. All
+// helpers are nil-safe no-ops when tenant tracking is off, keeping the
+// default path byte-identical.
 
 // TenantStats returns every tenant's accounting, sorted by (server,
 // volume); ok is false when tenant tracking is disabled.
@@ -38,8 +38,9 @@ func (s *Store) tenantHits(server, volume int, hits int64) {
 	}
 }
 
-// tenantTick runs a time-driven quota repartition when due (one atomic
-// load when it is not). Called from the op path next to maybeRotate.
+// tenantTick runs VariantC's once-a-subwindow quota repartition when due
+// (one atomic load when it is not). Called from the op path next to
+// maybeRotate.
 func (s *Store) tenantTick() {
 	if s.acct != nil {
 		s.acct.MaybeRepartition(s.now())
@@ -62,10 +63,9 @@ func (sh *shard) tenantEvict(key block.Key) {
 	}
 }
 
-// tenantAllocWrite charges blocks of SSD allocation-writes against
-// key's tenant endurance budget.
+// tenantAllocWrite counts blocks of SSD allocation-writes to key's tenant.
 func (sh *shard) tenantAllocWrite(key block.Key, blocks int64) {
 	if a := sh.store.acct; a != nil {
-		a.OnAllocWrite(tenant.IDOf(key), blocks, sh.store.now())
+		a.OnAllocWrite(tenant.IDOf(key), blocks)
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"repro/internal/tenant"
 )
 
-// Multi-tenant QoS suite (ISSUE: per-tenant quotas, fairness-aware
-// sieving, endurance budget). The adversarial scenarios reuse the
+// Multi-tenant QoS suite: per-tenant quotas, quota-aware sieving and
+// the repartition cadence. The adversarial scenarios reuse the
 // golden-trace harness discipline: injected clock, seeded generators,
 // single-threaded drive — so every run takes identical decisions and
 // the assertions pin behavior, not luck.
@@ -40,7 +40,9 @@ const (
 // per-block count still outranks the stable tenant's mid-tier blocks in
 // the hottest-first epoch selection — the displacement maximum.
 // The clock steps so the stable tenant sees the same per-epoch access
-// density solo and joint (10 ms per stable op either way).
+// density solo and joint (10 ms per stable op either way). Quotas
+// repartition every 30 s under VariantC (the sieve's 2 min / 4
+// subwindow) and at each one-minute epoch under VariantD.
 func runTenantWorkload(t *testing.T, variant Variant, shards int, quotas, noisy bool) ([]tenant.Snapshot, Stats) {
 	t.Helper()
 	burst := tnBurst
@@ -53,13 +55,12 @@ func runTenantWorkload(t *testing.T, variant Variant, shards int, quotas, noisy 
 
 	now := time.Unix(1700000000, 0)
 	opts := Options{
-		CacheBytes:             512 * block.Size,
-		Shards:                 shards,
-		Variant:                variant,
-		TenantTracking:         true,
-		TenantQuotas:           quotas,
-		TenantRepartitionEvery: 30 * time.Second,
-		Now:                    func() time.Time { return now },
+		CacheBytes:     512 * block.Size,
+		Shards:         shards,
+		Variant:        variant,
+		TenantTracking: true,
+		TenantQuotas:   quotas,
+		Now:            func() time.Time { return now },
 	}
 	switch variant {
 	case VariantC:
@@ -193,145 +194,17 @@ func TestTenantNoisyNeighbor(t *testing.T) {
 	}
 }
 
-// TestTenantEnduranceThrottle pins the endurance budget on VariantC's
-// continuous admission path: a churning tenant scanning fresh blocks
-// through a deliberately permissive sieve (T1=1, T2=1 admits every
-// first miss) is capped at roughly its token-bucket burst — 64 blocks
-// here — instead of the thousands it writes with the budget off, while
-// a well-behaved tenant with headroom is untouched.
-func TestTenantEnduranceThrottle(t *testing.T) {
-	run := func(envelope int64) ([]tenant.Snapshot, Stats) {
-		be := store.NewMem()
-		be.AddVolume(0, 0, 64*block.Size)
-		be.AddVolume(1, 0, 4096*block.Size)
-		now := time.Unix(1700000000, 0)
-		st, err := Open(be, Options{
-			CacheBytes:           512 * block.Size,
-			Shards:               1,
-			Variant:              VariantC,
-			EnduranceBytesPerDay: envelope,
-			TenantTracking:       true,
-			SieveC: sieve.CConfig{
-				IMCTSize: 1 << 12, T1: 1, T2: 1,
-				Window: 2 * time.Minute, Subwindows: 4,
-			},
-			Now: func() time.Time { return now },
-		})
-		if err != nil {
-			t.Fatal(err)
+// TestTenantTrackingOnlyNoRepartitions: with quotas off there is no quota
+// to move, so a tracking-only store driven across ten sieve subwindows
+// (VariantC) or five epochs (VariantD), with a noisy neighbour, counts no
+// repartition, denial or clip.
+func TestTenantTrackingOnlyNoRepartitions(t *testing.T) {
+	for _, variant := range []Variant{VariantC, VariantD} {
+		_, stats := runTenantWorkload(t, variant, 8, false, true)
+		if stats.TenantRepartitions != 0 || stats.QuotaDenials != 0 || stats.TenantClips != 0 {
+			t.Errorf("%v tracking only: %d repartitions, %d denials, %d clips; want none",
+				variant, stats.TenantRepartitions, stats.QuotaDenials, stats.TenantClips)
 		}
-		defer st.Close()
-		rbuf := make([]byte, block.Size)
-		churn := 0
-		for i := 0; i < 4000; i++ {
-			now = now.Add(10 * time.Millisecond)
-			if i%4 == 3 {
-				// The friendly tenant cycles a 16-block set: one admission
-				// each, then pure hits.
-				if err := st.ReadAt(0, 0, rbuf, uint64(i/4%16)*block.Size); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			// The churner reads a fresh block every op — every access is a
-			// miss and, at T1=T2=1, every miss wants an allocation write.
-			if err := st.ReadAt(1, 0, rbuf, uint64(churn)*block.Size); err != nil {
-				t.Fatal(err)
-			}
-			churn++
-		}
-		snaps, ok := st.TenantStats()
-		if !ok {
-			t.Fatal("tenant tracking off")
-		}
-		return snaps, st.Stats()
-	}
-
-	// Envelope: burst = envelope/24 = 64 blocks; the 40-second run
-	// refills only a trickle (≈9 B/s × share), so the burst is the cap.
-	const envelope = 24 * 64 * block.Size
-	snaps, stats := run(envelope)
-	churn := tenantSnap(t, snaps, 1, 0)
-	if churn.AllocWrites > 80 || churn.AllocWrites < 32 {
-		t.Errorf("throttled churner alloc writes = %d, want ≈ burst (32..80)", churn.AllocWrites)
-	}
-	if churn.Throttles == 0 || churn.Throttled == tenant.ThrottleNone {
-		t.Errorf("churner not throttled: %d transitions, level %d", churn.Throttles, churn.Throttled)
-	}
-	friendly := tenantSnap(t, snaps, 0, 0)
-	if friendly.AllocWrites != 16 || friendly.Throttled != tenant.ThrottleNone {
-		t.Errorf("friendly tenant: alloc writes %d (want 16), throttle level %d (want none)",
-			friendly.AllocWrites, friendly.Throttled)
-	}
-	if friendly.Hits < 900 {
-		t.Errorf("friendly tenant hits = %d, want ≥ 900 of ~1000", friendly.Hits)
-	}
-	if stats.Tenants != 2 {
-		t.Errorf("Stats.Tenants = %d, want 2", stats.Tenants)
-	}
-
-	// Control: with the budget off the same churner writes thousands.
-	openSnaps, _ := run(0)
-	if got := tenantSnap(t, openSnaps, 1, 0).AllocWrites; got < 1000 {
-		t.Errorf("unthrottled churner alloc writes = %d, want ≥ 1000", got)
-	}
-}
-
-// TestTenantEnduranceEpochClip is the VariantD edition: the epoch
-// batch-installer consults the endurance allowance before fetching, so
-// a churner whose selection would blow the budget gets its epoch moves
-// clipped to the bucket (and the clip is counted), instead of the
-// full cache-sized install the selection asked for.
-func TestTenantEnduranceEpochClip(t *testing.T) {
-	run := func(envelope int64) (Stats, []tenant.Snapshot) {
-		be := store.NewMem()
-		be.AddVolume(1, 0, 4096*block.Size)
-		now := time.Unix(1700000000, 0)
-		st, err := Open(be, Options{
-			CacheBytes:           512 * block.Size,
-			Shards:               8,
-			Variant:              VariantD,
-			Epoch:                time.Minute,
-			DThreshold:           4,
-			SpillDir:             t.TempDir(),
-			EnduranceBytesPerDay: envelope,
-			TenantTracking:       true,
-			Now:                  func() time.Time { return now },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		rbuf := make([]byte, block.Size)
-		for i := 0; i < 6200; i++ {
-			now = now.Add(10 * time.Millisecond)
-			blk := uint64(i / tnBurst % 4096)
-			if err := st.ReadAt(1, 0, rbuf, blk*block.Size); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snaps, _ := st.TenantStats()
-		return st.Stats(), snaps
-	}
-
-	stats, snaps := run(24 * 64 * block.Size) // burst = 64 blocks
-	if stats.Epochs == 0 {
-		t.Fatal("no epoch rotation ran")
-	}
-	churn := tenantSnap(t, snaps, 1, 0)
-	if churn.AllocWrites > 80 {
-		t.Errorf("epoch installs = %d blocks, want ≤ 80 (burst 64)", churn.AllocWrites)
-	}
-	if stats.TenantClips < 100 {
-		t.Errorf("selection clips = %d, want ≥ 100 (the clipped epoch tail)", stats.TenantClips)
-	}
-	if churn.AllocWrites != stats.EpochMoves {
-		t.Errorf("tenant alloc writes %d != epoch moves %d", churn.AllocWrites, stats.EpochMoves)
-	}
-
-	control, _ := run(0)
-	if control.EpochMoves < 300 {
-		t.Errorf("unthrottled epoch moves = %d, want ≥ 300", control.EpochMoves)
 	}
 }
 
@@ -448,27 +321,40 @@ func TestTenantAccountingFence(t *testing.T) {
 // TestTenantRepartitionStress hammers the quota machinery from every
 // direction at once — four tenants of concurrent I/O, forced epoch
 // rotations, flushes, and snapshot save/load cycles — under the race
-// detector, and checks the occupancy invariant: per-tenant occupancy
-// never goes negative while running, and once quiesced the occupancies
-// sum exactly to the store's residency.
+// detector, for both repartition cadences: VariantC's, once a sieve
+// subwindow, here 1 ms of real time so repartitions race everything else,
+// and VariantD's, at each forced epoch boundary. It checks the occupancy
+// invariant: per-tenant occupancy never goes negative while running, and
+// once quiesced the occupancies sum exactly to the store's residency.
 func TestTenantRepartitionStress(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"C", Options{Variant: VariantC, SieveC: sieve.CConfig{
+			IMCTSize: 1 << 12, T1: 3, T2: 2,
+			Window: 4 * time.Millisecond, Subwindows: 4,
+		}}},
+		// Real-time epochs never fire here: rotations are forced below.
+		{"D", Options{Variant: VariantD, Epoch: time.Minute, DThreshold: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tenantStress(t, tc.opts) })
+	}
+}
+
+// tenantStress is one arm of TestTenantRepartitionStress over opts.
+func tenantStress(t *testing.T, opts Options) {
 	be := store.NewMem()
-	for v := 0; v < 4; v++ {
+	for v := 0; v < 5; v++ {
 		be.AddVolume(0, v, 2048*block.Size)
 	}
-	st, err := Open(be, Options{
-		CacheBytes:             128 * block.Size,
-		Shards:                 8,
-		Variant:                VariantD,
-		Epoch:                  time.Minute, // real-time: never fires here — rotations are forced below
-		DThreshold:             2,
-		SpillDir:               t.TempDir(),
-		WriteBack:              true,
-		TenantTracking:         true,
-		TenantQuotas:           true,
-		EnduranceBytesPerDay:   1 << 40, // active but never binding
-		TenantRepartitionEvery: time.Millisecond,
-	})
+	opts.CacheBytes = 128 * block.Size
+	opts.Shards = 8
+	opts.SpillDir = t.TempDir()
+	opts.WriteBack = true
+	opts.TenantTracking = true
+	opts.TenantQuotas = true
+	st, err := Open(be, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +391,7 @@ func TestTenantRepartitionStress(t *testing.T) {
 		}(v)
 	}
 	wg.Add(3)
-	go func() { // forced rotations on top of the epoch schedule
+	go func() { // forced rotations on top of the epoch schedule (no-ops under VariantC)
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
 			if err := st.RotateEpoch(); err != nil {
@@ -568,21 +454,29 @@ func TestTenantRepartitionStress(t *testing.T) {
 	watcher.Wait()
 
 	// Deterministic coda: the concurrent phase may have raced past every
-	// rotation before anything was resident (no hits → no counted
-	// repartition). Re-reading a hot set across two forced rotations
-	// guarantees the repartition path observes demand at least once.
+	// repartition before anything was resident (no hits → none counted).
+	// Re-reading a hot set across forced rotations (VariantD), and
+	// re-reading one block of a fresh tenant, under its quota, until the
+	// sieve admits it and it hits (VariantC), guarantees the next boundary
+	// — a rotation, or the first op past a 1 ms subwindow — observes demand.
 	coda := make([]byte, block.Size)
+	read := func(vol int, b uint64) {
+		if err := st.ReadAt(0, vol, coda, b*block.Size); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for pass := 0; pass < 3; pass++ {
-		for b := 0; b < 32; b++ {
-			for rep := 0; rep < 2; rep++ { // count ≥ DThreshold within the epoch
-				if err := st.ReadAt(0, 0, coda, uint64(b)*block.Size); err != nil {
-					t.Fatal(err)
-				}
-			}
+		for b := uint64(0); b < 32; b++ {
+			read(0, b) // count ≥ DThreshold within the epoch
+			read(0, b)
+		}
+		for rep := 0; rep < 8; rep++ {
+			read(4, 0)
 		}
 		if err := st.RotateEpoch(); err != nil {
 			t.Fatal(err)
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
 
 	if err := st.Flush(); err != nil {
@@ -614,7 +508,7 @@ func TestTenantRepartitionStress(t *testing.T) {
 // no-ops, not behavior changes. (runGoldenWorkload never sets the
 // tenant options, so this re-run plus the unchanged golden values in
 // TestGoldenTrace is the actual guarantee; here we additionally pin
-// that tracking-only mode — no quotas, no endurance — also leaves the
+// that tracking-only mode — no quotas — also leaves the
 // policy untouched, since pure accounting must not steer admission.)
 func TestTenantGoldenUnchanged(t *testing.T) {
 	base := runGoldenWorkload(t, VariantC, 8)
@@ -626,7 +520,7 @@ func TestTenantGoldenUnchanged(t *testing.T) {
 		CacheBytes:     512 * block.Size,
 		Shards:         8,
 		Variant:        VariantC,
-		TenantTracking: true, // observe-only: no quotas, no endurance
+		TenantTracking: true, // observe-only: no quotas
 		SieveC: sieve.CConfig{
 			IMCTSize: 1 << 12, T1: 3, T2: 2,
 			Window: 2 * time.Minute, Subwindows: 4,

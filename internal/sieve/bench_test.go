@@ -69,7 +69,7 @@ func BenchmarkSievePageRuns(b *testing.B) {
 		key := keys[i%stream]
 		run := sieves[key.PageHash()%shards].Begin(int64(i) * int64(time.Second))
 		for blk := block.Key(0); blk < block.BlocksPerPage; blk++ {
-			run.Admit(key+blk, 0)
+			run.Admit(key+blk, false)
 		}
 	}
 	reportSieves(b, base, sieves...)

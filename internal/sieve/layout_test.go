@@ -90,7 +90,7 @@ func TestMCTFootprint(t *testing.T) {
 			run := s.Begin(int64(round*pages + p))
 			key := block.MakeKey(0, 0, uint64(p)*block.BlocksPerPage)
 			for b := block.Key(0); b < block.BlocksPerPage; b++ {
-				run.Admit(key+b, 0)
+				run.Admit(key+b, false)
 			}
 			tracked := s.Stats().MCTSize
 			if tracked < 2*pages || p%256 != 0 {
@@ -143,7 +143,7 @@ func testMCTFootprintChurn(t *testing.T) {
 			}
 			key := block.MakeKey(0, 0, (z.Uint64()+uint64(j)*rank)*block.BlocksPerPage)
 			for b := block.Key(0); b < block.BlocksPerPage; b++ {
-				run.Admit(key+b, 0)
+				run.Admit(key+b, false)
 			}
 		}
 	}

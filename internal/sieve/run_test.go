@@ -56,7 +56,7 @@ func newRefC(t testing.TB, cfg CConfig) *refC {
 	return &refC{cfg: cfg, c: c, imct: make([]refCounter, c.slots()), mct: map[block.Key]*refCounter{}}
 }
 
-func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
+func (s *refC) shouldAllocateN(acc block.Access, deny bool) bool {
 	k := s.cfg.Subwindows
 	s.stats.Misses++
 	win := acc.Time / s.c.subNanos
@@ -79,7 +79,7 @@ func (s *refC) shouldAllocateN(acc block.Access, extra int) bool {
 		s.mct[acc.Key] = e
 		s.stats.Promotions++
 	}
-	if e.bump(win, k) < s.cfg.T2+extra {
+	if e.bump(win, k) < s.cfg.T2 || deny {
 		return false
 	}
 	delete(s.mct, acc.Key)
@@ -97,17 +97,17 @@ func refSingle(cfg CConfig, c *C) func(block.Access) bool {
 }
 
 // step is one instant of a miss stream: how far the clock moves before it,
-// the blocks missed at that instant, and the extra they are offered with.
+// the blocks missed at that instant, and whether they are denied.
 type step struct {
-	dt    int64
-	keys  []block.Key
-	extra int
+	dt   int64
+	keys []block.Key
+	deny bool
 }
 
 // randomSteps draws n steps over keys blocks: bursts of up to eight blocks
 // at one instant, subwindow roll-overs, idle gaps of up to three windows
-// (prune), a rare jump of ~2^40 ns — ≫ 2^16 subwindows — and a non-zero
-// extra one step in eight.
+// (prune), a rare jump of ~2^40 ns — ≫ 2^16 subwindows — and a denied step
+// one in eight.
 func randomSteps(rng *rand.Rand, n, keys int) []step {
 	steps := make([]step, n)
 	for i := range steps {
@@ -120,9 +120,7 @@ func randomSteps(rng *rand.Rand, n, keys int) []step {
 		default:
 			st.dt = rng.Int63n(40)
 		}
-		if rng.Intn(8) == 0 {
-			st.extra = 1 + rng.Intn(3)
-		}
+		st.deny = rng.Intn(8) == 0
 		for b := 1 + rng.Intn(8); b > 0; b-- {
 			st.keys = append(st.keys, block.Key(rng.Intn(keys)))
 		}
@@ -152,11 +150,11 @@ func checkAgainstReference(t testing.TB, cfg CConfig, steps []step) CStats {
 		var oneWant []int
 		for j, key := range st.keys {
 			acc := block.Access{Time: now, Key: key}
-			want := ref.shouldAllocateN(acc, st.extra)
-			if got := single.Begin(now).Admit(key, st.extra); got != want {
+			want := ref.shouldAllocateN(acc, st.deny)
+			if got := single.Begin(now).Admit(key, st.deny); got != want {
 				t.Fatalf("%+v step %d key %d: single call says %v, reference %v", cfg, i, key, got, want)
 			}
-			if got := run.Admit(key, st.extra); got != want {
+			if got := run.Admit(key, st.deny); got != want {
 				t.Fatalf("%+v step %d key %d: run says %v, reference %v", cfg, i, key, got, want)
 			}
 			if one != nil && oneRef(acc) {
@@ -296,7 +294,8 @@ func TestRunMatchesSingleCallsAndReference(t *testing.T) {
 
 // FuzzSieveMatchesReference is checkAgainstReference on a configuration
 // and a miss stream the fuzzer picks: each four bytes of ops are one step —
-// clock advance, key, burst length and extra — seeded from the
+// clock advance, key, burst length and key stride, whose top three bits
+// deny the step when all zero (one step in eight) — seeded from the
 // configurations TestRunMatchesSingleCallsAndReference draws.
 func FuzzSieveMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
@@ -316,7 +315,7 @@ func FuzzSieveMatchesReference(f *testing.F) {
 		}
 		var steps []step
 		for ; len(ops) >= 4; ops = ops[4:] {
-			st := step{dt: int64(ops[0] % 64), extra: int(ops[3] >> 6)}
+			st := step{dt: int64(ops[0] % 64), deny: ops[3]>>5 == 0}
 			switch {
 			case ops[0] == 255:
 				st.dt = 1<<40 + int64(ops[1])<<30

@@ -64,7 +64,7 @@ func TestAdmitRunAppendsIndexes(t *testing.T) {
 		run, misses := twin.Begin(at), []block.Key{block.Key(i % 5), 7, block.Key(i%3 + 20)}
 		var want []int
 		for j, key := range misses {
-			if run.Admit(key, 0) {
+			if run.Admit(key, false) {
 				want = append(want, j)
 			}
 		}
@@ -195,67 +195,25 @@ func TestSieveCAllocatesOnlyAfterThresholds(t *testing.T) {
 }
 
 // TestSieveCShouldAllocateNPenalty pins the QoS hook semantics of Admit's
-// extra: it raises only the final allocation threshold (T2+extra), the
-// counters keep accumulating regardless, and a deny-level extra can never
-// be crossed — yet the first unpenalized miss afterwards allocates
-// immediately, because nothing was forgotten while the tenant was
-// penalized.
+// deny: a denied miss counts like any other but never allocates, and
+// nothing is forgotten while a block is denied, so it allocates on its first
+// undenied miss at or past T2 — miss 12 here, as in
+// TestSieveCAllocatesOnlyAfterThresholds, or the first after the streak.
 func TestSieveCShouldAllocateNPenalty(t *testing.T) {
-	// extra=2 moves the allocating miss from 12 (see
-	// TestSieveCAllocatesOnlyAfterThresholds) to 14.
-	s := sieveCFor(t, 1<<16)
-	allocAt := 0
-	for i := 1; i <= 20; i++ {
-		if s.Begin(int64(i)*1e9).Admit(42, 2) {
-			allocAt = i
-			break
-		}
-	}
-	if allocAt != 14 {
-		t.Errorf("allocated at miss %d with extra=2, want 14", allocAt)
-	}
-
-	// Deny streak: 40 penalized misses never allocate, then one
-	// unpenalized miss allocates instantly.
-	s = sieveCFor(t, 1<<16)
-	for i := 1; i <= 40; i++ {
-		if s.Begin(int64(i)*1e9).Admit(42, 1<<20) {
-			t.Fatalf("denied miss %d allocated", i)
-		}
-	}
-	if !s.Begin(41*1e9).Admit(42, 0) {
-		t.Error("first unpenalized miss after a deny streak should allocate")
-	}
-}
-
-// TestDenyPenaltyOutlastsSaturation pins what makes tenant.DenyPenalty
-// (1<<20) a denial: it is above the largest total an MCT entry can reach,
-// k·65535 with k = 8, so even a block whose every lane, IMCT and MCT, is
-// saturated is never admitted under it — and is admitted the moment the
-// penalty lifts.
-func TestDenyPenaltyOutlastsSaturation(t *testing.T) {
-	s, err := NewC(CConfig{IMCTSize: 64, T1: 9, T2: 4, Window: 8000, Subwindows: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const deny = 1 << 20
-	for win := int64(0); win < 8; win++ {
-		run := s.Begin(win * 1000)
-		for i := 0; i < 65535+laneCap+10; i++ {
-			if run.Admit(42, deny) {
-				t.Fatalf("subwindow %d miss %d admitted under the deny penalty", win, i)
+	for _, denied := range []int{0, 8, 11, 12, 40} {
+		s := sieveCFor(t, 1<<16)
+		allocAt := 0
+		for i := 1; i <= 50 && allocAt == 0; i++ {
+			if s.Begin(int64(i)*1e9).Admit(42, i <= denied) {
+				allocAt = i
 			}
 		}
-	}
-	j, i := s.laneWord(record(s, block.Key(42).Page()), 42%block.BlocksPerPage), s.slot(42)
-	if slot := s.imct[i : i+2]; slot[0]&^(trackedMax<<trackedShift) != 1<<trackedShift-1 || slot[1] != 1<<trackedShift-1 || s.bumpLanes(j) != 8*65535 {
-		t.Fatalf("lanes not all saturated: IMCT %#x, MCT %v", slot, lanesOf(s, 42))
-	}
-	if s.Begin(7000).Admit(42, deny) {
-		t.Fatal("a fully saturated block admitted under the deny penalty")
-	}
-	if !s.Begin(7000).Admit(42, 0) {
-		t.Fatal("the first unpenalized miss did not admit")
+		if want := max(12, denied+1); allocAt != want {
+			t.Errorf("%d misses denied: allocated at miss %d, want %d", denied, allocAt, want)
+		}
+		if st := s.Stats(); st.Misses != int64(allocAt) || st.Promotions != 1 || st.Allocations != 1 || st.MCTSize != 0 {
+			t.Errorf("%d misses denied: stats %+v, want %d misses, one promotion and one allocation", denied, st, allocAt)
+		}
 	}
 }
 

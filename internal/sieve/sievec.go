@@ -234,12 +234,12 @@ func (s *C) slot(key block.Key) int { return pageSlot(key, s.slots()) * s.words 
 // AdmitRun implements Policy: one Begin at t, then one Admit a miss.
 func (s *C) AdmitRun(t int64, _ block.Kind, misses []block.Key, dst []int) []int {
 	run := s.Begin(t)
-	return admitEach(misses, dst, func(key block.Key) bool { return run.Admit(key, 0) })
+	return admitEach(misses, dst, func(key block.Key) bool { return run.Admit(key, false) })
 }
 
 // ShouldAllocate is a run of one miss at acc.Time (the bench module's probes).
 func (s *C) ShouldAllocate(acc block.Access) bool {
-	return s.Begin(acc.Time).Admit(acc.Key, 0)
+	return s.Begin(acc.Time).Admit(acc.Key, false)
 }
 
 // Run is the sieve opened at one instant for a run of misses — the blocks
@@ -310,13 +310,11 @@ func (s *C) advance(t int64) (mct [2]uint64) {
 // allocated. The block's IMCT slot is bumped; once the (aliased) slot count
 // reaches T1 the block is tracked precisely in its page's MCT record (looked
 // up once per run of Admits in one page, if a tracked block may be there),
-// and once its precise count reaches T2+extra it is allocated, which resets
-// its precise state. The multi-tenant layer uses extra to penalize a
-// throttled tenant, or to deny it with an extra past any count
-// (tenant.DenyPenalty, above the k·65535 an MCT total saturates at;
-// TestDenyPenaltyOutlastsSaturation), while its counters keep accumulating,
-// so admission resumes at full speed the moment the penalty is lifted.
-func (r Run) Admit(key block.Key, extra int) bool {
+// and once its precise count reaches T2 it is allocated, which resets its
+// precise state. The multi-tenant layer denies a block of a tenant over its
+// quota: the miss is counted all the same, and the block is just never
+// allocated, so it admits on its first undenied miss at or past T2.
+func (r Run) Admit(key block.Key, deny bool) bool {
 	s := r.s
 	s.stats.Misses++
 	if page := key.Page(); page != s.hotPage {
@@ -344,7 +342,7 @@ func (r Run) Admit(key block.Key, extra int) bool {
 		s.stats.Promotions++
 		s.stats.MCTSize++
 	}
-	if s.bumpLanes(s.laneWord(s.hotRec, b)) < s.cfg.T2+extra {
+	if s.bumpLanes(s.laneWord(s.hotRec, b)) < s.cfg.T2 || deny {
 		return false
 	}
 	s.untrack(s.hotRec, b)

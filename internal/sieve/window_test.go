@@ -201,7 +201,7 @@ func TestBeginAtSubwindowBoundary(t *testing.T) {
 	}
 	run := s.Begin(0)
 	for _, key := range []block.Key{42, 42, 42, 43} {
-		run.Admit(key, 0)
+		run.Admit(key, false)
 	}
 	for _, c := range []struct {
 		at, lastWin, next int64
@@ -213,7 +213,7 @@ func TestBeginAtSubwindowBoundary(t *testing.T) {
 		{1999, 1, 2000, 2, []int{4, 2}},
 		{2000, 2, 3000, 1, []int{1, 2}},
 	} {
-		s.Begin(c.at).Admit(42, 0)
+		s.Begin(c.at).Admit(42, false)
 		if st := s.Stats(); s.lastWin != c.lastWin || s.next != c.next || st.MCTSize != c.tracked || st.Pruned != int64(2-c.tracked) || !slices.Equal(lanesOf(s, 42), c.lanes42) {
 			t.Fatalf("after a miss at %d: subwindow %d ending %d, %d tracked, %d pruned, block 42 %v; want %d, %d, %d, %d, %v",
 				c.at, s.lastWin, s.next, st.MCTSize, st.Pruned, lanesOf(s, 42), c.lastWin, c.next, c.tracked, 2-c.tracked, c.lanes42)

@@ -1,22 +1,16 @@
 package tenant
 
-import (
-	"testing"
-	"time"
-
-	"repro/internal/block"
-)
+import "testing"
 
 // FuzzTenantAccounting drives a byte-decoded op sequence through an
-// Accountant and a trivially-correct model (plain maps, no atomics, no
-// buckets), then checks that the Accountant's snapshot matches the
+// Accountant and a trivially-correct model (plain maps, no atomics), then checks that the Accountant's snapshot matches the
 // model and that the package invariants hold:
 //
 //   - per-tenant occupancy, reads, writes, hits, and alloc-writes match
 //     the model exactly, and occupancy is never negative;
 //   - after any counted repartition, every quota is at least the floor
 //     and the quotas sum to at most the capacity;
-//   - endurance tokens are never negative;
+//   - with quotas off nothing is denied and no repartition counts;
 //   - the snapshot is sorted by tenant ID with no duplicates.
 //
 // The op stream mirrors the store's call discipline (OnEvict only fires
@@ -31,22 +25,13 @@ func FuzzTenantAccounting(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 64
-		// The first byte picks the feature mix so every combination of
-		// quotas × endurance gets fuzzed.
+		// The first byte's low bit turns quotas on.
 		var quotas bool
-		var envelope int64
 		if len(data) > 0 {
 			quotas = data[0]&1 != 0
-			if data[0]&2 != 0 {
-				envelope = 24 * capacity * block.Size // burst = capacity blocks
-			}
 			data = data[1:]
 		}
-		a, err := New(Config{
-			CapacityBlocks:       capacity,
-			Quotas:               quotas,
-			EnduranceBytesPerDay: envelope,
-		})
+		a, err := New(Config{CapacityBlocks: capacity, Quotas: quotas})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +49,6 @@ func FuzzTenantAccounting(f *testing.F) {
 			return st
 		}
 
-		now := time.Unix(1_000_000, 0)
 		repartitioned := false
 		nAtRepart := 0
 		for i := 0; i+1 < len(data); i += 2 {
@@ -92,16 +76,20 @@ func FuzzTenantAccounting(f *testing.F) {
 					a.OnEvict(id)
 					st.occ--
 				}
-			case 5: // allocation write (charges the bucket)
-				a.OnAllocWrite(id, arg, now)
+			case 5: // allocation write
+				a.OnAllocWrite(id, arg)
 				mget(id).allocs += arg
-			case 6: // admission probe (may deny; counters only)
-				a.Admission(id, now)
-				mget(id)
-			case 7: // time advances, then a forced repartition
-				now = now.Add(time.Duration(arg) * time.Second)
+			case 6: // admission probe (may deny; counters only), which
+				// reaches the tenant's state only with quotas on
+				if a.DenyAdmission(id) && !quotas {
+					t.Fatalf("tenant %v denied with quotas off", id)
+				}
+				if quotas {
+					mget(id)
+				}
+			case 7: // a forced repartition
 				before := a.Totals().Repartitions
-				a.Repartition(now)
+				a.Repartition()
 				if a.Totals().Repartitions > before {
 					repartitioned = true
 					nAtRepart = len(model)
@@ -132,13 +120,13 @@ func FuzzTenantAccounting(f *testing.F) {
 				t.Fatalf("tenant %v: snapshot {occ %d r %d w %d h %d aw %d} != model %+v",
 					s.ID, s.OccupancyBlocks, s.Reads, s.Writes, s.Hits, s.AllocWrites, *m)
 			}
-			if s.EnduranceTokens < 0 {
-				t.Fatalf("tenant %v endurance tokens negative: %d", s.ID, s.EnduranceTokens)
-			}
 			quotaSum += s.QuotaBlocks
 		}
 		if len(snap) != len(model) {
 			t.Fatalf("snapshot has %d tenants, model %d", len(snap), len(model))
+		}
+		if !quotas && repartitioned {
+			t.Fatal("a repartition counted with quotas off")
 		}
 		if quotas && repartitioned && len(model) == nAtRepart {
 			// After a counted repartition with no tenants arriving since,

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"time"
 
@@ -10,9 +9,8 @@ import (
 )
 
 // Unit suite for the Accountant: ID packing, config validation, quota
-// assignment and repartitioning math, the endurance token bucket's
-// levels and refill, selection clipping, and the snapshot/totals
-// surface. The adversarial end-to-end scenarios live in
+// assignment and repartitioning math, the repartition timer, quota
+// admission, selection clipping, and the snapshot/totals surface. The adversarial end-to-end scenarios live in
 // internal/core/tenant_test.go; this file pins the package's own
 // arithmetic with a hand-computable configuration.
 
@@ -46,7 +44,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero capacity", Config{}},
 		{"negative capacity", Config{CapacityBlocks: -1}},
-		{"negative endurance", Config{CapacityBlocks: 64, EnduranceBytesPerDay: -1}},
 	} {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: New accepted %+v", tc.name, tc.cfg)
@@ -56,32 +53,24 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("minimal config rejected: %v", err)
 	}
-	if a.cfg.Quotas || a.EnduranceEnabled() {
-		t.Error("minimal config should have quotas and endurance off")
+	if a.cfg.Quotas {
+		t.Error("minimal config should have quotas off")
 	}
 }
 
 func TestNilAccountantIsDisabled(t *testing.T) {
 	var a *Accountant
-	if a.EnduranceEnabled() {
-		t.Error("nil accountant reports features enabled")
-	}
-	now := time.Unix(0, 0)
 	id := MakeID(1, 2)
 	// Every method must be a safe no-op on nil.
 	a.OnAccess(id, 4, false)
 	a.OnHits(id, 2)
 	a.OnInstall(id)
 	a.OnEvict(id)
-	a.OnAllocWrite(id, 1, now)
-	a.NoteClip(id, 1)
-	a.MaybeRepartition(now)
-	a.Repartition(now)
-	if extra, deny := a.Admission(id, now); extra != 0 || deny {
-		t.Errorf("nil Admission = (%d, %v), want (0, false)", extra, deny)
-	}
-	if got := a.AllowanceBlocks(id, now); got != math.MaxInt64 {
-		t.Errorf("nil AllowanceBlocks = %d, want MaxInt64", got)
+	a.OnAllocWrite(id, 1)
+	a.MaybeRepartition(time.Unix(0, 0))
+	a.Repartition()
+	if a.DenyAdmission(id) {
+		t.Error("nil DenyAdmission denied")
 	}
 	keys := []block.Key{block.MakeKey(1, 2, 3)}
 	if out, clipped := a.ClipSelection(keys); clipped != 0 || len(out) != 1 {
@@ -128,11 +117,10 @@ func TestRepartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_000_000, 0)
 	t1, t2 := MakeID(0, 0), MakeID(0, 1)
 	a.OnHits(t1, 30)
 	a.OnHits(t2, 10)
-	a.Repartition(now)
+	a.Repartition()
 	// floor = 64/(8×2) = 4 each; avail = 64−8 = 56 split 30:10.
 	snap := a.Snapshot()
 	if snap[0].QuotaBlocks != 4+56*30/40 || snap[1].QuotaBlocks != 4+56*10/40 {
@@ -145,7 +133,7 @@ func TestRepartition(t *testing.T) {
 
 	// The interval counters were consumed: a hitless interval keeps the
 	// split and does not count as a repartition.
-	a.Repartition(now)
+	a.Repartition()
 	if got := a.Totals().Repartitions; got != 1 {
 		t.Errorf("hitless repartition counted: %d", got)
 	}
@@ -156,7 +144,7 @@ func TestRepartition(t *testing.T) {
 
 	// A fully idle tenant donates down to the floor.
 	a.OnHits(t1, 100)
-	a.Repartition(now)
+	a.Repartition()
 	snap = a.Snapshot()
 	if snap[0].QuotaBlocks != 60 || snap[1].QuotaBlocks != 4 {
 		t.Errorf("idle-donation quotas = %d, %d; want 60, 4",
@@ -179,7 +167,7 @@ func TestRepartitionTinyCapacity(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		a.OnHits(MakeID(0, v), int64(v+1))
 	}
-	a.Repartition(time.Unix(0, 1))
+	a.Repartition()
 	for _, s := range a.Snapshot() {
 		if s.QuotaBlocks != 0 { // 3/4 == 0: equal-split fallback
 			t.Errorf("tenant %d/%d quota = %d, want 0", s.Server, s.Volume, s.QuotaBlocks)
@@ -219,28 +207,38 @@ func TestMaybeRepartitionInterval(t *testing.T) {
 	if got := off.Totals().Repartitions; got != 0 {
 		t.Errorf("disabled timer fired: %d", got)
 	}
+
+	// Tracking only: there is no quota to move, so neither entry point
+	// repartitions, however much demand there is.
+	track, err := New(Config{CapacityBlocks: 64, RepartitionEvery: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	track.OnHits(id, 5)
+	track.MaybeRepartition(base)
+	track.Repartition()
+	if got := track.Totals().Repartitions; got != 0 {
+		t.Errorf("tracking-only accountant repartitioned %d times", got)
+	}
 }
 
-// TestQuotaAdmission: at/over quota the admission is denied with
-// DenyPenalty; dropping below quota (eviction) lifts the denial
-// immediately. A lone tenant's first quota is the whole capacity, 4
+// TestQuotaAdmission: at/over quota the admission is denied; dropping
+// below quota (eviction) lifts the denial immediately. A lone tenant's first quota is the whole capacity, 4
 // blocks; the floor only enters at a repartition.
 func TestQuotaAdmission(t *testing.T) {
 	a, err := New(Config{CapacityBlocks: 4, Quotas: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_000_000, 0)
 	id := MakeID(0, 0)
 	for i := 0; i < 4; i++ {
-		if extra, deny := a.Admission(id, now); deny || extra != 0 {
-			t.Fatalf("admission %d under quota: (%d, %v)", i, extra, deny)
+		if a.DenyAdmission(id) {
+			t.Fatalf("admission %d under quota denied", i)
 		}
 		a.OnInstall(id)
 	}
-	extra, deny := a.Admission(id, now)
-	if !deny || extra != DenyPenalty {
-		t.Fatalf("admission at quota: (%d, %v), want (DenyPenalty, true)", extra, deny)
+	if !a.DenyAdmission(id) {
+		t.Fatal("admission at quota not denied")
 	}
 	snap := a.Snapshot()
 	if snap[0].QuotaDenials != 1 || a.Totals().QuotaDenials != 1 {
@@ -248,129 +246,17 @@ func TestQuotaAdmission(t *testing.T) {
 			snap[0].QuotaDenials, a.Totals().QuotaDenials)
 	}
 	a.OnEvict(id)
-	if _, deny := a.Admission(id, now); deny {
+	if a.DenyAdmission(id) {
 		t.Error("admission still denied after eviction freed a block")
 	}
-}
 
-// TestEnduranceBucket walks the token bucket through its three levels
-// with a hand-computed envelope: capacity 64 blocks and an envelope of
-// 24×64 blocks/day gives a burst (hour's worth) of exactly 64 blocks, a
-// soft threshold at 16 blocks, and a hard floor below one block.
-func TestEnduranceBucket(t *testing.T) {
-	const envelope = 24 * 64 * block.Size
-	a, err := New(Config{CapacityBlocks: 64, EnduranceBytesPerDay: envelope})
-	if err != nil {
-		t.Fatal(err)
+	// Quotas off: never denied, however full.
+	off, _ := New(Config{CapacityBlocks: 4})
+	for i := 0; i < 8; i++ {
+		off.OnInstall(id)
 	}
-	if !a.EnduranceEnabled() {
-		t.Fatal("endurance not enabled")
-	}
-	now := time.Unix(1_000_000, 0)
-	id := MakeID(0, 0)
-
-	// Fresh bucket: full burst, no throttle.
-	if extra, deny := a.Admission(id, now); extra != 0 || deny {
-		t.Fatalf("fresh bucket admission = (%d, %v)", extra, deny)
-	}
-	if got := a.AllowanceBlocks(id, now); got != 64 {
-		t.Fatalf("fresh allowance = %d blocks, want 64", got)
-	}
-
-	// Drain to 8 blocks: below the 16-block soft threshold.
-	a.OnAllocWrite(id, 56, now)
-	if extra, deny := a.Admission(id, now); deny || extra != 2 {
-		t.Errorf("soft-throttled admission = (%d, %v), want (2, false)", extra, deny)
-	}
-	snap := a.Snapshot()
-	if snap[0].Throttled != ThrottleSoft || snap[0].Throttles != 1 {
-		t.Errorf("after drain: throttled=%d throttles=%d, want soft/1",
-			snap[0].Throttled, snap[0].Throttles)
-	}
-
-	// Drain dry: hard denial.
-	a.OnAllocWrite(id, 8, now)
-	extra, deny := a.Admission(id, now)
-	if !deny || extra != DenyPenalty {
-		t.Fatalf("empty-bucket admission = (%d, %v), want (DenyPenalty, true)", extra, deny)
-	}
-	if got := a.AllowanceBlocks(id, now); got != 0 {
-		t.Errorf("empty allowance = %d, want 0", got)
-	}
-	snap = a.Snapshot()
-	if snap[0].Throttled != ThrottleHard {
-		t.Errorf("throttled = %d, want hard", snap[0].Throttled)
-	}
-	if snap[0].ThrottleDenials != 1 || a.Totals().ThrottleDenials != 1 {
-		t.Errorf("throttle denials = %d / %d, want 1 / 1",
-			snap[0].ThrottleDenials, a.Totals().ThrottleDenials)
-	}
-	if snap[0].AllocWrites != 64 {
-		t.Errorf("alloc writes = %d, want 64", snap[0].AllocWrites)
-	}
-	// Overdraw clamps at zero, never negative.
-	a.OnAllocWrite(id, 100, now)
-	if s := a.Snapshot()[0]; s.EnduranceTokens < 0 {
-		t.Errorf("tokens went negative: %d", s.EnduranceTokens)
-	}
-
-	// Half an hour refills half the burst (single tenant, full share):
-	// 32 blocks — back above the soft threshold. (±1 block: the refill
-	// integrates the rate in float64.)
-	later := now.Add(30 * time.Minute)
-	if extra, deny := a.Admission(id, later); extra != 0 || deny {
-		t.Errorf("refilled admission = (%d, %v), want (0, false)", extra, deny)
-	}
-	if got := a.AllowanceBlocks(id, later); got < 31 || got > 32 {
-		t.Errorf("refilled allowance = %d blocks, want 32±1", got)
-	}
-	// Hours later the bucket caps at the burst, no further.
-	if got := a.AllowanceBlocks(id, later.Add(12*time.Hour)); got != 64 {
-		t.Errorf("capped allowance = %d blocks, want 64", got)
-	}
-	// The throttles counter counts none→throttled transitions only: one
-	// more full drain cycle adds exactly one.
-	a.OnAllocWrite(id, 64, later.Add(12*time.Hour))
-	if s := a.Snapshot()[0]; s.Throttles != 2 {
-		t.Errorf("throttles after second drain = %d, want 2", s.Throttles)
-	}
-}
-
-// TestEnduranceShareSplit: with quotas off, N tenants refill at 1/N of
-// the envelope each; with quotas on, at their quota share.
-func TestEnduranceShareSplit(t *testing.T) {
-	const envelope = 24 * 64 * block.Size
-	a, err := New(Config{CapacityBlocks: 64, EnduranceBytesPerDay: envelope})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1_000_000, 0)
-	t1, t2 := MakeID(0, 0), MakeID(0, 1)
-	// Drain both buckets dry, then refill for an hour: each gets 1/2 of
-	// the hourly envelope (32 blocks).
-	a.OnAllocWrite(t1, 64, now)
-	a.OnAllocWrite(t2, 64, now)
-	later := now.Add(time.Hour)
-	g1, g2 := a.AllowanceBlocks(t1, later), a.AllowanceBlocks(t2, later)
-	if g1 < 31 || g1 > 32 || g2 < 31 || g2 > 32 {
-		t.Errorf("equal-split refill = %d, %d blocks; want 32±1 each", g1, g2)
-	}
-
-	// Quota share: a tenant holding 16 of 64 blocks of quota refills at
-	// a quarter rate.
-	q, err := New(Config{CapacityBlocks: 64, Quotas: true, EnduranceBytesPerDay: envelope})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.OnHits(t1, 3)
-	q.OnHits(t2, 1)
-	q.Repartition(now) // quotas: floor 4 + 56×{3,1}/4 = 46 and 18
-	q.OnAllocWrite(t1, 64, now)
-	q.OnAllocWrite(t2, 64, now)
-	h1, h2 := q.AllowanceBlocks(t1, later), q.AllowanceBlocks(t2, later)
-	// Hourly burst × quota share: 64×46/64 = 46 and 64×18/64 = 18.
-	if h1 < 45 || h1 > 46 || h2 < 17 || h2 > 18 {
-		t.Errorf("quota-share refill = %d, %d blocks; want 46, 18 (±1)", h1, h2)
+	if off.DenyAdmission(id) || off.Totals().QuotaDenials != 0 {
+		t.Error("quotas-off accountant denied an admission")
 	}
 }
 
@@ -422,41 +308,6 @@ func TestClipSelection(t *testing.T) {
 	out, clipped = na8.ClipSelection(keys)
 	if clipped != 0 || len(out) != len(keys) {
 		t.Errorf("quotas-off clip = %d of %d", clipped, len(out))
-	}
-}
-
-// TestClipAllowance: each tenant keeps the new installs its endurance
-// bucket affords, read once at its first key, in the order given; the rest
-// count as clips. With the budget off (or no accountant) nothing is clipped.
-func TestClipAllowance(t *testing.T) {
-	const envelope = 24 * 64 * block.Size // a 64-block burst, as in TestEnduranceBucket
-	a, err := New(Config{CapacityBlocks: 64, EnduranceBytesPerDay: envelope})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1_000_000, 0)
-	a.OnAllocWrite(MakeID(0, 0), 61, now) // 0/0 affords 3 more, 0/1 a full 64
-	var keys, want []block.Key
-	for i := uint64(0); i < 5; i++ {
-		keys = append(keys, block.MakeKey(0, 0, i), block.MakeKey(0, 1, i))
-		if i < 3 {
-			want = append(want, block.MakeKey(0, 0, i))
-		}
-		want = append(want, block.MakeKey(0, 1, i))
-	}
-	if got := a.ClipAllowance(slices.Clone(keys), now); !slices.Equal(got, want) {
-		t.Errorf("ClipAllowance kept %v, want %v", got, want)
-	}
-	if snap := a.Snapshot(); snap[0].SelectionClips != 2 || snap[1].SelectionClips != 0 {
-		t.Errorf("per-tenant clips = %d, %d; want 2, 0", snap[0].SelectionClips, snap[1].SelectionClips)
-	}
-
-	off, _ := New(Config{CapacityBlocks: 64})
-	var none *Accountant
-	for _, acct := range []*Accountant{off, none} {
-		if got := acct.ClipAllowance(slices.Clone(keys), now); !slices.Equal(got, keys) {
-			t.Errorf("budget off: kept %d of %d keys", len(got), len(keys))
-		}
 	}
 }
 
