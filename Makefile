@@ -20,9 +20,10 @@ race:
 	$(GO) test -race ./...
 
 # Fault-injection chaos run under the race detector: concurrent I/O and
-# epoch rotations against a backend that fails, hangs, and spikes, plus
-# spill faults — asserting no deadlock and no stale data once the faults
-# clear.
+# epoch rotations, the store straight over a backend that fails, hangs and
+# spikes, plus spill faults — asserting that no read is older than a write
+# acknowledged before it began, no deadlock, and clean recovery once the
+# faults clear.
 test-chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos' ./internal/core/
 

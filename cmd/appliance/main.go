@@ -13,7 +13,7 @@
 //	appliance -listen :9000 -policy sieve -shards 8
 //	appliance -listen :9000 -variant d -epoch 24h -snapshot /var/lib/sieve.snap
 //	appliance -listen :9000 -shards 8 -pprof 127.0.0.1:6060 -mutex-profile-fraction 5
-//	appliance -listen :9000 -backend-timeout 2s -retries 3 -max-conns 256 -idle-timeout 5m
+//	appliance -listen :9000 -max-conns 256 -idle-timeout 5m
 //	appliance -listen :9000 -metrics 127.0.0.1:9100 -trace-sample 64
 package main
 
@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/appliance"
 	"repro/internal/core"
-	"repro/internal/resilience"
 	"repro/internal/store"
 )
 
@@ -59,10 +58,8 @@ var (
 	traceSample = flag.Int("trace-sample", 0, "sample one in N operations into the /debug/ops lifecycle trace ring (0: off)")
 	mutexFrac   = flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction rate for /debug/pprof/mutex (0: off)")
 
-	backendTimeout = flag.Duration("backend-timeout", 0, "deadline per backend request attempt (0: none; enables the fault-tolerant backend wrapper)")
-	retries        = flag.Int("retries", 0, "retries per backend op on transient errors (0: none; enables the fault-tolerant backend wrapper)")
-	maxConns       = flag.Int("max-conns", 0, "cap on concurrently served connections; extras get a busy error (0: unlimited)")
-	idleTimeout    = flag.Duration("idle-timeout", 0, "drop a peer that keeps the server waiting this long: idle between requests, stalled mid-frame, or not reading responses (0: never)")
+	maxConns    = flag.Int("max-conns", 0, "cap on concurrently served connections; extras get a busy error (0: unlimited)")
+	idleTimeout = flag.Duration("idle-timeout", 0, "drop a peer that keeps the server waiting this long: idle between requests, stalled mid-frame, or not reading responses (0: never)")
 
 	tenantTrack  = flag.Bool("tenant-track", false, "per-tenant (server, volume) accounting: occupancy, hit ratios, alloc-writes (observe-only)")
 	tenantQuotas = flag.Bool("tenant-quotas", false, "enforce per-tenant soft capacity quotas, repartitioned by realized reuse once a sieve subwindow (c) or at each epoch (d) (implies -tenant-track)")
@@ -81,7 +78,7 @@ func main() {
 		}()
 	}
 
-	st, res, files := openStore()
+	st, files := openStore()
 	srv := appliance.NewServerWith(st, appliance.ServerOptions{
 		MaxConns:    *maxConns,
 		IdleTimeout: *idleTimeout,
@@ -89,9 +86,6 @@ func main() {
 	if *metricsAddr != "" {
 		obs := appliance.NewObservability(st)
 		obs.AttachServer(srv)
-		if res != nil {
-			obs.AttachResilience(res)
-		}
 		go func() {
 			log.Printf("observability listening on %s", *metricsAddr)
 			logErr("metrics server", http.ListenAndServe(*metricsAddr, obs.Handler()))
@@ -106,7 +100,7 @@ func main() {
 	if *statsEach > 0 {
 		go func() {
 			for range time.Tick(*statsEach) {
-				log.Print(storeStatsLine(st, res, srv))
+				log.Print(storeStatsLine(st, srv))
 			}
 		}()
 	}
@@ -150,22 +144,11 @@ func logErr(what string, err error) {
 	}
 }
 
-// openStore opens the local store: the demo backend, hardened when asked
-// (res is nil otherwise), under a core.Store warmed from the snapshot.
-// files is the file backend, closed after the store drains into it; nil
-// for memory.
-func openStore() (st *core.Store, res *resilience.Resilient, files *store.File) {
+// openStore opens the local store: the demo backend under a core.Store
+// warmed from the snapshot. files is the file backend, closed after the
+// store drains into it; nil for memory.
+func openStore() (st *core.Store, files *store.File) {
 	backend, files := openBackend()
-	// Harden the backend when asked: per-attempt deadlines, transient-error
-	// retries, and per-(server, volume) circuit breakers between the cache
-	// and the ensemble.
-	if *backendTimeout > 0 || *retries > 0 {
-		res = resilience.Wrap(backend, resilience.Config{
-			Timeout: *backendTimeout,
-			Retry:   resilience.RetryPolicy{Max: *retries},
-		})
-		backend = res
-	}
 	st, err := core.Open(backend, storeOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -178,7 +161,7 @@ func openStore() (st *core.Store, res *resilience.Resilient, files *store.File) 
 			log.Printf("warm start: %d blocks restored", st.Stats().CachedBlocks)
 		}
 	}
-	return st, res, files
+	return st, files
 }
 
 // openBackend builds the demo ensemble: sparse files under -data, or
@@ -236,11 +219,11 @@ func storeOptions() core.Options {
 	return opts
 }
 
-// storeStatsLine is the -stats line: the cache's counters, the
-// fault-tolerant backend's when it runs, and the server's busy rejects.
+// storeStatsLine is the -stats line: the cache's counters and the server's
+// busy rejects.
 // rdLat/wrLat are mean/max over the timed calls: one in eight at random,
 // plus every traced one (core.Options.TrackLatency).
-func storeStatsLine(st *core.Store, res *resilience.Resilient, srv *appliance.Server) string {
+func storeStatsLine(st *core.Store, srv *appliance.Server) string {
 	s := st.Stats()
 	line := fmt.Sprintf("stats: accesses=%d hit=%.1f%% cached=%d/%d dirty=%d allocW=%d epochs=%d coalesced=%d",
 		s.Reads+s.Writes, 100*s.HitRatio(), s.CachedBlocks, s.CapacityBlocks,
@@ -260,11 +243,6 @@ func storeStatsLine(st *core.Store, res *resilience.Resilient, srv *appliance.Se
 	}
 	if s.SpillDisables > 0 {
 		line += fmt.Sprintf(" spillDisables=%d", s.SpillDisables)
-	}
-	if res != nil {
-		r := res.Stats()
-		line += fmt.Sprintf(" retries=%d timeouts=%d breakerOpen=%d breakerTrips=%d fastFails=%d",
-			r.Retries, r.Timeouts, r.OpenDevices, r.BreakerTrips, r.BreakerFastFails)
 	}
 	if n := srv.StatsSnapshot().BusyRejects; n > 0 {
 		line += fmt.Sprintf(" busyRejects=%d", n)

@@ -142,7 +142,7 @@ func TestServeFailureShutsDown(t *testing.T) {
 		flag.Set(name, v)
 		t.Cleanup(func() { flag.Set(name, prev) })
 	}
-	st, _, files := openStore()
+	st, files := openStore()
 	srv := appliance.NewServer(st)
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/resilience"
 	"repro/internal/sieve"
 	"repro/internal/sieved"
 	"repro/internal/tenant"
@@ -20,7 +19,7 @@ import (
 
 // Observability collects every counter the system computes — per-shard
 // core stats, sieve/IMCT state, SieveStore-D spill-log partition stats,
-// resilience breaker/retry stats, and appliance server stats — into a
+// and appliance server stats — into a
 // metrics.Registry under stable dotted names, and serves them over HTTP:
 //
 //	/metrics    Prometheus text exposition (counters, gauges, latency
@@ -47,8 +46,8 @@ type Observability struct {
 	tenantSeen map[tenant.ID]bool
 }
 
-// NewObservability builds a registry over st's counters. Attach more
-// producers with AttachServer and AttachResilience, then serve Handler.
+// NewObservability builds a registry over st's counters. Attach the server
+// with AttachServer, then serve Handler.
 func NewObservability(st *core.Store) *Observability {
 	o := &Observability{
 		Registry:   metrics.NewRegistry(),
@@ -248,26 +247,6 @@ func (o *Observability) AttachServer(srv *Server) {
 	r.Counter("sievestore.server.error_frames", func() int64 { return srv.StatsSnapshot().ErrorFrames })
 	r.Counter("sievestore.server.pipelined_requests", func() int64 { return srv.StatsSnapshot().PipelinedReqs })
 	r.Gauge("sievestore.server.pipeline_depth", func() float64 { return float64(srv.StatsSnapshot().PipelineDepth) })
-}
-
-// AttachResilience registers the fault-tolerant backend wrapper's
-// retry/breaker counters.
-func (o *Observability) AttachResilience(res *resilience.Resilient) {
-	r, snap := o.Registry, res.Stats
-	r.Counter("sievestore.resilience.retries", func() int64 { return snap().Retries })
-	r.Counter("sievestore.resilience.timeouts", func() int64 { return snap().Timeouts })
-	r.Counter("sievestore.resilience.breaker_fast_fails", func() int64 { return snap().BreakerFastFails })
-	r.Counter("sievestore.resilience.breaker_trips", func() int64 { return snap().BreakerTrips })
-	r.Counter("sievestore.resilience.transient_errors", func() int64 { return snap().TransientErrors })
-	r.Counter("sievestore.resilience.permanent_errors", func() int64 { return snap().PermanentErrors })
-	r.Gauge("sievestore.resilience.open_devices", func() float64 { return float64(snap().OpenDevices) })
-	// Per-edge transition counters: breaker_trips above conflates
-	// closed→open with failed half-open probes; these keep each edge of
-	// the state machine separately countable for failover post-mortems.
-	r.Counter("sievestore.resilience.breaker_transitions_closed_open", func() int64 { return snap().Transitions.ClosedOpen })
-	r.Counter("sievestore.resilience.breaker_transitions_open_half_open", func() int64 { return snap().Transitions.OpenHalfOpen })
-	r.Counter("sievestore.resilience.breaker_transitions_half_open_closed", func() int64 { return snap().Transitions.HalfOpenClosed })
-	r.Counter("sievestore.resilience.breaker_transitions_half_open_open", func() int64 { return snap().Transitions.HalfOpenOpen })
 }
 
 // Handler returns the HTTP mux serving /metrics, /statusz, and

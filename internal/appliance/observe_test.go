@@ -15,20 +15,18 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/core"
-	"repro/internal/resilience"
 	"repro/internal/sieve"
 	"repro/internal/store"
 )
 
-// startObservedServer runs a full stack — resilient backend, VariantC
+// startObservedServer runs a full stack — memory backend, VariantC
 // store with tracing, appliance server, observability HTTP endpoint — and
 // returns a wire client plus the base URL of the metrics listener.
 func startObservedServer(t *testing.T) (*Client, *core.Store, string) {
 	t.Helper()
 	be := store.NewMem()
 	be.AddVolume(0, 0, 1<<24)
-	res := resilience.Wrap(be, resilience.Config{Timeout: time.Second})
-	st, err := core.Open(res, core.Options{
+	st, err := core.Open(be, core.Options{
 		CacheBytes:   256 * block.Size,
 		Variant:      core.VariantC,
 		TrackLatency: true,
@@ -51,7 +49,6 @@ func startObservedServer(t *testing.T) (*Client, *core.Store, string) {
 
 	obs := NewObservability(st)
 	obs.AttachServer(srv)
-	obs.AttachResilience(res)
 	web := httptest.NewServer(obs.Handler())
 
 	t.Cleanup(func() {
@@ -120,7 +117,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		"sievestore_core_read_latency_count",
 		"# TYPE sievestore_core_hit_ratio gauge",
 		"# TYPE sievestore_server_requests counter",
-		"# TYPE sievestore_resilience_retries counter",
 		"# TYPE sievestore_sieve_misses counter",
 		"sievestore_uptime_seconds",
 		"# TYPE sievestore_core_select_overflow counter",
@@ -243,7 +239,7 @@ func TestObservabilityNoTracing(t *testing.T) {
 	if ops.Sampled || len(ops.Ops) != 0 {
 		t.Errorf("untraced store: sampled=%v n=%d", ops.Sampled, len(ops.Ops))
 	}
-	// /metrics still works without server/resilience attachments.
+	// /metrics still works without a server attached.
 	metricsBody, _ := httpGet(t, web.URL+"/metrics")
 	if !strings.Contains(metricsBody, "sievestore_core_reads 0") {
 		t.Errorf("/metrics missing zero counters:\n%s", grepLines(metricsBody, "core_reads"))
@@ -266,15 +262,14 @@ func TestObservabilityNoTracing(t *testing.T) {
 
 // TestMetricsSeriesPinned pins the /metrics surface: it renders the widest
 // registration there is — a VariantD store with tenant tracking (the
-// sieved and tenant families), a server and a resilient backend attached,
-// one tenant seen — and compares the sorted "# TYPE" lines with
-// testdata/metrics_series.txt. A change that adds, removes or renames a
-// series has to edit that file, so the change shows in its diff.
+// sieved and tenant families), a server attached, one tenant seen — and
+// compares the sorted "# TYPE" lines with testdata/metrics_series.txt. A
+// change that adds, removes or renames a series has to edit that file, so
+// the change shows in its diff.
 func TestMetricsSeriesPinned(t *testing.T) {
 	be := store.NewMem()
 	be.AddVolume(0, 0, 1<<20)
-	res := resilience.Wrap(be, resilience.Config{Timeout: time.Second})
-	st, err := core.Open(res, core.Options{
+	st, err := core.Open(be, core.Options{
 		CacheBytes:     64 * block.Size,
 		Variant:        core.VariantD,
 		SpillDir:       t.TempDir(),
@@ -289,7 +284,6 @@ func TestMetricsSeriesPinned(t *testing.T) {
 	}
 	obs := NewObservability(st)
 	obs.AttachServer(NewServer(st))
-	obs.AttachResilience(res)
 	web := httptest.NewServer(obs.Handler())
 	defer web.Close()
 

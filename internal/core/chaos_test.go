@@ -11,18 +11,19 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/resilience"
 	"repro/internal/store"
 )
 
-// The chaos harness drives the full fault-tolerant stack —
+// The chaos harness drives the store straight over a faulty backend —
 //
-//	core.Store → resilience.Wrap (deadline+retry+breaker) → store.Faulty → store.Mem
+//	core.Store → chaosCounter → store.Faulty → store.Mem
 //
-// — with concurrent readers/writers, epoch rotations and spill faults, then
-// clears every fault and verifies clean recovery: no deadlock (the run
-// completes), and no stale data (every block reads back its last written
-// version, and the cache agrees with the backend byte for byte).
+// — with concurrent readers/writers, epoch rotations and spill faults.
+// Every read is checked against every write acknowledged before it began:
+// it may not return an older version, nor one never written. Then every
+// fault clears and recovery is verified: no deadlock (the run completes),
+// and no stale data (every block reads back its last written version, and
+// the cache agrees with the backend byte for byte).
 
 const (
 	chaosBlocks  = 64
@@ -58,15 +59,38 @@ func decodeChaos(idx int, buf []byte) (uint32, error) {
 }
 
 // chaosBlock is one block's ground truth. mu serializes writers so backend
-// versions stay monotonic; tainted counts writes whose outcome is unknown
-// (an error, or a duration long enough to hide a timed-out attempt whose
-// abandoned goroutine may still apply late) — while any exist, only the
-// upper-bound freshness check holds.
+// versions stay monotonic; floor is the last version whose write was
+// acknowledged, attempted the last one any write carried.
 type chaosBlock struct {
 	mu        sync.Mutex
 	attempted atomic.Uint32
 	floor     atomic.Uint32
-	tainted   atomic.Uint32
+}
+
+// chaosCounter sits between the store and store.Faulty and counts what the
+// store met there: calls that failed, and calls held at least hang.
+type chaosCounter struct {
+	store.Backend
+	hang        time.Duration
+	errs, hangs atomic.Int64
+}
+
+func (c *chaosCounter) count(start time.Time, err error) error {
+	if err != nil {
+		c.errs.Add(1)
+	}
+	if time.Since(start) >= c.hang {
+		c.hangs.Add(1)
+	}
+	return err
+}
+
+func (c *chaosCounter) ReadAt(server, volume int, p []byte, off uint64) error {
+	return c.count(time.Now(), c.Backend.ReadAt(server, volume, p, off))
+}
+
+func (c *chaosCounter) WriteAt(server, volume int, p []byte, off uint64) error {
+	return c.count(time.Now(), c.Backend.WriteAt(server, volume, p, off))
 }
 
 func TestChaosVariantC(t *testing.T) { runChaos(t, VariantC) }
@@ -83,15 +107,8 @@ func runChaos(t *testing.T, variant Variant) {
 	mem.AddVolume(0, 0, 1<<20)
 	faulty := store.NewFaulty(mem)
 	faulty.Seed(7)
-
-	const attemptTimeout = 25 * time.Millisecond
-	res := resilience.Wrap(faulty, resilience.Config{
-		Timeout: attemptTimeout,
-		// A tenth of the production backoff (10 ms base): retried writes
-		// stay well inside attemptTimeout, so few are tainted as slow.
-		Retry:   resilience.RetryPolicy{Max: 2, Sleep: func(d time.Duration) { time.Sleep(d / 10) }},
-		Breaker: resilience.BreakerConfig{Threshold: 5, OpenFor: 20 * time.Millisecond},
-	})
+	const hangFor = 50 * time.Millisecond
+	counter := &chaosCounter{Backend: faulty, hang: hangFor}
 
 	opts := Options{
 		CacheBytes: 32 * block.Size, // smaller than the working set: constant eviction
@@ -116,7 +133,7 @@ func runChaos(t *testing.T, variant Variant) {
 		}
 		defer func() { testSpillFault = nil }()
 	}
-	s, err := Open(res, opts)
+	s, err := Open(counter, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +179,8 @@ func runChaos(t *testing.T, variant Variant) {
 				st := &blocks[b]
 				st.mu.Lock()
 				v := st.attempted.Add(1)
-				start := time.Now()
-				werr := s.WriteAt(0, 0, chaosPattern(b, v), uint64(b)*block.Size)
-				if werr == nil && time.Since(start) < attemptTimeout {
+				if s.WriteAt(0, 0, chaosPattern(b, v), uint64(b)*block.Size) == nil {
 					st.floor.Store(v)
-				} else {
-					// Failed, or slow enough that a timed-out attempt may
-					// have been abandoned: its late write can reapply an old
-					// version any time until the backend quiesces.
-					st.tainted.Add(1)
 				}
 				st.mu.Unlock()
 				continue
@@ -180,10 +190,8 @@ func runChaos(t *testing.T, variant Variant) {
 				n = 2
 			}
 			floors := make([]uint32, n)
-			taints := make([]uint32, n)
 			for k := 0; k < n; k++ {
 				floors[k] = blocks[b+k].floor.Load()
-				taints[k] = blocks[b+k].tainted.Load()
 			}
 			if rerr := s.ReadAt(0, 0, buf[:n*block.Size], uint64(b)*block.Size); rerr != nil {
 				continue // injected failure; nothing to verify
@@ -197,7 +205,7 @@ func runChaos(t *testing.T, variant Variant) {
 				if hi := blocks[b+k].attempted.Load(); v > hi {
 					t.Errorf("block %d: read version %d, but only %d were ever written", b+k, v, hi)
 				}
-				if taints[k] == 0 && blocks[b+k].tainted.Load() == 0 && v < floors[k] {
+				if v < floors[k] {
 					t.Errorf("block %d: stale read: version %d < confirmed floor %d", b+k, v, floors[k])
 				}
 			}
@@ -208,49 +216,38 @@ func runChaos(t *testing.T, variant Variant) {
 		go worker(int64(100 + w))
 	}
 
-	// Phase 1: chaos. Transient blips, hard failures, hangs outliving the
-	// deadline, latency spikes, spill bursts.
+	// Phase 1: chaos. Failures, hangs that hold their caller and whoever
+	// joined its flight, latency spikes, spill bursts.
 	chaosOn.Store(true)
 	faulty.SetConfig(store.FaultConfig{
 		ReadFailProb:  0.15,
 		WriteFailProb: 0.15,
-		Transient:     true,
 		HangProb:      0.02,
-		HangFor:       50 * time.Millisecond,
+		HangFor:       hangFor,
 		LatencyProb:   0.05,
 		Latency:       2 * time.Millisecond,
 	})
 	time.Sleep(400 * time.Millisecond)
 
-	// Phase 2: the faults clear; traffic continues while the stack heals.
+	// Phase 2: the faults clear; traffic continues while the store heals.
 	chaosOn.Store(false)
 	faulty.ClearFaults()
 	time.Sleep(150 * time.Millisecond)
 
-	// Phase 3: stop the load, drain every straggler (abandoned timed-out
-	// attempts included), then verify.
+	// Phase 3: stop the load, then verify. Every backend call has returned:
+	// each returns before its caller does.
 	close(stop)
 	wg.Wait()
-	faulty.ClearFaults()
-	faulty.Quiesce()
 
-	// A fresh write per block must get through — ride out a still-open
-	// breaker — and becomes the expected final content.
+	// A fresh write per block must succeed, and becomes the expected final
+	// content.
 	for i := 0; i < chaosBlocks; i++ {
 		v := blocks[i].attempted.Add(1)
-		data := chaosPattern(i, v)
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if err := s.WriteAt(0, 0, data, uint64(i)*block.Size); err == nil {
-				break
-			} else if time.Now().After(deadline) {
-				t.Fatalf("block %d: post-chaos write never succeeded: %v", i, err)
-			}
-			time.Sleep(5 * time.Millisecond)
+		if err := s.WriteAt(0, 0, chaosPattern(i, v), uint64(i)*block.Size); err != nil {
+			t.Fatalf("block %d: post-chaos write: %v", i, err)
 		}
 		blocks[i].floor.Store(v)
 	}
-	faulty.Quiesce()
 
 	// No stale data: every block serves its final version through the
 	// store, and the store's view agrees with the backend byte for byte.
@@ -277,15 +274,15 @@ func runChaos(t *testing.T, variant Variant) {
 	}
 
 	// The chaos must actually have exercised the fault paths.
-	snap := res.Stats()
+	errs, hangs := counter.errs.Load(), counter.hangs.Load()
 	st := s.Stats()
-	if snap.TransientErrors == 0 {
-		t.Error("no transient errors observed — fault injection did not engage")
+	if errs == 0 {
+		t.Error("no backend errors observed — fault injection did not engage")
 	}
-	if snap.Timeouts == 0 {
-		t.Error("no deadline timeouts observed — hangs did not engage")
+	if hangs == 0 {
+		t.Errorf("no backend call held %v — hangs did not engage", hangFor)
 	}
-	t.Logf("chaos %v: resilience=%+v", variant, snap)
+	t.Logf("chaos %v: backend errors=%d hangs=%d", variant, errs, hangs)
 	t.Logf("chaos %v: spillDisables=%d epochs=%d rotateFailures=%d",
 		variant, st.SpillDisables, st.Epochs, st.RotateFailures)
 }

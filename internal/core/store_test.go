@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -373,6 +375,93 @@ func TestBackendErrorPropagates(t *testing.T) {
 	// The store must remain usable and coherent after the error.
 	if err := s.ReadAt(0, 0, buf, 0); err != nil {
 		t.Errorf("store wedged after backend error: %v", err)
+	}
+}
+
+// parkFirstWrite parks its first WriteAt until release is closed; every
+// other call passes straight through.
+type parkFirstWrite struct {
+	store.Backend
+	first   atomic.Bool
+	parked  chan struct{} // closed once the first write is parked
+	release chan struct{}
+}
+
+func (b *parkFirstWrite) WriteAt(server, volume int, p []byte, off uint64) error {
+	if b.first.CompareAndSwap(false, true) {
+		close(b.parked)
+		<-b.release
+	}
+	return b.Backend.WriteAt(server, volume, p, off)
+}
+
+// TestWriteOrderSurvivesSlowBackend: a write whose backend call is slow to
+// return keeps its block reserved, so a second write to the block waits
+// for it. Once the first is released both succeed, and the backend, and
+// so an uncached read, holds the second.
+func TestWriteOrderSurvivesSlowBackend(t *testing.T) {
+	be := &parkFirstWrite{Backend: testBackend(), parked: make(chan struct{}), release: make(chan struct{})}
+	s, err := Open(be, Options{CacheBytes: 64 * block.Size, SieveC: quickSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	v1, v2 := bytes.Repeat([]byte{0x01}, block.Size), bytes.Repeat([]byte{0x02}, block.Size)
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- s.WriteAt(0, 0, v1, 0) }()
+	<-be.parked
+	go func() { second <- s.WriteAt(0, 0, v2, 0) }()
+	select {
+	case err := <-first:
+		t.Fatalf("v1 write returned (%v) while its backend call was parked", err)
+	case err := <-second:
+		t.Fatalf("v2 write returned (%v) while the v1 write was still on the backend", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(be.release)
+	if err := <-first; err != nil {
+		t.Fatalf("v1 write: %v", err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("v2 write: %v", err)
+	}
+
+	got := make([]byte, block.Size)
+	if err := be.Backend.ReadAt(0, 0, got, 0); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("backend holds %#x (err %v), want the acknowledged later write %#x", got[0], err, v2[0])
+	}
+	if _, err := s.Invalidate(0, 0, 0, block.Size); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadAt(0, 0, got, 0); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("read after Invalidate = %#x (err %v), want %#x", got[0], err, v2[0])
+	}
+}
+
+// TestBadOffsetsFailOnlyTheirCaller: reads past the end of a volume each
+// fail with the backend's geometry error, and valid I/O to that volume
+// succeeds after them.
+func TestBadOffsetsFailOnlyTheirCaller(t *testing.T) {
+	mem := store.NewMem()
+	mem.AddVolume(0, 0, 1<<20)
+	s, err := Open(mem, Options{CacheBytes: 64 * block.Size, SieveC: quickSieve()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buf := make([]byte, block.Size)
+	for i := 0; i < 5; i++ {
+		err := s.ReadAt(0, 0, buf, 1<<20+uint64(i)*block.Size)
+		if err == nil || !strings.Contains(err.Error(), "beyond capacity") {
+			t.Fatalf("read %d past the volume: err = %v, want the geometry error", i, err)
+		}
+	}
+	if err := s.ReadAt(0, 0, buf, 0); err != nil {
+		t.Fatalf("valid read after bad offsets: %v", err)
+	}
+	if err := s.WriteAt(0, 0, buf, 0); err != nil {
+		t.Fatalf("valid write after bad offsets: %v", err)
 	}
 }
 

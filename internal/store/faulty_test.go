@@ -10,7 +10,6 @@ func newFaultyMem(t *testing.T) (*Faulty, *Mem) {
 	t.Helper()
 	m := NewMem()
 	m.AddVolume(0, 0, 1<<20)
-	m.AddVolume(1, 0, 1<<20)
 	return NewFaulty(m), m
 }
 
@@ -37,36 +36,20 @@ func TestFaultyLegacyTogglesStillWork(t *testing.T) {
 	}
 }
 
-func TestFaultyProbabilisticAndTransient(t *testing.T) {
+func TestFaultyProbabilistic(t *testing.T) {
 	f, _ := newFaultyMem(t)
 	f.Seed(42)
-	f.SetConfig(FaultConfig{ReadFailProb: 1.0, Transient: true})
+	f.SetConfig(FaultConfig{ReadFailProb: 1.0})
 	p := make([]byte, 512)
-	err := f.ReadAt(0, 0, p, 0)
-	if !errors.Is(err, ErrInjectedTransient) {
-		t.Fatalf("err = %v, want ErrInjectedTransient", err)
-	}
-	if tr, ok := err.(interface{ Transient() bool }); !ok || !tr.Transient() {
-		t.Fatal("ErrInjectedTransient must declare itself Transient")
+	if err := f.ReadAt(0, 0, p, 0); !errors.Is(err, ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if err := f.WriteAt(0, 0, p, 0); err != nil {
 		t.Fatalf("writes unaffected by ReadFailProb: %v", err)
 	}
-	f.SetConfig(FaultConfig{WriteFailProb: 1.0}) // permanent flavor
+	f.SetConfig(FaultConfig{WriteFailProb: 1.0})
 	if err := f.WriteAt(0, 0, p, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want permanent ErrInjected", err)
-	}
-}
-
-func TestFaultyScopedToDevice(t *testing.T) {
-	f, _ := newFaultyMem(t)
-	f.SetConfig(FaultConfig{ReadFailProb: 1.0, Scoped: true, Server: 1, Volume: 0})
-	p := make([]byte, 512)
-	if err := f.ReadAt(0, 0, p, 0); err != nil {
-		t.Fatalf("unscoped device should pass: %v", err)
-	}
-	if err := f.ReadAt(1, 0, p, 0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("scoped device: err = %v, want ErrInjected", err)
+		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 }
 
@@ -90,7 +73,6 @@ func TestFaultyHangReleasedByClearFaults(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ClearFaults did not release the hang")
 	}
-	f.Quiesce() // no stragglers left
 }
 
 func TestFaultyHangTimesOutOnItsOwn(t *testing.T) {

@@ -51,54 +51,34 @@ func (l *Latency) BusyTime() time.Duration { return time.Duration(atomic.LoadInt
 // Ops returns the number of requests that reached the backend.
 func (l *Latency) Ops() int64 { return atomic.LoadInt64(&l.ops) }
 
-// ErrInjected is returned by a tripped Faulty backend. It classifies as
-// permanent (no Transient method): the legacy toggles model deterministic
-// device rejections.
+// ErrInjected is returned by a tripped Faulty backend.
 var ErrInjected = errors.New("store: injected fault")
-
-// ErrInjectedTransient is the retryable flavor of ErrInjected, used by
-// probabilistic fault configs that model blips a retry would clear. It
-// implements the `Transient() bool` probe internal/resilience classifies
-// by.
-var ErrInjectedTransient error = transientInjected{errors.New("store: injected transient fault")}
-
-type transientInjected struct{ error }
-
-// Transient marks the error retryable for resilience.Transient.
-func (transientInjected) Transient() bool { return true }
 
 // FaultConfig drives the probabilistic fault modes of Faulty. All
 // probabilities are per-request in [0,1]; the zero value injects nothing.
 type FaultConfig struct {
-	// ReadFailProb / WriteFailProb fail a matching request outright.
+	// ReadFailProb / WriteFailProb fail a request outright.
 	ReadFailProb, WriteFailProb float64
-	// Transient makes probabilistic failures return ErrInjectedTransient
-	// (retry-clearable) instead of the permanent ErrInjected.
-	Transient bool
-	// HangProb hangs a matching request for HangFor — or until
-	// ClearFaults releases it — before completing normally, modelling a
-	// wedged device. HangFor defaults to 30 s.
+	// HangProb hangs a request for HangFor — or until ClearFaults releases
+	// it — before completing normally, modelling a wedged device: the
+	// caller, and every reader that joined its flight, waits it out.
+	// HangFor defaults to 30 s.
 	HangProb float64
 	HangFor  time.Duration
-	// LatencyProb delays a matching request by Latency (a served-but-slow
-	// spike rather than a hang); Latency defaults to 10 ms.
+	// LatencyProb delays a request by Latency (a served-but-slow spike
+	// rather than a hang); Latency defaults to 10 ms.
 	LatencyProb float64
 	Latency     time.Duration
-	// Server/Volume scope the faults to one device; leave both at -1 (or
-	// the whole struct zero with Scoped false) to cover every device.
-	Scoped         bool
-	Server, Volume int
 }
 
 // Faulty wraps a Backend and injects failures — used to test that the
 // SieveStore core propagates ensemble errors without corrupting its cache
-// state, and by the chaos harness to drive randomized per-device faults,
-// hangs, and latency spikes through the resilience layer.
+// state, and by the chaos harness to drive randomized failures, hangs, and
+// latency spikes into the store.
 //
-// Two control planes coexist: the legacy deterministic toggles
-// (FailReads/FailWrites/FailAfter, always ErrInjected, unscoped) and the
-// probabilistic FaultConfig (seeded, per-device scopable, transient or
-// permanent, with hangs and latency spikes).
+// Two control planes coexist: the deterministic toggles
+// (FailReads/FailWrites/FailAfter) and the seeded probabilistic
+// FaultConfig, with hangs and latency spikes. Both fail with ErrInjected.
 type Faulty struct {
 	Backend
 
@@ -109,8 +89,6 @@ type Faulty struct {
 	cfg        FaultConfig
 	rng        *rand.Rand
 	release    chan struct{} // closed by ClearFaults to free current hangs
-
-	inflight sync.WaitGroup // backend calls in progress (for Quiesce)
 }
 
 // NewFaulty wraps backend with fault injection disabled.
@@ -151,13 +129,6 @@ func (f *Faulty) ClearFaults() {
 	f.release = make(chan struct{})
 }
 
-// Quiesce blocks until no request is inside the wrapped backend. Chaos
-// tests call ClearFaults then Quiesce so that abandoned (timed-out)
-// stragglers have finished mutating the backend before it is inspected.
-func (f *Faulty) Quiesce() {
-	f.inflight.Wait()
-}
-
 // FailReads toggles immediate read failures.
 func (f *Faulty) FailReads(on bool) {
 	f.mu.Lock()
@@ -182,9 +153,9 @@ func (f *Faulty) FailAfter(n int64) {
 // decide applies the fault planes to one request: it may sleep (latency
 // spike), park until released or timed out (hang), and finally returns
 // the injected error, nil meaning the request proceeds to the backend.
-func (f *Faulty) decide(isRead bool, server, volume int) error {
+func (f *Faulty) decide(isRead bool) error {
 	f.mu.Lock()
-	// Legacy deterministic toggles — unscoped, always permanent.
+	// Deterministic toggles.
 	if (isRead && f.failReads) || (!isRead && f.failWrites) {
 		f.mu.Unlock()
 		return ErrInjected
@@ -202,26 +173,20 @@ func (f *Faulty) decide(isRead bool, server, volume int) error {
 	release := f.release
 	var failErr error
 	var hang, spike time.Duration
-	if !cfg.Scoped || (cfg.Server == server && cfg.Volume == volume) {
-		p := cfg.WriteFailProb
-		if isRead {
-			p = cfg.ReadFailProb
+	p := cfg.WriteFailProb
+	if isRead {
+		p = cfg.ReadFailProb
+	}
+	if p > 0 && f.rng.Float64() < p {
+		failErr = ErrInjected
+	}
+	if cfg.HangProb > 0 && f.rng.Float64() < cfg.HangProb {
+		if hang = cfg.HangFor; hang <= 0 {
+			hang = 30 * time.Second
 		}
-		if p > 0 && f.rng.Float64() < p {
-			if cfg.Transient {
-				failErr = ErrInjectedTransient
-			} else {
-				failErr = ErrInjected
-			}
-		}
-		if cfg.HangProb > 0 && f.rng.Float64() < cfg.HangProb {
-			if hang = cfg.HangFor; hang <= 0 {
-				hang = 30 * time.Second
-			}
-		} else if cfg.LatencyProb > 0 && f.rng.Float64() < cfg.LatencyProb {
-			if spike = cfg.Latency; spike <= 0 {
-				spike = 10 * time.Millisecond
-			}
+	} else if cfg.LatencyProb > 0 && f.rng.Float64() < cfg.LatencyProb {
+		if spike = cfg.Latency; spike <= 0 {
+			spike = 10 * time.Millisecond
 		}
 	}
 	f.mu.Unlock()
@@ -240,9 +205,7 @@ func (f *Faulty) decide(isRead bool, server, volume int) error {
 
 // ReadAt implements Backend.
 func (f *Faulty) ReadAt(server, volume int, p []byte, off uint64) error {
-	f.inflight.Add(1)
-	defer f.inflight.Done()
-	if err := f.decide(true, server, volume); err != nil {
+	if err := f.decide(true); err != nil {
 		return err
 	}
 	return f.Backend.ReadAt(server, volume, p, off)
@@ -250,9 +213,7 @@ func (f *Faulty) ReadAt(server, volume int, p []byte, off uint64) error {
 
 // WriteAt implements Backend.
 func (f *Faulty) WriteAt(server, volume int, p []byte, off uint64) error {
-	f.inflight.Add(1)
-	defer f.inflight.Done()
-	if err := f.decide(false, server, volume); err != nil {
+	if err := f.decide(false); err != nil {
 		return err
 	}
 	return f.Backend.WriteAt(server, volume, p, off)
