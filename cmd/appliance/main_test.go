@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -185,5 +186,46 @@ func TestServeFailureShutsDown(t *testing.T) {
 	}
 	if _, err := os.Stat(*snapshot); err != nil {
 		t.Fatalf("no snapshot after a serve failure: %v", err)
+	}
+}
+
+// TestStoreStatsLineCounters pins the counter part of the -stats line —
+// everything before the latency fields, whose values are timings — for a
+// tenant-tracking store that has served a fixed sequence of writes and
+// reads, one of them past the volume's end.
+func TestStoreStatsLineCounters(t *testing.T) {
+	be := store.NewMem()
+	be.AddVolume(0, 0, 1<<20)
+	st, err := core.Open(be, core.Options{
+		CacheBytes:     64 * block.Size,
+		SieveC:         sieve.CConfig{IMCTSize: 1 << 10, T1: 1, T2: 1, Window: time.Hour, Subwindows: 4},
+		TrackLatency:   true,
+		TenantTracking: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	page := make([]byte, 8*block.Size)
+	for round := 0; round < 3; round++ {
+		for i := uint64(0); i < 10; i++ {
+			if err := st.WriteAt(0, 0, page, i*4096); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.ReadAt(0, 0, page, i*4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.ReadAt(0, 0, page, 1<<20); err == nil {
+		t.Fatal("read past the volume's end succeeded")
+	}
+	line := storeStatsLine(st, appliance.NewServer(st))
+	counters, lat, ok := strings.Cut(line, " rdLat=")
+	if want := "stats: accesses=488 hit=49.2% cached=64/64 dirty=0 allocW=240 epochs=0 coalesced=0 tenants=1"; counters != want {
+		t.Errorf("counters = %q\nwant       %q", counters, want)
+	}
+	if !ok || !strings.Contains(lat, " wrLat=") {
+		t.Errorf("latency fields missing: %q", line)
 	}
 }
