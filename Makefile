@@ -51,8 +51,9 @@ lint:
 # primitives feed operator-facing numbers, the appliance parses
 # untrusted network input, the cache package is the slot table every
 # variant caches through, the sieve decides what every variant
-# admits, and the simulator produces every paper figure — all must stay
-# thoroughly tested. Other packages report
+# admits, the simulator produces every paper figure and internal/ssd
+# computes every Fig. 8/9 input from its minute-load series — all must
+# stay thoroughly tested. Other packages report
 # coverage without a floor.
 COVER_FLOOR_metrics    := 90
 COVER_FLOOR_appliance  := 90
@@ -60,10 +61,11 @@ COVER_FLOOR_cache      := 90
 COVER_FLOOR_tenant     := 95
 COVER_FLOOR_sieve      := 90
 COVER_FLOOR_sim        := 90
+COVER_FLOOR_ssd        := 95
 
 cover:
 	@out=$$($(GO) test -cover ./internal/...); echo "$$out"; fail=0; \
-	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tenant:$(COVER_FLOOR_tenant) sieve:$(COVER_FLOOR_sieve) sim:$(COVER_FLOOR_sim); do \
+	for spec in metrics:$(COVER_FLOOR_metrics) appliance:$(COVER_FLOOR_appliance) cache:$(COVER_FLOOR_cache) tenant:$(COVER_FLOOR_tenant) sieve:$(COVER_FLOOR_sieve) sim:$(COVER_FLOOR_sim) ssd:$(COVER_FLOOR_ssd); do \
 	  pkg=$${spec%%:*}; floor=$${spec##*:}; \
 	  pct=$$(echo "$$out" | awk -v p="repro/internal/$$pkg" \
 	    '$$2==p { for (i=1; i<=NF; i++) if ($$i ~ /%$$/) { gsub(/%/, "", $$i); print $$i } }'); \

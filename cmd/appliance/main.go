@@ -220,9 +220,9 @@ func storeOptions() core.Options {
 }
 
 // storeStatsLine is the -stats line: the cache's counters and the server's
-// busy rejects.
-// rdLat/wrLat are mean/max over the timed calls: one in eight at random,
-// plus every traced one (core.Options.TrackLatency).
+// busy rejects. rdLat/wrLat are mean/max of the store's latency histograms,
+// which hold the timed calls: one in eight at random, plus every traced
+// one (core.Options.TrackLatency).
 func storeStatsLine(st *core.Store, srv *appliance.Server) string {
 	s := st.Stats()
 	line := fmt.Sprintf("stats: accesses=%d hit=%.1f%% cached=%d/%d dirty=%d allocW=%d epochs=%d coalesced=%d",
@@ -247,9 +247,10 @@ func storeStatsLine(st *core.Store, srv *appliance.Server) string {
 	if n := srv.StatsSnapshot().BusyRejects; n > 0 {
 		line += fmt.Sprintf(" busyRejects=%d", n)
 	}
+	rd, wr := st.LatencyHistograms()
 	return line + fmt.Sprintf(" rdLat=%v/%v wrLat=%v/%v",
-		s.ReadLatency.Mean().Round(time.Microsecond), time.Duration(s.ReadLatency.MaxNanos).Round(time.Microsecond),
-		s.WriteLatency.Mean().Round(time.Microsecond), time.Duration(s.WriteLatency.MaxNanos).Round(time.Microsecond))
+		rd.Mean().Round(time.Microsecond), time.Duration(rd.Max).Round(time.Microsecond),
+		wr.Mean().Round(time.Microsecond), time.Duration(wr.Max).Round(time.Microsecond))
 }
 
 // loadSnapshot restores st from the file at path. A file that does not

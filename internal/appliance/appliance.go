@@ -146,7 +146,8 @@ type ServerOptions struct {
 	// frame once its header has arrived, and each response flush. A dead or
 	// stalled peer otherwise pins a handler goroutine and a connection slot
 	// indefinitely. Time spent in the store is not bounded: it is not the
-	// peer's fault, and the backend has its own deadline.
+	// peer's fault, and a hung backend call holds its request until the
+	// call returns (DESIGN.md §8).
 	IdleTimeout time.Duration
 	// MaxConns caps concurrently served connections (0 = unlimited).
 	// Connections beyond the cap receive an ErrServerBusy error frame and

@@ -57,7 +57,7 @@ func NewObservability(st *core.Store) *Observability {
 	}
 	r := o.Registry
 	r.OnCollect(o.refresh)
-	r.Uptime("sievestore.uptime_seconds", o.start, nil)
+	r.Uptime("sievestore.uptime_seconds", o.start)
 	o.registerCore()
 
 	// The active eviction policy, info-style: one series per policy a
@@ -104,9 +104,11 @@ func NewObservability(st *core.Store) *Observability {
 }
 
 // registerCore publishes the store's merged counters, gauges and latency
-// histograms under sievestore.core.*; the counters and gauges read the
-// scrape's core.Stats snapshot. The histograms hold the store's timed
-// sample (core.Options.TrackLatency); read_ops/write_ops count every call.
+// histograms under sievestore.core.*: one series per core.StatFields row
+// (the tenant rows only with tenant tracking on), each reading the
+// scrape's core.Stats snapshot, plus the series derived from it. The
+// histograms hold the store's timed sample (core.Options.TrackLatency);
+// read_ops/write_ops count every call.
 func (o *Observability) registerCore() {
 	r, st := o.Registry, o.store
 	r.Gauge("sievestore.core.shards", func() float64 { return float64(st.Shards()) })
@@ -118,48 +120,21 @@ func (o *Observability) registerCore() {
 		_, wr := st.LatencyHistograms()
 		return wr
 	})
-	c := func(name string, f func(core.Stats) int64) {
-		r.Counter("sievestore.core."+name, func() int64 { return f(o.scraped().stats) })
+	_, tenants := st.TenantStats()
+	for _, f := range core.StatFields {
+		if f.Tenant && !tenants {
+			continue
+		}
+		name, of := "sievestore.core."+f.Name, f.Of
+		val := func() int64 { s := o.scraped().stats; return *of(&s) }
+		if f.Kind == metrics.KindGauge {
+			r.Gauge(name, func() float64 { return float64(val()) })
+		} else {
+			r.Counter(name, val)
+		}
 	}
-	g := func(name string, f func(core.Stats) float64) {
-		r.Gauge("sievestore.core."+name, func() float64 { return f(o.scraped().stats) })
-	}
-	c("reads", func(s core.Stats) int64 { return s.Reads })
-	c("writes", func(s core.Stats) int64 { return s.Writes })
-	c("read_hits", func(s core.Stats) int64 { return s.ReadHits })
-	c("write_hits", func(s core.Stats) int64 { return s.WriteHits })
-	c("alloc_writes", func(s core.Stats) int64 { return s.AllocWrites })
-	c("evictions", func(s core.Stats) int64 { return s.Evictions })
-	c("epoch_moves", func(s core.Stats) int64 { return s.EpochMoves })
-	c("epochs", func(s core.Stats) int64 { return s.Epochs })
-	c("backend_reads", func(s core.Stats) int64 { return s.BackendReads })
-	c("backend_writes", func(s core.Stats) int64 { return s.BackendWrites })
-	c("flush_writes", func(s core.Stats) int64 { return s.FlushWrites })
-	c("coalesced_reads", func(s core.Stats) int64 { return s.CoalescedReads })
-	c("rotate_failures", func(s core.Stats) int64 { return s.RotateFailures })
-	c("reset_failures", func(s core.Stats) int64 { return s.ResetFailures })
-	c("flush_errors", func(s core.Stats) int64 { return s.FlushErrors })
-	c("spill_disables", func(s core.Stats) int64 { return s.SpillDisables })
-	c("select_overflow", func(s core.Stats) int64 { return s.SelectOverflow })
-	c("group_commits", func(s core.Stats) int64 { return s.GroupCommits })
-	c("coalesced_flushes", func(s core.Stats) int64 { return s.CoalescedFlushes })
-	c("backend_bytes_read", func(s core.Stats) int64 { return s.BackendBytesRead })
-	c("backend_bytes_written", func(s core.Stats) int64 { return s.BackendBytesWritten })
-	c("cache_bytes_served", func(s core.Stats) int64 { return s.ReadHits * block.Size })
-	c("read_ops", func(s core.Stats) int64 { return s.ReadLatency.Ops })
-	c("read_errors", func(s core.Stats) int64 { return s.ReadLatency.Errors })
-	c("write_ops", func(s core.Stats) int64 { return s.WriteLatency.Ops })
-	c("write_errors", func(s core.Stats) int64 { return s.WriteLatency.Errors })
-	g("cached_blocks", func(s core.Stats) float64 { return float64(s.CachedBlocks) })
-	g("capacity_blocks", func(s core.Stats) float64 { return float64(s.CapacityBlocks) })
-	g("dirty_blocks", func(s core.Stats) float64 { return float64(s.DirtyBlocks) })
-	g("hit_ratio", func(s core.Stats) float64 { return s.HitRatio() })
-	if _, ok := st.TenantStats(); ok {
-		c("tenants", func(s core.Stats) int64 { return s.Tenants })
-		c("quota_denials", func(s core.Stats) int64 { return s.QuotaDenials })
-		c("tenant_clips", func(s core.Stats) int64 { return s.TenantClips })
-		c("tenant_repartitions", func(s core.Stats) int64 { return s.TenantRepartitions })
-	}
+	r.Counter("sievestore.core.cache_bytes_served", func() int64 { return o.scraped().stats.ReadHits * block.Size })
+	r.Gauge("sievestore.core.hit_ratio", func() float64 { return o.scraped().stats.HitRatio() })
 }
 
 // scrape is one collection's snapshot of the store, which every metric

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/metrics"
 )
 
 // ReadAt reads len(p) bytes from the volume at off: cached blocks from the
@@ -27,7 +26,7 @@ type miss struct {
 	sh  *shard
 }
 
-func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
+func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *OpTrace) error {
 	nBlocks := len(p) / block.Size
 	key0, err := s.beginOp(server, volume, off, nBlocks, opRead)
 	if err != nil {
@@ -49,7 +48,7 @@ func (s *Store) readCached(server, volume int, p []byte, off uint64, tr *metrics
 		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
 		if lo == 0 {
-			sh.ops[opRead]++
+			sh.stats.ReadOps++
 		}
 		missed, seq := len(at), sh.admitSeq.Load()
 		at, joined = sh.classifyLocked(key0, runs[lo:hi], p, at, joined)
@@ -149,7 +148,7 @@ func (sh *shard) copyFramesLocked(p []byte, page [block.BlocksPerPage]uint32, b 
 // The fetch is lock-free, so concurrent callers overlap their backend
 // latency. An admitted block is installed — one fetched before a failed run
 // too — unless a write or Invalidate of it (stale) or Close intervened.
-func (s *Store) readMisses(key0 block.Key, p []byte, at []uint64, admitted []miss, tr *metrics.OpTrace) error {
+func (s *Store) readMisses(key0 block.Key, p []byte, at []uint64, admitted []miss, tr *OpTrace) error {
 	okBefore, fetchErr := s.runIO(s.backend.ReadAt, &s.fetchReads, &s.fetchBytes, key0, p, at)
 	installed := 0
 	for lo := 0; lo < len(admitted); {

@@ -119,10 +119,9 @@ type shard struct {
 	// in their page's mask) so the commit cannot install its (older)
 	// fetched copy of them. The shard's commit consumes and clears it.
 	rotSkip map[block.Key]uint8
-	stats   Stats
-	// ops counts by opRead/opWrite the calls whose first shard lock was
-	// this one's: each call once (opLatency).
-	ops [2]int64
+	// stats holds the shard's counters; its ReadOps/WriteOps count the
+	// calls whose first shard lock was this one's: each call once.
+	stats Stats
 
 	// _pad keeps adjacent shard allocations from false-sharing a cache
 	// line when the allocator packs them.

@@ -218,8 +218,8 @@ func TestHitPathAllocations(t *testing.T) {
 		t.Errorf("the measured reads were not all hits: %+v", after)
 	}
 	// 201 calls: none timed has odds (7/8)^201 < 10⁻¹¹; all timed, 8^-201.
-	if rd, _ := s.LatencyHistograms(); rd.Count == timed.Count || rd.Count-timed.Count == after.ReadLatency.Ops-before.ReadLatency.Ops {
-		t.Errorf("%d of %d measured reads were timed, want some but not all", rd.Count-timed.Count, after.ReadLatency.Ops-before.ReadLatency.Ops)
+	if rd, _ := s.LatencyHistograms(); rd.Count == timed.Count || rd.Count-timed.Count == after.ReadOps-before.ReadOps {
+		t.Errorf("%d of %d measured reads were timed, want some but not all", rd.Count-timed.Count, after.ReadOps-before.ReadOps)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -106,10 +105,10 @@ type Options struct {
 	// authoritative), which is what the paper's appliance model implies.
 	WriteBack bool
 	// TrackLatency records the latency distribution of ReadAt/WriteAt calls
-	// into Stats.ReadLatency/WriteLatency and LatencyHistograms: one call in
-	// latencySample at random, and every traced call, is timed; every call
-	// is counted. Allocation-free; off by default so trace replay stays
-	// allocation- and syscall-identical.
+	// into LatencyHistograms: one call in latencySample at random, and every
+	// traced call, is timed. (Stats counts every call either way.)
+	// Allocation-free; off by default so trace replay stays allocation- and
+	// syscall-identical.
 	TrackLatency bool
 	// TraceSample enables sampled operation tracing: one in every
 	// TraceSample ReadAt/WriteAt calls records an OpTrace lifecycle record
@@ -229,23 +228,66 @@ type Stats struct {
 	QuotaDenials        int64 // admissions denied because the tenant was at/over its soft quota
 	TenantClips         int64 // epoch-selected blocks clipped by tenant quota (VariantD)
 	TenantRepartitions  int64 // quota repartitions run (once a sieve subwindow under VariantC, at epoch boundaries under VariantD; none without quotas)
-
-	// ReadLatency/WriteLatency aggregate whole-call ReadAt/WriteAt service
-	// times when Options.TrackLatency is set (zero otherwise): Ops and
-	// Errors count every call, TotalNanos and MaxNanos the timed sample.
-	ReadLatency  metrics.OpLatencySnapshot
-	WriteLatency metrics.OpLatencySnapshot
+	ReadOps, WriteOps   int64 // ReadAt/WriteAt calls that passed the geometry check, exact
+	ReadErrors          int64 // ReadAt calls that returned an error
+	WriteErrors         int64 // WriteAt calls that returned an error
 }
 
-// Add adds o's counters into the receiver: every int64 field, gauges
-// included. Stats sums its shards with it (whose store-level fields —
-// Epochs, the tenant totals, … — are zero and set afterwards).
+// StatField is one Stats field published as a series: its name under
+// sievestore.core, its kind, whether only tenant tracking sets it, and
+// where it lives in a Stats.
+type StatField struct {
+	Name   string
+	Kind   metrics.Kind
+	Tenant bool
+	Of     func(*Stats) *int64
+}
+
+// StatFields lists every Stats field once. Stats.Add sums by it and the
+// appliance's /metrics publishes by it; a field's doc comment is its help.
+var StatFields = []StatField{
+	{"reads", counter, false, func(s *Stats) *int64 { return &s.Reads }},
+	{"writes", counter, false, func(s *Stats) *int64 { return &s.Writes }},
+	{"read_hits", counter, false, func(s *Stats) *int64 { return &s.ReadHits }},
+	{"write_hits", counter, false, func(s *Stats) *int64 { return &s.WriteHits }},
+	{"alloc_writes", counter, false, func(s *Stats) *int64 { return &s.AllocWrites }},
+	{"evictions", counter, false, func(s *Stats) *int64 { return &s.Evictions }},
+	{"epoch_moves", counter, false, func(s *Stats) *int64 { return &s.EpochMoves }},
+	{"epochs", counter, false, func(s *Stats) *int64 { return &s.Epochs }},
+	{"backend_reads", counter, false, func(s *Stats) *int64 { return &s.BackendReads }},
+	{"backend_writes", counter, false, func(s *Stats) *int64 { return &s.BackendWrites }},
+	{"cached_blocks", gauge, false, func(s *Stats) *int64 { return &s.CachedBlocks }},
+	{"capacity_blocks", gauge, false, func(s *Stats) *int64 { return &s.CapacityBlocks }},
+	{"dirty_blocks", gauge, false, func(s *Stats) *int64 { return &s.DirtyBlocks }},
+	{"flush_writes", counter, false, func(s *Stats) *int64 { return &s.FlushWrites }},
+	{"backend_bytes_read", counter, false, func(s *Stats) *int64 { return &s.BackendBytesRead }},
+	{"backend_bytes_written", counter, false, func(s *Stats) *int64 { return &s.BackendBytesWritten }},
+	{"coalesced_reads", counter, false, func(s *Stats) *int64 { return &s.CoalescedReads }},
+	{"rotate_failures", counter, false, func(s *Stats) *int64 { return &s.RotateFailures }},
+	{"reset_failures", counter, false, func(s *Stats) *int64 { return &s.ResetFailures }},
+	{"flush_errors", counter, false, func(s *Stats) *int64 { return &s.FlushErrors }},
+	{"spill_disables", counter, false, func(s *Stats) *int64 { return &s.SpillDisables }},
+	{"select_overflow", counter, false, func(s *Stats) *int64 { return &s.SelectOverflow }},
+	{"group_commits", counter, false, func(s *Stats) *int64 { return &s.GroupCommits }},
+	{"coalesced_flushes", counter, false, func(s *Stats) *int64 { return &s.CoalescedFlushes }},
+	{"tenants", counter, true, func(s *Stats) *int64 { return &s.Tenants }},
+	{"quota_denials", counter, true, func(s *Stats) *int64 { return &s.QuotaDenials }},
+	{"tenant_clips", counter, true, func(s *Stats) *int64 { return &s.TenantClips }},
+	{"tenant_repartitions", counter, true, func(s *Stats) *int64 { return &s.TenantRepartitions }},
+	{"read_ops", counter, false, func(s *Stats) *int64 { return &s.ReadOps }},
+	{"write_ops", counter, false, func(s *Stats) *int64 { return &s.WriteOps }},
+	{"read_errors", counter, false, func(s *Stats) *int64 { return &s.ReadErrors }},
+	{"write_errors", counter, false, func(s *Stats) *int64 { return &s.WriteErrors }},
+}
+
+const counter, gauge = metrics.KindCounter, metrics.KindGauge
+
+// Add adds o's fields into the receiver, gauges included. Stats sums its
+// shards with it (whose store-level fields — Epochs, the tenant totals,
+// … — are zero and set afterwards).
 func (s *Stats) Add(o Stats) {
-	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
-	for i := range dst.NumField() {
-		if f := dst.Field(i); f.Kind() == reflect.Int64 {
-			f.SetInt(f.Int() + src.Field(i).Int())
-		}
+	for _, f := range StatFields {
+		*f.Of(s) += *f.Of(&o)
 	}
 }
 
@@ -348,7 +390,7 @@ type Store struct {
 	lat [2]opLatency
 
 	// trace is the sampled op-lifecycle ring (nil unless TraceSample > 0).
-	trace *metrics.TraceRing
+	trace *TraceRing
 
 	// Group commit (see Flush): flushing is the write-back sweep running
 	// now, if any; flushNext is the sweep queued behind it, collecting the
@@ -384,7 +426,7 @@ func Open(backend Backend, opts Options) (*Store, error) {
 	}
 	s.deadline.Store(math.MaxInt64)
 	if o.TraceSample > 0 {
-		s.trace = metrics.NewTraceRing(traceRingSize, o.TraceSample)
+		s.trace = NewTraceRing(traceRingSize, o.TraceSample)
 	}
 	caps := cache.PartitionCapacity(int(o.CacheBytes/block.Size), o.Shards)
 	s.shards = make([]*shard, o.Shards)
@@ -487,14 +529,11 @@ func (s *Store) shardIndex(key block.Key) int {
 // single global instant (exact with Shards=1).
 func (s *Store) Stats() Stats {
 	var st Stats
-	var ops [2]int64
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sub := sh.stats
 		sub.CachedBlocks = int64(sh.tab.Len())
 		sub.DirtyBlocks = int64(sh.nDirty)
-		ops[opRead] += sh.ops[opRead]
-		ops[opWrite] += sh.ops[opWrite]
 		sh.mu.Unlock()
 		st.Add(sub)
 	}
@@ -515,10 +554,10 @@ func (s *Store) Stats() Stats {
 	st.SpillDisables = s.spillDisables.Load()
 	st.GroupCommits = s.groupCommits.Load()
 	st.CoalescedFlushes = s.coalescedFlushes.Load()
-	if s.opts.TrackLatency {
-		st.ReadLatency = s.lat[opRead].snapshot(ops[opRead])
-		st.WriteLatency = s.lat[opWrite].snapshot(ops[opWrite])
-	}
+	st.ReadOps += s.lat[opRead].closed.Load()
+	st.WriteOps += s.lat[opWrite].closed.Load()
+	st.ReadErrors = s.lat[opRead].errs.Load()
+	st.WriteErrors = s.lat[opWrite].errs.Load()
 	return st
 }
 
@@ -530,25 +569,14 @@ const latencySample = 8
 const opRead, opWrite = 0, 1
 
 // opLatency accounts one kind of I/O call. Every call is counted exactly:
-// under the first shard lock it takes (shard.ops), or in closed if it was
-// refused at the closed gate before taking one; errs counts the calls that
-// failed. hist holds the service times of the timed sample (Store.do).
+// under the first shard lock it takes (shard.stats.ReadOps/WriteOps), or in
+// closed if it was refused at the closed gate before taking one; errs
+// counts the calls that failed. hist holds the service times of the timed
+// sample (Store.do).
 type opLatency struct {
 	hist   metrics.Histogram
 	errs   atomic.Int64
 	closed atomic.Int64
-}
-
-// snapshot flattens the sample into the wire-stable OpLatencySnapshot for
-// ops calls that reached a shard. TotalNanos scales the sample's sum to
-// every call, so Mean is the sample's mean; MaxNanos is the sample's.
-func (l *opLatency) snapshot(ops int64) metrics.OpLatencySnapshot {
-	h := l.hist.Snapshot()
-	out := metrics.OpLatencySnapshot{Ops: ops + l.closed.Load(), Errors: l.errs.Load(), MaxNanos: h.Max}
-	if h.Count > 0 {
-		out.TotalNanos = int64(float64(h.Sum) * (float64(out.Ops) / float64(h.Count)))
-	}
-	return out
 }
 
 // Close releases the store's resources. In write-back mode the dirty
@@ -610,7 +638,7 @@ func checkIO(server, volume int, off uint64, n int) error {
 // or, with latency tracked, one of latencySample at random — two monotonic
 // clock reads around path. path counts the call itself (opLatency).
 func (s *Store) do(op string, kind int,
-	path func(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error,
+	path func(server, volume int, p []byte, off uint64, tr *OpTrace) error,
 	server, volume int, p []byte, off uint64) error {
 	if err := checkIO(server, volume, off, len(p)); err != nil {
 		return err
@@ -739,44 +767,6 @@ func (s *Store) runIO(io func(server, volume int, p []byte, off uint64) error, r
 
 // now returns the injected current time.
 func (s *Store) now() time.Time { return s.opts.Now() }
-
-// beginTrace starts a sampled op-lifecycle record, or returns nil when
-// this operation is not sampled (the common case: one atomic add).
-func (s *Store) beginTrace(op string, server, volume int, p []byte, off uint64) *metrics.OpTrace {
-	if s.trace == nil || !s.trace.Sample() {
-		return nil
-	}
-	return &metrics.OpTrace{
-		StartNS: s.now().UnixNano(),
-		Op:      op,
-		Server:  server,
-		Volume:  volume,
-		Offset:  off,
-		Blocks:  len(p) / block.Size,
-		Shard:   s.shardIndex(block.MakeKey(server, volume, off/block.Size)),
-	}
-}
-
-// endTrace finishes and records a sampled trace (no-op for nil).
-func (s *Store) endTrace(tr *metrics.OpTrace, d time.Duration, err error) {
-	if tr == nil {
-		return
-	}
-	tr.LatencyNS = d.Nanoseconds()
-	if err != nil {
-		tr.Err = err.Error()
-	}
-	s.trace.Record(*tr)
-}
-
-// Traces returns the sampled operation lifecycle records, newest first
-// (nil when Options.TraceSample is 0).
-func (s *Store) Traces() []metrics.OpTrace {
-	if s.trace == nil {
-		return nil
-	}
-	return s.trace.Dump()
-}
 
 // LatencyHistograms returns mergeable log-bucketed distributions of the
 // timed ReadAt and WriteAt calls' service times (Options.TrackLatency).

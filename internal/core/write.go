@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/block"
-	"repro/internal/metrics"
 )
 
 // WriteAt writes p through to the backend, updating cached blocks in place
@@ -16,7 +15,7 @@ func (s *Store) WriteAt(server, volume int, p []byte, off uint64) error {
 	return s.do("write", opWrite, s.writeCached, server, volume, p, off)
 }
 
-func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *metrics.OpTrace) error {
+func (s *Store) writeCached(server, volume int, p []byte, off uint64, tr *OpTrace) error {
 	nBlocks := len(p) / block.Size
 	key0, err := s.beginOp(server, volume, off, nBlocks, opWrite)
 	if err != nil {
@@ -110,7 +109,7 @@ func (s *Store) reserveWrite(key0 block.Key, runs []uint64, flights []flight) er
 		sh, hi := s.shardRuns(runs, lo)
 		sh.mu.Lock()
 		if lo == 0 {
-			sh.ops[opWrite]++
+			sh.stats.WriteOps++
 		}
 		at, err := sh.reserveLocked(key0, runs[lo:hi], flights, atBuf[:0])
 		sh.mu.Unlock()

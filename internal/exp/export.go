@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/ssd"
 )
 
@@ -114,7 +113,7 @@ func (r *Results) ExportCSV(dir string) ([]string, error) {
 
 // paperLoads returns policy p's minute loads scaled back to paper volume.
 func (r *Results) paperLoads(p int) []ssd.MinuteLoad {
-	return metrics.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
+	return ssd.ScaleLoads(r.Policies[p].Minutes, float64(r.Config.Workload.Scale))
 }
 
 // Scaling computes the §7 scaling projection for a policy: drives needed

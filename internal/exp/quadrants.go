@@ -3,7 +3,6 @@ package exp
 import (
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -38,14 +37,14 @@ func (s *sweepRuns) quadrants(scale, minutes int) []QuadrantResult {
 	}
 	ensemble := func(q, name string, c *sim.Continuous) QuadrantResult {
 		r := c.Result(minutes)
-		loads := metrics.ScaleLoads(r.Minutes, float64(scale))
+		loads := ssd.ScaleLoads(r.Minutes, float64(scale))
 		return quadrant(q, name, r, ssd.DrivesAtCoverage(ssd.DrivesNeeded(&spec, loads), 0.999))
 	}
 	perServer := func(q, name string, p *sim.PerServer) QuadrantResult {
 		combined, each := p.Result(minutes)
 		scaled := make([]*sim.Result, len(each))
 		for i, r := range each {
-			scaled[i] = &sim.Result{Minutes: metrics.ScaleLoads(r.Minutes, float64(scale))}
+			scaled[i] = &sim.Result{Minutes: ssd.ScaleLoads(r.Minutes, float64(scale))}
 		}
 		return quadrant(q, name, combined, sim.PerServerDriveNeeds(&spec, scaled, 0.999))
 	}

@@ -1,3 +1,5 @@
+// Package metrics is the appliance's metric registry and the latency
+// histogram the store times its calls into.
 package metrics
 
 import (
@@ -225,9 +227,6 @@ func (r *Registry) JSONStatus() map[string]any {
 }
 
 // Uptime is a convenience gauge: registers name as seconds since start.
-func (r *Registry) Uptime(name string, start time.Time, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	r.Gauge(name, func() float64 { return now().Sub(start).Seconds() })
+func (r *Registry) Uptime(name string, start time.Time) {
+	r.Gauge(name, func() float64 { return time.Since(start).Seconds() })
 }

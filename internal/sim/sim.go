@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/cache"
-	"repro/internal/metrics"
 	"repro/internal/sieve"
 	"repro/internal/ssd"
 	"repro/internal/trace"
@@ -109,7 +108,7 @@ type Continuous struct {
 	cache   *cache.Cache
 	policy  sieve.Policy
 	result  Result
-	minutes metrics.MinuteSeries
+	minutes ssd.MinuteSeries
 	accBuf  []block.Access
 	// misses and admitted are one request's missed blocks and the indexes
 	// in misses of those the policy admitted.
@@ -161,7 +160,7 @@ func (c *Continuous) Process(req *block.Request) {
 // bookHits counts a request of n blocks, hits of which hit, into st and
 // charges the hits' SSD pages at the request's issue minute. Partial pages
 // are charged as whole pages (§4's conservative cost assessment).
-func bookHits(st *DayStats, ms *metrics.MinuteSeries, req *block.Request, n, hits int64) {
+func bookHits(st *DayStats, ms *ssd.MinuteSeries, req *block.Request, n, hits int64) {
 	count, hit, charge := &st.Reads, &st.ReadHits, ms.AddReads
 	if req.Kind == block.Write {
 		count, hit, charge = &st.Writes, &st.WriteHits, ms.AddWrites
@@ -199,7 +198,7 @@ type Discrete struct {
 	cache   *cache.Cache
 	sets    EpochSetFunc
 	result  Result
-	minutes metrics.MinuteSeries
+	minutes ssd.MinuteSeries
 	curDay  int
 	started bool
 	accBuf  []block.Access

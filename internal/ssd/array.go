@@ -79,10 +79,7 @@ type ScalingPoint struct {
 func ScalingTable(spec DeviceSpec, imbalance float64, loads []MinuteLoad, factors []float64) []ScalingPoint {
 	out := make([]ScalingPoint, 0, len(factors))
 	for _, f := range factors {
-		scaled := make([]MinuteLoad, len(loads))
-		for i, l := range loads {
-			scaled[i] = MinuteLoad{Minute: l.Minute, ReadPages: l.ReadPages * f, WritePages: l.WritePages * f}
-		}
+		scaled := ScaleLoads(loads, f)
 		drives := MinDrivesFor(spec, imbalance, scaled, 0.999)
 		arr := Array{Spec: spec, Drives: drives, Imbalance: imbalance}
 		peak := 0.0
